@@ -7,6 +7,7 @@ package hlts
 // full-width tables.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -44,7 +45,7 @@ func tableCell(b *testing.B, bench, method string) {
 	if bench == dfg.BenchDiffeq || bench == dfg.BenchPaulin {
 		par.LoopSignal = "exit"
 	}
-	res, err := core.Run(method, g, par)
+	res, err := core.RunCtx(context.Background(), method, g, par)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func tableCell(b *testing.B, bench, method string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ares, err := atpg.Run(nl.C, benchATPG(1))
+	ares, err := atpg.RunCtx(context.Background(), nl.C, benchATPG(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				par := core.DefaultParams(4)
 				par.Selection = sel.s
-				res, err := core.Synthesize(g, par)
+				res, err := core.SynthesizeCtx(context.Background(), g, par)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -169,7 +170,7 @@ func BenchmarkAblationReschedule(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				par := core.DefaultParams(4)
 				par.Reschedule = rs.r
-				res, err := core.Synthesize(g, par)
+				res, err := core.SynthesizeCtx(context.Background(), g, par)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -206,7 +207,7 @@ func BenchmarkSynthesize(b *testing.B) {
 					st := stats.New()
 					par.Stats = st
 					for i := 0; i < b.N; i++ {
-						if _, err := core.Synthesize(g, par); err != nil {
+						if _, err := core.SynthesizeCtx(context.Background(), g, par); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -234,7 +235,7 @@ func BenchmarkSynthesisAllBenchmarks(b *testing.B) {
 				par.LoopSignal = "exit"
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Synthesize(g, par); err != nil {
+				if _, err := core.SynthesizeCtx(context.Background(), g, par); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -248,7 +249,7 @@ func BenchmarkGateLevelFaultSim(b *testing.B) {
 	g := dfg.Diffeq(8)
 	par := core.DefaultParams(8)
 	par.LoopSignal = "exit"
-	res, err := core.Synthesize(g, par)
+	res, err := core.SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func BenchmarkGateLevelFaultSim(b *testing.B) {
 	cfg.MaxFrames = 2 // random phase dominated
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := atpg.Run(nl.C, cfg); err != nil {
+		if _, err := atpg.RunCtx(context.Background(), nl.C, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -278,7 +279,7 @@ func BenchmarkFaultSimParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Synthesize(g, core.DefaultParams(4))
+	res, err := core.SynthesizeCtx(context.Background(), g, core.DefaultParams(4))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -305,11 +306,11 @@ func BenchmarkFaultSimParallel(b *testing.B) {
 			b.ReportAllocs()
 			var det int
 			for i := 0; i < b.N; i++ {
-				r, err := logicsim.FaultSimWorkers(nl.C, flist, vectors, workers)
+				n, err := logicsim.FaultSimIncrementalWorkers(nl.C, flist, make([]bool, len(flist)), nil, vectors, 0, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
-				det = r.NumDet
+				det = n
 			}
 			b.ReportMetric(float64(det), "detected")
 			b.ReportMetric(float64(len(flist)), "faults")
@@ -331,7 +332,7 @@ func BenchmarkBIST(b *testing.B) {
 	}
 	par := DefaultParams(4)
 	par.LoopSignal = "exit"
-	res, err := Synthesize(g, par)
+	res, err := SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func BenchmarkBIST(b *testing.B) {
 			b.ReportAllocs()
 			var out *atpg.BISTOutcome
 			for i := 0; i < b.N; i++ {
-				out, err = RunBISTCfg(nl, 200, 100, BISTConfig{Lanes: lanes})
+				out, err = RunBISTCfgCtx(context.Background(), nl, 200, 100, BISTConfig{Lanes: lanes})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -384,7 +385,7 @@ func benchSim(b *testing.B) (*logicsim.Sim, []uint64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Synthesize(g, core.DefaultParams(4))
+	res, err := core.SynthesizeCtx(context.Background(), g, core.DefaultParams(4))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -405,9 +406,9 @@ func benchSim(b *testing.B) (*logicsim.Sim, []uint64) {
 }
 
 // Example of the facade API in documentation form.
-func ExampleSynthesize() {
+func ExampleSynthesizeCtx() {
 	g, _ := LoadBenchmark(BenchEx, 4)
-	res, _ := Synthesize(g, DefaultParams(4))
+	res, _ := SynthesizeCtx(context.Background(), g, DefaultParams(4))
 	fmt.Println(res.ExecTime, "control steps")
 	// Output: 4 control steps
 }

@@ -9,6 +9,7 @@ package hlts
 // stress test for the cache shared across tie-policy goroutines.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestCacheEquivalence(t *testing.T) {
 						p := par
 						p.NoCache, p.NoPrune = noCache, noPrune
 						p.Stats = stats.New()
-						r, err := core.Run(method, g, p)
+						r, err := core.RunCtx(context.Background(), method, g, p)
 						if err != nil {
 							t.Fatal(err)
 						}

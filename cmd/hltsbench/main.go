@@ -51,7 +51,6 @@ func main() {
 		statsFlg = flag.Bool("stats", false, "print synthesis cache/stage statistics after the run")
 		timeout  = flag.Duration("timeout", 0, "overall budget; when it expires, in-flight cells finish with their best-so-far figures, marked *partial in the table (0 = no limit)")
 		storeFl  = flag.String("store", "", "checkpoint store directory: completed cells are recorded there and skipped when the same sweep is rerun (a killed run resumes where it stopped); shares the crash-safe format of hltsd -store")
-		resume   = flag.String("resume", "", "deprecated alias for -store (a legacy single-file journal at this path is migrated in place)")
 		valFlg   = flag.Bool("validate", false, "run the structural invariant checkers on every cell's design and netlist")
 		chaosFl  = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
 
@@ -102,13 +101,7 @@ func main() {
 		ws = append(ws, w)
 	}
 	cfg.Widths = ws
-	ckptPath := *storeFl
-	if ckptPath == "" {
-		ckptPath = *resume
-	} else if *resume != "" && *resume != *storeFl {
-		fatal(fmt.Errorf("-store and -resume name different paths; use -store"))
-	}
-	if ckptPath != "" {
+	if ckptPath := *storeFl; ckptPath != "" {
 		j, err := report.OpenJournal(ckptPath)
 		if err != nil {
 			fatal(err)

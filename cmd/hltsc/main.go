@@ -63,6 +63,11 @@ func main() {
 		chaosFl  = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
 	)
 	flag.Parse()
+	// Install the handler before anything can answer /livez: a signal that
+	// arrives during boot is buffered and drains like any other, instead of
+	// killing the process with the default action.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("hltsc: ")
 
@@ -103,9 +108,6 @@ func main() {
 		log.Printf("coordinating on %s (heartbeat %v, suspect after %d beats)", *addr, *beat, *suspectK)
 		errCh <- httpSrv.ListenAndServe()
 	}()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 
 	select {
 	case err := <-errCh:

@@ -70,6 +70,11 @@ func main() {
 		replInt = flag.Duration("replicate-interval", 2*time.Second, "anti-entropy period for peer-to-peer store replication; needs both -store and -coordinator (0 disables)")
 	)
 	flag.Parse()
+	// Install the handler before anything can answer /livez: a signal that
+	// arrives during boot is buffered and drains like any other, instead of
+	// killing the process with the default action.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("hltsd: ")
 
@@ -177,9 +182,6 @@ func main() {
 		})
 		log.Printf("registered with coordinator %s as %s (heartbeat %v)", *coord, advertise, *beat)
 	}
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 
 	select {
 	case err := <-errCh:

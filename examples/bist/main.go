@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -18,7 +19,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := hlts.Synthesize(g, hlts.DefaultParams(width))
+	res, err := hlts.SynthesizeCtx(context.Background(), g, hlts.DefaultParams(width))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func main() {
 	// The self-test session: longer sessions detect more faults until the
 	// pattern sequence saturates.
 	for _, cycles := range []int{30, 100, 300} {
-		out, err := hlts.RunBIST(n, 0, cycles)
+		out, err := hlts.RunBISTCfgCtx(context.Background(), n, 0, cycles, hlts.BISTConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,7 +59,7 @@ func main() {
 			par.Alpha, par.Beta = kab[1], kab[2]
 			par.Slack = 2
 			par.Lib = lib.l
-			res, err := hlts.Synthesize(g, par)
+			res, err := hlts.SynthesizeCtx(context.Background(), g, par)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,7 @@ func main() {
 	}
 	par := hlts.DefaultParams(width)
 	par.LoopSignal = "exit"
-	res, err := hlts.Synthesize(g, par)
+	res, err := hlts.SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ares, err := hlts.TestDesign(nl, cfg)
+		ares, err := hlts.TestDesignCtx(context.Background(), nl, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

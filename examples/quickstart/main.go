@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,10 +22,10 @@ func main() {
 	}
 	fmt.Printf("behaviour %s: %d operations\n%s\n", g.Name, g.NumNodes(), g)
 
-	// 2. Synthesize with Algorithm 1: (k, alpha, beta) = (3, 2, 1).
+	// 2. Run Algorithm 1: (k, alpha, beta) = (3, 2, 1).
 	par := hlts.DefaultParams(width)
 	par.LoopSignal = "exit"
-	res, err := hlts.Synthesize(g, par)
+	res, err := hlts.SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func main() {
 	// 5. Run the stuck-at ATPG campaign.
 	cfg := hlts.DefaultATPGConfig(1)
 	cfg.SampleFaults = 600
-	ares, err := hlts.TestDesign(netlist, cfg)
+	ares, err := hlts.TestDesignCtx(context.Background(), netlist, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

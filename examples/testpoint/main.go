@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -33,7 +34,7 @@ func main() {
 	for _, method := range hlts.Methods() {
 		par := hlts.DefaultParams(*width)
 		par.LoopSignal = loop
-		res, err := hlts.RunMethod(method, g, par)
+		res, err := hlts.RunMethodCtx(context.Background(), method, g, par)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func main() {
 		}
 		cfg := hlts.DefaultATPGConfig(7)
 		cfg.SampleFaults = *faults
-		ares, err := hlts.TestDesign(nl, cfg)
+		ares, err := hlts.TestDesignCtx(context.Background(), nl, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

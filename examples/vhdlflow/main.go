@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,7 @@ func main() {
 	for _, method := range []string{hlts.MethodApproach2, hlts.MethodOurs} {
 		par := hlts.DefaultParams(width)
 		par.Slack = 1 // allow one extra control step for deeper sharing
-		res, err := hlts.RunMethod(method, g, par)
+		res, err := hlts.RunMethodCtx(context.Background(), method, g, par)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func TestCompileVHDLRejectsBadWidth(t *testing.T) {
 	}
 }
 
-// RunBISTCtx must degrade to a partial outcome on cancellation — the
+// RunBISTCfgCtx must degrade to a partial outcome on cancellation — the
 // contract every other cancellable job type already honours — so the
 // server can cancel BIST jobs when their requester disconnects.
 func TestRunBISTCtxCancellation(t *testing.T) {
@@ -52,7 +52,7 @@ func TestRunBISTCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Synthesize(g, DefaultParams(4))
+	r, err := SynthesizeCtx(context.Background(), g, DefaultParams(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRunBISTCtxCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full, err := RunBISTCtx(context.Background(), n, 100, 40)
+	full, err := RunBISTCfgCtx(context.Background(), n, 100, 40, BISTConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRunBISTCtxCancellation(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	part, err := RunBISTCtx(cancelled, n, 100, 40)
+	part, err := RunBISTCfgCtx(cancelled, n, 100, 40, BISTConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,12 @@ func TestSynthesisRejectsBadParamsWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{0, -8, 65} {
-		if _, err := Synthesize(g, DefaultParams(w)); !errors.Is(err, ErrBadWidth) {
-			t.Errorf("Synthesize(DefaultParams(%d)) = %v, want ErrBadWidth", w, err)
+		if _, err := SynthesizeCtx(context.Background(), g, DefaultParams(w)); !errors.Is(err, ErrBadWidth) {
+			t.Errorf("SynthesizeCtx(context.Background(), DefaultParams(%d)) = %v, want ErrBadWidth", w, err)
 		}
 		for _, m := range Methods() {
-			if _, err := RunMethod(m, g, DefaultParams(w)); !errors.Is(err, ErrBadWidth) {
-				t.Errorf("RunMethod(%s, DefaultParams(%d)) = %v, want ErrBadWidth", m, w, err)
+			if _, err := RunMethodCtx(context.Background(), m, g, DefaultParams(w)); !errors.Is(err, ErrBadWidth) {
+				t.Errorf("RunMethodCtx(context.Background(), %s, DefaultParams(%d)) = %v, want ErrBadWidth", m, w, err)
 			}
 		}
 	}

@@ -6,17 +6,22 @@
 //
 //	behaviour (VHDL subset or built-in benchmark)
 //	   └── dfg.Graph                      CompileVHDL / LoadBenchmark
-//	        └── synthesis                 Synthesize / RunMethod
+//	        └── synthesis                 SynthesizeCtx / RunMethodCtx
 //	             └── ETPN design          (schedule + allocation + Petri net control)
 //	                  └── gate netlist    Netlist
-//	                       └── ATPG       TestDesign
+//	                       └── ATPG       TestDesignCtx
 //
-// Synthesize runs the paper's Algorithm 1: integrated scheduling and
+// SynthesizeCtx runs the paper's Algorithm 1: integrated scheduling and
 // allocation driven by controllability/observability balance, with
 // ΔC = α·ΔE + β·ΔH merger selection and SR1/SR2 merge-sort rescheduling.
 // The three baselines of the paper's evaluation (CAMAD, force-directed
 // scheduling + testable left-edge, mobility-path scheduling + testable
-// left-edge) run through RunMethod.
+// left-edge) run through RunMethodCtx.
+//
+// Every long-running entry point takes a context. Pass
+// context.Background() to run to completion; a cancelled context or an
+// expired deadline returns the best result so far with
+// Status == StatusPartial instead of an error.
 //
 // Synthesis and test generation are parallel internally: Params.Workers
 // and ATPGConfig.Workers set the number of worker goroutines used for the
@@ -67,8 +72,8 @@ type (
 	// ExecError is a worker panic recovered at a library boundary.
 	ExecError = exec.ExecError
 	// Checkpoint is the journal behind resumable experiment sweeps: every
-	// completed table cell is appended to a JSON-lines file, and a config
-	// carrying the journal skips cells already recorded.
+	// completed table cell is recorded in a crash-safe store directory, and
+	// a config carrying the journal skips cells already recorded.
 	Checkpoint = report.Journal
 	// ValidationError is a violated structural invariant reported by the
 	// stage-boundary checkers (Params.Validate / ExperimentConfig.Validate):
@@ -87,7 +92,8 @@ const (
 // CompileVHDL) and every synthesis flow validate their inputs and reject
 // nonsense with one of these — matchable with errors.Is — instead of
 // failing deep inside synthesis. A Params carrying a bad width (e.g. from
-// DefaultParams(0)) is rejected the same way by Synthesize / RunMethod.
+// DefaultParams(0)) is rejected the same way by SynthesizeCtx /
+// RunMethodCtx.
 var (
 	// ErrBadWidth: the data-path bit width is outside [1, 64].
 	ErrBadWidth = dfg.ErrBadWidth
@@ -152,23 +158,17 @@ func CompileVHDL(src string, width int) (*Graph, error) { return hdl.Compile(src
 // (k, α, β) = (3, 2, 1) at the given width.
 func DefaultParams(width int) Params { return core.DefaultParams(width) }
 
-// Synthesize runs the paper's integrated test synthesis (Algorithm 1).
-func Synthesize(g *Graph, p Params) (*Result, error) { return core.Synthesize(g, p) }
-
-// SynthesizeCtx is Synthesize under a context: when the context is
-// cancelled or its deadline passes, the merger loop stops at the next
-// iteration boundary and the best design found so far is returned with
-// Status == StatusPartial instead of an error.
+// SynthesizeCtx runs the paper's integrated test synthesis (Algorithm 1).
+// When the context is cancelled or its deadline passes, the merger loop
+// stops at the next iteration boundary and the best design found so far is
+// returned with Status == StatusPartial instead of an error.
 func SynthesizeCtx(ctx context.Context, g *Graph, p Params) (*Result, error) {
 	return core.SynthesizeCtx(ctx, g, p)
 }
 
-// RunMethod runs the named synthesis flow: MethodOurs or one of the
-// paper's three baselines.
-func RunMethod(method string, g *Graph, p Params) (*Result, error) { return core.Run(method, g, p) }
-
-// RunMethodCtx is RunMethod under a context, with the same graceful
-// degradation as SynthesizeCtx for the iterative flows.
+// RunMethodCtx runs the named synthesis flow: MethodOurs or one of the
+// paper's three baselines, with the same graceful degradation as
+// SynthesizeCtx for the iterative flows.
 func RunMethodCtx(ctx context.Context, method string, g *Graph, p Params) (*Result, error) {
 	return core.RunCtx(ctx, method, g, p)
 }
@@ -226,31 +226,16 @@ func GenerateNetlistWithBIST(r *Result, width int, tpg, misr []int) (*Netlist, e
 // and TPG registers for per-lane seeding.
 type BISTConfig = atpg.BISTConfig
 
-// RunBIST evaluates a BIST netlist: the self-test session free-runs for
-// the given cycles and a fault counts as detected when its final MISR
-// signature differs from the good machine's in any lane. All 64
-// simulator lanes carry independent sessions (PPSFP); use RunBISTCfg
-// with Lanes: 1 for the historical single-session semantics.
-func RunBIST(n *Netlist, sampleFaults, cycles int) (*atpg.BISTOutcome, error) {
-	return RunBISTCfg(n, sampleFaults, cycles, BISTConfig{})
-}
-
-// RunBISTCtx is RunBIST under a context: on cancellation or deadline the
-// session stops at the next fault boundary and reports the coverage over
-// the faults evaluated so far with Status == StatusPartial, like every
-// other cancellable job in the system.
-func RunBISTCtx(ctx context.Context, n *Netlist, sampleFaults, cycles int) (*atpg.BISTOutcome, error) {
-	return RunBISTCfgCtx(ctx, n, sampleFaults, cycles, BISTConfig{})
-}
-
-// RunBISTCfg is RunBIST with explicit session configuration. When
-// cfg.TPGRegs is nil the netlist's recorded TPG registers are used, so
-// multi-lane sessions de-phase the on-chip pattern generators per lane.
-func RunBISTCfg(n *Netlist, sampleFaults, cycles int, cfg BISTConfig) (*atpg.BISTOutcome, error) {
-	return RunBISTCfgCtx(context.Background(), n, sampleFaults, cycles, cfg)
-}
-
-// RunBISTCfgCtx is RunBISTCfg under a context (see RunBISTCtx).
+// RunBISTCfgCtx evaluates a BIST netlist: the self-test session free-runs
+// for the given cycles and a fault counts as detected when its final MISR
+// signature differs from the good machine's in any lane. All 64 simulator
+// lanes carry independent sessions (PPSFP); cfg.Lanes: 1 gives the
+// historical single-session semantics. When cfg.TPGRegs is nil the
+// netlist's recorded TPG registers are used, so multi-lane sessions
+// de-phase the on-chip pattern generators per lane. On cancellation or
+// deadline the session stops at the next fault boundary and reports the
+// coverage over the faults evaluated so far with Status == StatusPartial,
+// like every other cancellable job in the system.
 func RunBISTCfgCtx(ctx context.Context, n *Netlist, sampleFaults, cycles int, cfg BISTConfig) (*atpg.BISTOutcome, error) {
 	if cfg.TPGRegs == nil {
 		cfg.TPGRegs = n.BISTTpg
@@ -262,16 +247,11 @@ func RunBISTCfgCtx(ctx context.Context, n *Netlist, sampleFaults, cycles int, cf
 // harness, seeded for reproducibility.
 func DefaultATPGConfig(seed int64) ATPGConfig { return atpg.DefaultConfig(seed) }
 
-// TestDesign runs the stuck-at ATPG campaign (random phase plus
+// TestDesignCtx runs the stuck-at ATPG campaign (random phase plus
 // time-frame PODEM) on a generated netlist and reports fault coverage,
 // test-generation effort and test-application cycles — the three
-// testability columns of the paper's tables.
-func TestDesign(n *Netlist, cfg ATPGConfig) (*ATPGResult, error) {
-	return TestDesignCtx(context.Background(), n, cfg)
-}
-
-// TestDesignCtx is TestDesign under a context: on cancellation or
-// deadline the campaign returns its best-so-far coverage with
+// testability columns of the paper's tables. On cancellation or deadline
+// the campaign returns its best-so-far coverage with
 // Status == StatusPartial, unresolved faults counted as skipped.
 func TestDesignCtx(ctx context.Context, n *Netlist, cfg ATPGConfig) (*ATPGResult, error) {
 	if cfg.MaxFrames < 2*(n.Steps+1) {
@@ -284,26 +264,20 @@ func TestDesignCtx(ctx context.Context, n *Netlist, cfg ATPGConfig) (*ATPGResult
 // reproducing the paper's setup (widths 4/8/16, per-width (k,α,β)).
 func DefaultExperimentConfig(seed int64) ExperimentConfig { return report.DefaultConfig(seed) }
 
-// ReproduceTable regenerates a full experiment table (all four methods at
-// all configured widths) for a benchmark: Table 1 is BenchEx, Table 2
-// BenchDct, Table 3 BenchDiffeq.
-func ReproduceTable(bench string, cfg ExperimentConfig) (*Table, error) {
-	return report.RunTable(bench, cfg)
-}
-
-// ReproduceTableCtx is ReproduceTable under a context: cells cut short by
-// the deadline carry their best-so-far figures and a partial marker in
-// the rendered table.
+// ReproduceTableCtx regenerates a full experiment table (all four methods
+// at all configured widths) for a benchmark: Table 1 is BenchEx, Table 2
+// BenchDct, Table 3 BenchDiffeq. Cells cut short by the deadline carry
+// their best-so-far figures and a partial marker in the rendered table.
 func ReproduceTableCtx(ctx context.Context, bench string, cfg ExperimentConfig) (*Table, error) {
 	return report.RunTableCtx(ctx, bench, cfg)
 }
 
 // OpenCheckpoint opens (creating if needed) a sweep checkpoint store at
 // path — a directory backed by the crash-safe content-addressed store of
-// internal/store (a legacy single-file journal at the same path is
-// migrated in place). Assign it to ExperimentConfig.Journal to make a
-// table run resumable: completed cells are recorded as they finish and
-// skipped on the next run. See cmd/hltsbench's -store flag.
+// internal/store; a path naming a regular file is rejected. Assign it to
+// ExperimentConfig.Journal to make a table run resumable: completed cells
+// are recorded as they finish and skipped on the next run. See
+// cmd/hltsbench's -store flag.
 func OpenCheckpoint(path string) (*Checkpoint, error) { return report.OpenJournal(path) }
 
 // ValidateDesign runs the structural invariant checkers on a synthesized

@@ -1,6 +1,7 @@
 package hlts
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"testing"
@@ -11,7 +12,7 @@ func TestFacadePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Synthesize(g, DefaultParams(4))
+	r, err := SynthesizeCtx(context.Background(), g, DefaultParams(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestFacadePipeline(t *testing.T) {
 	cfg.SampleFaults = 100
 	cfg.RandomBatches = 1
 	cfg.Restarts = 0
-	res, err := TestDesign(n, cfg)
+	res, err := TestDesignCtx(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ end architecture;
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunMethod(MethodOurs, g, DefaultParams(8))
+	r, err := RunMethodCtx(context.Background(), MethodOurs, g, DefaultParams(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFacadeBIST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Synthesize(g, DefaultParams(4))
+	r, err := SynthesizeCtx(context.Background(), g, DefaultParams(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestFacadeBIST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunBIST(n, 150, 60)
+	out, err := RunBISTCfgCtx(context.Background(), n, 150, 60, BISTConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestShippedVHDLSources(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		r, err := Synthesize(g, DefaultParams(8))
+		r, err := SynthesizeCtx(context.Background(), g, DefaultParams(8))
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}

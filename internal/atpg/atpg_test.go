@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -65,11 +66,11 @@ func TestPodemCombinationalBasics(t *testing.T) {
 func vectorDetects(t *testing.T, c *gates.Circuit, f fault.Fault, assign [][]int8) bool {
 	t.Helper()
 	vec := vectorsFromAssignment(c, assign)
-	res, err := logicsim.FaultSim(c, []fault.Fault{f}, vec)
-	if err != nil {
+	detected := make([]bool, 1)
+	if _, err := logicsim.FaultSimIncrementalWorkers(c, []fault.Fault{f}, detected, nil, vec, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	return res.Detected[0]
+	return detected[0]
 }
 
 func TestPodemUntestableRedundancy(t *testing.T) {
@@ -201,7 +202,7 @@ func TestCampaignTseng(t *testing.T) {
 	cfg := DefaultConfig(7)
 	cfg.SampleFaults = 300
 	cfg.RandomBatches = 2
-	res, err := Run(c, cfg)
+	res, err := RunCtx(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +229,11 @@ func TestCampaignReproducible(t *testing.T) {
 	cfg.SampleFaults = 150
 	cfg.RandomBatches = 1
 	cfg.Restarts = 1
-	r1, err := Run(c, cfg)
+	r1, err := RunCtx(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(c, cfg)
+	r2, err := RunCtx(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +249,11 @@ func TestCampaignSeedSensitivity(t *testing.T) {
 	cfg1.RandomBatches = 1
 	cfg2 := cfg1
 	cfg2.Seed = 2
-	r1, err := Run(c, cfg1)
+	r1, err := RunCtx(context.Background(), c, cfg1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(c, cfg2)
+	r2, err := RunCtx(context.Background(), c, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,11 +273,11 @@ func TestMoreRandomBatchesNeverHurtCoverage(t *testing.T) {
 	base.MaxFrames = 2
 	more := base
 	more.RandomBatches = 4
-	r1, err := Run(c, base)
+	r1, err := RunCtx(context.Background(), c, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(c, more)
+	r2, err := RunCtx(context.Background(), c, more)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestFrameEscalation(t *testing.T) {
 		t.Errorf("frameEscalation(4) = %v", got)
 	}
 	// Below the clamp boundary no frame count may be scheduled at all:
-	// widening past the configured cap is exactly the bug Run's clamp
+	// widening past the configured cap is exactly the bug RunCtx's clamp
 	// guards against.
 	for _, mf := range []int{0, -1} {
 		if got := frameEscalation(mf); len(got) != 0 {
@@ -320,7 +321,7 @@ func TestMaxFramesClampRegression(t *testing.T) {
 	run := func(maxFrames int) *Result {
 		cfg := base
 		cfg.MaxFrames = maxFrames
-		res, err := Run(c, cfg)
+		res, err := RunCtx(context.Background(), c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +351,7 @@ func TestCampaignWorkersEquivalence(t *testing.T) {
 	run := func(workers int) *Result {
 		cfg := base
 		cfg.Workers = workers
-		res, err := Run(c, cfg)
+		res, err := RunCtx(context.Background(), c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,7 +436,7 @@ func TestRunEmptyFaultList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, DefaultConfig(1))
+	res, err := RunCtx(context.Background(), c, DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +452,7 @@ func TestTestSetReplayReproducesCoverage(t *testing.T) {
 	cfg := DefaultConfig(11)
 	cfg.SampleFaults = 250
 	cfg.RandomBatches = 2
-	res, err := Run(c, cfg)
+	res, err := RunCtx(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +488,7 @@ func TestBudgetExhaustionIsNotUntestable(t *testing.T) {
 	cfg := DefaultConfig(5)
 	cfg.RandomBatches = 0
 	cfg.MaxFrames = 1
-	res, err := Run(seq, cfg)
+	res, err := RunCtx(context.Background(), seq, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +505,7 @@ func TestBudgetExhaustionIsNotUntestable(t *testing.T) {
 	comb := redundantCircuit(t)
 	ccfg := DefaultConfig(5)
 	ccfg.RandomBatches = 0
-	cres, err := Run(comb, ccfg)
+	cres, err := RunCtx(context.Background(), comb, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -40,7 +41,7 @@ func buildBISTNetlist(t *testing.T) *rtl.Netlist {
 func TestRunBISTCyclesError(t *testing.T) {
 	nl := buildBISTNetlist(t)
 	for _, cycles := range []int{0, -3} {
-		_, err := RunBIST(nl.C, 10, cycles)
+		_, err := RunBISTCfgCtx(context.Background(), nl.C, 10, cycles, BISTConfig{})
 		if !errors.Is(err, ErrBISTCycles) {
 			t.Errorf("cycles=%d: err = %v, want ErrBISTCycles", cycles, err)
 		}
@@ -50,7 +51,7 @@ func TestRunBISTCyclesError(t *testing.T) {
 func TestRunBISTLanesValidation(t *testing.T) {
 	nl := buildBISTNetlist(t)
 	for _, lanes := range []int{-1, 65, 1000} {
-		if _, err := RunBISTCfg(nl.C, 10, 4, BISTConfig{Lanes: lanes}); err == nil {
+		if _, err := RunBISTCfgCtx(context.Background(), nl.C, 10, 4, BISTConfig{Lanes: lanes}); err == nil {
 			t.Errorf("lanes=%d: expected error", lanes)
 		}
 	}
@@ -65,7 +66,7 @@ func TestRunBISTDuplicateEnable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBIST(c, 10, 4); !errors.Is(err, ErrDuplicateBISTEnable) {
+	if _, err := RunBISTCfgCtx(context.Background(), c, 10, 4, BISTConfig{}); !errors.Is(err, ErrDuplicateBISTEnable) {
 		t.Fatalf("err = %v, want ErrDuplicateBISTEnable", err)
 	}
 }
@@ -154,7 +155,7 @@ func TestRunBISTSingleLaneMatchesLegacy(t *testing.T) {
 			nRef++
 		}
 	}
-	out, err := RunBISTCfg(nl.C, faults, cycles, BISTConfig{Lanes: 1, TPGRegs: nl.BISTTpg})
+	out, err := RunBISTCfgCtx(context.Background(), nl.C, faults, cycles, BISTConfig{Lanes: 1, TPGRegs: nl.BISTTpg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +174,11 @@ func TestRunBISTSingleLaneMatchesLegacy(t *testing.T) {
 func TestRunBISTLaneMonotonicAndPasses(t *testing.T) {
 	nl := buildBISTNetlist(t)
 	const faults, cycles = 60, 48
-	one, err := RunBISTCfg(nl.C, faults, cycles, BISTConfig{Lanes: 1, TPGRegs: nl.BISTTpg})
+	one, err := RunBISTCfgCtx(context.Background(), nl.C, faults, cycles, BISTConfig{Lanes: 1, TPGRegs: nl.BISTTpg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := RunBISTCfg(nl.C, faults, cycles, BISTConfig{TPGRegs: nl.BISTTpg})
+	all, err := RunBISTCfgCtx(context.Background(), nl.C, faults, cycles, BISTConfig{TPGRegs: nl.BISTTpg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,21 +263,27 @@ func TestFaultSimWorkerEquivalenceOnBIST(t *testing.T) {
 	}
 	vec := sessionVectors(16, len(c.Inputs), 64, defaultBISTSeed, bistEn)
 	flist := fault.Sample(fault.Collapse(c), 80)
-	seq, err := logicsim.FaultSimWorkers(c, flist, vec, 1)
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) ([]bool, []int, int) {
+		detected := make([]bool, len(flist))
+		cycles := make([]int, len(flist))
+		for i := range cycles {
+			cycles[i] = -1
+		}
+		n, err := logicsim.FaultSimIncrementalWorkers(c, flist, detected, cycles, vec, 0, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return detected, cycles, n
 	}
-	par, err := logicsim.FaultSimWorkers(c, flist, vec, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.NumDet != par.NumDet {
-		t.Fatalf("NumDet differs: %d vs %d", seq.NumDet, par.NumDet)
+	seqDet, seqCyc, seqN := run(1)
+	parDet, parCyc, parN := run(8)
+	if seqN != parN {
+		t.Fatalf("detected count differs: %d vs %d", seqN, parN)
 	}
 	for i := range flist {
-		if seq.Detected[i] != par.Detected[i] || seq.DetectCycle[i] != par.DetectCycle[i] {
+		if seqDet[i] != parDet[i] || seqCyc[i] != parCyc[i] {
 			t.Fatalf("fault %d: workers=1 (%v,%d) vs workers=8 (%v,%d)",
-				i, seq.Detected[i], seq.DetectCycle[i], par.Detected[i], par.DetectCycle[i])
+				i, seqDet[i], seqCyc[i], parDet[i], parCyc[i])
 		}
 	}
 }

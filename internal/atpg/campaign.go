@@ -30,7 +30,7 @@ type Config struct {
 	SeqLen int
 	// MaxFrames bounds the time-frame expansion of the deterministic
 	// phase; it should exceed the design's sequential depth. Values below
-	// 1 are clamped to 1 by Run.
+	// 1 are clamped to 1 by RunCtx.
 	MaxFrames int
 	// BacktrackLimit bounds PODEM's search per fault, frame count and
 	// restart.
@@ -196,24 +196,21 @@ func (r *Result) String() string {
 	return s
 }
 
-// Run executes a full campaign on the circuit: fault collapsing and
+// RunCtx executes a full campaign on the circuit: fault collapsing and
 // sampling, a random phase with fault dropping, then deterministic PODEM
 // over time frames for the remaining faults (each generated test is fault
 // simulated against the remaining list). Both phases run on cfg.Workers
 // goroutines; results are committed in fault-index order, so every field
 // of Result — including Effort and the fault-dropping cascade — is
 // byte-identical to a sequential (Workers: 1) run.
-func Run(c *gates.Circuit, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), c, cfg)
-}
-
-// RunCtx is Run under a context. Cancellation degrades gracefully rather
-// than erroring: the campaign stops at the next phase or fault boundary
-// and returns its best-so-far Result tagged StatusPartial, with the
-// unsearched faults counted as Skipped. The cancellation points are the
-// start of each random batch, each fault's produce/commit in the
-// deterministic phase, and each PODEM restart. The nil error on a partial
-// result is deliberate — a deadline is a budget, not a failure.
+//
+// Cancellation degrades gracefully rather than erroring: the campaign
+// stops at the next phase or fault boundary and returns its best-so-far
+// Result tagged StatusPartial, with the unsearched faults counted as
+// Skipped. The cancellation points are the start of each random batch,
+// each fault's produce/commit in the deterministic phase, and each PODEM
+// restart. The nil error on a partial result is deliberate — a deadline is
+// a budget, not a failure.
 func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) {
 	if cfg.MaxFrames < 1 {
 		// A frame window below 1 is meaningless; clamping here keeps
@@ -498,7 +495,9 @@ func randomBatch(c *gates.Circuit, flist []fault.Fault, detected []bool, vectors
 	nGates := int64(c.NumGates())
 	laneOf := make([]uint64, len(flist))
 	evalsOf := make([]int64, len(flist))
-	err = parallel.ForEachWorker(workers, len(flist),
+	// A batch is atomic with respect to cancellation (see RunCtx), so the
+	// pool runs without the campaign's context.
+	err = parallel.ForEachWorkerCtx(context.Background(), workers, len(flist),
 		func() (*logicsim.Sim, error) { return logicsim.New(c) },
 		func(bad *logicsim.Sim, i int) error {
 			if detected[i] {
@@ -550,7 +549,7 @@ func vectorsFromAssignment(c *gates.Circuit, assign [][]int8) [][]uint64 {
 }
 
 // frameEscalation returns the increasing frame counts tried per fault.
-// maxFrames must be at least 1 (Run clamps); for smaller values the
+// maxFrames must be at least 1 (RunCtx clamps); for smaller values the
 // schedule is empty rather than silently exceeding the cap.
 func frameEscalation(maxFrames int) []int {
 	set := map[int]bool{}
@@ -584,7 +583,7 @@ func Replay(c *gates.Circuit, testSet [][][]uint64, flist []fault.Fault) (int, e
 	detected := make([]bool, len(flist))
 	for _, seq := range testSet {
 		// Widen single-lane vectors back to full words.
-		if _, err := logicsim.FaultSimIncremental(c, flist, detected, nil, widenLane(seq), 0); err != nil {
+		if _, err := logicsim.FaultSimIncrementalWorkers(c, flist, detected, nil, widenLane(seq), 0, 0); err != nil {
 			return 0, err
 		}
 	}

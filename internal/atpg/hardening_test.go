@@ -60,7 +60,7 @@ func TestOutcomeSplitUntestableVsFrameBudget(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.RandomBatches = 0 // random patterns cannot detect it anyway; keep the run minimal
 	cfg.BacktrackLimit = 1000
-	res, err := Run(redundantCircuit(t), cfg)
+	res, err := RunCtx(context.Background(), redundantCircuit(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestOutcomeSplitUntestableVsFrameBudget(t *testing.T) {
 	seq.RandomBatches = 0
 	seq.BacktrackLimit = 1000
 	seq.MaxFrames = 2
-	narrow, err := Run(pipelineCircuit(t), seq)
+	narrow, err := RunCtx(context.Background(), pipelineCircuit(t), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestOutcomeSplitUntestableVsFrameBudget(t *testing.T) {
 		t.Errorf("no fault reported frame-limited under a too-small window: %+v", narrow)
 	}
 	seq.MaxFrames = 8
-	wide, err := Run(pipelineCircuit(t), seq)
+	wide, err := RunCtx(context.Background(), pipelineCircuit(t), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestOutcomeBacktrackLimitedDistinct(t *testing.T) {
 	cfg.RandomBatches = 0
 	cfg.Restarts = 0
 	cfg.BacktrackLimit = 0 // every nontrivial search aborts immediately
-	res, err := Run(c, cfg)
+	res, err := RunCtx(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestOutcomesConsistentWithCounters(t *testing.T) {
 	cfg := DefaultConfig(7)
 	cfg.SampleFaults = 200
 	cfg.RandomBatches = 2
-	res, err := Run(c, cfg)
+	res, err := RunCtx(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestCampaignLeavesNoGoroutines(t *testing.T) {
 	cfg.Workers = 8
 	cfg.RandomBatches = 1
 	cfg.Restarts = 1
-	if _, err := Run(c, cfg); err != nil {
+	if _, err := RunCtx(context.Background(), c, cfg); err != nil {
 		t.Fatal(err)
 	}
 	settle("clean run", base)

@@ -96,10 +96,10 @@ const (
 	// SiteParallelStall fires on a pool worker between claim and execution;
 	// its natural action is ActStall (a wedged worker).
 	SiteParallelStall = "parallel.stall"
-	// SiteParallelJob fires inside the per-job guard of ForEach pools.
+	// SiteParallelJob fires inside the per-job guard of ForEachCtx pools.
 	SiteParallelJob = "parallel.job"
 	// SiteParallelProduce and SiteParallelCommit fire inside the guarded
-	// produce/commit halves of Ordered pools.
+	// produce/commit halves of OrderedCtx pools.
 	SiteParallelProduce = "parallel.produce"
 	SiteParallelCommit  = "parallel.commit"
 	// SiteExecGuard fires inside every exec.Guard/Guard1 boundary, before

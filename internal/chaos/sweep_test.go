@@ -217,14 +217,14 @@ func TestChaosStallOnlyPreservesResults(t *testing.T) {
 	const n = 40
 	run := func() (int64, []int) {
 		var sum atomic.Int64
-		if err := parallel.ForEach(4, n, func(i int) error {
+		if err := parallel.ForEachCtx(context.Background(), 4, n, func(i int) error {
 			sum.Add(int64(i * i))
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		var order []int
-		if err := parallel.Ordered(4, n,
+		if err := parallel.OrderedCtx(context.Background(), 4, n,
 			func(i int) (int, error) { return i, nil },
 			func(i, v int) error { order = append(order, v); return nil },
 		); err != nil {
@@ -239,14 +239,14 @@ func TestChaosStallOnlyPreservesResults(t *testing.T) {
 		gotSum, gotOrder := run()
 		restore()
 		if gotSum != wantSum {
-			t.Errorf("seed %d: stall changed ForEach result: %d != %d", seed, gotSum, wantSum)
+			t.Errorf("seed %d: stall changed ForEachCtx result: %d != %d", seed, gotSum, wantSum)
 		}
 		if len(gotOrder) != len(wantOrder) {
-			t.Fatalf("seed %d: stall changed Ordered commit count", seed)
+			t.Fatalf("seed %d: stall changed OrderedCtx commit count", seed)
 		}
 		for i := range gotOrder {
 			if gotOrder[i] != wantOrder[i] {
-				t.Fatalf("seed %d: stall changed Ordered commit order", seed)
+				t.Fatalf("seed %d: stall changed OrderedCtx commit order", seed)
 			}
 		}
 	}
@@ -365,11 +365,15 @@ func TestChaosPetriReachPartial(t *testing.T) {
 			}
 		}
 	}
-	// The bound-erroring wrapper keeps its contract under injection too.
+	// An always-firing site cuts the exploration at its first expansion.
 	restore := chaos.Install(chaos.New(1).On(chaos.SitePetriReach, chaos.Rule{Action: chaos.ActError}))
 	defer restore()
-	if _, err := net.ReachabilityGraph(10_000); err == nil {
-		t.Fatal("ReachabilityGraph returned nil error for a partial exploration")
+	r, err := net.Reachability(context.Background(), 10_000)
+	if err != nil {
+		t.Fatalf("always-firing site surfaced as error: %v", err)
+	}
+	if r.Status != exec.StatusPartial || len(r.Nodes) != 1 {
+		t.Fatalf("always-firing site: status %v, %d nodes; want partial root only", r.Status, len(r.Nodes))
 	}
 }
 
@@ -657,7 +661,7 @@ func TestChaosJournalResumeByteIdentical(t *testing.T) {
 		t.Skip("table runs are too slow for -short")
 	}
 	const bench = dfg.BenchEx
-	ref, err := report.RunTable(bench, checkpointConfig(1, 1))
+	ref, err := report.RunTableCtx(context.Background(), bench, checkpointConfig(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +678,7 @@ func TestChaosJournalResumeByteIdentical(t *testing.T) {
 		cfg.Journal = j
 		in := chaos.New(seed).On(chaos.SiteStoreTorn, chaos.Rule{Action: chaos.ActTorn, Prob: 0.5})
 		restore := chaos.Install(in)
-		_, runErr := report.RunTable(bench, cfg)
+		_, runErr := report.RunTableCtx(context.Background(), bench, cfg)
 		fired := in.Fired(chaos.SiteStoreTorn)
 		restore()
 		j.Close()
@@ -691,7 +695,7 @@ func TestChaosJournalResumeByteIdentical(t *testing.T) {
 		}
 		cfg2 := checkpointConfig(1, 1)
 		cfg2.Journal = j2
-		tbl, err := report.RunTable(bench, cfg2)
+		tbl, err := report.RunTableCtx(context.Background(), bench, cfg2)
 		if err != nil {
 			t.Fatal(err)
 		}

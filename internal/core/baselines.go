@@ -23,11 +23,6 @@ func Methods() []string {
 	return []string{MethodCAMAD, MethodApproach1, MethodApproach2, MethodOurs}
 }
 
-// Run dispatches a synthesis flow by method name.
-func Run(method string, g *dfg.Graph, par Params) (*Result, error) {
-	return RunCtx(context.Background(), method, g, par)
-}
-
 // RunCtx dispatches a synthesis flow by method name under a context. The
 // iterative flows (ours, CAMAD) degrade to partial results on
 // cancellation; the phase-separated baselines run to completion (their
@@ -50,16 +45,12 @@ func RunCtx(ctx context.Context, method string, g *dfg.Graph, par Params) (*Resu
 	}
 }
 
-// SynthesizeCAMAD models the CAMAD high-level synthesis system [14]
+// synthesizeCAMADCtx models the CAMAD high-level synthesis system [14]
 // without testability consideration: the same iterative merger engine, but
 // candidate pairs are selected by connectivity/closeness (minimizing
 // interconnect and multiplexers), rescheduling appends execution orders
 // without the SR rules, and additions, subtractions and comparisons pool
 // into combined ALUs (the "±" modules of the tables).
-func SynthesizeCAMAD(g *dfg.Graph, par Params) (*Result, error) {
-	return synthesizeCAMADCtx(context.Background(), g, par)
-}
-
 func synthesizeCAMADCtx(ctx context.Context, g *dfg.Graph, par Params) (*Result, error) {
 	par.Selection = SelectConnectivity
 	par.Reschedule = RescheduleAppend

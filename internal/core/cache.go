@@ -244,7 +244,7 @@ type schedEntry struct {
 // evalCache memoizes the expensive stages of the merger loop, keyed by
 // canonical fingerprints, so identical designs reached by different tie
 // policies or candidate orders are costed once. One cache is shared by
-// all four tie-policy explorations of a Synthesize call (the per-run
+// all four tie-policy explorations of a SynthesizeCtx call (the per-run
 // constants — graph, width, library, loop parameters, testability
 // config — are identical across them); a mutex makes it safe under the
 // fan-out. Cached values are pure functions of their keys, so a hit
@@ -260,7 +260,7 @@ type evalCache struct {
 	execs   map[int]int // schedule length -> control steps
 }
 
-// newEvalCache returns the cache for one Synthesize call, or nil when
+// newEvalCache returns the cache for one SynthesizeCtx call, or nil when
 // par disables caching; a nil *evalCache is inert at every call site.
 func newEvalCache(par Params) *evalCache {
 	if par.NoCache {

@@ -93,7 +93,7 @@ type Params struct {
 	// values are the paper's algorithm.
 	Selection  SelectionPolicy
 	Reschedule ReschedulePolicy
-	// NoExplore disables the tie-break exploration: by default Synthesize
+	// NoExplore disables the tie-break exploration: by default SynthesizeCtx
 	// runs the greedy merger under the four deterministic tie-break
 	// policies (tieHighScore, tieLowScore, tieStrict, tieNoDepBonus; see
 	// tiePolicies) and keeps the design with the lowest final α·E + β·H
@@ -188,7 +188,7 @@ type state struct {
 	par   Params
 	execT int
 	area  cost.Estimate
-	// cache memoizes expensive evaluations across the whole Synthesize
+	// cache memoizes expensive evaluations across the whole SynthesizeCtx
 	// call (nil disables it); fp is the canonical fingerprint of the
 	// current (schedule, allocation) pair, valid after build.
 	cache *evalCache
@@ -269,7 +269,7 @@ func (st *state) clone() *state {
 
 // initialState performs step 1 of Algorithm 1: a simple default
 // scheduling (ASAP) and allocation (one node per operation and value).
-// The cache, shared by every tie policy of one Synthesize call, may be
+// The cache, shared by every tie policy of one SynthesizeCtx call, may be
 // nil to disable memoization.
 func initialState(g *dfg.Graph, par Params, cache *evalCache) (*state, error) {
 	if err := g.Validate(); err != nil {
@@ -499,13 +499,13 @@ const (
 	tieNoDepBonus
 )
 
-// tiePolicies lists every tie-break policy Synthesize explores, in the
-// fixed order the winner reduction visits them. Synthesize's doc comment
+// tiePolicies lists every tie-break policy SynthesizeCtx explores, in the
+// fixed order the winner reduction visits them. SynthesizeCtx's doc comment
 // and the exploration loop both derive from this list, so the two cannot
 // drift apart again.
 var tiePolicies = []tiePolicy{tieHighScore, tieLowScore, tieStrict, tieNoDepBonus}
 
-// Synthesize runs Algorithm 1 on g and returns the synthesized design.
+// SynthesizeCtx runs Algorithm 1 on g and returns the synthesized design.
 // Unless par.NoExplore is set, the greedy merger is run under the four
 // deterministic tie-break policies of tiePolicies — tieHighScore,
 // tieLowScore, tieStrict and tieNoDepBonus — and the design with the
@@ -514,16 +514,13 @@ var tiePolicies = []tiePolicy{tieHighScore, tieLowScore, tieStrict, tieNoDepBonu
 // concurrently on up to par.Workers goroutines; the winner is chosen by a
 // sequential reduction in tiePolicies order, making the result identical
 // at every worker count.
-func Synthesize(g *dfg.Graph, par Params) (*Result, error) {
-	return SynthesizeCtx(context.Background(), g, par)
-}
-
-// SynthesizeCtx is Synthesize under a context. Cancellation degrades
-// gracefully: each tie policy's merger loop checks the context at every
-// iteration boundary, stops merging when it dies, and finishes its
-// current (valid, buildable) state; the winner reduction then runs as
-// usual and the returned Result is tagged StatusPartial. The nil error on
-// a partial result is deliberate — a deadline is a budget, not a failure.
+//
+// Cancellation degrades gracefully: each tie policy's merger loop checks
+// the context at every iteration boundary, stops merging when it dies, and
+// finishes its current (valid, buildable) state; the winner reduction then
+// runs as usual and the returned Result is tagged StatusPartial. The nil
+// error on a partial result is deliberate — a deadline is a budget, not a
+// failure.
 func SynthesizeCtx(ctx context.Context, g *dfg.Graph, par Params) (*Result, error) {
 	// Reject nonsensical widths here, at the entry point, instead of
 	// letting a Params built by hand fail deep inside cost estimation or
@@ -545,7 +542,7 @@ func SynthesizeCtx(ctx context.Context, g *dfg.Graph, par Params) (*Result, erro
 	// jobs return results (never ctx.Err()) and the winner reduction still
 	// has a full slate to choose from.
 	results := make([]*Result, len(tiePolicies))
-	if err := parallel.ForEach(par.Workers, len(tiePolicies), func(i int) error {
+	if err := parallel.ForEachCtx(context.Background(), par.Workers, len(tiePolicies), func(i int) error {
 		r, err := synthesizeOnce(ctx, g, par, tiePolicies[i], cache)
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestSynthesizeAllBenchmarks(t *testing.T) {
 		g, _ := dfg.ByName(name, 8)
 		par := params()
 		par.LoopSignal = loopSignalFor(name)
-		r, err := Synthesize(g, par)
+		r, err := SynthesizeCtx(context.Background(), g, par)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -49,7 +50,7 @@ func TestAllMethodsAllBenchmarks(t *testing.T) {
 		par := params()
 		par.LoopSignal = loopSignalFor(name)
 		for _, method := range Methods() {
-			r, err := Run(method, g, par)
+			r, err := RunCtx(context.Background(), method, g, par)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, method, err)
 			}
@@ -65,7 +66,7 @@ func TestAllMethodsAllBenchmarks(t *testing.T) {
 
 func TestRunUnknownMethod(t *testing.T) {
 	g := dfg.Ex(8)
-	if _, err := Run("nosuch", g, params()); err == nil {
+	if _, err := RunCtx(context.Background(), "nosuch", g, params()); err == nil {
 		t.Fatal("expected unknown-method error")
 	}
 }
@@ -75,7 +76,7 @@ func TestRunUnknownMethod(t *testing.T) {
 // five or six registers.
 func TestExMatchesPaperModuleShape(t *testing.T) {
 	g := dfg.Ex(8)
-	r, err := Synthesize(g, params())
+	r, err := SynthesizeCtx(context.Background(), g, params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestDiffeqMatchesPaperModuleShape(t *testing.T) {
 	g := dfg.Diffeq(8)
 	par := params()
 	par.LoopSignal = "exit"
-	r, err := Synthesize(g, par)
+	r, err := SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestSemanticsPreservedAllMethods(t *testing.T) {
 			if testing.Short() && (name == dfg.BenchEWF && method == MethodOurs) {
 				continue
 			}
-			r, err := Run(method, g, par)
+			r, err := RunCtx(context.Background(), method, g, par)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, method, err)
 			}
@@ -173,7 +174,7 @@ func TestSemanticsPreservedAllMethods(t *testing.T) {
 // count below the 1:1 default.
 func TestMergerReducesNodeCount(t *testing.T) {
 	g := dfg.Dct(8)
-	r, err := Synthesize(g, params())
+	r, err := SynthesizeCtx(context.Background(), g, params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +199,13 @@ func TestBalanceAvoidsSelfLoops(t *testing.T) {
 		g, _ := dfg.ByName(name, 8)
 		par := params()
 		par.LoopSignal = loopSignalFor(name)
-		ours, err := Synthesize(g, par)
+		ours, err := SynthesizeCtx(context.Background(), g, par)
 		if err != nil {
 			t.Fatal(err)
 		}
 		conn := par
 		conn.Selection = SelectConnectivity
-		conv, err := Synthesize(g, conn)
+		conv, err := SynthesizeCtx(context.Background(), g, conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,13 +230,13 @@ func TestBalanceAvoidsSelfLoops(t *testing.T) {
 // no more modules than with none.
 func TestSlackEnablesFewerModules(t *testing.T) {
 	g := dfg.Ex(8)
-	tight, err := Synthesize(g, params())
+	tight, err := SynthesizeCtx(context.Background(), g, params())
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := params()
 	par.Slack = 4
-	loose, err := Synthesize(g, par)
+	loose, err := SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +253,11 @@ func TestFrozenRescheduleAblation(t *testing.T) {
 	g := dfg.Dct(8)
 	par := params()
 	par.Reschedule = RescheduleFrozen
-	frozen, err := Synthesize(g, par)
+	frozen, err := SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	integrated, err := Synthesize(g, params())
+	integrated, err := SynthesizeCtx(context.Background(), g, params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestParameterInsensitivityEx(t *testing.T) {
 		par.K = int(kab[0])
 		par.Alpha = kab[1]
 		par.Beta = kab[2]
-		r, err := Synthesize(g, par)
+		r, err := SynthesizeCtx(context.Background(), g, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +315,7 @@ func TestFinalDesignsFullyTestable(t *testing.T) {
 		par := params()
 		par.LoopSignal = loopSignalFor(name)
 		for _, method := range Methods() {
-			r, err := Run(method, g, par)
+			r, err := RunCtx(context.Background(), method, g, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +373,7 @@ func TestExecutionTimeLinearInLoopBound(t *testing.T) {
 	var prev int
 	for lb := 1; lb <= 4; lb++ {
 		par.LoopBound = lb
-		r, err := Synthesize(g, par)
+		r, err := SynthesizeCtx(context.Background(), g, par)
 		if err != nil {
 			t.Fatal(err)
 		}

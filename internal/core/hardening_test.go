@@ -46,7 +46,7 @@ func TestSynthesizeCtxCompleteMatchesSynthesize(t *testing.T) {
 	}
 	par := DefaultParams(4)
 	par.Workers = 1
-	plain, err := Synthesize(g, par)
+	plain, err := SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		t.Fatal(err)
 	}

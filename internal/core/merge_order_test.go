@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -162,7 +163,7 @@ func TestSynthesisAvoidsDuplicateTestabilityAnalysis(t *testing.T) {
 	par := DefaultParams(8)
 	sc := stats.New()
 	par.Stats = sc
-	if _, err := Synthesize(dfg.Ex(8), par); err != nil {
+	if _, err := SynthesizeCtx(context.Background(), dfg.Ex(8), par); err != nil {
 		t.Fatal(err)
 	}
 	if sc.Value("cache.metrics.hit") == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,7 +40,7 @@ func TestSynthesizeRandomGraphsPreservesSemantics(t *testing.T) {
 		par := DefaultParams(8)
 		par.NoExplore = rng.Intn(2) == 0
 		par.Slack = rng.Intn(3)
-		r, err := Synthesize(g, par)
+		r, err := SynthesizeCtx(context.Background(), g, par)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -79,7 +80,7 @@ func TestMergerMonotonicity(t *testing.T) {
 		g := randGraph(rng, 4+rng.Intn(10))
 		par := DefaultParams(8)
 		par.NoExplore = true
-		r, err := Synthesize(g, par)
+		r, err := SynthesizeCtx(context.Background(), g, par)
 		if err != nil {
 			return false
 		}
@@ -97,7 +98,7 @@ func TestMergerMonotonicity(t *testing.T) {
 func TestCAMADSingletonRegisters(t *testing.T) {
 	for _, name := range []string{dfg.BenchEx, dfg.BenchDct, dfg.BenchTseng} {
 		g, _ := dfg.ByName(name, 8)
-		r, err := SynthesizeCAMAD(g, params())
+		r, err := RunCtx(context.Background(), MethodCAMAD, g, params())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestRandomGraphsGateLevelEquivalence(t *testing.T) {
 		g := randGraph(rng, 4+rng.Intn(8))
 		par := DefaultParams(8)
 		par.NoExplore = true
-		r, err := Synthesize(g, par)
+		r, err := SynthesizeCtx(context.Background(), g, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func TestLatencyBoundHolds(t *testing.T) {
 		par := DefaultParams(8)
 		par.Slack = slack
 		par.NoExplore = true
-		r, err := Synthesize(g, par)
+		r, err := SynthesizeCtx(context.Background(), g, par)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package dfggen_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestGeneratedSweepAllFlows(t *testing.T) {
 				par.Workers = 1
 				par.Validate = true
 				par.LoopSignal = loopSig
-				res, err := core.Run(method, g, par)
+				res, err := core.RunCtx(context.Background(), method, g, par)
 				if err != nil {
 					t.Fatalf("%s: %v", method, err)
 				}
@@ -91,7 +92,7 @@ func TestGeneratedSweepAllFlows(t *testing.T) {
 					Seed: 1, SampleFaults: 24, RandomBatches: 1, SeqLen: 8,
 					MaxFrames: 2 * (nl.Steps + 1), BacktrackLimit: 200, Workers: 1,
 				}
-				if _, err := atpg.Run(nl.C, acfg); err != nil {
+				if _, err := atpg.RunCtx(context.Background(), nl.C, acfg); err != nil {
 					t.Fatalf("atpg: %v", err)
 				}
 				tpg, misr := hlts.SelectBISTRegisters(res, 1, 1)
@@ -99,7 +100,7 @@ func TestGeneratedSweepAllFlows(t *testing.T) {
 				if err != nil {
 					t.Fatalf("bist netlist: %v", err)
 				}
-				if _, err := atpg.RunBIST(bnl.C, 16, 64); err != nil {
+				if _, err := atpg.RunBISTCfgCtx(context.Background(), bnl.C, 16, 64, atpg.BISTConfig{}); err != nil {
 					t.Fatalf("bist: %v", err)
 				}
 			}
@@ -141,7 +142,7 @@ func TestGeneratedWorkerAndCacheEquivalence(t *testing.T) {
 				for _, method := range v.methods {
 					par := base
 					v.mutate(&par)
-					res, err := core.Run(method, g, par)
+					res, err := core.RunCtx(context.Background(), method, g, par)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", method, v.label, err)
 					}

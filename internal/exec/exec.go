@@ -31,7 +31,7 @@ import (
 // at the recovery point.
 type ExecError struct {
 	// Stage names the pipeline stage, e.g. "atpg.podem" or
-	// "parallel.ForEach".
+	// "parallel.job".
 	Stage string
 	// Index is the job index within the stage, -1 when the stage is not
 	// indexed.

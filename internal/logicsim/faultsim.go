@@ -1,115 +1,35 @@
 package logicsim
 
 import (
+	"context"
+
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/gates"
 	"repro/internal/parallel"
 )
 
-// FaultSimResult reports a fault-simulation campaign.
-type FaultSimResult struct {
-	Detected []bool // parallel to the fault list
-	NumDet   int
-	// DetectCycle[i] is the first cycle at which fault i was detected, -1
-	// if undetected.
-	DetectCycle []int
-}
-
-// Coverage returns the fraction of faults detected.
-func (r *FaultSimResult) Coverage() float64 {
-	if len(r.Detected) == 0 {
-		return 0
-	}
-	return float64(r.NumDet) / float64(len(r.Detected))
-}
-
-// FaultSim runs serial-fault, parallel-pattern stuck-at fault simulation:
-// the good circuit is simulated once over the vector sequence, then each
-// fault is injected in turn and simulated until its outputs diverge from
-// the good circuit (fault dropping) or the vectors are exhausted.
-// vectors[t] holds one 64-bit word per primary input; all 64 pattern lanes
-// are compared, so a caller can pack 64 independent test sequences into
-// one campaign (lane l of every word forms sequence l).
+// FaultSimIncrementalWorkers runs serial-fault, parallel-pattern stuck-at
+// fault simulation over the still-undetected faults of flist: the good
+// circuit is simulated once over the vector sequence, then each fault with
+// detected[i] unset is injected in turn and simulated until its outputs
+// diverge from the good circuit (fault dropping) or the vectors are
+// exhausted. vectors[t] holds one 64-bit word per primary input; all 64
+// pattern lanes are compared, so a caller can pack 64 independent test
+// sequences into one campaign (lane l of every word forms sequence l).
 //
-// FaultSim uses one worker per CPU; see FaultSimWorkers for the knob. The
-// result is bit-identical at every worker count.
+// detected is updated in place and the number of newly detected faults is
+// returned; when detectCycle is non-nil, detectCycle[i] receives
+// cycleBase plus the cycle of first detection. The fault list is
+// partitioned across up to `workers` goroutines (workers < 1 means one
+// per CPU), each with its own private Sim; every fault touches only its
+// own slots, so the update is race-free and the outcome is bit-identical
+// at every worker count.
 //
 // The per-fault inner loop is allocation-free: the golden rows are
-// computed once by Run, each worker's Sim reuses its output buffer
-// across Step calls, and a fault's outputs are compared against the
-// shared golden row in place — nothing is copied per fault.
-func FaultSim(c *gates.Circuit, flist []fault.Fault, vectors [][]uint64) (*FaultSimResult, error) {
-	return FaultSimWorkers(c, flist, vectors, 0)
-}
-
-// FaultSimWorkers is FaultSim with an explicit worker count: the fault
-// list is partitioned across up to `workers` goroutines, each with its own
-// private Sim instance, and Detected/DetectCycle are merged in fault order
-// (each fault owns its slot, so the merge is free and deterministic).
-// workers < 1 means one per CPU; 1 reproduces the sequential loop exactly.
-func FaultSimWorkers(c *gates.Circuit, flist []fault.Fault, vectors [][]uint64, workers int) (*FaultSimResult, error) {
-	return exec.Guard1("logicsim.faultsim", -1, func() (*FaultSimResult, error) {
-		return faultSimWorkers(c, flist, vectors, workers)
-	})
-}
-
-func faultSimWorkers(c *gates.Circuit, flist []fault.Fault, vectors [][]uint64, workers int) (*FaultSimResult, error) {
-	good, err := New(c)
-	if err != nil {
-		return nil, err
-	}
-	golden := good.Run(vectors)
-
-	res := &FaultSimResult{
-		Detected:    make([]bool, len(flist)),
-		DetectCycle: make([]int, len(flist)),
-	}
-	err = parallel.ForEachWorker(workers, len(flist),
-		func() (*Sim, error) { return New(c) },
-		func(bad *Sim, i int) error {
-			res.DetectCycle[i] = -1
-			bad.Fault = &flist[i]
-			bad.Reset()
-			for t, v := range vectors {
-				po := bad.Step(v)
-				for k, w := range po {
-					if w != golden[t][k] {
-						res.Detected[i] = true
-						res.DetectCycle[i] = t
-						break
-					}
-				}
-				if res.Detected[i] {
-					break
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range res.Detected {
-		if d {
-			res.NumDet++
-		}
-	}
-	return res, nil
-}
-
-// FaultSimIncremental extends a previous campaign with new vectors,
-// simulating only the still-undetected faults. detected is updated in
-// place; the number of newly detected faults is returned. cycleBase
-// offsets the recorded detect cycles. One worker per CPU; see
-// FaultSimIncrementalWorkers.
-func FaultSimIncremental(c *gates.Circuit, flist []fault.Fault, detected []bool, detectCycle []int, vectors [][]uint64, cycleBase int) (int, error) {
-	return FaultSimIncrementalWorkers(c, flist, detected, detectCycle, vectors, cycleBase, 0)
-}
-
-// FaultSimIncrementalWorkers is FaultSimIncremental with an explicit
-// worker count. Each fault touches only its own detected/detectCycle slot,
-// so the update is race-free and the outcome is bit-identical at every
-// worker count; workers < 1 means one per CPU.
+// computed once by Run, each worker's Sim reuses its output buffer across
+// Step calls, and a fault's outputs are compared against the shared golden
+// row in place — nothing is copied per fault.
 func FaultSimIncrementalWorkers(c *gates.Circuit, flist []fault.Fault, detected []bool, detectCycle []int, vectors [][]uint64, cycleBase, workers int) (int, error) {
 	return exec.Guard1("logicsim.faultsim", -1, func() (int, error) {
 		return faultSimIncrementalWorkers(c, flist, detected, detectCycle, vectors, cycleBase, workers)
@@ -123,7 +43,7 @@ func faultSimIncrementalWorkers(c *gates.Circuit, flist []fault.Fault, detected 
 	}
 	golden := good.Run(vectors)
 	newlyOf := make([]bool, len(flist))
-	err = parallel.ForEachWorker(workers, len(flist),
+	err = parallel.ForEachWorkerCtx(context.TODO(), workers, len(flist),
 		func() (*Sim, error) { return New(c) },
 		func(bad *Sim, i int) error {
 			if detected[i] {

@@ -189,18 +189,20 @@ func TestFaultSimDetectsPIStuck(t *testing.T) {
 	}
 	// One vector with x = 0, y = 0 detects s-a-1 but not s-a-0.
 	vectors := [][]uint64{make([]uint64, 8)}
-	res, err := FaultSim(c, flist, vectors)
+	detected := make([]bool, 2)
+	cycles := []int{-1, -1}
+	n, err := FaultSimIncrementalWorkers(c, flist, detected, cycles, vectors, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Detected[0] || res.Detected[1] {
-		t.Fatalf("detection = %v, want [true false]", res.Detected)
+	if !detected[0] || detected[1] {
+		t.Fatalf("detection = %v, want [true false]", detected)
 	}
-	if res.NumDet != 1 || res.Coverage() != 0.5 {
-		t.Errorf("NumDet %d coverage %f", res.NumDet, res.Coverage())
+	if n != 1 {
+		t.Errorf("newly detected %d, want 1", n)
 	}
-	if res.DetectCycle[0] != 0 || res.DetectCycle[1] != -1 {
-		t.Errorf("DetectCycle = %v", res.DetectCycle)
+	if cycles[0] != 0 || cycles[1] != -1 {
+		t.Errorf("detect cycles = %v", cycles)
 	}
 }
 
@@ -213,14 +215,14 @@ func TestFaultSimIncremental(t *testing.T) {
 	detected := make([]bool, 2)
 	cycles := []int{-1, -1}
 	// First batch: x=0 detects fault 0.
-	n, err := FaultSimIncremental(c, flist, detected, cycles, [][]uint64{make([]uint64, 8)}, 0)
+	n, err := FaultSimIncrementalWorkers(c, flist, detected, cycles, [][]uint64{make([]uint64, 8)}, 0, 0)
 	if err != nil || n != 1 {
 		t.Fatalf("first batch: n=%d err=%v", n, err)
 	}
 	// Second batch: x=1 detects fault 1.
 	v := make([]uint64, 8)
 	v[0] = ^uint64(0)
-	n, err = FaultSimIncremental(c, flist, detected, cycles, [][]uint64{v}, 1)
+	n, err = FaultSimIncrementalWorkers(c, flist, detected, cycles, [][]uint64{v}, 1, 0)
 	if err != nil || n != 1 {
 		t.Fatalf("second batch: n=%d err=%v", n, err)
 	}
@@ -247,12 +249,12 @@ func TestRandomVectorsCoverMostAdderFaults(t *testing.T) {
 		rng ^= rng << 17
 		pi[i] = rng
 	}
-	res, err := FaultSim(c, flist, [][]uint64{pi})
+	n, err := FaultSimIncrementalWorkers(c, flist, make([]bool, len(flist)), nil, [][]uint64{pi}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Coverage() < 0.9 {
-		t.Errorf("adder coverage %.2f with 64 random patterns; expected > 0.9", res.Coverage())
+	if cov := float64(n) / float64(len(flist)); cov < 0.9 {
+		t.Errorf("adder coverage %.2f with 64 random patterns; expected > 0.9", cov)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestForEachPanicBecomesExecError(t *testing.T) {
 		var ran atomic.Int32
 		var err error
 		_, settled := samplePeakGoroutines(func() {
-			err = ForEach(workers, n, func(i int) error {
+			err = ForEachCtx(context.Background(), workers, n, func(i int) error {
 				ran.Add(1)
 				if i == 41 || i == 97 {
 					panic("job blew up")
@@ -92,7 +92,7 @@ func TestForEachPanicBecomesExecError(t *testing.T) {
 func TestOrderedPanicBecomesExecError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var committed []int
-		err := Ordered(workers, 60,
+		err := OrderedCtx(context.Background(), workers, 60,
 			func(i int) (int, error) {
 				if i == 25 {
 					panic("produce blew up")
@@ -123,7 +123,7 @@ func TestOrderedPanicBecomesExecError(t *testing.T) {
 
 func TestOrderedCommitPanicBecomesExecError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := Ordered(workers, 30,
+		err := OrderedCtx(context.Background(), workers, 30,
 			func(i int) (int, error) { return i, nil },
 			func(i, v int) error {
 				if i == 12 {

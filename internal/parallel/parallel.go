@@ -1,7 +1,7 @@
 // Package parallel provides the bounded worker pool and deterministic
 // ordered-merge helpers behind the system's evaluation hot paths: fault
 // simulation, the deterministic ATPG phase, the tie-policy exploration of
-// core.Synthesize and the experiment fan-out of cmd/hltsbench.
+// core.SynthesizeCtx and the experiment fan-out of cmd/hltsbench.
 //
 // Every helper makes the same guarantee: the observable result is
 // independent of the worker count and of goroutine scheduling, and a
@@ -9,15 +9,15 @@
 // goroutines at all. Callers uphold their half of the contract by making
 // each job a pure function of its index (writes go to slot i of a result
 // slice) and by funnelling all shared mutable state through the ordered
-// commit callback of Ordered.
+// commit callback of OrderedCtx.
 //
 // The pool is hardened (package exec): a panic inside a job is recovered
 // on its worker and reported as an *exec.ExecError through the ordinary
 // smallest-index error contract — one crashing job never takes down the
-// process or the sibling jobs, which always run to completion. The Ctx
-// variants additionally check for cancellation at every iteration
-// boundary: a cancelled context makes the unstarted jobs report ctx.Err()
-// while the already-started ones drain normally.
+// process or the sibling jobs, which always run to completion. Every
+// helper also checks for cancellation at each iteration boundary: a
+// cancelled context makes the unstarted jobs report ctx.Err() while the
+// already-started ones drain normally.
 package parallel
 
 import (
@@ -70,43 +70,35 @@ func Split(workers, n int) (outer, inner int) {
 	return outer, inner
 }
 
-// ForEach runs fn(i) for every i in [0, n) on up to `workers` goroutines
-// (after Workers normalization) and returns the recorded error with the
-// smallest index, matching what a sequential loop would return. fn's
-// observable effects must depend only on i, never on which worker runs it
-// or in what order; under that contract the result is identical at every
-// worker count. A panicking fn is recovered and reported as an
+// ForEachCtx runs fn(i) for every i in [0, n) on up to `workers`
+// goroutines (after Workers normalization) and returns the recorded error
+// with the smallest index, matching what a sequential loop would return.
+// fn's observable effects must depend only on i, never on which worker
+// runs it or in what order; under that contract the result is identical at
+// every worker count. A panicking fn is recovered and reported as an
 // *exec.ExecError carrying its index.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx is ForEach with cancellation: the context is checked before
-// every job, and a job whose turn comes after cancellation records
-// ctx.Err() instead of running. Already-running jobs drain normally (they
-// are index-pure, so letting them finish is side-effect free).
+//
+// The context is checked before every job, and a job whose turn comes
+// after cancellation records ctx.Err() instead of running. Already-running
+// jobs drain normally (they are index-pure, so letting them finish is
+// side-effect free).
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return ForEachWorkerCtx(ctx, workers, n,
 		func() (struct{}, error) { return struct{}{}, nil },
 		func(_ struct{}, i int) error { return fn(i) })
 }
 
-// ForEachWorker is ForEach with per-worker state: setup runs once on each
-// worker goroutine — typically to allocate a private simulator — and its
-// result is passed to every fn call that worker executes. Indices are
+// ForEachWorkerCtx is ForEachCtx with per-worker state: setup runs once on
+// each worker goroutine — typically to allocate a private simulator — and
+// its result is passed to every fn call that worker executes. Indices are
 // distributed dynamically, so fn must not care which worker's state it
-// receives beyond reusing it as scratch space.
+// receives beyond reusing it as scratch space. Cancellation follows the
+// iteration-boundary contract of ForEachCtx.
 //
 // On error the parallel path still finishes the remaining jobs (jobs are
 // index-independent, so this is side-effect free) and reports the
 // smallest-index error; the sequential path stops at the first error,
 // which under the purity contract is the same one.
-func ForEachWorker[S any](workers, n int, setup func() (S, error), fn func(s S, i int) error) error {
-	return ForEachWorkerCtx(context.Background(), workers, n, setup, fn)
-}
-
-// ForEachWorkerCtx is ForEachWorker with cancellation, with the same
-// iteration-boundary contract as ForEachCtx.
 func ForEachWorkerCtx[S any](ctx context.Context, workers, n int, setup func() (S, error), fn func(s S, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -196,7 +188,7 @@ func runJob[S any](fn func(s S, i int) error, s S, i int) error {
 	})
 }
 
-// Ordered runs produce(i) for every i in [0, n) on up to `workers`
+// OrderedCtx runs produce(i) for every i in [0, n) on up to `workers`
 // goroutines and calls commit(i, v) strictly in increasing index order on
 // the calling goroutine. This is the speculative-pipeline primitive: a
 // later index may be produced before an earlier one commits, so produce
@@ -210,15 +202,12 @@ func runJob[S any](fn func(s S, i int) error, s S, i int) error {
 // commit itself, or an *exec.ExecError recovered from a panic in either —
 // aborts the run after the in-flight jobs drain, exactly mirroring the
 // sequential produce/commit loop.
-func Ordered[T any](workers, n int, produce func(i int) (T, error), commit func(i int, v T) error) error {
-	return OrderedCtx(context.Background(), workers, n, produce, commit)
-}
-
-// OrderedCtx is Ordered with cancellation: the context is checked before
-// each produce and each commit. A job whose production turn comes after
-// cancellation records ctx.Err(), which then surfaces in commit order —
-// so every commit with a smaller index than the cancellation point still
-// lands, and the caller observes a clean prefix plus ctx.Err().
+//
+// The context is checked before each produce and each commit. A job whose
+// production turn comes after cancellation records ctx.Err(), which then
+// surfaces in commit order — so every commit with a smaller index than the
+// cancellation point still lands, and the caller observes a clean prefix
+// plus ctx.Err().
 func OrderedCtx[T any](ctx context.Context, workers, n int, produce func(i int) (T, error), commit func(i int, v T) error) error {
 	if n <= 0 {
 		return nil
@@ -330,7 +319,7 @@ func claimStep(i int) (err error) {
 	return chaos.Step(chaos.SiteParallelStall)
 }
 
-// runProduce and runCommit are the panic-isolation points of Ordered:
+// runProduce and runCommit are the panic-isolation points of OrderedCtx:
 // produce panics are recovered on the producing worker, commit panics on
 // the calling goroutine, both as *exec.ExecError with the job index.
 func runProduce[T any](produce func(i int) (T, error), i int) (T, error) {

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -27,7 +28,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		const n = 500
 		hits := make([]int32, n)
-		err := ForEach(workers, n, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, n, func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		})
@@ -43,11 +44,11 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachEmptyAndTiny(t *testing.T) {
-	if err := ForEach(8, 0, func(int) error { t.Fatal("ran"); return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 8, 0, func(int) error { t.Fatal("ran"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	ran := false
-	if err := ForEach(8, 1, func(i int) error { ran = true; return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 8, 1, func(i int) error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -58,7 +59,7 @@ func TestForEachEmptyAndTiny(t *testing.T) {
 func TestForEachReturnsSmallestIndexError(t *testing.T) {
 	errAt := func(i int) error { return fmt.Errorf("job %d failed", i) }
 	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 100, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, 100, func(i int) error {
 			if i == 17 || i == 63 {
 				return errAt(i)
 			}
@@ -77,7 +78,7 @@ func TestForEachWorkerStateIsPerWorker(t *testing.T) {
 	var created atomic.Int32
 	const n = 300
 	total := make([]int32, n)
-	err := ForEachWorker(4, n,
+	err := ForEachWorkerCtx(context.Background(), 4, n,
 		func() (*scratch, error) {
 			created.Add(1)
 			return &scratch{}, nil
@@ -102,7 +103,7 @@ func TestForEachWorkerStateIsPerWorker(t *testing.T) {
 
 func TestForEachWorkerSetupError(t *testing.T) {
 	boom := errors.New("setup failed")
-	err := ForEachWorker(4, 10,
+	err := ForEachWorkerCtx(context.Background(), 4, 10,
 		func() (int, error) { return 0, boom },
 		func(int, int) error { return nil })
 	if !errors.Is(err, boom) {
@@ -114,7 +115,7 @@ func TestOrderedCommitsInOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		const n = 400
 		var committed []int
-		err := Ordered(workers, n,
+		err := OrderedCtx(context.Background(), workers, n,
 			func(i int) (int, error) { return i * i, nil },
 			func(i, v int) error {
 				if v != i*i {
@@ -146,7 +147,7 @@ func TestOrderedSpeculationFlags(t *testing.T) {
 	run := func(workers int) int {
 		dropped := make([]atomic.Bool, n)
 		sum := 0
-		err := Ordered(workers, n,
+		err := OrderedCtx(context.Background(), workers, n,
 			func(i int) (int, error) {
 				if dropped[i].Load() {
 					return 0, nil // placeholder; commit discards it
@@ -184,7 +185,7 @@ func TestOrderedSpeculationFlags(t *testing.T) {
 func TestOrderedProduceErrorStopsAtIndex(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var committed []int
-		err := Ordered(workers, 50,
+		err := OrderedCtx(context.Background(), workers, 50,
 			func(i int) (int, error) {
 				if i == 20 {
 					return 0, errors.New("produce 20")
@@ -207,7 +208,7 @@ func TestOrderedProduceErrorStopsAtIndex(t *testing.T) {
 func TestOrderedCommitErrorAborts(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		count := 0
-		err := Ordered(workers, 50,
+		err := OrderedCtx(context.Background(), workers, 50,
 			func(i int) (int, error) { return i, nil },
 			func(i, v int) error {
 				count++
@@ -232,14 +233,14 @@ func TestPoolStress(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		const n = 1000
 		out := make([]int64, n)
-		if err := ForEach(16, n, func(i int) error {
+		if err := ForEachCtx(context.Background(), 16, n, func(i int) error {
 			out[i] = int64(i) * 3
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		var sum int64
-		if err := Ordered(16, n,
+		if err := OrderedCtx(context.Background(), 16, n,
 			func(i int) (int64, error) { return out[i], nil },
 			func(i int, v int64) error { sum += v; return nil },
 		); err != nil {
@@ -283,7 +284,7 @@ func TestSplitBudgetInvariant(t *testing.T) {
 
 // TestSplitClampsDegenerateBudgets is the satellite regression for the
 // zero/negative clamp: no input, however hostile, may yield a layer
-// below 1 — a zero would turn downstream ForEach(outer*...) into a no-op
+// below 1 — a zero would turn downstream ForEachCtx(outer*...) into a no-op
 // and silently skip work.
 func TestSplitClampsDegenerateBudgets(t *testing.T) {
 	cases := []struct{ workers, n int }{

@@ -24,14 +24,13 @@ func TestReachabilityBudgets(t *testing.T) {
 		name     string
 		ctx      context.Context
 		maxNodes int
-		wantErr  error  // matched with errors.Is when non-nil
-		wantMsg  string // substring match when wantErr is nil and an error is expected
-		wantOK   bool
+		wantErr  error // matched with errors.Is when non-nil
+		want     exec.Status
 	}{
-		{name: "success", ctx: context.Background(), maxNodes: 64, wantOK: true},
-		{name: "exact budget", ctx: context.Background(), maxNodes: 5, wantOK: true},
-		{name: "zero budget", ctx: context.Background(), maxNodes: 0, wantMsg: "exceeds 0 markings"},
-		{name: "budget one short", ctx: context.Background(), maxNodes: 4, wantMsg: "exceeds 4 markings"},
+		{name: "success", ctx: context.Background(), maxNodes: 64, want: exec.StatusComplete},
+		{name: "exact budget", ctx: context.Background(), maxNodes: 5, want: exec.StatusComplete},
+		{name: "zero budget", ctx: context.Background(), maxNodes: 0, want: exec.StatusPartial},
+		{name: "budget one short", ctx: context.Background(), maxNodes: 4, want: exec.StatusPartial},
 		{name: "already cancelled", ctx: cancelled, maxNodes: 64, wantErr: context.Canceled},
 		{name: "deadline expired", ctx: expired, maxNodes: 64, wantErr: context.DeadlineExceeded},
 		{name: "cancelled beats zero budget", ctx: cancelled, maxNodes: 0, wantErr: context.Canceled},
@@ -39,27 +38,27 @@ func TestReachabilityBudgets(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			n, _ := Chain("chain", 5)
-			nodes, err := n.ReachabilityGraphCtx(tc.ctx, tc.maxNodes)
-			if tc.wantOK {
-				if err != nil {
-					t.Fatalf("ReachabilityGraphCtx: %v", err)
+			r, err := n.Reachability(tc.ctx, tc.maxNodes)
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
 				}
-				if len(nodes) != 5 {
-					t.Fatalf("got %d nodes, want 5", len(nodes))
+				if r != nil {
+					t.Fatalf("error path returned %d nodes alongside error", len(r.Nodes))
 				}
 				return
 			}
-			if err == nil {
-				t.Fatal("expected error, got nil")
+			if err != nil {
+				t.Fatalf("Reachability: %v", err)
 			}
-			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
-				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			if r.Status != tc.want {
+				t.Fatalf("status %v, want %v", r.Status, tc.want)
 			}
-			if tc.wantMsg != "" && !strings.Contains(err.Error(), tc.wantMsg) {
-				t.Fatalf("err = %q, want substring %q", err, tc.wantMsg)
+			if tc.want == exec.StatusComplete && len(r.Nodes) != 5 {
+				t.Fatalf("got %d nodes, want 5", len(r.Nodes))
 			}
-			if nodes != nil {
-				t.Fatalf("error path returned %d nodes alongside error", len(nodes))
+			if tc.want == exec.StatusPartial && len(r.Nodes) <= tc.maxNodes {
+				t.Fatalf("partial prefix of %d nodes does not pass the budget %d", len(r.Nodes), tc.maxNodes)
 			}
 		})
 	}
@@ -72,25 +71,8 @@ func TestReachabilityCtxMidExploration(t *testing.T) {
 	n, _, _ := Loop("loop", 6, "c")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the check sits at the top of every expansion, so index 0 sees it
-	if _, err := n.ReachabilityGraphCtx(ctx, 1000); !errors.Is(err, context.Canceled) {
+	if _, err := n.Reachability(ctx, 1000); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestReachabilityGraphBackground pins that the ctx-less wrapper still
-// succeeds and agrees with the ctx variant.
-func TestReachabilityGraphBackground(t *testing.T) {
-	n, _, _ := Loop("loop", 3, "c")
-	a, err := n.ReachabilityGraph(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := n.ReachabilityGraphCtx(context.Background(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("wrapper explored %d nodes, ctx variant %d", len(a), len(b))
 	}
 }
 

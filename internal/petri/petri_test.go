@@ -1,9 +1,12 @@
 package petri
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/exec"
 )
 
 func TestChainExec(t *testing.T) {
@@ -147,9 +150,13 @@ func TestExecLivelockDetected(t *testing.T) {
 
 func TestReachabilityGraphChain(t *testing.T) {
 	n, _ := Chain("c", 5)
-	nodes, err := n.ReachabilityGraph(100)
+	r, err := n.Reachability(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
+	}
+	nodes := r.Nodes
+	if r.Status != exec.StatusComplete {
+		t.Errorf("status %v, want complete", r.Status)
 	}
 	if len(nodes) != 5 {
 		t.Errorf("chain of 5 has %d markings, want 5", len(nodes))
@@ -165,12 +172,12 @@ func TestReachabilityGraphChain(t *testing.T) {
 
 func TestReachabilityGraphLoopHasBackEdge(t *testing.T) {
 	n, _, _ := Loop("l", 3, "c")
-	nodes, err := n.ReachabilityGraph(100)
+	r, err := n.Reachability(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hasBack := false
-	for _, nd := range nodes {
+	for _, nd := range r.Nodes {
 		for i := range nd.Edges {
 			if nd.BackEdge[i] {
 				hasBack = true
@@ -190,15 +197,22 @@ func TestReachabilityGraphUnsafeDetected(t *testing.T) {
 	n.MarkInitial(q)
 	n.MarkFinal(q)
 	n.AddTransition("dup", []PlaceID{p}, []PlaceID{q}) // q already marked
-	if _, err := n.ReachabilityGraph(100); err == nil {
+	if _, err := n.Reachability(context.Background(), 100); err == nil {
 		t.Fatal("expected unsafety error")
 	}
 }
 
 func TestReachabilityGraphBound(t *testing.T) {
 	n, _ := Chain("c", 50)
-	if _, err := n.ReachabilityGraph(10); err == nil {
-		t.Fatal("expected bound-exceeded error")
+	r, err := n.Reachability(context.Background(), 10)
+	if err != nil {
+		t.Fatalf("bound exceeded must be a partial result, not an error: %v", err)
+	}
+	if r.Status != exec.StatusPartial || r.Exhausted != exec.BudgetReachNodes {
+		t.Fatalf("status %v/%q, want partial on %s", r.Status, r.Exhausted, exec.BudgetReachNodes)
+	}
+	if len(r.Nodes) <= 10 || len(r.Nodes) >= 50 {
+		t.Fatalf("%d nodes, want the prefix just past the bound", len(r.Nodes))
 	}
 }
 

@@ -47,44 +47,23 @@ type Reach struct {
 	Exhausted string
 }
 
-// ReachabilityGraph explores the markings reachable from the initial
-// marking under untimed interleaving semantics (guards are treated as free
+// Reachability explores the markings reachable from the initial marking
+// under untimed interleaving semantics (guards are treated as free
 // choices, which over-approximates the timed behaviour). It represents the
 // paper's reachability tree with repeated markings shared; maxNodes bounds
-// the exploration. An error is returned if the bound is exceeded or the net
-// is not safe (a transition would produce a token into a marked place that
-// is not simultaneously consumed). Callers that prefer the explored prefix
-// over an error when the bound is hit use Reachability instead.
-func (n *Net) ReachabilityGraph(maxNodes int) ([]*ReachNode, error) {
-	return n.ReachabilityGraphCtx(context.Background(), maxNodes)
-}
-
-// ReachabilityGraphCtx is ReachabilityGraph with cancellation: the context
-// is checked before each marking expansion, so a deadline bounds the
-// exploration in time the way maxNodes bounds it in space. Like Exec, the
-// public boundary converts internal panics into *exec.ExecError values.
-func (n *Net) ReachabilityGraphCtx(ctx context.Context, maxNodes int) ([]*ReachNode, error) {
-	r, err := n.Reachability(ctx, maxNodes)
-	if err != nil {
-		return nil, err
-	}
-	if r.Status == exec.StatusPartial {
-		return nil, fmt.Errorf("petri: reachability graph of %s exceeds %d markings", n.Name, maxNodes)
-	}
-	return r.Nodes, nil
-}
-
-// Reachability is the budget-graceful reachability exploration: exceeding
-// maxNodes is not an error but a first-class partial outcome carrying the
-// explored prefix. Errors are reserved for cancellation, unsafe nets and
-// recovered panics.
+// the exploration. Exceeding maxNodes is not an error but a first-class
+// partial outcome carrying the explored prefix. Errors are reserved for
+// cancellation, unsafe nets (a transition would produce a token into a
+// marked place that is not simultaneously consumed) and recovered panics.
+// The context is checked before each marking expansion, so a deadline
+// bounds the exploration in time the way maxNodes bounds it in space.
 func (n *Net) Reachability(ctx context.Context, maxNodes int) (*Reach, error) {
 	return exec.Guard1("petri.reach", -1, func() (*Reach, error) {
-		return n.reachabilityGraph(ctx, maxNodes)
+		return n.explore(ctx, maxNodes)
 	})
 }
 
-func (n *Net) reachabilityGraph(ctx context.Context, maxNodes int) (*Reach, error) {
+func (n *Net) explore(ctx context.Context, maxNodes int) (*Reach, error) {
 	start := n.InitialMarking()
 	index := map[string]int{}
 	var nodes []*ReachNode

@@ -1,22 +1,15 @@
 package report
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
-	"syscall"
 
 	"repro/internal/core"
 	"repro/internal/store"
 )
 
-// Journal is the checkpoint behind hltsbench -store/-resume: one
+// Journal is the checkpoint behind hltsbench -store: one
 // completed (benchmark, method, width) cell per record. Cells are
 // journaled as they commit, so a killed sweep loses at most the cells
 // still in flight; reopening the same path skips everything already
@@ -35,10 +28,9 @@ import (
 // budget, and replaying it on resume would freeze the degradation into
 // future runs. Partial cells are recomputed instead.
 type Journal struct {
-	mu    sync.Mutex
-	st    *store.Store
-	owned bool // Close closes the store only when the journal opened it
-	done  map[string]Cell
+	mu   sync.Mutex
+	st   *store.Store
+	done map[string]Cell
 }
 
 // journalEntry is one checkpoint record's value.
@@ -67,59 +59,19 @@ func journalFP(bench, method string, width int) core.Fingerprint {
 }
 
 // OpenJournal opens (creating if needed) the checkpoint store at path —
-// a store directory — and loads every cell it holds. Corrupt or torn
-// records, the signature of a kill mid-write, are skipped, not fatal:
-// the affected cell is simply recomputed.
-//
-// A legacy single-file JSON-lines journal at path (the pre-store format)
-// is migrated in place: its cells are imported into a fresh store
-// directory at the same path and the old file removed. The import
-// tolerates corrupt lines of any size — including oversized ones that
-// used to abort the whole load with bufio.ErrTooLong.
+// a store directory — and loads every cell it holds. A path naming a
+// regular file is an error and the file is left untouched. Corrupt or
+// torn records, the signature of a kill mid-write, are skipped, not
+// fatal: the affected cell is simply recomputed. Records that are not
+// valid journal entries — foreign keys, or values corrupted beyond the
+// store's own checksums — are skipped too.
 func OpenJournal(path string) (*Journal, error) {
-	legacy := path + ".migrating"
-	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
-		// Park the old file under a temp name so the directory can take its
-		// place; a crash mid-migration re-imports on the next open (records
-		// are idempotent).
-		if err := os.Rename(path, legacy); err != nil {
-			return nil, err
-		}
-		if err := syncDir(filepath.Dir(path)); err != nil {
-			return nil, err
-		}
-	}
 	st, err := store.Open(path, store.Options{})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("report: open journal: %w", err)
 	}
-	j := &Journal{st: st, owned: true, done: map[string]Cell{}}
-	if _, err := os.Stat(legacy); err == nil {
-		if err := importLegacy(legacy, st); err != nil {
-			st.Close()
-			return nil, err
-		}
-		os.Remove(legacy)
-		syncDir(filepath.Dir(path))
-	}
-	j.load()
-	return j, nil
-}
-
-// NewJournal wraps an existing store (for callers co-locating checkpoint
-// cells with other results, e.g. a daemon sharing one store). Close
-// leaves the store open — the caller owns it.
-func NewJournal(st *store.Store) *Journal {
 	j := &Journal{st: st, done: map[string]Cell{}}
-	j.load()
-	return j
-}
-
-// load rebuilds the done map from the store. Records that are not valid
-// journal entries — foreign keys in a shared store, or values corrupted
-// beyond the store's own checksums — are skipped.
-func (j *Journal) load() {
-	j.st.Range(func(fp core.Fingerprint, val []byte) bool {
+	st.Range(func(fp core.Fingerprint, val []byte) bool {
 		var e journalEntry
 		if err := json.Unmarshal(val, &e); err != nil {
 			return true
@@ -130,55 +82,7 @@ func (j *Journal) load() {
 		j.done[journalKey(e.Bench, e.Cell.Method, e.Cell.Width)] = e.Cell
 		return true
 	})
-}
-
-// importLegacy streams a pre-store JSON-lines journal into the store.
-// bufio.Reader.ReadBytes has no line-length ceiling, so a single
-// oversized corrupt line — which the old 4 MiB scanner buffer turned
-// into a fatal bufio.ErrTooLong for the whole checkpoint — now loses
-// only itself.
-func importLegacy(path string, st *store.Store) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	for {
-		line, err := r.ReadBytes('\n')
-		if rec := bytes.TrimSuffix(line, []byte("\n")); len(rec) > 0 {
-			var e journalEntry
-			if jsonErr := json.Unmarshal(rec, &e); jsonErr == nil && !e.Cell.Partial {
-				if putErr := st.Put(journalFP(e.Bench, e.Cell.Method, e.Cell.Width), rec); putErr != nil {
-					return putErr
-				}
-			}
-			// Torn or corrupt lines are skipped; their cells recompute.
-		}
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// syncDir fsyncs a directory, making a just-renamed name durable.
-// Filesystems that do not support syncing a directory handle report
-// EINVAL/ENOTSUP; those are ignored — on such systems the directory sync
-// is meaningless, not failed.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil &&
-		!errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return err
-	}
-	return nil
+	return j, nil
 }
 
 // Lookup returns the journaled cell for (bench, method, width), if any.
@@ -221,14 +125,5 @@ func (j *Journal) Len() int {
 	return len(j.done)
 }
 
-// Store returns the backing store (shared by Lookup/Record).
-func (j *Journal) Store() *store.Store { return j.st }
-
-// Close closes the backing store when the journal owns it (OpenJournal);
-// a journal wrapping a caller-provided store (NewJournal) leaves it open.
-func (j *Journal) Close() error {
-	if j.owned {
-		return j.st.Close()
-	}
-	return nil
-}
+// Close closes the backing store.
+func (j *Journal) Close() error { return j.st.Close() }

@@ -3,7 +3,6 @@ package report
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,7 +39,7 @@ func checkpointConfig(workers, par int) Config {
 // output, at workers 1 and 8.
 func TestKillAndResumeByteIdentical(t *testing.T) {
 	const bench = dfg.BenchEx
-	ref, err := RunTable(bench, checkpointConfig(1, 1))
+	ref, err := RunTableCtx(context.Background(), bench, checkpointConfig(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	}
 	cfg := checkpointConfig(1, 1)
 	cfg.Journal = j
-	if _, err := RunTable(bench, cfg); err != nil {
+	if _, err := RunTableCtx(context.Background(), bench, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if want := len(ref.Cells); j.Len() != want {
@@ -108,7 +107,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 		}
 		cfg := checkpointConfig(workers, workers)
 		cfg.Journal = resumed
-		tbl, err := RunTable(bench, cfg)
+		tbl, err := RunTableCtx(context.Background(), bench, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +136,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 // uninterrupted output byte-for-byte.
 func TestCancelledSweepResumes(t *testing.T) {
 	const bench = dfg.BenchEx
-	ref, err := RunTable(bench, checkpointConfig(1, 1))
+	ref, err := RunTableCtx(context.Background(), bench, checkpointConfig(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +170,7 @@ func TestCancelledSweepResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Journal = j2
-	resumed, err := RunTable(bench, cfg)
+	resumed, err := RunTableCtx(context.Background(), bench, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,86 +264,50 @@ func TestJournalKeyCollision(t *testing.T) {
 	check(j2, "after reopen")
 }
 
-// TestLegacyJournalMigration: a pre-store single-file JSON-lines journal
-// is imported in place on open. The regression half: one corrupt line
-// larger than the old 4 MiB scanner buffer used to abort the entire load
-// with bufio.ErrTooLong — now it loses only itself. Partial cells and
-// torn tails are likewise skipped, and valid cells on either side of the
-// damage survive.
-func TestLegacyJournalMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.ckpt")
-	line := func(bench string, c Cell) []byte {
-		b, err := json.Marshal(journalEntry{Bench: bench, Cell: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(b, '\n')
-	}
-	keep1 := Cell{Method: core.MethodOurs, Width: 8, Coverage: 0.75, Area: 12.5}
-	keep2 := Cell{Method: core.MethodCAMAD, Width: 4, Coverage: 0.5}
-	var buf bytes.Buffer
-	buf.Write(line("ex", keep1))
-	buf.Write(bytes.Repeat([]byte{'x'}, 5<<20)) // > the old 4 MiB line ceiling
-	buf.WriteByte('\n')
-	buf.Write(line("ex", Cell{Method: core.MethodOurs, Width: 4, Partial: true}))
-	buf.Write(line("dct", keep2))
-	buf.WriteString(`{"Bench":"ex","Cell":{"Method":"appr`) // kill mid-write
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+// TestOpenJournalRejectsRegularFile: a checkpoint path naming a regular
+// file is not a store directory; OpenJournal must refuse it and leave the
+// file byte-identical rather than adopt, rename or rewrite it.
+func TestOpenJournalRejectsRegularFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "file.ckpt")
+	want := []byte(`{"Bench":"ex","Cell":{"Method":"ours","Width":8}}` + "\n")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	j, err := OpenJournal(path) // used to fail here with bufio.ErrTooLong
+	if j, err := OpenJournal(path); err == nil {
+		j.Close()
+		t.Fatal("OpenJournal accepted a regular file")
+	}
+	got, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("migration of a damaged legacy journal failed: %v", err)
+		t.Fatalf("file gone after the refused open: %v", err)
 	}
-	if j.Len() != 2 {
-		t.Fatalf("migrated %d cells, want 2", j.Len())
-	}
-	if got, ok := j.Lookup("ex", core.MethodOurs, 8); !ok || got != keep1 {
-		t.Errorf("cell before the corrupt line: %+v, %v", got, ok)
-	}
-	if got, ok := j.Lookup("dct", core.MethodCAMAD, 4); !ok || got != keep2 {
-		t.Errorf("cell after the corrupt line: %+v, %v", got, ok)
-	}
-	if _, ok := j.Lookup("ex", core.MethodOurs, 4); ok {
-		t.Error("partial cell survived migration")
-	}
-	j.Close()
-
-	// The file became a store directory; the parked original is gone; and
-	// a reopen (no migration this time) loads the same cells.
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatalf("migrated path is not a store directory: %v %v", fi, err)
-	}
-	if _, err := os.Stat(path + ".migrating"); !os.IsNotExist(err) {
-		t.Errorf("legacy file still parked after migration: %v", err)
-	}
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Len() != 2 {
-		t.Errorf("reopen after migration: %d cells, want 2", j2.Len())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("file changed by the refused open: %q, want %q", got, want)
 	}
 }
 
-// TestJournalSharesDaemonStore: NewJournal co-locates checkpoint cells
-// with foreign records in a caller-owned store — each side ignores the
-// other's keys, and Close leaves the store to its owner.
+// TestJournalSharesDaemonStore: checkpoint cells co-exist with foreign
+// records in one store directory — the journal ignores keys that are not
+// its own, and its records leave the foreign ones intact.
 func TestJournalSharesDaemonStore(t *testing.T) {
-	st, err := store.Open(filepath.Join(t.TempDir(), "shared"), store.Options{})
+	dir := filepath.Join(t.TempDir(), "shared")
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	// A foreign record, as the daemon's result cache would write.
 	h := core.NewHasher()
 	h.Str("server.result")
 	if err := st.Put(h.Sum(), []byte("\xc8\x00\x00\x00{}\n")); err != nil {
 		t.Fatal(err)
 	}
-	j := NewJournal(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if j.Len() != 0 {
 		t.Fatalf("foreign record loaded as a cell: %d", j.Len())
 	}
@@ -355,16 +318,23 @@ func TestJournalSharesDaemonStore(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The journal did not close the shared store…
-	if err := st.Put(h.Sum(), []byte("\xc8\x00\x00\x00{}\n")); err != nil {
-		t.Fatalf("journal Close closed the caller's store: %v", err)
+	// A reopened journal sees exactly its cell, and the store both records.
+	j2, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// …and a fresh adapter over it sees exactly the journal's cell.
-	j2 := NewJournal(st)
 	if got, ok := j2.Lookup("ex", core.MethodOurs, 8); !ok || got != cell {
 		t.Fatalf("shared-store cell: %+v, %v", got, ok)
 	}
-	if st.Len() != 2 {
-		t.Errorf("store holds %d records, want 2", st.Len())
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if st2.Len() != 2 {
+		t.Errorf("store holds %d records, want 2", st2.Len())
 	}
 }

@@ -43,7 +43,7 @@ func samplePeakGoroutines(fn func()) int {
 // TestSweepRespectsWorkerBudget is the regression test for the nested
 // fan-out bug: ParameterSweep once ran its grid on `workers` goroutines
 // AND granted each grid point the full `workers` budget for the
-// tie-policy exploration inside core.Synthesize, multiplying the two
+// tie-policy exploration inside core.SynthesizeCtx, multiplying the two
 // layers into up to workers² goroutines. With the budget split, the
 // whole sweep must never run more than `workers` pool goroutines at
 // once.

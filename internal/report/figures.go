@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -116,7 +117,7 @@ func Schedule(bench string, width int, cfg Config) (string, error) {
 	par := cfg.ParamsFor(width)
 	par.Width = width
 	par.LoopSignal = loopSignalFor(bench)
-	res, err := core.Synthesize(g, par)
+	res, err := core.SynthesizeCtx(context.TODO(), g, par)
 	if err != nil {
 		return "", err
 	}
@@ -164,7 +165,7 @@ func ParameterSweep(bench string, width, workers int, st *stats.Stats) ([]SweepR
 	}
 	rows := make([]SweepRow, len(grid))
 	outer, inner := parallel.Split(workers, len(grid))
-	err = parallel.ForEach(outer, len(grid), func(i int) error {
+	err = parallel.ForEachCtx(context.TODO(), outer, len(grid), func(i int) error {
 		pt := grid[i]
 		par := core.DefaultParams(width)
 		par.K = pt.k
@@ -172,7 +173,7 @@ func ParameterSweep(bench string, width, workers int, st *stats.Stats) ([]SweepR
 		par.LoopSignal = loopSignalFor(bench)
 		par.Workers = inner
 		par.Stats = st
-		res, err := core.Synthesize(g, par)
+		res, err := core.SynthesizeCtx(context.TODO(), g, par)
 		if err != nil {
 			return err
 		}
@@ -239,14 +240,14 @@ func Ablations(bench string, width, workers int, st *stats.Stats) ([]AblationRow
 	}
 	rows := make([]AblationRow, len(variants))
 	outer, inner := parallel.Split(workers, len(variants))
-	err = parallel.ForEach(outer, len(variants), func(i int) error {
+	err = parallel.ForEachCtx(context.TODO(), outer, len(variants), func(i int) error {
 		v := variants[i]
 		par := core.DefaultParams(width)
 		par.LoopSignal = loopSignalFor(bench)
 		par.Workers = inner
 		par.Stats = st
 		v.mod(&par)
-		res, err := core.Synthesize(g, par)
+		res, err := core.SynthesizeCtx(context.TODO(), g, par)
 		if err != nil {
 			return err
 		}
@@ -292,7 +293,7 @@ func ScanStudy(bench string, width, maxScan int, seed int64, workers int) (strin
 	par := core.DefaultParams(width)
 	par.LoopSignal = loopSignalFor(bench)
 	par.Workers = workers
-	res, err := core.Synthesize(g, par)
+	res, err := core.SynthesizeCtx(context.TODO(), g, par)
 	if err != nil {
 		return "", err
 	}
@@ -313,7 +314,7 @@ func ScanStudy(bench string, width, maxScan int, seed int64, workers int) (strin
 		if acfg.MaxFrames < 2*(nl.Steps+1) {
 			acfg.MaxFrames = 2 * (nl.Steps + 1)
 		}
-		ares, err := atpg.Run(nl.C, acfg)
+		ares, err := atpg.RunCtx(context.TODO(), nl.C, acfg)
 		if err != nil {
 			return "", err
 		}
@@ -339,7 +340,7 @@ func BISTStudy(bench string, width, nTpg, nMisr int, cyclesList []int, faults in
 	par := core.DefaultParams(width)
 	par.LoopSignal = loopSignalFor(bench)
 	par.Workers = workers
-	res, err := core.Synthesize(g, par)
+	res, err := core.SynthesizeCtx(context.TODO(), g, par)
 	if err != nil {
 		return "", err
 	}
@@ -354,7 +355,7 @@ func BISTStudy(bench string, width, nTpg, nMisr int, cyclesList []int, faults in
 	fmt.Fprintf(&b, "%-8s %6s %12s %16s\n", "cycles", "lanes", "coverage", "passes/session")
 	for _, cycles := range cyclesList {
 		for _, lanes := range []int{1, 64} {
-			out, err := atpg.RunBISTCfg(nl.C, faults, cycles,
+			out, err := atpg.RunBISTCfgCtx(context.TODO(), nl.C, faults, cycles,
 				atpg.BISTConfig{Lanes: lanes, Seed: seed, TPGRegs: nl.BISTTpg})
 			if err != nil {
 				return "", err

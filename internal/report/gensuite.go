@@ -31,16 +31,11 @@ type GenSuite struct {
 	Rows   []GenSuiteRow
 }
 
-// RunGenSuite measures one synthesis flow over a family of generated
-// specs at one width.
-func RunGenSuite(specs []dfggen.Spec, method string, width int, cfg Config) (*GenSuite, error) {
-	return RunGenSuiteCtx(context.Background(), specs, method, width, cfg)
-}
-
-// RunGenSuiteCtx is RunGenSuite under a context. Rows run concurrently
-// under cfg.Parallel with the cfg.Workers budget divided among them,
-// exactly like RunTableCtx cells; with cfg.Journal set, completed rows
-// are checkpointed under their gen: name and skipped on resume.
+// RunGenSuiteCtx measures one synthesis flow over a family of generated
+// specs at one width. Rows run concurrently under cfg.Parallel with the
+// cfg.Workers budget divided among them, exactly like RunTableCtx cells;
+// with cfg.Journal set, completed rows are checkpointed under their gen:
+// name and skipped on resume.
 func RunGenSuiteCtx(ctx context.Context, specs []dfggen.Spec, method string, width int, cfg Config) (*GenSuite, error) {
 	suite := &GenSuite{Method: method, Width: width, Rows: make([]GenSuiteRow, len(specs))}
 	outer := cfg.Parallel
@@ -59,7 +54,9 @@ func RunGenSuiteCtx(ctx context.Context, specs []dfggen.Spec, method string, wid
 	}
 	cellCfg := cfg
 	cellCfg.Workers = inner
-	err := parallel.ForEach(outer, len(specs), func(idx int) error {
+	// As in RunTableCtx, rows degrade to Partial on their own, so the pool
+	// runs without ctx.
+	err := parallel.ForEachCtx(context.Background(), outer, len(specs), func(idx int) error {
 		ns, err := specs[idx].Normalize()
 		if err != nil {
 			return err

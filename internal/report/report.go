@@ -79,7 +79,7 @@ type Config struct {
 	Workers int
 	// Parallel bounds concurrent cells (1 = sequential). When several
 	// cells run concurrently, the Workers budget is divided among them
-	// rather than granted to each in full — see RunTable.
+	// rather than granted to each in full — see RunTableCtx.
 	Parallel int
 	// Stats, when non-nil, collects per-stage synthesis counters and
 	// timers across every cell. Purely observational.
@@ -135,19 +135,14 @@ func loopSignalFor(bench string) string {
 	return dfggen.LoopSignal(bench)
 }
 
-// RunTable executes the full table for one benchmark: every method at
-// every width.
-func RunTable(bench string, cfg Config) (*Table, error) {
-	return RunTableCtx(context.Background(), bench, cfg)
-}
-
-// RunTableCtx is RunTable under a context. Cancellation degrades
-// gracefully: the synthesis and campaign inside each cell stop at their
-// next budget boundary and the cell lands Partial rather than erroring,
-// so the table always renders (with partial markers). With cfg.Journal
-// set, each completed cell is checkpointed as it commits and cells the
-// journal already holds are skipped — deterministically, so a resumed
-// table is byte-identical to an uninterrupted run.
+// RunTableCtx executes the full table for one benchmark: every method at
+// every width. Cancellation degrades gracefully: the synthesis and
+// campaign inside each cell stop at their next budget boundary and the
+// cell lands Partial rather than erroring, so the table always renders
+// (with partial markers). With cfg.Journal set, each completed cell is
+// checkpointed as it commits and cells the journal already holds are
+// skipped — deterministically, so a resumed table is byte-identical to an
+// uninterrupted run.
 func RunTableCtx(ctx context.Context, bench string, cfg Config) (*Table, error) {
 	tbl := &Table{
 		Title:     fmt.Sprintf("Experimental results on the area-optimized %s benchmark", bench),
@@ -185,7 +180,9 @@ func RunTableCtx(ctx context.Context, bench string, cfg Config) (*Table, error) 
 	}
 	cellCfg := cfg
 	cellCfg.Workers = inner
-	err := parallel.ForEach(outer, len(jobs), func(idx int) error {
+	// The pool runs without ctx: each cell degrades to Partial on its own,
+	// so every job returns a cell and the table always renders.
+	err := parallel.ForEachCtx(context.Background(), outer, len(jobs), func(idx int) error {
 		if cfg.Journal != nil {
 			if cell, ok := cfg.Journal.Lookup(bench, jobs[idx].method, jobs[idx].width); ok {
 				cells[idx] = cell
@@ -211,14 +208,10 @@ func RunTableCtx(ctx context.Context, bench string, cfg Config) (*Table, error) 
 	return tbl, nil
 }
 
-// RunCell measures one (benchmark, method, width) point.
-func RunCell(bench, method string, width int, cfg Config) (*Cell, error) {
-	return RunCellCtx(context.Background(), bench, method, width, cfg)
-}
-
-// RunCellCtx is RunCell under a context. A deadline inside the cell
-// degrades it to a Partial measurement (synthesis keeps its committed
-// mergers, the campaign its best-so-far coverage) rather than an error.
+// RunCellCtx measures one (benchmark, method, width) point. A deadline
+// inside the cell degrades it to a Partial measurement (synthesis keeps
+// its committed mergers, the campaign its best-so-far coverage) rather
+// than an error.
 func RunCellCtx(ctx context.Context, bench, method string, width int, cfg Config) (*Cell, error) {
 	g, err := dfg.ByName(bench, width)
 	if err != nil {

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func fastConfig(seed int64) Config {
 }
 
 func TestRunCell(t *testing.T) {
-	cell, err := RunCell(dfg.BenchTseng, core.MethodOurs, 4, fastConfig(1))
+	cell, err := RunCellCtx(context.Background(), dfg.BenchTseng, core.MethodOurs, 4, fastConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestRunCell(t *testing.T) {
 }
 
 func TestRunTableTseng(t *testing.T) {
-	tbl, err := RunTable(dfg.BenchTseng, fastConfig(1))
+	tbl, err := RunTableCtx(context.Background(), dfg.BenchTseng, fastConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package rtl_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestGateLevelMatchesInterpreterSynthesized(t *testing.T) {
 			par.LoopSignal = "exit"
 		}
 		for _, method := range core.Methods() {
-			r, err := core.Run(method, g, par)
+			r, err := core.RunCtx(context.Background(), method, g, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +62,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	par := core.DefaultParams(8)
 	par.Alpha, par.Beta = 10, 1
 	for _, method := range core.Methods() {
-		r, err := core.Run(method, g, par)
+		r, err := core.RunCtx(context.Background(), method, g, par)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -21,7 +22,7 @@ func synth(t *testing.T, bench string, width int) *etpn.Design {
 	if bench == dfg.BenchDiffeq || bench == dfg.BenchPaulin {
 		par.LoopSignal = "exit"
 	}
-	r, err := core.Synthesize(g, par)
+	r, err := core.SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestScanImprovesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basRes, err := atpg.Run(plain.C, cfg)
+	basRes, err := atpg.RunCtx(context.Background(), plain.C, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestScanImprovesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanRes, err := atpg.Run(scanned.C, cfg)
+	scanRes, err := atpg.RunCtx(context.Background(), scanned.C, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestBISTSessionDetectsFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := atpg.RunBIST(nl.C, 400, 120)
+	out, err := atpg.RunBISTCfgCtx(context.Background(), nl.C, 400, 120, atpg.BISTConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestRunBISTRequiresBISTNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := atpg.RunBIST(nl.C, 100, 50); err == nil {
+	if _, err := atpg.RunBISTCfgCtx(context.Background(), nl.C, 100, 50, atpg.BISTConfig{}); err == nil {
 		t.Error("expected missing-bist_en error")
 	}
 }

@@ -54,8 +54,11 @@ type NormSynthesize struct {
 
 // Normalize validates the request and loads the behaviour graph. Every
 // error it returns is a client error (HTTP 400): bad width, unknown
-// benchmark or method, malformed VHDL.
+// benchmark or method, malformed VHDL, negative deadline.
 func (r SynthesizeRequest) Normalize() (*NormSynthesize, error) {
+	if r.DeadlineMS < 0 {
+		return nil, fmt.Errorf("deadline_ms must be >= 0 (got %d)", r.DeadlineMS)
+	}
 	n := &NormSynthesize{Method: r.Method}
 	if n.Method == "" {
 		n.Method = hlts.MethodOurs
@@ -219,6 +222,11 @@ func (r TestDesignRequest) Normalize() (*NormTestDesign, error) {
 	if n.Faults == 0 {
 		n.Faults = 1500
 	}
+	// fault.Sample reads n <= 0 as "every fault", so a negative size would
+	// silently run the whole list under a fingerprint of its own.
+	if n.Faults < 0 {
+		return nil, fmt.Errorf("faults must be >= 0 (got %d)", n.Faults)
+	}
 	if n.Scan < 0 {
 		return nil, fmt.Errorf("scan must be >= 0 (got %d)", n.Scan)
 	}
@@ -235,6 +243,9 @@ func (r TestDesignRequest) Normalize() (*NormTestDesign, error) {
 		}
 		if b.Faults == 0 {
 			b.Faults = 400
+		}
+		if b.Faults < 0 {
+			return nil, fmt.Errorf("bist faults must be >= 0 (got %d)", b.Faults)
 		}
 		if b.Lanes == 0 {
 			b.Lanes = 64

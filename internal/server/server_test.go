@@ -39,7 +39,7 @@ func directSynthesize(t testing.TB, req SynthesizeRequest) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hlts.RunMethod(n.Method, n.Graph, n.Params)
+	res, err := hlts.RunMethodCtx(context.Background(), n.Method, n.Graph, n.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func directTestDesign(t testing.TB, req TestDesignRequest) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hlts.RunMethod(n.Method, n.Graph, n.Params)
+	res, err := hlts.RunMethodCtx(context.Background(), n.Method, n.Graph, n.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func directTestDesign(t testing.TB, req TestDesignRequest) []byte {
 	}
 	acfg := hlts.DefaultATPGConfig(n.Seed)
 	acfg.SampleFaults = n.Faults
-	ares, err := hlts.TestDesign(nl, acfg)
+	ares, err := hlts.TestDesignCtx(context.Background(), nl, acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func directTable(t testing.TB, bench, widths, seed, faults string) []byte {
 		}
 		return c
 	}
-	tbl, err := hlts.ReproduceTable(n.Bench, cfg)
+	tbl, err := hlts.ReproduceTableCtx(context.Background(), n.Bench, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,6 +466,9 @@ func TestClientErrors(t *testing.T) {
 		{"empty bist", "POST", "/v1/testdesign", `{"bench":"ex","width":4,"bist":{"tpg":0,"misr":0}}`, 400},
 		{"bad bist lanes", "POST", "/v1/testdesign", `{"bench":"ex","width":4,"bist":{"tpg":1,"misr":1,"lanes":65}}`, 400},
 		{"negative bist lanes", "POST", "/v1/testdesign", `{"bench":"ex","width":4,"bist":{"tpg":1,"misr":1,"lanes":-1}}`, 400},
+		{"negative faults", "POST", "/v1/testdesign", `{"bench":"ex","width":4,"faults":-1}`, 400},
+		{"negative bist faults", "POST", "/v1/testdesign", `{"bench":"ex","width":4,"bist":{"tpg":1,"misr":1,"faults":-1}}`, 400},
+		{"negative deadline", "POST", "/v1/synthesize", `{"bench":"ex","width":4,"deadline_ms":-5}`, 400},
 		{"table unknown bench", "GET", "/v1/table/nope", "", 404},
 		{"table bad width", "GET", "/v1/table/ex?widths=0", "", 400},
 		{"table bad seed", "GET", "/v1/table/ex?seed=x", "", 400},

@@ -136,54 +136,6 @@ func (s *Stats) HitRate(prefix string) float64 {
 	return float64(hits) / float64(hits+misses)
 }
 
-// String renders every counter and timer, sorted by name, followed by
-// the hit rate of every "*.hit"/"*.miss" counter pair.
-func (s *Stats) String() string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	type kv struct {
-		k string
-		c int64
-		d time.Duration
-	}
-	var counters, timers []kv
-	for k, v := range s.counters {
-		counters = append(counters, kv{k: k, c: v})
-	}
-	for k, v := range s.timers {
-		timers = append(timers, kv{k: k, d: v})
-	}
-	s.mu.Unlock()
-	sort.Slice(counters, func(i, j int) bool { return counters[i].k < counters[j].k })
-	sort.Slice(timers, func(i, j int) bool { return timers[i].k < timers[j].k })
-
-	var b strings.Builder
-	for _, e := range counters {
-		fmt.Fprintf(&b, "%-28s %12d\n", e.k, e.c)
-	}
-	for _, e := range timers {
-		fmt.Fprintf(&b, "%-28s %12s\n", e.k, e.d)
-	}
-	// Hit rates for every .hit/.miss pair.
-	seen := map[string]bool{}
-	var prefixes []string
-	for _, e := range counters {
-		for _, suffix := range []string{".hit", ".miss"} {
-			if p, ok := strings.CutSuffix(e.k, suffix); ok && !seen[p] {
-				seen[p] = true
-				prefixes = append(prefixes, p)
-			}
-		}
-	}
-	sort.Strings(prefixes)
-	for _, p := range prefixes {
-		fmt.Fprintf(&b, "%-28s %11.1f%%\n", p+".hitrate", 100*s.HitRate(p))
-	}
-	return b.String()
-}
-
 // histBounds are the upper bucket bounds (seconds) of every latency
 // histogram, Prometheus' default buckets: they span sub-millisecond cache
 // hits to multi-second table reproductions.

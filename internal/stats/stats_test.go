@@ -30,10 +30,14 @@ func TestCountersAndTimers(t *testing.T) {
 	if s.Duration("time.x") <= 0 {
 		t.Error("timer recorded nothing")
 	}
-	out := s.String()
-	for _, want := range []string{"cache.build.hit", "cache.build.miss", "time.x", "cache.build.hitrate", "80.0%"} {
+	var b strings.Builder
+	if err := s.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{"hlts_cache_build_hit 4", "hlts_cache_build_miss 1", "hlts_time_x_seconds", "hlts_cache_build_hitrate 0.8\n"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("String() missing %q:\n%s", want, out)
+			t.Errorf("WriteText missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -114,7 +118,7 @@ func TestNilStats(t *testing.T) {
 	s.Add("x", 1)
 	s.Time("y")()
 	s.Observe("h", 1)
-	if s.Value("x") != 0 || s.Duration("y") != 0 || s.HitRate("z") != 0 || s.String() != "" || s.Quantile("h", 0.5) != 0 {
+	if s.Value("x") != 0 || s.Duration("y") != 0 || s.HitRate("z") != 0 || s.Quantile("h", 0.5) != 0 {
 		t.Error("nil Stats not inert")
 	}
 	var b strings.Builder

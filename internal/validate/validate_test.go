@@ -4,6 +4,7 @@
 package validate_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -23,7 +24,7 @@ func freshDesign(t *testing.T) *etpn.Design {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Synthesize(g, core.DefaultParams(4))
+	res, err := core.SynthesizeCtx(context.Background(), g, core.DefaultParams(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestFlowsValidateClean(t *testing.T) {
 				if bench == dfg.BenchDiffeq {
 					par.LoopSignal = "exit"
 				}
-				res, err := core.Run(method, g, par)
+				res, err := core.RunCtx(context.Background(), method, g, par)
 				if err != nil {
 					t.Fatalf("%s with validation armed: %v", method, err)
 				}
