@@ -357,6 +357,50 @@ func BenchmarkBIST(b *testing.B) {
 	}
 }
 
+// BenchmarkPODEM measures the full ATPG campaign — random phase plus
+// event-driven PODEM — on the 4-bit Ex, Dct, Diffeq and EWF designs of
+// the paper's algorithm at one worker, with the /v1/testdesign settings
+// (300 sampled faults, the facade's frame cap). kEval is the nominal
+// effort of the tables' TG-effort column, gate_evals the evaluations
+// actually performed; both and det_detected are deterministic, so CI's
+// BENCH_synth.json pins them exactly.
+func BenchmarkPODEM(b *testing.B) {
+	for _, bench := range []string{BenchEx, BenchDct, BenchDiffeq, BenchEWF} {
+		b.Run(bench, func(b *testing.B) {
+			g, err := LoadBenchmark(bench, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			par := DefaultParams(4)
+			if bench == BenchDiffeq {
+				par.LoopSignal = "exit"
+			}
+			res, err := RunMethodCtx(context.Background(), MethodOurs, g, par)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nl, err := GenerateNetlist(res, 4, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := DefaultATPGConfig(1)
+			cfg.SampleFaults = 300
+			cfg.Workers = 1
+			b.ReportAllocs()
+			b.ResetTimer()
+			var ares *ATPGResult
+			for i := 0; i < b.N; i++ {
+				if ares, err = TestDesignCtx(context.Background(), nl, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ares.Effort), "kEval")
+			b.ReportMetric(float64(ares.GateEvals), "gate_evals")
+			b.ReportMetric(float64(ares.DetDetected), "det_detected")
+		})
+	}
+}
+
 // BenchmarkSimEval and BenchmarkSimStep measure the logic-sim inner loop
 // on the 4-bit Ex netlist; both must report 0 allocs/op (the reused
 // output-buffer contract the fault-simulation loops rely on), which CI
@@ -393,10 +437,11 @@ func benchSim(b *testing.B) (*logicsim.Sim, []uint64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := logicsim.New(nl.C)
+	p, err := nl.C.Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
+	s := logicsim.New(p)
 	pi := make([]uint64, len(nl.C.Inputs))
 	rng := rand.New(rand.NewSource(1998))
 	for i := range pi {

@@ -45,10 +45,7 @@ func TestPodemCombinationalBasics(t *testing.T) {
 		{fault.Fault{Gate: x, Pin: -1, Val: false}, true},
 	}
 	for _, cse := range cases {
-		pr, err := podem(c, cse.f, 1, 20, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pr := runPodem(t, c, cse.f, 1, 20, nil)
 		if pr.Success != cse.testable {
 			t.Errorf("fault %v: success=%v, want %v", cse.f, pr.Success, cse.testable)
 		}
@@ -59,6 +56,16 @@ func TestPodemCombinationalBasics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runPodem runs one PODEM attempt on a fresh searcher for c.
+func runPodem(t *testing.T, c *gates.Circuit, f fault.Fault, frames, backtrackLimit int, rng *rand.Rand) *podemResult {
+	t.Helper()
+	p, err := c.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newSearcher(p, frames).podem(f, frames, backtrackLimit, rng)
 }
 
 // vectorDetects replays a PODEM assignment on the bit-parallel simulator
@@ -83,10 +90,7 @@ func TestPodemUntestableRedundancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := podem(c, fault.Fault{Gate: z, Pin: -1, Val: true}, 1, 50, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := runPodem(t, c, fault.Fault{Gate: z, Pin: -1, Val: true}, 1, 50, nil)
 	if pr.Success {
 		t.Fatal("redundant fault reported testable")
 	}
@@ -113,10 +117,7 @@ func TestPodemSequentialDepth(t *testing.T) {
 	}
 	f := fault.Fault{Gate: q1, Pin: 0, Val: false}
 	// 4 frames: inject at frame 0/1, observe at frame 3.
-	pr, err := podem(c, f, 4, 50, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := runPodem(t, c, f, 4, 50, nil)
 	if !pr.Success {
 		t.Fatal("pipeline fault not found with sufficient frames")
 	}
@@ -124,10 +125,7 @@ func TestPodemSequentialDepth(t *testing.T) {
 		t.Fatal("generated sequence does not detect")
 	}
 	// With only 2 frames the fault effect cannot reach the output.
-	pr2, err := podem(c, f, 2, 50, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr2 := runPodem(t, c, f, 2, 50, nil)
 	if pr2.Success {
 		t.Fatal("2 frames cannot expose a depth-3 fault")
 	}
@@ -145,10 +143,7 @@ func TestPodemGeneratedVectorsAlwaysDetect(t *testing.T) {
 			if restart > 0 {
 				rng = rand.New(rand.NewSource(int64(i*7 + restart)))
 			}
-			pr, err := podem(c, flist[i], 6, 40, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pr := runPodem(t, c, flist[i], 6, 40, rng)
 			if pr.Success {
 				successes++
 				if vectorDetects(t, c, flist[i], pr.Vectors) {
@@ -168,6 +163,38 @@ func TestPodemGeneratedVectorsAlwaysDetect(t *testing.T) {
 	}
 	if confirmed != successes {
 		t.Fatalf("only %d of %d PODEM tests confirmed", confirmed, successes)
+	}
+}
+
+// TestSimulateZeroAllocs pins the steady-state event-driven implication
+// step at zero allocations: once a warm-up cycle has grown the searcher's
+// queues and D lists, assigning, flipping and releasing primary inputs and
+// re-simulating allocate nothing.
+func TestSimulateZeroAllocs(t *testing.T) {
+	c := benchCircuit(t, dfg.BenchTseng, 4)
+	p, err := c.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = 4
+	s := newSearcher(p, frames)
+	s.reset(fault.Collapse(c)[0], frames, nil)
+	s.simulate()
+	// One cycle sets every input of every frame to 0, 1 and back to X, so
+	// the searcher's state repeats from cycle to cycle.
+	steps := frames * len(c.Inputs) * 3
+	k := 0
+	step := func() {
+		i := k % steps
+		s.setPI(i/3/len(c.Inputs), i/3%len(c.Inputs), []int8{v0, v1, vX}[i%3])
+		s.simulate()
+		k++
+	}
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(steps, step); allocs != 0 {
+		t.Errorf("incremental simulate allocates %.2f times per step, want 0", allocs)
 	}
 }
 
@@ -398,6 +425,30 @@ func TestEval3TruthTables(t *testing.T) {
 	}
 	if eval3(gates.KConst1, nil) != v1 || eval3(gates.KConst0, nil) != v0 {
 		t.Error("const evaluation wrong")
+	}
+	// The dual-rail kernel computes the reference in each lane
+	// independently, for every good/faulty combination of the inputs.
+	pair := func(g, b int8) uint8 { return rail(g)&goodBit | rail(b)&badBit }
+	faulty := func(r uint8) int8 { return good(r >> 1) }
+	for _, k := range append(kinds, gates.KBuf, gates.KNot, gates.KConst0, gates.KConst1) {
+		arity := 2
+		switch k {
+		case gates.KBuf, gates.KNot:
+			arity = 1
+		case gates.KConst0, gates.KConst1:
+			arity = 0
+		}
+		ins := []int32{0, 1}[:arity]
+		for code := 0; code < 81; code++ {
+			lanes := [4]int8{int8(code % 3), int8(code / 3 % 3), int8(code / 9 % 3), int8(code / 27)}
+			vals := []uint8{pair(lanes[0], lanes[1]), pair(lanes[2], lanes[3])}
+			r := eval2(gates.Op(k), vals, ins)
+			wantG := eval3(k, []int8{lanes[0], lanes[2]}[:arity])
+			wantB := eval3(k, []int8{lanes[1], lanes[3]}[:arity])
+			if good(r) != wantG || faulty(r) != wantB {
+				t.Errorf("%v lanes %v: dual rail gives (%d,%d), want (%d,%d)", k, lanes, good(r), faulty(r), wantG, wantB)
+			}
+		}
 	}
 }
 

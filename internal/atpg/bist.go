@@ -147,10 +147,11 @@ func RunBISTCfgCtx(ctx context.Context, c *gates.Circuit, sampleFaults, cycles i
 
 	// Golden run: only the final-cycle signature matters, so keep just the
 	// last output row instead of materialising the whole history.
-	good, err := logicsim.New(c)
+	p, err := c.Compile()
 	if err != nil {
 		return nil, err
 	}
+	good := logicsim.New(p)
 	good.SetState(seedState)
 	var last []uint64
 	for _, v := range vec {
@@ -162,10 +163,7 @@ func RunBISTCfgCtx(ctx context.Context, c *gates.Circuit, sampleFaults, cycles i
 	}
 
 	flist := fault.Sample(fault.Collapse(c), sampleFaults)
-	bad, err := logicsim.New(c)
-	if err != nil {
-		return nil, err
-	}
+	bad := logicsim.New(p)
 	out := &BISTOutcome{TotalFaults: len(flist), Cycles: cycles, Lanes: lanes}
 	for i := range flist {
 		if ctx.Err() != nil {
@@ -173,7 +171,7 @@ func RunBISTCfgCtx(ctx context.Context, c *gates.Circuit, sampleFaults, cycles i
 			out.Exhausted = exec.BudgetDeadline
 			break
 		}
-		bad.Fault = &flist[i]
+		bad.SetFault(&flist[i])
 		// seedState covers every DFF, so SetState fully clears the previous
 		// fault's trajectory; no Reset needed.
 		bad.SetState(seedState)

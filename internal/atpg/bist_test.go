@@ -110,23 +110,20 @@ func legacyBIST(t *testing.T, c *gates.Circuit, sampleFaults, cycles int) []bool
 		v[bistEn] = ^uint64(0)
 		vec[tt] = v
 	}
-	good, err := logicsim.New(c)
+	p, err := c.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := good.Run(vec)
+	golden := logicsim.New(p).Run(vec)
 	goodSig := make([]uint64, len(sigPOs))
 	for i, po := range sigPOs {
 		goodSig[i] = golden[cycles-1][po] & 1
 	}
 	flist := fault.Sample(fault.Collapse(c), sampleFaults)
-	bad, err := logicsim.New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bad := logicsim.New(p)
 	det := make([]bool, len(flist))
 	for i := range flist {
-		bad.Fault = &flist[i]
+		bad.SetFault(&flist[i])
 		bad.Reset()
 		var last []uint64
 		for _, v := range vec {
@@ -209,15 +206,12 @@ func TestPackedLanesMatchSingleLaneRuns(t *testing.T) {
 	}
 	const cycles = 24
 	vec := sessionVectors(cycles, len(c.Inputs), 64, defaultBISTSeed, bistEn)
-	packedSim, err := logicsim.New(c)
+	p, err := c.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := packedSim.Run(vec)
-	laneSim, err := logicsim.New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	packed := logicsim.New(p).Run(vec)
+	laneSim := logicsim.New(p)
 	for lane := 0; lane < 64; lane++ {
 		seq := extractLane(vec, lane)
 		single := laneSim.Run(widenLane(seq))

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/chaos"
@@ -55,6 +56,10 @@ type Config struct {
 	// the per-fault panic guard; panicking from it simulates a PODEM crash
 	// for the panic-isolation tests.
 	testHookSearch func(faultIndex int)
+	// testHookPodem, when set (package tests only), runs every PODEM
+	// attempt in place of the event-driven search; the differential tests
+	// run whole campaigns on the full-resimulation reference through it.
+	testHookPodem func(f fault.Fault, frames, backtrackLimit int, rng *rand.Rand) (*podemResult, error)
 }
 
 // DefaultConfig returns the campaign settings used by the experiment
@@ -171,8 +176,14 @@ type Result struct {
 	Coverage float64
 	// Effort is the test-generation effort in kilo-gate-evaluations
 	// (random-phase simulation plus PODEM implications): the reproduction
-	// counterpart of the paper's "test generation time".
+	// counterpart of the paper's "test generation time". It is nominal: a
+	// PODEM implication step is charged as a full resimulation of every
+	// gate in every frame, whatever the event-driven search re-evaluates.
 	Effort int64
+	// GateEvals counts the gate evaluations actually performed: random-
+	// phase simulation plus the event-driven PODEM implications of every
+	// committed search.
+	GateEvals int64
 	// TestCycles is the total test-application length in clock cycles of
 	// the compacted test set: the counterpart of "test generated cycle".
 	TestCycles int
@@ -222,6 +233,12 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 	if len(flist) == 0 {
 		return res, nil
 	}
+	// One compiled program serves the random phase, every PODEM searcher
+	// and every fault drop of the campaign.
+	p, err := c.Compile()
+	if err != nil {
+		return nil, err
+	}
 	detected := make([]bool, len(flist))
 	res.Outcomes = make([]Outcome, len(flist))
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -240,7 +257,7 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 			break
 		}
 		vectors := wideVectors(cfg.SeqLen, len(c.Inputs), rng.Uint64)
-		lanes, evals, err := randomBatch(c, flist, detected, vectors, cfg.Workers)
+		lanes, evals, _, err := faultSim(p, flist, detected, vectors, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -279,8 +296,11 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 	// A panic inside one fault's search is isolated: it becomes an
 	// OutcomePanicked entry plus a recorded *exec.ExecError, and every
 	// other fault is still processed.
-	var detImpl int64
+	var detImpl, detEvals int64
 	if exhausted == "" {
+		// Searchers are sized for the widest window and reused across
+		// faults; one abandoned by a panic is dropped, never put back.
+		searchers := sync.Pool{New: func() any { return newSearcher(p, cfg.MaxFrames) }}
 		comb := len(c.DFFs) == 0
 		frameSchedule := frameEscalation(cfg.MaxFrames)
 		var undet []int
@@ -301,7 +321,10 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 					return detOutcome{}, nil
 				}
 				o, perr := exec.Guard1("atpg.podem", i, func() (detOutcome, error) {
-					return searchFault(ctx, c, flist[i], i, cfg, frameSchedule, comb), nil
+					s := searchers.Get().(*searcher)
+					o := searchFault(ctx, s, flist[i], i, cfg, frameSchedule, comb)
+					searchers.Put(s)
+					return o, nil
 				})
 				if perr != nil {
 					if ee, ok := exec.AsExecError(perr); ok {
@@ -338,6 +361,7 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 					return nil
 				}
 				detImpl += o.impl
+				detEvals += o.evals
 				switch {
 				case o.success:
 					detected[i] = true
@@ -347,7 +371,7 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 					// Fault-simulate the generated test against the remaining
 					// faults (test-set reuse / fault dropping).
 					res.TestSet = append(res.TestSet, extractLane(o.vec, 0))
-					newly, err := logicsim.FaultSimIncrementalWorkers(c, flist, detected, nil, o.vec, 0, cfg.Workers)
+					_, _, newly, err := faultSim(p, flist, detected, o.vec, cfg.Workers)
 					if err != nil {
 						return err
 					}
@@ -399,12 +423,14 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 	}
 	res.Coverage = float64(count(detected)) / float64(len(flist))
 	res.Effort = (randGateEvals + detImpl) / 1000
+	res.GateEvals = randGateEvals + detEvals
 	return res, nil
 }
 
 // detOutcome is the result of one fault's full deterministic search.
 type detOutcome struct {
 	impl         int64
+	evals        int64
 	success      bool
 	frames       int
 	vec          [][]uint64
@@ -417,11 +443,12 @@ type detOutcome struct {
 }
 
 // searchFault runs the complete frame-escalation/restart PODEM search for
-// one fault. It depends only on (c, f, i, cfg), never on the state of
-// other faults, so it can run speculatively on any worker. The context is
+// one fault on the worker's searcher. It depends only on (circuit, f, i,
+// cfg), never on the state of other faults or on what the searcher ran
+// before, so it can run speculatively on any worker. The context is
 // checked at each restart boundary; a mid-search cancellation returns a
 // cut outcome rather than a half-trusted classification.
-func searchFault(ctx context.Context, c *gates.Circuit, f fault.Fault, i int, cfg Config, frameSchedule []int, comb bool) detOutcome {
+func searchFault(ctx context.Context, s *searcher, f fault.Fault, i int, cfg Config, frameSchedule []int, comb bool) detOutcome {
 	var out detOutcome
 	if cfg.testHookSearch != nil {
 		cfg.testHookSearch(i)
@@ -445,16 +472,22 @@ func searchFault(ctx context.Context, c *gates.Circuit, f fault.Fault, i int, cf
 			if restart > 0 {
 				rng2 = rand.New(rand.NewSource(cfg.Seed + int64(i)*1009 + int64(restart)))
 			}
-			pr, err := podem(c, f, frames, cfg.BacktrackLimit, rng2)
-			if err != nil {
-				out.err = err
-				return out
+			var pr *podemResult
+			if cfg.testHookPodem != nil {
+				var err error
+				if pr, err = cfg.testHookPodem(f, frames, cfg.BacktrackLimit, rng2); err != nil {
+					out.err = err
+					return out
+				}
+			} else {
+				pr = s.podem(f, frames, cfg.BacktrackLimit, rng2)
 			}
 			out.impl += pr.Implications
+			out.evals += pr.GateEvals
 			if pr.Success {
 				out.success = true
 				out.frames = frames
-				out.vec = vectorsFromAssignment(c, pr.Vectors)
+				out.vec = vectorsFromAssignment(s.p.C, pr.Vectors)
 				return out
 			}
 			if !pr.Aborted {
@@ -480,30 +513,28 @@ func searchFault(ctx context.Context, c *gates.Circuit, f fault.Fault, i int, cf
 	return out
 }
 
-// randomBatch fault-simulates 64 parallel random sequences over the
-// undetected faults, marking detections and returning the mask of lanes
-// that detected at least one new fault. Faults are independent within a
-// batch (each is compared against the shared golden run), so the list is
-// partitioned across workers; the lane mask and evaluation count are
-// merged per fault index and are identical at every worker count.
-func randomBatch(c *gates.Circuit, flist []fault.Fault, detected []bool, vectors [][]uint64, workers int) (uint64, int64, error) {
-	good, err := logicsim.New(c)
-	if err != nil {
-		return 0, 0, err
-	}
-	golden := good.Run(vectors)
-	nGates := int64(c.NumGates())
+// faultSim fault-simulates a 64-lane vector sequence, applied from reset,
+// over the undetected faults: the random phase's batches of 64 parallel
+// random sequences and each PODEM test's fault drop. It marks detections
+// and returns the mask of lanes that detected at least one new fault, the
+// gate evaluations spent and the number of newly detected faults. Faults
+// are independent (each is compared against the shared golden run), so
+// the list is partitioned across workers; the results are merged per
+// fault index and are identical at every worker count.
+func faultSim(p *gates.Program, flist []fault.Fault, detected []bool, vectors [][]uint64, workers int) (uint64, int64, int, error) {
+	golden := logicsim.New(p).Run(vectors)
+	nGates := int64(len(p.Op))
 	laneOf := make([]uint64, len(flist))
 	evalsOf := make([]int64, len(flist))
 	// A batch is atomic with respect to cancellation (see RunCtx), so the
 	// pool runs without the campaign's context.
-	err = parallel.ForEachWorkerCtx(context.Background(), workers, len(flist),
-		func() (*logicsim.Sim, error) { return logicsim.New(c) },
+	err := parallel.ForEachWorkerCtx(context.Background(), workers, len(flist),
+		func() (*logicsim.Sim, error) { return logicsim.New(p), nil },
 		func(bad *logicsim.Sim, i int) error {
 			if detected[i] {
 				return nil
 			}
-			bad.Fault = &flist[i]
+			bad.SetFault(&flist[i])
 			bad.Reset()
 			for t, v := range vectors {
 				po := bad.Step(v)
@@ -521,15 +552,19 @@ func randomBatch(c *gates.Circuit, flist []fault.Fault, detected []bool, vectors
 			return nil
 		})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	var lanes uint64
 	var evals int64
+	newly := 0
 	for i := range flist {
 		lanes |= laneOf[i]
 		evals += evalsOf[i]
+		if laneOf[i] != 0 {
+			newly++
+		}
 	}
-	return lanes, evals, nil
+	return lanes, evals, newly, nil
 }
 
 // vectorsFromAssignment converts a PODEM PI assignment (per frame,
@@ -580,10 +615,14 @@ func count(bs []bool) int {
 // coverage claim: replaying Result.TestSet over the same (collapsed,
 // sampled) fault list detects at least Result.Detected() faults.
 func Replay(c *gates.Circuit, testSet [][][]uint64, flist []fault.Fault) (int, error) {
+	p, err := c.Compile()
+	if err != nil {
+		return 0, err
+	}
 	detected := make([]bool, len(flist))
 	for _, seq := range testSet {
 		// Widen single-lane vectors back to full words.
-		if _, err := logicsim.FaultSimIncrementalWorkers(c, flist, detected, nil, widenLane(seq), 0, 0); err != nil {
+		if _, _, _, err := faultSim(p, flist, detected, widenLane(seq), 0); err != nil {
 			return 0, err
 		}
 	}

@@ -31,204 +31,376 @@ func inv3(v int8) int8 {
 	return vX
 }
 
-// frameSim simulates the good and faulty circuits over T time frames with
-// three-valued logic. Frame 0 starts from the all-zero reset state.
-type frameSim struct {
-	c      *gates.Circuit
-	order  []int
-	frames int
-	flt    fault.Fault
-	// pi[t][k] is the assigned value of primary input k in frame t.
-	pi [][]int8
-	// good[t][g], bad[t][g] are the circuit values.
-	good, bad [][]int8
-	dffIx     map[int]int
-	piIx      map[int]int
-	rng       *rand.Rand
-	// obsDist[g] is the static fanout distance from gate g to the nearest
-	// primary output (crossing flip-flops freely); used to steer the
-	// D-frontier toward observable logic.
-	obsDist []int
-	fanout  [][]int
-	// implications counts gate evaluations, the ATPG effort measure.
-	implications int64
+// PODEM evaluates the good and the faulty circuit together in dual-rail
+// form: one byte per net and frame, lane 0 the good circuit and lane 1 the
+// faulty one. A lane is 1 when its "one" bit is set, 0 when its "zero" bit
+// is set and X when neither is, so AND is the AND of the one bits and the
+// OR of the zero bits, NOT swaps the rails, and both lanes evaluate in
+// one pass.
+const (
+	goodOne  uint8 = 1
+	badOne   uint8 = 2
+	goodZero uint8 = 4
+	badZero  uint8 = 8
+
+	ones    = goodOne | badOne   // both lanes 1
+	zeros   = goodZero | badZero // both lanes 0
+	goodBit = goodOne | goodZero // the good lane is binary
+	badBit  = badOne | badZero   // the faulty lane is binary
+)
+
+// rail spreads a three-valued value over both lanes.
+func rail(v int8) uint8 {
+	switch v {
+	case v0:
+		return zeros
+	case v1:
+		return ones
+	}
+	return 0
 }
 
-func newFrameSim(c *gates.Circuit, flt fault.Fault, frames int) (*frameSim, error) {
-	order, err := c.Levelize()
-	if err != nil {
-		return nil, err
-	}
-	fs := &frameSim{c: c, order: order, frames: frames, flt: flt, dffIx: map[int]int{}, piIx: map[int]int{}}
-	for i, d := range c.DFFs {
-		fs.dffIx[d] = i
-	}
-	for i, id := range c.Inputs {
-		fs.piIx[id] = i
-	}
-	fs.fanout = make([][]int, len(c.Gates))
-	for _, g := range c.Gates {
-		for _, in := range g.In {
-			fs.fanout[in] = append(fs.fanout[in], g.ID)
-		}
-	}
-	fs.obsDist = make([]int, len(c.Gates))
-	const inf = 1 << 29
-	for i := range fs.obsDist {
-		fs.obsDist[i] = inf
-	}
-	queue := make([]int, 0, len(c.Gates))
-	for _, o := range c.Outputs {
-		if fs.obsDist[o] == inf {
-			fs.obsDist[o] = 0
-			queue = append(queue, o)
-		}
-	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		for _, in := range c.Gates[id].In {
-			if fs.obsDist[in] > fs.obsDist[id]+1 {
-				fs.obsDist[in] = fs.obsDist[id] + 1
-				queue = append(queue, in)
-			}
-		}
-	}
-	fs.pi = make([][]int8, frames)
-	fs.good = make([][]int8, frames)
-	fs.bad = make([][]int8, frames)
-	for t := 0; t < frames; t++ {
-		fs.pi[t] = make([]int8, len(c.Inputs))
-		for k := range fs.pi[t] {
-			fs.pi[t][k] = vX
-		}
-		fs.good[t] = make([]int8, len(c.Gates))
-		fs.bad[t] = make([]int8, len(c.Gates))
-	}
-	return fs, nil
-}
-
-func eval3(kind gates.Kind, ins []int8) int8 {
-	switch kind {
-	case gates.KConst0:
-		return v0
-	case gates.KConst1:
+// good returns the good lane of a dual-rail value.
+func good(r uint8) int8 {
+	switch {
+	case r&goodOne != 0:
 		return v1
-	case gates.KBuf:
-		return ins[0]
-	case gates.KNot:
-		return inv3(ins[0])
-	case gates.KAnd, gates.KNand:
-		out := v1
-		for _, x := range ins {
-			if x == v0 {
-				out = v0
-				break
-			}
-			if x == vX {
-				out = vX
-			}
-		}
-		if kind == gates.KNand {
-			out = inv3(out)
-		}
-		return out
-	case gates.KOr, gates.KNor:
-		out := v0
-		for _, x := range ins {
-			if x == v1 {
-				out = v1
-				break
-			}
-			if x == vX {
-				out = vX
-			}
-		}
-		if kind == gates.KNor {
-			out = inv3(out)
-		}
-		return out
-	case gates.KXor, gates.KXnor:
-		a, b := ins[0], ins[1]
-		if a == vX || b == vX {
-			return vX
-		}
-		out := a ^ b
-		if kind == gates.KXnor {
-			out = inv3(out)
-		}
-		return out
+	case r&goodZero != 0:
+		return v0
 	}
 	return vX
 }
 
-// simulate recomputes both circuits across all frames from the current PI
-// assignment.
-func (fs *frameSim) simulate() {
-	piIx := fs.piIx
-	var insG, insB []int8
-	for t := 0; t < fs.frames; t++ {
-		for _, id := range fs.order {
-			g := fs.c.Gates[id]
-			fs.implications++
-			var gv, bv int8
-			switch g.Kind {
-			case gates.KInput:
-				gv = fs.pi[t][piIx[id]]
-				bv = gv
-			case gates.KDFF:
-				if t == 0 {
-					gv, bv = v0, v0 // reset state
+// isD reports whether a dual-rail value carries a fault effect: both
+// lanes binary and different (D or D-bar).
+func isD(r uint8) bool { return r == goodOne|badZero || r == goodZero|badOne }
+
+// swap complements both lanes.
+func swap(r uint8) uint8 { return (r<<2 | r>>2) & (ones | zeros) }
+
+// eval2 evaluates a combinational opcode in dual rail over vals, the net
+// values of one frame.
+func eval2(op gates.Op, vals []uint8, ins []int32) uint8 {
+	switch op {
+	case gates.OpConst0:
+		return zeros
+	case gates.OpConst1:
+		return ones
+	case gates.OpBuf:
+		return vals[ins[0]]
+	case gates.OpNot:
+		return swap(vals[ins[0]])
+	case gates.OpAnd, gates.OpNand:
+		one, zero := ones, uint8(0)
+		for _, in := range ins {
+			one &= vals[in]
+			zero |= vals[in]
+		}
+		r := one&ones | zero&zeros
+		if op == gates.OpNand {
+			r = swap(r)
+		}
+		return r
+	case gates.OpOr, gates.OpNor:
+		one, zero := uint8(0), zeros
+		for _, in := range ins {
+			one |= vals[in]
+			zero &= vals[in]
+		}
+		r := one&ones | zero&zeros
+		if op == gates.OpNor {
+			r = swap(r)
+		}
+		return r
+	case gates.OpXor, gates.OpXnor:
+		a, b := vals[ins[0]], vals[ins[1]]
+		a1, a0, b1, b0 := a&ones, a>>2, b&ones, b>>2
+		r := a1&b0 | a0&b1 | (a1&b1|a0&b0)<<2
+		if op == gates.OpXnor {
+			r = swap(r)
+		}
+		return r
+	}
+	return 0
+}
+
+// searcher is one worker's PODEM state over a compiled program: the good
+// and faulty circuits over up to maxFrames time frames, frame 0 starting
+// from the all-zero reset state. It is sized once and reused by every
+// search the worker runs.
+//
+// Implication is event-driven. Every search starts from a copy of the
+// fault-free circuit with every input X and schedules the faulted gate in
+// each frame; after that a changed primary input schedules its gate.
+// simulate re-evaluates only the forward cone of the scheduled gates,
+// frame by frame and level by level, stopping wherever neither lane
+// changes. A changed D net schedules its flip-flops in the next frame.
+// Since no state survives from one search to the next, a search's result
+// and its evaluation count depend only on its own arguments.
+type searcher struct {
+	p      *gates.Program
+	frames int
+	rng    *rand.Rand
+	// The fault: fgate is its gate and fpin its pin (-1 for the output);
+	// stuck is the stuck value and force the faulty-lane bit that
+	// imposes it. A pin fault on a combinational gate reads its pin
+	// through fins, the gate's fanin with the faulted slot redirected to
+	// the frame's extra net n, which holds the driving net's good lane
+	// and the stuck value.
+	fgate, fpin int32
+	stuck       int8
+	force       uint8
+	fins        []int32
+	// pi[t][k] is the assigned value of primary input k in frame t.
+	pi [][]int8
+	// val[t*m+g] is net g of frame t in dual rail (m = n+1 nets per frame,
+	// the last being the redirect net) and base the fault-free values with
+	// every input X; queued marks a gate scheduled in its frame.
+	val, base []uint8
+	m         int
+	queued    []bool
+	// pend[t] holds the gates scheduled in frame t from outside it (the
+	// faulted gate, inputs, flip-flops); npend counts them over all frames.
+	pend  [][]int32
+	npend int
+	// bucket[lv] holds the current frame's scheduled gates of level lv;
+	// top is the highest non-empty level.
+	bucket [][]int32
+	top    int32
+	// dnet[t] lists the nets of frame t carrying a fault effect, dpos[t*m+g]
+	// is g's index in it (-1 when absent), and poD[t] counts the primary
+	// outputs among them.
+	dnet [][]int32
+	dpos []int32
+	poD  []int
+	// stack is the decision stack; xs is backtrace scratch.
+	stack []decision
+	xs    []int32
+	// implications counts nominal full-resimulation gate evaluations
+	// (frames x gates per implication step), the campaign's Effort unit;
+	// evals counts the evaluations simulate actually performs.
+	implications int64
+	evals        int64
+}
+
+// decision is one PODEM decision: a primary input assigned in a frame.
+type decision struct {
+	pi, frame int
+	val       int8
+	flipped   bool
+}
+
+func newSearcher(p *gates.Program, maxFrames int) *searcher {
+	m := len(p.Op) + 1
+	s := &searcher{
+		p:      p,
+		m:      m,
+		pi:     make([][]int8, maxFrames),
+		val:    make([]uint8, maxFrames*m),
+		queued: make([]bool, maxFrames*m),
+		pend:   make([][]int32, maxFrames),
+		bucket: make([][]int32, p.Levels),
+		dnet:   make([][]int32, maxFrames),
+		dpos:   make([]int32, maxFrames*m),
+		poD:    make([]int, maxFrames),
+	}
+	for t := range s.pi {
+		s.pi[t] = make([]int8, len(p.PIs))
+		for k := range s.pi[t] {
+			s.pi[t][k] = vX
+		}
+	}
+	for i := range s.dpos {
+		s.dpos[i] = -1
+	}
+	for t := 0; t < maxFrames; t++ {
+		vals := s.val[t*m : (t+1)*m]
+		for _, id := range p.Order {
+			vals[id] = s.eval(t, vals, id, p.Fanin(id))
+		}
+	}
+	s.base = append([]uint8(nil), s.val...)
+	return s
+}
+
+// reset starts a search for flt over the given number of frames with
+// every primary input unassigned.
+func (s *searcher) reset(flt fault.Fault, frames int, rng *rand.Rand) {
+	p := s.p
+	s.frames, s.rng = frames, rng
+	s.fgate, s.fpin = int32(flt.Gate), int32(flt.Pin)
+	s.stuck, s.force = v0, badZero
+	if flt.Val {
+		s.stuck, s.force = v1, badOne
+	}
+	s.fins = s.fins[:0]
+	if s.fpin >= 0 {
+		s.fins = append(s.fins, p.Fanin(s.fgate)...)
+		s.fins[s.fpin] = int32(s.m - 1)
+	}
+	for t := 0; t < frames; t++ {
+		for k := range s.pi[t] {
+			s.pi[t][k] = vX
+		}
+	}
+	copy(s.val, s.base[:frames*s.m])
+	for t, l := range s.dnet {
+		for _, id := range l {
+			s.dpos[t*s.m+int(id)] = -1
+		}
+		s.dnet[t], s.poD[t] = l[:0], 0
+	}
+	// A search that ended between a decision and its implication leaves
+	// gates pending.
+	for t, ids := range s.pend {
+		for _, id := range ids {
+			s.queued[t*s.m+int(id)] = false
+		}
+		s.pend[t] = ids[:0]
+	}
+	s.npend = 0
+	for t := 0; t < frames; t++ {
+		s.schedulePend(t, s.fgate)
+	}
+	s.implications, s.evals = 0, 0
+}
+
+// setPI assigns primary input k in frame t and schedules its gate.
+func (s *searcher) setPI(t, k int, v int8) {
+	s.pi[t][k] = v
+	s.schedulePend(t, s.p.PIs[k])
+}
+
+func (s *searcher) schedulePend(t int, id int32) {
+	if i := t*s.m + int(id); !s.queued[i] {
+		s.queued[i] = true
+		s.pend[t] = append(s.pend[t], id)
+		s.npend++
+	}
+}
+
+func (s *searcher) schedule(q []bool, id int32) {
+	if !q[id] {
+		q[id] = true
+		lv := s.p.Level[id]
+		s.bucket[lv] = append(s.bucket[lv], id)
+		s.top = max(s.top, lv)
+	}
+}
+
+// simulate brings both circuits up to date with the current primary
+// input assignment. Whatever it re-evaluates, it charges the nominal
+// frames x gates of a full resimulation to implications.
+func (s *searcher) simulate() {
+	p := s.p
+	n := len(p.Op)
+	s.implications += int64(s.frames) * int64(n)
+	for t := 0; t < s.frames && s.npend > 0; t++ {
+		base := t * s.m
+		q := s.queued[base : base+n]
+		vals := s.val[base : base+s.m]
+		s.top = 0
+		for _, id := range s.pend[t] {
+			lv := p.Level[id]
+			s.bucket[lv] = append(s.bucket[lv], id)
+			s.top = max(s.top, lv)
+		}
+		s.npend -= len(s.pend[t])
+		s.pend[t] = s.pend[t][:0]
+		for lv := int32(0); lv <= s.top; lv++ {
+			for _, id := range s.bucket[lv] {
+				q[id] = false
+				s.evals++
+				var r uint8
+				if id != s.fgate {
+					r = s.eval(t, vals, id, p.Fanin(id))
 				} else {
-					// Q in frame t is D of frame t-1, with a possible
-					// fault on the D pin.
-					d := g.In[0]
-					gv = fs.good[t-1][d]
-					bv = fs.bad[t-1][d]
-					if fs.flt.Gate == id && fs.flt.Pin == 0 {
-						bv = bool2v(fs.flt.Val)
+					r = s.evalFaulted(t, vals, id)
+				}
+				old := vals[id]
+				if r == old {
+					continue
+				}
+				if wasD := isD(old); wasD != isD(r) {
+					s.toggleD(t, id, !wasD)
+				}
+				vals[id] = r
+				for _, rd := range p.Fanout(id) {
+					if p.Op[rd] != gates.OpDFF {
+						s.schedule(q, rd)
+					} else if t+1 < s.frames {
+						s.schedulePend(t+1, rd)
 					}
 				}
-			default:
-				insG = insG[:0]
-				insB = insB[:0]
-				for pin, in := range g.In {
-					pg := fs.good[t][in]
-					pb := fs.bad[t][in]
-					if fs.flt.Gate == id && fs.flt.Pin == pin {
-						pb = bool2v(fs.flt.Val)
-					}
-					insG = append(insG, pg)
-					insB = append(insB, pb)
-				}
-				gv = eval3(g.Kind, insG)
-				bv = eval3(g.Kind, insB)
 			}
-			if fs.flt.Gate == id && fs.flt.Pin < 0 {
-				bv = bool2v(fs.flt.Val)
-			}
-			fs.good[t][id] = gv
-			fs.bad[t][id] = bv
+			s.bucket[lv] = s.bucket[lv][:0]
 		}
 	}
 }
 
-func bool2v(b bool) int8 {
-	if b {
-		return v1
+// eval computes gate id of frame t, whose nets are vals, reading its
+// fanin through ins.
+func (s *searcher) eval(t int, vals []uint8, id int32, ins []int32) uint8 {
+	p := s.p
+	switch op := p.Op[id]; op {
+	case gates.OpInput:
+		return rail(s.pi[t][p.PIIx[id]])
+	case gates.OpDFF:
+		if t == 0 {
+			return zeros // reset state
+		}
+		// Q in frame t is D of frame t-1.
+		return s.val[(t-1)*s.m+int(ins[0])]
+	default:
+		return eval2(op, vals, ins)
 	}
-	return v0
+}
+
+// evalFaulted computes the faulted gate: the faulty lane of its output,
+// or of its faulted pin, is forced to the stuck value.
+func (s *searcher) evalFaulted(t int, vals []uint8, id int32) uint8 {
+	p := s.p
+	ins := p.Fanin(id)
+	switch {
+	case s.fpin < 0, p.Op[id] == gates.OpDFF && t > 0:
+		return s.eval(t, vals, id, ins)&^badBit | s.force
+	case p.Op[id] == gates.OpDFF:
+		return zeros // the reset state ignores the D pin
+	}
+	vals[s.m-1] = vals[ins[s.fpin]]&^badBit | s.force
+	return s.eval(t, vals, id, s.fins)
+}
+
+// toggleD adds net id of frame t to, or removes it from, the frame's
+// D list.
+func (s *searcher) toggleD(t int, id int32, on bool) {
+	i := t*s.m + int(id)
+	l := s.dnet[t]
+	if on {
+		s.dpos[i] = int32(len(l))
+		s.dnet[t] = append(l, id)
+	} else {
+		j, last := s.dpos[i], l[len(l)-1]
+		l[j] = last
+		s.dpos[t*s.m+int(last)] = j
+		s.dnet[t] = l[:len(l)-1]
+		s.dpos[i] = -1
+	}
+	if s.p.ObsDist[id] == 0 { // a primary output
+		if on {
+			s.poD[t]++
+		} else {
+			s.poD[t]--
+		}
+	}
 }
 
 // detected reports whether any primary output in any frame shows a binary
 // good/bad difference.
-func (fs *frameSim) detected() bool {
-	for t := 0; t < fs.frames; t++ {
-		for _, o := range fs.c.Outputs {
-			g, b := fs.good[t][o], fs.bad[t][o]
-			if g != vX && b != vX && g != b {
-				return true
-			}
+func (s *searcher) detected() bool {
+	for t := 0; t < s.frames; t++ {
+		if s.poD[t] > 0 {
+			return true
 		}
 	}
 	return false
@@ -236,24 +408,26 @@ func (fs *frameSim) detected() bool {
 
 // siteNet returns the net whose good value determines fault activation:
 // the gate's output for output faults, the driving net for pin faults.
-func (fs *frameSim) siteNet() int {
-	if fs.flt.Pin < 0 {
-		return fs.flt.Gate
+func (s *searcher) siteNet() int {
+	if s.fpin < 0 {
+		return int(s.fgate)
 	}
-	return fs.c.Gates[fs.flt.Gate].In[fs.flt.Pin]
+	return int(s.p.Fanin(s.fgate)[s.fpin])
 }
+
+// goodAt returns the good value of net id in frame t.
+func (s *searcher) goodAt(t, id int) int8 { return good(s.val[t*s.m+id]) }
 
 // activated reports whether the fault is excited in some frame (the good
 // value at the fault site is the complement of the stuck value), and
 // whether excitation has become impossible (the site is bound to the
 // stuck value in every frame).
-func (fs *frameSim) activated() (bool, bool) {
-	site := fs.siteNet()
-	stuck := bool2v(fs.flt.Val)
+func (s *searcher) activated() (bool, bool) {
+	site := s.siteNet()
 	conflict := true
-	for t := 0; t < fs.frames; t++ {
-		g := fs.good[t][site]
-		if g != vX && g != stuck {
+	for t := 0; t < s.frames; t++ {
+		g := s.goodAt(t, site)
+		if g != vX && g != s.stuck {
 			return true, false
 		}
 		if g == vX {
@@ -263,80 +437,92 @@ func (fs *frameSim) activated() (bool, bool) {
 	return false, conflict
 }
 
+// frontier reports whether gate id is on the D-frontier of frame t: a
+// combinational gate with an X output (good or faulty) and a fault effect
+// on some input pin.
+func (s *searcher) frontier(t int, id int32) bool {
+	p := s.p
+	if p.Op[id].Source() {
+		return false
+	}
+	vals := s.val[t*s.m : (t+1)*s.m]
+	if r := vals[id]; r&goodBit != 0 && r&badBit != 0 {
+		return false
+	}
+	ins := p.Fanin(id)
+	if id == s.fgate && s.fpin >= 0 {
+		ins = s.fins // the faulted pin reads the stuck value
+	}
+	for _, in := range ins {
+		if isD(vals[in]) {
+			return true
+		}
+	}
+	return false
+}
+
 // objective returns a (gate, frame, value) goal for the good circuit, or
 // ok=false when no useful objective exists (D-frontier empty).
-func (fs *frameSim) objective() (gate, frame int, val int8, ok bool) {
+func (s *searcher) objective() (gate, frame int, val int8, ok bool) {
+	p := s.p
 	// Activation first: make the good value at the fault site the
 	// complement of the stuck value.
-	act, _ := fs.activated()
-	if !act {
-		want := inv3(bool2v(fs.flt.Val))
-		site := fs.siteNet()
-		for t := 0; t < fs.frames; t++ {
-			if fs.good[t][site] == vX {
-				return site, t, want, true
-			}
-		}
-		return 0, 0, 0, false
+	if act, _ := s.activated(); !act {
+		return s.excite()
 	}
-	// Propagation: among all D-frontier gates — X-output gates with a
-	// fault-effect input — pick the one statically closest to a primary
-	// output and set one of its X inputs to the non-controlling value.
-	bestGate, bestFrame := -1, -1
-	bestDist := 1 << 30
-	for t := 0; t < fs.frames; t++ {
-		for _, id := range fs.order {
-			g := fs.c.Gates[id]
-			if g.Kind == gates.KInput || g.Kind == gates.KDFF || g.Kind == gates.KConst0 || g.Kind == gates.KConst1 {
-				continue
-			}
-			if fs.good[t][id] != vX && fs.bad[t][id] != vX {
-				continue
-			}
-			hasD := false
-			for pin, in := range g.In {
-				a, b := fs.good[t][in], fs.bad[t][in]
-				if id == fs.flt.Gate && pin == fs.flt.Pin {
-					// The pin itself carries the fault: effective bad value
-					// is the stuck value.
-					b = bool2v(fs.flt.Val)
-				}
-				if a != vX && b != vX && a != b {
-					hasD = true
-					break
-				}
-			}
-			if !hasD {
-				continue
-			}
-			if fs.obsDist[id] < bestDist {
-				bestDist = fs.obsDist[id]
-				bestGate, bestFrame = id, t
-			}
+	// Propagation: among all D-frontier gates pick the one statically
+	// closest to a primary output and set one of its X inputs to the
+	// non-controlling value. A frontier gate reads a D net of its frame or
+	// is the gate whose input pin is faulted, so only those are scanned.
+	// Ties go to the smallest (frame, levelized position), which makes the
+	// choice independent of the order the D lists happen to hold.
+	best, bestFrame := int32(-1), -1
+	bestDist := int32(1 << 30)
+	consider := func(t int, id int32) {
+		d := p.ObsDist[id]
+		if d > bestDist || d == bestDist && (t > bestFrame || t == bestFrame && p.Pos[id] >= p.Pos[best]) {
+			return
+		}
+		if s.frontier(t, id) {
+			best, bestFrame, bestDist = id, t, d
 		}
 	}
-	if bestGate < 0 {
+	for t := 0; t < s.frames; t++ {
+		for _, net := range s.dnet[t] {
+			for _, r := range p.Fanout(net) {
+				consider(t, r)
+			}
+		}
+		if s.fpin >= 0 {
+			consider(t, s.fgate)
+		}
+	}
+	if best < 0 {
 		// No D-frontier: the excited frames are masked. Re-excite the
 		// fault in another frame whose site is still unjustified — a
 		// register fault may be observable only in a frame the first
 		// excitation cannot reach.
-		want := inv3(bool2v(fs.flt.Val))
-		site := fs.siteNet()
-		for t := 0; t < fs.frames; t++ {
-			if fs.good[t][site] == vX {
-				return site, t, want, true
-			}
-		}
-		return 0, 0, 0, false
+		return s.excite()
 	}
-	g := fs.c.Gates[bestGate]
-	nc, has := nonControlling(g.Kind)
-	for _, in := range g.In {
-		if fs.good[bestFrame][in] == vX {
+	nc, has := nonControlling(p.Op[best])
+	for _, in := range p.Fanin(best) {
+		if s.goodAt(bestFrame, int(in)) == vX {
 			if has {
-				return in, bestFrame, nc, true
+				return int(in), bestFrame, nc, true
 			}
-			return in, bestFrame, v0, true // XOR-ish: either value works
+			return int(in), bestFrame, v0, true // XOR-ish: either value works
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// excite returns the objective of justifying the complement of the stuck
+// value at the fault site in the first frame where the site is still X.
+func (s *searcher) excite() (gate, frame int, val int8, ok bool) {
+	site := s.siteNet()
+	for t := 0; t < s.frames; t++ {
+		if s.goodAt(t, site) == vX {
+			return site, t, inv3(s.stuck), true
 		}
 	}
 	return 0, 0, 0, false
@@ -344,11 +530,11 @@ func (fs *frameSim) objective() (gate, frame int, val int8, ok bool) {
 
 // nonControlling returns the value an input must take so as not to mask
 // the other inputs.
-func nonControlling(k gates.Kind) (int8, bool) {
-	switch k {
-	case gates.KAnd, gates.KNand:
+func nonControlling(op gates.Op) (int8, bool) {
+	switch op {
+	case gates.OpAnd, gates.OpNand:
 		return v1, true
-	case gates.KOr, gates.KNor:
+	case gates.OpOr, gates.OpNor:
 		return v0, true
 	default:
 		return vX, false
@@ -359,43 +545,43 @@ func nonControlling(k gates.Kind) (int8, bool) {
 // following X-valued paths in the good circuit and accounting for
 // inversions. It returns ok=false when every path dead-ends (e.g. into
 // the frame-0 reset state or a constant).
-func (fs *frameSim) backtrace(gate, frame int, val int8) (pi, piFrame int, piVal int8, ok bool) {
-	piIx := fs.piIx
-	id, t, v := gate, frame, val
-	for depth := 0; depth < len(fs.c.Gates)*fs.frames+8; depth++ {
-		g := fs.c.Gates[id]
-		switch g.Kind {
-		case gates.KInput:
-			k := piIx[id]
-			if fs.pi[t][k] != vX {
+func (s *searcher) backtrace(gate, frame int, val int8) (pi, piFrame int, piVal int8, ok bool) {
+	p := s.p
+	id, t, v := int32(gate), frame, val
+	for depth := 0; depth < len(p.Op)*s.frames+8; depth++ {
+		switch p.Op[id] {
+		case gates.OpInput:
+			k := int(p.PIIx[id])
+			if s.pi[t][k] != vX {
 				return 0, 0, 0, false // already bound; path dead
 			}
 			return k, t, v, true
-		case gates.KConst0, gates.KConst1:
+		case gates.OpConst0, gates.OpConst1:
 			return 0, 0, 0, false
-		case gates.KDFF:
+		case gates.OpDFF:
 			if t == 0 {
 				return 0, 0, 0, false // reset state is fixed
 			}
-			id, t = g.In[0], t-1
+			id, t = p.Fanin(id)[0], t-1
 			continue
-		case gates.KNot, gates.KNand, gates.KNor, gates.KXnor:
+		case gates.OpNot, gates.OpNand, gates.OpNor, gates.OpXnor:
 			v = inv3(v)
 		}
 		// Choose an X input to pursue; randomizing the choice across
 		// restarts diversifies the search.
-		var xs []int
-		for _, in := range g.In {
-			if fs.good[t][in] == vX {
+		xs := s.xs[:0]
+		for _, in := range p.Fanin(id) {
+			if s.goodAt(t, int(in)) == vX {
 				xs = append(xs, in)
 			}
 		}
+		s.xs = xs
 		if len(xs) == 0 {
 			return 0, 0, 0, false
 		}
 		next := xs[0]
-		if fs.rng != nil && len(xs) > 1 {
-			next = xs[fs.rng.Intn(len(xs))]
+		if s.rng != nil && len(xs) > 1 {
+			next = xs[s.rng.Intn(len(xs))]
 		}
 		// For XOR-like gates the required input value is unconstrained
 		// (other inputs may be known); any binary value can work. Keep v
@@ -413,47 +599,46 @@ type podemResult struct {
 	Success      bool
 	Aborted      bool // backtrack limit hit: fault not proven untestable
 	Vectors      [][]int8
-	Implications int64
+	Implications int64 // nominal: frames x gates per implication step
 	Backtracks   int
+	GateEvals    int64 // gate evaluations simulate actually performed
 }
 
-// podem runs PODEM for one fault over the given number of time frames,
-// with a backtrack limit. A non-nil rng randomizes backtrace path and
-// value choices, which lets a caller escape unproductive search regions by
-// restarting. On success, Vectors holds one PI assignment per frame (X
-// entries are don't-cares).
-func podem(c *gates.Circuit, flt fault.Fault, frames, backtrackLimit int, rng *rand.Rand) (*podemResult, error) {
-	fs, err := newFrameSim(c, flt, frames)
-	if err != nil {
-		return nil, err
-	}
-	fs.rng = rng
-	type decision struct {
-		pi, frame int
-		val       int8
-		flipped   bool
-	}
-	var stack []decision
+// podem runs PODEM for one fault over the given number of time frames
+// (at most the searcher's maxFrames), with a backtrack limit. A non-nil
+// rng randomizes backtrace path and value choices, which lets a caller
+// escape unproductive search regions by restarting. On success, Vectors
+// holds one PI assignment per frame (X entries are don't-cares).
+func (s *searcher) podem(flt fault.Fault, frames, backtrackLimit int, rng *rand.Rand) *podemResult {
+	s.reset(flt, frames, rng)
+	stack := s.stack[:0]
 	res := &podemResult{}
+	done := func() *podemResult {
+		s.stack = stack
+		res.Implications, res.GateEvals = s.implications, s.evals
+		return res
+	}
 	for {
-		fs.simulate()
-		if fs.detected() {
+		s.simulate()
+		if s.detected() {
 			res.Success = true
-			res.Vectors = fs.pi
-			res.Implications = fs.implications
-			return res, nil
+			res.Vectors = make([][]int8, frames)
+			for t := range res.Vectors {
+				res.Vectors[t] = append([]int8(nil), s.pi[t]...)
+			}
+			return done()
 		}
-		_, conflict := fs.activated()
+		_, conflict := s.activated()
 		var gate, frame int
 		var val int8
 		objOK := false
 		if !conflict {
-			gate, frame, val, objOK = fs.objective()
+			gate, frame, val, objOK = s.objective()
 		}
 		advanced := false
 		if objOK {
-			if pi, pf, pv, ok := fs.backtrace(gate, frame, val); ok {
-				fs.pi[pf][pi] = pv
+			if pi, pf, pv, ok := s.backtrace(gate, frame, val); ok {
+				s.setPI(pf, pi, pv)
 				stack = append(stack, decision{pi, pf, pv, false})
 				advanced = true
 			}
@@ -464,25 +649,23 @@ func podem(c *gates.Circuit, flt fault.Fault, frames, backtrackLimit int, rng *r
 		// Backtrack.
 		for {
 			if len(stack) == 0 {
-				res.Implications = fs.implications
 				res.Backtracks++
-				return res, nil // exhausted: untestable within frames
+				return done() // exhausted: untestable within frames
 			}
 			top := &stack[len(stack)-1]
 			if !top.flipped {
 				top.flipped = true
 				top.val = inv3(top.val)
-				fs.pi[top.frame][top.pi] = top.val
+				s.setPI(top.frame, top.pi, top.val)
 				res.Backtracks++
 				break
 			}
-			fs.pi[top.frame][top.pi] = vX
+			s.setPI(top.frame, top.pi, vX)
 			stack = stack[:len(stack)-1]
 		}
 		if res.Backtracks > backtrackLimit {
 			res.Aborted = true
-			res.Implications = fs.implications
-			return res, nil
+			return done()
 		}
 	}
 }

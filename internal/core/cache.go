@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/dfg"
-	"repro/internal/etpn"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/testability"
@@ -224,11 +223,9 @@ func (h *Hasher) Params(p Params) {
 	}
 }
 
-// buildEntry is a memoized state evaluation: the derived design and its
-// two cost figures. Designs are immutable after etpn.Build, so entries
-// are shared freely between states and across the tie-policy fan-out.
+// buildEntry is a memoized state evaluation: the two cost figures of the
+// state's design.
 type buildEntry struct {
-	d    *etpn.Design
 	exec int
 	area cost.Estimate
 }

@@ -204,25 +204,33 @@ type state struct {
 // build refreshes lifetimes, the ETPN design, execution time and area from
 // the current schedule and allocation. With caching enabled, a state whose
 // (schedule, allocation) fingerprint was evaluated before — by any tie
-// policy — reuses the memoized design and costs; only successful builds
-// are cached, so a hit soundly skips allocation verification too.
+// policy — reuses the memoized costs; only successful builds are cached,
+// so a hit soundly skips allocation verification too. The cache keeps no
+// design: designs would hold most of a long run's memory, and re-deriving
+// one is a small part of what a hit saves (verification and the
+// floorplan).
 func (st *state) build() error {
 	st.life = alloc.Lifetimes(st.g, st.s)
+	var e buildEntry
+	hit := false
 	if st.cache.enabled() {
 		st.fp = stateFingerprint(st)
-		if e, ok := st.cache.lookupBuild(st.fp); ok {
-			st.d, st.execT, st.area = e.d, e.exec, e.area
-			return nil
-		}
+		e, hit = st.cache.lookupBuild(st.fp)
 	}
-	if err := st.a.Verify(st.g, st.s, st.par.class(), st.life); err != nil {
-		return err
+	if !hit {
+		if err := st.a.Verify(st.g, st.s, st.par.class(), st.life); err != nil {
+			return err
+		}
 	}
 	d, err := etpn.Build(st.g, st.s, st.a, st.life, etpn.Options{LoopSignal: st.par.LoopSignal})
 	if err != nil {
 		return err
 	}
 	st.d = d
+	if hit {
+		st.execT, st.area = e.exec, e.area
+		return nil
+	}
 	// The control part is a pure function of the schedule length (a chain,
 	// or a guarded loop, over Len places), so the Petri-net critical path
 	// is memoized per length rather than per design.
@@ -240,7 +248,7 @@ func (st *state) build() error {
 	stop := st.par.Stats.Time("time.floorplan")
 	st.area = cost.EstimateDesign(d, st.par.lib(), st.par.Width)
 	stop()
-	st.cache.storeBuild(st.fp, buildEntry{d: st.d, exec: st.execT, area: st.area})
+	st.cache.storeBuild(st.fp, buildEntry{exec: st.execT, area: st.area})
 	return nil
 }
 

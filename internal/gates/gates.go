@@ -150,7 +150,6 @@ func (c *Circuit) Levelize() ([]int, error) {
 			return nil, err
 		}
 	}
-	// DFF D-inputs must also be combinationally reachable.
 	return order, nil
 }
 

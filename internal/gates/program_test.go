@@ -1,0 +1,86 @@
+package gates
+
+import (
+	"reflect"
+	"testing"
+)
+
+// TestCompile checks the compiled arrays against the circuit they come
+// from: opcodes, fanin and fanout CSR, the Levelize order and its
+// inverse, levels, index maps and observability distances.
+func TestCompile(t *testing.T) {
+	// Compile converts kinds to opcodes by value.
+	ops := []Op{OpInput, OpConst0, OpConst1, OpBuf, OpNot, OpAnd, OpOr, OpNand, OpNor, OpXor, OpXnor, OpDFF}
+	kinds := []Kind{KInput, KConst0, KConst1, KBuf, KNot, KAnd, KOr, KNand, KNor, KXor, KXnor, KDFF}
+	for i := range ops {
+		if Kind(ops[i]) != kinds[i] {
+			t.Errorf("opcode %d does not match kind %v", ops[i], kinds[i])
+		}
+	}
+	b := NewBuilder()
+	x := b.Input("x")
+	y := b.Input("y")
+	q := b.DFF("q")
+	a := b.And(x, q)
+	o := b.Xnor(a, y)
+	n := b.Not(o)
+	b.SetD(q, n)
+	dead := b.Or(x, y) // unobservable
+	b.Output("o", o)
+	c, err := b.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range c.Gates {
+		if Kind(p.Op[g.ID]) != g.Kind {
+			t.Errorf("gate %d: opcode %d, kind %v", g.ID, p.Op[g.ID], g.Kind)
+		}
+		in := []int32{}
+		for _, i := range g.In {
+			in = append(in, int32(i))
+		}
+		if got := append([]int32{}, p.Fanin(int32(g.ID))...); !reflect.DeepEqual(got, in) {
+			t.Errorf("gate %d: fanin %v, want %v", g.ID, got, in)
+		}
+	}
+	if got, want := p.Fanout(int32(x)), []int32{int32(a), int32(dead)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("fanout of x = %v, want %v", got, want)
+	}
+	order, _ := c.Levelize()
+	for i, id := range order {
+		if p.Order[i] != int32(id) || p.Pos[id] != int32(i) {
+			t.Fatalf("Order/Pos disagree with Levelize at %d", i)
+		}
+	}
+	wantLevel := map[int]int32{x: 0, y: 0, q: 0, a: 1, o: 2, n: 3, dead: 1}
+	for id, lv := range wantLevel {
+		if p.Level[id] != lv {
+			t.Errorf("gate %d: level %d, want %d", id, p.Level[id], lv)
+		}
+	}
+	if p.Levels != 4 {
+		t.Errorf("Levels = %d, want 4", p.Levels)
+	}
+	if p.PIIx[x] != 0 || p.PIIx[y] != 1 || p.PIIx[q] != -1 {
+		t.Errorf("PIIx = %v", p.PIIx)
+	}
+	// o is the output; a and y feed it; q feeds a; n feeds q's D pin.
+	wantDist := map[int]int32{o: 0, a: 1, y: 1, q: 2, x: 2, n: 3, dead: 1 << 29}
+	for id, d := range wantDist {
+		if p.ObsDist[id] != d {
+			t.Errorf("gate %d: ObsDist %d, want %d", id, p.ObsDist[id], d)
+		}
+	}
+}
+
+func TestCompileRejectsUnwiredDFF(t *testing.T) {
+	b := NewBuilder()
+	b.Output("q", b.DFF("q"))
+	if _, err := b.Circuit().Compile(); err == nil {
+		t.Fatal("compiled a flip-flop with no D input")
+	}
+}

@@ -22,9 +22,9 @@ import (
 // returned; when detectCycle is non-nil, detectCycle[i] receives
 // cycleBase plus the cycle of first detection. The fault list is
 // partitioned across up to `workers` goroutines (workers < 1 means one
-// per CPU), each with its own private Sim; every fault touches only its
-// own slots, so the update is race-free and the outcome is bit-identical
-// at every worker count.
+// per CPU), each with its own private Sim over the one program c compiles
+// to; every fault touches only its own slots, so the update is race-free
+// and the outcome is bit-identical at every worker count.
 //
 // The per-fault inner loop is allocation-free: the golden rows are
 // computed once by Run, each worker's Sim reuses its output buffer across
@@ -37,19 +37,19 @@ func FaultSimIncrementalWorkers(c *gates.Circuit, flist []fault.Fault, detected 
 }
 
 func faultSimIncrementalWorkers(c *gates.Circuit, flist []fault.Fault, detected []bool, detectCycle []int, vectors [][]uint64, cycleBase, workers int) (int, error) {
-	good, err := New(c)
+	p, err := c.Compile()
 	if err != nil {
 		return 0, err
 	}
-	golden := good.Run(vectors)
+	golden := New(p).Run(vectors)
 	newlyOf := make([]bool, len(flist))
 	err = parallel.ForEachWorkerCtx(context.TODO(), workers, len(flist),
-		func() (*Sim, error) { return New(c) },
+		func() (*Sim, error) { return New(p), nil },
 		func(bad *Sim, i int) error {
 			if detected[i] {
 				return nil
 			}
-			bad.Fault = &flist[i]
+			bad.SetFault(&flist[i])
 			bad.Reset()
 			for t, v := range vectors {
 				po := bad.Step(v)

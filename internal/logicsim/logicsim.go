@@ -6,48 +6,95 @@ package logicsim
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/gates"
 )
 
-// Sim simulates one circuit. A Sim carries DFF state between Step calls;
-// Reset clears it. Not safe for concurrent use.
+// Sim simulates one compiled circuit. A Sim carries DFF state between
+// Step calls; Reset clears it. Not safe for concurrent use; any number of
+// Sims may share one Program.
 type Sim struct {
-	C     *gates.Circuit
-	order []int
+	p *gates.Program
+	// gates lists the computed gates (everything but inputs and
+	// flip-flops) in the program's Order.
+	gates []instr
+	// in is the program's fanin array with, under a pin fault, the faulted
+	// slot redirected to one of the two constant nets that follow the
+	// circuit's nets in vals (n: all zeros, n+1: all ones).
+	in    []int32
 	vals  []uint64
 	state []uint64 // per DFF index
 	po    []uint64 // Eval output buffer, reused across calls
-	dffIx map[int]int
-	// Fault, when non-nil, is injected during evaluation (all 64 patterns).
-	Fault *fault.Fault
+	// An output fault forces net force to fval once gates[:cut] have been
+	// evaluated (force is -1 when no net is forced); slot is the
+	// redirected fanin slot of a pin fault, -1 when none is.
+	force, slot int32
+	fval        uint64
+	cut         int
 }
 
-// New prepares a simulator for c.
-func New(c *gates.Circuit) (*Sim, error) {
-	order, err := c.Levelize()
-	if err != nil {
-		return nil, err
+// instr is one computed gate: its opcode, output net and fanin slots
+// in[lo:hi].
+type instr struct {
+	op     gates.Op
+	out    int32
+	lo, hi int32
+}
+
+// New prepares a fault-free simulator for the program.
+func New(p *gates.Program) *Sim {
+	n := len(p.Op)
+	s := &Sim{
+		p:     p,
+		in:    append([]int32(nil), p.In...),
+		vals:  make([]uint64, n+2),
+		state: make([]uint64, len(p.DFFs)),
+		po:    make([]uint64, len(p.POs)),
+		force: -1,
+		slot:  -1,
 	}
-	dffIx := make(map[int]int, len(c.DFFs))
-	for i, d := range c.DFFs {
-		dffIx[d] = i
+	for _, id := range p.Order {
+		if op := p.Op[id]; op != gates.OpInput && op != gates.OpDFF {
+			s.gates = append(s.gates, instr{op, id, p.InOff[id], p.InOff[id+1]})
+		}
 	}
-	return &Sim{
-		C: c, order: order,
-		vals:  make([]uint64, len(c.Gates)),
-		state: make([]uint64, len(c.DFFs)),
-		po:    make([]uint64, len(c.Outputs)),
-		dffIx: dffIx,
-	}, nil
+	s.cut = len(s.gates)
+	s.vals[n+1] = ^uint64(0)
+	return s
+}
+
+// SetFault injects f into every pattern lane of later evaluations,
+// replacing any previous fault; nil restores the fault-free circuit.
+func (s *Sim) SetFault(f *fault.Fault) {
+	if s.slot >= 0 {
+		s.in[s.slot] = s.p.In[s.slot]
+	}
+	n := len(s.p.Op)
+	s.force, s.slot, s.cut = -1, -1, len(s.gates)
+	if f == nil {
+		return
+	}
+	stuck := 0
+	if f.Val {
+		stuck = 1
+	}
+	if f.Pin >= 0 {
+		s.slot = s.p.InOff[f.Gate] + int32(f.Pin)
+		s.in[s.slot] = int32(n + stuck)
+		return
+	}
+	// Every gate comes after its combinational fanin in Order, so forcing
+	// the faulted net right after its own position reaches all readers.
+	s.force, s.fval = int32(f.Gate), s.vals[n+stuck]
+	pos := s.p.Pos
+	s.cut = sort.Search(len(s.gates), func(i int) bool { return pos[s.gates[i].out] > pos[f.Gate] })
 }
 
 // Reset zeroes all flip-flops.
 func (s *Sim) Reset() {
-	for i := range s.state {
-		s.state[i] = 0
-	}
+	clear(s.state)
 }
 
 // SetState forces the DFF contents (by DFF declaration order).
@@ -59,17 +106,6 @@ func (s *Sim) SetState(vals []uint64) {
 // caller must not modify the returned slice.
 func (s *Sim) State() []uint64 { return s.state }
 
-func (s *Sim) pinVal(g *gates.Gate, pin int) uint64 {
-	v := s.vals[g.In[pin]]
-	if s.Fault != nil && s.Fault.Gate == g.ID && s.Fault.Pin == pin {
-		if s.Fault.Val {
-			return ^uint64(0)
-		}
-		return 0
-	}
-	return v
-}
-
 // Eval evaluates the combinational logic for the given primary-input
 // words (one word per PI, in circuit input order) against the current DFF
 // state, and returns the primary-output words. The returned slice is a
@@ -78,65 +114,72 @@ func (s *Sim) pinVal(g *gates.Gate, pin int) uint64 {
 // Eval performs no allocations; the fault-simulation inner loops depend
 // on that.
 func (s *Sim) Eval(pi []uint64) []uint64 {
-	if len(pi) != len(s.C.Inputs) {
-		panic(fmt.Sprintf("logicsim: %d input words for %d PIs", len(pi), len(s.C.Inputs)))
+	p := s.p
+	if len(pi) != len(p.PIs) {
+		panic(fmt.Sprintf("logicsim: %d input words for %d PIs", len(pi), len(p.PIs)))
 	}
-	for i, id := range s.C.Inputs {
+	for i, id := range p.PIs {
 		s.vals[id] = pi[i]
 	}
-	for i, id := range s.C.DFFs {
+	for i, id := range p.DFFs {
 		s.vals[id] = s.state[i]
 	}
-	for _, id := range s.order {
-		g := s.C.Gates[id]
-		var v uint64
-		switch g.Kind {
-		case gates.KInput:
-			v = s.vals[id]
-		case gates.KDFF:
-			v = s.vals[id]
-		case gates.KConst0:
-			v = 0
-		case gates.KConst1:
-			v = ^uint64(0)
-		case gates.KBuf:
-			v = s.pinVal(g, 0)
-		case gates.KNot:
-			v = ^s.pinVal(g, 0)
-		case gates.KAnd, gates.KNand:
-			v = ^uint64(0)
-			for pin := range g.In {
-				v &= s.pinVal(g, pin)
-			}
-			if g.Kind == gates.KNand {
-				v = ^v
-			}
-		case gates.KOr, gates.KNor:
-			v = 0
-			for pin := range g.In {
-				v |= s.pinVal(g, pin)
-			}
-			if g.Kind == gates.KNor {
-				v = ^v
-			}
-		case gates.KXor:
-			v = s.pinVal(g, 0) ^ s.pinVal(g, 1)
-		case gates.KXnor:
-			v = ^(s.pinVal(g, 0) ^ s.pinVal(g, 1))
-		}
-		if s.Fault != nil && s.Fault.Gate == id && s.Fault.Pin < 0 {
-			if s.Fault.Val {
-				v = ^uint64(0)
-			} else {
-				v = 0
-			}
-		}
-		s.vals[id] = v
+	s.run(s.gates[:s.cut])
+	if s.force >= 0 {
+		s.vals[s.force] = s.fval
 	}
-	for i, id := range s.C.Outputs {
+	s.run(s.gates[s.cut:])
+	for i, id := range p.POs {
 		s.po[i] = s.vals[id]
 	}
 	return s.po
+}
+
+// run evaluates gs in sequence. AND/OR-type gates have at least two
+// inputs.
+func (s *Sim) run(gs []instr) {
+	vals, in := s.vals, s.in
+	for _, g := range gs {
+		ins := in[g.lo:g.hi]
+		var v uint64
+		switch g.op {
+		case gates.OpConst0:
+			v = 0
+		case gates.OpConst1:
+			v = ^uint64(0)
+		case gates.OpBuf:
+			v = vals[ins[0]]
+		case gates.OpNot:
+			v = ^vals[ins[0]]
+		case gates.OpAnd:
+			v = vals[ins[0]] & vals[ins[1]]
+			for _, x := range ins[2:] {
+				v &= vals[x]
+			}
+		case gates.OpNand:
+			v = vals[ins[0]] & vals[ins[1]]
+			for _, x := range ins[2:] {
+				v &= vals[x]
+			}
+			v = ^v
+		case gates.OpOr:
+			v = vals[ins[0]] | vals[ins[1]]
+			for _, x := range ins[2:] {
+				v |= vals[x]
+			}
+		case gates.OpNor:
+			v = vals[ins[0]] | vals[ins[1]]
+			for _, x := range ins[2:] {
+				v |= vals[x]
+			}
+			v = ^v
+		case gates.OpXor:
+			v = vals[ins[0]] ^ vals[ins[1]]
+		case gates.OpXnor:
+			v = ^(vals[ins[0]] ^ vals[ins[1]])
+		}
+		vals[g.out] = v
+	}
 }
 
 // Step evaluates the combinational logic and then clocks every DFF,
@@ -144,12 +187,8 @@ func (s *Sim) Eval(pi []uint64) []uint64 {
 // Eval, the returned slice is the Sim's reused output buffer.
 func (s *Sim) Step(pi []uint64) []uint64 {
 	po := s.Eval(pi)
-	for i, id := range s.C.DFFs {
-		g := s.C.Gates[id]
-		if len(g.In) != 1 {
-			panic(fmt.Sprintf("logicsim: DFF %d has no D input", id))
-		}
-		s.state[i] = s.pinVal(g, 0)
+	for i, id := range s.p.DFFs {
+		s.state[i] = s.vals[s.in[s.p.InOff[id]]]
 	}
 	return po
 }
@@ -160,7 +199,7 @@ func (s *Sim) Step(pi []uint64) []uint64 {
 // flat backing array so a whole golden run costs two allocations.
 func (s *Sim) Run(vectors [][]uint64) [][]uint64 {
 	s.Reset()
-	nPO := len(s.C.Outputs)
+	nPO := len(s.p.POs)
 	out := make([][]uint64, len(vectors))
 	flat := make([]uint64, len(vectors)*nPO)
 	for t, v := range vectors {
@@ -172,9 +211,8 @@ func (s *Sim) Run(vectors [][]uint64) [][]uint64 {
 	return out
 }
 
-// WordFromValue spreads a scalar bit pattern: value v replicated across
-// all 64 parallel patterns (v is 0 or 1 per bit position... use for
-// driving a bus where each net carries one bit of a word value).
+// WordFromValue returns the word carrying bit in all 64 pattern lanes:
+// all ones for true, all zeros for false.
 func WordFromValue(bit bool) uint64 {
 	if bit {
 		return ^uint64(0)

@@ -43,12 +43,19 @@ func buildCounter(t *testing.T) *gates.Circuit {
 	return c
 }
 
-func TestEvalAdderAllPairs(t *testing.T) {
-	c, _, _ := buildAdder(t)
-	s, err := New(c)
+// newSim compiles c and returns a fault-free simulator for it.
+func newSim(t testing.TB, c *gates.Circuit) *Sim {
+	t.Helper()
+	p, err := c.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return New(p)
+}
+
+func TestEvalAdderAllPairs(t *testing.T) {
+	c, _, _ := buildAdder(t)
+	s := newSim(t, c)
 	// Pack all 16x16 combinations into 4 batches of 64 patterns.
 	for base := 0; base < 256; base += 64 {
 		pi := make([]uint64, 8)
@@ -83,10 +90,7 @@ func TestEvalAdderAllPairs(t *testing.T) {
 
 func TestCounterSequence(t *testing.T) {
 	c := buildCounter(t)
-	s, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, c)
 	s.Reset()
 	en := ^uint64(0)
 	for cyc := 0; cyc < 20; cyc++ {
@@ -117,10 +121,7 @@ func TestCounterSequence(t *testing.T) {
 // zero-allocation steady state.
 func TestEvalStepZeroAllocSteadyState(t *testing.T) {
 	c := buildCounter(t)
-	s, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, c)
 	pi := []uint64{^uint64(0)}
 	first := s.Eval(pi)
 	if again := s.Eval(pi); &again[0] != &first[0] {
@@ -138,10 +139,7 @@ func TestEvalStepZeroAllocSteadyState(t *testing.T) {
 // overwrite the shared output buffer.
 func TestRunRowsSurviveLaterSteps(t *testing.T) {
 	c := buildCounter(t)
-	s, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, c)
 	vecs := [][]uint64{{^uint64(0)}, {^uint64(0)}, {^uint64(0)}}
 	out := s.Run(vecs)
 	want := make([][]uint64, len(out))
@@ -169,12 +167,9 @@ func TestBusWords(t *testing.T) {
 
 func TestFaultInjectionOutput(t *testing.T) {
 	c, x, _ := buildAdder(t)
-	s, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, c)
 	// Force PI x[0]'s net stuck-at-1 and add 0+0: sum must be 1.
-	s.Fault = &fault.Fault{Gate: x[0], Pin: -1, Val: true}
+	s.SetFault(&fault.Fault{Gate: x[0], Pin: -1, Val: true})
 	po := s.Eval(make([]uint64, 8))
 	if po[0] != ^uint64(0) {
 		t.Errorf("s[0] = %x with x[0] s-a-1 on 0+0", po[0])
@@ -308,10 +303,7 @@ func TestSimMatchesReferenceMultiplier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, c)
 	prop := func(a, bb uint8) bool {
 		pi := append(BusWords(uint64(a), 8), BusWords(uint64(bb), 8)...)
 		po := s.Eval(pi)

@@ -16,10 +16,11 @@ func (n *Netlist) SimulatePass(inputs map[string]uint64) (map[string]uint64, err
 	if n.Mode != NormalMode {
 		return nil, fmt.Errorf("rtl: SimulatePass requires a NormalMode netlist")
 	}
-	sim, err := logicsim.New(n.C)
+	p, err := n.C.Compile()
 	if err != nil {
 		return nil, err
 	}
+	sim := logicsim.New(p)
 	// Assemble the constant PI vector (lane 0 carries the pass).
 	piPos := make(map[int]int, len(n.C.Inputs))
 	for i, id := range n.C.Inputs {

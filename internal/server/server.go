@@ -439,6 +439,7 @@ func (s *Server) runTestDesign(ctx context.Context, n *NormTestDesign) (int, []b
 	if err != nil {
 		return 0, nil, false, err
 	}
+	s.st.Add("atpg.gate_evals", ares.GateEvals)
 	var tpg, misr []int
 	var bres *atpg.BISTOutcome
 	if n.BIST != nil {
