@@ -59,7 +59,6 @@ func main() {
 		maxDL    = flag.Duration("max-deadline", 2*time.Minute, "per-request cap, dispatch retries included; deadline_ms may tighten it")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight proxied requests")
 		maxBody  = flag.Int64("max-body", 1<<20, "request-body cap in bytes (applies to job and membership POSTs alike)")
-		handoff  = flag.Int("handoff-max", 1024, "hinted-handoff queue bound: failover answers awaiting delivery to their home shard (overflow is dropped and counted)")
 		chaosFl  = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
 	)
 	flag.Parse()
@@ -90,7 +89,6 @@ func main() {
 		RetryMax:          *rMax,
 		MaxDeadline:       *maxDL,
 		MaxBodyBytes:      *maxBody,
-		HandoffMax:        *handoff,
 	})
 
 	// Log liveness transitions: the watcher channel is lossy by design, so

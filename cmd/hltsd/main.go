@@ -105,11 +105,12 @@ func main() {
 	}
 
 	// Peer-to-peer store replication: a worker with BOTH a private store
-	// and a coordinator runs the anti-entropy loop (pulling records its
-	// peers hold) and offers its Fetch hook to the server as read-repair.
+	// and a coordinator runs the anti-entropy loop, pulling the records
+	// its peers hold. Anti-entropy is the only path by which records move
+	// between stores, so -replicate-interval 0 disables replication
+	// entirely.
 	st := stats.New()
 	var repl *cluster.Replicator
-	var peerFetch server.PeerFetchFunc
 	if *coord != "" && resStore != nil && *replInt > 0 {
 		repl = cluster.StartReplicator(cluster.ReplicatorConfig{
 			Coordinator: *coord,
@@ -118,7 +119,6 @@ func main() {
 			Interval:    *replInt,
 			Stats:       st,
 		})
-		peerFetch = repl.Fetch
 		log.Printf("replicating store %s with peers via %s every %v", *storeFl, *coord, *replInt)
 	}
 
@@ -130,7 +130,6 @@ func main() {
 		CacheSize:   *cacheSz,
 		Validate:    *valFlg,
 		Store:       resStore,
-		PeerFetch:   peerFetch,
 		Stats:       st,
 	})
 	// The cluster.worker.kill chaos site wraps the whole handler: when a

@@ -152,12 +152,11 @@ const (
 	SiteClusterWorkerKill = "cluster.worker.kill"
 	// SiteReplicateFetch and SiteReplicateApply fire in the peer-to-peer
 	// store replication layer (internal/cluster.Replicator). Fetch fires
-	// before each remote exchange — a digest, pull or read-repair record
-	// fetch — simulating an unreachable or failing peer; Apply fires
-	// before a pulled record is written into the local store. Both feed
-	// the anti-entropy backoff path: an injected fault may delay
-	// convergence or degrade a read-repair to recomputation, but must
-	// never fail a client request or lose an acknowledged record.
+	// before each remote exchange — a digest or pull — simulating an
+	// unreachable or failing peer; Apply fires before a pulled record is
+	// written into the local store. Both feed the anti-entropy backoff
+	// path: an injected fault may delay convergence, but must never fail
+	// a client request or lose an acknowledged record.
 	SiteReplicateFetch = "cluster.replicate.fetch"
 	SiteReplicateApply = "cluster.replicate.apply"
 )

@@ -60,11 +60,6 @@ type Config struct {
 	// MaxBodyBytes caps every POST body, job and membership traffic alike
 	// (default 1 MiB).
 	MaxBodyBytes int64
-	// HandoffMax bounds the hinted-handoff queue — pending (home shard,
-	// fingerprint) deliveries owed after failovers. Overflow is dropped
-	// and counted; anti-entropy between the workers closes the gap
-	// regardless (default 1024).
-	HandoffMax int
 	// Stats receives the coordinator's counters, gauges and latency
 	// histograms; a fresh collector is created when nil.
 	Stats *stats.Stats
@@ -110,9 +105,6 @@ func (c *Config) fill() {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.HandoffMax <= 0 {
-		c.HandoffMax = 1024
-	}
 	if c.Stats == nil {
 		c.Stats = stats.New()
 	}
@@ -148,13 +140,8 @@ type Coordinator struct {
 	mu       sync.Mutex
 	draining bool
 
-	handoffMu sync.Mutex
-	hints     map[hintKey]*hint
-
-	stopHealth  chan struct{}
-	healthDone  chan struct{}
-	stopHandoff chan struct{}
-	handoffDone chan struct{}
+	stopHealth chan struct{}
+	healthDone chan struct{}
 }
 
 // New builds a coordinator and starts its health-tracking loop.
@@ -168,13 +155,10 @@ func New(cfg Config) *Coordinator {
 		client:     cfg.Client,
 		mux:        http.NewServeMux(),
 		rng:        rand.New(rand.NewSource(cfg.JitterSeed)),
-		baseCtx:     ctx,
-		baseCancel:  cancel,
-		hints:       map[hintKey]*hint{},
-		stopHealth:  make(chan struct{}),
-		healthDone:  make(chan struct{}),
-		stopHandoff: make(chan struct{}),
-		handoffDone: make(chan struct{}),
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		stopHealth: make(chan struct{}),
+		healthDone: make(chan struct{}),
 	}
 	c.mux.HandleFunc("POST /cluster/v1/register", c.guarded("register", c.handleRegister))
 	c.mux.HandleFunc("POST /cluster/v1/heartbeat", c.guarded("heartbeat", c.handleHeartbeat))
@@ -186,7 +170,6 @@ func New(cfg Config) *Coordinator {
 	c.mux.HandleFunc("GET /livez", c.handleLivez)
 	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
 	go c.healthLoop()
-	go c.handoffLoop()
 	return c
 }
 
@@ -257,10 +240,8 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	c.mu.Unlock()
 	if first {
 		close(c.stopHealth)
-		close(c.stopHandoff)
 	}
 	<-c.healthDone
-	<-c.handoffDone
 
 	done := make(chan struct{})
 	go func() {
@@ -476,13 +457,6 @@ func (c *Coordinator) serve(w http.ResponseWriter, r *http.Request, kind string,
 		c.setRetryAfter(w)
 		c.writeStatus(w, kind, start, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		return
-	}
-	if up.status == http.StatusOK && up.home != "" && up.node != up.home {
-		// A failover answered a fingerprint it does not own: queue a hinted
-		// handoff so the home shard's store receives the record once it is
-		// Alive again. (A partial answer is filtered naturally later — it is
-		// never stored, so the handoff fetch misses and drops the hint.)
-		c.queueHint(up.home, up.node, fp)
 	}
 	for _, h := range []string{"Content-Type", "X-Hlts-Result", "Retry-After"} {
 		if v := up.header.Get(h); v != "" {

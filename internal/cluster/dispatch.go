@@ -41,16 +41,13 @@ type proxyReq struct {
 	body   []byte
 }
 
-// upstream is a worker's answer, relayed verbatim to the client. node is
-// the worker that answered; home is the fingerprint's rendezvous owner
-// at dispatch time — when they differ, the answer came from a failover
-// and the hinted-handoff queue owes the home shard a copy of the record.
+// upstream is a worker's answer, relayed verbatim to the client; node is
+// the worker that answered.
 type upstream struct {
 	status int
 	header http.Header
 	body   []byte
 	node   string
-	home   string
 }
 
 // dispatch runs the retry loop. It returns a worker answer (any status
@@ -60,14 +57,8 @@ type upstream struct {
 func (c *Coordinator) dispatch(ctx context.Context, fp core.Fingerprint, pr proxyReq) (*upstream, error) {
 	backoff := c.cfg.RetryBase
 	sawNode := false
-	home := ""
 	for round := 0; ; round++ {
 		nodes := c.reg.Ranked(fp)
-		if home == "" && len(nodes) > 0 {
-			// The first-ranked node of the first pass is the fingerprint's
-			// home shard; remembered across passes for the handoff hint.
-			home = nodes[0].ID
-		}
 		var hint time.Duration
 		for _, n := range nodes {
 			sawNode = true
@@ -103,7 +94,6 @@ func (c *Coordinator) dispatch(ctx context.Context, fp core.Fingerprint, pr prox
 			if round > 0 {
 				c.st.Add("cluster.dispatch.recovered", 1)
 			}
-			up.home = home
 			return up, nil
 		}
 		if round+1 >= c.cfg.Rounds {

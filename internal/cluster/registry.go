@@ -223,19 +223,6 @@ func (r *Registry) Ranked(fp core.Fingerprint) []NodeRef {
 	return out
 }
 
-// Get looks up one member's placement view and state; ok is false for a
-// node the registry has never seen. Used by the hinted-handoff loop to
-// wait for a home shard's return.
-func (r *Registry) Get(id string) (ref NodeRef, state State, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.members[id]
-	if m == nil {
-		return NodeRef{}, StateDead, false
-	}
-	return NodeRef{ID: m.id, Addr: m.addr}, m.state, true
-}
-
 // Nodes snapshots the membership table, sorted by ID.
 func (r *Registry) Nodes() []NodeInfo {
 	r.mu.Lock()

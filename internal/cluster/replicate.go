@@ -1,44 +1,28 @@
 // replicate.go is the peer-to-peer replication layer that lets a
 // cluster of workers with PRIVATE -store directories survive permanent
-// node loss (DESIGN.md §4j). Three repair paths share the /store/v1/
-// wire surface the worker daemon exposes (internal/server/replicate.go):
+// node loss (DESIGN.md §4j). Anti-entropy is the only way records move
+// between worker stores: every ReplicateInterval the worker discovers
+// Alive peers via the coordinator's /cluster/v1/nodes, compares digests
+// over the /store/v1/ wire surface (internal/server/replicate.go), and
+// pulls the records it is missing in bounded, CRC-verified batches,
+// resuming from a per-peer cursor. A peer whose indexing epoch changed
+// (restart or compaction) is re-pulled from the start — applies are
+// idempotent, so over-pulling costs bandwidth, never correctness.
 //
-//   - Anti-entropy (Replicator, worker side): every ReplicateInterval
-//     the worker discovers Alive peers via the coordinator's
-//     /cluster/v1/nodes, compares digests, and pulls the records it is
-//     missing in bounded, CRC-verified batches, resuming from a
-//     per-peer cursor. A peer whose indexing epoch changed (restart or
-//     compaction) is re-pulled from the start — applies are idempotent,
-//     so over-pulling costs bandwidth, never correctness.
-//   - Read-repair (Replicator.Fetch, worker side): a request that
-//     missed the local cache AND store asks the fingerprint's ranked
-//     peers for the record before recomputing; a hit is written through
-//     locally by the serving path before the response is published.
-//   - Hinted handoff (Coordinator, this file): when dispatch fails over
-//     — the answering node is not the fingerprint's home shard — the
-//     coordinator queues a hint and, once the home node is Alive again,
-//     fetches the record from the answering node and pushes it home.
-//     Partial results are never stored, so a hint whose fetch answers
-//     404 is dropped as a miss, not retried forever.
-//
-// Failure discipline (the PR 8 rules): every remote exchange is
-// deadline-bounded and jitter-backed-off per peer, a fault is a counter
-// (`server.replicate.error` on workers, `cluster.handoff.error` on the
-// coordinator) plus a retry later — never a blocked serving path, a
-// failed client request, or a crashed process. The
+// Failure discipline: every remote exchange is deadline-bounded and
+// jitter-backed-off per peer, a fault is a counter
+// (`server.replicate.error`) plus a retry later — never a blocked
+// serving path, a failed client request, or a crashed process. The
 // cluster.replicate.fetch / cluster.replicate.apply chaos sites inject
 // faults before each exchange and each local apply.
 package cluster
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"sync"
 	"time"
 
@@ -85,9 +69,8 @@ type peerSync struct {
 	notUntil time.Time
 }
 
-// Replicator runs a worker's anti-entropy loop and serves its
-// read-repair fetches. Construct with StartReplicator; Stop it before
-// closing the store.
+// Replicator runs a worker's anti-entropy loop. Construct with
+// StartReplicator; Stop it before closing the store.
 type Replicator struct {
 	cfg    ReplicatorConfig
 	client *http.Client
@@ -97,7 +80,6 @@ type Replicator struct {
 
 	mu    sync.Mutex
 	peers map[string]*peerSync
-	alive []NodeRef // last Alive peer snapshot, for read-repair ranking
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -169,7 +151,6 @@ func (r *Replicator) tick() {
 		return
 	}
 	r.mu.Lock()
-	r.alive = peers
 	now := time.Now()
 	var due []NodeRef
 	for _, p := range peers {
@@ -289,15 +270,8 @@ func (r *Replicator) syncPeer(p NodeRef) error {
 		if err != nil {
 			return err
 		}
-		for _, wrec := range pull.Records {
-			fp, val, err := server.DecodeWireRecord(wrec)
-			if err != nil {
-				r.cfg.Stats.Add("server.replicate.crc", 1)
-				return err
-			}
-			if err := r.apply(fp, val); err != nil {
-				return err
-			}
+		if err := r.applyBatch(pull.Records); err != nil {
+			return err
 		}
 		next := pull.Next.Cursor()
 		if next == cur && !pull.More {
@@ -317,6 +291,24 @@ func (r *Replicator) syncPeer(p NodeRef) error {
 		case <-r.stop:
 			return nil
 		default:
+		}
+	}
+	return nil
+}
+
+// applyBatch verifies and applies one pulled batch in stream order. The
+// first record that fails its transport CRC is counted and stops the
+// batch: neither it nor any later record is applied, and the cursor does
+// not advance past it.
+func (r *Replicator) applyBatch(recs []server.WireRecord) error {
+	for _, wrec := range recs {
+		fp, val, err := server.DecodeWireRecord(wrec)
+		if err != nil {
+			r.cfg.Stats.Add("server.replicate.crc", 1)
+			return err
+		}
+		if err := r.apply(fp, val); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -387,299 +379,4 @@ func (r *Replicator) getPull(p NodeRef, c store.Cursor) (server.PullResponse, er
 		return pr, fmt.Errorf("cluster: bad pull from %s: %w", p.ID, err)
 	}
 	return pr, nil
-}
-
-// Fetch is the read-repair hook (server.Config.PeerFetch): try the
-// fingerprint's peers in rendezvous order — the home shard first, since
-// it most likely holds the record — and return the first verified hit.
-// Every fault is a counter and a move to the next peer; exhausting the
-// peers is a plain miss, degrading to the local recompute.
-func (r *Replicator) Fetch(ctx context.Context, fp core.Fingerprint) ([]byte, bool) {
-	r.mu.Lock()
-	peers := append([]NodeRef(nil), r.alive...)
-	r.mu.Unlock()
-	if len(peers) == 0 {
-		return nil, false
-	}
-	byID := make(map[string]NodeRef, len(peers))
-	ids := make([]string, 0, len(peers))
-	for _, p := range peers {
-		byID[p.ID] = p
-		ids = append(ids, p.ID)
-	}
-	for _, id := range Rank(fp, ids) {
-		if err := chaos.Step(chaos.SiteReplicateFetch); err != nil {
-			r.cfg.Stats.Add("server.replicate.error", 1)
-			continue
-		}
-		val, ok, err := r.getRecord(ctx, byID[id], fp)
-		if err != nil {
-			r.cfg.Stats.Add("server.replicate.error", 1)
-			continue
-		}
-		if ok {
-			return val, true
-		}
-	}
-	return nil, false
-}
-
-// getRecord fetches one record from one peer, verifying the transport
-// CRC; a 404 is a clean miss.
-func (r *Replicator) getRecord(ctx context.Context, p NodeRef, fp core.Fingerprint) ([]byte, bool, error) {
-	u := p.Addr + "/store/v1/record?fp=" + url.QueryEscape(fp.String())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("cluster: record from %s answered %d", p.ID, resp.StatusCode)
-	}
-	var rec server.WireRecord
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return nil, false, fmt.Errorf("cluster: bad record from %s: %w", p.ID, err)
-	}
-	gotFP, val, err := server.DecodeWireRecord(rec)
-	if err != nil || gotFP != fp {
-		r.cfg.Stats.Add("server.replicate.crc", 1)
-		return nil, false, fmt.Errorf("cluster: record from %s failed verification", p.ID)
-	}
-	return val, true, nil
-}
-
-// ---------------------------------------------------------------------------
-// Hinted handoff (coordinator side).
-
-// hintKey dedups hints: one per (home shard, fingerprint).
-type hintKey struct {
-	home string
-	fp   core.Fingerprint
-}
-
-// hint is one queued delivery: fetch fp from src, push it to home once
-// home is Alive again.
-type hint struct {
-	src      string
-	attempts int
-	notUntil time.Time
-}
-
-// queueHint records that a failover answered fp for home; bounded by
-// HandoffMax (overflow is counted and dropped — anti-entropy will close
-// the gap regardless).
-func (c *Coordinator) queueHint(home, src string, fp core.Fingerprint) {
-	c.handoffMu.Lock()
-	defer c.handoffMu.Unlock()
-	k := hintKey{home: home, fp: fp}
-	if _, ok := c.hints[k]; ok {
-		return
-	}
-	if len(c.hints) >= c.cfg.HandoffMax {
-		c.st.Add("cluster.handoff.dropped", 1)
-		return
-	}
-	c.hints[k] = &hint{src: src}
-	c.st.Add("cluster.handoff.queued", 1)
-}
-
-// handoffLoop delivers queued hints on the sweep cadence.
-func (c *Coordinator) handoffLoop() {
-	defer close(c.handoffDone)
-	t := time.NewTicker(c.cfg.SweepInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stopHandoff:
-			return
-		case <-t.C:
-			c.handoffTick()
-			c.handoffDepthGauge()
-		}
-	}
-}
-
-func (c *Coordinator) handoffDepthGauge() {
-	c.handoffMu.Lock()
-	n := len(c.hints)
-	c.handoffMu.Unlock()
-	c.st.Set("cluster.handoff.pending", float64(n))
-}
-
-// handoffTick tries every due hint whose home shard is Alive. Work runs
-// outside the hint mutex; the registry and the workers' /store/v1/
-// endpoints do their own locking.
-func (c *Coordinator) handoffTick() {
-	now := c.cfg.Now()
-	type due struct {
-		k hintKey
-		h *hint
-	}
-	c.handoffMu.Lock()
-	pending := make([]due, 0, len(c.hints))
-	for k, h := range c.hints {
-		if now.After(h.notUntil) {
-			pending = append(pending, due{k, h})
-		}
-	}
-	c.handoffMu.Unlock()
-	for _, d := range pending {
-		select {
-		case <-c.stopHandoff:
-			return
-		default:
-		}
-		c.deliverHint(d.k, d.h)
-	}
-}
-
-// dropHint removes a hint and counts why.
-func (c *Coordinator) dropHint(k hintKey, counter string) {
-	c.handoffMu.Lock()
-	delete(c.hints, k)
-	c.handoffMu.Unlock()
-	c.st.Add(counter, 1)
-}
-
-// retryHint backs a hint off (exponential from the sweep interval,
-// capped by RetryMax); a hint that keeps failing past handoffAttempts is
-// abandoned — anti-entropy remains the backstop.
-const handoffAttempts = 8
-
-func (c *Coordinator) retryHint(k hintKey, h *hint) {
-	c.handoffMu.Lock()
-	defer c.handoffMu.Unlock()
-	if _, ok := c.hints[k]; !ok {
-		return
-	}
-	h.attempts++
-	if h.attempts >= handoffAttempts {
-		delete(c.hints, k)
-		c.st.Add("cluster.handoff.abandoned", 1)
-		return
-	}
-	d := c.cfg.SweepInterval << uint(h.attempts)
-	if d > c.cfg.RetryMax || d <= 0 {
-		d = c.cfg.RetryMax
-	}
-	h.notUntil = c.cfg.Now().Add(d + c.jitter(d/2))
-}
-
-// deliverHint moves one record: fetch from the answering node, push to
-// the home shard. Every outcome is terminal (delivered, miss, conflict,
-// unsupported) or a retry with backoff.
-func (c *Coordinator) deliverHint(k hintKey, h *hint) {
-	homeRef, homeState, ok := c.reg.Get(k.home)
-	if !ok {
-		// The registry forgot the home shard entirely (coordinator restart);
-		// nothing to deliver to.
-		c.dropHint(k, "cluster.handoff.lost")
-		return
-	}
-	if homeState != StateAlive {
-		return // wait for the home shard to come back
-	}
-	srcRef, srcState, ok := c.reg.Get(h.src)
-	if !ok || srcState == StateDead {
-		// The answering node is gone before the record could be copied out;
-		// anti-entropy between surviving stores is the remaining path.
-		c.dropHint(k, "cluster.handoff.lost")
-		return
-	}
-	val, found, err := c.fetchRecord(srcRef, k.fp)
-	if err != nil {
-		c.st.Add("cluster.handoff.error", 1)
-		c.retryHint(k, h)
-		return
-	}
-	if !found {
-		// Partial results are never stored: nothing to hand off.
-		c.dropHint(k, "cluster.handoff.miss")
-		return
-	}
-	status, err := c.pushRecord(homeRef, k.fp, val)
-	switch {
-	case err != nil:
-		c.st.Add("cluster.handoff.error", 1)
-		c.retryHint(k, h)
-	case status == http.StatusOK:
-		c.dropHint(k, "cluster.handoff.delivered")
-	case status == http.StatusConflict:
-		c.dropHint(k, "cluster.handoff.conflict")
-	case status == http.StatusNotFound:
-		// The home shard runs without a store; it has no use for the record.
-		c.dropHint(k, "cluster.handoff.unsupported")
-	default:
-		c.st.Add("cluster.handoff.error", 1)
-		c.retryHint(k, h)
-	}
-}
-
-// fetchRecord reads one record from a worker's store; found=false is the
-// clean 404 miss.
-func (c *Coordinator) fetchRecord(n NodeRef, fp core.Fingerprint) ([]byte, bool, error) {
-	ctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.HeartbeatInterval*4)
-	defer cancel()
-	u := n.Addr + "/store/v1/record?fp=" + url.QueryEscape(fp.String())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("cluster: record from %s answered %d", n.ID, resp.StatusCode)
-	}
-	var rec server.WireRecord
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return nil, false, fmt.Errorf("cluster: bad record from %s: %w", n.ID, err)
-	}
-	gotFP, val, err := server.DecodeWireRecord(rec)
-	if err != nil || gotFP != fp {
-		return nil, false, fmt.Errorf("cluster: record from %s failed verification", n.ID)
-	}
-	return val, true, nil
-}
-
-// pushRecord delivers one record to a worker's store.
-func (c *Coordinator) pushRecord(n NodeRef, fp core.Fingerprint, val []byte) (int, error) {
-	ctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.HeartbeatInterval*4)
-	defer cancel()
-	b, err := json.Marshal(server.EncodeWireRecord(fp, val))
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.Addr+"/store/v1/push", bytes.NewReader(b))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	return resp.StatusCode, nil
 }

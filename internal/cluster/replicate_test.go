@@ -1,10 +1,10 @@
 // Tests of peer-to-peer store replication (DESIGN.md §4j): anti-entropy
-// convergence between workers with private stores, the coordinator's
-// hinted handoff after a failover, read-repair through a worker's
-// serving path, the lossy-but-final registry watcher contract, and the
-// replication chaos sweep — kill a worker holding the only copy of a
-// warmed store and the surviving peer must serve that workload
-// byte-identically with zero pipeline runs.
+// convergence between workers with private stores, a returning home
+// shard and a joining worker serving replicated records through the
+// coordinator, the first-writer-wins apply rule, the lossy-but-final
+// registry watcher contract, and the replication chaos sweep — kill a
+// worker holding the only copy of a warmed store and the surviving peer
+// must serve that workload byte-identically with zero pipeline runs.
 package cluster
 
 import (
@@ -27,8 +27,7 @@ import (
 
 // storeWorker is one hltsd-shaped test node: a private store, a server
 // exposing the /v1/ and /store/v1/ surfaces, an optional anti-entropy
-// replicator wired in as the server's read-repair hook, and a
-// heartbeating agent whose beats carry the store gauge.
+// replicator, and a heartbeating agent whose beats carry the store gauge.
 type storeWorker struct {
 	id    string
 	st    *stats.Stats
@@ -40,8 +39,8 @@ type storeWorker struct {
 }
 
 // newStoreWorker boots one node against the coordinator at coordURL.
-// replInterval 0 runs without a replicator (no anti-entropy, no
-// read-repair) — replication is per-node opt-in.
+// replInterval 0 runs without a replicator — replication is per-node
+// opt-in.
 func newStoreWorker(t *testing.T, coordURL, id string, replInterval time.Duration, seed int64) *storeWorker {
 	t.Helper()
 	stor, err := store.Open(t.TempDir(), store.Options{})
@@ -49,7 +48,6 @@ func newStoreWorker(t *testing.T, coordURL, id string, replInterval time.Duratio
 		t.Fatal(err)
 	}
 	w := &storeWorker{id: id, st: stats.New(), stor: stor}
-	var fetch server.PeerFetchFunc
 	if replInterval > 0 {
 		w.repl = StartReplicator(ReplicatorConfig{
 			Coordinator:  coordURL,
@@ -61,11 +59,10 @@ func newStoreWorker(t *testing.T, coordURL, id string, replInterval time.Duratio
 			Stats:        w.st,
 			JitterSeed:   seed,
 		})
-		fetch = w.repl.Fetch
 	}
 	w.srv = server.New(server.Config{
 		QueueDepth: 64, Jobs: 2, Workers: 4, CacheSize: 16,
-		Store: stor, PeerFetch: fetch, Stats: w.st,
+		Store: stor, Stats: w.st,
 	})
 	w.ts = httptest.NewServer(w.srv.Handler())
 	w.agent = StartAgent(AgentConfig{
@@ -247,21 +244,32 @@ func TestAntiEntropyConverges(t *testing.T) {
 	settle(t, base)
 }
 
-// TestHintedHandoffDeliversToHome: a request whose home shard is down
-// is answered by a failover peer; the coordinator queues a hint and,
-// once the home node returns, copies the record from the answering
-// node into the home store. Misses and unknown homes drop cleanly.
-func TestHintedHandoffDeliversToHome(t *testing.T) {
+// waitAlive waits until the coordinator lists id as Alive at addr.
+func waitAlive(t *testing.T, c *Coordinator, id, addr string) {
+	t.Helper()
+	waitFor(t, 10*time.Second, id+" to register", func() bool {
+		for _, n := range c.reg.Nodes() {
+			if n.ID == id && n.Addr == addr && n.State == StateAlive.String() {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// TestAntiEntropyServesReturningAndJoiningShards: anti-entropy alone
+// brings a node that missed a write up to date. A request fails over
+// while its home shard is down; the home returns with an empty store,
+// converges, and then answers that fingerprint through the coordinator
+// without a pipeline run. A new worker that outranks both for the
+// fingerprint joins with an empty store and does the same.
+func TestAntiEntropyServesReturningAndJoiningShards(t *testing.T) {
 	if testing.Short() {
-		t.Skip("handoff integration test is too slow for -short")
+		t.Skip("replication integration test is too slow for -short")
 	}
 	base := runtime.NumGoroutine()
-	cfg := fastConfig()
-	cfg.Rounds = 4
-	c := New(cfg)
+	c := New(fastConfig())
 	cts := httptest.NewServer(c.Handler())
-
-	live := newStoreWorker(t, cts.URL, "live", 0, 1)
 
 	// The fingerprint the coordinator will compute for this body, derived
 	// exactly as its handler does.
@@ -275,76 +283,60 @@ func TestHintedHandoffDeliversToHome(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := norm.Fingerprint()
-
-	// Pick a home ID that outranks the live worker for this fingerprint,
-	// so dispatch tries (and fails over from) the home first.
-	homeID := ""
-	for i := 0; i < 256; i++ {
-		cand := fmt.Sprintf("home-%d", i)
-		if Rank(fp, []string{cand, "live"})[0] == cand {
-			homeID = cand
-			break
+	// outranking picks an ID that rendezvous placement puts ahead of
+	// every one of others for fp.
+	outranking := func(prefix string, others ...string) string {
+		for i := 0; i < 1024; i++ {
+			cand := fmt.Sprintf("%s-%d", prefix, i)
+			if Rank(fp, append([]string{cand}, others...))[0] == cand {
+				return cand
+			}
 		}
+		t.Fatalf("no %s ID outranks %v", prefix, others)
+		return ""
 	}
-	if homeID == "" {
-		t.Fatal("no candidate ID outranks the live worker")
-	}
+	homeID := outranking("home", "live")
+	joinID := outranking("join", "live", homeID)
+
+	live := newStoreWorker(t, cts.URL, "live", 10*time.Millisecond, 1)
 	// The home shard is down: registered, but its address refuses
 	// connections.
 	c.reg.Register(homeID, "http://127.0.0.1:1", Capacity{Jobs: 1, Workers: 1, QueueDepth: 4})
-
-	waitFor(t, 10*time.Second, "live worker to register", func() bool {
-		_, state, ok := c.reg.Get("live")
-		return ok && state == StateAlive
-	})
-	status, hdr, body := doReq(t, cts.Client(), "POST", cts.URL+"/v1/synthesize", reqBody)
-	if status != http.StatusOK {
-		t.Fatalf("failover request: status %d: %s", status, body)
-	}
-	if hdr.Get("X-Hlts-Node") != "live" {
-		t.Fatalf("answered by %q, want the failover peer", hdr.Get("X-Hlts-Node"))
-	}
-	if got := c.st.Value("cluster.handoff.queued"); got != 1 {
-		t.Fatalf("handoff.queued = %d, want 1", got)
+	waitAlive(t, c, "live", live.ts.URL)
+	status, hdr, want := doReq(t, cts.Client(), "POST", cts.URL+"/v1/synthesize", reqBody)
+	if status != http.StatusOK || hdr.Get("X-Hlts-Node") != "live" {
+		t.Fatalf("failover request: status %d from %q, want 200 from the live peer: %s", status, hdr.Get("X-Hlts-Node"), want)
 	}
 
-	// The home shard comes back — as a real worker on a fresh (empty)
-	// store. Re-register on every poll so its beat stays fresh without a
-	// full agent.
-	home := newStoreWorker(t, cts.URL, "home-replacement-unused", 0, 1)
-	home.agent.Stop() // drive registration by hand under the home ID
-	// Poll the delivered counter, not the store: the home server stores
-	// the record before the coordinator's push returns and is counted.
-	waitFor(t, 10*time.Second, "hint delivery to the returned home", func() bool {
-		c.reg.Register(homeID, home.ts.URL, Capacity{Jobs: 2, Workers: 4, QueueDepth: 64})
-		return c.st.Value("cluster.handoff.delivered") == 1
-	})
-	wantVal, ok := live.stor.Get(fp)
-	if !ok {
-		t.Fatal("answering node lost the record it served")
+	// serveReplica boots a worker under id with an empty store, waits for
+	// its anti-entropy loop to converge with the live worker, and asks the
+	// coordinator for fp: that worker must answer, byte-identically,
+	// without running the pipeline.
+	serveReplica := func(id string, seed int64) *storeWorker {
+		t.Helper()
+		w := newStoreWorker(t, cts.URL, id, 10*time.Millisecond, seed)
+		waitAlive(t, c, id, w.ts.URL)
+		waitFor(t, 10*time.Second, id+" to converge", func() bool {
+			return digestsEqual(live.stor, w.stor)
+		})
+		status, hdr, got := doReq(t, cts.Client(), "POST", cts.URL+"/v1/synthesize", reqBody)
+		if status != http.StatusOK || hdr.Get("X-Hlts-Node") != id {
+			t.Fatalf("%s: status %d from %q, want 200 from %s: %s", id, status, hdr.Get("X-Hlts-Node"), id, got)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s answered different bytes:\n got %.160s\nwant %.160s", id, got, want)
+		}
+		if runs := w.st.Value("server.jobs.run"); runs != 0 {
+			t.Errorf("%s ran the pipeline %d times despite holding the replica", id, runs)
+		}
+		return w
 	}
-	if got, _ := home.stor.Get(fp); string(got) != string(wantVal) {
-		t.Fatalf("handed-off record differs from the source:\n got %q\nwant %q", got, wantVal)
+	home := serveReplica(homeID, 2)
+	joiner := serveReplica(joinID, 3)
+
+	for _, w := range []*storeWorker{live, home, joiner} {
+		w.shutdown(t)
 	}
-	waitFor(t, 5*time.Second, "pending gauge to drain", func() bool {
-		return c.st.Gauge("cluster.handoff.pending") == 0
-	})
-
-	// A hint for a record the answering node never stored (a partial
-	// result) is dropped as a miss, not retried forever.
-	c.queueHint(homeID, "live", clusterFP("never-stored"))
-	waitFor(t, 5*time.Second, "partial-result hint to drop as miss", func() bool {
-		c.reg.Register(homeID, home.ts.URL, Capacity{Jobs: 2, Workers: 4, QueueDepth: 64})
-		return c.st.Value("cluster.handoff.miss") == 1
-	})
-	// A hint whose home the registry has forgotten is dropped as lost.
-	c.queueHint("never-registered", "live", fp)
-	waitFor(t, 5*time.Second, "unknown-home hint to drop as lost", func() bool {
-		return c.st.Value("cluster.handoff.lost") == 1
-	})
-
-	live.shutdown(t)
-	home.shutdown(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := c.Drain(ctx); err != nil {
@@ -354,96 +346,95 @@ func TestHintedHandoffDeliversToHome(t *testing.T) {
 	settle(t, base)
 }
 
-// TestReadRepairFromPeer: a worker with an empty store answers a
-// request another worker has already computed by fetching the record
-// from that peer — byte-identical, written through locally, zero
-// pipeline runs — and an injected peer-fetch fault degrades to the
-// recompute, never a failed request.
-func TestReadRepairFromPeer(t *testing.T) {
-	if testing.Short() {
-		t.Skip("read-repair integration test is too slow for -short")
-	}
-	base := runtime.NumGoroutine()
-
-	// Worker A computes the reference answer into its store.
-	aStor, err := store.Open(t.TempDir(), store.Options{})
+// TestReplicatorApply pins first-writer-wins on the only path that
+// writes replicated records: an absent record is stored, identical bytes
+// are a no-op, differing bytes keep the local record and count a
+// conflict, and a record failing its transport CRC is counted and never
+// reaches the store — nor does the rest of its batch.
+func TestReplicatorApply(t *testing.T) {
+	stor, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aSrv := server.New(server.Config{QueueDepth: 8, Jobs: 2, CacheSize: 8, Store: aStor})
-	aTS := httptest.NewServer(aSrv.Handler())
-	body := `{"bench":"ex","width":4}`
-	status, _, want := doReq(t, aTS.Client(), "POST", aTS.URL+"/v1/synthesize", body)
-	if status != http.StatusOK {
-		t.Fatalf("reference: status %d", status)
+	defer stor.Close()
+	st := stats.New()
+	r := &Replicator{cfg: ReplicatorConfig{Store: stor, Stats: st}}
+	batch := func(recs ...server.WireRecord) error { return r.applyBatch(recs) }
+
+	fp := clusterFP("apply", "first")
+	for i := 0; i < 2; i++ { // the second pass is the identical-bytes no-op
+		if err := batch(server.EncodeWireRecord(fp, []byte("first"))); err != nil {
+			t.Fatalf("apply pass %d: %v", i, err)
+		}
+	}
+	if got := st.Value("server.replicate.applied"); got != 1 {
+		t.Errorf("replicate.applied = %d, want 1", got)
+	}
+	if err := batch(server.EncodeWireRecord(fp, []byte("second"))); err != nil {
+		t.Fatalf("conflicting apply: %v", err)
+	}
+	if v, _ := stor.Get(fp); string(v) != "first" {
+		t.Errorf("conflict overwrote the first write: %q", v)
+	}
+	if got := st.Value("server.replicate.conflict"); got != 1 {
+		t.Errorf("replicate.conflict = %d, want 1", got)
 	}
 
-	// Worker B: empty store, read-repair hook pointed (without a loop) at
-	// a peer set containing only A.
-	bStor, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
+	bad := server.EncodeWireRecord(clusterFP("apply", "bad"), []byte("bad"))
+	bad.CRC ^= 1
+	if err := batch(bad, server.EncodeWireRecord(clusterFP("apply", "after"), []byte("after"))); err == nil {
+		t.Fatal("a batch with a CRC-failing record applied cleanly")
 	}
-	bStats := stats.New()
-	repl := &Replicator{
-		cfg:    ReplicatorConfig{SelfID: "wB", Store: bStor, Stats: bStats},
-		client: &http.Client{Timeout: 2 * time.Second},
-		peers:  map[string]*peerSync{},
-		alive:  []NodeRef{{ID: "wA", Addr: aTS.URL}},
+	if got := st.Value("server.replicate.crc"); got != 1 {
+		t.Errorf("replicate.crc = %d, want 1", got)
 	}
-	bSrv := server.New(server.Config{QueueDepth: 8, Jobs: 2, CacheSize: 8, Store: bStor, PeerFetch: repl.Fetch, Stats: bStats})
-	bTS := httptest.NewServer(bSrv.Handler())
+	if stor.Len() != 1 || st.Value("server.replicate.applied") != 1 {
+		t.Errorf("store holds %d records (%d applied) after the bad batch, want 1",
+			stor.Len(), st.Value("server.replicate.applied"))
+	}
+}
 
-	status, _, got := doReq(t, bTS.Client(), "POST", bTS.URL+"/v1/synthesize", body)
-	if status != http.StatusOK {
-		t.Fatalf("read-repair request: status %d", status)
+// FuzzPullResponse feeds arbitrary bytes through the path a /store/v1/pull
+// answer takes in syncPeer: JSON decode, then applyBatch. It must never
+// panic, and every record that reaches the store must carry a valid
+// transport CRC.
+func FuzzPullResponse(f *testing.F) {
+	good, _ := json.Marshal(server.PullResponse{Records: []server.WireRecord{
+		server.EncodeWireRecord(clusterFP("fuzz", "a"), []byte("alpha")),
+		server.EncodeWireRecord(clusterFP("fuzz", "b"), nil),
+	}, Next: server.WireCursor{Gen: 1, Off: 64}})
+	bad := server.EncodeWireRecord(clusterFP("fuzz", "c"), []byte("gamma"))
+	bad.CRC ^= 1
+	badBody, _ := json.Marshal(server.PullResponse{Records: []server.WireRecord{bad}})
+	for _, s := range [][]byte{good, badBody, []byte(`{}`), []byte(`{"records":null}`),
+		[]byte(`{"records":[{"fp":"zz","val":"","crc":0}]}`), []byte(`[`), nil} {
+		f.Add(s)
 	}
-	if string(got) != string(want) {
-		t.Fatalf("read-repaired answer differs:\n got %.160s\nwant %.160s", got, want)
-	}
-	if runs := bStats.Value("server.jobs.run"); runs != 0 {
-		t.Errorf("jobs.run = %d, want 0 (the peer's bytes were available)", runs)
-	}
-	if bStats.Value("server.replicate.readrepair") != 1 {
-		t.Errorf("readrepair = %d, want 1", bStats.Value("server.replicate.readrepair"))
-	}
-	if bStor.Len() != 1 {
-		t.Errorf("read-repaired record not written through locally (%d records)", bStor.Len())
-	}
-
-	// Every peer fetch now faults: the request must still answer 200, by
-	// recomputing.
-	in := chaos.New(3).On(chaos.SiteReplicateFetch, chaos.Rule{Action: chaos.ActError, Prob: 1})
-	restore := chaos.Install(in)
-	body2 := `{"bench":"ex","width":8}`
-	status, _, _ = doReq(t, bTS.Client(), "POST", bTS.URL+"/v1/synthesize", body2)
-	restore()
-	if status != http.StatusOK {
-		t.Fatalf("request under peer-fetch fault: status %d, want 200 via recompute", status)
-	}
-	if runs := bStats.Value("server.jobs.run"); runs != 1 {
-		t.Errorf("jobs.run = %d, want 1 (fault degrades to recompute)", runs)
-	}
-	if in.Fired(chaos.SiteReplicateFetch) == 0 {
-		t.Error("peer-fetch fault never fired")
-	}
-	if bStats.Value("server.replicate.error") == 0 {
-		t.Error("peer-fetch fault not counted")
-	}
-
-	aTS.Close()
-	bTS.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := aSrv.Drain(ctx); err != nil {
-		t.Errorf("drain A: %v", err)
-	}
-	if err := bSrv.Drain(ctx); err != nil {
-		t.Errorf("drain B: %v", err)
-	}
-	aStor.Close()
-	bStor.Close()
-	settle(t, base)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var pr server.PullResponse
+		if json.Unmarshal(body, &pr) != nil || len(pr.Records) == 0 {
+			return
+		}
+		stor, err := store.Open(t.TempDir(), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stor.Close()
+		r := &Replicator{cfg: ReplicatorConfig{Store: stor, Stats: stats.New()}}
+		r.applyBatch(pr.Records)   // an error is a refused batch, not a failure
+		valid := map[string]bool{} // hex fp ‖ value of every CRC-valid record
+		for _, rec := range pr.Records {
+			if fp, val, err := server.DecodeWireRecord(rec); err == nil {
+				valid[fp.String()+string(val)] = true
+			}
+		}
+		stor.Range(func(fp core.Fingerprint, val []byte) bool {
+			if !valid[fp.String()+string(val)] {
+				t.Fatalf("record %s reached the store without a valid transport CRC", fp)
+			}
+			return true
+		})
+	})
 }
 
 // TestRegistryWatchChurn: an unread watcher under rapid membership

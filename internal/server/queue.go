@@ -70,9 +70,8 @@ type job struct {
 
 // queue is the bounded, coalescing job queue.
 type queue struct {
-	st    *stats.Stats
-	ch    chan *job
-	fetch PeerFetchFunc // optional read-repair hook, tried before computing
+	st *stats.Stats
+	ch chan *job
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -88,12 +87,11 @@ type queue struct {
 
 // newQueue builds the queue, warms the LRU from the persistent store
 // (when one is given), and starts `workers` job-runner goroutines.
-func newQueue(depth, workers, cacheSize int, st *stats.Stats, stor *store.Store, fetch PeerFetchFunc) *queue {
+func newQueue(depth, workers, cacheSize int, st *stats.Stats, stor *store.Store) *queue {
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &queue{
 		st:         st,
 		ch:         make(chan *job, depth),
-		fetch:      fetch,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		inflight:   map[core.Fingerprint]*job{},
@@ -208,7 +206,9 @@ func (q *queue) submit(fp core.Fingerprint, kind string, deadline time.Duration,
 		}
 	}
 	q.st.Add("server.cache.miss", 1)
-	if j := q.inflight[fp]; j != nil {
+	// A job whose context is already done (its deadline expired) can only
+	// publish a partial result; a new request must not inherit it.
+	if j := q.inflight[fp]; j != nil && j.ctx.Err() == nil {
 		j.waiters++
 		q.st.Add("server.coalesce.hit", 1)
 		return j, nil, nil
@@ -235,13 +235,18 @@ func (q *queue) submit(fp core.Fingerprint, kind string, deadline time.Duration,
 }
 
 // detach drops one waiter from a job; when the last waiter goes (its
-// connection died), the job's context is cancelled so the computation
-// stops at its next budget boundary instead of burning workers for
-// nobody.
+// connection died), the job leaves the in-flight table and its context
+// is cancelled so the computation stops at its next budget boundary
+// instead of burning workers for nobody. Removing it first, under the
+// admission mutex, keeps a later identical request from coalescing onto
+// the cancelled job.
 func (q *queue) detach(j *job) {
 	q.mu.Lock()
 	j.waiters--
 	orphaned := j.waiters == 0
+	if orphaned && q.inflight[j.fp] == j {
+		delete(q.inflight, j.fp)
+	}
 	q.mu.Unlock()
 	if orphaned {
 		q.st.Add("server.jobs.orphaned", 1)
@@ -279,46 +284,19 @@ func (q *queue) worker() {
 		if cacheable {
 			q.cache.add(j.fp, j.res)
 		}
-		delete(q.inflight, j.fp)
+		// A replacement job may own the fingerprint by now (this one was
+		// orphaned or expired before it ran).
+		if q.inflight[j.fp] == j {
+			delete(q.inflight, j.fp)
+		}
 		q.mu.Unlock()
 		j.cancel()
 		close(j.done)
 	}
 }
 
-// peerRepair is the read-repair path: a request that missed both the LRU
-// and the durable store may still be answered by a replication peer that
-// holds the record. It runs on the job worker — never under the admission
-// mutex, so a slow or failing peer cannot block admission — and the
-// fetched bytes come back cacheable, so the worker loop writes them
-// through to the local store before publishing (the repair half of
-// read-repair). Any fault — transport, injected chaos, even a panicking
-// hook — degrades to the ordinary recompute.
-func (q *queue) peerRepair(j *job) (r result, ok bool) {
-	defer q.recoverStore()
-	v, hit := q.fetch(j.ctx, j.fp)
-	if !hit {
-		return result{}, false
-	}
-	r, ok = decodeResult(v)
-	if !ok {
-		q.st.Add("server.replicate.error", 1)
-		return result{}, false
-	}
-	q.st.Add("server.replicate.readrepair", 1)
-	return r, true
-}
-
-// runJob executes one job under panic isolation, trying peer read-repair
-// before computing.
+// runJob executes one job under panic isolation.
 func (q *queue) runJob(j *job) (status int, body []byte, cacheable bool) {
-	if q.fetch != nil {
-		if r, ok := q.peerRepair(j); ok {
-			return r.status, r.body, true
-		}
-	}
-	// jobs.run counts pipeline executions: a read-repaired job was served
-	// from a peer's bytes, not recomputed, so it does not count.
 	q.st.Add("server.jobs.run", 1)
 	type out struct {
 		status    int

@@ -1,12 +1,11 @@
 // replicate.go is the worker-side wire surface of peer-to-peer store
-// replication (DESIGN.md §4j): four small endpoints under /store/v1/
-// that expose the persistent store's digest, its append-order delta
-// stream, and single-record fetch/push — everything a peer's
-// anti-entropy loop, a read-repair, or the coordinator's hinted handoff
-// needs. Every payload is capped and CRC-verified end to end: a record
-// travels with a CRC-32C over (fingerprint‖value) computed by the
-// sender and re-checked by the receiver before the bytes are trusted,
-// on top of the store's own per-record checksum at both ends.
+// replication (DESIGN.md §4j): two small endpoints under /store/v1/
+// that expose the persistent store's digest and its append-order delta
+// stream — everything a peer's anti-entropy loop needs. Every payload
+// is capped and CRC-verified end to end: a record travels with a
+// CRC-32C over (fingerprint‖value) computed by the sender and
+// re-checked by the receiver before the bytes are trusted, on top of
+// the store's own per-record checksum at both ends.
 //
 // The endpoints answer 404 with a typed body when the daemon runs
 // without a store — replication is an opt-in property of -store mode,
@@ -14,10 +13,7 @@
 package server
 
 import (
-	"context"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"net/http"
@@ -26,13 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/store"
 )
-
-// PeerFetchFunc is the read-repair hook: given a fingerprint missing
-// from both the LRU and the durable store, it may return the encoded
-// result held by a replication peer. It runs on a job worker with the
-// job's context; failures (or a false return) degrade to the ordinary
-// recompute.
-type PeerFetchFunc func(ctx context.Context, fp core.Fingerprint) ([]byte, bool)
 
 // Pull batch caps: a /store/v1/pull response carries at most
 // pullMaxRecords records and pullMaxBytes of value bytes (whichever is
@@ -111,33 +100,6 @@ func DecodeWireRecord(r WireRecord) (core.Fingerprint, []byte, error) {
 	return fp, r.Val, nil
 }
 
-// ErrRecordConflict reports a push whose fingerprint is already present
-// locally with different bytes — which deterministic synthesis makes
-// impossible unless something upstream is corrupt, so the local
-// (first-written) record is kept and the pusher told.
-var ErrRecordConflict = errors.New("replicate: record conflicts with local bytes")
-
-// ApplyRecord installs one replicated record into the store under the
-// first-writer-wins rule: an absent fingerprint is stored (fsynced
-// before the reply acknowledges it), identical bytes are an idempotent
-// no-op, and differing bytes are rejected with ErrRecordConflict and
-// counted — the byte-equality assertion of DESIGN.md §4j.
-func (s *Server) ApplyRecord(fp core.Fingerprint, val []byte) error {
-	if cur, ok := s.cfg.Store.Get(fp); ok {
-		if string(cur) == string(val) {
-			return nil
-		}
-		s.st.Add("server.replicate.conflict", 1)
-		return ErrRecordConflict
-	}
-	if err := s.cfg.Store.Put(fp, val); err != nil {
-		s.st.Add("server.store.error", 1)
-		return err
-	}
-	s.st.Add("server.replicate.applied", 1)
-	return nil
-}
-
 // writeJSON is the small-response helper of the /store/v1/ handlers.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := marshal(v)
@@ -150,7 +112,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(body)
 }
 
-// storeRequired answers the no-store case once for all four handlers.
+// storeRequired answers the no-store case once for both handlers.
 func (s *Server) storeRequired(w http.ResponseWriter) bool {
 	if s.cfg.Store != nil {
 		return false
@@ -210,76 +172,6 @@ func (s *Server) handleStorePull(w http.ResponseWriter, r *http.Request) {
 		resp.Records = append(resp.Records, EncodeWireRecord(rec.FP, rec.Val))
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleStoreRecord serves one record by fingerprint — the fetch half of
-// read-repair and hinted handoff. A miss is a plain 404: partial results
-// are never stored, so "not here" is an expected answer, not an error.
-func (s *Server) handleStoreRecord(w http.ResponseWriter, r *http.Request) {
-	if s.storeRequired(w) {
-		return
-	}
-	fpHex := r.URL.Query().Get("fp")
-	raw, err := hex.DecodeString(fpHex)
-	var fp core.Fingerprint
-	if err != nil || len(raw) != len(fp) {
-		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad fingerprint %q", fpHex)})
-		return
-	}
-	copy(fp[:], raw)
-	val, ok := s.cfg.Store.Get(fp)
-	if !ok {
-		s.writeJSON(w, http.StatusNotFound, errorBody{Error: "record not found"})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, EncodeWireRecord(fp, val))
-}
-
-// handleStorePush accepts one record — the delivery half of hinted
-// handoff. The body is decoded strictly under a cap generous enough for
-// a base64-inflated result, CRC-verified, and applied under
-// first-writer-wins; 409 reports a byte-inequality conflict.
-func (s *Server) handleStorePush(w http.ResponseWriter, r *http.Request) {
-	if s.storeRequired(w) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.pushBodyCap())
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var rec WireRecord
-	if err := dec.Decode(&rec); err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeJSON(w, status, errorBody{Error: "bad push body: " + err.Error()})
-		return
-	}
-	fp, val, err := DecodeWireRecord(rec)
-	if err != nil {
-		s.st.Add("server.replicate.crc", 1)
-		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	switch err := s.ApplyRecord(fp, val); {
-	case errors.Is(err, ErrRecordConflict):
-		s.writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
-	case err != nil:
-		s.writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-	default:
-		s.writeJSON(w, http.StatusOK, map[string]string{"status": "stored"})
-	}
-}
-
-// pushBodyCap bounds a push body: the configured request cap inflated
-// for base64 framing, with the same floor pull batches get.
-func (s *Server) pushBodyCap() int64 {
-	cap := s.cfg.MaxBodyBytes * 2
-	if cap < pullMaxBytes {
-		cap = pullMaxBytes
-	}
-	return cap
 }
 
 func parseUint(v string) (uint64, error) {

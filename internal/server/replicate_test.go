@@ -1,10 +1,8 @@
 // Tests of the worker-side replication surface: the /store/v1/ wire
-// endpoints (digest, pull, record, push), the first-writer-wins apply
-// rule, the read-repair path through the job queue, and the
-// degradation contracts — a daemon without a store answers typed 404s,
-// a disk-full store under a live daemon costs counters and recomputes
-// but never a failed request, and the corruption counters surface in
-// /metrics.
+// endpoints (digest, pull), the transport CRC, and the degradation
+// contracts — a daemon without a store answers typed 404s, a disk-full
+// store under a live daemon costs counters and recomputes but never a
+// failed request, and the corruption counters surface in /metrics.
 package server
 
 import (
@@ -14,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -36,14 +35,12 @@ func getJSON(t *testing.T, client *http.Client, url string, v any) int {
 	return status
 }
 
-// TestStoreWireEndpoints drives the four /store/v1/ endpoints end to
-// end over HTTP: digest reflects the live set, pull streams every
-// record CRC-intact across batches, record serves single fingerprints,
-// and push applies under first-writer-wins with 409 on byte-inequality.
+// TestStoreWireEndpoints drives the two /store/v1/ endpoints end to end
+// over HTTP: digest reflects the live set, and pull streams every record
+// CRC-intact across batches.
 func TestStoreWireEndpoints(t *testing.T) {
 	base := runtime.NumGoroutine()
-	st := stats.New()
-	s, ts, down := bootServer(t, t.TempDir(), Config{QueueDepth: 8, Jobs: 1, CacheSize: 8, Stats: st})
+	s, ts, down := bootServer(t, t.TempDir(), Config{QueueDepth: 8, Jobs: 1, CacheSize: 8})
 	defer settle(t, base)
 	defer down()
 
@@ -51,7 +48,7 @@ func TestStoreWireEndpoints(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		fp := fpOf("wire", fmt.Sprint(i))
 		val := []byte(fmt.Sprintf("record-body-%d", i))
-		if err := s.ApplyRecord(fp, val); err != nil {
+		if err := s.cfg.Store.Put(fp, val); err != nil {
 			t.Fatal(err)
 		}
 		want[fp] = val
@@ -98,59 +95,6 @@ func TestStoreWireEndpoints(t *testing.T) {
 			t.Fatalf("pulled %s = %q, want %q", fp, got[fp], val)
 		}
 	}
-
-	// Single-record fetch: hit, miss, malformed.
-	one := fpOf("wire", "0")
-	var wr WireRecord
-	if status := getJSON(t, ts.Client(), ts.URL+"/store/v1/record?fp="+one.String(), &wr); status != http.StatusOK {
-		t.Fatalf("record: status %d", status)
-	}
-	if fp, val, err := DecodeWireRecord(wr); err != nil || fp != one || !bytes.Equal(val, want[one]) {
-		t.Fatalf("record fetch mismatch: %v %s %q", err, fp, val)
-	}
-	if status, _ := get(t, ts.Client(), ts.URL+"/store/v1/record?fp="+fpOf("absent").String()); status != http.StatusNotFound {
-		t.Fatalf("absent record: status %d, want 404", status)
-	}
-	if status, _ := get(t, ts.Client(), ts.URL+"/store/v1/record?fp=zz"); status != http.StatusBadRequest {
-		t.Fatalf("malformed fingerprint: status %d, want 400", status)
-	}
-
-	// Push: a new record lands durably; re-pushing identical bytes is an
-	// idempotent 200; differing bytes are refused with 409 and the local
-	// record is kept (first-writer-wins); a broken CRC is a 400.
-	pushed := fpOf("wire", "pushed")
-	push := func(rec WireRecord) int {
-		t.Helper()
-		b, _ := json.Marshal(rec)
-		status, _, _ := post(t, ts.Client(), ts.URL+"/store/v1/push", string(b))
-		return status
-	}
-	if status := push(EncodeWireRecord(pushed, []byte("delivered"))); status != http.StatusOK {
-		t.Fatalf("push new: status %d", status)
-	}
-	if v, ok := s.cfg.Store.Get(pushed); !ok || string(v) != "delivered" {
-		t.Fatalf("pushed record not stored: %q %v", v, ok)
-	}
-	if status := push(EncodeWireRecord(pushed, []byte("delivered"))); status != http.StatusOK {
-		t.Fatalf("push identical: status %d", status)
-	}
-	if status := push(EncodeWireRecord(pushed, []byte("DIFFERENT"))); status != http.StatusConflict {
-		t.Fatalf("push conflicting: status %d, want 409", status)
-	}
-	if v, _ := s.cfg.Store.Get(pushed); string(v) != "delivered" {
-		t.Fatalf("conflict overwrote the first write: %q", v)
-	}
-	if st.Value("server.replicate.conflict") != 1 {
-		t.Errorf("replicate.conflict = %d, want 1", st.Value("server.replicate.conflict"))
-	}
-	bad := EncodeWireRecord(fpOf("wire", "bad"), []byte("x"))
-	bad.CRC ^= 1
-	if status := push(bad); status != http.StatusBadRequest {
-		t.Fatalf("push with broken CRC: status %d, want 400", status)
-	}
-	if st.Value("server.replicate.crc") != 1 {
-		t.Errorf("replicate.crc = %d, want 1", st.Value("server.replicate.crc"))
-	}
 }
 
 // TestStoreEndpointsWithoutStore: a daemon running in-memory-only
@@ -167,16 +111,12 @@ func TestStoreEndpointsWithoutStore(t *testing.T) {
 			t.Errorf("drain: %v", err)
 		}
 	})
-	for _, u := range []string{"/store/v1/digest", "/store/v1/pull", "/store/v1/record?fp=" + fpOf("x").String()} {
+	for _, u := range []string{"/store/v1/digest", "/store/v1/pull"} {
 		status, body := get(t, ts.Client(), ts.URL+u)
 		var eb errorBody
 		if status != http.StatusNotFound || json.Unmarshal(body, &eb) != nil || eb.Error == "" {
 			t.Errorf("GET %s without store: status %d body %s, want typed 404", u, status, body)
 		}
-	}
-	b, _ := json.Marshal(EncodeWireRecord(fpOf("x"), []byte("v")))
-	if status, _, body := post(t, ts.Client(), ts.URL+"/store/v1/push", string(b)); status != http.StatusNotFound {
-		t.Errorf("push without store: status %d body %s, want 404", status, body)
 	}
 }
 
@@ -196,67 +136,50 @@ func TestWireRecordCRCCatchesSwap(t *testing.T) {
 	}
 }
 
-// TestReadRepairServesPeerBytes: a request missing the LRU and the
-// durable store but answerable by a peer is served from the peer's
-// bytes — byte-identical, written through locally, zero pipeline runs.
-func TestReadRepairServesPeerBytes(t *testing.T) {
-	base := runtime.NumGoroutine()
-	st := stats.New()
-	stor, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
+// FuzzStorePull sends arbitrary gen/seg/off/max query values to
+// /store/v1/pull on a store holding a few records. Every answer is a
+// typed 200 whose records all pass their transport CRC, or a typed 400;
+// a 500 would be a panic the handler guard caught.
+func FuzzStorePull(f *testing.F) {
+	for _, q := range [][4]string{
+		{"", "", "", ""}, {"1", "0", "0", "2"}, {"0", "1", "64", "1024"},
+		{"-1", "x", "18446744073709551615", "0"}, {"99999999999999999999", "", "", "-5"},
+		{"", "", "9223372036854775808", "2000"}, {"1e3", " 1", "0x10", "1.5"},
+	} {
+		f.Add(q[0], q[1], q[2], q[3])
 	}
-	defer stor.Close()
-	peerBytes := encodeResult(result{status: http.StatusOK, body: []byte(`{"from":"peer"}`)})
-	fetch := func(ctx context.Context, fp core.Fingerprint) ([]byte, bool) {
-		if fp == fpOf("held-by-peer") {
-			return peerBytes, true
+	s, _, down := bootServer(f, f.TempDir(), Config{QueueDepth: 1, Jobs: 1, CacheSize: -1})
+	f.Cleanup(down)
+	for i := 0; i < 3; i++ {
+		if err := s.cfg.Store.Put(fpOf("pull", fmt.Sprint(i)), []byte(fmt.Sprintf("value-%d", i))); err != nil {
+			f.Fatal(err)
 		}
-		return nil, false
 	}
-	q := newQueue(4, 1, 4, st, stor, fetch)
-	j, cached, err := q.submit(fpOf("held-by-peer"), "synthesize", time.Minute, func(ctx context.Context) (int, []byte, bool) {
-		t.Error("pipeline ran despite a peer holding the record")
-		return http.StatusOK, []byte("recomputed"), true
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, gen, seg, off, max string) {
+		q := url.Values{"gen": {gen}, "seg": {seg}, "off": {off}, "max": {max}}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/store/v1/pull?"+q.Encode(), nil))
+		switch rec.Code {
+		case http.StatusOK:
+			var pr PullResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
+				t.Fatalf("200 with an undecodable body %q: %v", rec.Body, err)
+			}
+			for _, wr := range pr.Records {
+				if _, _, err := DecodeWireRecord(wr); err != nil {
+					t.Fatalf("pulled record failed its CRC: %v", err)
+				}
+			}
+		case http.StatusBadRequest:
+			var eb errorBody
+			if json.Unmarshal(rec.Body.Bytes(), &eb) != nil || eb.Error == "" {
+				t.Fatalf("untyped 400 body %q", rec.Body)
+			}
+		default:
+			t.Fatalf("pull %s answered %d: %s", q.Encode(), rec.Code, rec.Body)
+		}
 	})
-	if err != nil || cached != nil {
-		t.Fatalf("submit: cached=%v err=%v", cached, err)
-	}
-	<-j.done
-	if j.res.status != http.StatusOK || string(j.res.body) != `{"from":"peer"}` {
-		t.Fatalf("read-repair answer: %d %s", j.res.status, j.res.body)
-	}
-	if st.Value("server.jobs.run") != 0 {
-		t.Errorf("jobs.run = %d, want 0 (read-repair is not a pipeline run)", st.Value("server.jobs.run"))
-	}
-	if st.Value("server.replicate.readrepair") != 1 {
-		t.Errorf("readrepair counter = %d, want 1", st.Value("server.replicate.readrepair"))
-	}
-	// The repair half: the peer's bytes are now durable locally.
-	if v, ok := stor.Get(fpOf("held-by-peer")); !ok || !bytes.Equal(v, peerBytes) {
-		t.Errorf("read-repaired record not written through: %v", ok)
-	}
-	// A fetch hook returning garbage degrades to the recompute.
-	ran := false
-	q.fetch = func(ctx context.Context, fp core.Fingerprint) ([]byte, bool) { return []byte{1}, true }
-	j, _, err = q.submit(fpOf("garbage-peer"), "synthesize", time.Minute, func(ctx context.Context) (int, []byte, bool) {
-		ran = true
-		return http.StatusOK, []byte("computed"), true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-j.done
-	if !ran || string(j.res.body) != "computed" {
-		t.Fatalf("garbage peer bytes did not degrade to recompute: %s", j.res.body)
-	}
-	if st.Value("server.replicate.error") == 0 {
-		t.Error("undecodable peer bytes not counted")
-	}
-	if err := q.drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	settle(t, base)
 }
 
 // TestStoreWriteFaultUnderLiveDaemon is the disk-full drill: every
@@ -329,7 +252,7 @@ func TestMetricsSurfaceCorruptionCounters(t *testing.T) {
 	if i < 0 {
 		t.Fatal("marker not found")
 	}
-	data[i] ^= 0xff                                    // bit rot: dropped at replay
+	data[i] ^= 0xff                                     // bit rot: dropped at replay
 	data = append(data, []byte("torn-partial-tail")...) // torn tail: resealed at open
 	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)

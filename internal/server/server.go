@@ -86,12 +86,6 @@ type Config struct {
 	// owns the store and closes it after Drain. Store faults degrade to
 	// recomputes (counted as server.store.error), never failed requests.
 	Store *store.Store
-	// PeerFetch, when non-nil, is the read-repair hook consulted on a
-	// full cache+store miss before the job computes: a replication peer
-	// that already holds the record answers it, and the bytes are written
-	// through locally before publishing. It runs on a job worker (never
-	// under the admission mutex); failures degrade to the recompute.
-	PeerFetch PeerFetchFunc
 	// Stats receives the server's counters, timers and latency
 	// histograms; a fresh collector is created when nil.
 	Stats *stats.Stats
@@ -140,7 +134,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		st:     cfg.Stats,
-		q:      newQueue(cfg.QueueDepth, outer, cfg.CacheSize, cfg.Stats, cfg.Store, cfg.PeerFetch),
+		q:      newQueue(cfg.QueueDepth, outer, cfg.CacheSize, cfg.Stats, cfg.Store),
 		inner:  inner,
 		mux:    http.NewServeMux(),
 		jitter: rand.New(rand.NewSource(cfg.RetryJitterSeed)),
@@ -150,8 +144,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/table/{bench}", s.guarded("table", s.handleTable))
 	s.mux.HandleFunc("GET /store/v1/digest", s.guarded("store.digest", s.handleStoreDigest))
 	s.mux.HandleFunc("GET /store/v1/pull", s.guarded("store.pull", s.handleStorePull))
-	s.mux.HandleFunc("GET /store/v1/record", s.guarded("store.record", s.handleStoreRecord))
-	s.mux.HandleFunc("POST /store/v1/push", s.guarded("store.push", s.handleStorePush))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /livez", s.handleLivez)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)

@@ -359,7 +359,7 @@ func TestAdmissionControl(t *testing.T) {
 func TestDroppedConnectionCancelsJob(t *testing.T) {
 	base := runtime.NumGoroutine()
 	st := stats.New()
-	q := newQueue(4, 1, -1, st, nil, nil)
+	q := newQueue(4, 1, -1, st, nil)
 	j, _, err := q.submit(fpOf("orphan"), "synthesize", time.Minute, func(ctx context.Context) (int, []byte, bool) {
 		<-ctx.Done() // runs until cancelled — the detach must stop it
 		return http.StatusOK, []byte("{}\n"), false
@@ -382,13 +382,101 @@ func TestDroppedConnectionCancelsJob(t *testing.T) {
 	settle(t, base)
 }
 
+// TestNoCoalesceOntoDeadJob: a request never joins a job whose context
+// is already done — neither one orphaned by its last waiter's detach nor
+// one whose deadline expired while it sat in the queue. Joining would
+// hand the new request the dead job's partial result as a 200 although
+// its own deadline never passed.
+func TestNoCoalesceOntoDeadJob(t *testing.T) {
+	base := runtime.NumGoroutine()
+	st := stats.New()
+	q := newQueue(4, 1, -1, st, nil)
+	// body finishes complete when released, partial if its context ends first.
+	body := func(release chan struct{}) func(ctx context.Context) (int, []byte, bool) {
+		return func(ctx context.Context) (int, []byte, bool) {
+			select {
+			case <-ctx.Done():
+				return http.StatusOK, []byte("partial"), false
+			case <-release:
+				return http.StatusOK, []byte("complete"), true
+			}
+		}
+	}
+	submit := func(fp core.Fingerprint, deadline time.Duration, run func(ctx context.Context) (int, []byte, bool)) *job {
+		t.Helper()
+		j, cached, err := q.submit(fp, "synthesize", deadline, run)
+		if err != nil || cached != nil {
+			t.Fatalf("submit: cached=%v err=%v", cached, err)
+		}
+		return j
+	}
+
+	// Orphaned: X waits behind a blocked worker, its only waiter leaves,
+	// and X is requested again.
+	started, releaseW := make(chan struct{}), make(chan struct{})
+	w := submit(fpOf("W"), time.Minute, blockingJob(started, releaseW))
+	<-started
+	x1 := submit(fpOf("X"), time.Minute, body(make(chan struct{})))
+	q.detach(x1)
+	// detach unlists the orphan under the admission mutex, before it
+	// cancels: no submit can reach it in between.
+	if _, inflight := q.depth(); inflight != 1 {
+		t.Fatalf("in-flight fingerprints after detach = %d, want 1 (the orphan stays listed)", inflight)
+	}
+	releaseX := make(chan struct{})
+	x2 := submit(fpOf("X"), time.Minute, body(releaseX))
+	if x2 == x1 {
+		t.Fatal("request coalesced onto the orphaned job")
+	}
+	close(releaseW)
+	<-w.done
+	<-x1.done
+	// The orphaned job's worker must not evict its replacement: a third
+	// identical request still coalesces onto x2.
+	if x3 := submit(fpOf("X"), time.Minute, body(releaseX)); x3 != x2 {
+		t.Fatal("replacement job lost its in-flight entry when the orphan retired")
+	}
+	close(releaseX)
+	<-x2.done
+	if string(x2.res.body) != "complete" {
+		t.Errorf("resubmitted request got %q, want a complete result", x2.res.body)
+	}
+	if got := st.Value("server.jobs.orphaned"); got != 1 {
+		t.Errorf("jobs.orphaned = %d, want 1", got)
+	}
+
+	// Expired: Y's deadline passes while it waits behind a blocked worker;
+	// a new request for Y must get a fresh job, not Y's partial result.
+	started, releaseW = make(chan struct{}), make(chan struct{})
+	w = submit(fpOf("W2"), time.Minute, blockingJob(started, releaseW))
+	<-started
+	y1 := submit(fpOf("Y"), time.Millisecond, body(make(chan struct{})))
+	<-y1.ctx.Done()
+	releaseY := make(chan struct{})
+	y2 := submit(fpOf("Y"), time.Minute, body(releaseY))
+	if y2 == y1 {
+		t.Fatal("request coalesced onto a job whose deadline had expired")
+	}
+	close(releaseW)
+	close(releaseY)
+	<-y1.done
+	<-y2.done
+	if string(y1.res.body) != "partial" || string(y2.res.body) != "complete" {
+		t.Errorf("expired job got %q, resubmission got %q; want partial and complete", y1.res.body, y2.res.body)
+	}
+	if err := q.drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, base)
+}
+
 // TestDrainDegradesToPartial: a drain whose deadline expires cancels the
 // in-flight job contexts (jobs land their best-so-far results) and still
 // waits for the workers — and a draining queue rejects new work.
 func TestDrainDegradesToPartial(t *testing.T) {
 	base := runtime.NumGoroutine()
 	st := stats.New()
-	q := newQueue(4, 1, -1, st, nil, nil)
+	q := newQueue(4, 1, -1, st, nil)
 	started := make(chan struct{})
 	j, _, err := q.submit(fpOf("slow"), "table", time.Minute, func(ctx context.Context) (int, []byte, bool) {
 		close(started)

@@ -148,7 +148,7 @@ func TestStoreIsDurableL2(t *testing.T) {
 	}
 	defer stor.Close()
 	// LRU of 1: the second job evicts the first.
-	q := newQueue(4, 1, 1, st, stor, nil)
+	q := newQueue(4, 1, 1, st, stor)
 	runBody := func(body string) func(ctx context.Context) (int, []byte, bool) {
 		return func(ctx context.Context) (int, []byte, bool) { return http.StatusOK, []byte(body), true }
 	}
@@ -199,7 +199,7 @@ func TestStoreFaultDegradesToRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	stor.Close()
-	q := newQueue(4, 1, 4, st, stor, nil)
+	q := newQueue(4, 1, 4, st, stor)
 	j, cached, err := q.submit(fpOf("X"), "synthesize", time.Minute, func(ctx context.Context) (int, []byte, bool) {
 		return http.StatusOK, []byte("computed"), true
 	})
