@@ -234,6 +234,7 @@ func BenchmarkSynthesisAllBenchmarks(b *testing.B) {
 			if name == dfg.BenchDiffeq || name == dfg.BenchPaulin {
 				par.LoopSignal = "exit"
 			}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.SynthesizeCtx(context.Background(), g, par); err != nil {
 					b.Fatal(err)

@@ -18,6 +18,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/alloc"
@@ -318,7 +319,8 @@ type candidate struct {
 // rankCandidates lists mergeable module pairs and register pairs, each
 // ranked by the configured selection policy, best first.
 func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, regs []candidate) {
-	var cands []candidate
+	nm, nr := len(st.a.Modules), len(st.a.Regs)
+	cands := make([]candidate, 0, nm*(nm-1)/2+nr*(nr-1)/2)
 	for i := 0; i < len(st.a.Modules); i++ {
 		for j := i + 1; j < len(st.a.Modules); j++ {
 			if st.a.Modules[i].Class != st.a.Modules[j].Class {
@@ -342,6 +344,10 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 			cands = append(cands, candidate{isModule: true, i: i, j: j, score: sc})
 		}
 	}
+	var readers, writers [][]int
+	if !st.par.ModulesOnly && st.par.Selection != SelectConnectivity {
+		readers, writers = st.regModules()
+	}
 	for i := 0; i < len(st.a.Regs) && !st.par.ModulesOnly; i++ {
 		for j := i + 1; j < len(st.a.Regs); j++ {
 			var sc float64
@@ -358,7 +364,8 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 				// they cannot cascade into infeasibility (they are the
 				// merges a left-edge packing would make), and the balance
 				// score chooses among them.
-				sc = m.BalanceScore(u, v) - 0.5*float64(st.regMergeSelfLoops(i, j))
+				loops := common(readers[i], writers[j]) + common(readers[j], writers[i])
+				sc = m.BalanceScore(u, v) - 0.5*float64(loops)
 				if st.regsDisjointNow(i, j) {
 					sc += 2
 				}
@@ -366,7 +373,15 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 			cands = append(cands, candidate{isModule: false, i: i, j: j, score: sc})
 		}
 	}
-	sort.SliceStable(cands, func(x, y int) bool { return cands[x].score > cands[y].score })
+	slices.SortStableFunc(cands, func(x, y candidate) int {
+		switch {
+		case x.score > y.score:
+			return -1
+		case y.score > x.score:
+			return +1
+		}
+		return 0
+	})
 	for _, c := range cands {
 		if c.isModule {
 			mods = append(mods, c)
@@ -392,42 +407,47 @@ func (st *state) regsDisjointNow(i, j int) bool {
 	return true
 }
 
-// regMergeSelfLoops counts the self-loops merging registers i and j would
-// create: modules that read a value of one register and produce a value of
-// the other would then read and write the same register.
-func (st *state) regMergeSelfLoops(i, j int) int {
-	readersOf := func(r int) map[int]bool {
-		set := map[int]bool{}
-		for _, v := range st.a.Regs[r].Vals {
-			for _, u := range st.g.Value(v).Uses {
-				set[st.a.ModuleOf[u]] = true
+// regModules returns, per register, the modules reading one of its values
+// and the modules producing one, each ascending without repeats. Merging
+// registers i and j creates one self-loop per module in readers[i] ∩
+// writers[j] and per module in readers[j] ∩ writers[i]: that module would
+// then read and write the same register.
+func (st *state) regModules() (readers, writers [][]int) {
+	readers = make([][]int, len(st.a.Regs))
+	writers = make([][]int, len(st.a.Regs))
+	for r, reg := range st.a.Regs {
+		for _, v := range reg.Vals {
+			val := st.g.Value(v)
+			for _, u := range val.Uses {
+				readers[r] = append(readers[r], st.a.ModuleOf[u])
+			}
+			if val.Def != dfg.NoNode {
+				writers[r] = append(writers[r], st.a.ModuleOf[val.Def])
 			}
 		}
-		return set
+		slices.Sort(readers[r])
+		readers[r] = slices.Compact(readers[r])
+		slices.Sort(writers[r])
+		writers[r] = slices.Compact(writers[r])
 	}
-	writersOf := func(r int) map[int]bool {
-		set := map[int]bool{}
-		for _, v := range st.a.Regs[r].Vals {
-			if d := st.g.Value(v).Def; d != dfg.NoNode {
-				set[st.a.ModuleOf[d]] = true
-			}
-		}
-		return set
-	}
-	loops := 0
-	ri, rj := readersOf(i), readersOf(j)
-	wi, wj := writersOf(i), writersOf(j)
-	for m := range ri {
-		if wj[m] {
-			loops++
-		}
-	}
-	for m := range rj {
-		if wi[m] {
-			loops++
+	return readers, writers
+}
+
+// common counts the elements two ascending, repeat-free lists share.
+func common(a, b []int) int {
+	n := 0
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case b[0] < a[0]:
+			b = b[1:]
+		default:
+			n++
+			a, b = a[1:], b[1:]
 		}
 	}
-	return loops
+	return n
 }
 
 // modDependencePairs counts the direct data dependences between the
@@ -452,46 +472,6 @@ func (st *state) modDependencePairs(i, j int) int {
 		}
 	}
 	return pairs
-}
-
-// modMergeSelfLoops counts the self-loops merging modules i and j would
-// create: registers written by one module and read by the other would then
-// feed the merged module's own output back to its input.
-func (st *state) modMergeSelfLoops(i, j int) int {
-	reads := func(mod int) map[int]bool {
-		set := map[int]bool{}
-		for _, op := range st.a.Modules[mod].Ops {
-			for _, v := range st.g.Node(op).In {
-				if r, ok := st.a.RegOf[v]; ok {
-					set[r] = true
-				}
-			}
-		}
-		return set
-	}
-	writes := func(mod int) map[int]bool {
-		set := map[int]bool{}
-		for _, op := range st.a.Modules[mod].Ops {
-			if r, ok := st.a.RegOf[st.g.Node(op).Out]; ok {
-				set[r] = true
-			}
-		}
-		return set
-	}
-	loops := 0
-	ri, rj := reads(i), reads(j)
-	wi, wj := writes(i), writes(j)
-	for r := range ri {
-		if wj[r] {
-			loops++
-		}
-	}
-	for r := range rj {
-		if wi[r] {
-			loops++
-		}
-	}
-	return loops
 }
 
 // tiePolicy resolves near-ties in ΔC among a block's feasible candidates
@@ -1132,11 +1112,11 @@ func (st *state) reschedule(ns *state) (*state, int, float64, error) {
 // infeasibility proof is as expensive as a schedule. An infeasible result
 // only ever makes the merger's caller skip the candidate, so replaying the
 // cached error is equivalent to re-deriving it. Schedules are cloned on
-// both store and load because callers mutate the Step map.
+// both store and load because callers mutate the Step slice.
 func (ns *state) listSchedule() (sched.Schedule, error) {
 	if !ns.cache.enabled() {
 		stop := ns.par.Stats.Time("time.sched")
-		s2, err := ns.prob.List(nil)
+		s2, err := ns.prob.List()
 		stop()
 		return s2, err
 	}
@@ -1148,7 +1128,7 @@ func (ns *state) listSchedule() (sched.Schedule, error) {
 		return e.s.Clone(), nil
 	}
 	stop := ns.par.Stats.Time("time.sched")
-	s2, err := ns.prob.List(nil)
+	s2, err := ns.prob.List()
 	stop()
 	if err != nil {
 		ns.cache.storeSched(key, schedEntry{err: err})

@@ -14,7 +14,7 @@ package cost
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/etpn"
 )
@@ -99,62 +99,87 @@ func (e Estimate) String() string {
 // Floorplan places the data-path nodes of d on an integer grid with a
 // connectivity-driven greedy heuristic: nodes in decreasing connectivity
 // order, each placed on the free grid slot minimizing the total Manhattan
-// distance to its already-placed neighbours. Positions are deterministic.
-func Floorplan(d *etpn.Design) map[int][2]int {
+// distance to its already-placed neighbours. Positions are deterministic
+// and indexed by node id.
+func Floorplan(d *etpn.Design) [][2]int {
 	n := len(d.Nodes)
-	adj := make(map[int]map[int]int, n)
-	bump := func(a, b int) {
-		if adj[a] == nil {
-			adj[a] = map[int]int{}
+	// Neighbour lists, ascending by node: a neighbour's weight is the
+	// number of arcs between the pair, in either direction; self-arcs do
+	// not count.
+	type neighbour struct{ node, w int }
+	adj := make([][]neighbour, n)
+	backing := make([]neighbour, 0, 2*len(d.Arcs))
+	var ends []int
+	for i := 0; i < n; i++ {
+		ends = ends[:0]
+		for _, a := range d.ArcsInto(i) {
+			if a.From != i {
+				ends = append(ends, a.From)
+			}
 		}
-		adj[a][b]++
-	}
-	for _, a := range d.Arcs {
-		if a.From == a.To {
-			continue
+		for _, a := range d.ArcsFrom(i) {
+			if a.To != i {
+				ends = append(ends, a.To)
+			}
 		}
-		bump(a.From, a.To)
-		bump(a.To, a.From)
-	}
-	order := make([]int, 0, n)
-	for _, nd := range d.Nodes {
-		order = append(order, nd.ID)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := len(adj[order[i]]), len(adj[order[j]])
-		if di != dj {
-			return di > dj
+		slices.Sort(ends)
+		start := len(backing)
+		for j, q := range ends {
+			if j > 0 && q == ends[j-1] {
+				backing[len(backing)-1].w++
+				continue
+			}
+			backing = append(backing, neighbour{q, 1})
 		}
-		return order[i] < order[j]
+		adj[i] = backing[start:]
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if da, db := len(adj[a]), len(adj[b]); da != db {
+			return db - da
+		}
+		return a - b
 	})
-	pos := make(map[int][2]int, n)
-	used := map[[2]int]bool{}
+	pos := make([][2]int, n)
+	placed := make([]bool, n)
 	side := int(math.Ceil(math.Sqrt(float64(n)))) + 2
+	used := make([]bool, side*side) // used[x+y*side]
+	type anchor struct{ x, y, w int }
+	var anchors []anchor
 	for _, id := range order {
+		anchors = anchors[:0]
+		for _, nb := range adj[id] {
+			if placed[nb.node] {
+				anchors = append(anchors, anchor{pos[nb.node][0], pos[nb.node][1], nb.w})
+			}
+		}
 		best := [2]int{0, 0}
 		bestCost := math.Inf(1)
 		for y := 0; y < side; y++ {
 			for x := 0; x < side; x++ {
-				p := [2]int{x, y}
-				if used[p] {
+				if used[x+y*side] {
 					continue
 				}
-				c := 0.0
-				for nb, w := range adj[id] {
-					if q, placed := pos[nb]; placed {
-						c += float64(w) * float64(abs(p[0]-q[0])+abs(p[1]-q[1]))
-					}
+				// The weighted distance is an integer, so it is exact as a
+				// float64 whatever the summation order.
+				dist := 0
+				for _, q := range anchors {
+					dist += q.w * (abs(x-q.x) + abs(y-q.y))
 				}
 				// Deterministic tie-break: prefer slots near the origin.
-				c += 1e-6 * float64(p[0]+p[1]*side)
+				c := float64(dist) + 1e-6*float64(x+y*side)
 				if c < bestCost {
 					bestCost = c
-					best = p
+					best = [2]int{x, y}
 				}
 			}
 		}
 		pos[id] = best
-		used[best] = true
+		placed[id] = true
+		used[best[0]+best[1]*side] = true
 	}
 	return pos
 }
@@ -185,22 +210,33 @@ func EstimateDesign(d *etpn.Design, lib *Library, width int) Estimate {
 			e.RegArea += lib.RegisterArea(width)
 		}
 	}
-	// Multiplexers: one per destination (node, port) with multiple sources.
-	type dest struct{ node, port int }
-	srcs := map[dest]map[int]bool{}
-	for _, a := range d.Arcs {
-		to := d.Nodes[a.To]
-		if to.Kind != etpn.KindModule && to.Kind != etpn.KindRegister {
+	// Multiplexers: one per destination (node, port) with multiple sources,
+	// summed by node id, then port.
+	var srcs [][2]int // (port, source) of the arcs into one node
+	for _, nd := range d.Nodes {
+		if nd.Kind != etpn.KindModule && nd.Kind != etpn.KindRegister {
 			continue
 		}
-		k := dest{a.To, a.ToPort}
-		if srcs[k] == nil {
-			srcs[k] = map[int]bool{}
+		srcs = srcs[:0]
+		for _, a := range d.ArcsInto(nd.ID) {
+			srcs = append(srcs, [2]int{a.ToPort, a.From})
 		}
-		srcs[k][a.From] = true
-	}
-	for _, set := range srcs {
-		e.MuxArea += lib.MuxArea(width, len(set))
+		slices.SortFunc(srcs, func(a, b [2]int) int {
+			if a[0] != b[0] {
+				return a[0] - b[0]
+			}
+			return a[1] - b[1]
+		})
+		for i := 0; i < len(srcs); {
+			j, distinct := i+1, 1
+			for ; j < len(srcs) && srcs[j][0] == srcs[i][0]; j++ {
+				if srcs[j][1] != srcs[j-1][1] {
+					distinct++
+				}
+			}
+			e.MuxArea += lib.MuxArea(width, distinct)
+			i = j
+		}
 	}
 	// Wires.
 	nComp := 0

@@ -156,7 +156,7 @@ func TestFloorplanBeatsNaivePlacement(t *testing.T) {
 	g := dfg.EWF(8)
 	d := build(t, g, false)
 	pos := Floorplan(d)
-	dist := func(p map[int][2]int) int {
+	dist := func(p [][2]int) int {
 		total := 0
 		for _, a := range d.Arcs {
 			pa, pb := p[a.From], p[a.To]
@@ -166,7 +166,7 @@ func TestFloorplanBeatsNaivePlacement(t *testing.T) {
 	}
 	heuristic := dist(pos)
 	// Naive placement: nodes along a diagonal in id order.
-	naive := map[int][2]int{}
+	naive := make([][2]int, len(d.Nodes))
 	for i := range d.Nodes {
 		naive[i] = [2]int{i, i}
 	}

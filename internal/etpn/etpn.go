@@ -81,6 +81,9 @@ type Design struct {
 
 	Nodes []*Node
 	Arcs  []*Arc
+	// into and from index Arcs by destination and source node, each list
+	// ascending by arc id; Build fills them once the arcs are complete.
+	into, from [][]*Arc
 
 	Ctrl       *petri.Net
 	CtrlPlaces []petri.PlaceID
@@ -135,19 +138,26 @@ func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life map[dfg.Val
 		d.modNode[m.ID] = addNode(&Node{Kind: KindModule, Name: fmt.Sprintf("M%d(%s)", m.ID, m.Class), Class: m.Class, Ops: m.Ops, Value: dfg.NoValue})
 	}
 
-	// Arc accumulation keyed by (from, to, toPort).
-	type akey struct{ from, to, port int }
-	arcIx := map[akey]*Arc{}
+	// Arc accumulation keyed by (from, to, toPort). Transfers are recorded
+	// in discovery order and laid out per arc once all are known.
+	arcIx := map[arcKey]int{}
+	var keys []arcKey
+	// Capacity: an input value is loaded and may feed an output port; an
+	// operation reads its operands, writes its result and may feed one.
+	bound := 2 * g.NumValues()
+	for _, n := range g.Nodes() {
+		bound += len(n.In) + 2
+	}
+	xfers := make([]xfer, 0, bound)
 	addXfer := func(from, to, port, step int, v dfg.ValueID) {
-		k := akey{from, to, port}
-		arc := arcIx[k]
-		if arc == nil {
-			arc = &Arc{ID: len(d.Arcs), From: from, To: to, ToPort: port}
-			arcIx[k] = arc
-			d.Arcs = append(d.Arcs, arc)
+		k := arcKey{from, to, port}
+		i, ok := arcIx[k]
+		if !ok {
+			i = len(keys)
+			arcIx[k] = i
+			keys = append(keys, k)
 		}
-		arc.Steps = append(arc.Steps, step)
-		arc.Values = append(arc.Values, v)
+		xfers = append(xfers, xfer{i, step, v})
 	}
 
 	// Input loads: port -> register at the end of the birth step.
@@ -208,6 +218,10 @@ func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life map[dfg.Val
 		}
 	}
 
+	d.Arcs = layoutArcs(keys, xfers)
+	d.into = arcLists(len(d.Nodes), d.Arcs, func(a *Arc) int { return a.To })
+	d.from = arcLists(len(d.Nodes), d.Arcs, func(a *Arc) int { return a.From })
+
 	// Control part.
 	if opt.LoopSignal != "" {
 		if _, ok := g.ValueByName(opt.LoopSignal); !ok {
@@ -239,27 +253,74 @@ func (d *Design) InNode(v dfg.ValueID) (int, bool) { n, ok := d.inNode[v]; retur
 // OutNode returns the port node of an output value.
 func (d *Design) OutNode(v dfg.ValueID) (int, bool) { n, ok := d.outNode[v]; return n, ok }
 
-// ArcsInto returns the arcs terminating at node id, ascending by arc id.
-func (d *Design) ArcsInto(id int) []*Arc {
-	var out []*Arc
-	for _, a := range d.Arcs {
-		if a.To == id {
-			out = append(out, a)
-		}
+// arcKey identifies an arc by its (from, to, toPort) triple.
+type arcKey struct{ from, to, port int }
+
+// xfer is one data transfer found by Build: a value moving over an arc in
+// a control step.
+type xfer struct {
+	arc  int
+	step int
+	v    dfg.ValueID
+}
+
+// layoutArcs builds the arcs in key order, filling every arc's Steps and
+// Values with its transfers in discovery order, as capacity-capped
+// subslices of two shared arrays.
+func layoutArcs(keys []arcKey, xfers []xfer) []*Arc {
+	count := make([]int, len(keys))
+	for _, x := range xfers {
+		count[x.arc]++
+	}
+	arcs := make([]Arc, len(keys))
+	steps := make([]int, len(xfers))
+	vals := make([]dfg.ValueID, len(xfers))
+	off := 0
+	for i, k := range keys {
+		c := count[i]
+		arcs[i] = Arc{ID: i, From: k.from, To: k.to, ToPort: k.port,
+			Steps: steps[off : off : off+c], Values: vals[off : off : off+c]}
+		off += c
+	}
+	for _, x := range xfers {
+		a := &arcs[x.arc]
+		a.Steps = append(a.Steps, x.step)
+		a.Values = append(a.Values, x.v)
+	}
+	out := make([]*Arc, len(arcs))
+	for i := range arcs {
+		out[i] = &arcs[i]
 	}
 	return out
 }
 
-// ArcsFrom returns the arcs originating at node id, ascending by arc id.
-func (d *Design) ArcsFrom(id int) []*Arc {
-	var out []*Arc
-	for _, a := range d.Arcs {
-		if a.From == id {
-			out = append(out, a)
-		}
+// arcLists groups arcs by the node end(a), keeping arc order, as
+// capacity-capped subslices of one backing array.
+func arcLists(nodes int, arcs []*Arc, end func(*Arc) int) [][]*Arc {
+	count := make([]int, nodes)
+	for _, a := range arcs {
+		count[end(a)]++
 	}
-	return out
+	backing := make([]*Arc, len(arcs))
+	lists := make([][]*Arc, nodes)
+	off := 0
+	for n, c := range count {
+		lists[n] = backing[off : off : off+c]
+		off += c
+	}
+	for _, a := range arcs {
+		lists[end(a)] = append(lists[end(a)], a)
+	}
+	return lists
 }
+
+// ArcsInto returns the arcs terminating at node id, ascending by arc id.
+// Callers must not modify the returned slice.
+func (d *Design) ArcsInto(id int) []*Arc { return d.into[id] }
+
+// ArcsFrom returns the arcs originating at node id, ascending by arc id.
+// Callers must not modify the returned slice.
+func (d *Design) ArcsFrom(id int) []*Arc { return d.from[id] }
 
 // Validate checks structural consistency of the design: arcs reference
 // valid nodes, each register is written by at most one source per control

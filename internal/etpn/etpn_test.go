@@ -119,7 +119,7 @@ func TestMuxStatsCAMADStyleEx(t *testing.T) {
 		}
 		p.ModuleOf[n.ID] = map[bool]int{true: 0, false: 1}[n.Kind == dfg.OpMul]
 	}
-	s, err := p.List(nil)
+	s, err := p.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSelfLoops(t *testing.T) {
 	p := sched.NewProblem(g)
 	p.ModuleOf[0] = 0
 	p.ModuleOf[1] = 0
-	s, err := p.List(nil)
+	s, err := p.List()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func Figure1() (string, error) {
 		_ = n4
 		_ = n5
 		prob.Extra = append(prob.Extra, order.arc)
-		s, err := prob.List(nil)
+		s, err := prob.List()
 		if err != nil {
 			return "", err
 		}

@@ -33,29 +33,26 @@ func ALUClass(k dfg.OpKind) string {
 }
 
 // framesWithFixed computes [ASAP, ALAP] frames for every node under the
-// problem's precedence arcs, a latency bound, and a set of already-fixed
-// assignments.
-func (p *Problem) framesWithFixed(latency int, fixed map[dfg.NodeID]int) (asap, alap map[dfg.NodeID]int, err error) {
-	order, err := p.topo()
-	if err != nil {
-		return nil, nil, err
-	}
-	asap = make(map[dfg.NodeID]int, len(order))
+// compiled precedence arcs (order is their topological order), a latency
+// bound, and a set of already-fixed assignments (fixed[n] == 0: free).
+func (p *Problem) framesWithFixed(c *compiled, order []int32, latency int, fixed []int) (asap, alap []int, err error) {
+	name := func(n int32) string { return p.G.Node(dfg.NodeID(n)).Name }
+	asap = make([]int, c.nn)
 	for _, n := range order {
 		st := 1
-		for _, q := range p.preds(n) {
+		for _, q := range c.preds(n) {
 			if asap[q]+1 > st {
 				st = asap[q] + 1
 			}
 		}
-		for _, q := range p.weakPreds(n) {
+		for _, q := range c.wpreds(n) {
 			if asap[q] > st {
 				st = asap[q]
 			}
 		}
-		if f, ok := fixed[n]; ok {
+		if f := fixed[n]; f != 0 {
 			if f < st {
-				return nil, nil, fmt.Errorf("sched: fixing %s at %d violates precedence (asap %d)", p.G.Node(n).Name, f, st)
+				return nil, nil, fmt.Errorf("sched: fixing %s at %d violates precedence (asap %d)", name(n), f, st)
 			}
 			st = f
 		}
@@ -64,28 +61,28 @@ func (p *Problem) framesWithFixed(latency int, fixed map[dfg.NodeID]int) (asap, 
 		}
 		asap[n] = st
 	}
-	alap = make(map[dfg.NodeID]int, len(order))
+	alap = make([]int, c.nn)
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		st := latency
-		for _, q := range p.succs(n) {
+		for _, q := range c.succs(n) {
 			if alap[q]-1 < st {
 				st = alap[q] - 1
 			}
 		}
-		for _, q := range p.weakSuccs(n) {
+		for _, q := range c.wsuccs(n) {
 			if alap[q] < st {
 				st = alap[q]
 			}
 		}
-		if f, ok := fixed[n]; ok {
+		if f := fixed[n]; f != 0 {
 			if f > st {
-				return nil, nil, fmt.Errorf("sched: fixing %s at %d violates successors (alap %d)", p.G.Node(n).Name, f, st)
+				return nil, nil, fmt.Errorf("sched: fixing %s at %d violates successors (alap %d)", name(n), f, st)
 			}
 			st = f
 		}
 		if st < asap[n] {
-			return nil, nil, fmt.Errorf("sched: empty frame for %s", p.G.Node(n).Name)
+			return nil, nil, fmt.Errorf("sched: empty frame for %s", name(n))
 		}
 		alap[n] = st
 	}
@@ -96,7 +93,7 @@ func (p *Problem) framesWithFixed(latency int, fixed map[dfg.NodeID]int) (asap, 
 // over module classes and control steps of the squared distribution-graph
 // value, where each unfixed operation spreads probability 1/|frame| over
 // its frame. Lower is a flatter, more shareable schedule.
-func (p *Problem) distributionCost(latency int, class ClassFunc, asap, alap map[dfg.NodeID]int) float64 {
+func (p *Problem) distributionCost(latency int, class ClassFunc, asap, alap []int) float64 {
 	dg := map[string][]float64{}
 	for _, n := range p.G.Nodes() {
 		c := class(n.Kind)
@@ -138,46 +135,53 @@ func (p *Problem) FDS(latency int, class ClassFunc) (Schedule, error) {
 	if class == nil {
 		class = ExactClass
 	}
-	fixed := map[dfg.NodeID]int{}
-	for len(fixed) < p.G.NumNodes() {
-		before := len(fixed)
-		asap, alap, err := p.framesWithFixed(latency, fixed)
+	c := p.compile()
+	order, err := c.topo()
+	if err != nil {
+		return Schedule{}, err
+	}
+	fixed := make([]int, c.nn)
+	nfixed := 0
+	for nfixed < c.nn {
+		before := nfixed
+		asap, alap, err := p.framesWithFixed(c, order, latency, fixed)
 		if err != nil {
 			return Schedule{}, err
 		}
 		// Commit every zero-mobility operation outright: its placement is
 		// forced and carries no force of its own.
-		for _, n := range p.G.Nodes() {
-			if _, done := fixed[n.ID]; !done && asap[n.ID] == alap[n.ID] {
-				fixed[n.ID] = asap[n.ID]
+		for n := range fixed {
+			if fixed[n] == 0 && asap[n] == alap[n] {
+				fixed[n] = asap[n]
+				nfixed++
 			}
 		}
-		if len(fixed) == p.G.NumNodes() {
+		if nfixed == c.nn {
 			break
 		}
-		if len(fixed) != before {
+		if nfixed != before {
 			continue // frames changed; recompute before evaluating forces
 		}
 		bestCost := 0.0
 		bestNode := dfg.NoNode
 		bestStep := 0
 		first := true
-		for _, n := range p.G.Nodes() {
-			if _, done := fixed[n.ID]; done {
+		for n := range fixed {
+			if fixed[n] != 0 {
 				continue
 			}
-			for s := asap[n.ID]; s <= alap[n.ID]; s++ {
-				fixed[n.ID] = s
-				a2, l2, err := p.framesWithFixed(latency, fixed)
-				delete(fixed, n.ID)
+			for s := asap[n]; s <= alap[n]; s++ {
+				fixed[n] = s
+				a2, l2, err := p.framesWithFixed(c, order, latency, fixed)
+				fixed[n] = 0
 				if err != nil {
 					continue
 				}
-				c := p.distributionCost(latency, class, a2, l2)
-				if first || c < bestCost {
+				cost := p.distributionCost(latency, class, a2, l2)
+				if first || cost < bestCost {
 					first = false
-					bestCost = c
-					bestNode = n.ID
+					bestCost = cost
+					bestNode = dfg.NodeID(n)
 					bestStep = s
 				}
 			}
@@ -186,12 +190,11 @@ func (p *Problem) FDS(latency int, class ClassFunc) (Schedule, error) {
 			return Schedule{}, fmt.Errorf("sched: FDS made no progress")
 		}
 		fixed[bestNode] = bestStep
+		nfixed++
 	}
 	s := Schedule{Step: fixed}
 	for _, st := range fixed {
-		if st > s.Len {
-			s.Len = st
-		}
+		s.Len = max(s.Len, st)
 	}
 	if err := p.Verify(s); err != nil {
 		return Schedule{}, err
@@ -211,7 +214,13 @@ func (p *Problem) MobilityPath(latency int, class ClassFunc) (Schedule, error) {
 	if class == nil {
 		class = ExactClass
 	}
-	asap0, alap0, err := p.framesWithFixed(latency, nil)
+	c := p.compile()
+	order, err := c.topo()
+	if err != nil {
+		return Schedule{}, err
+	}
+	fixed := make([]int, c.nn)
+	asap0, alap0, err := p.framesWithFixed(c, order, latency, fixed)
 	if err != nil {
 		return Schedule{}, err
 	}
@@ -227,18 +236,17 @@ func (p *Problem) MobilityPath(latency int, class ClassFunc) (Schedule, error) {
 		}
 		return nodes[i].ID < nodes[j].ID
 	})
-	fixed := map[dfg.NodeID]int{}
 	usage := map[string][]int{} // class -> per-step committed count
 	for _, n := range nodes {
-		asap, alap, err := p.framesWithFixed(latency, fixed)
+		asap, alap, err := p.framesWithFixed(c, order, latency, fixed)
 		if err != nil {
 			return Schedule{}, err
 		}
-		c := class(n.Kind)
-		row := usage[c]
+		cl := class(n.Kind)
+		row := usage[cl]
 		if row == nil {
 			row = make([]int, latency+1)
-			usage[c] = row
+			usage[cl] = row
 		}
 		readsPI := false
 		for _, v := range n.In {
@@ -265,9 +273,7 @@ func (p *Problem) MobilityPath(latency int, class ClassFunc) (Schedule, error) {
 	}
 	s := Schedule{Step: fixed}
 	for _, st := range fixed {
-		if st > s.Len {
-			s.Len = st
-		}
+		s.Len = max(s.Len, st)
 	}
 	if err := p.Verify(s); err != nil {
 		return Schedule{}, err

@@ -71,12 +71,13 @@ func TestMobilityNonNegativeAndZeroOnCriticalPath(t *testing.T) {
 	g := dfg.EWF(8)
 	p := NewProblem(g)
 	asap := mustASAP(t, p)
-	mob, err := p.Mobility(asap.Len)
+	alap, err := p.ALAP(asap.Len)
 	if err != nil {
 		t.Fatal(err)
 	}
 	zero := 0
-	for n, m := range mob {
+	for n := range asap.Step {
+		m := alap.Step[n] - asap.Step[n]
 		if m < 0 {
 			t.Errorf("node %d has negative mobility %d", n, m)
 		}
@@ -126,7 +127,7 @@ func TestListScheduleModuleConstraint(t *testing.T) {
 			p.ModuleOf[n.ID] = mod
 		}
 	}
-	s, err := p.List(nil)
+	s, err := p.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +158,11 @@ func TestListScheduleLatencyBound(t *testing.T) {
 		p.ModuleOf[n.ID] = mod // all eight ops on one module: needs 8 steps
 	}
 	p.MaxLen = 5
-	if _, err := p.List(nil); err == nil {
+	if _, err := p.List(); err == nil {
 		t.Fatal("expected latency-bound error")
 	}
 	p.MaxLen = 8
-	s, err := p.List(nil)
+	s, err := p.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestVerifyCatchesViolations(t *testing.T) {
 		t.Fatal("expected precedence violation")
 	}
 	bad2 := s.Clone()
-	delete(bad2.Step, n25)
+	bad2.Step[n25] = 0
 	if err := p.Verify(bad2); err == nil {
 		t.Fatal("expected unscheduled-node violation")
 	}
@@ -353,7 +354,7 @@ func TestListScheduleRandomGraphs(t *testing.T) {
 		for _, n := range g.Nodes() {
 			p.ModuleOf[n.ID] = int(n.Kind)*2 + rng.Intn(2)
 		}
-		s, err := p.List(nil)
+		s, err := p.List()
 		if err != nil {
 			return false
 		}
@@ -473,7 +474,7 @@ func TestListWeakCascadeWithinStep(t *testing.T) {
 	}
 	p := NewProblem(g)
 	p.ExtraWeak = append(p.ExtraWeak, [2]dfg.NodeID{ids[0], ids[1]}, [2]dfg.NodeID{ids[1], ids[2]})
-	s, err := p.List(nil)
+	s, err := p.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +488,7 @@ func TestListWeakCascadeWithinStep(t *testing.T) {
 	for _, id := range ids {
 		p2.ModuleOf[id] = 0
 	}
-	s2, err := p2.List(nil)
+	s2, err := p2.List()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,7 +195,7 @@ func TestCyclicDataPathConverges(t *testing.T) {
 	g.MarkOutput(t3)
 	p := sched.NewProblem(g)
 	p.ModuleOf[0], p.ModuleOf[1], p.ModuleOf[2] = 0, 0, 0
-	s, err := p.List(nil)
+	s, err := p.List()
 	if err != nil {
 		t.Fatal(err)
 	}

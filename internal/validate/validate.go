@@ -102,11 +102,10 @@ func Design(d *etpn.Design) error {
 
 	// Schedule: every operation sits on a control step in [1, Len].
 	for _, n := range d.G.Nodes() {
-		st, ok := d.Sched.Step[n.ID]
-		if !ok {
+		if int(n.ID) >= len(d.Sched.Step) || d.Sched.Step[n.ID] == 0 {
 			return fail("etpn", "schedule-total", "operation %s has no control step", n.Name)
 		}
-		if st < 1 || st > d.Sched.Len {
+		if st := d.Sched.Step[n.ID]; st < 1 || st > d.Sched.Len {
 			return fail("etpn", "schedule-range", "operation %s at step %d outside [1, %d]", n.Name, st, d.Sched.Len)
 		}
 	}

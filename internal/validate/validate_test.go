@@ -59,7 +59,7 @@ func TestNilArtifacts(t *testing.T) {
 func TestDesignCorruptionsDetected(t *testing.T) {
 	t.Run("schedule-total", func(t *testing.T) {
 		d := freshDesign(t)
-		delete(d.Sched.Step, d.G.Nodes()[0].ID)
+		d.Sched.Step[d.G.Nodes()[0].ID] = 0
 		expectViolation(t, validate.Design(d), "etpn", "schedule-total")
 	})
 	t.Run("schedule-range", func(t *testing.T) {
