@@ -1,17 +1,21 @@
-// The hltsload differential test: a repeat-heavy generated workload
-// driven through a coordinator fronting two workers must answer
-// byte-identically to the same schedule driven at a single direct
-// worker — the serving topology must be invisible in the payload — and
-// the cluster must actually deduplicate the repeats: total pipeline
-// executions equal the schedule's unique keys, everything else served
-// by the workers' caches or coalesced onto in-flight twins.
+// The load differential test: the interactive-small schedule the repo
+// benchmark sends, driven through a coordinator fronting two workers,
+// must answer byte-identically to the same schedule driven at a single
+// direct worker — the serving topology must be invisible in the payload
+// — and the cluster must actually deduplicate the repeats: total
+// pipeline executions equal the schedule's unique keys, everything else
+// served by the workers' caches or coalesced onto in-flight twins.
 package cluster
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,18 +23,62 @@ import (
 	"repro/internal/server"
 )
 
-func TestLoadRepeatHeavyClusterDifferential(t *testing.T) {
+// driveSchedule sends every request with 8 in flight and returns the
+// answer per request key (path and body). Any answer that is not a
+// complete 200, or that differs from an earlier answer to the same key,
+// fails the test.
+func driveSchedule(t *testing.T, client *http.Client, base string, reqs []loadgen.Request) map[string][]byte {
+	t.Helper()
+	var (
+		mu     sync.Mutex
+		bodies = map[string][]byte{}
+		wg     sync.WaitGroup
+		slots  = make(chan struct{}, 8)
+	)
+	for _, r := range reqs {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func(r loadgen.Request) {
+			defer wg.Done()
+			defer func() { <-slots }()
+			resp, err := client.Post(base+r.Path, "application/json", bytes.NewReader(r.Body))
+			if err != nil {
+				t.Errorf("POST %s %s: %v", r.Path, r.Body, err)
+				return
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var probe struct{ Status string }
+			if err != nil || resp.StatusCode != http.StatusOK ||
+				json.Unmarshal(body, &probe) != nil || probe.Status != "complete" {
+				t.Errorf("POST %s %s: status %d, read error %v, body %.200s; want a complete 200",
+					r.Path, r.Body, resp.StatusCode, err, body)
+				return
+			}
+			key := r.Path + "\x00" + string(r.Body)
+			mu.Lock()
+			defer mu.Unlock()
+			if prev, ok := bodies[key]; ok && !bytes.Equal(prev, body) {
+				t.Errorf("repeat of %s answered differently within one run", r.Body)
+			}
+			bodies[key] = body
+		}(r)
+	}
+	wg.Wait()
+	return bodies
+}
+
+func TestLoadInteractiveClusterDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a coordinator and three workers; skipped in -short")
 	}
 
 	sched, err := loadgen.BuildSchedule(loadgen.ScheduleOptions{
-		Profile: loadgen.ProfileRepeat, Seed: 9, Rate: 400, Requests: 80,
+		Profile: loadgen.ProfileInteractive, Seed: 9, Rate: 400, Requests: 80,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unique := sched.UniqueKeys()
 
 	// Reference: the identical schedule against one direct worker.
 	direct := server.New(server.Config{Jobs: 2, Workers: 4, CacheSize: 64})
@@ -43,15 +91,11 @@ func TestLoadRepeatHeavyClusterDifferential(t *testing.T) {
 			t.Errorf("direct drain: %v", err)
 		}
 	}()
-	ref, err := loadgen.Run(context.Background(), sched, loadgen.Options{
-		BaseURL: dts.URL, Client: dts.Client(), Concurrency: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
+	ref := driveSchedule(t, dts.Client(), dts.URL, sched.Requests)
+	if t.Failed() {
+		t.FailNow()
 	}
-	if got := ref.Classes[loadgen.ClassOK]; got != len(sched.Requests) {
-		t.Fatalf("direct run: ok=%d of %d (classes %v)", got, len(sched.Requests), ref.Classes)
-	}
+	unique := len(ref)
 
 	// Cluster: coordinator + two registered workers. Liveness is made
 	// deliberately tolerant: a scheduler stall under full-suite load must
@@ -111,25 +155,17 @@ func TestLoadRepeatHeavyClusterDifferential(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	got, err := loadgen.Run(context.Background(), sched, loadgen.Options{
-		BaseURL: cts.URL, Client: cts.Client(), Concurrency: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := got.Classes[loadgen.ClassOK]; n != len(sched.Requests) {
-		t.Fatalf("cluster run: ok=%d of %d (classes %v)", n, len(sched.Requests), got.Classes)
-	}
-	if got.IdentityViolations != 0 {
-		t.Errorf("cluster run: %d identity violations within the run", got.IdentityViolations)
+	got := driveSchedule(t, cts.Client(), cts.URL, sched.Requests)
+	if t.Failed() {
+		t.FailNow()
 	}
 
 	// Byte-identity across topologies, key by key.
-	if len(got.Bodies) != len(ref.Bodies) {
-		t.Fatalf("key sets differ: cluster %d, direct %d", len(got.Bodies), len(ref.Bodies))
+	if len(got) != len(ref) {
+		t.Fatalf("key sets differ: cluster %d, direct %d", len(got), len(ref))
 	}
-	for key, want := range ref.Bodies {
-		body, ok := got.Bodies[key]
+	for key, want := range ref {
+		body, ok := got[key]
 		if !ok {
 			t.Fatalf("cluster run missing key %q", key)
 		}

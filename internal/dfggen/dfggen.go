@@ -1,6 +1,6 @@
 // Package dfggen generates seeded, deterministic random data-flow
 // graphs. It is the workload substrate behind property tests and the
-// hltsload traffic driver: every (Spec, width) pair reproduces a
+// load schedules of internal/loadgen: every (Spec, width) pair reproduces a
 // byte-identical dfg.Graph on every run and every platform, so
 // generated behaviours are usable wherever determinism is load-bearing
 // — fingerprint-keyed caching, request coalescing, and cluster

@@ -234,7 +234,8 @@ func TestLoopSignal(t *testing.T) {
 
 func TestSeedsDiffer(t *testing.T) {
 	// Distinct seeds should give distinct graphs essentially always;
-	// the adversarial-unique load profile depends on it.
+	// the benchmark's never-repeated requests (synth-unique, the
+	// cluster-mixed misses) depend on it.
 	seen := map[string]uint64{}
 	for seed := uint64(0); seed < 64; seed++ {
 		g, err := Generate(Spec{Seed: seed, Ops: 16}, 8)

@@ -1,29 +1,19 @@
-// Package loadgen builds and drives deterministic open-loop workloads
-// against the synthesis service. A Schedule is a pure function of
-// (profile, seed, rate, duration): request arrival times, endpoints and
-// bodies are fixed before the first byte goes on the wire, so two runs
-// with the same options issue the identical request stream — which is
-// what lets the differential tests compare a cluster answer stream
-// byte-for-byte against a single worker's, and lets CI re-drive a
-// recorded scenario.
+// Package loadgen builds the deterministic open-loop request schedules
+// the repo benchmark (bench/) sends to the synthesis service. A Schedule
+// is a pure function of (profile, seed, rate, requests): request arrival
+// times, endpoints and bodies are fixed before the first byte goes on
+// the wire, so two runs with the same options issue the identical
+// request stream — which is what lets a benchmark pair, or a
+// differential test, compare answer streams byte for byte.
 //
-// Workload bodies draw on the seeded benchmark generator
-// (internal/dfggen): each profile mixes "gen:" behaviours — plus the
-// built-in EWF for the heavy tier — shaped after a traffic class:
-//
-//	interactive-small   many small synthesize calls over a hot pool,
-//	                    skewed toward a few popular behaviours
-//	batch-deep          large deep graphs with request deadlines, plus
-//	                    EWF test-generation runs; exercises partials
-//	repeat-heavy        a tiny pool hammered uniformly; exercises
-//	                    coalescing and the result cache
-//	adversarial-unique  every request a never-seen-before behaviour;
-//	                    defeats every cache layer by construction
-//	mixed               60/25/10/5 blend of the above
+// Bodies draw on the seeded benchmark generator (internal/dfggen). The
+// one profile, interactive-small, issues small synthesize calls over a
+// hot 32-behaviour pool, skewed toward a few popular behaviours.
 package loadgen
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -31,66 +21,37 @@ import (
 	"repro/internal/server"
 )
 
-// Profile names.
-const (
-	ProfileInteractive = "interactive-small"
-	ProfileBatch       = "batch-deep"
-	ProfileRepeat      = "repeat-heavy"
-	ProfileAdversarial = "adversarial-unique"
-	ProfileMixed       = "mixed"
-)
-
-// Profiles lists the named mix profiles.
-func Profiles() []string {
-	return []string{ProfileInteractive, ProfileBatch, ProfileRepeat, ProfileAdversarial, ProfileMixed}
-}
+// ProfileInteractive names the interactive-small profile.
+const ProfileInteractive = "interactive-small"
 
 // Request is one scheduled call.
 type Request struct {
-	At      time.Duration // offset from run start (open-loop arrival)
-	Path    string        // endpoint, e.g. /v1/synthesize
-	Body    []byte        // JSON request body
-	Class   string        // originating profile (useful under mixed)
-	Repeat  bool          // true when the (Path, Body) key is drawn from a finite pool
-	HasLoop bool
+	At   time.Duration // offset from run start (open-loop arrival)
+	Path string        // endpoint, e.g. /v1/synthesize
+	Body []byte        // JSON request body
 }
-
-// Key identifies the request for identity checking: equal keys must
-// produce byte-identical complete responses.
-func (r Request) Key() string { return r.Path + "\x00" + string(r.Body) }
 
 // ScheduleOptions parameterizes BuildSchedule.
 type ScheduleOptions struct {
 	Profile string
 	Seed    uint64
-	// Rate is the mean arrival rate in requests/second. Arrival gaps are
-	// uniformly jittered in [base/2, 3*base/2) around the base interval
-	// using integer arithmetic only, so the schedule is identical across
+	// Rate is the mean arrival rate in requests/second, in (0, 1e9]: the
+	// base interval must be at least 1 ns. Arrival gaps are uniformly
+	// jittered in [base/2, 3*base/2) around the base interval using
+	// integer arithmetic only, so the schedule is identical across
 	// platforms.
 	Rate float64
-	// Duration bounds the arrival window. Ignored when Requests is set.
-	Duration time.Duration
-	// Requests, when positive, emits exactly this many requests instead
-	// of filling Duration — the deterministic-count mode the
-	// differential tests use.
+	// Requests is the number of requests to emit; it must be positive.
 	Requests int
 }
 
 // Schedule is a fully materialized request stream.
 type Schedule struct {
-	Profile  string
-	Seed     uint64
 	Requests []Request
 }
 
-// UniqueKeys counts distinct request keys in the schedule.
-func (s *Schedule) UniqueKeys() int {
-	seen := map[string]bool{}
-	for _, r := range s.Requests {
-		seen[r.Key()] = true
-	}
-	return len(seen)
-}
+// errBadOptions wraps every ScheduleOptions rejection.
+var errBadOptions = errors.New("loadgen: bad schedule options")
 
 // rng is the same splitmix64 stream the benchmark generator uses; a
 // private copy keeps the package self-contained.
@@ -111,8 +72,8 @@ func (r *rng) intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
-// mix folds a label into a seed so each profile's spec pool is
-// decorrelated from the arrival stream and from other profiles.
+// mix folds a label into a seed so the spec pool is decorrelated from the
+// arrival stream.
 func mix(seed uint64, label uint64) uint64 {
 	r := rng{state: seed ^ (label * 0x9e3779b97f4a7c15)}
 	return r.next()
@@ -122,95 +83,40 @@ func mix(seed uint64, label uint64) uint64 {
 // result depends only on the options — never on the clock, the host or
 // map order.
 func BuildSchedule(o ScheduleOptions) (*Schedule, error) {
-	gen, err := profileGen(o.Profile, o.Seed)
-	if err != nil {
-		return nil, err
+	if o.Profile != ProfileInteractive {
+		return nil, fmt.Errorf("%w: unknown profile %q (want %q)", errBadOptions, o.Profile, ProfileInteractive)
 	}
-	if o.Requests <= 0 && (o.Rate <= 0 || o.Duration <= 0) {
-		return nil, fmt.Errorf("loadgen: need Requests > 0 or both Rate > 0 and Duration > 0")
+	// The negated comparisons also reject NaN. A rate of +Inf or above 1e9
+	// would truncate the base interval to 0, the divisor of the jitter.
+	interval := float64(time.Second) / o.Rate
+	if !(o.Rate > 0 && interval >= 1) {
+		return nil, fmt.Errorf("%w: rate %v req/s outside (0, 1e9]", errBadOptions, o.Rate)
 	}
-	base := uint64(float64(time.Second) / o.Rate)
-	if o.Rate <= 0 {
-		base = uint64(50 * time.Millisecond)
+	if o.Requests <= 0 {
+		return nil, fmt.Errorf("%w: requests %d, want > 0", errBadOptions, o.Requests)
 	}
+	base := uint64(interval)
+	gen := interactiveGen(o.Seed)
 	arrivals := rng{state: mix(o.Seed, 0xA881)}
-	sched := &Schedule{Profile: o.Profile, Seed: o.Seed}
+	sched := &Schedule{Requests: make([]Request, o.Requests)}
 	var at time.Duration
-	for i := 0; ; i++ {
-		if o.Requests > 0 {
-			if i >= o.Requests {
-				break
-			}
-		} else if at >= o.Duration {
-			break
-		}
-		req := gen(i)
-		req.At = at
-		sched.Requests = append(sched.Requests, req)
-		// Uniform jitter in [base/2, 3*base/2): integer-only, so the
-		// stream never drifts across platforms the way float math can.
+	for i := range sched.Requests {
+		sched.Requests[i] = gen()
+		sched.Requests[i].At = at
 		at += time.Duration(base/2 + arrivals.next()%base)
 	}
 	return sched, nil
 }
 
-// profileGen returns the request constructor for a profile. The
-// constructor is a pure function of (profile, seed, index).
-func profileGen(profile string, seed uint64) (func(i int) Request, error) {
-	switch profile {
-	case ProfileInteractive:
-		return interactiveGen(seed), nil
-	case ProfileBatch:
-		return batchGen(seed), nil
-	case ProfileRepeat:
-		return repeatGen(seed), nil
-	case ProfileAdversarial:
-		return adversarialGen(seed), nil
-	case ProfileMixed:
-		inter := interactiveGen(seed)
-		batch := batchGen(seed)
-		repeat := repeatGen(seed)
-		adv := adversarialGen(seed)
-		pick := rng{state: mix(seed, 0x317D)}
-		return func(i int) Request {
-			// 60% interactive, 25% repeat, 10% batch, 5% adversarial.
-			switch d := pick.intn(20); {
-			case d < 12:
-				return inter(i)
-			case d < 17:
-				return repeat(i)
-			case d < 19:
-				return batch(i)
-			default:
-				return adv(i)
-			}
-		}, nil
-	default:
-		return nil, fmt.Errorf("loadgen: unknown profile %q (want one of %v)", profile, Profiles())
-	}
-}
-
-// synthReq marshals a synthesize call. server request structs marshal
-// with fixed field order, so bodies are canonical.
-func synthReq(spec dfggen.Spec, width, deadlineMS int, class string, repeat bool) Request {
-	body, err := json.Marshal(server.SynthesizeRequest{
-		Bench: spec.Name(), Width: width, DeadlineMS: deadlineMS,
-	})
-	if err != nil {
-		panic(err) // static struct, cannot fail
-	}
-	return Request{Path: "/v1/synthesize", Body: body, Class: class, Repeat: repeat, HasLoop: spec.Loop}
-}
-
 // interactiveGen: small graphs over a 32-spec pool with a popularity
 // skew (the min of two uniform draws lands on the hot head ~2x as
 // often as the tail).
-func interactiveGen(seed uint64) func(i int) Request {
+func interactiveGen(seed uint64) func() Request {
 	r := rng{state: mix(seed, 0x1A7)}
 	const pool = 32
 	mixes := []string{"arith", "cmp", "mixed"}
 	shapes := []string{"mesh", "wide"}
-	return func(int) Request {
+	return func() Request {
 		p := r.intn(pool)
 		if q := r.intn(pool); q < p {
 			p = q
@@ -225,70 +131,12 @@ func interactiveGen(seed uint64) func(i int) Request {
 		if p%2 == 1 {
 			width = 8
 		}
-		return synthReq(spec, width, 0, ProfileInteractive, true)
-	}
-}
-
-// batchGen: deep 32-op graphs at width 8 under a request deadline
-// (exercising the partial-result path), interleaved with EWF
-// test-generation runs — the heavy tier of the mix.
-func batchGen(seed uint64) func(i int) Request {
-	r := rng{state: mix(seed, 0xBA7C)}
-	shapes := []string{"deep", "diamond"}
-	return func(int) Request {
-		p := r.intn(16)
-		if p%4 == 0 {
-			body, err := json.Marshal(server.TestDesignRequest{
-				SynthesizeRequest: server.SynthesizeRequest{Bench: "ewf", Width: 4, DeadlineMS: 4000},
-				Faults:            60,
-			})
-			if err != nil {
-				panic(err)
-			}
-			return Request{Path: "/v1/testdesign", Body: body, Class: ProfileBatch, Repeat: true}
+		// server request structs marshal with fixed field order, so bodies
+		// are canonical.
+		body, err := json.Marshal(server.SynthesizeRequest{Bench: spec.Name(), Width: width})
+		if err != nil {
+			panic(err) // static struct, cannot fail
 		}
-		spec := dfggen.Spec{
-			Seed:  mix(seed, 0xBA7C0) + uint64(p),
-			Ops:   32,
-			Mix:   "diffeq",
-			Shape: shapes[p%len(shapes)],
-		}
-		return synthReq(spec, 8, 4000, ProfileBatch, true)
-	}
-}
-
-// repeatGen: an 8-spec pool hit uniformly — after the first pass,
-// every request should be answered by the cache or coalesced onto an
-// in-flight twin.
-func repeatGen(seed uint64) func(i int) Request {
-	r := rng{state: mix(seed, 0x4E9)}
-	const pool = 8
-	return func(int) Request {
-		p := r.intn(pool)
-		spec := dfggen.Spec{
-			Seed: mix(seed, 0x4E90) + uint64(p),
-			Ops:  8 + p%5,
-			Mix:  "arith",
-		}
-		return synthReq(spec, 4, 0, ProfileRepeat, true)
-	}
-}
-
-// adversarialGen: every request is a never-before-seen behaviour, so
-// no cache layer can help; this is the worst-case admission workload.
-func adversarialGen(seed uint64) func(i int) Request {
-	r := rng{state: mix(seed, 0xADE5)}
-	mixes := dfggen.Mixes()
-	shapes := dfggen.Shapes()
-	return func(i int) Request {
-		spec := dfggen.Spec{
-			Seed:   mix(seed, 0xADE50) + uint64(i),
-			Ops:    12 + r.intn(8),
-			Mix:    mixes[r.intn(len(mixes))],
-			Shape:  shapes[r.intn(len(shapes))],
-			Fanout: 1 + r.intn(4),
-			Loop:   i%5 == 0,
-		}
-		return synthReq(spec, 4, 0, ProfileAdversarial, false)
+		return Request{Path: "/v1/synthesize", Body: body}
 	}
 }

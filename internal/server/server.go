@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -235,16 +236,13 @@ func (s *Server) guarded(kind string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// decode parses a JSON request body strictly; unknown fields are client
-// errors (they are always typos — every knob has a default). The body is
+// decode parses a JSON request body with decodeStrict. The body is
 // hard-capped with http.MaxBytesReader first, so a malicious or buggy
 // client cannot stream an unbounded body into the decoder; over-limit
 // bodies answer 413.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, kind string, start time.Time, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(r.Body, v); err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -254,6 +252,14 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, kind string, sta
 		return false
 	}
 	return true
+}
+
+// decodeStrict parses one JSON value; unknown fields are client errors
+// (they are always typos — every knob has a default).
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // serveJob is the shared admission + wait path of the three job

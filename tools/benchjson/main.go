@@ -3,17 +3,12 @@
 // (ns/op, custom b.ReportMetric units) keyed by unit. CI uses it to
 // publish BENCH_synth.json from the BenchmarkSynthesize run so the
 // cache-on/cache-off timing ratio is machine-readable across commits.
-//
-// It also ingests hltsload run summaries: -load takes a comma-separated
-// list of summary JSON files (hltsload -out) and emits one record per
-// run under the name "Load/<profile>", with throughput, exact latency
-// quantiles, hit rate and outcome class counts as metrics. CI uses this
-// to publish BENCH_load.json from the load-smoke step.
+// End-to-end service measurements come from the repo benchmark instead
+// (bench/README.md).
 //
 // Usage:
 //
 //	go test -bench '^BenchmarkSynthesize$' . | go run ./tools/benchjson -out BENCH_synth.json
-//	go run ./tools/benchjson -load load_mixed.json,load_repeat.json -out BENCH_load.json
 package main
 
 import (
@@ -25,8 +20,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-
-	"repro/internal/loadgen"
 )
 
 // Result is one benchmark line.
@@ -65,85 +58,23 @@ func parseBench(r io.Reader) ([]Result, error) {
 	return results, sc.Err()
 }
 
-// loadResult converts one hltsload summary into a benchmark-shaped
-// record so load and synthesis timings share the same JSON schema.
-// Outcome class counts appear as "<class> count" metrics (e.g. "ok
-// count"), so a zero 429 column is distinguishable from a missing one.
-func loadResult(sum *loadgen.Summary) Result {
-	res := Result{
-		Name:       "Load/" + sum.Profile,
-		Iterations: int64(sum.Requests),
-		Metrics: map[string]float64{
-			"req/s":               sum.Throughput,
-			"p50_ms":              sum.Latency.P50,
-			"p90_ms":              sum.Latency.P90,
-			"p99_ms":              sum.Latency.P99,
-			"max_lag_ms":          sum.MaxLagMS,
-			"identity_violations": float64(sum.IdentityViolations),
-		},
-	}
-	if sum.Scraped {
-		res.Metrics["hit_rate"] = sum.HitRate
-		res.Metrics["jobs_run"] = sum.JobsRun
-	}
-	for class, n := range sum.Classes {
-		res.Metrics[class+" count"] = float64(n)
-	}
-	return res
-}
-
-func loadSummaries(paths string) ([]Result, error) {
-	var results []Result
-	for _, path := range strings.Split(paths, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var sum loadgen.Summary
-		if err := json.Unmarshal(data, &sum); err != nil {
-			return nil, fmt.Errorf("benchjson: %s: %w", path, err)
-		}
-		if sum.Profile == "" {
-			return nil, fmt.Errorf("benchjson: %s: not an hltsload summary (no profile)", path)
-		}
-		results = append(results, loadResult(&sum))
-	}
-	return results, nil
-}
-
 func main() {
-	in := flag.String("in", "", "benchmark output file (default: stdin; unused with -load unless set)")
-	load := flag.String("load", "", "comma-separated hltsload summary JSON files to ingest instead of bench output")
+	in := flag.String("in", "", "benchmark output file (default: stdin)")
 	out := flag.String("out", "", "JSON output file (default: stdout)")
 	flag.Parse()
 
-	var results []Result
-	if *load == "" || *in != "" {
-		var src io.Reader = os.Stdin
-		if *in != "" {
-			f, err := os.Open(*in)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			src = f
-		}
-		var err error
-		results, err = parseBench(src)
+	var src io.Reader = os.Stdin
+	if *in != "" {
+		f, err := os.Open(*in)
 		if err != nil {
 			fatal(err)
 		}
+		defer f.Close()
+		src = f
 	}
-	if *load != "" {
-		fromLoad, err := loadSummaries(*load)
-		if err != nil {
-			fatal(err)
-		}
-		results = append(results, fromLoad...)
+	results, err := parseBench(src)
+	if err != nil {
+		fatal(err)
 	}
 	if len(results) == 0 {
 		fatal(fmt.Errorf("no benchmark result lines in input"))

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/loadgen"
 )
 
 func TestParseBench(t *testing.T) {
@@ -62,75 +58,6 @@ PASS
 	bist := results[1]
 	if bist.Metrics["passes/session"] != 1.562 || bist.Metrics["allocs/op"] != 92 {
 		t.Errorf("bist metrics: %v", bist.Metrics)
-	}
-}
-
-// TestLoadSummaries round-trips an hltsload summary file into the
-// benchmark record schema CI publishes as BENCH_load.json.
-func TestLoadSummaries(t *testing.T) {
-	sum := `{
-  "profile": "repeat-heavy",
-  "seed": 7,
-  "requests": 200,
-  "sent": 200,
-  "duration_s": 8.0,
-  "throughput_rps": 25.0,
-  "classes": {"ok": 198, "partial": 2},
-  "identity_violations": 0,
-  "latency": {"p50_ms": 3.5, "p90_ms": 9.0, "p99_ms": 40.25, "max_ms": 55, "mean_ms": 6.1},
-  "max_lag_ms": 1.5,
-  "scraped": true,
-  "hit_rate": 0.96,
-  "jobs_run": 8,
-  "cache_hits": 192,
-  "admitted": 200
-}`
-	path := filepath.Join(t.TempDir(), "load_repeat.json")
-	if err := os.WriteFile(path, []byte(sum), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	results, err := loadSummaries(path + ", ") // trailing empty entry is skipped
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 {
-		t.Fatalf("%d results, want 1", len(results))
-	}
-	r := results[0]
-	if r.Name != "Load/repeat-heavy" || r.Iterations != 200 {
-		t.Errorf("record header: %+v", r)
-	}
-	for metric, want := range map[string]float64{
-		"req/s":               25.0,
-		"p50_ms":              3.5,
-		"p99_ms":              40.25,
-		"hit_rate":            0.96,
-		"jobs_run":            8,
-		"ok count":            198,
-		"partial count":       2,
-		"identity_violations": 0,
-	} {
-		if got, ok := r.Metrics[metric]; !ok || got != want {
-			t.Errorf("metric %q = %v (present %v), want %v", metric, got, ok, want)
-		}
-	}
-	if _, ok := r.Metrics["429 count"]; ok {
-		t.Error("absent class gained a count metric")
-	}
-
-	// A summary that never scraped /metrics must not report a hit rate.
-	unscraped := &loadgen.Summary{Profile: "adversarial-unique", Requests: 10, Classes: map[string]int{"ok": 10}}
-	if _, ok := loadResult(unscraped).Metrics["hit_rate"]; ok {
-		t.Error("unscraped summary reported hit_rate")
-	}
-
-	if _, err := loadSummaries(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	os.WriteFile(bad, []byte(`{"sent": 3}`), 0o644)
-	if _, err := loadSummaries(bad); err == nil {
-		t.Error("summary without profile accepted")
 	}
 }
 
