@@ -1,9 +1,9 @@
 package hlts
 
 // Equivalence suite for the memoized cost-evaluation engine: with the
-// fingerprint cache and the ΔC lower-bound pruning enabled (the default),
-// every synthesis flow must produce results bit-identical to a run with
-// both disabled, on every benchmark and width, with the tie-policy
+// fingerprint cache enabled (the default), every synthesis flow must
+// produce results bit-identical to a run with it disabled, on every
+// benchmark and width, with the tie-policy
 // exploration fanned out over several workers. `go test -race` runs this
 // suite with real goroutine interleavings, so it doubles as the race
 // stress test for the cache shared across tie-policy goroutines.
@@ -46,9 +46,9 @@ func TestCacheEquivalence(t *testing.T) {
 					if bench == dfg.BenchDiffeq {
 						par.LoopSignal = "exit"
 					}
-					run := func(noCache, noPrune bool) (string, *stats.Stats) {
+					run := func(noCache bool) (string, *stats.Stats) {
 						p := par
-						p.NoCache, p.NoPrune = noCache, noPrune
+						p.NoCache = noCache
 						p.Stats = stats.New()
 						r, err := core.RunCtx(context.Background(), method, g, p)
 						if err != nil {
@@ -56,10 +56,10 @@ func TestCacheEquivalence(t *testing.T) {
 						}
 						return cacheEquivFingerprint(g, r), p.Stats
 					}
-					want, _ := run(true, true)
-					got, st := run(false, false)
+					want, _ := run(true)
+					got, st := run(false)
 					if got != want {
-						t.Errorf("cached+pruned run diverges from uncached:\n--- cached ---\n%s\n--- uncached ---\n%s", got, want)
+						t.Errorf("cached run diverges from uncached:\n--- cached ---\n%s\n--- uncached ---\n%s", got, want)
 					}
 					// The merger flows must actually exercise the cache, or
 					// the equivalence above is vacuous.

@@ -50,7 +50,6 @@ func main() {
 		markdown = flag.Bool("markdown", false, "emit tables as markdown")
 		statsFlg = flag.Bool("stats", false, "print synthesis cache/stage statistics after the run")
 		timeout  = flag.Duration("timeout", 0, "overall budget; when it expires, in-flight cells finish with their best-so-far figures, marked *partial in the table (0 = no limit)")
-		storeFl  = flag.String("store", "", "checkpoint store directory: completed cells are recorded there and skipped when the same sweep is rerun (a killed run resumes where it stopped); shares the crash-safe format of hltsd -store")
 		valFlg   = flag.Bool("validate", false, "run the structural invariant checkers on every cell's design and netlist")
 		chaosFl  = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
 
@@ -101,17 +100,6 @@ func main() {
 		ws = append(ws, w)
 	}
 	cfg.Widths = ws
-	if ckptPath := *storeFl; ckptPath != "" {
-		j, err := report.OpenJournal(ckptPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer j.Close()
-		if j.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "hltsbench: resuming from %s (%d cells already done)\n", ckptPath, j.Len())
-		}
-		cfg.Journal = j
-	}
 	baseATPG := cfg.ATPGFor
 	cfg.ATPGFor = func(width int) atpg.Config {
 		c := baseATPG(width)

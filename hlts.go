@@ -71,10 +71,6 @@ type (
 	Status = exec.Status
 	// ExecError is a worker panic recovered at a library boundary.
 	ExecError = exec.ExecError
-	// Checkpoint is the journal behind resumable experiment sweeps: every
-	// completed table cell is recorded in a crash-safe store directory, and
-	// a config carrying the journal skips cells already recorded.
-	Checkpoint = report.Journal
 	// ValidationError is a violated structural invariant reported by the
 	// stage-boundary checkers (Params.Validate / ExperimentConfig.Validate):
 	// which stage produced the artifact, which invariant failed, and the
@@ -268,17 +264,12 @@ func DefaultExperimentConfig(seed int64) ExperimentConfig { return report.Defaul
 // at all configured widths) for a benchmark: Table 1 is BenchEx, Table 2
 // BenchDct, Table 3 BenchDiffeq. Cells cut short by the deadline carry
 // their best-so-far figures and a partial marker in the rendered table.
+// Every call computes every cell; to reuse tables, serve them from
+// hltsd's GET /v1/table, which caches each under a fingerprint of its
+// benchmark, widths, seed and fault sample.
 func ReproduceTableCtx(ctx context.Context, bench string, cfg ExperimentConfig) (*Table, error) {
 	return report.RunTableCtx(ctx, bench, cfg)
 }
-
-// OpenCheckpoint opens (creating if needed) a sweep checkpoint store at
-// path — a directory backed by the crash-safe content-addressed store of
-// internal/store; a path naming a regular file is rejected. Assign it to
-// ExperimentConfig.Journal to make a table run resumable: completed cells
-// are recorded as they finish and skipped on the next run. See
-// cmd/hltsbench's -store flag.
-func OpenCheckpoint(path string) (*Checkpoint, error) { return report.OpenJournal(path) }
 
 // ValidateDesign runs the structural invariant checkers on a synthesized
 // design: arc discipline of the data path, schedule range, allocation

@@ -353,12 +353,3 @@ func TestLeftEdgeRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSequentialDistance(t *testing.T) {
-	if d := SequentialDistance(Interval{0, 2}, Interval{4, 6}); d != 2 {
-		t.Errorf("distance = %d, want 2", d)
-	}
-	if d := SequentialDistance(Interval{4, 6}, Interval{0, 2}); d >= 0 {
-		t.Errorf("reverse distance = %d, want negative", d)
-	}
-}

@@ -75,11 +75,6 @@ func Lifetimes(g *dfg.Graph, s sched.Schedule) map[dfg.ValueID]Interval {
 	return out
 }
 
-// SequentialDistance returns how many control steps separate the death of
-// a and the birth of b; negative values mean the lifetimes overlap or abut
-// in the other order. It is used by the lifetime-serialization transforms.
-func SequentialDistance(a, b Interval) int { return b.Birth - a.Death }
-
 // VerifyDisjoint checks that every pair of values sharing a register has
 // disjoint lifetimes.
 func VerifyDisjoint(g *dfg.Graph, life map[dfg.ValueID]Interval, regOf map[dfg.ValueID]int) error {

@@ -118,12 +118,11 @@ const (
 	SitePetriReach = "petri.reach"
 	// SiteStoreWrite, SiteStoreSync, SiteStoreTorn and SiteStoreCorrupt
 	// fire inside the content-addressed result store's Put (internal/store
-	// — the durability layer behind both the daemon's persistent cache and
-	// the checkpoint journal): a failed append, a failed fsync (the bytes
-	// land but durability is not confirmed, so the record is never
-	// acknowledged), a torn write (a prefix of the record on disk — a kill
-	// mid-write), and bit rot (the full record lands with a flipped byte,
-	// detectable only by checksum).
+	// — the durability layer behind the daemon's persistent cache): a
+	// failed append, a failed fsync (the bytes land but durability is not
+	// confirmed, so the record is never acknowledged), a torn write (a
+	// prefix of the record on disk — a kill mid-write), and bit rot (the
+	// full record lands with a flipped byte, detectable only by checksum).
 	SiteStoreWrite   = "store.write"
 	SiteStoreSync    = "store.sync"
 	SiteStoreTorn    = "store.torn"
@@ -397,7 +396,7 @@ func Fire(site string) (error, bool) {
 
 // Parse builds an injector from a CLI spec — the hidden -chaos test hook:
 //
-//	seed=7;parallel.produce=panic:0.3;report.journal.sync=error
+//	seed=7;parallel.produce=panic:0.3;store.sync=error
 //
 // Entries are ';'-separated. "seed=N" sets the seed (default 1); every
 // other entry is site=action[:prob], with prob in (0,1] defaulting to 1.

@@ -186,9 +186,14 @@ func TestParse(t *testing.T) {
 	if r := in.sites[SiteATPGBudget].rule; r.Action != ActStall {
 		t.Fatalf("budget rule = %+v", r)
 	}
+	// The example in Parse's doc comment must parse.
+	if _, err := Parse("seed=7;parallel.produce=panic:0.3;store.sync=error"); err != nil {
+		t.Errorf("doc example rejected: %v", err)
+	}
 	for _, bad := range []string{
 		"nonsense",
 		"bogus.site=error",
+		"report.journal.sync=error", // a deleted site
 		"parallel.job=explode",
 		"parallel.job=error:1.5",
 		"parallel.job=error:0",

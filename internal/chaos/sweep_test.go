@@ -12,12 +12,10 @@
 //   - stall-only injection never changes any result,
 //   - the result store never loses an acknowledged record and never
 //     trusts a corrupt one under injected write/sync/torn/corrupt
-//     faults, and
-//   - the checkpoint journal (an adapter over the store) resumes
-//     byte-identically after torn writes.
+//     faults.
 //
 // It lives in an external test package so it can drive the real
-// parallel/atpg/petri/report code paths without an import cycle.
+// parallel/atpg/petri/server code paths without an import cycle.
 package chaos_test
 
 import (
@@ -27,7 +25,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -38,12 +35,10 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/dfg"
 	"repro/internal/exec"
 	"repro/internal/gates"
 	"repro/internal/parallel"
 	"repro/internal/petri"
-	"repro/internal/report"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -466,68 +461,6 @@ func TestChaosStoreFaults(t *testing.T) {
 	}
 }
 
-// TestChaosJournalFaults drives the checkpoint journal — now an adapter
-// over the store — through the same fault sites and proves it heals:
-// reopening skips damage, un-recorded cells record cleanly afterwards,
-// and no cell is ever lost once Record returned nil.
-func TestChaosJournalFaults(t *testing.T) {
-	methods := []string{"camad", "approach1", "approach2", "ours"}
-	mkCell := func(m string, w int) report.Cell {
-		return report.Cell{Method: m, Width: w, Coverage: 0.5, Gates: w * 10}
-	}
-	for _, site := range storeSites {
-		for _, seed := range sweepSeeds {
-			name := fmt.Sprintf("%s/seed%d", site, seed)
-			path := filepath.Join(t.TempDir(), "sweep.ckpt")
-			j, err := report.OpenJournal(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			in := chaos.New(seed).On(site, storeRule(site))
-			restore := chaos.Install(in)
-			type cell struct {
-				m string
-				w int
-			}
-			var recorded []cell
-			for _, m := range methods {
-				for _, w := range []int{4, 8} {
-					err := j.Record("bench", mkCell(m, w))
-					assertTyped(t, name, err)
-					if err == nil {
-						recorded = append(recorded, cell{m, w})
-					}
-				}
-			}
-			restore()
-			j.Close()
-
-			// Reopen: everything Record acknowledged must be there; damage
-			// is healed. Then the failed cells re-record cleanly.
-			j2, err := report.OpenJournal(path)
-			if err != nil {
-				t.Fatalf("%s: reopen after faults: %v", name, err)
-			}
-			for _, c := range recorded {
-				if _, ok := j2.Lookup("bench", c.m, c.w); !ok {
-					t.Errorf("%s: acknowledged cell %s/%d lost across reopen", name, c.m, c.w)
-				}
-			}
-			for _, m := range methods {
-				for _, w := range []int{4, 8} {
-					if err := j2.Record("bench", mkCell(m, w)); err != nil {
-						t.Errorf("%s: clean re-record of %s/%d failed: %v", name, m, w, err)
-					}
-				}
-			}
-			if j2.Len() != len(methods)*2 {
-				t.Errorf("%s: journal holds %d cells, want %d", name, j2.Len(), len(methods)*2)
-			}
-			j2.Close()
-		}
-	}
-}
-
 // TestChaosStoreNeverFailsServing: a daemon whose persistent store is
 // being fault-injected must keep answering 200 — the store is an
 // accelerator, never a dependency — and still drain cleanly without
@@ -633,79 +566,4 @@ func TestChaosSweepServer(t *testing.T) {
 			}
 		}
 	}
-}
-
-// checkpointConfig mirrors the fast table configuration of the report
-// package's resume tests.
-func checkpointConfig(workers, par int) report.Config {
-	cfg := report.DefaultConfig(21)
-	cfg.Widths = []int{4}
-	cfg.ATPGFor = func(width int) atpg.Config {
-		c := atpg.DefaultConfig(21 + int64(width))
-		c.SampleFaults = 120
-		c.RandomBatches = 1
-		c.Restarts = 1
-		return c
-	}
-	cfg.Workers = workers
-	cfg.Parallel = par
-	return cfg
-}
-
-// TestChaosJournalResumeByteIdentical is the acceptance criterion: a
-// sweep whose store writes are being torn by injection behaves like a
-// killed run — and resuming from that checkpoint, faults gone, renders
-// the table byte-identically to an uninterrupted run.
-func TestChaosJournalResumeByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("table runs are too slow for -short")
-	}
-	const bench = dfg.BenchEx
-	ref, err := report.RunTableCtx(context.Background(), bench, checkpointConfig(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refText, refMd := ref.Render(), ref.Markdown()
-
-	for _, seed := range []int64{3, 11} {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "chaos.ckpt")
-		j, err := report.OpenJournal(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := checkpointConfig(1, 1)
-		cfg.Journal = j
-		in := chaos.New(seed).On(chaos.SiteStoreTorn, chaos.Rule{Action: chaos.ActTorn, Prob: 0.5})
-		restore := chaos.Install(in)
-		_, runErr := report.RunTableCtx(context.Background(), bench, cfg)
-		fired := in.Fired(chaos.SiteStoreTorn)
-		restore()
-		j.Close()
-		assertTyped(t, fmt.Sprintf("seed%d", seed), runErr)
-		if fired == 0 {
-			t.Fatalf("seed %d: torn-write injection never fired", seed)
-		}
-
-		// "Reboot": reopen the journal (healing any torn tail) and rerun
-		// without faults.
-		j2, err := report.OpenJournal(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg2 := checkpointConfig(1, 1)
-		cfg2.Journal = j2
-		tbl, err := report.RunTableCtx(context.Background(), bench, cfg2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j2.Close()
-		if got := tbl.Render(); got != refText {
-			t.Errorf("seed %d: resumed table differs from uninterrupted run:\n--- got ---\n%s\n--- want ---\n%s", seed, got, refText)
-		}
-		if got := tbl.Markdown(); got != refMd {
-			t.Errorf("seed %d: resumed markdown differs from uninterrupted run", seed)
-		}
-	}
-	_ = os.Remove
 }

@@ -111,16 +111,14 @@ type Params struct {
 	// CAMAD table rows (R: a, R: b, ...).
 	ModulesOnly bool
 	// Stats, when non-nil, collects per-stage counters and timers
-	// (candidate evaluations, cache hits/misses, prunes, time spent in
+	// (candidate evaluations, cache hits/misses, time spent in
 	// scheduling/floorplanning/testability/reachability). Purely
 	// observational: it never influences results.
 	Stats *stats.Stats
-	// NoCache disables the fingerprint-keyed evaluation cache and NoPrune
-	// disables the ΔC lower-bound pruning of candidates. Both exist for
-	// the cache-equivalence tests and benchmarks; results are identical
-	// either way.
+	// NoCache disables the fingerprint-keyed evaluation cache. It exists
+	// for the cache-equivalence tests and benchmarks; results are
+	// identical either way.
 	NoCache bool
-	NoPrune bool
 	// Validate runs the structural invariant checkers of internal/validate
 	// at the stage boundaries: on the behaviour graph and initial design
 	// before the merger loop, and on the finished design of every flow. A
@@ -194,12 +192,6 @@ type state struct {
 	// current (schedule, allocation) pair, valid after build.
 	cache *evalCache
 	fp    fp
-	// e0 is the execution time of the initial ASAP state. Every schedule
-	// the merger can reach is at least as long as the ASAP schedule, and
-	// the control critical path grows with schedule length, so e0 is a
-	// certified floor on any successor's execution time — the ΔE half of
-	// the candidate-pruning bound.
-	e0 int
 }
 
 // build refreshes lifetimes, the ETPN design, execution time and area from
@@ -305,7 +297,6 @@ func initialState(g *dfg.Graph, par Params, cache *evalCache) (*state, error) {
 	if err := st.build(); err != nil {
 		return nil, err
 	}
-	st.e0 = st.execT
 	return st, nil
 }
 
@@ -619,20 +610,6 @@ func synthesizeOnce(ctx context.Context, g *dfg.Graph, par Params, tp tiePolicy,
 				block := slice(list, lo, k)
 				bestDC, bestScore := 0.0, 0.0
 				for _, c := range block {
-					// A candidate whose certified ΔC lower bound lies above
-					// the incumbent's tolerance band cannot be taken by any
-					// branch of the selection below, so the whole
-					// reschedule-and-rebuild evaluation is skipped. The
-					// bound needs both weights non-negative to be a lower
-					// bound on ΔC.
-					if best != nil && !par.NoPrune && par.Alpha >= 0 && par.Beta >= 0 {
-						lb := par.Alpha*float64(st.e0-st.execT) + par.Beta*st.deltaHLowerBound(c)
-						margin := 1e-6 * (absf(bestDC) + absf(lb) + 1)
-						if lb-margin > bestDC+tolFor(tp, bestDC) {
-							par.Stats.Add("core.prunes", 1)
-							continue
-						}
-					}
 					par.Stats.Add("core.evaluations", 1)
 					ns, dE, dH, err := st.applyCandidate(c, m)
 					if err != nil {
@@ -714,23 +691,6 @@ func tolFor(tp tiePolicy, bestDC float64) float64 {
 		return 0
 	}
 	return 0.02 * (absf(bestDC) + 1)
-}
-
-// deltaHLowerBound returns a certified lower bound on the ΔH of merging
-// candidate c, computable without floorplanning: the library area of the
-// post-merge design drops by exactly one module (of the pair's class) or
-// one register, and the floorplan total is the library sum plus the
-// non-negative mux and wire terms, so
-//
-//	ΔH = newTotal − oldTotal ≥ newLibArea − oldTotal.
-func (st *state) deltaHLowerBound(c candidate) float64 {
-	modA, regA := st.area.ModuleArea, st.area.RegArea
-	if c.isModule {
-		modA -= st.par.lib().ModuleArea(st.a.Modules[c.i].Class, st.par.Width)
-	} else {
-		regA -= st.par.lib().RegisterArea(st.par.Width)
-	}
-	return modA + regA - st.area.Total
 }
 
 func (st *state) finish(method string, trace []string) (*Result, error) {

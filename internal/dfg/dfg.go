@@ -73,16 +73,6 @@ func (k OpKind) Arity() int {
 	}
 }
 
-// Commutative reports whether swapping the two operands preserves semantics.
-func (k OpKind) Commutative() bool {
-	switch k {
-	case OpAdd, OpMul, OpEq, OpAnd, OpOr, OpXor:
-		return true
-	default:
-		return false
-	}
-}
-
 // NodeID identifies an operation node within a Graph.
 type NodeID int
 

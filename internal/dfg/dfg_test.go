@@ -29,15 +29,6 @@ func TestOpKindArity(t *testing.T) {
 	}
 }
 
-func TestCommutative(t *testing.T) {
-	if !OpAdd.Commutative() || !OpMul.Commutative() {
-		t.Error("add/mul must be commutative")
-	}
-	if OpSub.Commutative() || OpLt.Commutative() {
-		t.Error("sub/lt must not be commutative")
-	}
-}
-
 func TestAllBenchmarksValidate(t *testing.T) {
 	for _, name := range BenchmarkNames() {
 		g, err := ByName(name, 8)

@@ -250,9 +250,6 @@ func (d *Design) ModNode(mod int) int { return d.modNode[mod] }
 // InNode returns the port node of an input value.
 func (d *Design) InNode(v dfg.ValueID) (int, bool) { n, ok := d.inNode[v]; return n, ok }
 
-// OutNode returns the port node of an output value.
-func (d *Design) OutNode(v dfg.ValueID) (int, bool) { n, ok := d.outNode[v]; return n, ok }
-
 // arcKey identifies an arc by its (from, to, toPort) triple.
 type arcKey struct{ from, to, port int }
 

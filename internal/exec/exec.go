@@ -17,7 +17,6 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -146,12 +145,3 @@ const (
 	// the reach set covers a prefix of the state space.
 	BudgetReachNodes = "reach-nodes"
 )
-
-// CtxExhausted maps a context's termination to a budget name, or ""
-// when the context is still live.
-func CtxExhausted(ctx context.Context) string {
-	if ctx == nil || ctx.Err() == nil {
-		return ""
-	}
-	return BudgetDeadline
-}

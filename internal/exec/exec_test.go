@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -60,19 +59,5 @@ func TestGuard1ZeroesValueOnPanic(t *testing.T) {
 func TestStatusString(t *testing.T) {
 	if StatusComplete.String() != "complete" || StatusPartial.String() != "partial" {
 		t.Error("status rendering wrong")
-	}
-}
-
-func TestCtxExhausted(t *testing.T) {
-	if got := CtxExhausted(context.Background()); got != "" {
-		t.Errorf("live context reported %q", got)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if got := CtxExhausted(ctx); got != BudgetDeadline {
-		t.Errorf("cancelled context reported %q", got)
-	}
-	if got := CtxExhausted(nil); got != "" {
-		t.Errorf("nil context reported %q", got)
 	}
 }

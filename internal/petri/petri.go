@@ -107,16 +107,6 @@ func (n *Net) Transition(id TransID) *Transition { return n.transitions[id] }
 // Places returns the places in id order (backing store; do not mutate).
 func (n *Net) Places() []*Place { return n.places }
 
-// Transitions returns the transitions in id order (backing store; do not
-// mutate).
-func (n *Net) Transitions() []*Transition { return n.transitions }
-
-// NumPlaces returns the number of places.
-func (n *Net) NumPlaces() int { return len(n.places) }
-
-// NumTransitions returns the number of transitions.
-func (n *Net) NumTransitions() int { return len(n.transitions) }
-
 // Validate checks structural sanity: every transition has at least one input
 // and one output, all referenced places exist, durations are non-negative,
 // there is an initial and a final marking, and any two transitions sharing

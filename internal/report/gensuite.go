@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dfg"
 	"repro/internal/dfggen"
-	"repro/internal/parallel"
 )
 
 // GenSuiteRow is one generated benchmark's measurement: the spec's
@@ -33,30 +32,10 @@ type GenSuite struct {
 
 // RunGenSuiteCtx measures one synthesis flow over a family of generated
 // specs at one width. Rows run concurrently under cfg.Parallel with the
-// cfg.Workers budget divided among them, exactly like RunTableCtx cells;
-// with cfg.Journal set, completed rows are checkpointed under their gen:
-// name and skipped on resume.
+// cfg.Workers budget divided among them, exactly like RunTableCtx cells.
 func RunGenSuiteCtx(ctx context.Context, specs []dfggen.Spec, method string, width int, cfg Config) (*GenSuite, error) {
 	suite := &GenSuite{Method: method, Width: width, Rows: make([]GenSuiteRow, len(specs))}
-	outer := cfg.Parallel
-	if outer < 1 {
-		outer = 1
-	}
-	if outer > len(specs) {
-		outer = len(specs)
-	}
-	inner := cfg.Workers
-	if outer > 1 {
-		inner = parallel.Workers(cfg.Workers) / outer
-		if inner < 1 {
-			inner = 1
-		}
-	}
-	cellCfg := cfg
-	cellCfg.Workers = inner
-	// As in RunTableCtx, rows degrade to Partial on their own, so the pool
-	// runs without ctx.
-	err := parallel.ForEachCtx(context.Background(), outer, len(specs), func(idx int) error {
+	err := fanOut(len(specs), cfg, func(idx int, cellCfg Config) error {
 		ns, err := specs[idx].Normalize()
 		if err != nil {
 			return err
@@ -68,22 +47,12 @@ func RunGenSuiteCtx(ctx context.Context, specs []dfggen.Spec, method string, wid
 			return err
 		}
 		row.Depth = dfggen.Depth(g)
-		if cfg.Journal != nil {
-			if cell, ok := cfg.Journal.Lookup(name, method, width); ok {
-				row.Cell = cell
-				suite.Rows[idx] = row
-				return nil
-			}
-		}
 		cell, err := RunCellCtx(ctx, name, method, width, cellCfg)
 		if err != nil {
 			return err
 		}
 		row.Cell = *cell
 		suite.Rows[idx] = row
-		if cfg.Journal != nil {
-			return cfg.Journal.Record(name, *cell)
-		}
 		return nil
 	})
 	if err != nil {

@@ -50,7 +50,6 @@ type Cell struct {
 	// Partial marks a cell whose synthesis or ATPG campaign ran out of
 	// budget (Exhausted names it): the figures are genuine best-so-far
 	// measurements, rendered with a marker rather than aborting the row.
-	// Partial cells are never checkpointed — a resumed run recomputes them.
 	Partial   bool   `json:",omitempty"`
 	Exhausted string `json:",omitempty"`
 }
@@ -79,16 +78,11 @@ type Config struct {
 	Workers int
 	// Parallel bounds concurrent cells (1 = sequential). When several
 	// cells run concurrently, the Workers budget is divided among them
-	// rather than granted to each in full — see RunTableCtx.
+	// rather than granted to each in full.
 	Parallel int
 	// Stats, when non-nil, collects per-stage synthesis counters and
 	// timers across every cell. Purely observational.
 	Stats *stats.Stats
-	// Journal, when non-nil, checkpoints completed cells as they commit
-	// and skips cells it already holds, making an interrupted sweep
-	// resumable (see OpenJournal). Cells are deterministic, so a resumed
-	// table is byte-identical to an uninterrupted one.
-	Journal *Journal
 	// Validate runs the structural invariant checkers on every cell's
 	// intermediate artifacts: the synthesized design (via
 	// core.Params.Validate) and the generated netlist. A violation fails
@@ -139,10 +133,7 @@ func loopSignalFor(bench string) string {
 // every width. Cancellation degrades gracefully: the synthesis and
 // campaign inside each cell stop at their next budget boundary and the
 // cell lands Partial rather than erroring, so the table always renders
-// (with partial markers). With cfg.Journal set, each completed cell is
-// checkpointed as it commits and cells the journal already holds are
-// skipped — deterministically, so a resumed table is byte-identical to an
-// uninterrupted run.
+// (with partial markers).
 func RunTableCtx(ctx context.Context, bench string, cfg Config) (*Table, error) {
 	tbl := &Table{
 		Title:     fmt.Sprintf("Experimental results on the area-optimized %s benchmark", bench),
@@ -160,45 +151,12 @@ func RunTableCtx(ctx context.Context, bench string, cfg Config) (*Table, error) 
 		}
 	}
 	cells := make([]Cell, len(jobs))
-	// Parallel bounds the cell fan-out; the Workers budget is divided
-	// among the concurrent cells. Granting every cell the full budget —
-	// as this loop once did — multiplies the two knobs into up to
-	// Parallel×Workers goroutines.
-	outer := cfg.Parallel
-	if outer < 1 {
-		outer = 1
-	}
-	if outer > len(jobs) {
-		outer = len(jobs)
-	}
-	inner := cfg.Workers
-	if outer > 1 {
-		inner = parallel.Workers(cfg.Workers) / outer
-		if inner < 1 {
-			inner = 1
-		}
-	}
-	cellCfg := cfg
-	cellCfg.Workers = inner
-	// The pool runs without ctx: each cell degrades to Partial on its own,
-	// so every job returns a cell and the table always renders.
-	err := parallel.ForEachCtx(context.Background(), outer, len(jobs), func(idx int) error {
-		if cfg.Journal != nil {
-			if cell, ok := cfg.Journal.Lookup(bench, jobs[idx].method, jobs[idx].width); ok {
-				cells[idx] = cell
-				return nil
-			}
-		}
+	err := fanOut(len(jobs), cfg, func(idx int, cellCfg Config) error {
 		cell, err := RunCellCtx(ctx, bench, jobs[idx].method, jobs[idx].width, cellCfg)
 		if err != nil {
 			return err
 		}
 		cells[idx] = *cell
-		if cfg.Journal != nil {
-			if err := cfg.Journal.Record(bench, *cell); err != nil {
-				return err
-			}
-		}
 		return nil
 	})
 	if err != nil {
@@ -206,6 +164,29 @@ func RunTableCtx(ctx context.Context, bench string, cfg Config) (*Table, error) 
 	}
 	tbl.Cells = cells
 	return tbl, nil
+}
+
+// fanOut runs cell(idx, cellCfg) for every idx in [0, n), at most
+// cfg.Parallel at a time, with the cfg.Workers budget divided among the
+// concurrent cells: cellCfg is cfg with Workers set to each cell's share.
+// Granting every cell the full budget would multiply the two knobs into
+// up to Parallel×Workers goroutines. The pool runs without ctx: each cell degrades to Partial on its own, so
+// every job returns and the table always renders.
+func fanOut(n int, cfg Config, cell func(idx int, cellCfg Config) error) error {
+	outer := cfg.Parallel
+	if outer < 1 {
+		outer = 1
+	}
+	if outer > n {
+		outer = n
+	}
+	cellCfg := cfg
+	if outer > 1 {
+		cellCfg.Workers = max(parallel.Workers(cfg.Workers)/outer, 1)
+	}
+	return parallel.ForEachCtx(context.Background(), outer, n, func(idx int) error {
+		return cell(idx, cellCfg)
+	})
 }
 
 // RunCellCtx measures one (benchmark, method, width) point. A deadline

@@ -63,6 +63,61 @@ func TestRunTableTseng(t *testing.T) {
 	}
 }
 
+// TestTableByteIdenticalAcrossWorkers: the Ex table renders, and marshals
+// to Markdown and JSON, byte-identically whether its cells run one at a
+// time on one worker or eight at a time with the budget split among them.
+func TestTableByteIdenticalAcrossWorkers(t *testing.T) {
+	run := func(workers, par int) *Table {
+		t.Helper()
+		cfg := fastConfig(21)
+		cfg.Workers, cfg.Parallel = workers, par
+		tbl, err := RunTableCtx(context.Background(), dfg.BenchEx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	ref := run(1, 1)
+	if ref.partialCount() != 0 {
+		t.Fatalf("uninterrupted run has partial cells:\n%s", ref.Render())
+	}
+	refJSON, err := ref.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := run(8, 8)
+	if got.Render() != ref.Render() {
+		t.Errorf("render diverges at (8,8):\n--- got ---\n%s\n--- want ---\n%s", got.Render(), ref.Render())
+	}
+	if got.Markdown() != ref.Markdown() {
+		t.Errorf("markdown diverges at (8,8):\n--- got ---\n%s\n--- want ---\n%s", got.Markdown(), ref.Markdown())
+	}
+	if gotJSON, err := got.JSON(); err != nil || string(gotJSON) != string(refJSON) {
+		t.Errorf("json diverges at (8,8) (err %v)", err)
+	}
+}
+
+// TestCancelledTableIsPartial: a table run under an already-cancelled
+// context degrades instead of erroring — every cell comes back Partial
+// and both renderings carry the partial marker.
+func TestCancelledTableIsPartial(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tbl, err := RunTableCtx(ctx, dfg.BenchEx, fastConfig(21))
+	if err != nil {
+		t.Fatalf("cancelled table errored instead of degrading: %v", err)
+	}
+	if len(tbl.Cells) != len(core.Methods()) || tbl.partialCount() != len(tbl.Cells) {
+		t.Errorf("cancelled table: %d of %d cells partial", tbl.partialCount(), len(tbl.Cells))
+	}
+	if !strings.Contains(tbl.Render(), "*partial:") {
+		t.Errorf("partial table renders without marker:\n%s", tbl.Render())
+	}
+	if !strings.Contains(tbl.Markdown(), "partial cell(s)") {
+		t.Errorf("partial markdown has no marker:\n%s", tbl.Markdown())
+	}
+}
+
 func TestFigure1(t *testing.T) {
 	text, err := Figure1()
 	if err != nil {

@@ -2,7 +2,6 @@ package rtl
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/gates"
@@ -97,90 +96,6 @@ func (n *Netlist) Verilog(moduleName string) string {
 		fmt.Fprintf(&b, "  assign %s = %s;\n", sanitize(c.OutputNames[i]), net(c, o))
 	}
 	b.WriteString("endmodule\n")
-	return b.String()
-}
-
-// VerilogTestbench emits a self-checking testbench for one schedule pass:
-// it drives the data inputs with the given values, waits for each output's
-// sample cycle, and compares against the expected values, printing PASS or
-// FAIL. Only meaningful for NormalMode netlists.
-func (n *Netlist) VerilogTestbench(moduleName string, inputs, expected map[string]uint64) string {
-	var b strings.Builder
-	mod := sanitize(moduleName)
-	fmt.Fprintf(&b, "`timescale 1ns/1ps\nmodule %s_tb;\n", mod)
-	b.WriteString("  reg clk = 0, rst = 1;\n")
-	var inNames []string
-	for name := range n.DataIn {
-		inNames = append(inNames, name)
-	}
-	sort.Strings(inNames)
-	for _, name := range inNames {
-		for bit := range n.DataIn[name] {
-			fmt.Fprintf(&b, "  reg in_%s_%d;\n", sanitize(name), bit)
-		}
-	}
-	var outNames []string
-	for name := range n.DataOut {
-		outNames = append(outNames, name)
-	}
-	sort.Strings(outNames)
-	for _, name := range outNames {
-		for bit := range n.DataOut[name] {
-			fmt.Fprintf(&b, "  wire out_%s_%d;\n", sanitize(name), bit)
-		}
-	}
-	// Instance.
-	fmt.Fprintf(&b, "  %s dut (.clk(clk), .rst(rst)", mod)
-	for _, name := range inNames {
-		for bit := range n.DataIn[name] {
-			fmt.Fprintf(&b, ", .%s(in_%s_%d)", sanitize(fmt.Sprintf("in_%s[%d]", name, bit)), sanitize(name), bit)
-		}
-	}
-	for _, name := range outNames {
-		for bit := range n.DataOut[name] {
-			fmt.Fprintf(&b, ", .%s(out_%s_%d)", sanitize(fmt.Sprintf("out_%s[%d]", name, bit)), sanitize(name), bit)
-		}
-	}
-	b.WriteString(");\n")
-	b.WriteString("  always #5 clk = ~clk;\n")
-	b.WriteString("  integer errors = 0;\n")
-	b.WriteString("  initial begin\n")
-	for _, name := range inNames {
-		v := inputs[name]
-		for bit := range n.DataIn[name] {
-			fmt.Fprintf(&b, "    in_%s_%d = 1'b%d;\n", sanitize(name), bit, (v>>uint(bit))&1)
-		}
-	}
-	b.WriteString("    @(negedge clk); rst = 0;\n")
-	// Walk cycles in order, checking outputs at their sample cycles.
-	type check struct {
-		name  string
-		cycle int
-	}
-	var checks []check
-	for _, name := range outNames {
-		checks = append(checks, check{name, n.SampleCycle[name]})
-	}
-	sort.Slice(checks, func(i, j int) bool {
-		if checks[i].cycle != checks[j].cycle {
-			return checks[i].cycle < checks[j].cycle
-		}
-		return checks[i].name < checks[j].name
-	})
-	cur := 0
-	for _, ck := range checks {
-		for cur < ck.cycle {
-			b.WriteString("    @(negedge clk);\n")
-			cur++
-		}
-		want := expected[ck.name]
-		for bit := range n.DataOut[ck.name] {
-			fmt.Fprintf(&b, "    if (out_%s_%d !== 1'b%d) begin $display(\"FAIL %s[%d]\"); errors = errors + 1; end\n",
-				sanitize(ck.name), bit, (want>>uint(bit))&1, ck.name, bit)
-		}
-	}
-	b.WriteString("    if (errors == 0) $display(\"PASS\");\n")
-	b.WriteString("    $finish;\n  end\nendmodule\n")
 	return b.String()
 }
 

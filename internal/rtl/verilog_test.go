@@ -55,46 +55,6 @@ func TestVerilogDeterministic(t *testing.T) {
 	}
 }
 
-func TestVerilogTestbench(t *testing.T) {
-	g := dfg.Tseng(4)
-	d := buildLeftEdge(t, g)
-	n, err := Generate(d, 4, NormalMode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := map[string]uint64{"a": 3, "b": 5, "c": 2}
-	want, err := g.Interpret(4, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cross-check the testbench's expectations against our own simulator
-	// before emitting them.
-	got, err := n.SimulatePass(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, w := range want {
-		if got[k] != w {
-			t.Fatalf("simulator mismatch on %s", k)
-		}
-	}
-	tb := n.VerilogTestbench("tseng", in, want)
-	for _, wantStr := range []string{"module tseng_tb;", "$display(\"PASS\")", "$finish", ".clk(clk)", ".rst(rst)"} {
-		if !strings.Contains(tb, wantStr) {
-			t.Errorf("testbench missing %q", wantStr)
-		}
-	}
-	// The testbench must check every output bit.
-	checks := strings.Count(tb, "!==")
-	wantChecks := 0
-	for name := range n.DataOut {
-		wantChecks += len(n.DataOut[name])
-	}
-	if checks != wantChecks {
-		t.Errorf("%d bit checks, want %d", checks, wantChecks)
-	}
-}
-
 func TestSanitize(t *testing.T) {
 	cases := map[string]string{
 		"in_a[0]": "in_a_0_",

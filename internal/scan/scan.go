@@ -66,32 +66,6 @@ func Select(d *etpn.Design, cfg testability.Config, max int, minGain float64) *S
 	return sel
 }
 
-// RankByNeed orders all registers by how poorly testable they are under
-// the current analysis (worst first): a cheaper, non-iterative alternative
-// to Select for large designs.
-func RankByNeed(d *etpn.Design, m *testability.Metrics) []int {
-	type ent struct {
-		reg  int
-		need float64
-	}
-	var es []ent
-	for _, r := range d.Alloc.Regs {
-		node := d.RegNode(r.ID)
-		es = append(es, ent{r.ID, 2 - m.Ctrl(node) - m.Obs(node)})
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].need != es[j].need {
-			return es[i].need > es[j].need
-		}
-		return es[i].reg < es[j].reg
-	})
-	out := make([]int, len(es))
-	for i, e := range es {
-		out[i] = e.reg
-	}
-	return out
-}
-
 // SelectBIST chooses registers to reconfigure for built-in self-test
 // (rtl.GenerateBIST): pattern-generator (TPG) registers are those feeding
 // the hardest-to-control modules, signature (MISR) registers those

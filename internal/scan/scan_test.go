@@ -64,32 +64,6 @@ func TestSelectStopsWhenNoGain(t *testing.T) {
 	}
 }
 
-func TestRankByNeedCoversAllRegisters(t *testing.T) {
-	d := synth(t, dfg.BenchDct, 8)
-	m := testability.Analyze(d, testability.DefaultConfig())
-	order := RankByNeed(d, m)
-	if len(order) != d.Alloc.NumRegs() {
-		t.Fatalf("rank covers %d of %d registers", len(order), d.Alloc.NumRegs())
-	}
-	seen := map[int]bool{}
-	for _, r := range order {
-		if seen[r] {
-			t.Fatalf("duplicate register %d in ranking", r)
-		}
-		seen[r] = true
-	}
-	// Worst-first: need must be non-increasing.
-	need := func(reg int) float64 {
-		n := d.RegNode(reg)
-		return 2 - m.Ctrl(n) - m.Obs(n)
-	}
-	for i := 1; i < len(order); i++ {
-		if need(order[i]) > need(order[i-1])+1e-9 {
-			t.Errorf("ranking not sorted at %d", i)
-		}
-	}
-}
-
 func TestScanChainNetlist(t *testing.T) {
 	d := synth(t, dfg.BenchTseng, 4)
 	sel := Select(d, testability.DefaultConfig(), 2, 1e-9)

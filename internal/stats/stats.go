@@ -1,7 +1,7 @@
 // Package stats is the per-stage observability layer of the synthesis
 // system: a small, concurrency-safe registry of named counters and
 // timers that the hot paths report into — candidate evaluations, cache
-// hits and misses, prunes, and the wall-clock time spent in list
+// hits and misses, and the wall-clock time spent in list
 // scheduling, floorplanning, testability analysis and Petri-net
 // reachability. A nil *Stats is a valid no-op collector, so call sites
 // record unconditionally and pay one nil check when observability is
@@ -108,20 +108,6 @@ func (s *Stats) Duration(name string) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.timers[name]
-}
-
-// Counters returns a snapshot of every counter.
-func (s *Stats) Counters() map[string]int64 {
-	out := map[string]int64{}
-	if s == nil {
-		return out
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, v := range s.counters {
-		out[k] = v
-	}
-	return out
 }
 
 // HitRate returns hits/(hits+misses) for the cache counter pair

@@ -125,9 +125,6 @@ func TestNilStats(t *testing.T) {
 	if err := s.WriteText(&b); err != nil || b.Len() != 0 {
 		t.Errorf("nil WriteText = (%q, %v), want empty", b.String(), err)
 	}
-	if got := s.Counters(); len(got) != 0 {
-		t.Errorf("nil Counters() = %v", got)
-	}
 }
 
 // The collector is shared by the tie-policy fan-out and the experiment

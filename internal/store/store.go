@@ -5,12 +5,11 @@
 // forever — the store never needs update-in-place, only append,
 // last-write-wins replay, and garbage collection of superseded bytes.
 //
-// One storage layer backs three consumers: the daemon's result cache
-// (internal/server warms its LRU from the store at boot and writes every
-// completed result through), the hltsbench checkpoint journal
-// (internal/report.Journal is a thin adapter), and future shard
-// replication — so "cache", "resume" and "replicate" share a single
-// fsync/torn-write discipline instead of three ad-hoc formats.
+// One storage layer backs the daemon's result cache (internal/server
+// warms its LRU from the store at boot and writes every completed result
+// through) and the cluster's anti-entropy replication (peers pull each
+// other's records through Since) — so "cache" and "replicate" share a
+// single fsync/torn-write discipline instead of two ad-hoc formats.
 //
 // On-disk format. A store is a directory of numbered segment files
 // (seg-00000001.log, ...); the highest-numbered segment is the active

@@ -17,7 +17,6 @@ package validate
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/alloc"
 	"repro/internal/dfg"
@@ -376,12 +375,4 @@ func inCombCone(c *gates.Circuit, root, target int) bool {
 		stack = append(stack, g.In...)
 	}
 	return false
-}
-
-// Stages lists the stage names the checkers report, for documentation and
-// CLI help.
-func Stages() []string {
-	s := []string{"dfg", "etpn", "alloc", "rtl"}
-	sort.Strings(s)
-	return s
 }
