@@ -16,6 +16,7 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/core"
 	"repro/internal/dfg"
+	"repro/internal/dfggen"
 	"repro/internal/fault"
 	"repro/internal/logicsim"
 	"repro/internal/report"
@@ -222,7 +223,8 @@ func BenchmarkSynthesize(b *testing.B) {
 }
 
 // BenchmarkSynthesisAllBenchmarks measures the synthesis core alone
-// (no gate level, no ATPG) over the whole benchmark suite.
+// (no gate level, no ATPG) over the whole benchmark suite. designs/op
+// counts the ETPN designs the merger loop derived.
 func BenchmarkSynthesisAllBenchmarks(b *testing.B) {
 	for _, name := range dfg.BenchmarkNames() {
 		b.Run(name, func(b *testing.B) {
@@ -234,14 +236,71 @@ func BenchmarkSynthesisAllBenchmarks(b *testing.B) {
 			if name == dfg.BenchDiffeq || name == dfg.BenchPaulin {
 				par.LoopSignal = "exit"
 			}
+			par.Stats = stats.New()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.SynthesizeCtx(context.Background(), g, par); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(par.Stats.Value("core.designs"))/float64(b.N), "designs/op")
 		})
 	}
+}
+
+// BenchmarkSynthesizeGenMix mirrors the synth-unique workload's cost
+// profile in process: the paper's algorithm at one worker over 20 pinned
+// generated behaviours of 12–19 operations spanning every op mix and DAG
+// shape, every fifth looped, at width 4, plus both shipped VHDL sources at
+// widths 4 and 8. One op synthesizes all 24. evals/op counts candidate
+// evaluations, builds/op build-cache consults and designs/op the ETPN
+// designs derived; at one worker all three, and every cache counter, are
+// deterministic.
+func BenchmarkSynthesizeGenMix(b *testing.B) {
+	type job struct {
+		g   *dfg.Graph
+		par core.Params
+	}
+	var jobs []job
+	add := func(g *dfg.Graph, loop string) {
+		par := core.DefaultParams(g.Width)
+		par.LoopSignal = loop
+		par.Workers = 1
+		jobs = append(jobs, job{g, par})
+	}
+	mixes, shapes := dfggen.Mixes(), dfggen.Shapes()
+	for i := 0; i < 20; i++ {
+		spec := dfggen.Spec{
+			Seed: 0x5E11 + uint64(i), Ops: 12 + i%8,
+			Mix: mixes[i%len(mixes)], Shape: shapes[(i/6)%len(shapes)],
+			Fanout: 1 + (i/3)%4, Loop: i%5 == 0,
+		}
+		g, err := dfggen.Generate(spec, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		add(g, dfggen.LoopSignal(spec.Name()))
+	}
+	for _, f := range []string{"diffeq.vhd", "fir4.vhd"} {
+		for _, w := range []int{4, 8} {
+			add(loadVHDL(b, f, w), "")
+		}
+	}
+	st := stats.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			j.par.Stats = st
+			if _, err := core.RunCtx(context.Background(), core.MethodOurs, j.g, j.par); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(st.Value("core.evaluations"))/n, "evals/op")
+	b.ReportMetric(float64(st.Value("cache.build.hit")+st.Value("cache.build.miss"))/n, "builds/op")
+	b.ReportMetric(float64(st.Value("core.designs"))/n, "designs/op")
 }
 
 // BenchmarkGateLevelFaultSim measures the bit-parallel fault-simulation

@@ -2,8 +2,7 @@ package alloc
 
 import (
 	"fmt"
-	"maps"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/dfg"
@@ -15,10 +14,28 @@ import (
 // Registers. It corresponds to the data-path node grouping of the ETPN
 // representation: each module/register group becomes one data-path node.
 type Allocation struct {
-	ModuleOf map[dfg.NodeID]int
+	// ModuleOf is indexed by dfg.NodeID: the module executing each
+	// operation.
+	ModuleOf []int
 	Modules  []*ModuleGroup
-	RegOf    map[dfg.ValueID]int
-	Regs     []*RegGroup
+	// RegOf is indexed by dfg.ValueID: the register holding each value, -1
+	// for a value in no register (constants, dead inputs, and results that
+	// go straight to an output port).
+	RegOf []int
+	Regs  []*RegGroup
+}
+
+// newAllocation returns an allocation of g with every operation and value
+// unbound (-1).
+func newAllocation(g *dfg.Graph) *Allocation {
+	a := &Allocation{ModuleOf: make([]int, g.NumNodes()), RegOf: make([]int, g.NumValues())}
+	for i := range a.ModuleOf {
+		a.ModuleOf[i] = -1
+	}
+	for i := range a.RegOf {
+		a.RegOf[i] = -1
+	}
+	return a
 }
 
 // ModuleGroup is one functional module and the operations bound to it.
@@ -37,18 +54,18 @@ type RegGroup struct {
 // Default returns the default allocation generated by the front end
 // (paper §3): every operation instance in its own module and every
 // register-allocated value in its own register.
-func Default(g *dfg.Graph, class sched.ClassFunc, life map[dfg.ValueID]Interval) *Allocation {
+func Default(g *dfg.Graph, class sched.ClassFunc, life Life) *Allocation {
 	if class == nil {
 		class = sched.ExactClass
 	}
-	a := &Allocation{ModuleOf: map[dfg.NodeID]int{}, RegOf: map[dfg.ValueID]int{}}
+	a := newAllocation(g)
 	for _, n := range g.Nodes() {
 		id := len(a.Modules)
 		a.Modules = append(a.Modules, &ModuleGroup{ID: id, Class: class(n.Kind), Ops: []dfg.NodeID{n.ID}})
 		a.ModuleOf[n.ID] = id
 	}
 	for _, v := range g.Values() {
-		if _, stored := life[v.ID]; !stored {
+		if !life[v.ID].Stored {
 			continue
 		}
 		id := len(a.Regs)
@@ -58,34 +75,42 @@ func Default(g *dfg.Graph, class sched.ClassFunc, life map[dfg.ValueID]Interval)
 	return a
 }
 
-// Clone returns a deep copy. The groups and their operation and value
-// lists share one backing array each; the lists are capacity-capped, so
-// growing one never writes into another.
+// Clone returns a deep copy. ModuleOf and RegOf share one backing array,
+// as do the groups, and their operation and value lists; the lists are
+// capacity-capped, so growing one never writes into another.
 func (a *Allocation) Clone() *Allocation {
+	nn := len(a.ModuleOf)
+	ids := make([]int, nn+len(a.RegOf))
+	copy(ids, a.ModuleOf)
+	copy(ids[nn:], a.RegOf)
 	c := &Allocation{
-		ModuleOf: maps.Clone(a.ModuleOf),
+		ModuleOf: ids[:nn:nn],
 		Modules:  make([]*ModuleGroup, len(a.Modules)),
-		RegOf:    maps.Clone(a.RegOf),
+		RegOf:    ids[nn:],
 		Regs:     make([]*RegGroup, len(a.Regs)),
 	}
 	mods := make([]ModuleGroup, len(a.Modules))
-	var ops []dfg.NodeID
+	nOps := 0
 	for _, m := range a.Modules {
-		ops = append(ops, m.Ops...)
+		nOps += len(m.Ops)
 	}
+	ops := make([]dfg.NodeID, 0, nOps)
 	for i, m := range a.Modules {
-		mods[i] = ModuleGroup{ID: m.ID, Class: m.Class, Ops: ops[:len(m.Ops):len(m.Ops)]}
-		ops = ops[len(m.Ops):]
+		start := len(ops)
+		ops = append(ops, m.Ops...)
+		mods[i] = ModuleGroup{ID: m.ID, Class: m.Class, Ops: ops[start:len(ops):len(ops)]}
 		c.Modules[i] = &mods[i]
 	}
 	regs := make([]RegGroup, len(a.Regs))
-	var vals []dfg.ValueID
+	nVals := 0
 	for _, r := range a.Regs {
-		vals = append(vals, r.Vals...)
+		nVals += len(r.Vals)
 	}
+	vals := make([]dfg.ValueID, 0, nVals)
 	for i, r := range a.Regs {
-		regs[i] = RegGroup{ID: r.ID, Vals: vals[:len(r.Vals):len(r.Vals)]}
-		vals = vals[len(r.Vals):]
+		start := len(vals)
+		vals = append(vals, r.Vals...)
+		regs[i] = RegGroup{ID: r.ID, Vals: vals[start:len(vals):len(vals)]}
 		c.Regs[i] = &regs[i]
 	}
 	return c
@@ -107,9 +132,10 @@ func (a *Allocation) MergeModules(i, j int) error {
 		mi, mj = mj, mi
 	}
 	mi.Ops = append(mi.Ops, mj.Ops...)
-	sort.Slice(mi.Ops, func(x, y int) bool { return mi.Ops[x] < mi.Ops[y] })
+	slices.Sort(mi.Ops)
 	a.Modules = append(a.Modules[:j], a.Modules[j+1:]...)
-	for idx, m := range a.Modules {
+	for idx := i; idx < len(a.Modules); idx++ {
+		m := a.Modules[idx]
 		m.ID = idx
 		for _, op := range m.Ops {
 			a.ModuleOf[op] = idx
@@ -128,9 +154,10 @@ func (a *Allocation) MergeRegs(i, j int) error {
 	}
 	ri, rj := a.Regs[i], a.Regs[j]
 	ri.Vals = append(ri.Vals, rj.Vals...)
-	sort.Slice(ri.Vals, func(x, y int) bool { return ri.Vals[x] < ri.Vals[y] })
+	slices.Sort(ri.Vals)
 	a.Regs = append(a.Regs[:j], a.Regs[j+1:]...)
-	for idx, r := range a.Regs {
+	for idx := i; idx < len(a.Regs); idx++ {
+		r := a.Regs[idx]
 		r.ID = idx
 		for _, v := range r.Vals {
 			a.RegOf[v] = idx
@@ -142,15 +169,22 @@ func (a *Allocation) MergeRegs(i, j int) error {
 // Verify checks internal consistency and that the allocation is legal for
 // the given schedule: class compatibility inside modules, one operation
 // per module per step, and disjoint lifetimes inside registers.
-func (a *Allocation) Verify(g *dfg.Graph, s sched.Schedule, class sched.ClassFunc, life map[dfg.ValueID]Interval) error {
+func (a *Allocation) Verify(g *dfg.Graph, s sched.Schedule, class sched.ClassFunc, life Life) error {
 	if class == nil {
 		class = sched.ExactClass
 	}
+	// owner[st] is the first operation of the module being checked that
+	// occupies step st; ownerMod[st] is that module's index plus one.
+	maxStep := 0
+	for _, st := range s.Step {
+		maxStep = max(maxStep, st)
+	}
+	owner := make([]dfg.NodeID, maxStep+1)
+	ownerMod := make([]int, maxStep+1)
 	for idx, m := range a.Modules {
 		if m.ID != idx {
 			return fmt.Errorf("alloc: module %d has stale id %d", idx, m.ID)
 		}
-		steps := map[int]dfg.NodeID{}
 		for _, op := range m.Ops {
 			if a.ModuleOf[op] != idx {
 				return fmt.Errorf("alloc: ModuleOf[%v] inconsistent with module %d", op, idx)
@@ -159,11 +193,14 @@ func (a *Allocation) Verify(g *dfg.Graph, s sched.Schedule, class sched.ClassFun
 				return fmt.Errorf("alloc: op %s (class %s) in module %d of class %s", g.Node(op).Name, c, idx, m.Class)
 			}
 			st := s.Step[op]
-			if other, clash := steps[st]; clash {
-				return fmt.Errorf("alloc: ops %s and %s share module %d at step %d",
-					g.Node(op).Name, g.Node(other).Name, idx, st)
+			if st < 0 {
+				return fmt.Errorf("alloc: op %s at invalid step %d", g.Node(op).Name, st)
 			}
-			steps[st] = op
+			if ownerMod[st] == idx+1 {
+				return fmt.Errorf("alloc: ops %s and %s share module %d at step %d",
+					g.Node(op).Name, g.Node(owner[st]).Name, idx, st)
+			}
+			owner[st], ownerMod[st] = op, idx+1
 		}
 	}
 	for idx, r := range a.Regs {

@@ -19,6 +19,17 @@ func asap(t *testing.T, g *dfg.Graph) sched.Schedule {
 	return s
 }
 
+// numStored counts the values a register holds.
+func numStored(life Life) int {
+	n := 0
+	for _, l := range life {
+		if l.Stored {
+			n++
+		}
+	}
+	return n
+}
+
 func TestOverlaps(t *testing.T) {
 	cases := []struct {
 		a, b Interval
@@ -46,22 +57,22 @@ func TestLifetimesDiffeq(t *testing.T) {
 	life := Lifetimes(g, s)
 	// Constant k3 must not be stored.
 	k3, _ := g.ValueByName("k3")
-	if _, ok := life[k3]; ok {
+	if _, ok := life.Of(k3); ok {
 		t.Error("constant k3 must not get a lifetime")
 	}
 	// Input x: used by N25 (step 1) and N26 (step 1) -> born 0, dies 1.
 	x, _ := g.ValueByName("x")
-	if life[x] != (Interval{0, 1}) {
+	if life[x] != (Lifetime{Interval{0, 1}, true}) {
 		t.Errorf("x lifetime = %v, want {0 1}", life[x])
 	}
 	// u is used by N27@1, N30@3, N35@1 -> born 0, dies 3.
 	u, _ := g.ValueByName("u")
-	if life[u] != (Interval{0, 3}) {
+	if life[u] != (Lifetime{Interval{0, 3}, true}) {
 		t.Errorf("u lifetime = %v, want {0 3}", life[u])
 	}
 	// Output u1 defined at step 4, no uses: held one step.
 	u1, _ := g.ValueByName("u1")
-	if life[u1] != (Interval{4, 5}) {
+	if life[u1] != (Lifetime{Interval{4, 5}, true}) {
 		t.Errorf("u1 lifetime = %v, want {4 5}", life[u1])
 	}
 }
@@ -75,7 +86,7 @@ func TestLifetimesDeadInputSkipped(t *testing.T) {
 	s := asap(t, g)
 	life := Lifetimes(g, s)
 	un, _ := g.ValueByName("unused")
-	if _, ok := life[un]; ok {
+	if _, ok := life.Of(un); ok {
 		t.Error("dead input must not be stored")
 	}
 }
@@ -89,7 +100,7 @@ func TestLeftEdgeMinimalAndDisjoint(t *testing.T) {
 		if err := VerifyDisjoint(g, life, regOf); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if n <= 0 || n > len(life) {
+		if n <= 0 || n > numStored(life) {
 			t.Errorf("%s: register count %d out of range", name, n)
 		}
 		// Left-edge is optimal for interval packing: register count must
@@ -98,7 +109,7 @@ func TestLeftEdgeMinimalAndDisjoint(t *testing.T) {
 		for step := 0; step <= s.Len+1; step++ {
 			live := 0
 			for _, iv := range life {
-				if iv.Birth < step && step <= iv.Death {
+				if iv.Stored && iv.Birth < step && step <= iv.Death {
 					live++
 				}
 			}
@@ -175,8 +186,8 @@ func TestDefaultAllocation(t *testing.T) {
 	if a.NumModules() != g.NumNodes() {
 		t.Errorf("default modules = %d, want %d", a.NumModules(), g.NumNodes())
 	}
-	if a.NumRegs() != len(life) {
-		t.Errorf("default registers = %d, want %d", a.NumRegs(), len(life))
+	if a.NumRegs() != numStored(life) {
+		t.Errorf("default registers = %d, want %d", a.NumRegs(), numStored(life))
 	}
 	if err := a.Verify(g, s, sched.ExactClass, life); err != nil {
 		t.Fatal(err)
@@ -351,5 +362,39 @@ func TestLeftEdgeRandom(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyDisjointDeterministic checks that an allocation with two
+// overlapping registers is always reported by the same violation: the
+// lowest register, its values in id order.
+func TestVerifyDisjointDeterministic(t *testing.T) {
+	g := dfg.Ex(8)
+	s := asap(t, g)
+	life := Lifetimes(g, s)
+	a := Default(g, sched.ExactClass, life)
+	// a, b, c and d are all read in step 1: both merged registers overlap.
+	for _, pair := range [][2]string{{"a", "b"}, {"c", "d"}} {
+		x, _ := g.ValueByName(pair[0])
+		y, _ := g.ValueByName(pair[1])
+		if err := a.MergeRegs(a.RegOf[x], a.RegOf[y]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msgs := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		err := VerifyDisjoint(g, life, a.RegOf)
+		if err == nil {
+			t.Fatal("overlap not detected")
+		}
+		msgs[err.Error()] = true
+	}
+	if len(msgs) != 1 {
+		t.Errorf("50 calls gave %d distinct messages: %v", len(msgs), msgs)
+	}
+	for m := range msgs {
+		if !strings.Contains(m, "values a ") || !strings.Contains(m, " and b ") {
+			t.Errorf("message %q does not name the lowest register's values a and b", m)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // sorted by birth time are packed greedily into the first register whose
 // current contents have all died. It minimizes register count for the
 // given schedule.
-func RegisterLeftEdge(g *dfg.Graph, life map[dfg.ValueID]Interval) (map[dfg.ValueID]int, int) {
+func RegisterLeftEdge(g *dfg.Graph, life Life) ([]int, int) {
 	return registerLeftEdge(g, life, false)
 }
 
@@ -21,18 +21,22 @@ func RegisterLeftEdge(g *dfg.Graph, life map[dfg.ValueID]Interval) (map[dfg.Valu
 // already holding a primary-input or primary-output variable, so that as
 // many registers as possible contain an easily controlled or observed
 // variable (Lee's first heuristic rule).
-func RegisterLeftEdgeTestable(g *dfg.Graph, life map[dfg.ValueID]Interval) (map[dfg.ValueID]int, int) {
+func RegisterLeftEdgeTestable(g *dfg.Graph, life Life) ([]int, int) {
 	return registerLeftEdge(g, life, true)
 }
 
-func registerLeftEdge(g *dfg.Graph, life map[dfg.ValueID]Interval, preferPIPO bool) (map[dfg.ValueID]int, int) {
+// registerLeftEdge returns the register of every value, indexed by
+// dfg.ValueID (-1 for unstored values), and the register count.
+func registerLeftEdge(g *dfg.Graph, life Life, preferPIPO bool) ([]int, int) {
 	type ent struct {
 		v  dfg.ValueID
 		iv Interval
 	}
 	var vals []ent
-	for v, iv := range life {
-		vals = append(vals, ent{v, iv})
+	for v, l := range life {
+		if l.Stored {
+			vals = append(vals, ent{dfg.ValueID(v), l.Interval})
+		}
 	}
 	sort.Slice(vals, func(i, j int) bool {
 		if vals[i].iv.Birth != vals[j].iv.Birth {
@@ -47,7 +51,10 @@ func registerLeftEdge(g *dfg.Graph, life map[dfg.ValueID]Interval, preferPIPO bo
 		val := g.Value(v)
 		return val.Kind == dfg.ValInput || val.IsOutput
 	}
-	regOf := map[dfg.ValueID]int{}
+	regOf := make([]int, len(life))
+	for v := range regOf {
+		regOf[v] = -1
+	}
 	var lastDeath []int
 	var holdsPIPO []bool
 	for _, e := range vals {
@@ -83,12 +90,12 @@ func registerLeftEdge(g *dfg.Graph, life map[dfg.ValueID]Interval, preferPIPO bo
 // per class by left-edge packing over control steps: within each class,
 // operations sorted by step go to the first module of that class free at
 // that step. It returns a complete Allocation when combined with the
-// given register assignment.
-func BindModules(g *dfg.Graph, s sched.Schedule, class sched.ClassFunc, regOf map[dfg.ValueID]int, numRegs int) *Allocation {
+// given register assignment (indexed by dfg.ValueID, -1 for no register).
+func BindModules(g *dfg.Graph, s sched.Schedule, class sched.ClassFunc, regOf []int, numRegs int) *Allocation {
 	if class == nil {
 		class = sched.ExactClass
 	}
-	a := &Allocation{ModuleOf: map[dfg.NodeID]int{}, RegOf: map[dfg.ValueID]int{}}
+	a := newAllocation(g)
 	byClass := map[string][]dfg.NodeID{}
 	var classes []string
 	for _, n := range g.Nodes() {
@@ -138,15 +145,12 @@ func BindModules(g *dfg.Graph, s sched.Schedule, class sched.ClassFunc, regOf ma
 	for i := range a.Regs {
 		a.Regs[i] = &RegGroup{ID: i}
 	}
-	var vids []dfg.ValueID
-	for v := range regOf {
-		vids = append(vids, v)
-	}
-	sort.Slice(vids, func(i, j int) bool { return vids[i] < vids[j] })
-	for _, v := range vids {
-		r := regOf[v]
+	for v, r := range regOf {
+		if r < 0 {
+			continue
+		}
 		a.RegOf[v] = r
-		a.Regs[r].Vals = append(a.Regs[r].Vals, v)
+		a.Regs[r].Vals = append(a.Regs[r].Vals, dfg.ValueID(v))
 	}
 	return a
 }
@@ -161,7 +165,7 @@ func Connectivity(g *dfg.Graph, a *Allocation, i, j int) int {
 		set := map[int]bool{}
 		for _, op := range m.Ops {
 			for _, v := range g.Node(op).In {
-				if r, ok := a.RegOf[v]; ok {
+				if r := a.RegOf[v]; r >= 0 {
 					set[r] = true
 				}
 			}
@@ -171,7 +175,7 @@ func Connectivity(g *dfg.Graph, a *Allocation, i, j int) int {
 	dsts := func(m *ModuleGroup) map[int]bool {
 		set := map[int]bool{}
 		for _, op := range m.Ops {
-			if r, ok := a.RegOf[g.Node(op).Out]; ok {
+			if r := a.RegOf[g.Node(op).Out]; r >= 0 {
 				set[r] = true
 			}
 		}

@@ -28,13 +28,32 @@ func Overlaps(a, b Interval) bool {
 	return a.Birth < b.Death && b.Birth < a.Death
 }
 
+// Lifetime is one value's entry in a Life: its storage interval, valid
+// only when Stored is set.
+type Lifetime struct {
+	Interval
+	// Stored is false for values that never occupy a register: constants
+	// and dead inputs. Their Interval is zero.
+	Stored bool
+}
+
+// Life holds the lifetime of every value of a graph, indexed by
+// dfg.ValueID.
+type Life []Lifetime
+
+// Of returns the storage interval of v and whether v is stored at all.
+func (l Life) Of(v dfg.ValueID) (Interval, bool) {
+	e := l[v]
+	return e.Interval, e.Stored
+}
+
 // Lifetimes computes the storage interval of every register-allocated
 // value under schedule s. Constants are excluded (they are wired into the
 // data path, not stored). Primary inputs are loaded from their port at the
 // end of the step before their first use. Primary outputs are held for at
 // least one step after production so they can be observed.
-func Lifetimes(g *dfg.Graph, s sched.Schedule) map[dfg.ValueID]Interval {
-	out := make(map[dfg.ValueID]Interval)
+func Lifetimes(g *dfg.Graph, s sched.Schedule) Life {
+	out := make(Life, g.NumValues())
 	for _, v := range g.Values() {
 		if v.Kind == dfg.ValConst {
 			continue
@@ -70,23 +89,31 @@ func Lifetimes(g *dfg.Graph, s sched.Schedule) map[dfg.ValueID]Interval {
 			// register for one step to cross the clock edge.
 			death = birth + 1
 		}
-		out[v.ID] = Interval{Birth: birth, Death: death}
+		out[v.ID] = Lifetime{Interval: Interval{Birth: birth, Death: death}, Stored: true}
 	}
 	return out
 }
 
 // VerifyDisjoint checks that every pair of values sharing a register has
-// disjoint lifetimes.
-func VerifyDisjoint(g *dfg.Graph, life map[dfg.ValueID]Interval, regOf map[dfg.ValueID]int) error {
-	byReg := map[int][]dfg.ValueID{}
+// disjoint lifetimes. regOf is indexed by dfg.ValueID, -1 for a value in
+// no register. Registers are checked in id order and the values of each in
+// id order, so the same allocation always names the same violation.
+func VerifyDisjoint(g *dfg.Graph, life Life, regOf []int) error {
+	var byReg [][]dfg.ValueID
 	for v, r := range regOf {
-		byReg[r] = append(byReg[r], v)
+		if r < 0 {
+			continue
+		}
+		for len(byReg) <= r {
+			byReg = append(byReg, nil)
+		}
+		byReg[r] = append(byReg[r], dfg.ValueID(v))
 	}
 	for r, vs := range byReg {
 		for i := 0; i < len(vs); i++ {
 			for j := i + 1; j < len(vs); j++ {
-				a, aok := life[vs[i]]
-				b, bok := life[vs[j]]
+				a, aok := life.Of(vs[i])
+				b, bok := life.Of(vs[j])
 				if !aok || !bok {
 					continue
 				}

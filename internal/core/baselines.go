@@ -77,9 +77,7 @@ func separateAllocate(g *dfg.Graph, par Params, method string, s sched.Schedule)
 	a := alloc.BindModules(g, s, par.class(), regOf, n)
 	prob := sched.NewProblem(g)
 	prob.MaxLen = s.Len
-	for op, m := range a.ModuleOf {
-		prob.ModuleOf[op] = m
-	}
+	copy(prob.ModuleOf, a.ModuleOf)
 	st := &state{g: g, prob: prob, s: s, a: a, par: par}
 	if err := st.build(); err != nil {
 		return nil, err

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"hash/fnv"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/cost"
@@ -23,31 +23,48 @@ type fp [16]byte
 
 // hasher accumulates a canonical byte encoding into FNV-128a. FNV is
 // deterministic across processes (unlike maphash), so fingerprints are
-// stable run to run.
-type hasher struct {
-	h   hash.Hash
-	buf [8]byte
+// stable run to run. The 128-bit state is kept inline as (hi, lo) and
+// multiplied by the FNV-128 prime, 2^88 + 0x13b, with one bits.Mul64 per
+// byte: no hash.Hash interface call and no staging buffer per int. The
+// bytes it produces are exactly those of hash/fnv.New128a.
+type hasher struct{ hi, lo uint64 }
+
+const (
+	fnv128OffsetHi = 0x6c62272e07bb0142
+	fnv128OffsetLo = 0x62b821756295c58d
+	fnv128PrimeLo  = 0x13b
+	fnv128Shift    = 24 // 2^88 = 2^64 · 2^24
+)
+
+func newHasher() hasher { return hasher{hi: fnv128OffsetHi, lo: fnv128OffsetLo} }
+
+func (h *hasher) byte(b byte) {
+	h.lo ^= uint64(b)
+	hi, lo := bits.Mul64(h.lo, fnv128PrimeLo)
+	h.hi = hi + h.lo<<fnv128Shift + h.hi*fnv128PrimeLo
+	h.lo = lo
 }
 
-func newHasher() *hasher { return &hasher{h: fnv.New128a()} }
-
+// u64 writes v in little-endian order.
 func (h *hasher) u64(v uint64) {
 	for i := 0; i < 8; i++ {
-		h.buf[i] = byte(v >> (8 * i))
+		h.byte(byte(v >> (8 * i)))
 	}
-	h.h.Write(h.buf[:])
 }
 
 func (h *hasher) int(v int) { h.u64(uint64(int64(v))) }
 
 func (h *hasher) str(s string) {
 	h.int(len(s))
-	h.h.Write([]byte(s))
+	for i := 0; i < len(s); i++ {
+		h.byte(s[i])
+	}
 }
 
 func (h *hasher) sum() fp {
 	var out fp
-	h.h.Sum(out[:0])
+	binary.BigEndian.PutUint64(out[:8], h.hi)
+	binary.BigEndian.PutUint64(out[8:], h.lo)
 	return out
 }
 
@@ -112,13 +129,8 @@ func problemFingerprint(p *sched.Problem) fp {
 		h.int(int(a[1]))
 	}
 	h.str("mod")
-	nn := p.G.NumNodes()
-	for i := 0; i < nn; i++ {
-		if m, ok := p.ModuleOf[dfg.NodeID(i)]; ok {
-			h.int(m)
-		} else {
-			h.int(-1)
-		}
+	for _, m := range p.ModuleOf {
+		h.int(m) // -1 for an unbound operation
 	}
 	return h.sum()
 }
@@ -139,7 +151,7 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // Callers write every result-affecting field of a request in a fixed
 // order and take Sum; equal sums then imply bit-identical computations
 // (the same purity argument the eval cache relies on).
-type Hasher struct{ h *hasher }
+type Hasher struct{ h hasher }
 
 // NewHasher returns an empty canonical encoder.
 func NewHasher() *Hasher { return &Hasher{h: newHasher()} }
@@ -230,6 +242,14 @@ type buildEntry struct {
 	area cost.Estimate
 }
 
+// analysis is a memoized testability evaluation of a state's design: the
+// metrics, and the mean register sequential depth applyRegMerge compares,
+// so that a hit needs no design at all.
+type analysis struct {
+	m        *testability.Metrics
+	regDepth float64
+}
+
 // schedEntry is a memoized list-scheduling outcome; infeasible problems
 // (latency bound exceeded, cyclic arcs) are cached as errors so the
 // fan-out pays for each infeasibility proof once.
@@ -253,7 +273,7 @@ type evalCache struct {
 	mu      sync.Mutex
 	scheds  map[fp]schedEntry
 	builds  map[fp]buildEntry
-	metrics map[fp]*testability.Metrics
+	metrics map[fp]analysis
 	execs   map[int]int // schedule length -> control steps
 }
 
@@ -267,7 +287,7 @@ func newEvalCache(par Params) *evalCache {
 		stats:   par.Stats,
 		scheds:  map[fp]schedEntry{},
 		builds:  map[fp]buildEntry{},
-		metrics: map[fp]*testability.Metrics{},
+		metrics: map[fp]analysis{},
 		execs:   map[int]int{},
 	}
 }
@@ -281,7 +301,7 @@ func (c *evalCache) lookupBuild(key fp) (buildEntry, bool) {
 	c.mu.Lock()
 	e, ok := c.builds[key]
 	c.mu.Unlock()
-	c.record("cache.build", ok)
+	c.record("cache.build.hit", "cache.build.miss", ok)
 	return e, ok
 }
 
@@ -301,7 +321,7 @@ func (c *evalCache) lookupSched(key fp) (schedEntry, bool) {
 	c.mu.Lock()
 	e, ok := c.scheds[key]
 	c.mu.Unlock()
-	c.record("cache.sched", ok)
+	c.record("cache.sched.hit", "cache.sched.miss", ok)
 	return e, ok
 }
 
@@ -314,23 +334,23 @@ func (c *evalCache) storeSched(key fp, e schedEntry) {
 	c.mu.Unlock()
 }
 
-func (c *evalCache) lookupMetrics(key fp) (*testability.Metrics, bool) {
+func (c *evalCache) lookupMetrics(key fp) (analysis, bool) {
 	if c == nil {
-		return nil, false
+		return analysis{}, false
 	}
 	c.mu.Lock()
-	m, ok := c.metrics[key]
+	e, ok := c.metrics[key]
 	c.mu.Unlock()
-	c.record("cache.metrics", ok)
-	return m, ok
+	c.record("cache.metrics.hit", "cache.metrics.miss", ok)
+	return e, ok
 }
 
-func (c *evalCache) storeMetrics(key fp, m *testability.Metrics) {
+func (c *evalCache) storeMetrics(key fp, e analysis) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.metrics[key] = m
+	c.metrics[key] = e
 	c.mu.Unlock()
 }
 
@@ -344,7 +364,7 @@ func (c *evalCache) lookupExec(schedLen int) (int, bool) {
 	c.mu.Lock()
 	v, ok := c.execs[schedLen]
 	c.mu.Unlock()
-	c.record("cache.exec", ok)
+	c.record("cache.exec.hit", "cache.exec.miss", ok)
 	return v, ok
 }
 
@@ -357,13 +377,15 @@ func (c *evalCache) storeExec(schedLen, steps int) {
 	c.mu.Unlock()
 }
 
-func (c *evalCache) record(prefix string, hit bool) {
+// record counts a lookup under the hit or the miss counter; the names are
+// passed whole so that counting allocates nothing.
+func (c *evalCache) record(hitName, missName string, hit bool) {
 	if c == nil {
 		return
 	}
 	if hit {
-		c.stats.Add(prefix+".hit", 1)
+		c.stats.Add(hitName, 1)
 	} else {
-		c.stats.Add(prefix+".miss", 1)
+		c.stats.Add(missName, 1)
 	}
 }

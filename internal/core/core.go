@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/alloc"
 	"repro/internal/cost"
@@ -178,11 +177,13 @@ type Result struct {
 
 // state carries the evolving design through the synthesis loop.
 type state struct {
-	g     *dfg.Graph
-	prob  *sched.Problem
-	s     sched.Schedule
-	a     *alloc.Allocation
-	life  map[dfg.ValueID]alloc.Interval
+	g    *dfg.Graph
+	prob *sched.Problem
+	s    sched.Schedule
+	a    *alloc.Allocation
+	life alloc.Life
+	// d is the ETPN design of (s, a), derived on first read by design():
+	// nil until then, and again after build or clone.
 	d     *etpn.Design
 	par   Params
 	execT int
@@ -194,35 +195,32 @@ type state struct {
 	fp    fp
 }
 
-// build refreshes lifetimes, the ETPN design, execution time and area from
-// the current schedule and allocation. With caching enabled, a state whose
-// (schedule, allocation) fingerprint was evaluated before — by any tie
-// policy — reuses the memoized costs; only successful builds are cached,
-// so a hit soundly skips allocation verification too. The cache keeps no
-// design: designs would hold most of a long run's memory, and re-deriving
-// one is a small part of what a hit saves (verification and the
-// floorplan).
+// build refreshes lifetimes, execution time and area from the current
+// schedule and allocation, and drops any design derived before. With
+// caching enabled, a state whose (schedule, allocation) fingerprint was
+// evaluated before — by any tie policy — reuses the memoized costs; only
+// successful builds are cached, so a hit soundly skips allocation
+// verification too. A miss verifies the allocation and derives the ETPN
+// design to cost it. A hit derives nothing: design() builds the design
+// only if something reads it, and most hits are candidates that are
+// costed and thrown away. The cache keeps no design either: designs would
+// hold most of a long run's memory.
 func (st *state) build() error {
 	st.life = alloc.Lifetimes(st.g, st.s)
-	var e buildEntry
-	hit := false
+	st.d = nil
 	if st.cache.enabled() {
 		st.fp = stateFingerprint(st)
-		e, hit = st.cache.lookupBuild(st.fp)
-	}
-	if !hit {
-		if err := st.a.Verify(st.g, st.s, st.par.class(), st.life); err != nil {
-			return err
+		if e, hit := st.cache.lookupBuild(st.fp); hit {
+			st.execT, st.area = e.exec, e.area
+			return nil
 		}
 	}
-	d, err := etpn.Build(st.g, st.s, st.a, st.life, etpn.Options{LoopSignal: st.par.LoopSignal})
-	if err != nil {
+	if err := st.a.Verify(st.g, st.s, st.par.class(), st.life); err != nil {
 		return err
 	}
-	st.d = d
-	if hit {
-		st.execT, st.area = e.exec, e.area
-		return nil
+	d, err := st.design()
+	if err != nil {
+		return err
 	}
 	// The control part is a pure function of the schedule length (a chain,
 	// or a guarded loop, over Len places), so the Petri-net critical path
@@ -245,26 +243,53 @@ func (st *state) build() error {
 	return nil
 }
 
-// analyze returns the testability metrics of the current design, memoized
-// by the state fingerprint: both register-merge orders of applyRegMerge
-// frequently produce identical designs, and the committed winner of one
-// iteration is re-analyzed at the top of the next — each repeat is a hit.
-func (st *state) analyze() *testability.Metrics {
-	if m, ok := st.cache.lookupMetrics(st.fp); ok {
-		return m
+// design returns the ETPN design of the current schedule and allocation,
+// deriving it on first read; core.designs counts the derivations. It
+// cannot fail after a build hit — a state with the same fingerprint was
+// built successfully before, and etpn.Build is a pure function of what
+// the fingerprint encodes — but an error is returned, never assumed away.
+func (st *state) design() (*etpn.Design, error) {
+	if st.d != nil {
+		return st.d, nil
 	}
-	stop := st.par.Stats.Time("time.testability")
-	m := testability.Analyze(st.d, st.par.TCfg)
-	stop()
-	st.cache.storeMetrics(st.fp, m)
-	return m
+	d, err := etpn.Build(st.g, st.s, st.a, st.life, etpn.Options{LoopSignal: st.par.LoopSignal})
+	if err != nil {
+		return nil, err
+	}
+	st.par.Stats.Add("core.designs", 1)
+	st.d = d
+	return d, nil
 }
 
+// analyze returns the testability analysis of the current design, memoized
+// by the state fingerprint: both register-merge orders of applyRegMerge
+// frequently produce identical designs, and the committed winner of one
+// iteration is re-analyzed at the top of the next — each repeat is a hit,
+// and needs no design.
+func (st *state) analyze() (analysis, error) {
+	if e, ok := st.cache.lookupMetrics(st.fp); ok {
+		return e, nil
+	}
+	d, err := st.design()
+	if err != nil {
+		return analysis{}, err
+	}
+	stop := st.par.Stats.Time("time.testability")
+	m := testability.Analyze(d, st.par.TCfg)
+	stop()
+	e := analysis{m: m, regDepth: meanRegSeqDepth(d, m)}
+	st.cache.storeMetrics(st.fp, e)
+	return e, nil
+}
+
+// clone copies the schedule, allocation and problem for a tentative
+// merger; the clone derives its own design once rebuilt.
 func (st *state) clone() *state {
 	c := *st
 	c.prob = st.prob.Clone()
 	c.s = st.s.Clone()
 	c.a = st.a.Clone()
+	c.d = nil
 	return &c
 }
 
@@ -289,10 +314,8 @@ func initialState(g *dfg.Graph, par Params, cache *evalCache) (*state, error) {
 	prob.MaxLen = s.Len + par.Slack
 	life := alloc.Lifetimes(g, s)
 	a := alloc.Default(g, par.class(), life)
-	// Bind the problem's module constraint map to the allocation.
-	for op, m := range a.ModuleOf {
-		prob.ModuleOf[op] = m
-	}
+	// Bind the problem's module constraints to the allocation.
+	copy(prob.ModuleOf, a.ModuleOf)
 	st := &state{g: g, prob: prob, s: s, a: a, par: par, cache: cache}
 	if err := st.build(); err != nil {
 		return nil, err
@@ -309,9 +332,15 @@ type candidate struct {
 
 // rankCandidates lists mergeable module pairs and register pairs, each
 // ranked by the configured selection policy, best first.
-func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, regs []candidate) {
+func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, regs []candidate, err error) {
+	var d *etpn.Design
+	if st.par.Selection != SelectConnectivity {
+		if d, err = st.design(); err != nil {
+			return nil, nil, err
+		}
+	}
 	nm, nr := len(st.a.Modules), len(st.a.Regs)
-	cands := make([]candidate, 0, nm*(nm-1)/2+nr*(nr-1)/2)
+	mods = make([]candidate, 0, nm*(nm-1)/2)
 	for i := 0; i < len(st.a.Modules); i++ {
 		for j := i + 1; j < len(st.a.Modules); j++ {
 			if st.a.Modules[i].Class != st.a.Modules[j].Class {
@@ -321,7 +350,7 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 			if st.par.Selection == SelectConnectivity {
 				sc = float64(alloc.Connectivity(st.g, st.a, i, j))
 			} else {
-				u, v := st.d.ModNode(i), st.d.ModNode(j)
+				u, v := d.ModNode(i), d.ModNode(j)
 				// Module merging favours data-dependent operation groups:
 				// dependent operations are already serialized, so sharing a
 				// module between them imposes no new scheduling constraint
@@ -332,9 +361,10 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 					sc += 0.3 * float64(st.modDependencePairs(i, j))
 				}
 			}
-			cands = append(cands, candidate{isModule: true, i: i, j: j, score: sc})
+			mods = append(mods, candidate{isModule: true, i: i, j: j, score: sc})
 		}
 	}
+	regs = make([]candidate, 0, nr*(nr-1)/2)
 	var readers, writers [][]int
 	if !st.par.ModulesOnly && st.par.Selection != SelectConnectivity {
 		readers, writers = st.regModules()
@@ -345,7 +375,7 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 			if st.par.Selection == SelectConnectivity {
 				sc = float64(alloc.RegConnectivity(st.g, st.a, i, j))
 			} else {
-				u, v := st.d.RegNode(i), st.d.RegNode(j)
+				u, v := d.RegNode(i), d.RegNode(j)
 				// Balance principle tempered by the loop-avoidance goal of
 				// §3: merging a register pair connected through one module
 				// creates a self-loop, the structure testable allocation
@@ -361,26 +391,25 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 					sc += 2
 				}
 			}
-			cands = append(cands, candidate{isModule: false, i: i, j: j, score: sc})
+			regs = append(regs, candidate{isModule: false, i: i, j: j, score: sc})
 		}
 	}
-	slices.SortStableFunc(cands, func(x, y candidate) int {
+	// Best score first; equal scores keep the order generated above, pair
+	// (i, j) ascending, as a stable sort would.
+	byScore := func(x, y candidate) int {
 		switch {
 		case x.score > y.score:
 			return -1
 		case y.score > x.score:
 			return +1
+		case x.i != y.i:
+			return x.i - y.i
 		}
-		return 0
-	})
-	for _, c := range cands {
-		if c.isModule {
-			mods = append(mods, c)
-		} else {
-			regs = append(regs, c)
-		}
+		return x.j - y.j
 	}
-	return mods, regs
+	slices.SortFunc(mods, byScore)
+	slices.SortFunc(regs, byScore)
+	return mods, regs, nil
 }
 
 // regsDisjointNow reports whether every cross pair of values of registers
@@ -388,8 +417,8 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 func (st *state) regsDisjointNow(i, j int) bool {
 	for _, va := range st.a.Regs[i].Vals {
 		for _, vb := range st.a.Regs[j].Vals {
-			la, aok := st.life[va]
-			lb, bok := st.life[vb]
+			la, aok := st.life.Of(va)
+			lb, bok := st.life.Of(vb)
 			if aok && bok && alloc.Overlaps(la, lb) {
 				return false
 			}
@@ -445,19 +474,15 @@ func common(a, b []int) int {
 // operations of modules i and j: each such pair is already serialized by
 // the data flow, so merging costs nothing in scheduling freedom.
 func (st *state) modDependencePairs(i, j int) int {
-	inJ := map[dfg.NodeID]bool{}
-	for _, op := range st.a.Modules[j].Ops {
-		inJ[op] = true
-	}
 	pairs := 0
 	for _, op := range st.a.Modules[i].Ops {
 		for _, s := range st.g.Succs(op) {
-			if inJ[s] {
+			if st.a.ModuleOf[s] == j {
 				pairs++
 			}
 		}
 		for _, p := range st.g.Preds(op) {
-			if inJ[p] {
+			if st.a.ModuleOf[p] == j {
 				pairs++
 			}
 		}
@@ -589,8 +614,15 @@ func synthesizeOnce(ctx context.Context, g *dfg.Graph, par Params, tp tiePolicy,
 		if iter > g.NumNodes()+g.NumValues()+8 {
 			return nil, fmt.Errorf("core: merger loop failed to terminate")
 		}
-		m := st.analyze()
-		modCands, regCands := st.rankCandidates(m, tp)
+		an, err := st.analyze()
+		if err != nil {
+			return nil, err
+		}
+		m := an.m
+		modCands, regCands, err := st.rankCandidates(m, tp)
+		if err != nil {
+			return nil, err
+		}
 		if len(modCands)+len(regCands) == 0 {
 			break
 		}
@@ -697,21 +729,29 @@ func (st *state) finish(method string, trace []string) (*Result, error) {
 	if err := st.build(); err != nil {
 		return nil, err
 	}
+	d, err := st.design()
+	if err != nil {
+		return nil, err
+	}
 	// Every synthesis flow — ours and the three baselines — funnels its
 	// final design through here, so this is the single validation boundary
 	// for finished designs.
 	if st.par.Validate {
-		if err := validate.Design(st.d); err != nil {
+		if err := validate.Design(d); err != nil {
 			return nil, err
 		}
 	}
+	an, err := st.analyze()
+	if err != nil {
+		return nil, err
+	}
 	return &Result{
 		Method:   method,
-		Design:   st.d,
+		Design:   d,
 		ExecTime: st.execT,
 		Area:     st.area,
-		Mux:      st.d.MuxStats(),
-		Metrics:  st.analyze(),
+		Mux:      d.MuxStats(),
+		Metrics:  an.m,
 		Trace:    trace,
 	}, nil
 }
@@ -741,9 +781,7 @@ func (st *state) applyModuleMerge(i, j int, m *testability.Metrics) (*state, int
 			return nil, 0, 0, err
 		}
 		ns.prob.Extra = append(ns.prob.Extra, sched.ChainArcs(order)...)
-		for op, mod := range ns.a.ModuleOf {
-			ns.prob.ModuleOf[op] = mod
-		}
+		copy(ns.prob.ModuleOf, ns.a.ModuleOf)
 		return st.reschedule(ns)
 	}
 
@@ -767,8 +805,12 @@ func (st *state) applyModuleMerge(i, j int, m *testability.Metrics) (*state, int
 	// §4.3.1: "if these two rules can not be applied, we will select the
 	// pair which results in the smallest increase in the length of the
 	// critical path") by trying the step-order and both append orders.
+	prefer, err := st.preferSR(m)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	candidates := [][]dfg.NodeID{
-		sched.MergeOrders(seqI, seqJ, st.preferSR(m)),
+		sched.MergeOrders(seqI, seqJ, prefer),
 		sched.OrderByStep(both, st.s),
 		append(append([]dfg.NodeID{}, seqI...), seqJ...),
 		append(append([]dfg.NodeID{}, seqJ...), seqI...),
@@ -842,19 +884,23 @@ func duplicateOrder(prior [][]dfg.NodeID, order []dfg.NodeID) bool {
 // result register is more observable, thereby shortening the sequential
 // depth from a controllable register to an observable register. Ties fall
 // back to the current control step (smallest critical-path increase).
-func (st *state) preferSR(m *testability.Metrics) sched.Prefer {
+func (st *state) preferSR(m *testability.Metrics) (sched.Prefer, error) {
+	d, err := st.design()
+	if err != nil {
+		return nil, err
+	}
 	ctrlIn := func(op dfg.NodeID) float64 {
 		best := 0.0
 		for _, v := range st.g.Node(op).In {
-			if c := testability.ValueCtrl(st.d, m, v); c > best {
+			if c := testability.ValueCtrl(d, m, v); c > best {
 				best = c
 			}
 		}
 		return best
 	}
 	obsOut := func(op dfg.NodeID) float64 {
-		if r, ok := st.a.RegOf[st.g.Node(op).Out]; ok {
-			return m.Obs(st.d.RegNode(r))
+		if r := st.a.RegOf[st.g.Node(op).Out]; r >= 0 {
+			return m.Obs(d.RegNode(r))
 		}
 		return 1 // result goes straight to a port
 	}
@@ -869,7 +915,7 @@ func (st *state) preferSR(m *testability.Metrics) sched.Prefer {
 		}
 		// SR ties: keep the operation currently scheduled earlier first.
 		return st.s.Step[a] - st.s.Step[b]
-	}
+	}, nil
 }
 
 // applyRegMerge implements the register merger of §4.3.2: the lifetimes of
@@ -915,9 +961,18 @@ func (st *state) applyRegMerge(i, j int, m *testability.Metrics) (*state, int, f
 		return s1, e1, h1, nil
 	}
 	if st.par.Reschedule == RescheduleMergeSort {
-		// SR1: prefer the order with the shorter mean sequential depth.
-		d1 := meanRegSeqDepth(s1)
-		d2 := meanRegSeqDepth(s2)
+		// SR1: prefer the order with the shorter mean sequential depth. The
+		// two orders frequently converge to the same (schedule, allocation)
+		// pair, in which case the second analysis is a cache hit.
+		a1, err := s1.analyze()
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		a2, err := s2.analyze()
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		d1, d2 := a1.regDepth, a2.regDepth
 		if d2 < d1 {
 			return s2, e2, h2, nil
 		}
@@ -931,14 +986,10 @@ func (st *state) applyRegMerge(i, j int, m *testability.Metrics) (*state, int, f
 	return s1, e1, h1, nil
 }
 
-// meanRegSeqDepth routes through the state's memoized analysis: the two
-// serialization orders applyRegMerge compares frequently converge to the
-// same (schedule, allocation) pair, in which case the second order's
-// fixpoint is a cache hit rather than a full re-run.
-func meanRegSeqDepth(st *state) float64 {
-	m := st.analyze()
+// meanRegSeqDepth averages the sequential depth of d's registers.
+func meanRegSeqDepth(d *etpn.Design, m *testability.Metrics) float64 {
 	sum, n := 0.0, 0
-	for _, nd := range st.d.Nodes {
+	for _, nd := range d.Nodes {
 		if nd.Kind == etpn.KindRegister {
 			sum += m.SeqDepth(nd.ID)
 			n++
@@ -960,7 +1011,7 @@ func (ns *state) serializeRegs(first, second int) (strict, weak [][2]dfg.NodeID,
 	valsA := append([]dfg.ValueID(nil), ns.a.Regs[first].Vals...)
 	valsB := append([]dfg.ValueID(nil), ns.a.Regs[second].Vals...)
 	byBirth := func(vs []dfg.ValueID) {
-		sort.Slice(vs, func(x, y int) bool { return ns.life[vs[x]].Birth < ns.life[vs[y]].Birth })
+		slices.SortFunc(vs, func(x, y dfg.ValueID) int { return ns.life[x].Birth - ns.life[y].Birth })
 	}
 	byBirth(valsA)
 	byBirth(valsB)
@@ -973,35 +1024,29 @@ func (ns *state) serializeRegs(first, second int) (strict, weak [][2]dfg.NodeID,
 	for _, vb := range valsB {
 		for _, va := range valsA {
 			x, y := va, vb
-			la, lb := ns.life[va], ns.life[vb]
+			la, lb := ns.life[va].Interval, ns.life[vb].Interval
 			if !alloc.Overlaps(la, lb) && lb.Death <= la.Birth {
 				x, y = vb, va // b already expires before a is created
 			}
-			st2, wk2, err := serializePair(g, x, y)
-			if err != nil {
+			if strict, weak, err = serializePair(g, x, y, strict, weak); err != nil {
 				return nil, nil, err
 			}
-			strict = append(strict, st2...)
-			weak = append(weak, wk2...)
 		}
 	}
 	return strict, weak, nil
 }
 
-// serializePair returns arcs ensuring va expires before vb is created.
-// The last read of va may share a control step with vb's production (the
-// register loads the new value on the edge that ends the step), so
-// reader-to-producer arcs are weak; producer-to-producer arcs are strict
-// (two values cannot be written in the same step). An operation reading
-// both values makes the lifetimes inseparable (paper §4.3.2, case 2).
-func serializePair(g *dfg.Graph, va, vb dfg.ValueID) (strict, weak [][2]dfg.NodeID, err error) {
+// serializePair appends to strict and weak the arcs ensuring va expires
+// before vb is created. The last read of va may share a control step with
+// vb's production (the register loads the new value on the edge that ends
+// the step), so reader-to-producer arcs are weak; producer-to-producer
+// arcs are strict (two values cannot be written in the same step). An
+// operation reading both values makes the lifetimes inseparable (paper
+// §4.3.2, case 2).
+func serializePair(g *dfg.Graph, va, vb dfg.ValueID, strict, weak [][2]dfg.NodeID) ([][2]dfg.NodeID, [][2]dfg.NodeID, error) {
 	a, b := g.Value(va), g.Value(vb)
-	usesB := map[dfg.NodeID]bool{}
-	for _, u := range b.Uses {
-		usesB[u] = true
-	}
 	for _, u := range a.Uses {
-		if usesB[u] {
+		if slices.Contains(b.Uses, u) {
 			return nil, nil, fmt.Errorf("core: operation %s uses both %s and %s", g.Node(u).Name, a.Name, b.Name)
 		}
 	}

@@ -110,9 +110,15 @@ func TestAnalyzeMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1 := st.analyze()
-	m2 := st.analyze()
-	if m1 != m2 {
+	a1, err := st.analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := st.analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a1.m != a2.m {
 		t.Error("repeated analysis of one state returned distinct Metrics")
 	}
 	if h, m := sc.Value("cache.metrics.hit"), sc.Value("cache.metrics.miss"); h != 1 || m != 1 {
@@ -125,7 +131,8 @@ func TestAnalyzeMemoized(t *testing.T) {
 // serialization orders by mean register sequential depth, and when both
 // orders converge to the same (schedule, allocation) the second
 // testability fixpoint used to be recomputed from scratch. Two states
-// with identical designs must share one analysis through the cache.
+// with identical designs must share one analysis through the cache, and
+// the second, a build hit whose analysis is a hit too, derives no design.
 func TestMeanRegSeqDepthSharedAcrossIdenticalOrders(t *testing.T) {
 	par := DefaultParams(4)
 	sc := stats.New()
@@ -141,10 +148,16 @@ func TestMeanRegSeqDepthSharedAcrossIdenticalOrders(t *testing.T) {
 	if err := s2.build(); err != nil {
 		t.Fatal(err)
 	}
-	d1 := meanRegSeqDepth(s1)
-	hits := sc.Value("cache.metrics.hit")
-	d2 := meanRegSeqDepth(s2)
-	if d1 != d2 {
+	a1, err := s1.analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, designs := sc.Value("cache.metrics.hit"), sc.Value("core.designs")
+	a2, err := s2.analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1, d2 := a1.regDepth, a2.regDepth; d1 != d2 {
 		t.Errorf("identical designs measured different depths: %g vs %g", d1, d2)
 	}
 	if got := sc.Value("cache.metrics.hit"); got != hits+1 {
@@ -152,6 +165,9 @@ func TestMeanRegSeqDepthSharedAcrossIdenticalOrders(t *testing.T) {
 	}
 	if miss := sc.Value("cache.metrics.miss"); miss != 1 {
 		t.Errorf("%d fixpoint runs for identical designs, want exactly 1", miss)
+	}
+	if got := sc.Value("core.designs"); got != designs || s2.d != nil {
+		t.Errorf("a build and metrics hit derived a design (core.designs %d -> %d)", designs, got)
 	}
 }
 

@@ -12,6 +12,7 @@ package dfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -266,32 +267,22 @@ func (g *Graph) addValue(v *Value) ValueID {
 // Preds returns the operation nodes that produce n's operands (duplicates
 // removed, order by node id).
 func (g *Graph) Preds(n NodeID) []NodeID {
-	seen := map[NodeID]bool{}
 	var out []NodeID
 	for _, v := range g.nodes[n].In {
-		d := g.values[v].Def
-		if d != NoNode && !seen[d] {
-			seen[d] = true
+		if d := g.values[v].Def; d != NoNode {
 			out = append(out, d)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Succs returns the operation nodes that consume n's result (duplicates
 // removed, order by node id).
 func (g *Graph) Succs(n NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	var out []NodeID
-	for _, u := range g.values[g.nodes[n].Out].Uses {
-		if !seen[u] {
-			seen[u] = true
-			out = append(out, u)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := append([]NodeID(nil), g.values[g.nodes[n].Out].Uses...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // TopoOrder returns the node ids in a topological order of the data

@@ -9,7 +9,9 @@ package etpn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/alloc"
@@ -77,7 +79,7 @@ type Design struct {
 	G     *dfg.Graph
 	Sched sched.Schedule
 	Alloc *alloc.Allocation
-	Life  map[dfg.ValueID]alloc.Interval
+	Life  alloc.Life
 
 	Nodes []*Node
 	Arcs  []*Arc
@@ -89,11 +91,11 @@ type Design struct {
 	CtrlPlaces []petri.PlaceID
 	LoopSignal string // condition value name guarding the loop; "" if none
 
-	regNode   map[int]int         // allocation register id -> node id
-	modNode   map[int]int         // allocation module id -> node id
-	inNode    map[dfg.ValueID]int // input value -> port node
-	outNode   map[dfg.ValueID]int
-	constNode map[dfg.ValueID]int
+	// Node ids by allocation register and module id, and by value id for
+	// the input ports, output ports and constants (-1 where a value has
+	// none).
+	regNode, modNode           []int
+	inNode, outNode, constNode []int
 }
 
 // Options controls Build.
@@ -108,54 +110,81 @@ type Options struct {
 // Build derives the ETPN data path and control part from a behaviour, a
 // schedule, and an allocation. The lifetimes must correspond to the
 // schedule (alloc.Lifetimes).
-func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life map[dfg.ValueID]alloc.Interval, opt Options) (*Design, error) {
+func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life alloc.Life, opt Options) (*Design, error) {
+	nv, nr, nm := g.NumValues(), len(a.Regs), len(a.Modules)
+	ids := make([]int, 3*nv+nr+nm)
+	for i := range ids[:3*nv] {
+		ids[i] = -1
+	}
 	d := &Design{
 		G: g, Sched: s, Alloc: a, Life: life,
 		LoopSignal: opt.LoopSignal,
-		regNode:    map[int]int{}, modNode: map[int]int{},
-		inNode: map[dfg.ValueID]int{}, outNode: map[dfg.ValueID]int{}, constNode: map[dfg.ValueID]int{},
+		inNode:     ids[:nv:nv], outNode: ids[nv : 2*nv : 2*nv], constNode: ids[2*nv : 3*nv : 3*nv],
+		regNode: ids[3*nv : 3*nv+nr : 3*nv+nr], modNode: ids[3*nv+nr:],
 	}
-	addNode := func(n *Node) int {
+	total := nr + nm
+	for _, v := range g.Values() {
+		if v.Kind == dfg.ValInput || v.Kind == dfg.ValConst {
+			total++
+		}
+		if v.IsOutput {
+			total++
+		}
+	}
+	nodes := make([]Node, 0, total)
+	d.Nodes = make([]*Node, 0, total)
+	addNode := func(n Node) int {
 		n.ID = len(d.Nodes)
-		d.Nodes = append(d.Nodes, n)
+		nodes = append(nodes, n)
+		d.Nodes = append(d.Nodes, &nodes[n.ID])
 		return n.ID
 	}
 	for _, v := range g.Values() {
 		switch {
 		case v.Kind == dfg.ValInput:
-			d.inNode[v.ID] = addNode(&Node{Kind: KindInPort, Name: "in:" + v.Name, Value: v.ID})
+			d.inNode[v.ID] = addNode(Node{Kind: KindInPort, Name: "in:" + v.Name, Value: v.ID})
 		case v.Kind == dfg.ValConst:
-			d.constNode[v.ID] = addNode(&Node{Kind: KindConst, Name: "const:" + v.Name, Value: v.ID})
+			d.constNode[v.ID] = addNode(Node{Kind: KindConst, Name: "const:" + v.Name, Value: v.ID})
 		}
 		if v.IsOutput {
-			d.outNode[v.ID] = addNode(&Node{Kind: KindOutPort, Name: "out:" + v.Name, Value: v.ID})
+			d.outNode[v.ID] = addNode(Node{Kind: KindOutPort, Name: "out:" + v.Name, Value: v.ID})
 		}
 	}
 	for _, r := range a.Regs {
-		d.regNode[r.ID] = addNode(&Node{Kind: KindRegister, Name: fmt.Sprintf("R%d", r.ID), Vals: r.Vals, Value: dfg.NoValue})
+		d.regNode[r.ID] = addNode(Node{Kind: KindRegister, Name: "R" + strconv.Itoa(r.ID), Vals: r.Vals, Value: dfg.NoValue})
 	}
 	for _, m := range a.Modules {
-		d.modNode[m.ID] = addNode(&Node{Kind: KindModule, Name: fmt.Sprintf("M%d(%s)", m.ID, m.Class), Class: m.Class, Ops: m.Ops, Value: dfg.NoValue})
+		d.modNode[m.ID] = addNode(Node{Kind: KindModule, Name: "M" + strconv.Itoa(m.ID) + "(" + m.Class + ")", Class: m.Class, Ops: m.Ops, Value: dfg.NoValue})
 	}
 
-	// Arc accumulation keyed by (from, to, toPort). Transfers are recorded
-	// in discovery order and laid out per arc once all are known.
-	arcIx := map[arcKey]int{}
-	var keys []arcKey
+	// Arc accumulation keyed by (from, to, toPort), numbered in discovery
+	// order. The arcs into each node form a chain: head[to] is the latest
+	// arc into to and next[i] the one found before arc i, -1 ending both.
+	// Transfers are recorded in discovery order and laid out per arc once
+	// all are known.
 	// Capacity: an input value is loaded and may feed an output port; an
 	// operation reads its operands, writes its result and may feed one.
 	bound := 2 * g.NumValues()
 	for _, n := range g.Nodes() {
 		bound += len(n.In) + 2
 	}
+	keys := make([]arcKey, 0, bound)
+	next := make([]int, 0, bound)
+	head := make([]int, len(d.Nodes))
+	for i := range head {
+		head[i] = -1
+	}
 	xfers := make([]xfer, 0, bound)
 	addXfer := func(from, to, port, step int, v dfg.ValueID) {
-		k := arcKey{from, to, port}
-		i, ok := arcIx[k]
-		if !ok {
+		i := head[to]
+		for i >= 0 && (keys[i].from != from || keys[i].port != port) {
+			i = next[i]
+		}
+		if i < 0 {
 			i = len(keys)
-			arcIx[k] = i
-			keys = append(keys, k)
+			keys = append(keys, arcKey{from, to, port})
+			next = append(next, head[to])
+			head[to] = i
 		}
 		xfers = append(xfers, xfer{i, step, v})
 	}
@@ -165,12 +194,12 @@ func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life map[dfg.Val
 		if v.Kind != dfg.ValInput {
 			continue
 		}
-		iv, stored := life[v.ID]
+		iv, stored := life.Of(v.ID)
 		if !stored {
 			continue
 		}
-		r, ok := a.RegOf[v.ID]
-		if !ok {
+		r := a.RegOf[v.ID]
+		if r < 0 {
 			return nil, fmt.Errorf("etpn: input %s has a lifetime but no register", v.Name)
 		}
 		addXfer(d.inNode[v.ID], d.regNode[r], -1, iv.Birth, v.ID)
@@ -185,8 +214,8 @@ func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life map[dfg.Val
 			if val.Kind == dfg.ValConst {
 				src = d.constNode[v]
 			} else {
-				r, ok := a.RegOf[v]
-				if !ok {
+				r := a.RegOf[v]
+				if r < 0 {
 					return nil, fmt.Errorf("etpn: operand %s of %s has no register", val.Name, n.Name)
 				}
 				src = d.regNode[r]
@@ -194,13 +223,13 @@ func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life map[dfg.Val
 			addXfer(src, mod, idx, step, v)
 		}
 		out := g.Value(n.Out)
-		if r, ok := a.RegOf[n.Out]; ok {
+		if r := a.RegOf[n.Out]; r >= 0 {
 			addXfer(mod, d.regNode[r], -1, step, n.Out)
 		} else if !out.IsOutput {
 			return nil, fmt.Errorf("etpn: result %s of %s has no register", out.Name, n.Name)
 		}
 		if out.IsOutput {
-			if r, ok := a.RegOf[n.Out]; ok {
+			if r := a.RegOf[n.Out]; r >= 0 {
 				addXfer(d.regNode[r], d.outNode[n.Out], -1, life[n.Out].Death, n.Out)
 			} else {
 				addXfer(mod, d.outNode[n.Out], -1, step, n.Out)
@@ -210,7 +239,7 @@ func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life map[dfg.Val
 	// Output ports for input values marked as outputs (pass-through).
 	for _, v := range g.Values() {
 		if v.Kind == dfg.ValInput && v.IsOutput {
-			if r, ok := a.RegOf[v.ID]; ok {
+			if r := a.RegOf[v.ID]; r >= 0 {
 				addXfer(d.regNode[r], d.outNode[v.ID], -1, life[v.ID].Death, v.ID)
 			} else {
 				addXfer(d.inNode[v.ID], d.outNode[v.ID], -1, 1, v.ID)
@@ -248,7 +277,7 @@ func (d *Design) RegNode(reg int) int { return d.regNode[reg] }
 func (d *Design) ModNode(mod int) int { return d.modNode[mod] }
 
 // InNode returns the port node of an input value.
-func (d *Design) InNode(v dfg.ValueID) (int, bool) { n, ok := d.inNode[v]; return n, ok }
+func (d *Design) InNode(v dfg.ValueID) (int, bool) { n := d.inNode[v]; return n, n >= 0 }
 
 // arcKey identifies an arc by its (from, to, toPort) triple.
 type arcKey struct{ from, to, port int }
@@ -332,33 +361,40 @@ func (d *Design) Validate() error {
 			return fmt.Errorf("etpn: arc %d has mismatched steps/values", a.ID)
 		}
 	}
+	// A register written twice in one step is named with its earliest such
+	// step; writes is reused across registers.
+	var writes []int
 	for _, n := range d.Nodes {
 		if n.Kind != KindRegister {
 			continue
 		}
-		writes := map[int]int{} // step -> count
+		writes = writes[:0]
 		for _, a := range d.ArcsInto(n.ID) {
-			for _, st := range a.Steps {
-				writes[st]++
-			}
+			writes = append(writes, a.Steps...)
 		}
-		for st, c := range writes {
-			if c > 1 {
-				return fmt.Errorf("etpn: register %s written %d times in step %d", n.Name, c, st)
+		slices.Sort(writes)
+		for i := 0; i < len(writes); {
+			j := i + 1
+			for j < len(writes) && writes[j] == writes[i] {
+				j++
 			}
+			if j-i > 1 {
+				return fmt.Errorf("etpn: register %s written %d times in step %d", n.Name, j-i, writes[i])
+			}
+			i = j
 		}
 	}
 	for _, n := range d.Nodes {
 		if n.Kind != KindModule {
 			continue
 		}
-		steps := map[int]bool{}
-		for _, op := range n.Ops {
+		for x, op := range n.Ops {
 			st := d.Sched.Step[op]
-			if steps[st] {
-				return fmt.Errorf("etpn: module %s executes two operations in step %d", n.Name, st)
+			for _, prev := range n.Ops[:x] {
+				if d.Sched.Step[prev] == st {
+					return fmt.Errorf("etpn: module %s executes two operations in step %d", n.Name, st)
+				}
 			}
-			steps[st] = true
 		}
 	}
 	return d.Ctrl.Validate()

@@ -124,7 +124,7 @@ func TestMuxStatsCAMADStyleEx(t *testing.T) {
 		t.Fatal(err)
 	}
 	life := alloc.Lifetimes(g, s)
-	a := &alloc.Allocation{ModuleOf: map[dfg.NodeID]int{}, RegOf: map[dfg.ValueID]int{}}
+	a := &alloc.Allocation{ModuleOf: make([]int, g.NumNodes()), RegOf: make([]int, g.NumValues())}
 	a.Modules = []*alloc.ModuleGroup{
 		{ID: 0, Class: "*", Ops: muls},
 		{ID: 1, Class: "±", Ops: alus},
@@ -135,11 +135,12 @@ func TestMuxStatsCAMADStyleEx(t *testing.T) {
 	for _, op := range alus {
 		a.ModuleOf[op] = 1
 	}
-	i := 0
-	for v := range life {
-		a.Regs = append(a.Regs, &alloc.RegGroup{ID: i, Vals: []dfg.ValueID{v}})
-		a.RegOf[v] = i
-		i++
+	for v, l := range life {
+		a.RegOf[v] = -1
+		if l.Stored {
+			a.RegOf[v] = len(a.Regs)
+			a.Regs = append(a.Regs, &alloc.RegGroup{ID: len(a.Regs), Vals: []dfg.ValueID{dfg.ValueID(v)}})
+		}
 	}
 	d, err := Build(g, s, a, life, Options{})
 	if err != nil {

@@ -37,7 +37,7 @@ func (d *Design) Simulate(width int, inputs map[string]uint64) (map[string]uint6
 		if v.Kind != dfg.ValInput {
 			continue
 		}
-		iv, stored := d.Life[v.ID]
+		iv, stored := d.Life.Of(v.ID)
 		if !stored {
 			continue
 		}
@@ -58,8 +58,8 @@ func (d *Design) Simulate(width int, inputs map[string]uint64) (map[string]uint6
 		if val.Kind == dfg.ValConst {
 			return uint64(val.Const) & dfg.Mask(width), nil
 		}
-		r, ok := d.Alloc.RegOf[v]
-		if !ok {
+		r := d.Alloc.RegOf[v]
+		if r < 0 {
 			return 0, fmt.Errorf("etpn: value %s read at %s has no register", val.Name, at)
 		}
 		if regHolds[r] != v {
@@ -88,7 +88,7 @@ func (d *Design) Simulate(width int, inputs map[string]uint64) (map[string]uint6
 			}
 			res := dfg.Eval(n.Kind, width, ops...)
 			out := g.Value(n.Out)
-			if r, ok := d.Alloc.RegOf[n.Out]; ok {
+			if r := d.Alloc.RegOf[n.Out]; r >= 0 {
 				writes = append(writes, write{r, n.Out, res})
 			}
 			if out.IsOutput {
@@ -103,11 +103,11 @@ func (d *Design) Simulate(width int, inputs map[string]uint64) (map[string]uint6
 			if !v.IsOutput || v.Kind == dfg.ValConst {
 				continue
 			}
-			iv, stored := d.Life[v.ID]
+			iv, stored := d.Life.Of(v.ID)
 			if stored && iv.Death == step+1 {
 				// Value observed at the start of the next step; check now
 				// that the register still holds it after this step's writes.
-				if r := d.Alloc.RegOf[v.ID]; regHolds[r] != v.ID && iv.Birth <= step {
+				if r := d.Alloc.RegOf[v.ID]; r >= 0 && regHolds[r] != v.ID && iv.Birth <= step {
 					return nil, fmt.Errorf("etpn: output %s clobbered before observation", v.Name)
 				}
 			}

@@ -327,7 +327,7 @@ func generateCaptured(d *etpn.Design, width int, mode Mode, captured []int, wire
 			continue
 		}
 		var bus gates.Word
-		if r, ok := d.Alloc.RegOf[v.ID]; ok {
+		if r := d.Alloc.RegOf[v.ID]; r >= 0 {
 			bus = regBus[r]
 			n.SampleCycle[v.Name] = d.Life[v.ID].Birth + 1
 		} else if v.Kind == dfg.ValInput {

@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/dfg"
 )
@@ -19,12 +19,11 @@ type Prefer func(a, b dfg.NodeID) int
 // shared module.
 func OrderByStep(ops []dfg.NodeID, s Schedule) []dfg.NodeID {
 	out := append([]dfg.NodeID(nil), ops...)
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := s.Step[out[i]], s.Step[out[j]]
-		if si != sj {
-			return si < sj
+	slices.SortFunc(out, func(a, b dfg.NodeID) int {
+		if sa, sb := s.Step[a], s.Step[b]; sa != sb {
+			return sa - sb
 		}
-		return out[i] < out[j]
+		return int(a - b)
 	})
 	return out
 }

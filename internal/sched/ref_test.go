@@ -245,7 +245,7 @@ func (p *Problem) refList() (refSchedule, error) {
 			})
 			progress := false
 			for _, n := range avail {
-				if m, bound := p.ModuleOf[n]; bound {
+				if m := p.ModuleOf[n]; m >= 0 {
 					if usedModule[m] {
 						continue
 					}

@@ -13,7 +13,6 @@ package sched
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/dfg"
@@ -57,25 +56,26 @@ type Problem struct {
 	// read-then-overwrite register sharing pattern, where a value may die
 	// in the very step its successor is written.
 	ExtraWeak [][2]dfg.NodeID
-	// ModuleOf binds operations to modules; operations sharing a module id
-	// must be scheduled in pairwise distinct steps. Unbound operations may
-	// be omitted.
-	ModuleOf map[dfg.NodeID]int
+	// ModuleOf is indexed by dfg.NodeID and binds operations to modules;
+	// operations sharing a module id must be scheduled in pairwise distinct
+	// steps. -1 marks an unbound operation.
+	ModuleOf []int
 	// MaxLen bounds the schedule length; 0 means unbounded.
 	MaxLen int
 }
 
 // NewProblem returns an unconstrained problem over g.
 func NewProblem(g *dfg.Graph) *Problem {
-	return &Problem{G: g, ModuleOf: map[dfg.NodeID]int{}}
+	mod := make([]int, g.NumNodes())
+	for i := range mod {
+		mod[i] = -1
+	}
+	return &Problem{G: g, ModuleOf: mod}
 }
 
 // Clone returns a deep copy of the problem (sharing the graph).
 func (p *Problem) Clone() *Problem {
-	c := &Problem{G: p.G, MaxLen: p.MaxLen, ModuleOf: maps.Clone(p.ModuleOf)}
-	if c.ModuleOf == nil {
-		c.ModuleOf = map[dfg.NodeID]int{}
-	}
+	c := &Problem{G: p.G, MaxLen: p.MaxLen, ModuleOf: slices.Clone(p.ModuleOf)}
 	c.Extra = append(c.Extra, p.Extra...)
 	c.ExtraWeak = append(c.ExtraWeak, p.ExtraWeak...)
 	return c
@@ -185,19 +185,19 @@ func transpose(nn int, off, list []int32) (toff, tlist []int32) {
 
 // denseModules maps the module binding onto indices 0..nmod-1 (ascending
 // module id), -1 for unbound nodes.
-func denseModules(moduleOf map[dfg.NodeID]int, nn int) ([]int32, int) {
+func denseModules(moduleOf []int, nn int) ([]int32, int) {
 	mod := make([]int32, nn)
-	ids := make([]int, 0, len(moduleOf))
-	for n := 0; n < nn; n++ {
-		if m, ok := moduleOf[dfg.NodeID(n)]; ok {
+	ids := make([]int, 0, nn)
+	for _, m := range moduleOf {
+		if m >= 0 {
 			ids = append(ids, m)
 		}
 	}
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
-	for n := 0; n < nn; n++ {
+	for n := range mod {
 		mod[n] = -1
-		if m, ok := moduleOf[dfg.NodeID(n)]; ok {
+		if m := moduleOf[n]; m >= 0 {
 			i, _ := slices.BinarySearch(ids, m)
 			mod[n] = int32(i)
 		}
@@ -503,8 +503,8 @@ func (p *Problem) Verify(s Schedule) error {
 	}
 	atStep := map[[2]int]dfg.NodeID{} // (module, step) -> node
 	for _, n := range p.G.Nodes() {
-		m, bound := p.ModuleOf[n.ID]
-		if !bound {
+		m := p.ModuleOf[n.ID]
+		if m < 0 {
 			continue
 		}
 		key := [2]int{m, step[n.ID]}

@@ -376,7 +376,7 @@ func MeanTestability(d *etpn.Design, m *Metrics) float64 {
 // ValueCtrl returns the controllability score of the register holding v,
 // or of its port/constant if not stored.
 func ValueCtrl(d *etpn.Design, m *Metrics, v dfg.ValueID) float64 {
-	if r, ok := d.Alloc.RegOf[v]; ok {
+	if r := d.Alloc.RegOf[v]; r >= 0 {
 		return m.Ctrl(d.RegNode(r))
 	}
 	if n, ok := d.InNode(v); ok {

@@ -170,6 +170,11 @@ func allocation(d *etpn.Design) error {
 	if a == nil {
 		return fail("alloc", "non-nil", "nil allocation")
 	}
+	nn, nv := d.G.NumNodes(), d.G.NumValues()
+	if len(a.ModuleOf) != nn || len(a.RegOf) != nv || len(d.Life) != nv {
+		return fail("alloc", "binding-size", "ModuleOf has %d of %d operations, RegOf %d and Life %d of %d values",
+			len(a.ModuleOf), nn, len(a.RegOf), len(d.Life), nv)
+	}
 	for i, m := range a.Modules {
 		if m.ID != i {
 			return fail("alloc", "module-ids-dense", "module at index %d has id %d", i, m.ID)
@@ -178,12 +183,15 @@ func allocation(d *etpn.Design) error {
 			return fail("alloc", "module-nonempty", "module %d binds no operation", m.ID)
 		}
 		for _, op := range m.Ops {
-			if got, ok := a.ModuleOf[op]; !ok || got != m.ID {
+			if got := a.ModuleOf[op]; got != m.ID {
 				return fail("alloc", "module-ownership", "operation %s listed in module %d but ModuleOf says %d", d.G.Node(op).Name, m.ID, got)
 			}
 		}
 	}
-	for op, m := range a.ModuleOf {
+	// Operations in id order, so a design with several offenders always
+	// names the same one.
+	for id, m := range a.ModuleOf {
+		op := dfg.NodeID(id)
 		if m < 0 || m >= len(a.Modules) {
 			return fail("alloc", "module-ids-dense", "operation %s bound to unknown module %d", d.G.Node(op).Name, m)
 		}
@@ -199,7 +207,7 @@ func allocation(d *etpn.Design) error {
 			return fail("alloc", "reg-nonempty", "register %d holds no value", r.ID)
 		}
 		for _, v := range r.Vals {
-			if got, ok := a.RegOf[v]; !ok || got != r.ID {
+			if got := a.RegOf[v]; got != r.ID {
 				return fail("alloc", "reg-ownership", "value %s listed in register %d but RegOf says %d", d.G.Value(v).Name, r.ID, got)
 			}
 		}
@@ -208,8 +216,8 @@ func allocation(d *etpn.Design) error {
 		for x := 0; x < len(r.Vals); x++ {
 			for y := x + 1; y < len(r.Vals); y++ {
 				vx, vy := r.Vals[x], r.Vals[y]
-				ix, okx := d.Life[vx]
-				iy, oky := d.Life[vy]
+				ix, okx := d.Life.Of(vx)
+				iy, oky := d.Life.Of(vy)
 				if !okx || !oky {
 					return fail("alloc", "reg-lifetime-known", "register %d holds a value with no lifetime interval", r.ID)
 				}
@@ -221,7 +229,12 @@ func allocation(d *etpn.Design) error {
 			}
 		}
 	}
-	for v, r := range a.RegOf {
+	// Values in id order; -1 marks a value held in no register.
+	for id, r := range a.RegOf {
+		v := dfg.ValueID(id)
+		if r == -1 {
+			continue
+		}
 		if r < 0 || r >= len(a.Regs) {
 			return fail("alloc", "reg-ids-dense", "value %s bound to unknown register %d", d.G.Value(v).Name, r)
 		}

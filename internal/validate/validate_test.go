@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/etpn"
@@ -147,8 +148,13 @@ func TestDesignCorruptionsDetected(t *testing.T) {
 		if shared < 0 {
 			t.Skip("no register is shared in this design")
 		}
-		delete(d.Life, d.Alloc.Regs[shared].Vals[0])
+		d.Life[d.Alloc.Regs[shared].Vals[0]] = alloc.Lifetime{}
 		expectViolation(t, validate.Design(d), "alloc", "reg-lifetime-known")
+	})
+	t.Run("binding-size", func(t *testing.T) {
+		d := freshDesign(t)
+		d.Life = d.Life[:len(d.Life)-1]
+		expectViolation(t, validate.Design(d), "alloc", "binding-size")
 	})
 	t.Run("reg-ownership", func(t *testing.T) {
 		d := freshDesign(t)
@@ -239,6 +245,123 @@ func TestFlowsValidateClean(t *testing.T) {
 				}
 				if err := validate.Netlist(n); err != nil {
 					t.Fatalf("generated netlist violates an invariant: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestOwnershipMessagesDeterministic corrupts several bindings at once and
+// validates the design 50 times: the ownership walks visit operations and
+// values in id order, so every call must name the same offender.
+func TestOwnershipMessagesDeterministic(t *testing.T) {
+	once := func(t *testing.T, d *etpn.Design, invariant string) {
+		t.Helper()
+		msgs := map[string]bool{}
+		for i := 0; i < 50; i++ {
+			err := validate.Design(d)
+			expectViolation(t, err, "alloc", invariant)
+			msgs[err.Error()] = true
+		}
+		if len(msgs) != 1 {
+			t.Errorf("50 validations gave %d distinct messages: %v", len(msgs), msgs)
+		}
+	}
+	t.Run("ModuleOf", func(t *testing.T) {
+		d := freshDesign(t)
+		// Unlist the last operation of every shared module: each keeps a
+		// ModuleOf entry naming a module that no longer lists it.
+		dropped := 0
+		for _, m := range d.Alloc.Modules {
+			if len(m.Ops) >= 2 {
+				m.Ops = m.Ops[:len(m.Ops)-1]
+				dropped++
+			}
+		}
+		if dropped < 2 {
+			t.Fatalf("only %d shared modules; the fixture needs two offenders", dropped)
+		}
+		once(t, d, "module-ownership")
+	})
+	t.Run("RegOf", func(t *testing.T) {
+		d := freshDesign(t)
+		dropped := 0
+		for _, r := range d.Alloc.Regs {
+			if len(r.Vals) >= 2 {
+				r.Vals = r.Vals[:len(r.Vals)-1]
+				dropped++
+			}
+		}
+		if dropped < 2 {
+			t.Fatalf("only %d shared registers; the fixture needs two offenders", dropped)
+		}
+		once(t, d, "reg-ownership")
+	})
+}
+
+// TestAllocationMatchesReference compares the allocation checker with its
+// map-based reference on the designs of every flow for Ex, Dct and Diffeq:
+// clean, with one shared module or register unlisting its last member
+// (a single offender, which both must name alike), and with every shared
+// one doing so at once, where the checker must name an offender the
+// reference names when that offender is alone.
+func TestAllocationMatchesReference(t *testing.T) {
+	compare := func(t *testing.T, d *etpn.Design) error {
+		t.Helper()
+		got, ref := validate.Allocation(d), validate.RefAllocation(d)
+		if (got == nil) != (ref == nil) || (got != nil && got.Error() != ref.Error()) {
+			t.Fatalf("got %v, reference %v", got, ref)
+		}
+		return got
+	}
+	for _, bench := range []string{dfg.BenchEx, dfg.BenchDct, dfg.BenchDiffeq} {
+		for _, method := range core.Methods() {
+			t.Run(bench+"/"+method, func(t *testing.T) {
+				g, err := dfg.ByName(bench, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				par := core.DefaultParams(4)
+				if bench == dfg.BenchDiffeq {
+					par.LoopSignal = "exit"
+				}
+				res, err := core.RunCtx(context.Background(), method, g, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := res.Design
+				if err := compare(t, d); err != nil {
+					t.Fatalf("clean design rejected: %v", err)
+				}
+				var unlist, restore []func()
+				for _, m := range d.Alloc.Modules {
+					if ops := m.Ops; len(ops) >= 2 {
+						unlist = append(unlist, func() { m.Ops = ops[:len(ops)-1] })
+						restore = append(restore, func() { m.Ops = ops })
+					}
+				}
+				for _, r := range d.Alloc.Regs {
+					if vals := r.Vals; len(vals) >= 2 {
+						unlist = append(unlist, func() { r.Vals = vals[:len(vals)-1] })
+						restore = append(restore, func() { r.Vals = vals })
+					}
+				}
+				singles := map[string]bool{}
+				for i := range unlist {
+					unlist[i]()
+					err := compare(t, d)
+					if err == nil {
+						t.Fatal("unlisted member not detected")
+					}
+					singles[err.Error()] = true
+					restore[i]()
+				}
+				for _, f := range unlist {
+					f()
+				}
+				got, ref := validate.Allocation(d), validate.RefAllocation(d)
+				if len(unlist) > 0 && (got == nil || ref == nil || !singles[got.Error()] || !singles[ref.Error()]) {
+					t.Fatalf("several offenders: got %v, reference %v, single offenders %v", got, ref, singles)
 				}
 			})
 		}
