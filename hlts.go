@@ -7,7 +7,7 @@
 //	behaviour (VHDL subset or built-in benchmark)
 //	   └── dfg.Graph                      CompileVHDL / LoadBenchmark
 //	        └── synthesis                 SynthesizeCtx / RunMethodCtx
-//	             └── ETPN design          (schedule + allocation + Petri net control)
+//	             └── ETPN design          (schedule + allocation + data path)
 //	                  └── gate netlist    Netlist
 //	                       └── ATPG       TestDesignCtx
 //
@@ -132,15 +132,6 @@ type GenSpec = dfggen.Spec
 // ErrBadGenSpec tags malformed generator specs and "gen:" names.
 var ErrBadGenSpec = dfggen.ErrBadSpec
 
-// GenerateBenchmark builds the graph for a generator spec at the given
-// width. Same (spec, width) always yields a byte-identical graph.
-func GenerateBenchmark(spec GenSpec, width int) (*Graph, error) {
-	return dfggen.Generate(spec, width)
-}
-
-// ParseGenBenchmark decodes a canonical "gen:..." benchmark name.
-func ParseGenBenchmark(name string) (GenSpec, error) { return dfggen.Parse(name) }
-
 // GenLoopSignal returns the loop-exit value name for a looping
 // generated benchmark name ("" otherwise); callers use it to default
 // Params.LoopSignal the same way diffeq is special-cased.
@@ -175,7 +166,7 @@ func Methods() []string { return core.Methods() }
 // GenerateNetlist produces the gate-level implementation of a synthesized
 // design. With testMode true the data-path control lines become test-mode
 // primary inputs (the paper's modifiable-controller assumption); otherwise
-// a one-hot FSM controller is generated from the control Petri net.
+// a one-hot FSM controller is generated with one state per control step.
 func GenerateNetlist(r *Result, width int, testMode bool) (*Netlist, error) {
 	mode := rtl.NormalMode
 	if testMode {
@@ -273,9 +264,9 @@ func ReproduceTableCtx(ctx context.Context, bench string, cfg ExperimentConfig) 
 
 // ValidateDesign runs the structural invariant checkers on a synthesized
 // design: arc discipline of the data path, schedule range, allocation
-// ownership, disjoint-lifetime register sharing, and the control part. It
-// is the check Params.Validate runs automatically at the end of every
-// flow; exposed for callers that build or mutate designs themselves.
+// ownership, and disjoint-lifetime register sharing. It is the check
+// Params.Validate runs automatically at the end of every flow; exposed for
+// callers that build or mutate designs themselves.
 func ValidateDesign(r *Result) error { return validate.Design(r.Design) }
 
 // ValidateNetlist runs the structural invariant checkers on a generated

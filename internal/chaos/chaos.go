@@ -1,10 +1,10 @@
 // Package chaos is the deterministic fault-injection framework behind the
 // robustness test suite: named injection sites threaded through the
 // pipeline's hot paths (worker pools, guard boundaries, the ATPG campaign,
-// Petri-net reachability, the persistent result store) fire seeded faults —
-// panics, typed errors, stalls, torn or bit-rotted store writes — so every recovery
-// path of the execution layer can be exercised on demand instead of
-// waiting for something to break naturally.
+// the persistent result store, the serving and cluster layers) fire
+// seeded faults — panics, typed errors, stalls, torn or bit-rotted store
+// writes — so every recovery path of the execution layer can be exercised
+// on demand instead of waiting for something to break naturally.
 //
 // The framework is dependency-free and dormant by default: every hook
 // compiles down to one atomic load of a nil pointer when no injector is
@@ -112,10 +112,6 @@ const (
 	// fired rule simulates budget exhaustion mid-batch (the fault is
 	// skipped and the campaign lands Partial).
 	SiteATPGBudget = "atpg.budget"
-	// SitePetriReach fires before each marking expansion of the
-	// reachability computation; a fired rule simulates node-budget
-	// exhaustion (the exploration stops with a Partial reach set).
-	SitePetriReach = "petri.reach"
 	// SiteStoreWrite, SiteStoreSync, SiteStoreTorn and SiteStoreCorrupt
 	// fire inside the content-addressed result store's Put (internal/store
 	// — the durability layer behind the daemon's persistent cache): a
@@ -168,7 +164,6 @@ func Sites() []string {
 		SiteParallelProduce, SiteParallelCommit,
 		SiteExecGuard,
 		SiteATPGFault, SiteATPGBudget,
-		SitePetriReach,
 		SiteStoreWrite, SiteStoreSync, SiteStoreTorn, SiteStoreCorrupt,
 		SiteServerAccept, SiteServerEnqueue, SiteServerRespond,
 		SiteClusterDispatch, SiteClusterHeartbeat, SiteClusterWorkerKill,

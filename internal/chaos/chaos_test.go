@@ -157,7 +157,7 @@ func TestSitesSortedAndComplete(t *testing.T) {
 	if !sort.StringsAreSorted(s) {
 		t.Fatalf("Sites() not sorted: %v", s)
 	}
-	if len(s) != 21 {
+	if len(s) != 20 {
 		t.Fatalf("Sites() has %d entries: %v", len(s), s)
 	}
 	seen := map[string]bool{}

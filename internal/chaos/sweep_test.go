@@ -15,7 +15,7 @@
 //     faults.
 //
 // It lives in an external test package so it can drive the real
-// parallel/atpg/petri/server code paths without an import cycle.
+// parallel/atpg/store/server code paths without an import cycle.
 package chaos_test
 
 import (
@@ -38,7 +38,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/gates"
 	"repro/internal/parallel"
-	"repro/internal/petri"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -51,7 +50,6 @@ var (
 		chaos.SiteParallelProduce, chaos.SiteParallelCommit, chaos.SiteExecGuard,
 	}
 	atpgSites   = []string{chaos.SiteATPGFault, chaos.SiteATPGBudget}
-	petriSites  = []string{chaos.SitePetriReach}
 	storeSites  = []string{chaos.SiteStoreWrite, chaos.SiteStoreSync, chaos.SiteStoreTorn, chaos.SiteStoreCorrupt}
 	serverSites = []string{chaos.SiteServerAccept, chaos.SiteServerEnqueue, chaos.SiteServerRespond}
 	// The cluster sites are exercised by internal/cluster's own sweeps
@@ -70,7 +68,7 @@ var (
 
 func TestSweepSiteListsCoverAllSites(t *testing.T) {
 	union := map[string]bool{}
-	for _, list := range [][]string{parallelSites, atpgSites, petriSites, storeSites, serverSites, clusterSites} {
+	for _, list := range [][]string{parallelSites, atpgSites, storeSites, serverSites, clusterSites} {
 		for _, s := range list {
 			union[s] = true
 		}
@@ -321,54 +319,6 @@ func TestChaosSweepATPG(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestChaosPetriReachPartial: injected node-budget exhaustion must come
-// back as a first-class partial reach set, never an error, and the
-// explored prefix must be a prefix of the complete exploration.
-func TestChaosPetriReachPartial(t *testing.T) {
-	net, _ := petri.Chain("sweep", 50)
-	full, err := net.Reachability(context.Background(), 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Status != exec.StatusComplete || len(full.Nodes) != 50 {
-		t.Fatalf("clean exploration: status %v, %d nodes", full.Status, len(full.Nodes))
-	}
-	for _, seed := range sweepSeeds {
-		in := chaos.New(seed).On(chaos.SitePetriReach, chaos.Rule{Action: chaos.ActError, Prob: 0.1})
-		restore := chaos.Install(in)
-		r, err := net.Reachability(context.Background(), 10_000)
-		fired := in.Fired(chaos.SitePetriReach)
-		restore()
-		if err != nil {
-			t.Fatalf("seed %d: injected budget exhaustion surfaced as error: %v", seed, err)
-		}
-		if fired == 0 {
-			continue
-		}
-		if r.Status != exec.StatusPartial || r.Exhausted != exec.BudgetReachNodes {
-			t.Fatalf("seed %d: fired %d but status %v/%q", seed, fired, r.Status, r.Exhausted)
-		}
-		if len(r.Nodes) > len(full.Nodes) {
-			t.Fatalf("seed %d: partial set larger than complete set", seed)
-		}
-		for i, nd := range r.Nodes {
-			if nd.Key != full.Nodes[i].Key {
-				t.Fatalf("seed %d: partial node %d diverges from the complete exploration", seed, i)
-			}
-		}
-	}
-	// An always-firing site cuts the exploration at its first expansion.
-	restore := chaos.Install(chaos.New(1).On(chaos.SitePetriReach, chaos.Rule{Action: chaos.ActError}))
-	defer restore()
-	r, err := net.Reachability(context.Background(), 10_000)
-	if err != nil {
-		t.Fatalf("always-firing site surfaced as error: %v", err)
-	}
-	if r.Status != exec.StatusPartial || len(r.Nodes) != 1 {
-		t.Fatalf("always-firing site: status %v, %d nodes; want partial root only", r.Status, len(r.Nodes))
 	}
 }
 

@@ -274,7 +274,6 @@ type evalCache struct {
 	scheds  map[fp]schedEntry
 	builds  map[fp]buildEntry
 	metrics map[fp]analysis
-	execs   map[int]int // schedule length -> control steps
 }
 
 // newEvalCache returns the cache for one SynthesizeCtx call, or nil when
@@ -288,7 +287,6 @@ func newEvalCache(par Params) *evalCache {
 		scheds:  map[fp]schedEntry{},
 		builds:  map[fp]buildEntry{},
 		metrics: map[fp]analysis{},
-		execs:   map[int]int{},
 	}
 }
 
@@ -351,29 +349,6 @@ func (c *evalCache) storeMetrics(key fp, e analysis) {
 	}
 	c.mu.Lock()
 	c.metrics[key] = e
-	c.mu.Unlock()
-}
-
-// lookupExec memoizes the Petri-net critical path by schedule length:
-// the control part is a chain (or guarded loop) over exactly Sched.Len
-// places, so within one run the execution time depends on nothing else.
-func (c *evalCache) lookupExec(schedLen int) (int, bool) {
-	if c == nil {
-		return 0, false
-	}
-	c.mu.Lock()
-	v, ok := c.execs[schedLen]
-	c.mu.Unlock()
-	c.record("cache.exec.hit", "cache.exec.miss", ok)
-	return v, ok
-}
-
-func (c *evalCache) storeExec(schedLen, steps int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.execs[schedLen] = steps
 	c.mu.Unlock()
 }
 

@@ -4,7 +4,7 @@
 // one-to-one allocation, it iteratively selects k candidate pairs of
 // modules or registers under the controllability/observability balance
 // principle, estimates the incremental execution-time cost ΔE (control
-// Petri net critical path) and hardware cost ΔH (floorplan area) of each,
+// part critical path) and hardware cost ΔH (floorplan area) of each,
 // merges the pair with the smallest ΔC = α·ΔE + β·ΔH, and reschedules with
 // the merge-sort transformation guided by the SR1/SR2 testability rules.
 //
@@ -77,7 +77,7 @@ type Params struct {
 	// Width is the data-path bit width (4, 8 or 16 in the paper).
 	Width int
 	// LoopBound is the loop iteration count assumed by the critical-path
-	// estimate for looping behaviours.
+	// estimate for looping behaviours; a negative bound counts as 0.
 	LoopBound int
 	// LoopSignal names the condition output closing the behavioural loop;
 	// empty for straight-line behaviours.
@@ -111,7 +111,7 @@ type Params struct {
 	ModulesOnly bool
 	// Stats, when non-nil, collects per-stage counters and timers
 	// (candidate evaluations, cache hits/misses, time spent in
-	// scheduling/floorplanning/testability/reachability). Purely
+	// scheduling/floorplanning/testability). Purely
 	// observational: it never influences results.
 	Stats *stats.Stats
 	// NoCache disables the fingerprint-keyed evaluation cache. It exists
@@ -222,20 +222,7 @@ func (st *state) build() error {
 	if err != nil {
 		return err
 	}
-	// The control part is a pure function of the schedule length (a chain,
-	// or a guarded loop, over Len places), so the Petri-net critical path
-	// is memoized per length rather than per design.
-	et, ok := st.cache.lookupExec(st.s.Len)
-	if !ok {
-		stop := st.par.Stats.Time("time.reach")
-		et, err = d.ExecutionTime(st.par.LoopBound)
-		stop()
-		if err != nil {
-			return err
-		}
-		st.cache.storeExec(st.s.Len, et)
-	}
-	st.execT = et
+	st.execT = d.ExecutionTime(st.par.LoopBound)
 	stop := st.par.Stats.Time("time.floorplan")
 	st.area = cost.EstimateDesign(d, st.par.lib(), st.par.Width)
 	stop()

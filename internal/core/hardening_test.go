@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/dfg"
@@ -90,5 +91,24 @@ func TestRunCtxDispatch(t *testing.T) {
 	}
 	if _, err := RunCtx(context.Background(), "nonsense", g, DefaultParams(4)); err == nil {
 		t.Error("unknown method accepted")
+	}
+}
+
+// TestEmptyBehaviourRejected: a behaviour with no operations has no control
+// steps, so no flow can build a design for it. Every flow, looped or not,
+// must refuse it up front with an error naming the cause, rather than fail
+// inside the control part or report an execution time of 0.
+func TestEmptyBehaviourRejected(t *testing.T) {
+	g := dfg.New("empty", 4)
+	g.MarkOutput(g.Input("a"))
+	for _, loop := range []string{"", "a"} {
+		for _, method := range Methods() {
+			par := DefaultParams(4)
+			par.LoopSignal = loop
+			r, err := RunCtx(context.Background(), method, g, par)
+			if err == nil || !strings.Contains(err.Error(), "has no operations") {
+				t.Errorf("%s loop=%q: got result %v, error %v; want a no-operations error", method, loop, r, err)
+			}
+		}
 	}
 }

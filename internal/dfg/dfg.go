@@ -317,9 +317,13 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 	return order, nil
 }
 
-// Validate checks structural well-formedness: operand arities, id
-// consistency, use lists, and acyclicity.
+// Validate checks structural well-formedness: at least one operation,
+// operand arities, id consistency, use lists, and acyclicity. A behaviour
+// with no operations has no control steps to schedule.
 func (g *Graph) Validate() error {
+	if len(g.nodes) == 0 {
+		return fmt.Errorf("dfg: graph %s has no operations", g.Name)
+	}
 	for i, n := range g.nodes {
 		if n.ID != NodeID(i) {
 			return fmt.Errorf("dfg: node %d has inconsistent id %d", i, n.ID)

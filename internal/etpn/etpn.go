@@ -2,9 +2,12 @@
 // representation (Peng & Kuchcinski [14]) that is the kernel of the
 // high-level test synthesis system: a data path of ports, registers,
 // functional modules and constants connected by arcs annotated with the
-// control steps that activate them, plus a timed Petri net control part.
-// The two parts are related through control places activating data
-// transfers, and data-path condition signals guarding control transitions.
+// control steps that activate them, plus a control part. Every design
+// built here has one of two control parts: a chain of one unit-duration
+// place per control step, or that chain closed by a back edge guarded by a
+// data-path condition signal. Both are implied by the schedule length and
+// the loop signal, so the design stores no net and computes the control
+// part's critical path in closed form.
 package etpn
 
 import (
@@ -16,7 +19,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/dfg"
-	"repro/internal/petri"
 	"repro/internal/sched"
 )
 
@@ -74,7 +76,8 @@ type Arc struct {
 }
 
 // Design is a complete ETPN design: the behaviour, its schedule and
-// allocation, the derived data path, and the control part.
+// allocation, the derived data path, and the loop signal that shapes the
+// control part.
 type Design struct {
 	G     *dfg.Graph
 	Sched sched.Schedule
@@ -87,8 +90,6 @@ type Design struct {
 	// ascending by arc id; Build fills them once the arcs are complete.
 	into, from [][]*Arc
 
-	Ctrl       *petri.Net
-	CtrlPlaces []petri.PlaceID
 	LoopSignal string // condition value name guarding the loop; "" if none
 
 	// Node ids by allocation register and module id, and by value id for
@@ -107,9 +108,9 @@ type Options struct {
 	LoopSignal string
 }
 
-// Build derives the ETPN data path and control part from a behaviour, a
-// schedule, and an allocation. The lifetimes must correspond to the
-// schedule (alloc.Lifetimes).
+// Build derives the ETPN data path from a behaviour, a schedule, and an
+// allocation. The lifetimes must correspond to the schedule
+// (alloc.Lifetimes).
 func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life alloc.Life, opt Options) (*Design, error) {
 	nv, nr, nm := g.NumValues(), len(a.Regs), len(a.Modules)
 	ids := make([]int, 3*nv+nr+nm)
@@ -251,18 +252,10 @@ func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life alloc.Life,
 	d.into = arcLists(len(d.Nodes), d.Arcs, func(a *Arc) int { return a.To })
 	d.from = arcLists(len(d.Nodes), d.Arcs, func(a *Arc) int { return a.From })
 
-	// Control part.
 	if opt.LoopSignal != "" {
 		if _, ok := g.ValueByName(opt.LoopSignal); !ok {
 			return nil, fmt.Errorf("etpn: loop signal %q is not a value of the behaviour", opt.LoopSignal)
 		}
-		net, places, _ := petri.Loop("ctrl:"+g.Name, s.Len, opt.LoopSignal)
-		d.Ctrl = net
-		d.CtrlPlaces = places
-	} else {
-		net, places := petri.Chain("ctrl:"+g.Name, s.Len)
-		d.Ctrl = net
-		d.CtrlPlaces = places
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -350,8 +343,7 @@ func (d *Design) ArcsFrom(id int) []*Arc { return d.from[id] }
 
 // Validate checks structural consistency of the design: arcs reference
 // valid nodes, each register is written by at most one source per control
-// step, each module executes at most one operation per step, and the
-// control part validates.
+// step, and each module executes at most one operation per step.
 func (d *Design) Validate() error {
 	for _, a := range d.Arcs {
 		if a.From < 0 || a.From >= len(d.Nodes) || a.To < 0 || a.To >= len(d.Nodes) {
@@ -397,7 +389,7 @@ func (d *Design) Validate() error {
 			}
 		}
 	}
-	return d.Ctrl.Validate()
+	return nil
 }
 
 // MuxStats summarizes the multiplexing the allocation requires.
@@ -434,11 +426,15 @@ func (d *Design) MuxStats() MuxStats {
 }
 
 // ExecutionTime returns the critical-path length of the control part in
-// control steps (paper §4.2): for straight-line behaviours the schedule
-// length, for loops loopBound iterations of the body.
-func (d *Design) ExecutionTime(loopBound int) (int, error) {
-	maxSteps := (d.Sched.Len + 2) * (loopBound + 2) * 2
-	return d.Ctrl.CriticalPath(loopBound, maxSteps)
+// control steps (paper §4.2). A chain of unit places takes the schedule
+// length. A loop takes one body pass per back-edge firing plus the final
+// pass that exits: the worst case fires the back edge loopBound times, and
+// a negative bound fires it never.
+func (d *Design) ExecutionTime(loopBound int) int {
+	if d.LoopSignal == "" {
+		return d.Sched.Len
+	}
+	return d.Sched.Len * (max(loopBound, 0) + 1)
 }
 
 // SelfLoops counts data-path nodes with a direct self arc (module feeding

@@ -141,7 +141,4 @@ const (
 	// BudgetPanic: a stage panicked and was isolated; see the recorded
 	// ExecErrors.
 	BudgetPanic = "panic"
-	// BudgetReachNodes: the Petri-net reachability node budget ran out and
-	// the reach set covers a prefix of the state space.
-	BudgetReachNodes = "reach-nodes"
 )

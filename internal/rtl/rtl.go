@@ -4,8 +4,8 @@
 // operation kinds), allocation-induced multiplexers become one-hot mux
 // trees, and the control part becomes either
 //
-//   - a one-hot FSM controller derived from the control Petri net
-//     (NormalMode), or
+//   - a one-hot FSM controller with one state per control step of the
+//     schedule (NormalMode), or
 //   - test-mode primary inputs (TestMode): the paper assumes "the
 //     controller can be modified to support the test plan" (§1), which the
 //     high-level test synthesis literature realizes by giving the tester

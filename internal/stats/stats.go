@@ -2,8 +2,7 @@
 // system: a small, concurrency-safe registry of named counters and
 // timers that the hot paths report into — candidate evaluations, cache
 // hits and misses, and the wall-clock time spent in list
-// scheduling, floorplanning, testability analysis and Petri-net
-// reachability. A nil *Stats is a valid no-op collector, so call sites
+// scheduling, floorplanning and testability analysis. A nil *Stats is a valid no-op collector, so call sites
 // record unconditionally and pay one nil check when observability is
 // off.
 //

@@ -1,6 +1,6 @@
 // Package validate holds the structural invariant checkers run at the
 // stage boundaries of the synthesis pipeline: behaviour graph, ETPN
-// design (schedule + allocation + data path + control), and gate-level
+// design (schedule + allocation + data path), and gate-level
 // netlist. Each checker walks one artifact and reports the first violated
 // invariant as a typed *Error naming the stage and the invariant, so a
 // corrupted intermediate design is caught where it was produced instead
@@ -85,9 +85,8 @@ var arcShapes = map[[2]etpn.NodeKind]bool{
 
 // Design checks a synthesized ETPN design end to end: the data-path arc
 // discipline, the schedule's step range, the allocation's id-space and
-// ownership consistency, the disjoint-lifetime invariant of every shared
-// register, and the control part (including its place-per-step
-// correspondence with the schedule).
+// ownership consistency, and the disjoint-lifetime invariant of every
+// shared register.
 func Design(d *etpn.Design) error {
 	if d == nil {
 		return fail("etpn", "non-nil", "nil design")
@@ -142,15 +141,7 @@ func Design(d *etpn.Design) error {
 		}
 	}
 
-	if err := allocation(d); err != nil {
-		return err
-	}
-
-	// Control part: one place per control step, in step order.
-	if d.Ctrl != nil && len(d.CtrlPlaces) != d.Sched.Len {
-		return fail("etpn", "ctrl-places", "%d control places for %d control steps", len(d.CtrlPlaces), d.Sched.Len)
-	}
-	return nil
+	return allocation(d)
 }
 
 func moduleArity(d *etpn.Design, n *etpn.Node) int {

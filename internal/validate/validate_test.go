@@ -98,14 +98,6 @@ func TestDesignCorruptionsDetected(t *testing.T) {
 		}
 		expectViolation(t, validate.Design(d), "etpn", "arc-step-range")
 	})
-	t.Run("ctrl-places", func(t *testing.T) {
-		d := freshDesign(t)
-		if d.Ctrl == nil {
-			t.Skip("design has no control part")
-		}
-		d.CtrlPlaces = d.CtrlPlaces[:len(d.CtrlPlaces)-1]
-		expectViolation(t, validate.Design(d), "etpn", "ctrl-places")
-	})
 	t.Run("module-ownership", func(t *testing.T) {
 		d := freshDesign(t)
 		if len(d.Alloc.Modules) < 2 {

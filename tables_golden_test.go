@@ -1,0 +1,113 @@
+package hlts
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/atpg"
+	"repro/internal/dfggen"
+	"repro/internal/report"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite "+tablesGolden+" from the current code")
+
+// tablesGolden holds, byte for byte, the output of
+//
+//	hltsbench -table N -seed 1998 -widths 4,8 -faults 300   (N = 1..4)
+//	hltsbench -gen 24 -gen-ops 16 -gen-loop -seed 1998 -widths 4,8 -faults 300
+//
+// run in that order. The tables include the TG-effort and coverage
+// columns, so a change that moves a schedule, an allocation, a netlist or a
+// PODEM decision shows up here.
+const tablesGolden = "testdata/tables_seed1998.golden"
+
+var goldenTables = []string{BenchEx, BenchDct, BenchDiffeq, BenchEWF}
+
+// TestTablesGolden regenerates the golden tables and compares them byte for
+// byte. Under -short it renders Table 1 at width 4 only and compares it
+// with the golden's Table 1 minus the 8-bit rows. After an intended change
+// to the results, rewrite the file with
+//
+//	go test -run '^TestTablesGolden$' -update .
+func TestTablesGolden(t *testing.T) {
+	if *updateGolden && testing.Short() {
+		t.Fatal("-update needs the full run; drop -short")
+	}
+	cfg := report.DefaultConfig(1998)
+	cfg.Widths = []int{4, 8}
+	if testing.Short() {
+		cfg.Widths = []int{4}
+	}
+	baseATPG := cfg.ATPGFor
+	cfg.ATPGFor = func(width int) atpg.Config {
+		c := baseATPG(width)
+		c.SampleFaults = min(c.SampleFaults, 300)
+		return c
+	}
+	ctx := context.Background()
+
+	var got strings.Builder
+	for n, bench := range goldenTables {
+		if testing.Short() && n > 0 {
+			break
+		}
+		tbl, err := report.RunTableCtx(ctx, bench, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "--- Table %d (%s) ---\n%s\n", n+1, bench, tbl.Render())
+	}
+	if !testing.Short() {
+		specs := make([]dfggen.Spec, 24)
+		for i := range specs {
+			specs[i] = dfggen.Spec{Seed: 1 + uint64(i), Ops: 16, Mix: "mixed", Shape: "mesh", Fanout: 2, Loop: true}
+		}
+		suite, err := report.RunGenSuiteCtx(ctx, specs, "ours", 4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "--- Generated suite (%d behaviours, seed %d) ---\n%s\n", len(specs), 1, suite.Render())
+	}
+
+	if *updateGolden {
+		if err := os.WriteFile(tablesGolden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(tablesGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(raw)
+	if testing.Short() {
+		want = want[:strings.Index(want, "--- Table 2 ")]
+		row8 := fmt.Sprintf("  %5d  ", 8)
+		var kept strings.Builder
+		for _, line := range strings.SplitAfter(want, "\n") {
+			if !strings.HasPrefix(line, row8) {
+				kept.WriteString(line)
+			}
+		}
+		want = kept.String()
+	}
+	if got.String() != want {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(want, "\n")
+		for i := 0; i < max(len(gl), len(wl)); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("%s line %d differs:\n got: %q\nwant: %q\n(rerun with -update only if the change is intended)", tablesGolden, i+1, g, w)
+			}
+		}
+	}
+}
