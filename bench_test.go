@@ -183,10 +183,9 @@ func BenchmarkAblationReschedule(b *testing.B) {
 
 // BenchmarkSynthesize measures the synthesis core per table benchmark
 // and bit width, with the memoized evaluation cache on and off. The
-// cached variants report the build-cache hit rate; CI records the
-// sub-benchmark timings in BENCH_synth.json, where the cache=on /
-// cache=off ratio is the memoization win (expect ≥1.5x on Diffeq at
-// 16 bits).
+// cached variants report the build- and metrics-cache hit rates; the
+// cache=on / cache=off ratio is the memoization win (1.1–1.5x, median
+// 1.3x, on Diffeq at 16 bits over 7 runs on a 2-CPU Xeon).
 func BenchmarkSynthesize(b *testing.B) {
 	for _, bench := range []string{dfg.BenchEx, dfg.BenchDct, dfg.BenchDiffeq} {
 		for _, width := range []int{4, 8, 16} {
@@ -248,25 +247,25 @@ func BenchmarkSynthesisAllBenchmarks(b *testing.B) {
 	}
 }
 
-// BenchmarkSynthesizeGenMix mirrors the synth-unique workload's cost
-// profile in process: the paper's algorithm at one worker over 20 pinned
-// generated behaviours of 12–19 operations spanning every op mix and DAG
-// shape, every fifth looped, at width 4, plus both shipped VHDL sources at
-// widths 4 and 8. One op synthesizes all 24. evals/op counts candidate
-// evaluations, builds/op build-cache consults and designs/op the ETPN
-// designs derived; at one worker all three, and every cache counter, are
-// deterministic.
-func BenchmarkSynthesizeGenMix(b *testing.B) {
-	type job struct {
-		g   *dfg.Graph
-		par core.Params
-	}
-	var jobs []job
+// genMixJob is one synthesis of the GenMix set.
+type genMixJob struct {
+	g   *dfg.Graph
+	par core.Params
+}
+
+// genMixJobs returns the GenMix set, shared by BenchmarkSynthesizeGenMix
+// and TestCountersGolden: the paper's algorithm at one worker over 20
+// pinned generated behaviours of 12–19 operations spanning every op mix
+// and DAG shape, every fifth looped, at width 4, plus both shipped VHDL
+// sources at widths 4 and 8.
+func genMixJobs(tb testing.TB) []genMixJob {
+	tb.Helper()
+	var jobs []genMixJob
 	add := func(g *dfg.Graph, loop string) {
 		par := core.DefaultParams(g.Width)
 		par.LoopSignal = loop
 		par.Workers = 1
-		jobs = append(jobs, job{g, par})
+		jobs = append(jobs, genMixJob{g, par})
 	}
 	mixes, shapes := dfggen.Mixes(), dfggen.Shapes()
 	for i := 0; i < 20; i++ {
@@ -277,25 +276,40 @@ func BenchmarkSynthesizeGenMix(b *testing.B) {
 		}
 		g, err := dfggen.Generate(spec, 4)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		add(g, dfggen.LoopSignal(spec.Name()))
 	}
 	for _, f := range []string{"diffeq.vhd", "fir4.vhd"} {
 		for _, w := range []int{4, 8} {
-			add(loadVHDL(b, f, w), "")
+			add(loadVHDL(tb, f, w), "")
 		}
 	}
+	return jobs
+}
+
+// runGenMix synthesizes every GenMix job once, counting into st.
+func runGenMix(tb testing.TB, jobs []genMixJob, st *stats.Stats) {
+	for _, j := range jobs {
+		j.par.Stats = st
+		if _, err := core.RunCtx(context.Background(), core.MethodOurs, j.g, j.par); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSynthesizeGenMix mirrors the synth-unique workload's cost
+// profile in process: one op synthesizes all 24 GenMix jobs. evals/op
+// counts candidate evaluations, builds/op build-cache consults and
+// designs/op the ETPN designs derived; at one worker all three, and every
+// cache counter, are deterministic (TestCountersGolden pins them).
+func BenchmarkSynthesizeGenMix(b *testing.B) {
+	jobs := genMixJobs(b)
 	st := stats.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, j := range jobs {
-			j.par.Stats = st
-			if _, err := core.RunCtx(context.Background(), core.MethodOurs, j.g, j.par); err != nil {
-				b.Fatal(err)
-			}
-		}
+		runGenMix(b, jobs, st)
 	}
 	n := float64(b.N)
 	b.ReportMetric(float64(st.Value("core.evaluations"))/n, "evals/op")
@@ -378,38 +392,56 @@ func BenchmarkFaultSimParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkBIST measures the BIST session evaluator on the 4-bit Diffeq
-// design at 1 lane (the historical single-session evaluator) and 64
-// lanes (PPSFP: all simulator lanes carry independent sessions). Both
-// sub-benchmarks spend the same simulation passes per fault, so
-// passes/session — the simulation cost per pseudorandom session — drops
-// 64x at lanes=64; CI records both rows (with allocs) in
-// BENCH_synth.json.
-func BenchmarkBIST(b *testing.B) {
+// bistLanes are the lane counts of BenchmarkBIST and of the BIST counters
+// in TestCountersGolden.
+var bistLanes = []int{1, 64}
+
+// bistNetlist is the BIST subject of BenchmarkBIST and TestCountersGolden:
+// the 4-bit Diffeq design with two TPG and two MISR registers.
+func bistNetlist(tb testing.TB) *Netlist {
+	tb.Helper()
 	g, err := LoadBenchmark(BenchDiffeq, 4)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	par := DefaultParams(4)
 	par.LoopSignal = "exit"
 	res, err := SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tpg, misr := SelectBISTRegisters(res, 2, 2)
 	nl, err := GenerateNetlistWithBIST(res, 4, tpg, misr)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for _, lanes := range []int{1, 64} {
+	return nl
+}
+
+// runBIST runs one 200-fault, 100-cycle BIST session at lanes.
+func runBIST(tb testing.TB, nl *Netlist, lanes int) *atpg.BISTOutcome {
+	out, err := RunBISTCfgCtx(context.Background(), nl, 200, 100, BISTConfig{Lanes: lanes})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// BenchmarkBIST measures the BIST session evaluator on the 4-bit Diffeq
+// design at 1 lane (the historical single-session evaluator) and 64
+// lanes (PPSFP: all simulator lanes carry independent sessions). Both
+// sub-benchmarks spend the same simulation passes per fault, so
+// passes/session — the simulation cost per pseudorandom session — drops
+// 64x at lanes=64; TestCountersGolden pins both rows' passes and
+// detections.
+func BenchmarkBIST(b *testing.B) {
+	nl := bistNetlist(b)
+	for _, lanes := range bistLanes {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
 			b.ReportAllocs()
 			var out *atpg.BISTOutcome
 			for i := 0; i < b.N; i++ {
-				out, err = RunBISTCfgCtx(context.Background(), nl, 200, 100, BISTConfig{Lanes: lanes})
-				if err != nil {
-					b.Fatal(err)
-				}
+				out = runBIST(b, nl, lanes)
 			}
 			b.ReportMetric(100*out.Coverage, "cov%")
 			b.ReportMetric(float64(out.Passes)/float64(out.Evaluated*out.Lanes), "passes/session")
@@ -417,38 +449,51 @@ func BenchmarkBIST(b *testing.B) {
 	}
 }
 
+// podemBenches are the designs of BenchmarkPODEM and of the PODEM counters
+// in TestCountersGolden.
+var podemBenches = []string{BenchEx, BenchDct, BenchDiffeq, BenchEWF}
+
+// podemCase returns the ATPG subject of BenchmarkPODEM and
+// TestCountersGolden for bench: the 4-bit design of the paper's algorithm
+// and the /v1/testdesign settings (300 sampled faults, the facade's frame
+// cap) at one worker.
+func podemCase(tb testing.TB, bench string) (*Netlist, ATPGConfig) {
+	tb.Helper()
+	g, err := LoadBenchmark(bench, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	par := DefaultParams(4)
+	if bench == BenchDiffeq {
+		par.LoopSignal = "exit"
+	}
+	res, err := RunMethodCtx(context.Background(), MethodOurs, g, par)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nl, err := GenerateNetlist(res, 4, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultATPGConfig(1)
+	cfg.SampleFaults = 300
+	cfg.Workers = 1
+	return nl, cfg
+}
+
 // BenchmarkPODEM measures the full ATPG campaign — random phase plus
-// event-driven PODEM — on the 4-bit Ex, Dct, Diffeq and EWF designs of
-// the paper's algorithm at one worker, with the /v1/testdesign settings
-// (300 sampled faults, the facade's frame cap). kEval is the nominal
+// event-driven PODEM — on podemCase's designs. kEval is the nominal
 // effort of the tables' TG-effort column, gate_evals the evaluations
-// actually performed; both and det_detected are deterministic, so CI's
-// BENCH_synth.json pins them exactly.
+// actually performed; both and det_detected are deterministic, and
+// TestCountersGolden pins them exactly.
 func BenchmarkPODEM(b *testing.B) {
-	for _, bench := range []string{BenchEx, BenchDct, BenchDiffeq, BenchEWF} {
+	for _, bench := range podemBenches {
 		b.Run(bench, func(b *testing.B) {
-			g, err := LoadBenchmark(bench, 4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			par := DefaultParams(4)
-			if bench == BenchDiffeq {
-				par.LoopSignal = "exit"
-			}
-			res, err := RunMethodCtx(context.Background(), MethodOurs, g, par)
-			if err != nil {
-				b.Fatal(err)
-			}
-			nl, err := GenerateNetlist(res, 4, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := DefaultATPGConfig(1)
-			cfg.SampleFaults = 300
-			cfg.Workers = 1
+			nl, cfg := podemCase(b, bench)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var ares *ATPGResult
+			var err error
 			for i := 0; i < b.N; i++ {
 				if ares, err = TestDesignCtx(context.Background(), nl, cfg); err != nil {
 					b.Fatal(err)
@@ -462,9 +507,9 @@ func BenchmarkPODEM(b *testing.B) {
 }
 
 // BenchmarkSimEval and BenchmarkSimStep measure the logic-sim inner loop
-// on the 4-bit Ex netlist; both must report 0 allocs/op (the reused
-// output-buffer contract the fault-simulation loops rely on), which CI
-// records in BENCH_synth.json.
+// on the 4-bit Ex netlist; both report 0 allocs/op (the reused
+// output-buffer contract the fault-simulation loops rely on, enforced by
+// logicsim's TestEvalStepZeroAllocSteadyState).
 func BenchmarkSimEval(b *testing.B) {
 	s, pi := benchSim(b)
 	b.ReportAllocs()

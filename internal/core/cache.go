@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/dfg"
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/testability"
 )
@@ -102,35 +101,6 @@ func stateFingerprint(st *state) fp {
 		for _, v := range r.Vals {
 			h.int(int(v))
 		}
-	}
-	return h.sum()
-}
-
-// problemFingerprint canonically hashes a scheduling problem. The list
-// schedule is a pure function of (graph, Extra, ExtraWeak, ModuleOf,
-// MaxLen) — the graph is a per-run constant — so equal fingerprints
-// yield identical schedules. Arc slices are hashed in order: the
-// scheduler's observable output is insensitive to arc order, but
-// hashing the exact sequence keeps the equal-fingerprint ⇒ identical-
-// replay argument trivial at the cost of a few extra misses.
-func problemFingerprint(p *sched.Problem) fp {
-	h := newHasher()
-	h.int(p.MaxLen)
-	h.str("extra")
-	h.int(len(p.Extra))
-	for _, a := range p.Extra {
-		h.int(int(a[0]))
-		h.int(int(a[1]))
-	}
-	h.str("weak")
-	h.int(len(p.ExtraWeak))
-	for _, a := range p.ExtraWeak {
-		h.int(int(a[0]))
-		h.int(int(a[1]))
-	}
-	h.str("mod")
-	for _, m := range p.ModuleOf {
-		h.int(m) // -1 for an unbound operation
 	}
 	return h.sum()
 }
@@ -250,14 +220,6 @@ type analysis struct {
 	regDepth float64
 }
 
-// schedEntry is a memoized list-scheduling outcome; infeasible problems
-// (latency bound exceeded, cyclic arcs) are cached as errors so the
-// fan-out pays for each infeasibility proof once.
-type schedEntry struct {
-	s   sched.Schedule
-	err error
-}
-
 // evalCache memoizes the expensive stages of the merger loop, keyed by
 // canonical fingerprints, so identical designs reached by different tie
 // policies or candidate orders are costed once. One cache is shared by
@@ -271,7 +233,6 @@ type evalCache struct {
 	stats *stats.Stats
 
 	mu      sync.Mutex
-	scheds  map[fp]schedEntry
 	builds  map[fp]buildEntry
 	metrics map[fp]analysis
 }
@@ -284,7 +245,6 @@ func newEvalCache(par Params) *evalCache {
 	}
 	return &evalCache{
 		stats:   par.Stats,
-		scheds:  map[fp]schedEntry{},
 		builds:  map[fp]buildEntry{},
 		metrics: map[fp]analysis{},
 	}
@@ -309,26 +269,6 @@ func (c *evalCache) storeBuild(key fp, e buildEntry) {
 	}
 	c.mu.Lock()
 	c.builds[key] = e
-	c.mu.Unlock()
-}
-
-func (c *evalCache) lookupSched(key fp) (schedEntry, bool) {
-	if c == nil {
-		return schedEntry{}, false
-	}
-	c.mu.Lock()
-	e, ok := c.scheds[key]
-	c.mu.Unlock()
-	c.record("cache.sched.hit", "cache.sched.miss", ok)
-	return e, ok
-}
-
-func (c *evalCache) storeSched(key fp, e schedEntry) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.scheds[key] = e
 	c.mu.Unlock()
 }
 

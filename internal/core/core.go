@@ -1076,56 +1076,24 @@ func serializePair(g *dfg.Graph, va, vb dfg.ValueID, strict, weak [][2]dfg.NodeI
 }
 
 // reschedule re-solves the scheduling problem of ns and rebuilds the
-// design, returning ΔE and ΔH relative to st.
+// design, returning ΔE and ΔH relative to st. List runs on every call:
+// memoizing it by problem cost as much as it saved (DESIGN.md §4c).
 func (st *state) reschedule(ns *state) (*state, int, float64, error) {
-	var s2 sched.Schedule
-	var err error
 	if st.par.Reschedule == RescheduleFrozen {
-		s2 = ns.s
-		if err := ns.prob.Verify(s2); err != nil {
+		if err := ns.prob.Verify(ns.s); err != nil {
 			return nil, 0, 0, err
 		}
 	} else {
-		s2, err = ns.listSchedule()
+		stop := ns.par.Stats.Time("time.sched")
+		s2, err := ns.prob.List()
+		stop()
 		if err != nil {
 			return nil, 0, 0, err
 		}
+		ns.s = s2
 	}
-	ns.s = s2
 	if err := ns.build(); err != nil {
 		return nil, 0, 0, err
 	}
 	return ns, ns.execT - st.execT, ns.area.Total - st.area.Total, nil
-}
-
-// listSchedule solves the list-scheduling problem of ns, memoized by the
-// problem fingerprint. Infeasibility is memoized too: different tie
-// policies and candidate orders pose the same augmented problems, and an
-// infeasibility proof is as expensive as a schedule. An infeasible result
-// only ever makes the merger's caller skip the candidate, so replaying the
-// cached error is equivalent to re-deriving it. Schedules are cloned on
-// both store and load because callers mutate the Step slice.
-func (ns *state) listSchedule() (sched.Schedule, error) {
-	if !ns.cache.enabled() {
-		stop := ns.par.Stats.Time("time.sched")
-		s2, err := ns.prob.List()
-		stop()
-		return s2, err
-	}
-	key := problemFingerprint(ns.prob)
-	if e, ok := ns.cache.lookupSched(key); ok {
-		if e.err != nil {
-			return sched.Schedule{}, e.err
-		}
-		return e.s.Clone(), nil
-	}
-	stop := ns.par.Stats.Time("time.sched")
-	s2, err := ns.prob.List()
-	stop()
-	if err != nil {
-		ns.cache.storeSched(key, schedEntry{err: err})
-		return sched.Schedule{}, err
-	}
-	ns.cache.storeSched(key, schedEntry{s: s2.Clone()})
-	return s2, nil
 }

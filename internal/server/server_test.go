@@ -653,38 +653,3 @@ func TestPanickingJobAnswers500(t *testing.T) {
 	}
 	drainAndSettle(t, s, base)
 }
-
-// BenchmarkServer measures serving throughput and tail latency per
-// benchmark circuit; CI publishes the numbers as BENCH_server.json. The
-// first iteration pays the synthesis, the rest measure the serving layer
-// (cache + HTTP), which is the quantity a deployment cares about.
-func BenchmarkServer(b *testing.B) {
-	for _, bench := range []string{hlts.BenchEx, hlts.BenchDct, hlts.BenchDiffeq} {
-		b.Run(bench, func(b *testing.B) {
-			st := stats.New()
-			s := New(Config{QueueDepth: 256, Jobs: 4, CacheSize: 32, Stats: st})
-			ts := httptest.NewServer(s.Handler())
-			client := ts.Client()
-			body := fmt.Sprintf(`{"bench":%q,"width":8}`, bench)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					status, _, payload := post(b, client, ts.URL+"/v1/synthesize", body)
-					if status != http.StatusOK {
-						b.Fatalf("status %d: %s", status, payload)
-					}
-				}
-			})
-			b.StopTimer()
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(b.N)/sec, "req/s")
-			}
-			b.ReportMetric(st.Quantile("server.http.synthesize.latency", 0.50)*1e3, "p50_ms")
-			b.ReportMetric(st.Quantile("server.http.synthesize.latency", 0.99)*1e3, "p99_ms")
-			ts.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			s.Drain(ctx)
-			cancel()
-		})
-	}
-}

@@ -218,45 +218,3 @@ func TestStoreFaultDegradesToRecompute(t *testing.T) {
 	}
 	settle(t, base)
 }
-
-// BenchmarkServerBoot measures daemon boot-to-first-answer with and
-// without a warm persistent store; the hit_rate metric is the
-// cold-vs-warm contrast CI publishes in BENCH_server.json (0 cold: every
-// boot recomputes; 1 warm: every boot answers from the store).
-func BenchmarkServerBoot(b *testing.B) {
-	body := `{"bench":"ex","width":4}`
-	boot := func(b *testing.B, dir string) (hit bool) {
-		st := stats.New()
-		_, ts, down := bootServer(b, dir, Config{QueueDepth: 8, Jobs: 1, CacheSize: 8, Stats: st})
-		status, _, got := post(b, ts.Client(), ts.URL+"/v1/synthesize", body)
-		if status != http.StatusOK {
-			b.Fatalf("status %d: %s", status, got)
-		}
-		down()
-		return st.Value("server.cache.hit")+st.Value("server.store.hit") > 0
-	}
-	b.Run("cold", func(b *testing.B) {
-		var hits int
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir := b.TempDir() // fresh store: every boot pays the synthesis
-			b.StartTimer()
-			if boot(b, dir) {
-				hits++
-			}
-		}
-		b.ReportMetric(float64(hits)/float64(b.N), "hit_rate")
-	})
-	b.Run("warm", func(b *testing.B) {
-		dir := b.TempDir()
-		boot(b, dir) // prime the store once, off the clock
-		b.ResetTimer()
-		var hits int
-		for i := 0; i < b.N; i++ {
-			if boot(b, dir) {
-				hits++
-			}
-		}
-		b.ReportMetric(float64(hits)/float64(b.N), "hit_rate")
-	})
-}

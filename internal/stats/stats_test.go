@@ -21,7 +21,7 @@ func TestCountersAndTimers(t *testing.T) {
 	if r := s.HitRate("cache.build"); r != 0.8 {
 		t.Errorf("hit rate = %f, want 0.8", r)
 	}
-	if r := s.HitRate("cache.sched"); r != 0 {
+	if r := s.HitRate("never.consulted"); r != 0 {
 		t.Errorf("unconsulted hit rate = %f, want 0", r)
 	}
 	stop := s.Time("time.x")

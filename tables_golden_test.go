@@ -13,7 +13,7 @@ import (
 	"repro/internal/report"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite "+tablesGolden+" from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite the goldens of the tests that run ("+tablesGolden+", "+countersGolden+") from the current code")
 
 // tablesGolden holds, byte for byte, the output of
 //
