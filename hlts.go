@@ -262,13 +262,6 @@ func ReproduceTableCtx(ctx context.Context, bench string, cfg ExperimentConfig) 
 	return report.RunTableCtx(ctx, bench, cfg)
 }
 
-// ValidateDesign runs the structural invariant checkers on a synthesized
-// design: arc discipline of the data path, schedule range, allocation
-// ownership, and disjoint-lifetime register sharing. It is the check
-// Params.Validate runs automatically at the end of every flow; exposed for
-// callers that build or mutate designs themselves.
-func ValidateDesign(r *Result) error { return validate.Design(r.Design) }
-
 // ValidateNetlist runs the structural invariant checkers on a generated
 // netlist: gate-graph sanity, combinational acyclicity, data-bus wiring
 // and — when a scan chain is present — scan-chain completeness and order.

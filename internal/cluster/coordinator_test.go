@@ -317,7 +317,7 @@ func TestClusterStoreResume(t *testing.T) {
 	}
 	fp := n.Fingerprint()
 	idA, idB := "worker-a", "worker-b"
-	if owner, _ := Owner(fp, []string{idA, idB}); owner != idA {
+	if Rank(fp, []string{idA, idB})[0] != idA {
 		idA, idB = idB, idA
 	}
 

@@ -47,7 +47,7 @@ func fpOwnedBy(t *testing.T, id string, ids []string) core.Fingerprint {
 	t.Helper()
 	for i := 0; i < 1024; i++ {
 		fp := core.Fingerprint{byte(i), byte(i >> 8)}
-		if owner, ok := Owner(fp, ids); ok && owner == id {
+		if Rank(fp, ids)[0] == id {
 			return fp
 		}
 	}

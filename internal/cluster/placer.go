@@ -45,19 +45,3 @@ func Rank(fp core.Fingerprint, ids []string) []string {
 	})
 	return out
 }
-
-// Owner returns the top-ranked node for a fingerprint, or false when the
-// membership is empty.
-func Owner(fp core.Fingerprint, ids []string) (string, bool) {
-	if len(ids) == 0 {
-		return "", false
-	}
-	best := ids[0]
-	bestScore := score(fp, best)
-	for _, id := range ids[1:] {
-		if s := score(fp, id); s > bestScore || (s == bestScore && id < best) {
-			best, bestScore = id, s
-		}
-	}
-	return best, true
-}

@@ -41,7 +41,7 @@ func nodeIDs(n int) []string {
 
 // TestRendezvousDeterministicAndTotal: Rank is a pure function of
 // (fingerprint, membership set) — input order is irrelevant, the order is
-// total, and Owner is Rank[0].
+// total, and an empty membership ranks nothing.
 func TestRendezvousDeterministicAndTotal(t *testing.T) {
 	ids := nodeIDs(7)
 	reversed := make([]string, len(ids))
@@ -58,13 +58,9 @@ func TestRendezvousDeterministicAndTotal(t *testing.T) {
 				t.Fatalf("Rank depends on input order: %v vs %v", a, b)
 			}
 		}
-		owner, ok := Owner(fp, ids)
-		if !ok || owner != a[0] {
-			t.Fatalf("Owner %q != Rank[0] %q", owner, a[0])
-		}
 	}
-	if _, ok := Owner(testFingerprints(2, 1)[0], nil); ok {
-		t.Error("Owner of empty membership reported ok")
+	if got := Rank(testFingerprints(2, 1)[0], nil); len(got) != 0 {
+		t.Errorf("Rank of empty membership = %v", got)
 	}
 }
 
@@ -77,7 +73,7 @@ func TestRendezvousStableUnderLeave(t *testing.T) {
 	fps := testFingerprints(42, 2000)
 	owners := make(map[core.Fingerprint]string, len(fps))
 	for _, fp := range fps {
-		owners[fp], _ = Owner(fp, ids)
+		owners[fp] = Rank(fp, ids)[0]
 	}
 
 	departed := "node-03"
@@ -89,7 +85,7 @@ func TestRendezvousStableUnderLeave(t *testing.T) {
 	}
 	moved := 0
 	for _, fp := range fps {
-		after, _ := Owner(fp, survivors)
+		after := Rank(fp, survivors)[0]
 		if owners[fp] == departed {
 			moved++
 			if after == departed {
@@ -115,13 +111,13 @@ func TestRendezvousStableUnderJoin(t *testing.T) {
 	fps := testFingerprints(1998, 2000)
 	owners := make(map[core.Fingerprint]string, len(fps))
 	for _, fp := range fps {
-		owners[fp], _ = Owner(fp, ids)
+		owners[fp] = Rank(fp, ids)[0]
 	}
 	joined := "node-99"
 	grown := append(append([]string(nil), ids...), joined)
 	claimed := 0
 	for _, fp := range fps {
-		after, _ := Owner(fp, grown)
+		after := Rank(fp, grown)[0]
 		switch {
 		case after == joined:
 			claimed++
@@ -141,8 +137,7 @@ func TestRendezvousBalance(t *testing.T) {
 	fps := testFingerprints(7, 4000)
 	counts := map[string]int{}
 	for _, fp := range fps {
-		o, _ := Owner(fp, ids)
-		counts[o]++
+		counts[Rank(fp, ids)[0]]++
 	}
 	want := len(fps) / len(ids)
 	for _, id := range ids {

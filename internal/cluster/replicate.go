@@ -2,19 +2,19 @@
 // cluster of workers with PRIVATE -store directories survive permanent
 // node loss (DESIGN.md §4j). Anti-entropy is the only way records move
 // between worker stores: every ReplicateInterval the worker discovers
-// Alive peers via the coordinator's /cluster/v1/nodes, compares digests
-// over the /store/v1/ wire surface (internal/server/replicate.go), and
-// pulls the records it is missing in bounded, CRC-verified batches,
-// resuming from a per-peer cursor. A peer whose indexing epoch changed
-// (restart or compaction) is re-pulled from the start — applies are
-// idempotent, so over-pulling costs bandwidth, never correctness.
+// Alive peers via the coordinator's /cluster/v1/nodes and pulls each
+// peer's delta stream over GET /store/v1/pull (internal/server/
+// replicate.go) in bounded, CRC-verified batches, resuming from a
+// per-peer cursor. A peer whose indexing epoch changed (it restarted)
+// streams from the start again — applies are idempotent, so
+// over-pulling costs bandwidth, never correctness.
 //
 // Failure discipline: every remote exchange is deadline-bounded and
 // jitter-backed-off per peer, a fault is a counter
 // (`server.replicate.error`) plus a retry later — never a blocked
 // serving path, a failed client request, or a crashed process. The
 // cluster.replicate.fetch / cluster.replicate.apply chaos sites inject
-// faults before each exchange and each local apply.
+// faults before each pull and each local apply.
 package cluster
 
 import (
@@ -239,45 +239,28 @@ func (r *Replicator) discover() ([]NodeRef, error) {
 	return peers, nil
 }
 
-// syncPeer brings the local store up to date with one peer: compare
-// digests, then pull the delta from the per-peer cursor in bounded
-// batches. A peer without a store (digest answers 404) is silently
-// complete — replication is opt-in per node.
+// syncPeer brings the local store up to date with one peer: pull from
+// the per-peer cursor, apply the batch, store the cursor the peer
+// answered, and stop when the peer has no more. The peer's Since does the
+// epoch bookkeeping: it restarts a cursor from an earlier epoch and
+// answers its end of log once drained. A peer without a store (pull
+// answers 404) is silently complete — replication is opt-in per node.
 func (r *Replicator) syncPeer(p NodeRef) error {
-	if err := chaos.Step(chaos.SiteReplicateFetch); err != nil {
-		return err
-	}
-	dig, ok, err := r.getDigest(p)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
 	r.mu.Lock()
 	cur := r.peers[p.ID].cursor
 	r.mu.Unlock()
-	if cur.Gen != dig.Gen {
-		// The peer's positions changed (restart or compaction): restart the
-		// stream. Re-pulled records are idempotent no-ops.
-		cur = store.Cursor{Gen: dig.Gen}
-	}
-	for cur.Seg < dig.End.Seg || (cur.Seg == dig.End.Seg && cur.Off < dig.End.Off) {
+	for {
 		if err := chaos.Step(chaos.SiteReplicateFetch); err != nil {
 			return err
 		}
-		pull, err := r.getPull(p, cur)
-		if err != nil {
+		pull, ok, err := r.getPull(p, cur)
+		if err != nil || !ok {
 			return err
 		}
 		if err := r.applyBatch(pull.Records); err != nil {
 			return err
 		}
-		next := pull.Next.Cursor()
-		if next == cur && !pull.More {
-			break // peer had nothing new despite the digest; don't spin
-		}
-		cur = next
+		cur = pull.Next.Cursor()
 		r.mu.Lock()
 		r.peers[p.ID].cursor = cur
 		r.mu.Unlock()
@@ -285,7 +268,7 @@ func (r *Replicator) syncPeer(p NodeRef) error {
 			r.cfg.Stats.Add("server.replicate.pulled", int64(len(pull.Records)))
 		}
 		if !pull.More {
-			break
+			return nil
 		}
 		select {
 		case <-r.stop:
@@ -293,7 +276,6 @@ func (r *Replicator) syncPeer(p NodeRef) error {
 		default:
 		}
 	}
-	return nil
 }
 
 // applyBatch verifies and applies one pulled batch in stream order. The
@@ -336,47 +318,29 @@ func (r *Replicator) apply(fp core.Fingerprint, val []byte) error {
 	return nil
 }
 
-func (r *Replicator) getDigest(p NodeRef) (server.DigestResponse, bool, error) {
-	var d server.DigestResponse
-	resp, err := r.client.Get(p.Addr + "/store/v1/digest")
-	if err != nil {
-		return d, false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err != nil {
-		return d, false, err
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		return d, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return d, false, fmt.Errorf("cluster: digest from %s answered %d", p.ID, resp.StatusCode)
-	}
-	if err := json.Unmarshal(body, &d); err != nil {
-		return d, false, fmt.Errorf("cluster: bad digest from %s: %w", p.ID, err)
-	}
-	return d, true, nil
-}
-
-func (r *Replicator) getPull(p NodeRef, c store.Cursor) (server.PullResponse, error) {
+// getPull fetches one batch of p's delta stream from cursor c; ok is
+// false when p runs without a store.
+func (r *Replicator) getPull(p NodeRef, c store.Cursor) (server.PullResponse, bool, error) {
 	var pr server.PullResponse
 	u := fmt.Sprintf("%s/store/v1/pull?gen=%d&seg=%d&off=%d&max=%d",
 		p.Addr, c.Gen, c.Seg, c.Off, r.cfg.MaxBatch)
 	resp, err := r.client.Get(u)
 	if err != nil {
-		return pr, err
+		return pr, false, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
-		return pr, err
+		return pr, false, err
+	}
+	if resp.StatusCode == http.StatusNotFound {
+		return pr, false, nil
 	}
 	if resp.StatusCode != http.StatusOK {
-		return pr, fmt.Errorf("cluster: pull from %s answered %d", p.ID, resp.StatusCode)
+		return pr, false, fmt.Errorf("cluster: pull from %s answered %d", p.ID, resp.StatusCode)
 	}
 	if err := json.Unmarshal(body, &pr); err != nil {
-		return pr, fmt.Errorf("cluster: bad pull from %s: %w", p.ID, err)
+		return pr, false, fmt.Errorf("cluster: bad pull from %s: %w", p.ID, err)
 	}
-	return pr, nil
+	return pr, true, nil
 }

@@ -13,8 +13,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,11 +145,18 @@ func clusterFP(parts ...string) core.Fingerprint {
 	return h.Sum()
 }
 
-// digestsEqual compares two stores on content (Records, XorFP), which
-// is epoch- and layout-independent.
-func digestsEqual(a, b *store.Store) bool {
-	da, db := a.Digest(), b.Digest()
-	return da.Records == db.Records && da.XorFP == db.XorFP
+// sameRecords compares two stores on content — every live fingerprint
+// and its bytes, in Range's order — which is epoch- and
+// layout-independent.
+func sameRecords(a, b *store.Store) bool {
+	var recs [2][]store.Record
+	for i, s := range []*store.Store{a, b} {
+		s.Range(func(fp core.Fingerprint, val []byte) bool {
+			recs[i] = append(recs[i], store.Record{FP: fp, Val: val})
+			return true
+		})
+	}
+	return reflect.DeepEqual(recs[0], recs[1])
 }
 
 // TestAntiEntropyConverges: records written only to worker A appear
@@ -214,7 +223,7 @@ func TestAntiEntropyConverges(t *testing.T) {
 		Stats: b.st, JitterSeed: 1,
 	})
 	waitFor(t, 10*time.Second, "stores to converge", func() bool {
-		return digestsEqual(a.stor, b.stor)
+		return sameRecords(a.stor, b.stor)
 	})
 	for fp, val := range want {
 		if got, ok := b.stor.Get(fp); !ok || string(got) != string(val) {
@@ -237,6 +246,54 @@ func TestAntiEntropyConverges(t *testing.T) {
 	b.shutdown(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	if err := c.Drain(ctx); err != nil {
+		t.Errorf("coordinator drain: %v", err)
+	}
+	cts.Close()
+	settle(t, base)
+}
+
+// TestReplicatorSkipsStorelessPeer: a peer running without -store
+// answers pull with a typed 404, which the replicator reads as "nothing
+// to pull", not as a fault — no record arrives and no
+// server.replicate.error is counted, however often it asks.
+func TestReplicatorSkipsStorelessPeer(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c := New(fastConfig())
+	cts := httptest.NewServer(c.Handler())
+
+	var pulls atomic.Int64
+	bare := server.New(server.Config{QueueDepth: 4, Jobs: 1})
+	bts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/store/v1/pull" {
+			pulls.Add(1)
+		}
+		bare.Handler().ServeHTTP(w, r)
+	}))
+	agent := StartAgent(AgentConfig{
+		Coordinator: cts.URL, ID: "bare", Advertise: bts.URL,
+		Capacity: Capacity{Jobs: 1, Workers: 1, QueueDepth: 4},
+		Interval: 25 * time.Millisecond, Snapshot: storeSnapshot(bare),
+	})
+	w := newStoreWorker(t, cts.URL, "wB", 10*time.Millisecond, 1)
+	waitFor(t, 10*time.Second, "three pulls from the storeless peer", func() bool {
+		return pulls.Load() >= 3
+	})
+	if n := w.st.Value("server.replicate.error"); n != 0 {
+		t.Errorf("replicate.error = %d against a storeless peer, want 0", n)
+	}
+	if n := w.st.Value("server.replicate.pulled"); n != 0 || w.stor.Len() != 0 {
+		t.Errorf("pulled %d records (store holds %d) from a storeless peer", n, w.stor.Len())
+	}
+
+	w.shutdown(t)
+	agent.Stop()
+	bts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := bare.Drain(ctx); err != nil {
+		t.Errorf("drain bare: %v", err)
+	}
 	if err := c.Drain(ctx); err != nil {
 		t.Errorf("coordinator drain: %v", err)
 	}
@@ -317,7 +374,7 @@ func TestAntiEntropyServesReturningAndJoiningShards(t *testing.T) {
 		w := newStoreWorker(t, cts.URL, id, 10*time.Millisecond, seed)
 		waitAlive(t, c, id, w.ts.URL)
 		waitFor(t, 10*time.Second, id+" to converge", func() bool {
-			return digestsEqual(live.stor, w.stor)
+			return sameRecords(live.stor, w.stor)
 		})
 		status, hdr, got := doReq(t, cts.Client(), "POST", cts.URL+"/v1/synthesize", reqBody)
 		if status != http.StatusOK || hdr.Get("X-Hlts-Node") != id {
@@ -591,7 +648,7 @@ func runReplicationSweep(t *testing.T, seed int64) {
 	// Anti-entropy under fault injection: B must converge to A's store
 	// despite erroring fetches and panicking applies.
 	waitFor(t, 30*time.Second, "stores to converge under chaos", func() bool {
-		return digestsEqual(a.stor, b.stor)
+		return sameRecords(a.stor, b.stor)
 	})
 	aRecords := map[core.Fingerprint][]byte{}
 	a.stor.Range(func(fp core.Fingerprint, val []byte) bool {

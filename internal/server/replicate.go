@@ -1,13 +1,13 @@
 // replicate.go is the worker-side wire surface of peer-to-peer store
-// replication (DESIGN.md §4j): two small endpoints under /store/v1/
-// that expose the persistent store's digest and its append-order delta
-// stream — everything a peer's anti-entropy loop needs. Every payload
-// is capped and CRC-verified end to end: a record travels with a
-// CRC-32C over (fingerprint‖value) computed by the sender and
-// re-checked by the receiver before the bytes are trusted, on top of
-// the store's own per-record checksum at both ends.
+// replication (DESIGN.md §4j): one endpoint, GET /store/v1/pull, that
+// exposes the persistent store's append-order delta stream — everything
+// a peer's anti-entropy loop needs. Every payload is capped and
+// CRC-verified end to end: a record travels with a CRC-32C over
+// (fingerprint‖value) computed by the sender and re-checked by the
+// receiver before the bytes are trusted, on top of the store's own
+// per-record checksum at both ends.
 //
-// The endpoints answer 404 with a typed body when the daemon runs
+// The endpoint answers 404 with a typed body when the daemon runs
 // without a store — replication is an opt-in property of -store mode,
 // not a failure.
 package server
@@ -56,14 +56,6 @@ func (c WireCursor) Cursor() store.Cursor { return store.Cursor{Gen: c.Gen, Seg:
 
 func toWireCursor(c store.Cursor) WireCursor { return WireCursor{Gen: c.Gen, Seg: c.Seg, Off: c.Off} }
 
-// DigestResponse is the GET /store/v1/digest body.
-type DigestResponse struct {
-	Gen     uint64     `json:"gen"`
-	Records int        `json:"records"`
-	XorFP   string     `json:"xor_fp"` // hex
-	End     WireCursor `json:"end"`
-}
-
 // WireRecord is one replicated record: hex fingerprint, base64 value
 // (encoding/json's []byte convention) and the transport CRC.
 type WireRecord struct {
@@ -100,7 +92,7 @@ func DecodeWireRecord(r WireRecord) (core.Fingerprint, []byte, error) {
 	return fp, r.Val, nil
 }
 
-// writeJSON is the small-response helper of the /store/v1/ handlers.
+// writeJSON is the small-response helper of the /store/v1/pull handler.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := marshal(v)
 	if err != nil {
@@ -112,30 +104,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(body)
 }
 
-// storeRequired answers the no-store case once for both handlers.
-func (s *Server) storeRequired(w http.ResponseWriter) bool {
-	if s.cfg.Store != nil {
-		return false
-	}
-	s.writeJSON(w, http.StatusNotFound, errorBody{Error: "no persistent store attached"})
-	return true
-}
-
-func (s *Server) handleStoreDigest(w http.ResponseWriter, r *http.Request) {
-	if s.storeRequired(w) {
-		return
-	}
-	d := s.cfg.Store.Digest()
-	s.writeJSON(w, http.StatusOK, DigestResponse{
-		Gen:     d.Gen,
-		Records: d.Records,
-		XorFP:   hex.EncodeToString(d.XorFP[:]),
-		End:     toWireCursor(d.End),
-	})
-}
-
 func (s *Server) handleStorePull(w http.ResponseWriter, r *http.Request) {
-	if s.storeRequired(w) {
+	if s.cfg.Store == nil {
+		s.writeJSON(w, http.StatusNotFound, errorBody{Error: "no persistent store attached"})
 		return
 	}
 	qv := r.URL.Query()

@@ -1,5 +1,5 @@
-// Tests of the worker-side replication surface: the /store/v1/ wire
-// endpoints (digest, pull), the transport CRC, and the degradation
+// Tests of the worker-side replication surface: the /store/v1/pull wire
+// endpoint, the transport CRC, and the degradation
 // contracts — a daemon without a store answers typed 404s, a disk-full
 // store under a live daemon costs counters and recomputes but never a
 // failed request, and the corruption counters surface in /metrics.
@@ -35,9 +35,9 @@ func getJSON(t *testing.T, client *http.Client, url string, v any) int {
 	return status
 }
 
-// TestStoreWireEndpoints drives the two /store/v1/ endpoints end to end
-// over HTTP: digest reflects the live set, and pull streams every record
-// CRC-intact across batches.
+// TestStoreWireEndpoints drives /store/v1/pull end to end over HTTP:
+// from the zero cursor, pull streams every record CRC-intact across
+// batches, in the store's current epoch.
 func TestStoreWireEndpoints(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s, ts, down := bootServer(t, t.TempDir(), Config{QueueDepth: 8, Jobs: 1, CacheSize: 8})
@@ -54,18 +54,10 @@ func TestStoreWireEndpoints(t *testing.T) {
 		want[fp] = val
 	}
 
-	var dig DigestResponse
-	if status := getJSON(t, ts.Client(), ts.URL+"/store/v1/digest", &dig); status != http.StatusOK {
-		t.Fatalf("digest: status %d", status)
-	}
-	if dig.Records != len(want) || dig.Gen == 0 {
-		t.Fatalf("digest = %+v, want %d records and a nonzero gen", dig, len(want))
-	}
-
-	// Walk the pull stream in batches of 2, decoding (and thereby
-	// CRC-checking) every record.
+	// Walk the pull stream in batches of 2 from the zero cursor, decoding
+	// (and thereby CRC-checking) every record.
 	got := map[core.Fingerprint][]byte{}
-	cur := WireCursor{Gen: dig.Gen}
+	var cur WireCursor
 	for rounds := 0; ; rounds++ {
 		var pr PullResponse
 		u := fmt.Sprintf("%s/store/v1/pull?gen=%d&seg=%d&off=%d&max=2", ts.URL, cur.Gen, cur.Seg, cur.Off)
@@ -90,6 +82,9 @@ func TestStoreWireEndpoints(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("pulled %d records, want %d", len(got), len(want))
 	}
+	if end := toWireCursor(s.cfg.Store.Stats().Cursor); cur != end || cur.Gen == 0 {
+		t.Fatalf("drained cursor %+v, want the end of the log %+v in a nonzero epoch", cur, end)
+	}
 	for fp, val := range want {
 		if !bytes.Equal(got[fp], val) {
 			t.Fatalf("pulled %s = %q, want %q", fp, got[fp], val)
@@ -98,8 +93,8 @@ func TestStoreWireEndpoints(t *testing.T) {
 }
 
 // TestStoreEndpointsWithoutStore: a daemon running in-memory-only
-// answers every /store/v1/ call with a typed 404 — replication is an
-// opt-in property of -store mode, not an error state.
+// answers /store/v1/pull with a typed 404 — replication is an opt-in
+// property of -store mode, not an error state.
 func TestStoreEndpointsWithoutStore(t *testing.T) {
 	s := New(Config{QueueDepth: 4, Jobs: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -111,7 +106,7 @@ func TestStoreEndpointsWithoutStore(t *testing.T) {
 			t.Errorf("drain: %v", err)
 		}
 	})
-	for _, u := range []string{"/store/v1/digest", "/store/v1/pull"} {
+	for _, u := range []string{"/store/v1/pull", "/store/v1/pull?gen=1&seg=1&off=64"} {
 		status, body := get(t, ts.Client(), ts.URL+u)
 		var eb errorBody
 		if status != http.StatusNotFound || json.Unmarshal(body, &eb) != nil || eb.Error == "" {

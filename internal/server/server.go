@@ -143,7 +143,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/synthesize", s.guarded("synthesize", s.handleSynthesize))
 	s.mux.HandleFunc("POST /v1/testdesign", s.guarded("testdesign", s.handleTestDesign))
 	s.mux.HandleFunc("GET /v1/table/{bench}", s.guarded("table", s.handleTable))
-	s.mux.HandleFunc("GET /store/v1/digest", s.guarded("store.digest", s.handleStoreDigest))
 	s.mux.HandleFunc("GET /store/v1/pull", s.guarded("store.pull", s.handleStorePull))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /livez", s.handleLivez)

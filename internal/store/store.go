@@ -2,8 +2,8 @@
 // memoization story: a crash-safe, append-only segment log mapping
 // core.Fingerprint keys to opaque encoded results. Synthesis is
 // deterministic and fingerprint-keyed, so a record written once is valid
-// forever — the store never needs update-in-place, only append,
-// last-write-wins replay, and garbage collection of superseded bytes.
+// forever — the store is a plain append-only log with last-write-wins
+// replay, and nothing ever rewrites an acknowledged record.
 //
 // One storage layer backs the daemon's result cache (internal/server
 // warms its LRU from the store at boot and writes every completed result
@@ -35,14 +35,12 @@
 // truncates back to the last acknowledged byte before writing, so an
 // acknowledged record can never be damaged by a later failed one.
 //
-// Rotation and compaction. When the active segment exceeds
-// Options.MaxSegmentBytes it is sealed and a new one started. When the
-// superseded (dead) bytes outweigh the live ones, the sealed segments are
-// compacted: every live record is streamed into a temp file, fsynced,
-// atomically renamed over the newest sealed segment, and the older ones
-// deleted. A crash at any point leaves a replayable directory — the
-// rename is atomic and replay order (older ids first, later records win)
-// makes leftover pre-compaction segments harmless duplicates.
+// Rotation. When the active segment exceeds Options.MaxSegmentBytes it is
+// sealed and a new one started; sealed segments are never rewritten.
+// Superseded records (a rare race between a job and a coalesced retry)
+// and corrupt regions stay on disk and are counted in Stats.DeadBytes.
+// Open adopts only files named exactly seg-%08d.log, so a stray copy such
+// as seg-00000001.log.bak never becomes the active segment.
 //
 // Chaos. The store.write / store.sync / store.torn / store.corrupt sites
 // (internal/chaos) inject a failed append, a failed fsync (bytes landed,
@@ -94,22 +92,16 @@ type Options struct {
 	// MaxSegmentBytes seals the active segment once it reaches this size
 	// (default 64 MiB).
 	MaxSegmentBytes int64
-	// NoAutoCompact disables the dead-bytes-triggered compaction that
-	// normally runs at segment rotation; Compact can still be called
-	// explicitly. Used by tests that assert on segment layout.
-	NoAutoCompact bool
 }
 
 // Stats is a point-in-time summary of the store's physical state.
 type Stats struct {
-	// Segments is the number of segment files (including the active one).
-	Segments int
 	// Records is the number of live (indexed, retrievable) records.
 	Records int
 	// LiveBytes is the on-disk footprint of the live records.
 	LiveBytes int64
 	// DeadBytes counts superseded records, corrupt regions and injected
-	// bit rot — bytes a compaction would reclaim.
+	// bit rot — bytes no live record covers.
 	DeadBytes int64
 	// DroppedCorrupt counts records rejected by checksum or framing —
 	// at open (skipped during replay) or at Get (bit rot detected on
@@ -125,12 +117,12 @@ type Stats struct {
 }
 
 // Cursor identifies a position in the store's append order, used by
-// Since for incremental replication. Gen is the indexing epoch: it
-// changes whenever physical record positions may have changed (a reopen
-// or a compaction), invalidating any (Seg, Off) held by a reader — a
-// reader seeing an unfamiliar Gen restarts from the zero cursor, which
-// is safe because applies are idempotent (records are content-addressed
-// and values are deterministic functions of their key).
+// Since for incremental replication. Gen is the indexing epoch, minted
+// once per Open: a reopen (perhaps of a replaced directory) invalidates
+// any (Seg, Off) held by a reader, and Since restarts a cursor of an
+// unfamiliar Gen from the beginning, which is safe because applies are
+// idempotent (records are content-addressed and values are deterministic
+// functions of their key).
 type Cursor struct {
 	Gen uint64 `json:"gen"`
 	Seg uint64 `json:"seg"`
@@ -141,21 +133,6 @@ type Cursor struct {
 type Record struct {
 	FP  core.Fingerprint
 	Val []byte
-}
-
-// Digest is a cheap whole-store summary for anti-entropy: two stores
-// with equal Records and XorFP hold the same live fingerprint set with
-// overwhelming probability, and End tells a puller where the log ends.
-type Digest struct {
-	// Gen is the current indexing epoch (see Cursor).
-	Gen uint64
-	// Records is the live record count.
-	Records int
-	// XorFP is the XOR of every live fingerprint — order-independent and
-	// maintained incrementally, so computing a digest is O(1).
-	XorFP core.Fingerprint
-	// End is the cursor one past the last appended record.
-	End Cursor
 }
 
 type segment struct {
@@ -185,9 +162,8 @@ type Store struct {
 	dead    int64
 	drops   int64
 	reseals int64
-	xor     core.Fingerprint // XOR of live fingerprints (incremental digest)
-	gen     uint64           // indexing epoch; bumped when positions change
-	torn    bool             // a failed append may have left a partial record on disk
+	gen     uint64 // indexing epoch, minted by Open
+	torn    bool   // a failed append may have left a partial record on disk
 	closed  bool
 }
 
@@ -219,21 +195,18 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts, index: map[core.Fingerprint]entry{}, gen: newGen()}
-	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log*"))
+	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		// A *.log.tmp file is an interrupted compaction that never reached
-		// its atomic rename; its contents are still fully present in the
-		// segments it was built from.
-		if filepath.Ext(name) == ".tmp" {
-			os.Remove(name)
-			continue
-		}
+		// Only the exact name createSegment writes is a segment: Sscanf
+		// accepts any spelling of the id, so seg-1.log would otherwise
+		// open as a second copy of segment 1.
 		var id uint64
-		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%d.log", &id); err != nil {
+		base := filepath.Base(name)
+		if _, err := fmt.Sscanf(base, "seg-%d.log", &id); err != nil || base != segmentName(id) {
 			continue
 		}
 		seg, err := s.openSegment(name, id)
@@ -288,8 +261,8 @@ func (s *Store) openSegment(path string, id uint64) (*segment, error) {
 	s.scan(data, seg)
 	// Reseal: drop trailing garbage (a torn final record) so the next
 	// append starts at a clean boundary instead of concatenating onto the
-	// fragment. Mid-file corruption stays put — it is dead bytes for the
-	// next compaction, already skipped by the replay.
+	// fragment. Mid-file corruption stays put — it is dead bytes, already
+	// skipped by the replay.
 	if int64(len(data)) > seg.size {
 		if err := f.Truncate(seg.size); err != nil {
 			f.Close()
@@ -338,18 +311,6 @@ func (s *Store) scan(data []byte, seg *segment) {
 	}
 }
 
-// liveIn sums the live bytes currently indexed into seg. Only called
-// during open/compaction bookkeeping, where segment counts are small.
-func (s *Store) liveIn(seg *segment) int64 {
-	var b int64
-	for _, e := range s.index {
-		if e.seg == seg {
-			b += e.total
-		}
-	}
-	return b
-}
-
 // resync finds the next possible record start at or after pos.
 func resync(data []byte, pos int64) int64 {
 	if pos >= int64(len(data)) {
@@ -368,23 +329,15 @@ func (s *Store) indexPut(fp core.Fingerprint, e entry) {
 	if old, ok := s.index[fp]; ok {
 		s.live -= old.total
 		s.dead += old.total
-	} else {
-		s.xorFP(fp)
 	}
 	s.index[fp] = e
 	s.live += e.total
 }
 
-// xorFP folds fp into (or out of — XOR is its own inverse) the
-// incremental live-set digest.
-func (s *Store) xorFP(fp core.Fingerprint) {
-	for i := range s.xor {
-		s.xor[i] ^= fp[i]
-	}
-}
+func segmentName(id uint64) string { return fmt.Sprintf("seg-%08d.log", id) }
 
 func (s *Store) createSegment(id uint64) (*segment, error) {
-	path := filepath.Join(s.dir, fmt.Sprintf("seg-%08d.log", id))
+	path := filepath.Join(s.dir, segmentName(id))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
@@ -486,14 +439,7 @@ func (s *Store) Put(fp core.Fingerprint, val []byte) error {
 	a.size += int64(len(rec))
 	s.indexPut(fp, entry{seg: a, off: off, total: int64(len(rec)), vlen: len(val)})
 	if a.size >= s.opts.MaxSegmentBytes {
-		if err := s.rotateLocked(); err != nil {
-			return err
-		}
-		if !s.opts.NoAutoCompact && s.dead > s.live && len(s.segs) > 2 {
-			if err := s.compactLocked(); err != nil {
-				return err
-			}
-		}
+		return s.rotateLocked()
 	}
 	return nil
 }
@@ -546,7 +492,6 @@ func (s *Store) getLocked(fp core.Fingerprint) ([]byte, bool) {
 
 func (s *Store) dropLocked(fp core.Fingerprint, e entry) {
 	delete(s.index, fp)
-	s.xorFP(fp)
 	s.live -= e.total
 	s.dead += e.total
 	s.drops++
@@ -582,121 +527,21 @@ func (s *Store) Range(fn func(fp core.Fingerprint, val []byte) bool) {
 	}
 }
 
-// Compact rewrites every live record of the sealed segments into one
-// fresh segment and deletes the originals, reclaiming the dead bytes.
-// The active segment is untouched (its records are newer and win on
-// replay regardless). Crash-safe: the compacted image is fsynced under a
-// temp name and atomically renamed over the newest sealed segment before
-// the older ones are removed, so a crash at any point leaves a directory
-// that replays to the same live set.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.compactLocked()
-}
-
-func (s *Store) compactLocked() error {
-	sealed := s.segs[:len(s.segs)-1]
-	if len(sealed) == 0 {
-		return nil
-	}
-	target := sealed[len(sealed)-1]
-	tmpPath := target.path + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	// Stream the live records of the sealed segments, in deterministic
-	// fingerprint order, re-verifying each (bit rot must not be copied
-	// forward as truth).
-	type moved struct {
-		fp core.Fingerprint
-		e  entry
-	}
-	var moves []moved
-	fps := make([]core.Fingerprint, 0, len(s.index))
-	for fp, e := range s.index {
-		if e.seg != s.active() {
-			fps = append(fps, fp)
-		}
-	}
-	sort.Slice(fps, func(i, j int) bool { return bytes.Compare(fps[i][:], fps[j][:]) < 0 })
-	var off int64
-	for _, fp := range fps {
-		v, ok := s.getLocked(fp)
-		if !ok {
-			continue
-		}
-		rec := encodeRecord(fp, v)
-		if _, err := tmp.WriteAt(rec, off); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
-		}
-		moves = append(moves, moved{fp, entry{off: off, total: int64(len(rec)), vlen: len(v)}})
-		off += int64(len(rec))
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	// The commit point: the compacted image atomically replaces the
-	// newest sealed segment.
-	if err := os.Rename(tmpPath, target.path); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
-		tmp.Close()
-		return err
-	}
-	compacted := &segment{id: target.id, path: target.path, f: tmp, size: off}
-	for _, seg := range sealed {
-		seg.f.Close()
-		if seg != target {
-			os.Remove(seg.path)
-		}
-	}
-	syncDir(s.dir)
-	for _, m := range moves {
-		m.e.seg = compacted
-		s.index[m.fp] = m.e
-	}
-	s.segs = []*segment{compacted, s.active()}
-	s.dead = 0
-	s.live = off + s.liveIn(s.active())
-	// Record positions moved: any (Seg, Off) cursor held by a replication
-	// reader is now meaningless. A new epoch makes readers restart.
-	s.gen = newGen()
-	return nil
-}
-
 // endLocked is the cursor one past the last appended record.
 func (s *Store) endLocked() Cursor {
 	a := s.active()
 	return Cursor{Gen: s.gen, Seg: a.id, Off: a.size}
 }
 
-// Digest returns the O(1) anti-entropy summary of the live record set.
-func (s *Store) Digest() Digest {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Digest{Gen: s.gen, Records: len(s.index), XorFP: s.xor, End: s.endLocked()}
-}
-
 // Since streams live records appended at or after cursor c in log order,
 // bounded by maxRecords (<=0 means 256) and maxBytes of values (<=0
 // means 1 MiB; at least one record is always returned if any is
 // pending). It returns the batch, the cursor to resume from, and
-// whether more records remain. A cursor from a different epoch (reopen
-// or compaction — see Cursor) restarts from the beginning. Each record
-// is re-read and checksum-verified like Get; a corrupt record is
-// dropped, never streamed.
+// whether more records remain. A cursor from a different epoch (an
+// earlier Open — see Cursor) restarts from the beginning. Once drained,
+// the cursor returned is the end of the log. Each record is re-read and
+// checksum-verified like Get; a corrupt record is dropped, never
+// streamed.
 func (s *Store) Since(c Cursor, maxRecords int, maxBytes int64) ([]Record, Cursor, bool) {
 	if maxRecords <= 0 {
 		maxRecords = 256
@@ -711,6 +556,11 @@ func (s *Store) Since(c Cursor, maxRecords int, maxBytes int64) ([]Record, Curso
 	}
 	if c.Gen != s.gen {
 		c = Cursor{Gen: s.gen}
+	}
+	if c == s.endLocked() {
+		// Anti-entropy's steady state: nothing appended since the last
+		// pull, answered without scanning the index.
+		return nil, c, false
 	}
 	type pos struct {
 		fp core.Fingerprint
@@ -753,7 +603,6 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Segments:       len(s.segs),
 		Records:        len(s.index),
 		LiveBytes:      s.live,
 		DeadBytes:      s.dead,

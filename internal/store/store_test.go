@@ -245,16 +245,18 @@ func TestGetDetectsBitRot(t *testing.T) {
 	}
 }
 
-func TestRotationAndCompaction(t *testing.T) {
+// TestRotationAndDeadBytes: tiny segments force rotation, overwrites
+// leave superseded records behind as dead bytes, and nothing rewrites a
+// sealed segment — every live record and both byte counts survive a
+// reopen unchanged.
+func TestRotationAndDeadBytes(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments force rotation; auto-compact off so the layout is
-	// assertable.
-	s := mustOpen(t, dir, Options{MaxSegmentBytes: 256, NoAutoCompact: true})
+	s := mustOpen(t, dir, Options{MaxSegmentBytes: 256})
 	val := bytes.Repeat([]byte("v"), 40)
 	// Overwrite the same 4 keys many times: most bytes die.
 	for round := 0; round < 20; round++ {
 		for k := 0; k < 4; k++ {
-			if err := s.Put(fpOf("k", fmt.Sprint(k)), append(val, byte('0'+k))); err != nil {
+			if err := s.Put(fpOf("k", fmt.Sprint(k)), append(val, byte('0'+k), byte(round))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -262,61 +264,34 @@ func TestRotationAndCompaction(t *testing.T) {
 	if n := len(segments(t, dir)); n < 3 {
 		t.Fatalf("rotation produced only %d segment files", n)
 	}
-	pre := s.Stats()
-	if pre.DeadBytes == 0 {
-		t.Fatal("overwrite-heavy workload produced no dead bytes")
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	post := s.Stats()
-	if post.Records != 4 {
-		t.Fatalf("compaction changed live set: %d records", post.Records)
-	}
-	if len(segments(t, dir)) != 2 { // compacted + active
-		t.Fatalf("compaction left %d segment files", len(segments(t, dir)))
-	}
-	if post.LiveBytes+post.DeadBytes >= pre.LiveBytes+pre.DeadBytes {
-		t.Fatalf("compaction reclaimed nothing: %+v -> %+v", pre, post)
-	}
-	for k := 0; k < 4; k++ {
-		want := append(bytes.Repeat([]byte("v"), 40), byte('0'+k))
-		if v, ok := s.Get(fpOf("k", fmt.Sprint(k))); !ok || !bytes.Equal(v, want) {
-			t.Fatalf("key %d after compaction: %q %v", k, v, ok)
+	check := func(s *Store, when string) Stats {
+		t.Helper()
+		st := s.Stats()
+		if st.Records != 4 {
+			t.Fatalf("%s: Records = %d, want 4", when, st.Records)
 		}
+		if st.DeadBytes <= st.LiveBytes {
+			t.Fatalf("%s: 76 superseded records left only %d dead bytes (%d live)", when, st.DeadBytes, st.LiveBytes)
+		}
+		for k := 0; k < 4; k++ {
+			want := append(bytes.Repeat([]byte("v"), 40), byte('0'+k), 19)
+			if v, ok := s.Get(fpOf("k", fmt.Sprint(k))); !ok || !bytes.Equal(v, want) {
+				t.Fatalf("%s: key %d = %q %v, want its newest value", when, k, v, ok)
+			}
+		}
+		return st
 	}
-	// New writes after compaction land in the active segment and survive
-	// a reopen together with the compacted records.
-	if err := s.Put(fpOf("fresh"), []byte("post-compact")); err != nil {
-		t.Fatal(err)
-	}
+	pre := check(s, "before reopen")
+	segs := len(segments(t, dir))
 	s.Close()
-	s = mustOpen(t, dir, Options{})
+	s = mustOpen(t, dir, Options{MaxSegmentBytes: 256})
 	defer s.Close()
-	if s.Len() != 5 {
-		t.Fatalf("after reopen: Len = %d, want 5", s.Len())
+	post := check(s, "after reopen")
+	if post.LiveBytes != pre.LiveBytes || post.DeadBytes != pre.DeadBytes {
+		t.Fatalf("reopen changed the byte counts: %+v -> %+v", pre, post)
 	}
-}
-
-func TestAutoCompactionBoundsDeadBytes(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{MaxSegmentBytes: 512})
-	val := bytes.Repeat([]byte("x"), 60)
-	for round := 0; round < 60; round++ {
-		if err := s.Put(fpOf("hot"), append(val, byte(round))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer s.Close()
-	st := s.Stats()
-	if st.Records != 1 {
-		t.Fatalf("Records = %d, want 1", st.Records)
-	}
-	if st.Segments > 3 {
-		t.Errorf("auto-compaction never ran: %d segments, dead=%d live=%d", st.Segments, st.DeadBytes, st.LiveBytes)
-	}
-	if v, ok := s.Get(fpOf("hot")); !ok || v[len(v)-1] != 59 {
-		t.Fatalf("hot key lost its newest value: %v %v", v, ok)
+	if n := len(segments(t, dir)); n != segs {
+		t.Fatalf("reopen changed the segment files: %d -> %d", segs, n)
 	}
 }
 
@@ -350,26 +325,44 @@ func TestRangeSortedAndBounded(t *testing.T) {
 	}
 }
 
-func TestTmpLeftoverRemoved(t *testing.T) {
+// TestStraySegmentNamesIgnored: a backup or editor copy of a segment is
+// not a segment. Were it adopted, it would sort last and become the
+// active segment, and deleting the "backup" would lose every record
+// acknowledged since. A leftover *.log.tmp is ignored the same way.
+func TestStraySegmentNamesIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
-	if err := s.Put(fpOf("x"), []byte("y")); err != nil {
+	if err := s.Put(fpOf("before"), []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	// An interrupted compaction leaves a .tmp image; Open must ignore and
-	// remove it.
-	tmp := filepath.Join(dir, "seg-00000001.log.tmp")
-	if err := os.WriteFile(tmp, []byte("half-written compaction"), 0o644); err != nil {
+	seg := segments(t, dir)[0]
+	data, err := os.ReadFile(seg)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var strays []string
+	for _, name := range []string{"seg-00000001.log.bak", "seg-00000001.log~", "seg-1.log", "seg-00000001.log.tmp"} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		strays = append(strays, p)
+	}
+	s = mustOpen(t, dir, Options{})
+	if err := s.Put(fpOf("after"), []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	for _, p := range strays {
+		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
 	}
 	s = mustOpen(t, dir, Options{})
 	defer s.Close()
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Errorf("leftover tmp file not removed: %v", err)
+	if s.Len() != 2 {
+		t.Fatalf("acknowledged record lost with a stray copy: Len = %d", s.Len())
 	}
 }
 
