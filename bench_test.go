@@ -300,9 +300,10 @@ func runGenMix(tb testing.TB, jobs []genMixJob, st *stats.Stats) {
 
 // BenchmarkSynthesizeGenMix mirrors the synth-unique workload's cost
 // profile in process: one op synthesizes all 24 GenMix jobs. evals/op
-// counts candidate evaluations, builds/op build-cache consults and
-// designs/op the ETPN designs derived; at one worker all three, and every
-// cache counter, are deterministic (TestCountersGolden pins them).
+// counts candidate evaluations, rejected/op the merge orders rejected
+// before cloning, builds/op build-cache consults and designs/op the ETPN
+// designs derived; at one worker all four, and every cache counter, are
+// deterministic (TestCountersGolden pins them).
 func BenchmarkSynthesizeGenMix(b *testing.B) {
 	jobs := genMixJobs(b)
 	st := stats.New()
@@ -313,6 +314,7 @@ func BenchmarkSynthesizeGenMix(b *testing.B) {
 	}
 	n := float64(b.N)
 	b.ReportMetric(float64(st.Value("core.evaluations"))/n, "evals/op")
+	b.ReportMetric(float64(st.Value("core.rejected"))/n, "rejected/op")
 	b.ReportMetric(float64(st.Value("cache.build.hit")+st.Value("cache.build.miss"))/n, "builds/op")
 	b.ReportMetric(float64(st.Value("core.designs"))/n, "designs/op")
 }

@@ -47,8 +47,16 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "overall budget; when it expires, synthesis and ATPG return their best-so-far results marked partial (0 = no limit)")
 		valFlg  = flag.Bool("validate", false, "run the structural invariant checkers on every intermediate artifact (design, netlist)")
 		chaosFl = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file on exit")
 	)
 	flag.Parse()
+
+	stop, err := stats.StartCPUProfile(*cpuProf)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfile = stop
+	defer stopProfile()
 
 	if *chaosFl != "" {
 		in, err := chaos.Parse(*chaosFl)
@@ -188,7 +196,12 @@ func loadGraph(bench, vhdl string, width int) (*hlts.Graph, error) {
 	}
 }
 
+// stopProfile ends the -cpuprofile profile; fatal calls it too, because
+// os.Exit skips deferred calls.
+var stopProfile = func() {}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "hlts:", err)
+	stopProfile()
 	os.Exit(1)
 }

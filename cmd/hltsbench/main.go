@@ -52,6 +52,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "overall budget; when it expires, in-flight cells finish with their best-so-far figures, marked *partial in the table (0 = no limit)")
 		valFlg   = flag.Bool("validate", false, "run the structural invariant checkers on every cell's design and netlist")
 		chaosFl  = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file on exit")
 
 		gen       = flag.Int("gen", 0, "run the generated-suite table over N seeded synthetic behaviours (see internal/dfggen)")
 		genSeed   = flag.Uint64("gen-seed", 1, "base seed of the generated suite; behaviour i uses seed base+i")
@@ -64,6 +65,13 @@ func main() {
 		genMethod = flag.String("gen-method", "ours", "synthesis flow for the generated suite (camad, approach1, approach2, ours)")
 	)
 	flag.Parse()
+
+	stop, err := stats.StartCPUProfile(*cpuProf)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfile = stop
+	defer stopProfile()
 
 	if *chaosFl != "" {
 		in, err := chaos.Parse(*chaosFl)
@@ -238,6 +246,7 @@ func main() {
 	}
 	if !ran {
 		flag.Usage()
+		stopProfile()
 		os.Exit(2)
 	}
 	if st != nil {
@@ -246,7 +255,12 @@ func main() {
 	}
 }
 
+// stopProfile ends the -cpuprofile profile; fatal calls it too, because
+// os.Exit skips deferred calls.
+var stopProfile = func() {}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "hltsbench:", err)
+	stopProfile()
 	os.Exit(1)
 }

@@ -15,8 +15,9 @@ import (
 // worker:
 //
 //	genmix/<counter>          the GenMix synthesis set (genMixJobs):
-//	                          candidate evaluations, designs derived and the
-//	                          build and metrics cache hits and misses
+//	                          candidate evaluations, merge orders rejected
+//	                          before cloning, designs derived and the build
+//	                          and metrics cache hits and misses
 //	podem/<bench>/<field>     the ATPG campaign of podemCase on Ex, Dct,
 //	                          Diffeq and EWF at 4 bits with 300 faults
 //	bist/lanes=<n>/<field>    the 200-fault, 100-cycle BIST session of
@@ -28,7 +29,7 @@ const countersGolden = "testdata/counters.golden"
 
 // genMixCounters is the allowlist of GenMix stats counters.
 var genMixCounters = []string{
-	"core.evaluations", "core.designs",
+	"core.evaluations", "core.rejected", "core.designs",
 	"cache.build.hit", "cache.build.miss",
 	"cache.metrics.hit", "cache.metrics.miss",
 }

@@ -224,6 +224,12 @@ func (r *Replicator) discover() ([]NodeRef, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: nodes answered %d", resp.StatusCode)
 	}
+	return decodePeers(body, r.cfg.SelfID)
+}
+
+// decodePeers reads a /cluster/v1/nodes answer and returns its Alive
+// nodes other than self.
+func decodePeers(body []byte, self string) ([]NodeRef, error) {
 	var nodes struct {
 		Nodes []NodeInfo `json:"nodes"`
 	}
@@ -232,7 +238,7 @@ func (r *Replicator) discover() ([]NodeRef, error) {
 	}
 	var peers []NodeRef
 	for _, n := range nodes.Nodes {
-		if n.ID != r.cfg.SelfID && n.State == StateAlive.String() {
+		if n.ID != self && n.State == StateAlive.String() {
 			peers = append(peers, NodeRef{ID: n.ID, Addr: n.Addr})
 		}
 	}

@@ -193,6 +193,9 @@ type state struct {
 	// current (schedule, allocation) pair, valid after build.
 	cache *evalCache
 	fp    fp
+	// base is prob frozen for the overlay solves of the candidate merge
+	// orders, compiled on first use by frozen(); nil in a clone.
+	base *sched.Base
 }
 
 // build refreshes lifetimes, execution time and area from the current
@@ -277,7 +280,39 @@ func (st *state) clone() *state {
 	c.s = st.s.Clone()
 	c.a = st.a.Clone()
 	c.d = nil
+	c.base = nil
 	return &c
+}
+
+// frozen returns st's problem compiled once as the base that every
+// candidate merge order of an iteration is checked and list-scheduled
+// against.
+func (st *state) frozen() *sched.Base {
+	if st.base == nil {
+		st.base = st.prob.Freeze()
+	}
+	return st.base
+}
+
+// recompileOrders is a test hook: when set, no merge order is rejected
+// before cloning, and each is list-scheduled on its clone's own freshly
+// compiled problem, as before the compiled base existed.
+var recompileOrders = false
+
+// feasible reports whether the merge order realized by the strict and weak
+// arcs may still be list-schedulable on top of st's problem, rejecting the
+// orders whose arcs close a cycle or stretch the ASAP length past MaxLen
+// before anything is cloned (core.rejected counts them). The frozen
+// ablation never lists, so it rejects nothing here.
+func (st *state) feasible(strict, weak [][2]dfg.NodeID) error {
+	if recompileOrders || st.par.Reschedule == RescheduleFrozen {
+		return nil
+	}
+	if err := st.frozen().Check(strict, weak); err != nil {
+		st.par.Stats.Add("core.rejected", 1)
+		return err
+	}
+	return nil
 }
 
 // initialState performs step 1 of Algorithm 1: a simple default
@@ -763,13 +798,17 @@ func (st *state) applyModuleMerge(i, j int, m *testability.Metrics) (*state, int
 	both := append(append([]dfg.NodeID{}, seqI...), seqJ...)
 
 	apply := func(order []dfg.NodeID) (*state, int, float64, error) {
+		arcs := sched.ChainArcs(order)
+		if err := st.feasible(arcs, nil); err != nil {
+			return nil, 0, 0, err
+		}
 		ns := st.clone()
 		if err := ns.a.MergeModules(i, j); err != nil {
 			return nil, 0, 0, err
 		}
-		ns.prob.Extra = append(ns.prob.Extra, sched.ChainArcs(order)...)
+		ns.prob.Extra = append(ns.prob.Extra, arcs...)
 		copy(ns.prob.ModuleOf, ns.a.ModuleOf)
-		return st.reschedule(ns)
+		return st.reschedule(ns, arcs, nil)
 	}
 
 	switch st.par.Reschedule {
@@ -912,30 +951,33 @@ func (st *state) preferSR(m *testability.Metrics) (sched.Prefer, error) {
 // tie-breaker.
 func (st *state) applyRegMerge(i, j int, m *testability.Metrics) (*state, int, float64, error) {
 	tryOrder := func(first, second int) (*state, int, float64, error) {
-		ns := st.clone()
-		strict, weak, err := ns.serializeRegs(first, second)
+		strict, weak, err := st.serializeRegs(first, second)
 		if err != nil {
 			return nil, 0, 0, err
 		}
 		if st.par.Reschedule == RescheduleFrozen {
 			// Arcs must already hold in the current schedule.
 			for _, a := range strict {
-				if ns.s.Step[a[0]] >= ns.s.Step[a[1]] {
+				if st.s.Step[a[0]] >= st.s.Step[a[1]] {
 					return nil, 0, 0, fmt.Errorf("core: frozen schedule violates lifetime arc")
 				}
 			}
 			for _, a := range weak {
-				if ns.s.Step[a[0]] > ns.s.Step[a[1]] {
+				if st.s.Step[a[0]] > st.s.Step[a[1]] {
 					return nil, 0, 0, fmt.Errorf("core: frozen schedule violates lifetime arc")
 				}
 			}
 		}
+		if err := st.feasible(strict, weak); err != nil {
+			return nil, 0, 0, err
+		}
+		ns := st.clone()
 		ns.prob.Extra = append(ns.prob.Extra, strict...)
 		ns.prob.ExtraWeak = append(ns.prob.ExtraWeak, weak...)
 		if err := ns.a.MergeRegs(first, second); err != nil {
 			return nil, 0, 0, err
 		}
-		return st.reschedule(ns)
+		return st.reschedule(ns, strict, weak)
 	}
 	s1, e1, h1, err1 := tryOrder(i, j)
 	s2, e2, h2, err2 := tryOrder(j, i)
@@ -992,13 +1034,15 @@ func meanRegSeqDepth(d *etpn.Design, m *testability.Metrics) float64 {
 // `first` to expire before the corresponding value of register `second`
 // is created, pairing the values in lifetime order (the general case of
 // §4.3.2 handled like the module merge sort). When the current lifetimes
-// of a pair are already disjoint, no arc is added for it.
-func (ns *state) serializeRegs(first, second int) (strict, weak [][2]dfg.NodeID, err error) {
-	g := ns.g
-	valsA := append([]dfg.ValueID(nil), ns.a.Regs[first].Vals...)
-	valsB := append([]dfg.ValueID(nil), ns.a.Regs[second].Vals...)
+// of a pair are already disjoint, no arc is added for it. It reads only
+// the graph, the registers and the lifetimes, so it runs on the committed
+// state before any clone.
+func (st *state) serializeRegs(first, second int) (strict, weak [][2]dfg.NodeID, err error) {
+	g := st.g
+	valsA := append([]dfg.ValueID(nil), st.a.Regs[first].Vals...)
+	valsB := append([]dfg.ValueID(nil), st.a.Regs[second].Vals...)
 	byBirth := func(vs []dfg.ValueID) {
-		slices.SortFunc(vs, func(x, y dfg.ValueID) int { return ns.life[x].Birth - ns.life[y].Birth })
+		slices.SortFunc(vs, func(x, y dfg.ValueID) int { return st.life[x].Birth - st.life[y].Birth })
 	}
 	byBirth(valsA)
 	byBirth(valsB)
@@ -1011,7 +1055,7 @@ func (ns *state) serializeRegs(first, second int) (strict, weak [][2]dfg.NodeID,
 	for _, vb := range valsB {
 		for _, va := range valsA {
 			x, y := va, vb
-			la, lb := ns.life[va].Interval, ns.life[vb].Interval
+			la, lb := st.life[va].Interval, st.life[vb].Interval
 			if !alloc.Overlaps(la, lb) && lb.Death <= la.Birth {
 				x, y = vb, va // b already expires before a is created
 			}
@@ -1075,17 +1119,27 @@ func serializePair(g *dfg.Graph, va, vb dfg.ValueID, strict, weak [][2]dfg.NodeI
 	return strict, weak, nil
 }
 
-// reschedule re-solves the scheduling problem of ns and rebuilds the
-// design, returning ΔE and ΔH relative to st. List runs on every call:
-// memoizing it by problem cost as much as it saved (DESIGN.md §4c).
-func (st *state) reschedule(ns *state) (*state, int, float64, error) {
+// reschedule re-solves the scheduling problem of ns — st's problem plus
+// the merge order's strict and weak arcs, under ns's module binding — and
+// rebuilds the design, returning ΔE and ΔH relative to st. List runs on
+// st's compiled base plus the order's arcs, with no clone of the problem
+// compiled; its schedule is byte-identical to listing ns's own problem
+// (sched.Base.List). Orders that feasible rejects never get here.
+// Memoizing List by problem cost as much as it saved (DESIGN.md §4c).
+func (st *state) reschedule(ns *state, strict, weak [][2]dfg.NodeID) (*state, int, float64, error) {
 	if st.par.Reschedule == RescheduleFrozen {
 		if err := ns.prob.Verify(ns.s); err != nil {
 			return nil, 0, 0, err
 		}
 	} else {
 		stop := ns.par.Stats.Time("time.sched")
-		s2, err := ns.prob.List()
+		var s2 sched.Schedule
+		var err error
+		if recompileOrders {
+			s2, err = ns.prob.List()
+		} else {
+			s2, err = st.frozen().List(strict, weak, ns.prob.ModuleOf)
+		}
 		stop()
 		if err != nil {
 			return nil, 0, 0, err

@@ -34,21 +34,19 @@ func ALUClass(k dfg.OpKind) string {
 
 // framesWithFixed computes [ASAP, ALAP] frames for every node under the
 // compiled precedence arcs (order is their topological order), a latency
-// bound, and a set of already-fixed assignments (fixed[n] == 0: free).
+// bound, and a set of already-fixed assignments (fixed[n] == 0: free). It
+// reads layer 0 of the successors only: FDS and MobilityPath compile their
+// problem and never overlay it.
 func (p *Problem) framesWithFixed(c *compiled, order []int32, latency int, fixed []int) (asap, alap []int, err error) {
 	name := func(n int32) string { return p.G.Node(dfg.NodeID(n)).Name }
 	asap = make([]int, c.nn)
 	for _, n := range order {
 		st := 1
-		for _, q := range c.preds(n) {
-			if asap[q]+1 > st {
-				st = asap[q] + 1
-			}
+		for _, q := range c.pred.at(n) {
+			st = max(st, asap[q]+1)
 		}
-		for _, q := range c.wpreds(n) {
-			if asap[q] > st {
-				st = asap[q]
-			}
+		for _, q := range c.wpred.at(n) {
+			st = max(st, asap[q])
 		}
 		if f := fixed[n]; f != 0 {
 			if f < st {
@@ -65,15 +63,11 @@ func (p *Problem) framesWithFixed(c *compiled, order []int32, latency int, fixed
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		st := latency
-		for _, q := range c.succs(n) {
-			if alap[q]-1 < st {
-				st = alap[q] - 1
-			}
+		for _, q := range c.succ[0].at(n) {
+			st = min(st, alap[q]-1)
 		}
-		for _, q := range c.wsuccs(n) {
-			if alap[q] < st {
-				st = alap[q]
-			}
+		for _, q := range c.wsucc[0].at(n) {
+			st = min(st, alap[q])
 		}
 		if f := fixed[n]; f != 0 {
 			if f > st {

@@ -12,6 +12,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -81,37 +82,73 @@ func (p *Problem) Clone() *Problem {
 	return c
 }
 
-// compiled is a Problem flattened once per solve into int32 CSR adjacency:
-// node n's strict predecessors are pred[predOff[n]:predOff[n+1]] — its
-// data-flow predecessors ascending, then Extra sources in arc order, each
-// kept at its first occurrence — and likewise for strict successors and
-// the weak (ExtraWeak) arcs. Strict and weak lists are deduplicated
-// separately, so a pair joined by both a strict and a weak arc counts once
-// in each. mod holds a dense module index per node, -1 when unbound.
+// compiled is a Problem flattened into int32 CSR adjacency. pred lists
+// each node's strict predecessors — its data-flow predecessors ascending,
+// then Extra sources in arc order, each kept at its first occurrence —
+// and wpred its weak (ExtraWeak) ones; strict and weak lists are
+// deduplicated separately, so a pair joined by both a strict and a weak
+// arc counts once in each. The successor lists come in two layers: layer
+// 0 is the transpose of pred and wpred, and layer 1 holds the arcs one
+// overlay solve adds on top of them (sched.Base), in arc order with
+// repeats kept; it is empty otherwise. deg is every node's strict plus
+// weak indegree over both layers. mod holds a dense module index per
+// node, -1 when unbound. The kernels below return slices of w, valid
+// until the next kernel call on c.
 type compiled struct {
-	nn              int
-	predOff, pred   []int32
-	succOff, succ   []int32
-	wpredOff, wpred []int32
-	wsuccOff, wsucc []int32
-	mod             []int32
-	nmod            int
+	nn          int
+	pred, wpred adj
+	succ, wsucc [2]adj
+	deg         []int32
+	mod         []int32
+	nmod        int
+	w           work
 }
 
-func (c *compiled) preds(n int32) []int32  { return c.pred[c.predOff[n]:c.predOff[n+1]] }
-func (c *compiled) succs(n int32) []int32  { return c.succ[c.succOff[n]:c.succOff[n+1]] }
-func (c *compiled) wpreds(n int32) []int32 { return c.wpred[c.wpredOff[n]:c.wpredOff[n+1]] }
-func (c *compiled) wsuccs(n int32) []int32 { return c.wsucc[c.wsuccOff[n]:c.wsuccOff[n+1]] }
+// adj is one CSR adjacency: node n's list is list[off[n]:off[n+1]].
+type adj struct{ off, list []int32 }
 
-// compile builds the CSR form of p.
+func (a adj) at(n int32) []int32 { return a.list[a.off[n]:a.off[n+1]] }
+
+// outs returns all of a node's successors: the strict ones of layers 0
+// and 1, then the weak ones of layers 0 and 1.
+func (c *compiled) outs(n int32) [4][]int32 {
+	return [4][]int32{c.succ[0].at(n), c.succ[1].at(n), c.wsucc[0].at(n), c.wsucc[1].at(n)}
+}
+
+// work holds the kernels' scratch buffers. A one-off solve starts from the
+// zero value; a Base keeps one across its overlay solves, so those
+// allocate nothing but the schedule List returns.
+type work struct {
+	deg, order, ready, avail      []int32
+	early, late, bound, used, ids []int
+}
+
+// zeroed returns buf resized to n zero elements, reallocating only when
+// its capacity is short.
+func zeroed[T int | int32](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// compile builds the CSR form of p, with an empty layer 1.
 func (p *Problem) compile() *compiled {
 	nn := p.G.NumNodes()
 	c := &compiled{nn: nn}
-	c.predOff, c.pred = predCSR(p.G, p.Extra, true)
-	c.wpredOff, c.wpred = predCSR(p.G, p.ExtraWeak, false)
-	c.succOff, c.succ = transpose(nn, c.predOff, c.pred)
-	c.wsuccOff, c.wsucc = transpose(nn, c.wpredOff, c.wpred)
-	c.mod, c.nmod = denseModules(p.ModuleOf, nn)
+	c.pred = predCSR(p.G, p.Extra, true)
+	c.wpred = predCSR(p.G, p.ExtraWeak, false)
+	c.succ[0] = transpose(nn, c.pred)
+	c.wsucc[0] = transpose(nn, c.wpred)
+	none := adj{off: make([]int32, nn+1)}
+	c.succ[1], c.wsucc[1] = none, none
+	c.deg = make([]int32, nn)
+	for n := range c.deg {
+		c.deg[n] = c.pred.off[n+1] - c.pred.off[n] + c.wpred.off[n+1] - c.wpred.off[n]
+	}
+	c.mod, c.w.ids, c.nmod = denseModules(p.ModuleOf, nn, nil, nil)
 	return c
 }
 
@@ -119,25 +156,12 @@ func (p *Problem) compile() *compiled {
 // dataFlow is set; the defining nodes of its operands, ascending) followed
 // by the sources of arcs into it in arc order, keeping each predecessor at
 // its first occurrence.
-func predCSR(g *dfg.Graph, arcs [][2]dfg.NodeID, dataFlow bool) (off, list []int32) {
+func predCSR(g *dfg.Graph, arcs [][2]dfg.NodeID, dataFlow bool) adj {
 	nn := g.NumNodes()
 	stamp := make([]int32, nn) // stamp[q] == n+1: q already listed for n
-	// Bucket the arcs by destination, stably.
-	aoff := make([]int32, nn+1)
-	for _, a := range arcs {
-		aoff[a[1]+1]++
-	}
-	for i := 0; i < nn; i++ {
-		aoff[i+1] += aoff[i]
-	}
-	bucket := make([]int32, len(arcs))
-	fill := slices.Clone(aoff[:nn])
-	for _, a := range arcs {
-		bucket[fill[a[1]]] = int32(a[0])
-		fill[a[1]]++
-	}
-	off = make([]int32, nn+1)
-	list = make([]int32, 0, len(arcs)+2*nn)
+	in := bucket(arcs, 1, nn, adj{})
+	off := make([]int32, nn+1)
+	list := make([]int32, 0, len(arcs)+2*nn)
 	for n := 0; n < nn; n++ {
 		mark := int32(n + 1)
 		if dataFlow {
@@ -151,7 +175,7 @@ func predCSR(g *dfg.Graph, arcs [][2]dfg.NodeID, dataFlow bool) (off, list []int
 			}
 			slices.Sort(list[start:])
 		}
-		for _, q := range bucket[aoff[n]:aoff[n+1]] {
+		for _, q := range in.at(int32(n)) {
 			if stamp[q] != mark {
 				stamp[q] = mark
 				list = append(list, q)
@@ -159,35 +183,54 @@ func predCSR(g *dfg.Graph, arcs [][2]dfg.NodeID, dataFlow bool) (off, list []int
 		}
 		off[n+1] = int32(len(list))
 	}
-	return off, list
+	return adj{off, list}
+}
+
+// bucket lists every arc x's other end x[1-key] under node x[key], in arc
+// order, reusing a's buffers.
+func bucket(arcs [][2]dfg.NodeID, key, nn int, a adj) adj {
+	off := zeroed(a.off, nn+1)
+	for _, x := range arcs {
+		off[x[key]]++
+	}
+	for n := 1; n <= nn; n++ {
+		off[n] += off[n-1] // off[n] is now the end of n's list
+	}
+	list := zeroed(a.list, len(arcs))
+	for i := len(arcs) - 1; i >= 0; i-- {
+		n := arcs[i][key]
+		off[n]--
+		list[off[n]] = int32(arcs[i][1-key])
+	}
+	return adj{off, list}
 }
 
 // transpose inverts a CSR adjacency: q appears in the output list of p
 // exactly as often as p appears in the input list of q.
-func transpose(nn int, off, list []int32) (toff, tlist []int32) {
-	toff = make([]int32, nn+1)
-	for _, q := range list {
+func transpose(nn int, a adj) adj {
+	toff := make([]int32, nn+1)
+	for _, q := range a.list {
 		toff[q+1]++
 	}
 	for i := 0; i < nn; i++ {
 		toff[i+1] += toff[i]
 	}
-	tlist = make([]int32, len(list))
+	tlist := make([]int32, len(a.list))
 	fill := slices.Clone(toff[:nn])
-	for n := 0; n < nn; n++ {
-		for _, q := range list[off[n]:off[n+1]] {
-			tlist[fill[q]] = int32(n)
+	for n := int32(0); n < int32(nn); n++ {
+		for _, q := range a.at(n) {
+			tlist[fill[q]] = n
 			fill[q]++
 		}
 	}
-	return toff, tlist
+	return adj{toff, tlist}
 }
 
 // denseModules maps the module binding onto indices 0..nmod-1 (ascending
-// module id), -1 for unbound nodes.
-func denseModules(moduleOf []int, nn int) ([]int32, int) {
-	mod := make([]int32, nn)
-	ids := make([]int, 0, nn)
+// module id), -1 for unbound nodes, in the buffers mod and ids.
+func denseModules(moduleOf []int, nn int, mod []int32, ids []int) ([]int32, []int, int) {
+	mod = zeroed(mod, nn)
+	ids = ids[:0]
 	for _, m := range moduleOf {
 		if m >= 0 {
 			ids = append(ids, m)
@@ -202,21 +245,70 @@ func denseModules(moduleOf []int, nn int) ([]int32, int) {
 			mod[n] = int32(i)
 		}
 	}
-	return mod, len(ids)
+	return mod, ids, len(ids)
 }
 
-// indegree returns every node's strict plus weak predecessor count.
+// indegree returns a copy of deg for a kernel to count down.
 func (c *compiled) indegree() []int32 {
-	deg := make([]int32, c.nn)
-	for n := range deg {
-		deg[n] = c.predOff[n+1] - c.predOff[n] + c.wpredOff[n+1] - c.wpredOff[n]
+	c.w.deg = append(c.w.deg[:0], c.deg...)
+	return c.w.deg
+}
+
+var errCycle = errors.New("sched: precedence arcs form a cycle")
+
+// latencyError is List's error when the schedule cannot fit MaxLen. It is
+// a small integer, so returning it allocates nothing.
+type latencyError int
+
+func (e latencyError) Error() string {
+	return fmt.Sprintf("sched: latency bound %d exceeded", int(e))
+}
+
+// kahn runs Kahn's algorithm first in, first out, relaxing the
+// as-soon-as-possible steps forward along the arcs. It returns the
+// topological order, the ASAP steps and the schedule length, or errCycle.
+// Every topological order yields the same ASAP steps (and ALAP steps), so
+// no heap is needed.
+func (c *compiled) kahn() ([]int32, []int, int, error) {
+	deg := c.indegree()
+	step := zeroed(c.w.early, c.nn)
+	queue := c.w.order[:0]
+	for n, d := range deg {
+		if d == 0 {
+			queue = append(queue, int32(n))
+		}
 	}
-	return deg
+	length := 0
+	for i := 0; i < len(queue); i++ {
+		n := queue[i]
+		st := max(step[n], 1)
+		step[n] = st
+		length = max(length, st)
+		for k, out := range c.outs(n) {
+			next := st
+			if k < 2 {
+				next++ // strict successors go a step later
+			}
+			for _, q := range out {
+				step[q] = max(step[q], next)
+				if deg[q]--; deg[q] == 0 {
+					queue = append(queue, q)
+				}
+			}
+		}
+	}
+	c.w.early, c.w.order = step, queue
+	if len(queue) != c.nn {
+		return nil, nil, 0, errCycle
+	}
+	return queue, step, length, nil
 }
 
 // topo returns a topological order over data-flow plus extra arcs (weak
 // arcs included as ordering edges), always releasing the smallest ready
-// id first, or an error if the arcs introduced a cycle.
+// id first, or an error if the arcs introduced a cycle. FDS and
+// MobilityPath walk this order: it fixes which node their frame errors
+// name.
 func (c *compiled) topo() ([]int32, error) {
 	indeg := c.indegree()
 	var h minHeap
@@ -229,19 +321,16 @@ func (c *compiled) topo() ([]int32, error) {
 	for len(h) > 0 {
 		n := h.pop()
 		order = append(order, n)
-		for _, s := range c.succs(n) {
-			if indeg[s]--; indeg[s] == 0 {
-				h.push(s)
-			}
-		}
-		for _, s := range c.wsuccs(n) {
-			if indeg[s]--; indeg[s] == 0 {
-				h.push(s)
+		for _, out := range c.outs(n) {
+			for _, s := range out {
+				if indeg[s]--; indeg[s] == 0 {
+					h.push(s)
+				}
 			}
 		}
 	}
 	if len(order) != c.nn {
-		return nil, fmt.Errorf("sched: precedence arcs form a cycle")
+		return nil, errCycle
 	}
 	return order, nil
 }
@@ -286,46 +375,21 @@ func (h *minHeap) pop() int32 {
 	return top
 }
 
-// asap fills the as-soon-as-possible steps along order and returns the
-// schedule length.
-func (c *compiled) asap(order []int32) ([]int, int) {
-	step := make([]int, c.nn)
-	length := 0
-	for _, n := range order {
-		st := 1
-		for _, q := range c.preds(n) {
-			if step[q]+1 > st {
-				st = step[q] + 1
-			}
-		}
-		for _, q := range c.wpreds(n) {
-			if step[q] > st {
-				st = step[q]
-			}
-		}
-		step[n] = st
-		if st > length {
-			length = st
-		}
-	}
-	return step, length
-}
-
 // alap fills the as-late-as-possible steps for the given latency along the
 // reverse of order.
 func (c *compiled) alap(order []int32, latency int) ([]int, error) {
-	step := make([]int, c.nn)
+	step := zeroed(c.w.late, c.nn)
+	c.w.late = step
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		st := latency
-		for _, q := range c.succs(n) {
-			if step[q]-1 < st {
-				st = step[q] - 1
+		for k, out := range c.outs(n) {
+			gap := 0
+			if k < 2 {
+				gap = 1 // strict successors go a step later
 			}
-		}
-		for _, q := range c.wsuccs(n) {
-			if step[q] < st {
-				st = step[q]
+			for _, q := range out {
+				st = min(st, step[q]-gap)
 			}
 		}
 		if st < 1 {
@@ -339,19 +403,17 @@ func (c *compiled) alap(order []int32, latency int) ([]int, error) {
 // ASAP returns the as-soon-as-possible schedule under precedence (data-flow
 // plus extra arcs), ignoring module binding and latency.
 func (p *Problem) ASAP() (Schedule, error) {
-	c := p.compile()
-	order, err := c.topo()
+	_, step, length, err := p.compile().kahn()
 	if err != nil {
 		return Schedule{}, err
 	}
-	step, length := c.asap(order)
 	return Schedule{Step: step, Len: length}, nil
 }
 
 // ALAP returns the as-late-as-possible schedule for the given latency.
 func (p *Problem) ALAP(latency int) (Schedule, error) {
 	c := p.compile()
-	order, err := c.topo()
+	order, _, _, err := c.kahn()
 	if err != nil {
 		return Schedule{}, err
 	}
@@ -368,12 +430,15 @@ func (p *Problem) ALAP(latency int) (Schedule, error) {
 // length) goes first, ties by node id. It returns an error if MaxLen is
 // exceeded or the arcs are cyclic.
 func (p *Problem) List() (Schedule, error) {
-	c := p.compile()
-	order, err := c.topo()
+	return p.compile().list(p.MaxLen)
+}
+
+// list is List over c under the latency bound maxLen (0 for none).
+func (c *compiled) list(maxLen int) (Schedule, error) {
+	order, _, length, err := c.kahn()
 	if err != nil {
 		return Schedule{}, err
 	}
-	_, length := c.asap(order)
 	prio, err := c.alap(order, length)
 	if err != nil {
 		return Schedule{}, err
@@ -382,14 +447,20 @@ func (p *Problem) List() (Schedule, error) {
 	s := Schedule{Step: make([]int, nn)}
 	step := s.Step
 	remaining := c.indegree()
-	var ready, avail []int32
+	ready, avail := c.w.ready[:0], c.w.avail[:0]
 	for n, d := range remaining {
 		if d == 0 {
 			ready = append(ready, int32(n))
 		}
 	}
+	// bound[n] is the earliest step n's placed predecessors allow: a step
+	// after each strict one, the step of each weak one. Once n is ready,
+	// every predecessor is placed and n is placeable from step bound[n].
+	bound := zeroed(c.w.bound, nn)
+	c.w.bound = bound
 	// usedAt[m] is the last step module m was taken in.
-	usedAt := make([]int, c.nmod)
+	usedAt := zeroed(c.w.used, c.nmod)
+	c.w.used = usedAt
 	byPriority := func(a, b int32) int {
 		if prio[a] != prio[b] {
 			return prio[a] - prio[b]
@@ -398,34 +469,17 @@ func (p *Problem) List() (Schedule, error) {
 	}
 	scheduled := 0
 	for cur := 1; scheduled < nn; cur++ {
-		if p.MaxLen > 0 && cur > p.MaxLen {
-			return Schedule{}, fmt.Errorf("sched: latency bound %d exceeded", p.MaxLen)
+		if maxLen > 0 && cur > maxLen {
+			c.w.ready, c.w.avail = ready, avail
+			return Schedule{}, latencyError(maxLen)
 		}
 		// Schedule within the step until a fixpoint: weak-arc successors of
 		// an operation placed this step may become placeable in the same
 		// step. An operation chosen this step has step == cur.
 		for {
-			// Ready ops whose strict predecessors finished before cur and
-			// whose weak predecessors are placed no later than cur.
 			avail = avail[:0]
 			for _, n := range ready {
-				if step[n] == cur {
-					continue
-				}
-				ok := true
-				for _, q := range c.preds(n) {
-					if st := step[q]; st == 0 || st >= cur {
-						ok = false
-						break
-					}
-				}
-				for _, q := range c.wpreds(n) {
-					if st := step[q]; st == 0 || st > cur {
-						ok = false
-						break
-					}
-				}
-				if ok {
+				if step[n] != cur && bound[n] <= cur {
 					avail = append(avail, n)
 				}
 			}
@@ -442,14 +496,16 @@ func (p *Problem) List() (Schedule, error) {
 				s.Len = cur
 				progress = true
 				scheduled++
-				for _, q := range c.succs(n) {
-					if remaining[q]--; remaining[q] == 0 {
-						ready = append(ready, q)
+				for k, out := range c.outs(n) {
+					next := cur
+					if k < 2 {
+						next++
 					}
-				}
-				for _, q := range c.wsuccs(n) {
-					if remaining[q]--; remaining[q] == 0 {
-						ready = append(ready, q)
+					for _, q := range out {
+						bound[q] = max(bound[q], next)
+						if remaining[q]--; remaining[q] == 0 {
+							ready = append(ready, q)
+						}
 					}
 				}
 			}
@@ -465,7 +521,80 @@ func (p *Problem) List() (Schedule, error) {
 		}
 		ready = next
 	}
+	c.w.ready, c.w.avail = ready, avail
 	return s, nil
+}
+
+// Base is a problem compiled once and frozen as the shared base of many
+// overlay solves. Each solve adds a few strict and weak arcs — and, in
+// List, its own module binding — without copying or recompiling the
+// problem: the merger loop freezes the committed design's problem once per
+// iteration and decides every candidate merge order against it. A Base
+// reuses its scratch across solves, so one goroutine at a time may use it,
+// and the frozen Problem's arcs must not change while it does.
+type Base struct {
+	maxLen int
+	deg    []int32   // the frozen problem's indegree
+	view   *compiled // the frozen problem plus the current solve's arcs
+}
+
+// Freeze compiles p as the base of overlay solves.
+func (p *Problem) Freeze() *Base {
+	c := p.compile()
+	b := &Base{maxLen: p.MaxLen, deg: c.deg, view: c}
+	// The overlay gets buffers of its own: compile shares one empty
+	// layer 1 between both successor sides.
+	c.succ[1], c.wsucc[1], c.deg = adj{}, adj{}, nil
+	return b
+}
+
+// Check returns the error List would return for the base plus the strict
+// and weak arcs when that error is already decided before list
+// scheduling, and nil otherwise: it runs only List's first pass, kahn. A
+// rejection is sound: a cycle fails List's topological sort, and List
+// places every operation no earlier than its ASAP step, so an ASAP length
+// above MaxLen fails List's latency bound. A nil result proves nothing:
+// module clashes can still push List past MaxLen.
+func (b *Base) Check(strict, weak [][2]dfg.NodeID) error {
+	_, _, length, err := b.overlay(strict, weak).kahn()
+	if err == nil && b.maxLen > 0 && length > b.maxLen {
+		err = latencyError(b.maxLen)
+	}
+	return err
+}
+
+// List list-schedules the base plus the strict and weak arcs under the
+// module binding moduleOf (indexed by dfg.NodeID, -1 unbound). The result
+// is the one Problem.List returns on a clone of the frozen problem with
+// the arcs appended to Extra and ExtraWeak and ModuleOf replaced by
+// moduleOf, error string included.
+func (b *Base) List(strict, weak [][2]dfg.NodeID, moduleOf []int) (Schedule, error) {
+	c := b.overlay(strict, weak)
+	c.mod, c.w.ids, c.nmod = denseModules(moduleOf, c.nn, c.mod, c.w.ids)
+	return c.list(b.maxLen)
+}
+
+// overlay sets the view's layer 1 to strict and weak and counts them into
+// its indegree; pred and wpred stay the frozen problem's, and no kernel
+// of an overlay solve reads them. List cannot tell the result from a
+// recompiled problem, although the extra arcs come after every compiled
+// one and repeats are kept. The order kahn visits nodes in does depend on
+// the arc order, but the ASAP and ALAP steps, like list's bound, are max
+// and min folds that every topological order agrees on; and list sorts
+// everything placeable on every pass, so the order of its ready list
+// cannot move a schedule, and a repeated arc counts down in the same step
+// as its twin.
+func (b *Base) overlay(strict, weak [][2]dfg.NodeID) *compiled {
+	c := b.view
+	c.succ[1] = bucket(strict, 0, c.nn, c.succ[1])
+	c.wsucc[1] = bucket(weak, 0, c.nn, c.wsucc[1])
+	c.deg = append(c.deg[:0], b.deg...)
+	for _, arcs := range [2][][2]dfg.NodeID{strict, weak} {
+		for _, a := range arcs {
+			c.deg[a[1]]++
+		}
+	}
+	return c
 }
 
 // Verify checks that s satisfies the problem: every node scheduled, all
@@ -488,13 +617,13 @@ func (p *Problem) Verify(s Schedule) error {
 		if p.MaxLen > 0 && st > p.MaxLen {
 			return fmt.Errorf("sched: node %s at step %d exceeds latency %d", n.Name, st, p.MaxLen)
 		}
-		for _, q := range c.preds(int32(n.ID)) {
+		for _, q := range c.pred.at(int32(n.ID)) {
 			if step[q] >= st {
 				return fmt.Errorf("sched: node %s at step %d not after predecessor %s at step %d",
 					n.Name, st, name(q), step[q])
 			}
 		}
-		for _, q := range c.wpreds(int32(n.ID)) {
+		for _, q := range c.wpred.at(int32(n.ID)) {
 			if step[q] > st {
 				return fmt.Errorf("sched: node %s at step %d before weak predecessor %s at step %d",
 					n.Name, st, name(q), step[q])
