@@ -434,8 +434,9 @@ func runBIST(tb testing.TB, nl *Netlist, lanes int) *atpg.BISTOutcome {
 // lanes (PPSFP: all simulator lanes carry independent sessions). Both
 // sub-benchmarks spend the same simulation passes per fault, so
 // passes/session — the simulation cost per pseudorandom session — drops
-// 64x at lanes=64; TestCountersGolden pins both rows' passes and
-// detections.
+// 64x at lanes=64. Passes are nominal; gate_evals counts the evaluations
+// the divergence-only kernel performed. TestCountersGolden pins both rows'
+// passes, detections and gate evaluations.
 func BenchmarkBIST(b *testing.B) {
 	nl := bistNetlist(b)
 	for _, lanes := range bistLanes {
@@ -447,6 +448,7 @@ func BenchmarkBIST(b *testing.B) {
 			}
 			b.ReportMetric(100*out.Coverage, "cov%")
 			b.ReportMetric(float64(out.Passes)/float64(out.Evaluated*out.Lanes), "passes/session")
+			b.ReportMetric(float64(out.GateEvals), "gate_evals")
 		})
 	}
 }

@@ -67,6 +67,7 @@ func TestCountersGolden(t *testing.T) {
 		p := fmt.Sprintf("bist/lanes=%d/", lanes)
 		add(p+"Passes", out.Passes)
 		add(p+"Detected", int64(out.Detected))
+		add(p+"GateEvals", out.GateEvals)
 	}
 
 	if *updateGolden {

@@ -56,11 +56,15 @@ type BISTOutcome struct {
 	// died mid-session. Coverage is always Detected/TotalFaults, so a
 	// partial session under-reports coverage rather than extrapolating.
 	Evaluated int
-	// Passes counts the faulty-machine simulation passes (Step calls)
-	// spent: Evaluated×Cycles. Passes/(Evaluated×Lanes) is the simulation
-	// cost per pseudorandom session — the quantity PPSFP divides by the
-	// lane count.
+	// Passes counts the nominal faulty-machine simulation passes spent:
+	// Evaluated×Cycles, each as if the whole netlist were re-evaluated.
+	// Passes/(Evaluated×Lanes) is the simulation cost per pseudorandom
+	// session — the quantity PPSFP divides by the lane count.
 	Passes int64
+	// GateEvals counts the gate evaluations actually performed: the good
+	// session once, plus each faulty session's gates that read a net where
+	// it differs from the good one.
+	GateEvals int64
 	// Status is StatusComplete for a full session, StatusPartial when the
 	// budget named by Exhausted cut it short.
 	Status exec.Status
@@ -92,7 +96,7 @@ func (r *BISTOutcome) String() string {
 // landing on the good signature — shows up naturally as lost coverage,
 // exactly as in hardware.
 //
-// The context is checked before every fault's session replay: on
+// The context is checked before every fault's session: on
 // cancellation the outcome covers the faults evaluated so far and is
 // tagged StatusPartial, mirroring the graceful degradation of the ATPG
 // campaign — a deadline is a budget, not a failure, so the error stays nil.
@@ -145,48 +149,31 @@ func RunBISTCfgCtx(ctx context.Context, c *gates.Circuit, sampleFaults, cycles i
 		mask = (uint64(1) << uint(lanes)) - 1
 	}
 
-	// Golden run: only the final-cycle signature matters, so keep just the
-	// last output row instead of materialising the whole history.
+	// Every session runs to the end: a MISR can alias a difference away, so
+	// only the final signature counts.
 	p, err := c.Compile()
 	if err != nil {
 		return nil, err
 	}
-	good := logicsim.New(p)
-	good.SetState(seedState)
-	var last []uint64
-	for _, v := range vec {
-		last = good.Step(v)
-	}
-	goodSig := make([]uint64, len(sigPOs))
-	for i, po := range sigPOs {
-		goodSig[i] = last[po]
-	}
-
+	tr := logicsim.NewTrace(p, seedState, vec)
 	flist := fault.Sample(fault.Collapse(c), sampleFaults)
-	bad := logicsim.New(p)
 	out := &BISTOutcome{TotalFaults: len(flist), Cycles: cycles, Lanes: lanes}
-	for i := range flist {
-		if ctx.Err() != nil {
-			out.Status = exec.StatusPartial
-			out.Exhausted = exec.BudgetDeadline
-			break
-		}
-		bad.SetFault(&flist[i])
-		// seedState covers every DFF, so SetState fully clears the previous
-		// fault's trajectory; no Reset needed.
-		bad.SetState(seedState)
-		for _, v := range vec {
-			last = bad.Step(v)
-		}
-		out.Evaluated++
-		out.Passes += int64(cycles)
-		for k, po := range sigPOs {
-			if (last[po]^goodSig[k])&mask != 0 {
+	evals, err := tr.Simulate(ctx, flist, nil, 1, logicsim.Observe{POs: sigPOs, Mask: mask, Session: true},
+		func(_, cycle int, _ uint64) {
+			out.Evaluated++
+			if cycle >= 0 {
 				out.Detected++
-				break
 			}
+		})
+	if err != nil {
+		if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
+			return nil, err
 		}
+		out.Status = exec.StatusPartial
+		out.Exhausted = exec.BudgetDeadline
 	}
+	out.Passes = int64(out.Evaluated) * int64(cycles)
+	out.GateEvals = tr.Evals() + evals
 	if out.TotalFaults > 0 {
 		out.Coverage = float64(out.Detected) / float64(out.TotalFaults)
 	}

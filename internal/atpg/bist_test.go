@@ -71,10 +71,11 @@ func TestRunBISTDuplicateEnable(t *testing.T) {
 	}
 }
 
-// legacyBIST reimplements the original single-session evaluator verbatim
-// (one shared xorshift stream replicated to all lanes, golden history via
-// Run, bit-0 signature compare): the reference for the Lanes: 1
-// bit-identity guarantee.
+// legacyBIST reimplements the original single-session evaluator's
+// stimulus and verdict (one shared xorshift stream replicated to all
+// lanes, the all-zero reset, bit-0 signature compare) over the fault
+// simulator, whose own reference test lives in logicsim: the reference for
+// the Lanes: 1 bit-identity guarantee.
 func legacyBIST(t *testing.T, c *gates.Circuit, sampleFaults, cycles int) []bool {
 	t.Helper()
 	bistEn := -1
@@ -114,27 +115,15 @@ func legacyBIST(t *testing.T, c *gates.Circuit, sampleFaults, cycles int) []bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := logicsim.New(p).Run(vec)
-	goodSig := make([]uint64, len(sigPOs))
-	for i, po := range sigPOs {
-		goodSig[i] = golden[cycles-1][po] & 1
-	}
 	flist := fault.Sample(fault.Collapse(c), sampleFaults)
-	bad := logicsim.New(p)
 	det := make([]bool, len(flist))
-	for i := range flist {
-		bad.SetFault(&flist[i])
-		bad.Reset()
-		var last []uint64
-		for _, v := range vec {
-			last = bad.Step(v)
-		}
-		for k, po := range sigPOs {
-			if last[po]&1 != goodSig[k] {
-				det[i] = true
-				break
-			}
-		}
+	// The single session from the all-zero reset, judged on lane 0 of the
+	// final signature.
+	_, err = logicsim.NewTrace(p, nil, vec).Simulate(context.Background(), flist, nil, 1,
+		logicsim.Observe{POs: sigPOs, Mask: 1, Session: true},
+		func(i, cycle int, _ uint64) { det[i] = cycle >= 0 })
+	if err != nil {
+		t.Fatal(err)
 	}
 	return det
 }

@@ -250,21 +250,22 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 	// Batches are atomic with respect to cancellation: a batch either runs
 	// to completion or (when the context dies first) is not started, so a
 	// partial result never holds detections without their retained tests.
-	var randGateEvals int64
+	var randNominal, simEvals int64
 	for batch := 0; batch < cfg.RandomBatches; batch++ {
 		if ctx.Err() != nil {
 			exhausted = exec.BudgetDeadline
 			break
 		}
 		vectors := wideVectors(cfg.SeqLen, len(c.Inputs), rng.Uint64)
-		lanes, evals, _, err := faultSim(p, flist, detected, vectors, cfg.Workers)
+		sim, err := faultSim(p, flist, detected, vectors, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
-		randGateEvals += evals
-		res.TestCycles += bits.OnesCount64(lanes) * cfg.SeqLen
+		randNominal += sim.nominal
+		simEvals += sim.evals
+		res.TestCycles += bits.OnesCount64(sim.lanes) * cfg.SeqLen
 		for lane := 0; lane < 64; lane++ {
-			if lanes&(1<<uint(lane)) != 0 {
+			if sim.lanes&(1<<uint(lane)) != 0 {
 				res.TestSet = append(res.TestSet, extractLane(vectors, lane))
 			}
 		}
@@ -371,11 +372,12 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 					// Fault-simulate the generated test against the remaining
 					// faults (test-set reuse / fault dropping).
 					res.TestSet = append(res.TestSet, extractLane(o.vec, 0))
-					_, _, newly, err := faultSim(p, flist, detected, o.vec, cfg.Workers)
+					sim, err := faultSim(p, flist, detected, o.vec, cfg.Workers)
 					if err != nil {
 						return err
 					}
-					res.DetDetected += newly
+					simEvals += sim.evals
+					res.DetDetected += sim.newly
 					for k := range flist {
 						if detected[k] && !dropped[k].Load() {
 							dropped[k].Store(true)
@@ -422,8 +424,8 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 		res.Exhausted = exhausted
 	}
 	res.Coverage = float64(count(detected)) / float64(len(flist))
-	res.Effort = (randGateEvals + detImpl) / 1000
-	res.GateEvals = randGateEvals + detEvals
+	res.Effort = (randNominal + detImpl) / 1000
+	res.GateEvals = simEvals + detEvals
 	return res, nil
 }
 
@@ -513,58 +515,52 @@ func searchFault(ctx context.Context, s *searcher, f fault.Fault, i int, cfg Con
 	return out
 }
 
+// simOut is what one faultSim call reports.
+type simOut struct {
+	lanes   uint64 // lanes that detected at least one new fault
+	nominal int64  // nominal evaluations: every gate, every simulated cycle
+	evals   int64  // evaluations the kernel performed
+	newly   int    // newly detected faults
+}
+
 // faultSim fault-simulates a 64-lane vector sequence, applied from reset,
 // over the undetected faults: the random phase's batches of 64 parallel
-// random sequences and each PODEM test's fault drop. It marks detections
-// and returns the mask of lanes that detected at least one new fault, the
-// gate evaluations spent and the number of newly detected faults. Faults
-// are independent (each is compared against the shared golden run), so
-// the list is partitioned across workers; the results are merged per
-// fault index and are identical at every worker count.
-func faultSim(p *gates.Program, flist []fault.Fault, detected []bool, vectors [][]uint64, workers int) (uint64, int64, int, error) {
-	golden := logicsim.New(p).Run(vectors)
-	nGates := int64(len(p.Op))
+// random sequences, each PODEM test's fault drop and Replay. It marks
+// detections; each newly detected fault stops at its first differing
+// cycle and nominates the lowest lane that detects it. The nominal count
+// charges every gate for every cycle a fault was simulated, as a full
+// resimulation would. Faults are independent, so the list is partitioned
+// across workers; the results are merged per fault index and are identical
+// at every worker count.
+func faultSim(p *gates.Program, flist []fault.Fault, detected []bool, vectors [][]uint64, workers int) (simOut, error) {
+	tr := logicsim.NewTrace(p, nil, vectors)
 	laneOf := make([]uint64, len(flist))
-	evalsOf := make([]int64, len(flist))
+	cyclesOf := make([]int, len(flist))
 	// A batch is atomic with respect to cancellation (see RunCtx), so the
-	// pool runs without the campaign's context.
-	err := parallel.ForEachWorkerCtx(context.Background(), workers, len(flist),
-		func() (*logicsim.Sim, error) { return logicsim.New(p), nil },
-		func(bad *logicsim.Sim, i int) error {
-			if detected[i] {
-				return nil
+	// kernel runs without the campaign's context.
+	evals, err := tr.Simulate(context.Background(), flist, detected, workers, logicsim.Observe{},
+		func(i, cycle int, diff uint64) {
+			if cycle < 0 {
+				cyclesOf[i] = len(vectors)
+				return
 			}
-			bad.SetFault(&flist[i])
-			bad.Reset()
-			for t, v := range vectors {
-				po := bad.Step(v)
-				evalsOf[i] += nGates
-				var diff uint64
-				for k, w := range po {
-					diff |= w ^ golden[t][k]
-				}
-				if diff != 0 {
-					detected[i] = true
-					laneOf[i] = diff & (-diff) // nominate the lowest detecting lane
-					break
-				}
-			}
-			return nil
+			detected[i] = true
+			laneOf[i] = diff & (-diff)
+			cyclesOf[i] = cycle + 1
 		})
 	if err != nil {
-		return 0, 0, 0, err
+		return simOut{}, err
 	}
-	var lanes uint64
-	var evals int64
-	newly := 0
+	out := simOut{evals: evals + tr.Evals()}
+	nGates := int64(len(p.Op))
 	for i := range flist {
-		lanes |= laneOf[i]
-		evals += evalsOf[i]
+		out.lanes |= laneOf[i]
+		out.nominal += nGates * int64(cyclesOf[i])
 		if laneOf[i] != 0 {
-			newly++
+			out.newly++
 		}
 	}
-	return lanes, evals, newly, nil
+	return out, nil
 }
 
 // vectorsFromAssignment converts a PODEM PI assignment (per frame,
@@ -622,7 +618,7 @@ func Replay(c *gates.Circuit, testSet [][][]uint64, flist []fault.Fault) (int, e
 	detected := make([]bool, len(flist))
 	for _, seq := range testSet {
 		// Widen single-lane vectors back to full words.
-		if _, _, _, err := faultSim(p, flist, detected, widenLane(seq), 0); err != nil {
+		if _, err := faultSim(p, flist, detected, widenLane(seq), 0); err != nil {
 			return 0, err
 		}
 	}

@@ -176,6 +176,9 @@ type searcher struct {
 	// stack is the decision stack; xs is backtrace scratch.
 	stack []decision
 	xs    []int32
+	// trail logs every value simulate changes while a decision is on the
+	// stack, so a backtrack restores the values instead of re-simulating.
+	trail []change
 	// implications counts nominal full-resimulation gate evaluations
 	// (frames x gates per implication step), the campaign's Effort unit;
 	// evals counts the evaluations simulate actually performs.
@@ -184,10 +187,21 @@ type searcher struct {
 }
 
 // decision is one PODEM decision: a primary input assigned in a frame.
+// mark is the trail length when it was pushed: restoring the trail to it
+// undoes the decision's implication and everything implied after it.
 type decision struct {
 	pi, frame int
 	val       int8
 	flipped   bool
+	mark      int
+}
+
+// change is one trail entry: net of frame held old before simulate
+// changed it.
+type change struct {
+	net   int32
+	frame int16
+	old   uint8
 }
 
 func newSearcher(p *gates.Program, maxFrames int) *searcher {
@@ -259,6 +273,7 @@ func (s *searcher) reset(flt fault.Fault, frames int, rng *rand.Rand) {
 		s.pend[t] = ids[:0]
 	}
 	s.npend = 0
+	s.stack, s.trail = s.stack[:0], s.trail[:0]
 	for t := 0; t < frames; t++ {
 		s.schedulePend(t, s.fgate)
 	}
@@ -290,7 +305,8 @@ func (s *searcher) schedule(q []bool, id int32) {
 
 // simulate brings both circuits up to date with the current primary
 // input assignment. Whatever it re-evaluates, it charges the nominal
-// frames x gates of a full resimulation to implications.
+// frames x gates of a full resimulation to implications. While a decision
+// is on the stack it logs every change to the trail.
 func (s *searcher) simulate() {
 	p := s.p
 	n := len(p.Op)
@@ -324,6 +340,9 @@ func (s *searcher) simulate() {
 				if wasD := isD(old); wasD != isD(r) {
 					s.toggleD(t, id, !wasD)
 				}
+				if len(s.stack) > 0 {
+					s.trail = append(s.trail, change{id, int16(t), old})
+				}
 				vals[id] = r
 				for _, rd := range p.Fanout(id) {
 					if p.Op[rd] != gates.OpDFF {
@@ -334,6 +353,30 @@ func (s *searcher) simulate() {
 				}
 			}
 			s.bucket[lv] = s.bucket[lv][:0]
+		}
+	}
+}
+
+// undo restores every value the trail logged after mark, newest first,
+// keeping the D lists in step; the values are then exactly those simulate
+// gave before the changes, as they are a pure function of the primary
+// input assignment. A pin fault's redirect nets are recomputed from their
+// restored driving nets.
+func (s *searcher) undo(mark int) {
+	for j := len(s.trail) - 1; j >= mark; j-- {
+		c := s.trail[j]
+		i := int(c.frame)*s.m + int(c.net)
+		if isD(s.val[i]) != isD(c.old) {
+			s.toggleD(int(c.frame), c.net, isD(c.old))
+		}
+		s.val[i] = c.old
+	}
+	s.trail = s.trail[:mark]
+	if s.fpin >= 0 && s.p.Op[s.fgate] != gates.OpDFF {
+		in := int(s.p.Fanin(s.fgate)[s.fpin])
+		for t := 0; t < s.frames; t++ {
+			vals := s.val[t*s.m : (t+1)*s.m]
+			vals[s.m-1] = vals[in]&^badBit | s.force
 		}
 	}
 }
@@ -611,10 +654,8 @@ type podemResult struct {
 // holds one PI assignment per frame (X entries are don't-cares).
 func (s *searcher) podem(flt fault.Fault, frames, backtrackLimit int, rng *rand.Rand) *podemResult {
 	s.reset(flt, frames, rng)
-	stack := s.stack[:0]
 	res := &podemResult{}
 	done := func() *podemResult {
-		s.stack = stack
 		res.Implications, res.GateEvals = s.implications, s.evals
 		return res
 	}
@@ -639,29 +680,32 @@ func (s *searcher) podem(flt fault.Fault, frames, backtrackLimit int, rng *rand.
 		if objOK {
 			if pi, pf, pv, ok := s.backtrace(gate, frame, val); ok {
 				s.setPI(pf, pi, pv)
-				stack = append(stack, decision{pi, pf, pv, false})
+				s.stack = append(s.stack, decision{pi, pf, pv, false, len(s.trail)})
 				advanced = true
 			}
 		}
 		if advanced {
 			continue
 		}
-		// Backtrack.
+		// Backtrack: release flipped decisions, whose values the next undo
+		// restores, then flip the newest unflipped one and imply only the
+		// flipped value.
 		for {
-			if len(stack) == 0 {
+			if len(s.stack) == 0 {
 				res.Backtracks++
 				return done() // exhausted: untestable within frames
 			}
-			top := &stack[len(stack)-1]
+			top := &s.stack[len(s.stack)-1]
 			if !top.flipped {
+				s.undo(top.mark)
 				top.flipped = true
 				top.val = inv3(top.val)
 				s.setPI(top.frame, top.pi, top.val)
 				res.Backtracks++
 				break
 			}
-			s.setPI(top.frame, top.pi, vX)
-			stack = stack[:len(stack)-1]
+			s.pi[top.frame][top.pi] = vX
+			s.stack = s.stack[:len(s.stack)-1]
 		}
 		if res.Backtracks > backtrackLimit {
 			res.Aborted = true

@@ -380,7 +380,7 @@ func refPodem(c *gates.Circuit, flt fault.Fault, frames, backtrackLimit int, rng
 		if objOK {
 			if pi, pf, pv, ok := fs.backtrace(gate, frame, val); ok {
 				fs.pi[pf][pi] = pv
-				stack = append(stack, decision{pi, pf, pv, false})
+				stack = append(stack, decision{pi: pi, frame: pf, val: pv})
 				advanced = true
 			}
 		}

@@ -2,6 +2,8 @@ package logicsim
 
 import (
 	"context"
+	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/exec"
 	"repro/internal/fault"
@@ -9,76 +11,391 @@ import (
 	"repro/internal/parallel"
 )
 
+// Fault simulation is serial-fault and parallel-pattern: each fault is
+// simulated on its own, and every net carries 64 pattern lanes. The good
+// machine runs once per vector block into a Trace; a faulty machine then
+// evaluates only where it differs from the good one (PROOFS: Niermann,
+// Cheng & Patel, DAC 1990). Each cycle starts from the trace's row, loads
+// the flip-flops whose faulty state differs, applies the fault, and
+// re-evaluates, in levelized order over the fanout lists, only the gates
+// that read a changed net. Only the flip-flop bits that differ carry into
+// the next cycle.
+
+// Trace is the fault-free machine's run over one vector block: row t holds
+// every net of cycle t, as settled before the clock edge, followed by the
+// two constant nets a pin fault reads (all zeros, all ones).
+type Trace struct {
+	p      *gates.Program
+	rows   []uint64
+	stride int
+	cycles int
+	// ffIx maps a flip-flop's gate id to its index in p.DFFs, -1 for every
+	// other gate.
+	ffIx []int32
+	// The readers of net g are rd[rdOff[g]:rdOff[g+1]]: a combinational
+	// gate as its position in p.Order, flip-flop i as ^i.
+	rdOff, rd []int32
+	// evals counts the gate evaluations of the good run.
+	evals int64
+}
+
+// NewTrace runs the good machine over vectors from the flip-flop state
+// state (by DFF declaration order; nil is the all-zero reset).
+func NewTrace(p *gates.Program, state []uint64, vectors [][]uint64) *Trace {
+	s := New(p)
+	s.SetState(state)
+	stride := len(s.vals)
+	tr := &Trace{
+		p:      p,
+		rows:   make([]uint64, len(vectors)*stride),
+		stride: stride,
+		cycles: len(vectors),
+		ffIx:   make([]int32, len(p.Op)),
+		evals:  int64(len(s.gates)) * int64(len(vectors)),
+	}
+	for t, v := range vectors {
+		s.Step(v)
+		copy(tr.rows[t*stride:], s.vals)
+	}
+	for i := range tr.ffIx {
+		tr.ffIx[i] = -1
+	}
+	for i, id := range p.DFFs {
+		tr.ffIx[id] = int32(i)
+	}
+	tr.rdOff, tr.rd = p.FanOff, make([]int32, len(p.Fan))
+	for i, id := range p.Fan {
+		if p.Op[id] == gates.OpDFF {
+			tr.rd[i] = ^tr.ffIx[id]
+		} else {
+			tr.rd[i] = p.Pos[id]
+		}
+	}
+	return tr
+}
+
+// Row returns the net words of cycle t. The caller must not modify it.
+func (tr *Trace) Row(t int) []uint64 { return tr.rows[t*tr.stride : (t+1)*tr.stride] }
+
+// Observe says which output differences detect a fault.
+type Observe struct {
+	// POs lists the compared primary-output indices; nil compares every
+	// output.
+	POs []int
+	// Mask selects the compared pattern lanes; 0 compares all 64.
+	Mask uint64
+	// Session runs every cycle and compares only the last one, as a
+	// signature check must: a MISR can alias back to the good value, so an
+	// earlier difference proves nothing. Otherwise a fault stops at the
+	// first cycle whose outputs differ.
+	Session bool
+}
+
+// Simulate fault-simulates every fault i of flist with skip[i] unset (skip
+// may be nil) against the trace, on up to workers goroutines (workers < 1
+// means one per CPU). visit(i, cycle, diff) is called once per simulated
+// fault, on the goroutine that ran it: cycle is the detecting cycle and
+// diff its differing lanes, or -1 and 0 when the fault went undetected.
+// Every fault depends only on its index, so callers that write per-index
+// slots get identical results at every worker count.
+//
+// The context is checked before every fault: on cancellation the faults
+// already visited stay visited and the error is ctx.Err(). Simulate
+// returns the gate evaluations of the faulty machines, which are
+// deterministic; Evals adds the good run's.
+func (tr *Trace) Simulate(ctx context.Context, flist []fault.Fault, skip []bool, workers int, obs Observe, visit func(i, cycle int, diff uint64)) (int64, error) {
+	if obs.Mask == 0 {
+		obs.Mask = ^uint64(0)
+	}
+	if obs.POs == nil {
+		obs.POs = make([]int, len(tr.p.POs))
+		for k := range obs.POs {
+			obs.POs[k] = k
+		}
+	}
+	var evals atomic.Int64
+	err := parallel.ForEachWorkerCtx(ctx, workers, len(flist),
+		func() (*faulty, error) { return newFaulty(tr), nil },
+		func(s *faulty, i int) error {
+			if skip != nil && skip[i] {
+				return nil
+			}
+			cycle, diff := s.run(&flist[i], &obs)
+			evals.Add(s.evals)
+			s.evals = 0
+			visit(i, cycle, diff)
+			return nil
+		})
+	return evals.Load(), err
+}
+
+// Evals returns the gate evaluations of the good run behind the trace.
+func (tr *Trace) Evals() int64 { return tr.evals }
+
+// faulty is one worker's faulty-machine scratch over a trace.
+type faulty struct {
+	tr *Trace
+	p  *gates.Program
+	// in is the program's fanin array with a pin fault's slot redirected
+	// to a constant net.
+	in []int32
+	// A net whose mark equals stamp differs from the trace this cycle and
+	// holds its faulty word in bad; stamp advances once per cycle.
+	bad   []uint64
+	mark  []uint32
+	stamp uint32
+	// queue has a bit per position of p.Order, set for the gates scheduled
+	// this cycle; its words lo..hi may be non-zero.
+	queue  []uint64
+	lo, hi int
+	// The fault: force is the net an output fault holds at stuck, pinFF
+	// the flip-flop whose D pin is stuck and gate the combinational gate
+	// whose pin is (each -1 when unused); forcePos is force's position in
+	// p.Order, so that it is never evaluated.
+	force, pinFF, gate, forcePos int32
+	stuck                        uint64
+	// cur holds the flip-flops whose faulty state differs entering this
+	// cycle, next those that will entering the next one.
+	cur, next []ffWord
+	evals     int64
+}
+
+// ffWord is the faulty state of flip-flop i where it differs from the
+// good state.
+type ffWord struct {
+	i int32
+	w uint64
+}
+
+func newFaulty(tr *Trace) *faulty {
+	p := tr.p
+	return &faulty{
+		tr:    tr,
+		p:     p,
+		in:    append([]int32(nil), p.In...),
+		bad:   make([]uint64, tr.stride),
+		mark:  make([]uint32, tr.stride),
+		queue: make([]uint64, (len(p.Op)+63)/64),
+		lo:    len(p.Op),
+		hi:    -1,
+	}
+}
+
+// run simulates fault f over the trace and returns the detecting cycle and
+// the differing lanes (-1 and 0 when undetected).
+func (s *faulty) run(f *fault.Fault, obs *Observe) (int, uint64) {
+	slot := s.inject(f)
+	defer s.eject(slot)
+	p, tr := s.p, s.tr
+	for t := 0; t < tr.cycles; t++ {
+		row := tr.Row(t)
+		s.step(row)
+		if obs.Session && t < tr.cycles-1 {
+			continue
+		}
+		var d uint64
+		for _, k := range obs.POs {
+			d |= s.val(p.POs[k], row) ^ row[p.POs[k]]
+		}
+		if d &= obs.Mask; d != 0 {
+			return t, d
+		}
+	}
+	return -1, 0
+}
+
+// inject sets up fault f from the reset of the trace's initial state and
+// returns the redirected fanin slot, -1 when none is. An output fault
+// forces its net; a pin fault on a flip-flop forces its next state; a pin
+// fault on a gate redirects the pin to a constant net and evaluates the
+// gate every cycle.
+func (s *faulty) inject(f *fault.Fault) int32 {
+	p := s.p
+	s.force, s.pinFF, s.gate, s.forcePos = -1, -1, -1, -1
+	s.stuck = 0
+	if f.Val {
+		s.stuck = ^uint64(0)
+	}
+	s.cur = s.cur[:0]
+	switch g := int32(f.Gate); {
+	case f.Pin < 0:
+		s.force, s.forcePos = g, p.Pos[g]
+	case p.Op[g] == gates.OpDFF:
+		s.pinFF = s.tr.ffIx[g]
+	default:
+		slot := p.InOff[g] + int32(f.Pin)
+		s.gate, s.in[slot] = g, int32(len(p.Op))+int32(s.stuck&1)
+		return slot
+	}
+	return -1
+}
+
+// eject restores the fanin slot inject redirected.
+func (s *faulty) eject(slot int32) {
+	if slot >= 0 {
+		s.in[slot] = s.p.In[slot]
+	}
+}
+
+// step simulates the faulty machine's next cycle, whose good nets are row,
+// and clocks its flip-flops: afterwards val reads the cycle's faulty nets.
+func (s *faulty) step(row []uint64) {
+	p := s.p
+	s.tick()
+	s.next = s.next[:0]
+	for _, d := range s.cur {
+		if net := p.DFFs[d.i]; net != s.force {
+			s.set(net, d.w)
+		}
+	}
+	if s.force >= 0 && row[s.force] != s.stuck {
+		s.set(s.force, s.stuck)
+	}
+	if s.gate >= 0 {
+		s.schedule(p.Pos[s.gate])
+	}
+	s.propagate(row)
+	if s.pinFF >= 0 && row[p.In[p.InOff[p.DFFs[s.pinFF]]]] != s.stuck {
+		s.next = append(s.next, ffWord{s.pinFF, s.stuck})
+	}
+	s.cur, s.next = s.next, s.cur
+}
+
+// tick starts a cycle: every mark of the previous one expires.
+func (s *faulty) tick() {
+	s.stamp++
+	if s.stamp == 0 {
+		clear(s.mark)
+		s.stamp = 1
+	}
+}
+
+// set records that net differs from the trace with faulty word w: the
+// combinational gates reading it are scheduled, and the flip-flops
+// reading it take w as their next faulty state.
+func (s *faulty) set(net int32, w uint64) {
+	tr := s.tr
+	s.mark[net], s.bad[net] = s.stamp, w
+	for _, r := range tr.rd[tr.rdOff[net]:tr.rdOff[net+1]] {
+		if r >= 0 {
+			s.schedule(r)
+		} else if i := ^r; i != s.pinFF {
+			s.next = append(s.next, ffWord{i, w})
+		}
+	}
+}
+
+// schedule queues the gate at position pos of p.Order.
+func (s *faulty) schedule(pos int32) {
+	w := int(pos >> 6)
+	s.queue[w] |= 1 << (pos & 63)
+	s.lo, s.hi = min(s.lo, w), max(s.hi, w)
+}
+
+// propagate evaluates the scheduled gates in p.Order, where every gate
+// follows the gates it reads: a gate only ever schedules gates after it,
+// so one forward sweep over the queue reaches every divergent gate.
+func (s *faulty) propagate(row []uint64) {
+	order := s.p.Order
+	for w := s.lo; w <= s.hi; w++ {
+		for s.queue[w] != 0 {
+			b := bits.TrailingZeros64(s.queue[w])
+			s.queue[w] &^= 1 << b
+			pos := int32(w<<6 | b)
+			if pos == s.forcePos {
+				continue
+			}
+			id := order[pos]
+			s.evals++
+			if v := s.eval(id, row); v != row[id] {
+				s.set(id, v)
+			}
+		}
+	}
+	s.lo, s.hi = len(s.queue), -1
+}
+
+// val returns net x's faulty word this cycle.
+func (s *faulty) val(x int32, row []uint64) uint64 {
+	if s.mark[x] == s.stamp {
+		return s.bad[x]
+	}
+	return row[x]
+}
+
+// eval computes combinational gate id from the faulty words of its fanin.
+// AND/OR-type gates have at least two inputs.
+func (s *faulty) eval(id int32, row []uint64) uint64 {
+	p := s.p
+	ins := s.in[p.InOff[id]:p.InOff[id+1]]
+	var v uint64
+	switch op := p.Op[id]; op {
+	case gates.OpBuf:
+		v = s.val(ins[0], row)
+	case gates.OpNot:
+		v = ^s.val(ins[0], row)
+	case gates.OpAnd, gates.OpNand:
+		v = s.val(ins[0], row)
+		for _, x := range ins[1:] {
+			v &= s.val(x, row)
+		}
+		if op == gates.OpNand {
+			v = ^v
+		}
+	case gates.OpOr, gates.OpNor:
+		v = s.val(ins[0], row)
+		for _, x := range ins[1:] {
+			v |= s.val(x, row)
+		}
+		if op == gates.OpNor {
+			v = ^v
+		}
+	case gates.OpXor:
+		v = s.val(ins[0], row) ^ s.val(ins[1], row)
+	case gates.OpXnor:
+		v = ^(s.val(ins[0], row) ^ s.val(ins[1], row))
+	}
+	return v
+}
+
 // FaultSimIncrementalWorkers runs serial-fault, parallel-pattern stuck-at
 // fault simulation over the still-undetected faults of flist: the good
-// circuit is simulated once over the vector sequence, then each fault with
-// detected[i] unset is injected in turn and simulated until its outputs
-// diverge from the good circuit (fault dropping) or the vectors are
-// exhausted. vectors[t] holds one 64-bit word per primary input; all 64
-// pattern lanes are compared, so a caller can pack 64 independent test
-// sequences into one campaign (lane l of every word forms sequence l).
+// circuit is simulated once over the vector sequence from reset, then each
+// fault with detected[i] unset is simulated until its outputs diverge from
+// the good circuit (fault dropping) or the vectors are exhausted.
+// vectors[t] holds one 64-bit word per primary input; all 64 pattern lanes
+// are compared, so a caller can pack 64 independent test sequences into
+// one campaign (lane l of every word forms sequence l).
 //
 // detected is updated in place and the number of newly detected faults is
 // returned; when detectCycle is non-nil, detectCycle[i] receives
 // cycleBase plus the cycle of first detection. The fault list is
 // partitioned across up to `workers` goroutines (workers < 1 means one
-// per CPU), each with its own private Sim over the one program c compiles
-// to; every fault touches only its own slots, so the update is race-free
-// and the outcome is bit-identical at every worker count.
-//
-// The per-fault inner loop is allocation-free: the golden rows are
-// computed once by Run, each worker's Sim reuses its output buffer across
-// Step calls, and a fault's outputs are compared against the shared golden
-// row in place — nothing is copied per fault.
+// per CPU); every fault touches only its own slots, so the update is
+// race-free and the outcome is bit-identical at every worker count.
 func FaultSimIncrementalWorkers(c *gates.Circuit, flist []fault.Fault, detected []bool, detectCycle []int, vectors [][]uint64, cycleBase, workers int) (int, error) {
 	return exec.Guard1("logicsim.faultsim", -1, func() (int, error) {
-		return faultSimIncrementalWorkers(c, flist, detected, detectCycle, vectors, cycleBase, workers)
-	})
-}
-
-func faultSimIncrementalWorkers(c *gates.Circuit, flist []fault.Fault, detected []bool, detectCycle []int, vectors [][]uint64, cycleBase, workers int) (int, error) {
-	p, err := c.Compile()
-	if err != nil {
-		return 0, err
-	}
-	golden := New(p).Run(vectors)
-	newlyOf := make([]bool, len(flist))
-	err = parallel.ForEachWorkerCtx(context.TODO(), workers, len(flist),
-		func() (*Sim, error) { return New(p), nil },
-		func(bad *Sim, i int) error {
-			if detected[i] {
-				return nil
-			}
-			bad.SetFault(&flist[i])
-			bad.Reset()
-			for t, v := range vectors {
-				po := bad.Step(v)
-				diff := false
-				for k, w := range po {
-					if w != golden[t][k] {
-						diff = true
-						break
-					}
-				}
-				if diff {
-					detected[i] = true
-					if detectCycle != nil {
-						detectCycle[i] = cycleBase + t
-					}
-					newlyOf[i] = true
-					break
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return 0, err
-	}
-	newly := 0
-	for _, n := range newlyOf {
-		if n {
-			newly++
+		p, err := c.Compile()
+		if err != nil {
+			return 0, err
 		}
-	}
-	return newly, nil
+		newlyOf := make([]bool, len(flist))
+		_, err = NewTrace(p, nil, vectors).Simulate(context.Background(), flist, detected, workers, Observe{},
+			func(i, cycle int, _ uint64) {
+				if cycle < 0 {
+					return
+				}
+				detected[i], newlyOf[i] = true, true
+				if detectCycle != nil {
+					detectCycle[i] = cycleBase + cycle
+				}
+			})
+		newly := 0
+		for _, b := range newlyOf {
+			if b {
+				newly++
+			}
+		}
+		return newly, err
+	})
 }

@@ -1,38 +1,29 @@
 // Package logicsim is a 64-way bit-parallel two-valued logic simulator for
-// synchronous gate-level netlists, with single-fault injection: the engine
-// behind fault simulation and the random phase of ATPG. Each net carries a
-// 64-bit word, one bit per parallel pattern.
+// synchronous gate-level netlists, and the fault simulator built on it: the
+// engine behind the random phase of ATPG, fault dropping and BIST. Each net
+// carries a 64-bit word, one bit per parallel pattern.
 package logicsim
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/fault"
 	"repro/internal/gates"
 )
 
-// Sim simulates one compiled circuit. A Sim carries DFF state between
-// Step calls; Reset clears it. Not safe for concurrent use; any number of
-// Sims may share one Program.
+// Sim simulates one compiled, fault-free circuit. A Sim carries DFF state
+// between Step calls; Reset clears it. Not safe for concurrent use; any
+// number of Sims may share one Program. Faulty machines are simulated
+// against a Trace of a Sim's run (faultsim.go).
 type Sim struct {
 	p *gates.Program
 	// gates lists the computed gates (everything but inputs and
 	// flip-flops) in the program's Order.
 	gates []instr
-	// in is the program's fanin array with, under a pin fault, the faulted
-	// slot redirected to one of the two constant nets that follow the
-	// circuit's nets in vals (n: all zeros, n+1: all ones).
-	in    []int32
+	// vals holds every net followed by two constant nets (n: all zeros,
+	// n+1: all ones), which a pin fault's redirected slot reads.
 	vals  []uint64
 	state []uint64 // per DFF index
 	po    []uint64 // Eval output buffer, reused across calls
-	// An output fault forces net force to fval once gates[:cut] have been
-	// evaluated (force is -1 when no net is forced); slot is the
-	// redirected fanin slot of a pin fault, -1 when none is.
-	force, slot int32
-	fval        uint64
-	cut         int
 }
 
 // instr is one computed gate: its opcode, output net and fanin slots
@@ -48,48 +39,17 @@ func New(p *gates.Program) *Sim {
 	n := len(p.Op)
 	s := &Sim{
 		p:     p,
-		in:    append([]int32(nil), p.In...),
 		vals:  make([]uint64, n+2),
 		state: make([]uint64, len(p.DFFs)),
 		po:    make([]uint64, len(p.POs)),
-		force: -1,
-		slot:  -1,
 	}
 	for _, id := range p.Order {
 		if op := p.Op[id]; op != gates.OpInput && op != gates.OpDFF {
 			s.gates = append(s.gates, instr{op, id, p.InOff[id], p.InOff[id+1]})
 		}
 	}
-	s.cut = len(s.gates)
 	s.vals[n+1] = ^uint64(0)
 	return s
-}
-
-// SetFault injects f into every pattern lane of later evaluations,
-// replacing any previous fault; nil restores the fault-free circuit.
-func (s *Sim) SetFault(f *fault.Fault) {
-	if s.slot >= 0 {
-		s.in[s.slot] = s.p.In[s.slot]
-	}
-	n := len(s.p.Op)
-	s.force, s.slot, s.cut = -1, -1, len(s.gates)
-	if f == nil {
-		return
-	}
-	stuck := 0
-	if f.Val {
-		stuck = 1
-	}
-	if f.Pin >= 0 {
-		s.slot = s.p.InOff[f.Gate] + int32(f.Pin)
-		s.in[s.slot] = int32(n + stuck)
-		return
-	}
-	// Every gate comes after its combinational fanin in Order, so forcing
-	// the faulted net right after its own position reaches all readers.
-	s.force, s.fval = int32(f.Gate), s.vals[n+stuck]
-	pos := s.p.Pos
-	s.cut = sort.Search(len(s.gates), func(i int) bool { return pos[s.gates[i].out] > pos[f.Gate] })
 }
 
 // Reset zeroes all flip-flops.
@@ -124,11 +84,7 @@ func (s *Sim) Eval(pi []uint64) []uint64 {
 	for i, id := range p.DFFs {
 		s.vals[id] = s.state[i]
 	}
-	s.run(s.gates[:s.cut])
-	if s.force >= 0 {
-		s.vals[s.force] = s.fval
-	}
-	s.run(s.gates[s.cut:])
+	s.run(s.gates)
 	for i, id := range p.POs {
 		s.po[i] = s.vals[id]
 	}
@@ -138,7 +94,7 @@ func (s *Sim) Eval(pi []uint64) []uint64 {
 // run evaluates gs in sequence. AND/OR-type gates have at least two
 // inputs.
 func (s *Sim) run(gs []instr) {
-	vals, in := s.vals, s.in
+	vals, in := s.vals, s.p.In
 	for _, g := range gs {
 		ins := in[g.lo:g.hi]
 		var v uint64
@@ -188,7 +144,7 @@ func (s *Sim) run(gs []instr) {
 func (s *Sim) Step(pi []uint64) []uint64 {
 	po := s.Eval(pi)
 	for i, id := range s.p.DFFs {
-		s.state[i] = s.vals[s.in[s.p.InOff[id]]]
+		s.state[i] = s.vals[s.p.In[s.p.InOff[id]]]
 	}
 	return po
 }

@@ -167,12 +167,20 @@ func TestBusWords(t *testing.T) {
 
 func TestFaultInjectionOutput(t *testing.T) {
 	c, x, _ := buildAdder(t)
-	s := newSim(t, c)
+	p, err := c.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Force PI x[0]'s net stuck-at-1 and add 0+0: sum must be 1.
-	s.SetFault(&fault.Fault{Gate: x[0], Pin: -1, Val: true})
-	po := s.Eval(make([]uint64, 8))
+	tr := NewTrace(p, nil, [][]uint64{make([]uint64, 8)})
+	po := FaultyOutputs(tr, &fault.Fault{Gate: x[0], Pin: -1, Val: true})[0]
 	if po[0] != ^uint64(0) {
 		t.Errorf("s[0] = %x with x[0] s-a-1 on 0+0", po[0])
+	}
+	for k := 1; k < len(po); k++ {
+		if po[k] != 0 {
+			t.Errorf("s[%d] = %x with x[0] s-a-1 on 0+0", k, po[k])
+		}
 	}
 }
 

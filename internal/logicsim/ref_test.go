@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dfg"
+	"repro/internal/dfggen"
 	"repro/internal/fault"
 	"repro/internal/gates"
 	"repro/internal/logicsim"
@@ -16,8 +18,8 @@ import (
 
 // refSim is the simulator the compiled-program Sim replaced: it walks the
 // circuit's Levelize order, switches on the gate kind and compares every
-// pin against the fault. TestSimMatchesReference requires Sim to
-// reproduce its outputs word for word.
+// pin against the fault. TestSimMatchesReference requires Sim and the
+// fault-simulation kernel to reproduce its outputs word for word.
 type refSim struct {
 	c     *gates.Circuit
 	order []int
@@ -167,84 +169,137 @@ func randomCircuit(t *testing.T, seed int64) *gates.Circuit {
 	return c
 }
 
-// paperNetlists synthesizes a benchmark with the paper's algorithm and
-// returns its normal-mode and BIST netlists.
-func paperNetlists(t *testing.T, name string) []*gates.Circuit {
+// paperDesigns caches the netlists of paperNetlists by name and width.
+var paperDesigns sync.Map
+
+// paperNetlists synthesizes a benchmark (or gen: spec) with the paper's
+// algorithm, once per test binary, and returns its normal-mode netlist and
+// a BIST netlist whose first register is a TPG and second a MISR.
+func paperNetlists(t *testing.T, name string, width int) []*gates.Circuit {
 	t.Helper()
-	g, err := dfg.ByName(name, 4)
-	if err != nil {
-		t.Fatal(err)
+	type entry struct {
+		once sync.Once
+		cs   []*gates.Circuit
+		err  error
 	}
-	par := core.DefaultParams(4)
-	par.Workers = 1
-	if name == dfg.BenchDiffeq {
-		par.LoopSignal = "exit"
+	v, _ := paperDesigns.LoadOrStore(fmt.Sprintf("%s-%d", name, width), &entry{})
+	e := v.(*entry)
+	e.once.Do(func() {
+		g, err := dfg.ByName(name, width)
+		if err != nil {
+			e.err = err
+			return
+		}
+		par := core.DefaultParams(width)
+		par.Workers = 1
+		switch {
+		case name == dfg.BenchDiffeq:
+			par.LoopSignal = "exit"
+		case dfggen.IsGenName(name):
+			par.LoopSignal = dfggen.LoopSignal(name)
+		}
+		res, err := core.RunCtx(context.Background(), core.MethodOurs, g, par)
+		if err != nil {
+			e.err = err
+			return
+		}
+		nl, err := rtl.Generate(res.Design, width, rtl.NormalMode)
+		if err != nil {
+			e.err = err
+			return
+		}
+		bn, err := rtl.GenerateBIST(res.Design, width, rtl.NormalMode, []int{0}, []int{1})
+		if err != nil {
+			e.err = err
+			return
+		}
+		e.cs = []*gates.Circuit{nl.C, bn.C}
+	})
+	if e.err != nil {
+		t.Fatal(e.err)
 	}
-	res, err := core.RunCtx(context.Background(), core.MethodOurs, g, par)
-	if err != nil {
-		t.Fatal(err)
+	return e.cs
+}
+
+// randomWords returns rows×k random 64-lane words.
+func randomWords(rng *rand.Rand, rows, k int) [][]uint64 {
+	out := make([][]uint64, rows)
+	for i := range out {
+		out[i] = make([]uint64, k)
+		for j := range out[i] {
+			out[i][j] = rng.Uint64()
+		}
 	}
-	nl, err := rtl.Generate(res.Design, 4, rtl.NormalMode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bn, err := rtl.GenerateBIST(res.Design, 4, rtl.NormalMode, []int{0}, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []*gates.Circuit{nl.C, bn.C}
+	return out
 }
 
 // TestSimMatchesReference is the differential test of the compiled
-// simulator: fault-free and under every collapsed fault, from a random
-// flip-flop state, its primary outputs match the reference evaluator's on
-// every cycle of 64-lane random vectors. One Sim serves each circuit's
-// whole fault list, so replacing one fault by the next is exercised too.
+// simulator and of the fault-simulation kernel's cycle step: fault-free,
+// and under every fault (every enumerated fault of the random circuits,
+// every collapsed fault of the paper's), from the reset state and from a
+// random flip-flop state, their primary outputs match the reference
+// evaluator's on every cycle of 64-lane random vectors.
 func TestSimMatchesReference(t *testing.T) {
-	var circuits []*gates.Circuit
+	type subject struct {
+		c      *gates.Circuit
+		faults []fault.Fault
+	}
+	var subjects []subject
 	for seed := int64(1); seed <= 4; seed++ {
-		circuits = append(circuits, randomCircuit(t, seed))
+		c := randomCircuit(t, seed)
+		subjects = append(subjects, subject{c, fault.Enumerate(c)})
 	}
 	benches := []string{dfg.BenchEx, dfg.BenchDct, dfg.BenchDiffeq}
 	if testing.Short() {
 		benches = benches[:1]
 	}
 	for _, name := range benches {
-		circuits = append(circuits, paperNetlists(t, name)...)
+		for _, c := range paperNetlists(t, name, 4) {
+			subjects = append(subjects, subject{c, fault.Collapse(c)})
+		}
 	}
 	rng := rand.New(rand.NewSource(1998))
-	for ci, c := range circuits {
+	for ci, sub := range subjects {
+		c := sub.c
 		p, err := c.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, ref := logicsim.New(p), newRefSim(t, c)
-		vectors := make([][]uint64, 12)
-		for tt := range vectors {
-			vectors[tt] = make([]uint64, len(c.Inputs))
-			for k := range vectors[tt] {
-				vectors[tt][k] = rng.Uint64()
-			}
-		}
-		state := make([]uint64, len(c.DFFs))
-		flist := append([]fault.Fault{{}}, fault.Collapse(c)...)
-		for i := range flist {
-			f := &flist[i]
-			if i == 0 {
-				f = nil // fault-free
-			}
-			sim.SetFault(f)
-			ref.fault = f
-			for k := range state {
-				state[k] = rng.Uint64()
-			}
+		vectors := randomWords(rng, 12, len(c.Inputs))
+		for _, state := range [][]uint64{make([]uint64, len(c.DFFs)), randomWords(rng, 1, len(c.DFFs))[0]} {
+			ref := newRefSim(t, c)
+			want := make([][]uint64, len(vectors))
+			sim := logicsim.New(p)
 			sim.SetState(state)
 			copy(ref.state, state)
 			for tt, v := range vectors {
-				got, want := sim.Step(v), ref.step(v)
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("circuit %d, fault %v, cycle %d, output %d: %#x, reference %#x", ci, f, tt, k, got[k], want[k])
+				got := sim.Step(v)
+				want[tt] = append([]uint64(nil), ref.step(v)...)
+				for k := range want[tt] {
+					if got[k] != want[tt][k] {
+						t.Fatalf("circuit %d, fault-free, cycle %d, output %d: %#x, reference %#x", ci, tt, k, got[k], want[tt][k])
+					}
+				}
+			}
+			tr := logicsim.NewTrace(p, state, vectors)
+			for tt := range vectors {
+				for k, id := range p.POs {
+					if got := tr.Row(tt)[id]; got != want[tt][k] {
+						t.Fatalf("circuit %d, trace cycle %d, output %d: %#x, reference %#x", ci, tt, k, got, want[tt][k])
+					}
+				}
+			}
+			for i := range sub.faults {
+				f := &sub.faults[i]
+				got := logicsim.FaultyOutputs(tr, f)
+				ref.fault = f
+				copy(ref.state, state)
+				for tt, v := range vectors {
+					want := ref.step(v)
+					for k := range want {
+						if got[tt][k] != want[k] {
+							t.Fatalf("circuit %d, fault %v, cycle %d, output %d: %#x, reference %#x", ci, f, tt, k, got[tt][k], want[k])
+						}
 					}
 				}
 			}

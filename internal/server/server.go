@@ -450,6 +450,7 @@ func (s *Server) runTestDesign(ctx context.Context, n *NormTestDesign) (int, []b
 		if err != nil {
 			return 0, nil, false, err
 		}
+		s.st.Add("atpg.bist_gate_evals", bres.GateEvals)
 	}
 	body, err := marshal(BuildTestDesignResponse(n, res, nl, scanRegs, ares, tpg, misr, bres))
 	if err != nil {
