@@ -20,6 +20,8 @@
 // workload from a hot cache without recomputing. SIGINT/SIGTERM
 // starts a graceful drain — queued jobs finish (or land best-so-far
 // partial results when -drain-timeout expires) before the process exits.
+// -cpuprofile FILE writes a CPU profile of the whole run, boot to drained,
+// for `go tool pprof`; it changes no response byte.
 package main
 
 import (
@@ -68,6 +70,7 @@ func main() {
 		adv     = flag.String("advertise", "", "base URL the coordinator should dispatch to (default derived from -addr)")
 		beat    = flag.Duration("heartbeat", 2*time.Second, "heartbeat period when registered with a coordinator (the coordinator's registration answer may override it)")
 		replInt = flag.Duration("replicate-interval", 2*time.Second, "anti-entropy period for peer-to-peer store replication; needs both -store and -coordinator (0 disables)")
+		cpuProf = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file, from boot until the drain after SIGTERM/SIGINT completes (empty = no profile)")
 	)
 	flag.Parse()
 	// Install the handler before anything can answer /livez: a signal that
@@ -77,6 +80,11 @@ func main() {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("hltsd: ")
+
+	stopProfile, err := stats.StartCPUProfile(*cpuProf)
+	if err != nil {
+		log.Fatalf("-cpuprofile: %v", err)
+	}
 
 	if *chaosFl != "" {
 		in, err := chaos.Parse(*chaosFl)
@@ -212,8 +220,10 @@ func main() {
 		} else {
 			log.Printf("drain: %v", err)
 		}
+		stopProfile()
 		fmt.Fprintln(os.Stderr, "hltsd: drained (degraded)")
 		os.Exit(0)
 	}
+	stopProfile()
 	log.Printf("drained cleanly")
 }

@@ -173,7 +173,7 @@ func RunBISTCfgCtx(ctx context.Context, c *gates.Circuit, sampleFaults, cycles i
 		out.Exhausted = exec.BudgetDeadline
 	}
 	out.Passes = int64(out.Evaluated) * int64(cycles)
-	out.GateEvals = tr.Evals() + evals
+	out.GateEvals = evals
 	if out.TotalFaults > 0 {
 		out.Coverage = float64(out.Detected) / float64(out.TotalFaults)
 	}

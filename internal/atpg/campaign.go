@@ -551,7 +551,7 @@ func faultSim(p *gates.Program, flist []fault.Fault, detected []bool, vectors []
 	if err != nil {
 		return simOut{}, err
 	}
-	out := simOut{evals: evals + tr.Evals()}
+	out := simOut{evals: evals}
 	nGates := int64(len(p.Op))
 	for i := range flist {
 		out.lanes |= laneOf[i]

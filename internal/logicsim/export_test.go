@@ -10,12 +10,24 @@ func FaultyOutputs(tr *Trace, f *fault.Fault) [][]uint64 {
 	defer s.eject(s.inject(f))
 	out := make([][]uint64, tr.cycles)
 	for t := range out {
-		row := tr.Row(t)
+		row := tr.row(t)
 		s.step(row)
-		out[t] = make([]uint64, len(tr.p.POs))
-		for k, net := range tr.p.POs {
-			out[t][k] = s.val(net, row)
+		if s.quiet {
+			copy(s.cur, row)
 		}
+		out[t] = make([]uint64, len(tr.po))
+		for k, q := range tr.po {
+			out[t][k] = s.cur[q]
+		}
+	}
+	return out
+}
+
+// GoodOutputs returns the trace's primary-output words at cycle t.
+func (tr *Trace) GoodOutputs(t int) []uint64 {
+	out := make([]uint64, len(tr.po))
+	for k, q := range tr.po {
+		out[k] = tr.row(t)[q]
 	}
 	return out
 }

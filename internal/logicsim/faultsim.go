@@ -20,21 +20,32 @@ import (
 // re-evaluates, in levelized order over the fanout lists, only the gates
 // that read a changed net. Only the flip-flop bits that differ carry into
 // the next cycle.
+//
+// The kernel numbers nets by their position in the program's Order, so a
+// forward sweep over positions is an evaluation order and the trace rows,
+// the fanin and reader lists and the scratch arrays are all laid out in
+// the order the sweep touches them.
 
-// Trace is the fault-free machine's run over one vector block: row t holds
-// every net of cycle t, as settled before the clock edge, followed by the
-// two constant nets a pin fault reads (all zeros, all ones).
+// Trace is the fault-free machine's run over one vector block, with the
+// program relaid by Order position: row t holds every net of cycle t, as
+// settled before the clock edge, followed by the two constant nets a pin
+// fault reads (n: all zeros, n+1: all ones).
 type Trace struct {
 	p      *gates.Program
 	rows   []uint64
 	stride int
 	cycles int
-	// ffIx maps a flip-flop's gate id to its index in p.DFFs, -1 for every
-	// other gate.
-	ffIx []int32
-	// The readers of net g are rd[rdOff[g]:rdOff[g+1]]: a combinational
-	// gate as its position in p.Order, flip-flop i as ^i.
+	// op is the opcode at each position. The gate at position q reads
+	// in[inOff[q]:inOff[q+1]] and is read by rd[rdOff[q]:rdOff[q+1]]: a
+	// combinational gate by its position, flip-flop i as ^i.
+	op        []gates.Op
+	inOff, in []int32
 	rdOff, rd []int32
+	// po holds the primary outputs' positions, ff the flip-flops' and ffD
+	// their D nets', by DFF index; ffIx maps a position to its DFF index,
+	// -1 for every other gate.
+	po, ff, ffD []int32
+	ffIx        []int32
 	// evals counts the gate evaluations of the good run.
 	evals int64
 }
@@ -42,40 +53,62 @@ type Trace struct {
 // NewTrace runs the good machine over vectors from the flip-flop state
 // state (by DFF declaration order; nil is the all-zero reset).
 func NewTrace(p *gates.Program, state []uint64, vectors [][]uint64) *Trace {
-	s := New(p)
-	s.SetState(state)
-	stride := len(s.vals)
+	n := len(p.Op)
 	tr := &Trace{
 		p:      p,
-		rows:   make([]uint64, len(vectors)*stride),
-		stride: stride,
+		rows:   make([]uint64, len(vectors)*(n+2)),
+		stride: n + 2,
 		cycles: len(vectors),
-		ffIx:   make([]int32, len(p.Op)),
-		evals:  int64(len(s.gates)) * int64(len(vectors)),
+		op:     make([]gates.Op, n),
+		inOff:  make([]int32, n+1),
+		in:     make([]int32, 0, len(p.In)),
+		rdOff:  make([]int32, n+1),
+		rd:     make([]int32, 0, len(p.Fan)),
+		po:     make([]int32, len(p.POs)),
+		ff:     make([]int32, len(p.DFFs)),
+		ffD:    make([]int32, len(p.DFFs)),
+		ffIx:   make([]int32, n),
 	}
-	for t, v := range vectors {
-		s.Step(v)
-		copy(tr.rows[t*stride:], s.vals)
-	}
-	for i := range tr.ffIx {
-		tr.ffIx[i] = -1
+	for q := range tr.ffIx {
+		tr.ffIx[q] = -1
 	}
 	for i, id := range p.DFFs {
-		tr.ffIx[id] = int32(i)
+		tr.ff[i], tr.ffD[i] = p.Pos[id], p.Pos[p.Fanin(id)[0]]
+		tr.ffIx[p.Pos[id]] = int32(i)
 	}
-	tr.rdOff, tr.rd = p.FanOff, make([]int32, len(p.Fan))
-	for i, id := range p.Fan {
-		if p.Op[id] == gates.OpDFF {
-			tr.rd[i] = ^tr.ffIx[id]
-		} else {
-			tr.rd[i] = p.Pos[id]
+	for k, id := range p.POs {
+		tr.po[k] = p.Pos[id]
+	}
+	for q, id := range p.Order {
+		tr.op[q] = p.Op[id]
+		for _, x := range p.Fanin(id) {
+			tr.in = append(tr.in, p.Pos[x])
 		}
+		for _, r := range p.Fanout(id) {
+			if p.Op[r] == gates.OpDFF {
+				tr.rd = append(tr.rd, ^tr.ffIx[p.Pos[r]])
+			} else {
+				tr.rd = append(tr.rd, p.Pos[r])
+			}
+		}
+		tr.inOff[q+1], tr.rdOff[q+1] = int32(len(tr.in)), int32(len(tr.rd))
+	}
+	sim := New(p)
+	sim.SetState(state)
+	tr.evals = int64(len(sim.gates)) * int64(len(vectors))
+	for t, v := range vectors {
+		sim.Step(v)
+		row := tr.row(t)
+		for q, id := range p.Order {
+			row[q] = sim.vals[id]
+		}
+		row[n+1] = ^uint64(0)
 	}
 	return tr
 }
 
-// Row returns the net words of cycle t. The caller must not modify it.
-func (tr *Trace) Row(t int) []uint64 { return tr.rows[t*tr.stride : (t+1)*tr.stride] }
+// row returns the net words of cycle t.
+func (tr *Trace) row(t int) []uint64 { return tr.rows[t*tr.stride : (t+1)*tr.stride] }
 
 // Observe says which output differences detect a fault.
 type Observe struct {
@@ -101,16 +134,17 @@ type Observe struct {
 //
 // The context is checked before every fault: on cancellation the faults
 // already visited stay visited and the error is ctx.Err(). Simulate
-// returns the gate evaluations of the faulty machines, which are
-// deterministic; Evals adds the good run's.
+// returns the gate evaluations performed, the good run's included, which
+// are deterministic at every worker count.
 func (tr *Trace) Simulate(ctx context.Context, flist []fault.Fault, skip []bool, workers int, obs Observe, visit func(i, cycle int, diff uint64)) (int64, error) {
 	if obs.Mask == 0 {
 		obs.Mask = ^uint64(0)
 	}
-	if obs.POs == nil {
-		obs.POs = make([]int, len(tr.p.POs))
-		for k := range obs.POs {
-			obs.POs[k] = k
+	pos := tr.po
+	if obs.POs != nil {
+		pos = make([]int32, len(obs.POs))
+		for j, k := range obs.POs {
+			pos[j] = tr.po[k]
 		}
 	}
 	var evals atomic.Int64
@@ -120,43 +154,40 @@ func (tr *Trace) Simulate(ctx context.Context, flist []fault.Fault, skip []bool,
 			if skip != nil && skip[i] {
 				return nil
 			}
-			cycle, diff := s.run(&flist[i], &obs)
+			cycle, diff := s.run(&flist[i], pos, obs.Mask, obs.Session)
 			evals.Add(s.evals)
 			s.evals = 0
 			visit(i, cycle, diff)
 			return nil
 		})
-	return evals.Load(), err
+	return tr.evals + evals.Load(), err
 }
 
-// Evals returns the gate evaluations of the good run behind the trace.
-func (tr *Trace) Evals() int64 { return tr.evals }
-
-// faulty is one worker's faulty-machine scratch over a trace.
+// faulty is one worker's faulty-machine scratch over a trace. Nets are
+// numbered by position, as in the trace.
 type faulty struct {
 	tr *Trace
-	p  *gates.Program
-	// in is the program's fanin array with a pin fault's slot redirected
-	// to a constant net.
+	// in is the trace's fanin array with a pin fault's slot redirected to
+	// a constant net.
 	in []int32
-	// A net whose mark equals stamp differs from the trace this cycle and
-	// holds its faulty word in bad; stamp advances once per cycle.
-	bad   []uint64
-	mark  []uint32
-	stamp uint32
-	// queue has a bit per position of p.Order, set for the gates scheduled
-	// this cycle; its words lo..hi may be non-zero.
+	// cur holds every net of the faulty machine this cycle: the trace's
+	// row, overwritten where the faulty machine differs. In a quiet cycle,
+	// one with no divergent flip-flop and no active fault site, the faulty
+	// machine equals the good one and cur is not even copied.
+	cur   []uint64
+	quiet bool
+	// queue has a bit per position, set for the gates scheduled this
+	// cycle; only its words lo..hi may be non-zero.
 	queue  []uint64
 	lo, hi int
 	// The fault: force is the net an output fault holds at stuck, pinFF
 	// the flip-flop whose D pin is stuck and gate the combinational gate
-	// whose pin is (each -1 when unused); forcePos is force's position in
-	// p.Order, so that it is never evaluated.
-	force, pinFF, gate, forcePos int32
-	stuck                        uint64
-	// cur holds the flip-flops whose faulty state differs entering this
+	// whose pin is (each -1 when unused).
+	force, pinFF, gate int32
+	stuck              uint64
+	// ffs holds the flip-flops whose faulty state differs entering this
 	// cycle, next those that will entering the next one.
-	cur, next []ffWord
+	ffs, next []ffWord
 	evals     int64
 }
 
@@ -168,63 +199,62 @@ type ffWord struct {
 }
 
 func newFaulty(tr *Trace) *faulty {
-	p := tr.p
+	n := len(tr.op)
 	return &faulty{
 		tr:    tr,
-		p:     p,
-		in:    append([]int32(nil), p.In...),
-		bad:   make([]uint64, tr.stride),
-		mark:  make([]uint32, tr.stride),
-		queue: make([]uint64, (len(p.Op)+63)/64),
-		lo:    len(p.Op),
+		in:    append([]int32(nil), tr.in...),
+		cur:   make([]uint64, tr.stride),
+		queue: make([]uint64, (n+63)/64),
+		lo:    n,
 		hi:    -1,
 	}
 }
 
 // run simulates fault f over the trace and returns the detecting cycle and
-// the differing lanes (-1 and 0 when undetected).
-func (s *faulty) run(f *fault.Fault, obs *Observe) (int, uint64) {
+// the differing lanes (-1 and 0 when undetected), comparing the outputs at
+// positions pos on the lanes of mask: at every cycle until the first
+// difference, or at the last cycle only for a session.
+func (s *faulty) run(f *fault.Fault, pos []int32, mask uint64, session bool) (int, uint64) {
 	slot := s.inject(f)
 	defer s.eject(slot)
-	p, tr := s.p, s.tr
+	tr := s.tr
 	for t := 0; t < tr.cycles; t++ {
-		row := tr.Row(t)
+		row := tr.row(t)
 		s.step(row)
-		if obs.Session && t < tr.cycles-1 {
+		if s.quiet || session && t < tr.cycles-1 {
 			continue
 		}
 		var d uint64
-		for _, k := range obs.POs {
-			d |= s.val(p.POs[k], row) ^ row[p.POs[k]]
+		for _, q := range pos {
+			d |= s.cur[q] ^ row[q]
 		}
-		if d &= obs.Mask; d != 0 {
+		if d &= mask; d != 0 {
 			return t, d
 		}
 	}
 	return -1, 0
 }
 
-// inject sets up fault f from the reset of the trace's initial state and
-// returns the redirected fanin slot, -1 when none is. An output fault
-// forces its net; a pin fault on a flip-flop forces its next state; a pin
-// fault on a gate redirects the pin to a constant net and evaluates the
-// gate every cycle.
+// inject sets up fault f from the trace's initial state and returns the
+// redirected fanin slot, -1 when none is. An output fault forces its net;
+// a pin fault on a flip-flop forces its next state; a pin fault on a gate
+// redirects the pin to a constant net and evaluates the gate every cycle.
 func (s *faulty) inject(f *fault.Fault) int32 {
-	p := s.p
-	s.force, s.pinFF, s.gate, s.forcePos = -1, -1, -1, -1
+	tr := s.tr
+	s.force, s.pinFF, s.gate = -1, -1, -1
 	s.stuck = 0
 	if f.Val {
 		s.stuck = ^uint64(0)
 	}
-	s.cur = s.cur[:0]
-	switch g := int32(f.Gate); {
+	s.ffs = s.ffs[:0]
+	switch q := tr.p.Pos[f.Gate]; {
 	case f.Pin < 0:
-		s.force, s.forcePos = g, p.Pos[g]
-	case p.Op[g] == gates.OpDFF:
-		s.pinFF = s.tr.ffIx[g]
+		s.force = q
+	case tr.op[q] == gates.OpDFF:
+		s.pinFF = tr.ffIx[q]
 	default:
-		slot := p.InOff[g] + int32(f.Pin)
-		s.gate, s.in[slot] = g, int32(len(p.Op))+int32(s.stuck&1)
+		slot := tr.inOff[q] + int32(f.Pin)
+		s.gate, s.in[slot] = q, int32(len(tr.op))+int32(s.stuck&1)
 		return slot
 	}
 	return -1
@@ -233,50 +263,46 @@ func (s *faulty) inject(f *fault.Fault) int32 {
 // eject restores the fanin slot inject redirected.
 func (s *faulty) eject(slot int32) {
 	if slot >= 0 {
-		s.in[slot] = s.p.In[slot]
+		s.in[slot] = s.tr.in[slot]
 	}
 }
 
 // step simulates the faulty machine's next cycle, whose good nets are row,
-// and clocks its flip-flops: afterwards val reads the cycle's faulty nets.
+// and clocks its flip-flops: afterwards cur holds the cycle's faulty nets
+// unless the cycle was quiet.
 func (s *faulty) step(row []uint64) {
-	p := s.p
-	s.tick()
+	tr := s.tr
+	forced := s.force >= 0 && row[s.force] != s.stuck
 	s.next = s.next[:0]
-	for _, d := range s.cur {
-		if net := p.DFFs[d.i]; net != s.force {
-			s.set(net, d.w)
+	s.quiet = len(s.ffs) == 0 && !forced && s.gate < 0
+	if !s.quiet {
+		copy(s.cur, row)
+		for _, d := range s.ffs {
+			if q := tr.ff[d.i]; q != s.force {
+				s.set(q, d.w)
+			}
 		}
+		if forced {
+			s.set(s.force, s.stuck)
+		}
+		if s.gate >= 0 {
+			s.schedule(s.gate)
+		}
+		s.propagate()
 	}
-	if s.force >= 0 && row[s.force] != s.stuck {
-		s.set(s.force, s.stuck)
-	}
-	if s.gate >= 0 {
-		s.schedule(p.Pos[s.gate])
-	}
-	s.propagate(row)
-	if s.pinFF >= 0 && row[p.In[p.InOff[p.DFFs[s.pinFF]]]] != s.stuck {
+	if s.pinFF >= 0 && row[tr.ffD[s.pinFF]] != s.stuck {
 		s.next = append(s.next, ffWord{s.pinFF, s.stuck})
 	}
-	s.cur, s.next = s.next, s.cur
+	s.ffs, s.next = s.next, s.ffs
 }
 
-// tick starts a cycle: every mark of the previous one expires.
-func (s *faulty) tick() {
-	s.stamp++
-	if s.stamp == 0 {
-		clear(s.mark)
-		s.stamp = 1
-	}
-}
-
-// set records that net differs from the trace with faulty word w: the
+// set records that net q differs from the trace with faulty word w: the
 // combinational gates reading it are scheduled, and the flip-flops
 // reading it take w as their next faulty state.
-func (s *faulty) set(net int32, w uint64) {
+func (s *faulty) set(q int32, w uint64) {
 	tr := s.tr
-	s.mark[net], s.bad[net] = s.stamp, w
-	for _, r := range tr.rd[tr.rdOff[net]:tr.rdOff[net+1]] {
+	s.cur[q] = w
+	for _, r := range tr.rd[tr.rdOff[q]:tr.rdOff[q+1]] {
 		if r >= 0 {
 			s.schedule(r)
 		} else if i := ^r; i != s.pinFF {
@@ -285,75 +311,66 @@ func (s *faulty) set(net int32, w uint64) {
 	}
 }
 
-// schedule queues the gate at position pos of p.Order.
-func (s *faulty) schedule(pos int32) {
-	w := int(pos >> 6)
-	s.queue[w] |= 1 << (pos & 63)
+// schedule queues the gate at position q.
+func (s *faulty) schedule(q int32) {
+	w := int(q >> 6)
+	s.queue[w] |= 1 << (q & 63)
 	s.lo, s.hi = min(s.lo, w), max(s.hi, w)
 }
 
-// propagate evaluates the scheduled gates in p.Order, where every gate
-// follows the gates it reads: a gate only ever schedules gates after it,
-// so one forward sweep over the queue reaches every divergent gate.
-func (s *faulty) propagate(row []uint64) {
-	order := s.p.Order
+// propagate evaluates the scheduled gates by position. Every gate follows
+// the gates it reads, so a gate only ever schedules gates after it and one
+// forward sweep over the queue reaches every divergent gate. The gate an
+// output fault forces is never evaluated.
+func (s *faulty) propagate() {
 	for w := s.lo; w <= s.hi; w++ {
 		for s.queue[w] != 0 {
 			b := bits.TrailingZeros64(s.queue[w])
 			s.queue[w] &^= 1 << b
-			pos := int32(w<<6 | b)
-			if pos == s.forcePos {
+			q := int32(w<<6 | b)
+			if q == s.force {
 				continue
 			}
-			id := order[pos]
 			s.evals++
-			if v := s.eval(id, row); v != row[id] {
-				s.set(id, v)
+			if v := s.eval(q); v != s.cur[q] {
+				s.set(q, v)
 			}
 		}
 	}
 	s.lo, s.hi = len(s.queue), -1
 }
 
-// val returns net x's faulty word this cycle.
-func (s *faulty) val(x int32, row []uint64) uint64 {
-	if s.mark[x] == s.stamp {
-		return s.bad[x]
-	}
-	return row[x]
-}
-
-// eval computes combinational gate id from the faulty words of its fanin.
-// AND/OR-type gates have at least two inputs.
-func (s *faulty) eval(id int32, row []uint64) uint64 {
-	p := s.p
-	ins := s.in[p.InOff[id]:p.InOff[id+1]]
+// eval computes the combinational gate at position q from the faulty words
+// of its fanin. AND/OR-type gates have at least two inputs.
+func (s *faulty) eval(q int32) uint64 {
+	cur := s.cur
+	ins := s.in[s.tr.inOff[q]:s.tr.inOff[q+1]]
 	var v uint64
-	switch op := p.Op[id]; op {
+	switch op := s.tr.op[q]; op {
 	case gates.OpBuf:
-		v = s.val(ins[0], row)
+		v = cur[ins[0]]
 	case gates.OpNot:
-		v = ^s.val(ins[0], row)
+		v = ^cur[ins[0]]
 	case gates.OpAnd, gates.OpNand:
-		v = s.val(ins[0], row)
+		v = cur[ins[0]]
 		for _, x := range ins[1:] {
-			v &= s.val(x, row)
+			v &= cur[x]
 		}
 		if op == gates.OpNand {
 			v = ^v
 		}
 	case gates.OpOr, gates.OpNor:
-		v = s.val(ins[0], row)
+		v = cur[ins[0]]
 		for _, x := range ins[1:] {
-			v |= s.val(x, row)
+			v |= cur[x]
 		}
 		if op == gates.OpNor {
 			v = ^v
 		}
 	case gates.OpXor:
-		v = s.val(ins[0], row) ^ s.val(ins[1], row)
+		v = cur[ins[0]] ^ cur[ins[1]]
 	case gates.OpXnor:
-		v = ^(s.val(ins[0], row) ^ s.val(ins[1], row))
+		v = ^(cur[ins[0]] ^ cur[ins[1]])
 	}
 	return v
 }

@@ -19,9 +19,7 @@ type Sim struct {
 	// gates lists the computed gates (everything but inputs and
 	// flip-flops) in the program's Order.
 	gates []instr
-	// vals holds every net followed by two constant nets (n: all zeros,
-	// n+1: all ones), which a pin fault's redirected slot reads.
-	vals  []uint64
+	vals  []uint64 // per net
 	state []uint64 // per DFF index
 	po    []uint64 // Eval output buffer, reused across calls
 }
@@ -39,7 +37,7 @@ func New(p *gates.Program) *Sim {
 	n := len(p.Op)
 	s := &Sim{
 		p:     p,
-		vals:  make([]uint64, n+2),
+		vals:  make([]uint64, n),
 		state: make([]uint64, len(p.DFFs)),
 		po:    make([]uint64, len(p.POs)),
 	}
@@ -48,7 +46,6 @@ func New(p *gates.Program) *Sim {
 			s.gates = append(s.gates, instr{op, id, p.InOff[id], p.InOff[id+1]})
 		}
 	}
-	s.vals[n+1] = ^uint64(0)
 	return s
 }
 

@@ -13,7 +13,7 @@ import (
 	"repro/internal/report"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the goldens of the tests that run ("+tablesGolden+", "+countersGolden+") from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite the goldens of the tests that run ("+tablesGolden+", "+supplementaryGolden+", "+countersGolden+") from the current code")
 
 // tablesGolden holds, byte for byte, the output of
 //
@@ -95,19 +95,77 @@ func TestTablesGolden(t *testing.T) {
 		}
 		want = kept.String()
 	}
-	if got.String() != want {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(want, "\n")
-		for i := 0; i < max(len(gl), len(wl)); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Fatalf("%s line %d differs:\n got: %q\nwant: %q\n(rerun with -update only if the change is intended)", tablesGolden, i+1, g, w)
-			}
+	compareGolden(t, tablesGolden, got.String(), want)
+}
+
+// compareGolden fails at the first line where got differs from want, the
+// contents of the golden file name.
+func compareGolden(t *testing.T, name, got, want string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < max(len(gl), len(wl)); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s line %d differs:\n got: %q\nwant: %q\n(rerun with -update only if the change is intended)", name, i+1, g, w)
 		}
 	}
+}
+
+// supplementaryGolden holds, byte for byte, the output of EXPERIMENTS.md's
+// supplementary command
+//
+//	for b in tseng paulin ewf; do
+//	  hltsbench -bench $b -widths 4,8 -faults 1200 -seed 1998
+//	done
+//
+// Its 1200-fault campaigns run the random phase, fault dropping and PODEM
+// on three designs the tables do not cover.
+const supplementaryGolden = "testdata/supplementary_seed1998.golden"
+
+// TestSupplementaryGolden renders the supplementary tables in-process and
+// compares them byte for byte with the golden. It takes several seconds,
+// so -short and the race detector skip it. After an intended change to the
+// results, rewrite the file with
+//
+//	go test -run '^TestSupplementaryGolden$' -update .
+func TestSupplementaryGolden(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("1200-fault campaigns: skipped under -short and -race")
+	}
+	cfg := report.DefaultConfig(1998)
+	cfg.Widths = []int{4, 8}
+	baseATPG := cfg.ATPGFor
+	cfg.ATPGFor = func(width int) atpg.Config {
+		c := baseATPG(width)
+		c.SampleFaults = min(c.SampleFaults, 1200)
+		return c
+	}
+	var got strings.Builder
+	for _, bench := range []string{BenchTseng, BenchPaulin, BenchEWF} {
+		tbl, err := report.RunTableCtx(context.Background(), bench, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "--- Supplementary table (%s) ---\n%s\n", bench, tbl.Render())
+	}
+	if *updateGolden {
+		if err := os.WriteFile(supplementaryGolden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(supplementaryGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, supplementaryGolden, got.String(), string(raw))
 }
