@@ -8,6 +8,7 @@
 package atpg
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/fault"
@@ -133,7 +134,7 @@ func eval2(op gates.Op, vals []uint8, ins []int32) uint8 {
 // fault-free circuit with every input X and schedules the faulted gate in
 // each frame; after that a changed primary input schedules its gate.
 // simulate re-evaluates only the forward cone of the scheduled gates,
-// frame by frame and level by level, stopping wherever neither lane
+// frame by frame and in levelized order, stopping wherever neither lane
 // changes. A changed D net schedules its flip-flops in the next frame.
 // Since no state survives from one search to the next, a search's result
 // and its evaluation count depend only on its own arguments.
@@ -155,7 +156,7 @@ type searcher struct {
 	pi [][]int8
 	// val[t*m+g] is net g of frame t in dual rail (m = n+1 nets per frame,
 	// the last being the redirect net) and base the fault-free values with
-	// every input X; queued marks a gate scheduled in its frame.
+	// every input X; queued marks a gate pending in its frame.
 	val, base []uint8
 	m         int
 	queued    []bool
@@ -163,10 +164,13 @@ type searcher struct {
 	// faulted gate, inputs, flip-flops); npend counts them over all frames.
 	pend  [][]int32
 	npend int
-	// bucket[lv] holds the current frame's scheduled gates of level lv;
-	// top is the highest non-empty level.
-	bucket [][]int32
-	top    int32
+	// sched has a bit per position in p.Order, set for the current frame's
+	// scheduled gates; only its words lo..hi may be non-zero. The readers
+	// of net g are rd[p.FanOff[g]:p.FanOff[g+1]]: a combinational gate by
+	// its position, a flip-flop as ^id.
+	sched  []uint64
+	lo, hi int
+	rd     []int32
 	// dnet[t] lists the nets of frame t carrying a fault effect, dpos[t*m+g]
 	// is g's index in it (-1 when absent), and poD[t] counts the primary
 	// outputs among them.
@@ -213,7 +217,10 @@ func newSearcher(p *gates.Program, maxFrames int) *searcher {
 		val:    make([]uint8, maxFrames*m),
 		queued: make([]bool, maxFrames*m),
 		pend:   make([][]int32, maxFrames),
-		bucket: make([][]int32, p.Levels),
+		sched:  make([]uint64, (m+63)/64),
+		lo:     (m + 63) / 64,
+		hi:     -1,
+		rd:     make([]int32, len(p.Fan)),
 		dnet:   make([][]int32, maxFrames),
 		dpos:   make([]int32, maxFrames*m),
 		poD:    make([]int, maxFrames),
@@ -226,6 +233,13 @@ func newSearcher(p *gates.Program, maxFrames int) *searcher {
 	}
 	for i := range s.dpos {
 		s.dpos[i] = -1
+	}
+	for i, r := range p.Fan {
+		if p.Op[r] == gates.OpDFF {
+			s.rd[i] = ^r
+		} else {
+			s.rd[i] = p.Pos[r]
+		}
 	}
 	for t := 0; t < maxFrames; t++ {
 		vals := s.val[t*m : (t+1)*m]
@@ -294,38 +308,38 @@ func (s *searcher) schedulePend(t int, id int32) {
 	}
 }
 
-func (s *searcher) schedule(q []bool, id int32) {
-	if !q[id] {
-		q[id] = true
-		lv := s.p.Level[id]
-		s.bucket[lv] = append(s.bucket[lv], id)
-		s.top = max(s.top, lv)
-	}
+// schedule queues the gate at position pos of p.Order in the current
+// frame.
+func (s *searcher) schedule(pos int32) {
+	w := int(pos >> 6)
+	s.sched[w] |= 1 << (pos & 63)
+	s.lo, s.hi = min(s.lo, w), max(s.hi, w)
 }
 
 // simulate brings both circuits up to date with the current primary
 // input assignment. Whatever it re-evaluates, it charges the nominal
-// frames x gates of a full resimulation to implications. While a decision
-// is on the stack it logs every change to the trail.
+// frames x gates of a full resimulation to implications. Within a frame
+// the scheduled gates are swept in p.Order, where every gate follows the
+// gates it reads, so a gate only ever schedules gates after it. While a
+// decision is on the stack it logs every change to the trail.
 func (s *searcher) simulate() {
 	p := s.p
 	n := len(p.Op)
 	s.implications += int64(s.frames) * int64(n)
 	for t := 0; t < s.frames && s.npend > 0; t++ {
 		base := t * s.m
-		q := s.queued[base : base+n]
 		vals := s.val[base : base+s.m]
-		s.top = 0
 		for _, id := range s.pend[t] {
-			lv := p.Level[id]
-			s.bucket[lv] = append(s.bucket[lv], id)
-			s.top = max(s.top, lv)
+			s.queued[base+int(id)] = false
+			s.schedule(p.Pos[id])
 		}
 		s.npend -= len(s.pend[t])
 		s.pend[t] = s.pend[t][:0]
-		for lv := int32(0); lv <= s.top; lv++ {
-			for _, id := range s.bucket[lv] {
-				q[id] = false
+		for w := s.lo; w <= s.hi; w++ {
+			for s.sched[w] != 0 {
+				b := bits.TrailingZeros64(s.sched[w])
+				s.sched[w] &^= 1 << b
+				id := p.Order[w<<6|b]
 				s.evals++
 				var r uint8
 				if id != s.fgate {
@@ -344,16 +358,16 @@ func (s *searcher) simulate() {
 					s.trail = append(s.trail, change{id, int16(t), old})
 				}
 				vals[id] = r
-				for _, rd := range p.Fanout(id) {
-					if p.Op[rd] != gates.OpDFF {
-						s.schedule(q, rd)
+				for _, rd := range s.rd[p.FanOff[id]:p.FanOff[id+1]] {
+					if rd >= 0 {
+						s.schedule(rd)
 					} else if t+1 < s.frames {
-						s.schedulePend(t+1, rd)
+						s.schedulePend(t+1, ^rd)
 					}
 				}
 			}
-			s.bucket[lv] = s.bucket[lv][:0]
 		}
+		s.lo, s.hi = len(s.sched), -1
 	}
 }
 

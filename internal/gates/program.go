@@ -39,13 +39,10 @@ type Program struct {
 	InOff, In   []int32
 	FanOff, Fan []int32
 	// Order is the circuit's Levelize order (every gate after its
-	// combinational fanin) and Pos its inverse: Pos[Order[i]] == i.
+	// combinational fanin) and Pos its inverse: Pos[Order[i]] == i. A
+	// forward sweep over positions is an evaluation order, which is how
+	// the event-driven kernels schedule gates.
 	Order, Pos []int32
-	// Level is 0 for sources and one more than the deepest fanin
-	// otherwise, so a combinational gate sits above every net it reads;
-	// Levels is one more than the highest level.
-	Level  []int32
-	Levels int
 	// PIs, DFFs and POs are the circuit's Inputs, DFFs and Outputs; PIIx
 	// maps a gate to its primary-input index, -1 for every other gate.
 	PIs, DFFs, POs []int32
@@ -76,8 +73,6 @@ func (c *Circuit) Compile() (*Program, error) {
 		FanOff:  make([]int32, n+1),
 		Order:   make([]int32, n),
 		Pos:     make([]int32, n),
-		Level:   make([]int32, n),
-		Levels:  1,
 		PIs:     int32s(c.Inputs),
 		DFFs:    int32s(c.DFFs),
 		POs:     int32s(c.Outputs),
@@ -111,15 +106,6 @@ func (c *Circuit) Compile() (*Program, error) {
 	}
 	for i, id := range order {
 		p.Order[i], p.Pos[id] = int32(id), int32(i)
-		if p.Op[id].Source() {
-			continue
-		}
-		lv := int32(0)
-		for _, in := range p.In[p.InOff[id]:p.InOff[id+1]] {
-			lv = max(lv, p.Level[in])
-		}
-		p.Level[id] = lv + 1
-		p.Levels = max(p.Levels, int(lv)+2)
 	}
 	for k, id := range p.PIs {
 		p.PIIx[id] = int32(k)

@@ -7,7 +7,7 @@ import (
 
 // TestCompile checks the compiled arrays against the circuit they come
 // from: opcodes, fanin and fanout CSR, the Levelize order and its
-// inverse, levels, index maps and observability distances.
+// inverse, index maps and observability distances.
 func TestCompile(t *testing.T) {
 	// Compile converts kinds to opcodes by value.
 	ops := []Op{OpInput, OpConst0, OpConst1, OpBuf, OpNot, OpAnd, OpOr, OpNand, OpNor, OpXor, OpXnor, OpDFF}
@@ -55,15 +55,6 @@ func TestCompile(t *testing.T) {
 		if p.Order[i] != int32(id) || p.Pos[id] != int32(i) {
 			t.Fatalf("Order/Pos disagree with Levelize at %d", i)
 		}
-	}
-	wantLevel := map[int]int32{x: 0, y: 0, q: 0, a: 1, o: 2, n: 3, dead: 1}
-	for id, lv := range wantLevel {
-		if p.Level[id] != lv {
-			t.Errorf("gate %d: level %d, want %d", id, p.Level[id], lv)
-		}
-	}
-	if p.Levels != 4 {
-		t.Errorf("Levels = %d, want 4", p.Levels)
 	}
 	if p.PIIx[x] != 0 || p.PIIx[y] != 1 || p.PIIx[q] != -1 {
 		t.Errorf("PIIx = %v", p.PIIx)
