@@ -3,11 +3,13 @@ package atpg
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/dfg"
 	"repro/internal/etpn"
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/gates"
 	"repro/internal/logicsim"
@@ -181,6 +183,33 @@ func TestRunBISTLaneMonotonicAndPasses(t *testing.T) {
 	}
 }
 
+// A long session must not hold the good machine's nets for every cycle:
+// the fault simulator runs it in blocks of bounded size, so the memory a
+// session allocates stays far below the cycles x nets words one whole
+// trace would take.
+func TestRunBISTLongSessionBoundedMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long session")
+	}
+	nl := buildBISTNetlist(t)
+	const faults, cycles = 8, 50000
+	trace := uint64(cycles) * uint64(len(nl.C.Gates)+2) * 8
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	out, err := RunBISTCfgCtx(context.Background(), nl.C, faults, cycles, BISTConfig{TPGRegs: nl.BISTTpg})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Status != exec.StatusComplete || out.Evaluated != out.TotalFaults {
+		t.Fatalf("session evaluated %d of %d faults, status %v", out.Evaluated, out.TotalFaults, out.Status)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > trace/4 {
+		t.Errorf("a %d-cycle session allocated %d bytes, want at most a quarter of the %d-byte whole trace", cycles, got, trace)
+	}
+}
+
 // Property: a packed 64-lane simulation is bit-identical to 64 separate
 // single-lane simulations — the invariant PPSFP rests on. Each lane of
 // the packed run is extracted, re-widened and replayed on a fresh Sim.
@@ -199,11 +228,10 @@ func TestPackedLanesMatchSingleLaneRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := logicsim.New(p).Run(vec)
-	laneSim := logicsim.New(p)
+	packed := runOutputs(p, vec)
 	for lane := 0; lane < 64; lane++ {
 		seq := extractLane(vec, lane)
-		single := laneSim.Run(widenLane(seq))
+		single := runOutputs(p, widenLane(seq))
 		for tt := range packed {
 			for k := range packed[tt] {
 				if (packed[tt][k]>>uint(lane))&1 != single[tt][k]&1 {
@@ -212,6 +240,17 @@ func TestPackedLanesMatchSingleLaneRuns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runOutputs applies vectors to p from reset and returns a copy of the
+// primary outputs of every cycle.
+func runOutputs(p *gates.Program, vectors [][]uint64) [][]uint64 {
+	sim := logicsim.New(p)
+	out := make([][]uint64, len(vectors))
+	for t, v := range vectors {
+		out[t] = append([]uint64(nil), sim.Step(v)...)
+	}
+	return out
 }
 
 // extractLane and widenLane must be exact inverses over every lane.

@@ -165,12 +165,9 @@ type searcher struct {
 	pend  [][]int32
 	npend int
 	// sched has a bit per position in p.Order, set for the current frame's
-	// scheduled gates; only its words lo..hi may be non-zero. The readers
-	// of net g are rd[p.FanOff[g]:p.FanOff[g+1]]: a combinational gate by
-	// its position, a flip-flop as ^id.
+	// scheduled gates; only its words lo..hi may be non-zero.
 	sched  []uint64
 	lo, hi int
-	rd     []int32
 	// dnet[t] lists the nets of frame t carrying a fault effect, dpos[t*m+g]
 	// is g's index in it (-1 when absent), and poD[t] counts the primary
 	// outputs among them.
@@ -220,7 +217,6 @@ func newSearcher(p *gates.Program, maxFrames int) *searcher {
 		sched:  make([]uint64, (m+63)/64),
 		lo:     (m + 63) / 64,
 		hi:     -1,
-		rd:     make([]int32, len(p.Fan)),
 		dnet:   make([][]int32, maxFrames),
 		dpos:   make([]int32, maxFrames*m),
 		poD:    make([]int, maxFrames),
@@ -233,13 +229,6 @@ func newSearcher(p *gates.Program, maxFrames int) *searcher {
 	}
 	for i := range s.dpos {
 		s.dpos[i] = -1
-	}
-	for i, r := range p.Fan {
-		if p.Op[r] == gates.OpDFF {
-			s.rd[i] = ^r
-		} else {
-			s.rd[i] = p.Pos[r]
-		}
 	}
 	for t := 0; t < maxFrames; t++ {
 		vals := s.val[t*m : (t+1)*m]
@@ -339,7 +328,8 @@ func (s *searcher) simulate() {
 			for s.sched[w] != 0 {
 				b := bits.TrailingZeros64(s.sched[w])
 				s.sched[w] &^= 1 << b
-				id := p.Order[w<<6|b]
+				q := int32(w<<6 | b)
+				id := p.Order[q]
 				s.evals++
 				var r uint8
 				if id != s.fgate {
@@ -358,11 +348,11 @@ func (s *searcher) simulate() {
 					s.trail = append(s.trail, change{id, int16(t), old})
 				}
 				vals[id] = r
-				for _, rd := range s.rd[p.FanOff[id]:p.FanOff[id+1]] {
+				for _, rd := range p.ByPos.Rd[p.ByPos.RdOff[q]:p.ByPos.RdOff[q+1]] {
 					if rd >= 0 {
 						s.schedule(rd)
 					} else if t+1 < s.frames {
-						s.schedulePend(t+1, ^rd)
+						s.schedulePend(t+1, p.Order[^rd])
 					}
 				}
 			}

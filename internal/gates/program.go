@@ -43,6 +43,9 @@ type Program struct {
 	// forward sweep over positions is an evaluation order, which is how
 	// the event-driven kernels schedule gates.
 	Order, Pos []int32
+	// ByPos is the program relaid by Order position, the layout the
+	// event-driven kernels sweep.
+	ByPos Layout
 	// PIs, DFFs and POs are the circuit's Inputs, DFFs and Outputs; PIIx
 	// maps a gate to its primary-input index, -1 for every other gate.
 	PIs, DFFs, POs []int32
@@ -51,6 +54,17 @@ type Program struct {
 	// primary output, crossing flip-flops freely (1<<29 when no output is
 	// reachable).
 	ObsDist []int32
+}
+
+// Layout is a Program relaid by Order position: the gate at position q
+// has opcode Op[q], reads the positions In[InOff[q]:InOff[q+1]] in pin
+// order and is read by Rd[RdOff[q]:RdOff[q+1]], in Fanout order: a
+// combinational gate by its position, a flip-flop by the complement ^q of
+// its position, as its read only takes effect at the next clock.
+type Layout struct {
+	Op        []Op
+	InOff, In []int32
+	RdOff, Rd []int32
 }
 
 // Compile levelizes c and flattens it into a Program. It fails on
@@ -107,6 +121,7 @@ func (c *Circuit) Compile() (*Program, error) {
 	for i, id := range order {
 		p.Order[i], p.Pos[id] = int32(id), int32(i)
 	}
+	p.ByPos = p.relay()
 	for k, id := range p.PIs {
 		p.PIIx[id] = int32(k)
 	}
@@ -132,6 +147,33 @@ func (c *Circuit) Compile() (*Program, error) {
 		}
 	}
 	return p, nil
+}
+
+// relay lays the program out by Order position.
+func (p *Program) relay() Layout {
+	n := len(p.Op)
+	l := Layout{
+		Op:    make([]Op, n),
+		InOff: make([]int32, n+1),
+		In:    make([]int32, 0, len(p.In)),
+		RdOff: make([]int32, n+1),
+		Rd:    make([]int32, 0, len(p.Fan)),
+	}
+	for q, id := range p.Order {
+		l.Op[q] = p.Op[id]
+		for _, x := range p.Fanin(id) {
+			l.In = append(l.In, p.Pos[x])
+		}
+		for _, r := range p.Fanout(id) {
+			if p.Op[r] == OpDFF {
+				l.Rd = append(l.Rd, ^p.Pos[r])
+			} else {
+				l.Rd = append(l.Rd, p.Pos[r])
+			}
+		}
+		l.InOff[q+1], l.RdOff[q+1] = int32(len(l.In)), int32(len(l.Rd))
+	}
+	return l
 }
 
 // Fanin returns the nets gate g reads, in pin order.

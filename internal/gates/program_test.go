@@ -56,6 +56,31 @@ func TestCompile(t *testing.T) {
 			t.Fatalf("Order/Pos disagree with Levelize at %d", i)
 		}
 	}
+	// ByPos is the same program renumbered by position, flip-flop readers
+	// complemented.
+	l := p.ByPos
+	for qp, id := range p.Order {
+		if l.Op[qp] != p.Op[id] {
+			t.Errorf("position %d: opcode %d, want %d", qp, l.Op[qp], p.Op[id])
+		}
+		var in, rd []int32
+		for _, x := range p.Fanin(id) {
+			in = append(in, p.Pos[x])
+		}
+		for _, r := range p.Fanout(id) {
+			if p.Op[r] == OpDFF {
+				rd = append(rd, ^p.Pos[r])
+			} else {
+				rd = append(rd, p.Pos[r])
+			}
+		}
+		if got := l.In[l.InOff[qp]:l.InOff[qp+1]]; len(got) != len(in) || len(in) > 0 && !reflect.DeepEqual(got, in) {
+			t.Errorf("position %d: fanin %v, want %v", qp, got, in)
+		}
+		if got := l.Rd[l.RdOff[qp]:l.RdOff[qp+1]]; len(got) != len(rd) || len(rd) > 0 && !reflect.DeepEqual(got, rd) {
+			t.Errorf("position %d: readers %v, want %v", qp, got, rd)
+		}
+	}
 	if p.PIIx[x] != 0 || p.PIIx[y] != 1 || p.PIIx[q] != -1 {
 		t.Errorf("PIIx = %v", p.PIIx)
 	}

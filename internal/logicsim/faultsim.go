@@ -13,102 +13,81 @@ import (
 
 // Fault simulation is serial-fault and parallel-pattern: each fault is
 // simulated on its own, and every net carries 64 pattern lanes. The good
-// machine runs once per vector block into a Trace; a faulty machine then
-// evaluates only where it differs from the good one (PROOFS: Niermann,
-// Cheng & Patel, DAC 1990). Each cycle starts from the trace's row, loads
-// the flip-flops whose faulty state differs, applies the fault, and
-// re-evaluates, in levelized order over the fanout lists, only the gates
-// that read a changed net. Only the flip-flop bits that differ carry into
-// the next cycle.
+// machine runs once per block of cycles into rows of net words; a faulty
+// machine then evaluates only where it differs from the good one (PROOFS:
+// Niermann, Cheng & Patel, DAC 1990). Each cycle starts from the good
+// row, loads the flip-flops whose faulty state differs, applies the fault,
+// and re-evaluates, in levelized order over the fanout lists, only the
+// gates that read a changed net. Only the flip-flop bits that differ carry
+// into the next cycle, and into the next block.
 //
-// The kernel numbers nets by their position in the program's Order, so a
-// forward sweep over positions is an evaluation order and the trace rows,
-// the fanin and reader lists and the scratch arrays are all laid out in
-// the order the sweep touches them.
+// The kernel numbers nets by their position in the program's Order and
+// sweeps the program's ByPos layout, so a forward sweep over positions is
+// an evaluation order and the rows, the fanin and reader lists and the
+// scratch arrays are all laid out in the order the sweep touches them.
 
-// Trace is the fault-free machine's run over one vector block, with the
-// program relaid by Order position: row t holds every net of cycle t, as
-// settled before the clock edge, followed by the two constant nets a pin
-// fault reads (n: all zeros, n+1: all ones).
+// traceWords bounds the good rows a simulation holds, in words (8 MiB): a
+// vector sequence longer than fits runs in blocks of as many cycles as
+// do, so memory does not grow with the sequence's length.
+var traceWords = 1 << 20
+
+// Trace is a vector sequence applied to a program from a flip-flop state:
+// the good machine the faulty machines are compared against.
 type Trace struct {
-	p      *gates.Program
-	rows   []uint64
-	stride int
-	cycles int
-	// op is the opcode at each position. The gate at position q reads
-	// in[inOff[q]:inOff[q+1]] and is read by rd[rdOff[q]:rdOff[q+1]]: a
-	// combinational gate by its position, flip-flop i as ^i.
-	op        []gates.Op
-	inOff, in []int32
-	rdOff, rd []int32
-	// po holds the primary outputs' positions, ff the flip-flops' and ffD
-	// their D nets', by DFF index; ffIx maps a position to its DFF index,
-	// -1 for every other gate.
-	po, ff, ffD []int32
-	ffIx        []int32
-	// evals counts the gate evaluations of the good run.
-	evals int64
+	p       *gates.Program
+	state   []uint64
+	vectors [][]uint64
+	// per is the number of cycles in a block; 0 sizes blocks by
+	// traceWords.
+	per int
 }
 
-// NewTrace runs the good machine over vectors from the flip-flop state
-// state (by DFF declaration order; nil is the all-zero reset).
+// NewTrace applies vectors to p from the flip-flop state state (by DFF
+// declaration order; nil is the all-zero reset). Simulate runs the good
+// machine, block by block.
 func NewTrace(p *gates.Program, state []uint64, vectors [][]uint64) *Trace {
-	n := len(p.Op)
-	tr := &Trace{
-		p:      p,
-		rows:   make([]uint64, len(vectors)*(n+2)),
-		stride: n + 2,
-		cycles: len(vectors),
-		op:     make([]gates.Op, n),
-		inOff:  make([]int32, n+1),
-		in:     make([]int32, 0, len(p.In)),
-		rdOff:  make([]int32, n+1),
-		rd:     make([]int32, 0, len(p.Fan)),
-		po:     make([]int32, len(p.POs)),
-		ff:     make([]int32, len(p.DFFs)),
-		ffD:    make([]int32, len(p.DFFs)),
-		ffIx:   make([]int32, n),
+	return &Trace{p: p, state: state, vectors: vectors}
+}
+
+// blockCycles returns the number of cycles in each of tr's blocks.
+func (tr *Trace) blockCycles() int {
+	if tr.per > 0 {
+		return tr.per
 	}
-	for q := range tr.ffIx {
-		tr.ffIx[q] = -1
-	}
-	for i, id := range p.DFFs {
-		tr.ff[i], tr.ffD[i] = p.Pos[id], p.Pos[p.Fanin(id)[0]]
-		tr.ffIx[p.Pos[id]] = int32(i)
-	}
-	for k, id := range p.POs {
-		tr.po[k] = p.Pos[id]
-	}
-	for q, id := range p.Order {
-		tr.op[q] = p.Op[id]
-		for _, x := range p.Fanin(id) {
-			tr.in = append(tr.in, p.Pos[x])
-		}
-		for _, r := range p.Fanout(id) {
-			if p.Op[r] == gates.OpDFF {
-				tr.rd = append(tr.rd, ^tr.ffIx[p.Pos[r]])
-			} else {
-				tr.rd = append(tr.rd, p.Pos[r])
-			}
-		}
-		tr.inOff[q+1], tr.rdOff[q+1] = int32(len(tr.in)), int32(len(tr.rd))
-	}
-	sim := New(p)
-	sim.SetState(state)
-	tr.evals = int64(len(sim.gates)) * int64(len(vectors))
+	return max(1, traceWords/(len(tr.p.Op)+2))
+}
+
+// block is the good machine's run over cycles t0..t0+cycles-1: row t
+// holds every net of cycle t0+t by position, as settled before the clock
+// edge, followed by the two constant nets a pin fault reads (n: all
+// zeros, n+1: all ones).
+type block struct {
+	rows       []uint64
+	stride     int
+	t0, cycles int
+}
+
+func newBlock(p *gates.Program, cycles int) *block {
+	stride := len(p.Op) + 2
+	return &block{rows: make([]uint64, cycles*stride), stride: stride}
+}
+
+// fill runs the good machine sim over vectors, the cycles from t0 on.
+func (b *block) fill(sim *Sim, t0 int, vectors [][]uint64) {
+	order := sim.p.Order
+	b.t0, b.cycles = t0, len(vectors)
 	for t, v := range vectors {
 		sim.Step(v)
-		row := tr.row(t)
-		for q, id := range p.Order {
+		row := b.row(t)
+		for q, id := range order {
 			row[q] = sim.vals[id]
 		}
-		row[n+1] = ^uint64(0)
+		row[len(order)+1] = ^uint64(0)
 	}
-	return tr
 }
 
-// row returns the net words of cycle t.
-func (tr *Trace) row(t int) []uint64 { return tr.rows[t*tr.stride : (t+1)*tr.stride] }
+// row returns the net words of the block's cycle t.
+func (b *block) row(t int) []uint64 { return b.rows[t*b.stride : (t+1)*b.stride] }
 
 // Observe says which output differences detect a fault.
 type Observe struct {
@@ -132,47 +111,102 @@ type Observe struct {
 // Every fault depends only on its index, so callers that write per-index
 // slots get identical results at every worker count.
 //
-// The context is checked before every fault: on cancellation the faults
-// already visited stay visited and the error is ctx.Err(). Simulate
-// returns the gate evaluations performed, the good run's included, which
-// are deterministic at every worker count.
+// A sequence longer than one block of traceWords runs block by block:
+// every fault still running simulates each block in turn, carrying its
+// divergent flip-flops from block to block, and is visited in the block
+// that settles it. The context is checked before every block and every
+// fault in it: on cancellation the faults already visited stay visited
+// and the error is ctx.Err(). Simulate returns the gate evaluations
+// performed, the good run's included, which are deterministic at every
+// worker count.
 func (tr *Trace) Simulate(ctx context.Context, flist []fault.Fault, skip []bool, workers int, obs Observe, visit func(i, cycle int, diff uint64)) (int64, error) {
-	if obs.Mask == 0 {
-		obs.Mask = ^uint64(0)
+	p := tr.p
+	mask := obs.Mask
+	if mask == 0 {
+		mask = ^uint64(0)
 	}
-	pos := tr.po
+	pos := make([]int32, len(p.POs))
+	for k, id := range p.POs {
+		pos[k] = p.Pos[id]
+	}
 	if obs.POs != nil {
+		all := pos
 		pos = make([]int32, len(obs.POs))
 		for j, k := range obs.POs {
-			pos[j] = tr.po[k]
+			pos[j] = all[k]
 		}
 	}
+	total := len(tr.vectors)
+	per := tr.blockCycles()
+	b := newBlock(p, min(per, total))
+	sim := New(p)
+	sim.SetState(tr.state)
+	// carry[i] holds fault i's divergent flip-flops entering the next
+	// block and done[i] marks it settled; one block needs neither.
+	var carry [][]ffWord
+	var done []bool
+	if per < total {
+		carry, done = make([][]ffWord, len(flist)), make([]bool, len(flist))
+	}
 	var evals atomic.Int64
-	err := parallel.ForEachWorkerCtx(ctx, workers, len(flist),
-		func() (*faulty, error) { return newFaulty(tr), nil },
-		func(s *faulty, i int) error {
-			if skip != nil && skip[i] {
-				return nil
+	for t0 := 0; ; t0 += per {
+		if err := ctx.Err(); err != nil {
+			return evals.Load(), err
+		}
+		b.fill(sim, t0, tr.vectors[t0:min(t0+per, total)])
+		evals.Add(int64(len(sim.gates)) * int64(b.cycles))
+		last := t0+per >= total
+		// A session compares the final cycle only.
+		from := 0
+		if obs.Session {
+			from = b.cycles
+			if last {
+				from--
 			}
-			cycle, diff := s.run(&flist[i], pos, obs.Mask, obs.Session)
-			evals.Add(s.evals)
-			s.evals = 0
-			visit(i, cycle, diff)
-			return nil
-		})
-	return tr.evals + evals.Load(), err
+		}
+		err := parallel.ForEachWorkerCtx(ctx, workers, len(flist),
+			func() (*faulty, error) { return newFaulty(p), nil },
+			func(s *faulty, i int) error {
+				if skip != nil && skip[i] || done != nil && done[i] {
+					return nil
+				}
+				var ffs []ffWord
+				if carry != nil {
+					ffs = carry[i]
+				}
+				cycle, diff := s.run(&flist[i], b, ffs, pos, mask, from)
+				evals.Add(s.evals)
+				s.evals = 0
+				switch {
+				case cycle >= 0:
+					if done != nil {
+						done[i] = true
+					}
+					visit(i, b.t0+cycle, diff)
+				case last:
+					visit(i, -1, 0)
+				default:
+					carry[i] = append(carry[i][:0], s.ffs...)
+				}
+				return nil
+			})
+		if err != nil || last {
+			return evals.Load(), err
+		}
+	}
 }
 
-// faulty is one worker's faulty-machine scratch over a trace. Nets are
-// numbered by position, as in the trace.
+// faulty is one worker's faulty-machine scratch. Nets are numbered by
+// position, as in the good rows.
 type faulty struct {
-	tr *Trace
-	// in is the trace's fanin array with a pin fault's slot redirected to
+	l   *gates.Layout
+	pos []int32
+	// in is the layout's fanin array with a pin fault's slot redirected to
 	// a constant net.
 	in []int32
-	// cur holds every net of the faulty machine this cycle: the trace's
-	// row, overwritten where the faulty machine differs. In a quiet cycle,
-	// one with no divergent flip-flop and no active fault site, the faulty
+	// cur holds every net of the faulty machine this cycle: the good row,
+	// overwritten where the faulty machine differs. In a quiet cycle, one
+	// with no divergent flip-flop and no active fault site, the faulty
 	// machine equals the good one and cur is not even copied.
 	cur   []uint64
 	quiet bool
@@ -181,47 +215,50 @@ type faulty struct {
 	queue  []uint64
 	lo, hi int
 	// The fault: force is the net an output fault holds at stuck, pinFF
-	// the flip-flop whose D pin is stuck and gate the combinational gate
-	// whose pin is (each -1 when unused).
-	force, pinFF, gate int32
-	stuck              uint64
+	// the flip-flop whose D pin is stuck (pinD its D net) and gate the
+	// combinational gate whose pin is (each -1 when unused).
+	force, pinFF, pinD, gate int32
+	stuck                    uint64
 	// ffs holds the flip-flops whose faulty state differs entering this
 	// cycle, next those that will entering the next one.
 	ffs, next []ffWord
 	evals     int64
 }
 
-// ffWord is the faulty state of flip-flop i where it differs from the
-// good state.
+// ffWord is the faulty state of the flip-flop at position q where it
+// differs from the good state.
 type ffWord struct {
-	i int32
+	q int32
 	w uint64
 }
 
-func newFaulty(tr *Trace) *faulty {
-	n := len(tr.op)
-	return &faulty{
-		tr:    tr,
-		in:    append([]int32(nil), tr.in...),
-		cur:   make([]uint64, tr.stride),
+func newFaulty(p *gates.Program) *faulty {
+	n := len(p.Op)
+	s := &faulty{
+		l:     &p.ByPos,
+		pos:   p.Pos,
+		in:    append([]int32(nil), p.ByPos.In...),
+		cur:   make([]uint64, n+2),
 		queue: make([]uint64, (n+63)/64),
-		lo:    n,
 		hi:    -1,
 	}
+	s.lo = len(s.queue)
+	return s
 }
 
-// run simulates fault f over the trace and returns the detecting cycle and
-// the differing lanes (-1 and 0 when undetected), comparing the outputs at
-// positions pos on the lanes of mask: at every cycle until the first
-// difference, or at the last cycle only for a session.
-func (s *faulty) run(f *fault.Fault, pos []int32, mask uint64, session bool) (int, uint64) {
+// run simulates fault f over block b, entering it with the divergent
+// flip-flops ffs, and returns the block's detecting cycle and the
+// differing lanes (-1 and 0 when undetected), comparing the outputs at
+// positions pos on the lanes of mask at every cycle from from on. The
+// flip-flops that differ leaving the block are left in s.ffs.
+func (s *faulty) run(f *fault.Fault, b *block, ffs []ffWord, pos []int32, mask uint64, from int) (int, uint64) {
 	slot := s.inject(f)
 	defer s.eject(slot)
-	tr := s.tr
-	for t := 0; t < tr.cycles; t++ {
-		row := tr.row(t)
+	s.ffs = append(s.ffs, ffs...)
+	for t := 0; t < b.cycles; t++ {
+		row := b.row(t)
 		s.step(row)
-		if s.quiet || session && t < tr.cycles-1 {
+		if s.quiet || t < from {
 			continue
 		}
 		var d uint64
@@ -235,26 +272,26 @@ func (s *faulty) run(f *fault.Fault, pos []int32, mask uint64, session bool) (in
 	return -1, 0
 }
 
-// inject sets up fault f from the trace's initial state and returns the
+// inject sets up fault f with no divergent flip-flop and returns the
 // redirected fanin slot, -1 when none is. An output fault forces its net;
 // a pin fault on a flip-flop forces its next state; a pin fault on a gate
 // redirects the pin to a constant net and evaluates the gate every cycle.
 func (s *faulty) inject(f *fault.Fault) int32 {
-	tr := s.tr
-	s.force, s.pinFF, s.gate = -1, -1, -1
+	l := s.l
+	s.force, s.pinFF, s.pinD, s.gate = -1, -1, -1, -1
 	s.stuck = 0
 	if f.Val {
 		s.stuck = ^uint64(0)
 	}
 	s.ffs = s.ffs[:0]
-	switch q := tr.p.Pos[f.Gate]; {
+	switch q := s.pos[f.Gate]; {
 	case f.Pin < 0:
 		s.force = q
-	case tr.op[q] == gates.OpDFF:
-		s.pinFF = tr.ffIx[q]
+	case l.Op[q] == gates.OpDFF:
+		s.pinFF, s.pinD = q, l.In[l.InOff[q]]
 	default:
-		slot := tr.inOff[q] + int32(f.Pin)
-		s.gate, s.in[slot] = q, int32(len(tr.op))+int32(s.stuck&1)
+		slot := l.InOff[q] + int32(f.Pin)
+		s.gate, s.in[slot] = q, int32(len(l.Op))+int32(s.stuck&1)
 		return slot
 	}
 	return -1
@@ -263,7 +300,7 @@ func (s *faulty) inject(f *fault.Fault) int32 {
 // eject restores the fanin slot inject redirected.
 func (s *faulty) eject(slot int32) {
 	if slot >= 0 {
-		s.in[slot] = s.tr.in[slot]
+		s.in[slot] = s.l.In[slot]
 	}
 }
 
@@ -271,15 +308,14 @@ func (s *faulty) eject(slot int32) {
 // and clocks its flip-flops: afterwards cur holds the cycle's faulty nets
 // unless the cycle was quiet.
 func (s *faulty) step(row []uint64) {
-	tr := s.tr
 	forced := s.force >= 0 && row[s.force] != s.stuck
 	s.next = s.next[:0]
 	s.quiet = len(s.ffs) == 0 && !forced && s.gate < 0
 	if !s.quiet {
 		copy(s.cur, row)
 		for _, d := range s.ffs {
-			if q := tr.ff[d.i]; q != s.force {
-				s.set(q, d.w)
+			if d.q != s.force {
+				s.set(d.q, d.w)
 			}
 		}
 		if forced {
@@ -290,23 +326,23 @@ func (s *faulty) step(row []uint64) {
 		}
 		s.propagate()
 	}
-	if s.pinFF >= 0 && row[tr.ffD[s.pinFF]] != s.stuck {
+	if s.pinFF >= 0 && row[s.pinD] != s.stuck {
 		s.next = append(s.next, ffWord{s.pinFF, s.stuck})
 	}
 	s.ffs, s.next = s.next, s.ffs
 }
 
-// set records that net q differs from the trace with faulty word w: the
-// combinational gates reading it are scheduled, and the flip-flops
+// set records that net q differs from the good row with faulty word w:
+// the combinational gates reading it are scheduled, and the flip-flops
 // reading it take w as their next faulty state.
 func (s *faulty) set(q int32, w uint64) {
-	tr := s.tr
+	l := s.l
 	s.cur[q] = w
-	for _, r := range tr.rd[tr.rdOff[q]:tr.rdOff[q+1]] {
+	for _, r := range l.Rd[l.RdOff[q]:l.RdOff[q+1]] {
 		if r >= 0 {
 			s.schedule(r)
-		} else if i := ^r; i != s.pinFF {
-			s.next = append(s.next, ffWord{i, w})
+		} else if ff := ^r; ff != s.pinFF {
+			s.next = append(s.next, ffWord{ff, w})
 		}
 	}
 }
@@ -344,9 +380,9 @@ func (s *faulty) propagate() {
 // of its fanin. AND/OR-type gates have at least two inputs.
 func (s *faulty) eval(q int32) uint64 {
 	cur := s.cur
-	ins := s.in[s.tr.inOff[q]:s.tr.inOff[q+1]]
+	ins := s.in[s.l.InOff[q]:s.l.InOff[q+1]]
 	var v uint64
-	switch op := s.tr.op[q]; op {
+	switch op := s.l.Op[q]; op {
 	case gates.OpBuf:
 		v = cur[ins[0]]
 	case gates.OpNot:

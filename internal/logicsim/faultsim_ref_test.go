@@ -61,16 +61,16 @@ func refFaultSim(t *testing.T, c *gates.Circuit, flist []fault.Fault, state []ui
 }
 
 // kernelFaultSim runs Trace.Simulate over every fault of flist at the
-// given worker count and returns what refFaultSim returns plus the
-// evaluation count.
-func kernelFaultSim(t *testing.T, c *gates.Circuit, flist []fault.Fault, state []uint64, vectors [][]uint64, obs logicsim.Observe, workers int) ([]int, []uint64, int64) {
+// given worker count, in blocks of per cycles (0: the default size), and
+// returns what refFaultSim returns plus the evaluation count.
+func kernelFaultSim(t *testing.T, c *gates.Circuit, flist []fault.Fault, state []uint64, vectors [][]uint64, obs logicsim.Observe, workers, per int) ([]int, []uint64, int64) {
 	t.Helper()
 	p, err := c.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cycles, diffs := make([]int, len(flist)), make([]uint64, len(flist))
-	evals, err := logicsim.NewTrace(p, state, vectors).Simulate(context.Background(), flist, nil, workers, obs,
+	evals, err := logicsim.NewTrace(p, state, vectors).WithBlockCycles(per).Simulate(context.Background(), flist, nil, workers, obs,
 		func(i, cycle int, diff uint64) { cycles[i], diffs[i] = cycle, diff })
 	if err != nil {
 		t.Fatal(err)
@@ -79,26 +79,32 @@ func kernelFaultSim(t *testing.T, c *gates.Circuit, flist []fault.Fault, state [
 }
 
 // checkFaultSim compares the kernel with the reference on one
-// configuration, at one and three workers.
+// configuration, at one and three workers, and in one block and in blocks
+// of three cycles, whose flip-flops carry from block to block.
 func checkFaultSim(t *testing.T, name string, c *gates.Circuit, flist []fault.Fault, state []uint64, vectors [][]uint64, obs logicsim.Observe) {
 	t.Helper()
 	wantCycle, wantDiff := refFaultSim(t, c, flist, state, vectors, obs)
-	gotCycle, gotDiff, evals := kernelFaultSim(t, c, flist, state, vectors, obs, 1)
+	gotCycle, gotDiff, evals := kernelFaultSim(t, c, flist, state, vectors, obs, 1, 0)
 	for i := range flist {
 		if gotCycle[i] != wantCycle[i] || gotDiff[i] != wantDiff[i] {
 			t.Fatalf("%s, fault %v: kernel detects at cycle %d lanes %#x, reference at cycle %d lanes %#x",
 				name, flist[i], gotCycle[i], gotDiff[i], wantCycle[i], wantDiff[i])
 		}
 	}
-	parCycle, parDiff, parEvals := kernelFaultSim(t, c, flist, state, vectors, obs, 3)
-	for i := range flist {
-		if parCycle[i] != gotCycle[i] || parDiff[i] != gotDiff[i] {
-			t.Fatalf("%s, fault %v: 3 workers give cycle %d lanes %#x, 1 worker cycle %d lanes %#x",
-				name, flist[i], parCycle[i], parDiff[i], gotCycle[i], gotDiff[i])
+	for _, run := range []struct {
+		what         string
+		workers, per int
+	}{{"3 workers", 3, 0}, {"3-cycle blocks", 1, 3}, {"3 workers, 3-cycle blocks", 3, 3}} {
+		cycle, diff, n := kernelFaultSim(t, c, flist, state, vectors, obs, run.workers, run.per)
+		for i := range flist {
+			if cycle[i] != gotCycle[i] || diff[i] != gotDiff[i] {
+				t.Fatalf("%s, fault %v: %s give cycle %d lanes %#x, 1 worker in one block cycle %d lanes %#x",
+					name, flist[i], run.what, cycle[i], diff[i], gotCycle[i], gotDiff[i])
+			}
 		}
-	}
-	if parEvals != evals {
-		t.Fatalf("%s: %d evaluations at 3 workers, %d at 1", name, parEvals, evals)
+		if n != evals {
+			t.Fatalf("%s: %d evaluations in %s, %d by 1 worker in one block", name, n, run.what, evals)
+		}
 	}
 }
 

@@ -67,9 +67,9 @@ func (s *Sim) State() []uint64 { return s.state }
 // words (one word per PI, in circuit input order) against the current DFF
 // state, and returns the primary-output words. The returned slice is a
 // per-Sim buffer, overwritten by the next Eval or Step call — callers
-// that keep outputs across calls must copy them (Run does). Steady-state
-// Eval performs no allocations; the fault-simulation inner loops depend
-// on that.
+// that keep outputs across calls must copy them. Steady-state Eval
+// performs no allocations; the fault simulator's good run depends on
+// that.
 func (s *Sim) Eval(pi []uint64) []uint64 {
 	p := s.p
 	if len(pi) != len(p.PIs) {
@@ -144,24 +144,6 @@ func (s *Sim) Step(pi []uint64) []uint64 {
 		s.state[i] = s.vals[s.p.In[s.p.InOff[id]]]
 	}
 	return po
-}
-
-// Run resets the simulator and applies a vector sequence, returning the
-// outputs of every cycle. vectors[t] holds one word per PI. The rows are
-// copies (they stay valid across later Eval/Step calls), carved from one
-// flat backing array so a whole golden run costs two allocations.
-func (s *Sim) Run(vectors [][]uint64) [][]uint64 {
-	s.Reset()
-	nPO := len(s.p.POs)
-	out := make([][]uint64, len(vectors))
-	flat := make([]uint64, len(vectors)*nPO)
-	for t, v := range vectors {
-		po := s.Step(v)
-		row := flat[t*nPO : (t+1)*nPO : (t+1)*nPO]
-		copy(row, po)
-		out[t] = row
-	}
-	return out
 }
 
 // WordFromValue returns the word carrying bit in all 64 pattern lanes:

@@ -282,8 +282,8 @@ func TestSimMatchesReference(t *testing.T) {
 				}
 			}
 			tr := logicsim.NewTrace(p, state, vectors)
-			for tt := range vectors {
-				for k, got := range tr.GoodOutputs(tt) {
+			for tt, good := range tr.GoodOutputs() {
+				for k, got := range good {
 					if got != want[tt][k] {
 						t.Fatalf("circuit %d, trace cycle %d, output %d: %#x, reference %#x", ci, tt, k, got, want[tt][k])
 					}
