@@ -72,7 +72,7 @@ func runPodem(t *testing.T, c *gates.Circuit, f fault.Fault, frames, backtrackLi
 // and checks good/faulty divergence.
 func vectorDetects(t *testing.T, c *gates.Circuit, f fault.Fault, assign [][]int8) bool {
 	t.Helper()
-	vec := vectorsFromAssignment(c, assign)
+	vec := vectorsFromAssignment(len(c.Inputs), assign)
 	detected := make([]bool, 1)
 	if _, err := logicsim.FaultSimIncrementalWorkers(c, []fault.Fault{f}, detected, nil, vec, 0, 0); err != nil {
 		t.Fatal(err)
@@ -470,7 +470,7 @@ func TestCount(t *testing.T) {
 
 func TestVectorsFromAssignment(t *testing.T) {
 	c, _, _, _ := andCircuit(t)
-	vec := vectorsFromAssignment(c, [][]int8{{v1, vX}, {v0, v1}})
+	vec := vectorsFromAssignment(len(c.Inputs), [][]int8{{v1, vX}, {v0, v1}})
 	if len(vec) != 2 || vec[0][0] != ^uint64(0) || vec[0][1] != 0 || vec[1][1] != ^uint64(0) {
 		t.Errorf("vectors wrong: %v", vec)
 	}

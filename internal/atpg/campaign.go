@@ -489,7 +489,7 @@ func searchFault(ctx context.Context, s *searcher, f fault.Fault, i int, cfg Con
 			if pr.Success {
 				out.success = true
 				out.frames = frames
-				out.vec = vectorsFromAssignment(s.p.C, pr.Vectors)
+				out.vec = vectorsFromAssignment(len(s.p.PIs), pr.Vectors)
 				return out
 			}
 			if !pr.Aborted {
@@ -565,10 +565,10 @@ func faultSim(p *gates.Program, flist []fault.Fault, detected []bool, vectors []
 
 // vectorsFromAssignment converts a PODEM PI assignment (per frame,
 // three-valued) into simulator vectors with don't-cares at 0.
-func vectorsFromAssignment(c *gates.Circuit, assign [][]int8) [][]uint64 {
+func vectorsFromAssignment(nPI int, assign [][]int8) [][]uint64 {
 	out := make([][]uint64, len(assign))
 	for t, row := range assign {
-		v := make([]uint64, len(c.Inputs))
+		v := make([]uint64, nPI)
 		for k, val := range row {
 			if val == v1 {
 				v[k] = ^uint64(0)

@@ -128,7 +128,8 @@ func eval2(op gates.Op, vals []uint8, ins []int32) uint8 {
 // searcher is one worker's PODEM state over a compiled program: the good
 // and faulty circuits over up to maxFrames time frames, frame 0 starting
 // from the all-zero reset state. It is sized once and reused by every
-// search the worker runs.
+// search the worker runs. Nets and gates are numbered by program
+// position.
 //
 // Implication is event-driven. Every search starts from a copy of the
 // fault-free circuit with every input X and schedules the faulted gate in
@@ -164,8 +165,8 @@ type searcher struct {
 	// faulted gate, inputs, flip-flops); npend counts them over all frames.
 	pend  [][]int32
 	npend int
-	// sched has a bit per position in p.Order, set for the current frame's
-	// scheduled gates; only its words lo..hi may be non-zero.
+	// sched has a bit per position, set for the current frame's scheduled
+	// gates; only its words lo..hi may be non-zero.
 	sched  []uint64
 	lo, hi int
 	// dnet[t] lists the nets of frame t carrying a fault effect, dpos[t*m+g]
@@ -232,8 +233,8 @@ func newSearcher(p *gates.Program, maxFrames int) *searcher {
 	}
 	for t := 0; t < maxFrames; t++ {
 		vals := s.val[t*m : (t+1)*m]
-		for _, id := range p.Order {
-			vals[id] = s.eval(t, vals, id, p.Fanin(id))
+		for q := int32(0); q < int32(len(p.Op)); q++ {
+			vals[q] = s.eval(t, vals, q, p.Fanin(q))
 		}
 	}
 	s.base = append([]uint8(nil), s.val...)
@@ -245,7 +246,7 @@ func newSearcher(p *gates.Program, maxFrames int) *searcher {
 func (s *searcher) reset(flt fault.Fault, frames int, rng *rand.Rand) {
 	p := s.p
 	s.frames, s.rng = frames, rng
-	s.fgate, s.fpin = int32(flt.Gate), int32(flt.Pin)
+	s.fgate, s.fpin = p.Pos[flt.Gate], int32(flt.Pin)
 	s.stuck, s.force = v0, badZero
 	if flt.Val {
 		s.stuck, s.force = v1, badOne
@@ -262,18 +263,18 @@ func (s *searcher) reset(flt fault.Fault, frames int, rng *rand.Rand) {
 	}
 	copy(s.val, s.base[:frames*s.m])
 	for t, l := range s.dnet {
-		for _, id := range l {
-			s.dpos[t*s.m+int(id)] = -1
+		for _, q := range l {
+			s.dpos[t*s.m+int(q)] = -1
 		}
 		s.dnet[t], s.poD[t] = l[:0], 0
 	}
 	// A search that ended between a decision and its implication leaves
 	// gates pending.
-	for t, ids := range s.pend {
-		for _, id := range ids {
-			s.queued[t*s.m+int(id)] = false
+	for t, qs := range s.pend {
+		for _, q := range qs {
+			s.queued[t*s.m+int(q)] = false
 		}
-		s.pend[t] = ids[:0]
+		s.pend[t] = qs[:0]
 	}
 	s.npend = 0
 	s.stack, s.trail = s.stack[:0], s.trail[:0]
@@ -289,26 +290,25 @@ func (s *searcher) setPI(t, k int, v int8) {
 	s.schedulePend(t, s.p.PIs[k])
 }
 
-func (s *searcher) schedulePend(t int, id int32) {
-	if i := t*s.m + int(id); !s.queued[i] {
+func (s *searcher) schedulePend(t int, q int32) {
+	if i := t*s.m + int(q); !s.queued[i] {
 		s.queued[i] = true
-		s.pend[t] = append(s.pend[t], id)
+		s.pend[t] = append(s.pend[t], q)
 		s.npend++
 	}
 }
 
-// schedule queues the gate at position pos of p.Order in the current
-// frame.
-func (s *searcher) schedule(pos int32) {
-	w := int(pos >> 6)
-	s.sched[w] |= 1 << (pos & 63)
+// schedule queues the gate at position q in the current frame.
+func (s *searcher) schedule(q int32) {
+	w := int(q >> 6)
+	s.sched[w] |= 1 << (q & 63)
 	s.lo, s.hi = min(s.lo, w), max(s.hi, w)
 }
 
 // simulate brings both circuits up to date with the current primary
 // input assignment. Whatever it re-evaluates, it charges the nominal
 // frames x gates of a full resimulation to implications. Within a frame
-// the scheduled gates are swept in p.Order, where every gate follows the
+// the scheduled gates are swept by position, where every gate follows the
 // gates it reads, so a gate only ever schedules gates after it. While a
 // decision is on the stack it logs every change to the trail.
 func (s *searcher) simulate() {
@@ -318,9 +318,9 @@ func (s *searcher) simulate() {
 	for t := 0; t < s.frames && s.npend > 0; t++ {
 		base := t * s.m
 		vals := s.val[base : base+s.m]
-		for _, id := range s.pend[t] {
-			s.queued[base+int(id)] = false
-			s.schedule(p.Pos[id])
+		for _, q := range s.pend[t] {
+			s.queued[base+int(q)] = false
+			s.schedule(q)
 		}
 		s.npend -= len(s.pend[t])
 		s.pend[t] = s.pend[t][:0]
@@ -329,30 +329,29 @@ func (s *searcher) simulate() {
 				b := bits.TrailingZeros64(s.sched[w])
 				s.sched[w] &^= 1 << b
 				q := int32(w<<6 | b)
-				id := p.Order[q]
 				s.evals++
 				var r uint8
-				if id != s.fgate {
-					r = s.eval(t, vals, id, p.Fanin(id))
+				if q != s.fgate {
+					r = s.eval(t, vals, q, p.Fanin(q))
 				} else {
-					r = s.evalFaulted(t, vals, id)
+					r = s.evalFaulted(t, vals, q)
 				}
-				old := vals[id]
+				old := vals[q]
 				if r == old {
 					continue
 				}
 				if wasD := isD(old); wasD != isD(r) {
-					s.toggleD(t, id, !wasD)
+					s.toggleD(t, q, !wasD)
 				}
 				if len(s.stack) > 0 {
-					s.trail = append(s.trail, change{id, int16(t), old})
+					s.trail = append(s.trail, change{q, int16(t), old})
 				}
-				vals[id] = r
-				for _, rd := range p.ByPos.Rd[p.ByPos.RdOff[q]:p.ByPos.RdOff[q+1]] {
+				vals[q] = r
+				for _, rd := range p.Readers(q) {
 					if rd >= 0 {
 						s.schedule(rd)
 					} else if t+1 < s.frames {
-						s.schedulePend(t+1, p.Order[^rd])
+						s.schedulePend(t+1, ^rd)
 					}
 				}
 			}
@@ -385,13 +384,13 @@ func (s *searcher) undo(mark int) {
 	}
 }
 
-// eval computes gate id of frame t, whose nets are vals, reading its
-// fanin through ins.
-func (s *searcher) eval(t int, vals []uint8, id int32, ins []int32) uint8 {
+// eval computes the gate at position q of frame t, whose nets are vals,
+// reading its fanin through ins.
+func (s *searcher) eval(t int, vals []uint8, q int32, ins []int32) uint8 {
 	p := s.p
-	switch op := p.Op[id]; op {
+	switch op := p.Op[q]; op {
 	case gates.OpInput:
-		return rail(s.pi[t][p.PIIx[id]])
+		return rail(s.pi[t][p.PIIx[q]])
 	case gates.OpDFF:
 		if t == 0 {
 			return zeros // reset state
@@ -405,27 +404,27 @@ func (s *searcher) eval(t int, vals []uint8, id int32, ins []int32) uint8 {
 
 // evalFaulted computes the faulted gate: the faulty lane of its output,
 // or of its faulted pin, is forced to the stuck value.
-func (s *searcher) evalFaulted(t int, vals []uint8, id int32) uint8 {
+func (s *searcher) evalFaulted(t int, vals []uint8, q int32) uint8 {
 	p := s.p
-	ins := p.Fanin(id)
+	ins := p.Fanin(q)
 	switch {
-	case s.fpin < 0, p.Op[id] == gates.OpDFF && t > 0:
-		return s.eval(t, vals, id, ins)&^badBit | s.force
-	case p.Op[id] == gates.OpDFF:
+	case s.fpin < 0, p.Op[q] == gates.OpDFF && t > 0:
+		return s.eval(t, vals, q, ins)&^badBit | s.force
+	case p.Op[q] == gates.OpDFF:
 		return zeros // the reset state ignores the D pin
 	}
 	vals[s.m-1] = vals[ins[s.fpin]]&^badBit | s.force
-	return s.eval(t, vals, id, s.fins)
+	return s.eval(t, vals, q, s.fins)
 }
 
-// toggleD adds net id of frame t to, or removes it from, the frame's
-// D list.
-func (s *searcher) toggleD(t int, id int32, on bool) {
-	i := t*s.m + int(id)
+// toggleD adds the net at position q of frame t to, or removes it from,
+// the frame's D list.
+func (s *searcher) toggleD(t int, q int32, on bool) {
+	i := t*s.m + int(q)
 	l := s.dnet[t]
 	if on {
 		s.dpos[i] = int32(len(l))
-		s.dnet[t] = append(l, id)
+		s.dnet[t] = append(l, q)
 	} else {
 		j, last := s.dpos[i], l[len(l)-1]
 		l[j] = last
@@ -433,7 +432,7 @@ func (s *searcher) toggleD(t int, id int32, on bool) {
 		s.dnet[t] = l[:len(l)-1]
 		s.dpos[i] = -1
 	}
-	if s.p.ObsDist[id] == 0 { // a primary output
+	if s.p.ObsDist[q] == 0 { // a primary output
 		if on {
 			s.poD[t]++
 		} else {
@@ -462,8 +461,8 @@ func (s *searcher) siteNet() int {
 	return int(s.p.Fanin(s.fgate)[s.fpin])
 }
 
-// goodAt returns the good value of net id in frame t.
-func (s *searcher) goodAt(t, id int) int8 { return good(s.val[t*s.m+id]) }
+// goodAt returns the good value of the net at position q in frame t.
+func (s *searcher) goodAt(t, q int) int8 { return good(s.val[t*s.m+q]) }
 
 // activated reports whether the fault is excited in some frame (the good
 // value at the fault site is the complement of the stuck value), and
@@ -484,20 +483,20 @@ func (s *searcher) activated() (bool, bool) {
 	return false, conflict
 }
 
-// frontier reports whether gate id is on the D-frontier of frame t: a
-// combinational gate with an X output (good or faulty) and a fault effect
-// on some input pin.
-func (s *searcher) frontier(t int, id int32) bool {
+// frontier reports whether the gate at position q is on the D-frontier of
+// frame t: a combinational gate with an X output (good or faulty) and a
+// fault effect on some input pin.
+func (s *searcher) frontier(t int, q int32) bool {
 	p := s.p
-	if p.Op[id].Source() {
+	if p.Op[q].Source() {
 		return false
 	}
 	vals := s.val[t*s.m : (t+1)*s.m]
-	if r := vals[id]; r&goodBit != 0 && r&badBit != 0 {
+	if r := vals[q]; r&goodBit != 0 && r&badBit != 0 {
 		return false
 	}
-	ins := p.Fanin(id)
-	if id == s.fgate && s.fpin >= 0 {
+	ins := p.Fanin(q)
+	if q == s.fgate && s.fpin >= 0 {
 		ins = s.fins // the faulted pin reads the stuck value
 	}
 	for _, in := range ins {
@@ -521,23 +520,25 @@ func (s *searcher) objective() (gate, frame int, val int8, ok bool) {
 	// closest to a primary output and set one of its X inputs to the
 	// non-controlling value. A frontier gate reads a D net of its frame or
 	// is the gate whose input pin is faulted, so only those are scanned.
-	// Ties go to the smallest (frame, levelized position), which makes the
-	// choice independent of the order the D lists happen to hold.
+	// Ties go to the smallest (frame, position), which makes the choice
+	// independent of the order the D lists happen to hold.
 	best, bestFrame := int32(-1), -1
 	bestDist := int32(1 << 30)
-	consider := func(t int, id int32) {
-		d := p.ObsDist[id]
-		if d > bestDist || d == bestDist && (t > bestFrame || t == bestFrame && p.Pos[id] >= p.Pos[best]) {
+	consider := func(t int, q int32) {
+		d := p.ObsDist[q]
+		if d > bestDist || d == bestDist && (t > bestFrame || t == bestFrame && q >= best) {
 			return
 		}
-		if s.frontier(t, id) {
-			best, bestFrame, bestDist = id, t, d
+		if s.frontier(t, q) {
+			best, bestFrame, bestDist = q, t, d
 		}
 	}
 	for t := 0; t < s.frames; t++ {
 		for _, net := range s.dnet[t] {
-			for _, r := range p.Fanout(net) {
-				consider(t, r)
+			for _, r := range p.Readers(net) {
+				if r >= 0 { // a flip-flop is never on the frontier
+					consider(t, r)
+				}
 			}
 		}
 		if s.fpin >= 0 {
@@ -594,11 +595,11 @@ func nonControlling(op gates.Op) (int8, bool) {
 // the frame-0 reset state or a constant).
 func (s *searcher) backtrace(gate, frame int, val int8) (pi, piFrame int, piVal int8, ok bool) {
 	p := s.p
-	id, t, v := int32(gate), frame, val
+	q, t, v := int32(gate), frame, val
 	for depth := 0; depth < len(p.Op)*s.frames+8; depth++ {
-		switch p.Op[id] {
+		switch p.Op[q] {
 		case gates.OpInput:
-			k := int(p.PIIx[id])
+			k := int(p.PIIx[q])
 			if s.pi[t][k] != vX {
 				return 0, 0, 0, false // already bound; path dead
 			}
@@ -609,7 +610,7 @@ func (s *searcher) backtrace(gate, frame int, val int8) (pi, piFrame int, piVal 
 			if t == 0 {
 				return 0, 0, 0, false // reset state is fixed
 			}
-			id, t = p.Fanin(id)[0], t-1
+			q, t = p.Fanin(q)[0], t-1
 			continue
 		case gates.OpNot, gates.OpNand, gates.OpNor, gates.OpXnor:
 			v = inv3(v)
@@ -617,7 +618,7 @@ func (s *searcher) backtrace(gate, frame int, val int8) (pi, piFrame int, piVal 
 		// Choose an X input to pursue; randomizing the choice across
 		// restarts diversifies the search.
 		xs := s.xs[:0]
-		for _, in := range p.Fanin(id) {
+		for _, in := range p.Fanin(q) {
 			if s.goodAt(t, int(in)) == vX {
 				xs = append(xs, in)
 			}
@@ -633,7 +634,7 @@ func (s *searcher) backtrace(gate, frame int, val int8) (pi, piFrame int, piVal 
 		// For XOR-like gates the required input value is unconstrained
 		// (other inputs may be known); any binary value can work. Keep v
 		// as the heuristic target.
-		id = next
+		q = next
 		if v == vX {
 			v = v0
 		}

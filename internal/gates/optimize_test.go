@@ -6,15 +6,21 @@ import (
 	"testing/quick"
 )
 
-// randCircuit builds a random combinational circuit over nIn inputs with
-// some constants mixed in, returning the builder-completed circuit.
-func randCircuit(seed int64, nIn, nGates int) *Circuit {
+// randCircuit builds a random circuit over nIn inputs and nFF flip-flops
+// with some constants mixed in, returning the builder-completed circuit.
+// Each flip-flop's D input is a random net; with nFF 0 the circuit is
+// combinational.
+func randCircuit(seed int64, nIn, nFF, nGates int) *Circuit {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder()
-	var nets []int
+	var nets, ffs []int
 	for i := 0; i < nIn; i++ {
 		nets = append(nets, b.Input(""))
 	}
+	for i := 0; i < nFF; i++ {
+		ffs = append(ffs, b.DFF(""))
+	}
+	nets = append(nets, ffs...)
 	nets = append(nets, b.Const(false), b.Const(true))
 	pick := func() int { return nets[rng.Intn(len(nets))] }
 	for i := 0; i < nGates; i++ {
@@ -39,6 +45,9 @@ func randCircuit(seed int64, nIn, nGates int) *Circuit {
 	}
 	for i := 0; i < 4; i++ {
 		b.Output("", pick())
+	}
+	for _, q := range ffs {
+		b.SetD(q, pick())
 	}
 	c, err := b.Done()
 	if err != nil {
@@ -102,7 +111,7 @@ func evalAll(c *Circuit, in []bool) []bool {
 // random constant-laden circuits.
 func TestOptimizePreservesFunction(t *testing.T) {
 	prop := func(seed int64) bool {
-		c := randCircuit(seed, 5, 30)
+		c := randCircuit(seed, 5, 0, 30)
 		opt, _, err := Optimize(c)
 		if err != nil {
 			return false

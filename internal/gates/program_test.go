@@ -1,13 +1,39 @@
 package gates
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// TestCompile checks the compiled arrays against the circuit they come
-// from: opcodes, fanin and fanout CSR, the Levelize order and its
-// inverse, index maps and observability distances.
+// renumber returns c with gate id i renamed perm[i], so that ids no longer
+// follow the order the gates were built in.
+func renumber(c *Circuit, perm []int) *Circuit {
+	ids := func(xs []int) []int {
+		out := make([]int, len(xs))
+		for i, x := range xs {
+			out[i] = perm[x]
+		}
+		return out
+	}
+	out := &Circuit{
+		Gates:       make([]*Gate, len(c.Gates)),
+		Inputs:      ids(c.Inputs),
+		Outputs:     ids(c.Outputs),
+		DFFs:        ids(c.DFFs),
+		OutputNames: c.OutputNames,
+	}
+	for _, g := range c.Gates {
+		out.Gates[perm[g.ID]] = &Gate{ID: perm[g.ID], Kind: g.Kind, In: ids(g.In), Name: g.Name}
+	}
+	return out
+}
+
+// TestCompile checks the one layout Compile builds, on seeded sequential
+// circuits whose gate ids are not in evaluation order: opcodes and fanin
+// by position, every combinational gate after its fanin, inputs and
+// flip-flops below Comb, the reader lists as the inverse of the fanin
+// lists, Pos against Levelize, and the index maps.
 func TestCompile(t *testing.T) {
 	// Compile converts kinds to opcodes by value.
 	ops := []Op{OpInput, OpConst0, OpConst1, OpBuf, OpNot, OpAnd, OpOr, OpNand, OpNor, OpXor, OpXnor, OpDFF}
@@ -17,6 +43,114 @@ func TestCompile(t *testing.T) {
 			t.Errorf("opcode %d does not match kind %v", ops[i], kinds[i])
 		}
 	}
+	for seed := int64(0); seed < 40; seed++ {
+		c := randCircuit(seed, 4, 3, 40)
+		c = renumber(c, rand.New(rand.NewSource(seed)).Perm(len(c.Gates)))
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.Compile()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		checkProgram(t, c, p)
+		if t.Failed() {
+			t.Fatalf("seed %d", seed)
+		}
+	}
+}
+
+// checkProgram checks p against the circuit it was compiled from.
+func checkProgram(t *testing.T, c *Circuit, p *Program) {
+	t.Helper()
+	n := len(c.Gates)
+	if len(p.Op) != n || len(p.Pos) != n {
+		t.Fatalf("%d opcodes and %d positions for %d gates", len(p.Op), len(p.Pos), n)
+	}
+	idAt := make([]int, n)
+	for i := range idAt {
+		idAt[i] = -1
+	}
+	for id, q := range p.Pos {
+		if idAt[q] >= 0 {
+			t.Fatalf("gates %d and %d share position %d", idAt[q], id, q)
+		}
+		idAt[q] = id
+	}
+	pos := func(ids []int) []int32 {
+		out := []int32{}
+		for _, id := range ids {
+			out = append(out, p.Pos[id])
+		}
+		return out
+	}
+	// Readers, by ascending id: a flip-flop complemented.
+	rd := make([][]int32, n)
+	for _, g := range c.Gates {
+		r := p.Pos[g.ID]
+		if g.Kind == KDFF {
+			r = ^r
+		}
+		for _, in := range g.In {
+			rd[p.Pos[in]] = append(rd[p.Pos[in]], r)
+		}
+	}
+	for q := int32(0); q < int32(n); q++ {
+		g := c.Gates[idAt[q]]
+		if Kind(p.Op[q]) != g.Kind {
+			t.Errorf("position %d: opcode %d, kind %v", q, p.Op[q], g.Kind)
+		}
+		if got, want := append([]int32{}, p.Fanin(q)...), pos(g.In); !reflect.DeepEqual(got, want) {
+			t.Errorf("position %d: fanin %v, want %v", q, got, want)
+		}
+		if loaded := g.Kind == KInput || g.Kind == KDFF; loaded != (int(q) < p.Comb) {
+			t.Errorf("position %d (%v) on the wrong side of Comb %d", q, g.Kind, p.Comb)
+		}
+		if int(q) >= p.Comb {
+			for _, in := range p.Fanin(q) {
+				if in >= q {
+					t.Errorf("position %d reads position %d", q, in)
+				}
+			}
+		}
+		if got, want := append([]int32{}, p.Readers(q)...), append([]int32{}, rd[q]...); !reflect.DeepEqual(got, want) {
+			t.Errorf("position %d: readers %v, want %v", q, got, want)
+		}
+	}
+	// The positions list the Levelize order, inputs and flip-flops first.
+	order, err := c.Levelize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loaded, rest []int
+	for _, id := range order {
+		if k := c.Gates[id].Kind; k == KInput || k == KDFF {
+			loaded = append(loaded, id)
+		} else {
+			rest = append(rest, id)
+		}
+	}
+	if want := append(loaded, rest...); !reflect.DeepEqual(idAt, want) {
+		t.Errorf("positions hold %v, want the partitioned Levelize order %v", idAt, want)
+	}
+	if !reflect.DeepEqual(p.PIs, pos(c.Inputs)) || !reflect.DeepEqual(p.DFFs, pos(c.DFFs)) || !reflect.DeepEqual(p.POs, pos(c.Outputs)) {
+		t.Errorf("PIs %v, DFFs %v, POs %v disagree with the circuit", p.PIs, p.DFFs, p.POs)
+	}
+	pix := make([]int32, n)
+	for q := range pix {
+		pix[q] = -1
+	}
+	for k, q := range p.PIs {
+		pix[q] = int32(k)
+	}
+	if !reflect.DeepEqual(p.PIIx, pix) {
+		t.Errorf("PIIx %v, want %v", p.PIIx, pix)
+	}
+}
+
+// TestCompileObsDist checks the observability distances on a small
+// sequential circuit.
+func TestCompileObsDist(t *testing.T) {
 	b := NewBuilder()
 	x := b.Input("x")
 	y := b.Input("y")
@@ -35,60 +169,12 @@ func TestCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range c.Gates {
-		if Kind(p.Op[g.ID]) != g.Kind {
-			t.Errorf("gate %d: opcode %d, kind %v", g.ID, p.Op[g.ID], g.Kind)
-		}
-		in := []int32{}
-		for _, i := range g.In {
-			in = append(in, int32(i))
-		}
-		if got := append([]int32{}, p.Fanin(int32(g.ID))...); !reflect.DeepEqual(got, in) {
-			t.Errorf("gate %d: fanin %v, want %v", g.ID, got, in)
-		}
-	}
-	if got, want := p.Fanout(int32(x)), []int32{int32(a), int32(dead)}; !reflect.DeepEqual(got, want) {
-		t.Errorf("fanout of x = %v, want %v", got, want)
-	}
-	order, _ := c.Levelize()
-	for i, id := range order {
-		if p.Order[i] != int32(id) || p.Pos[id] != int32(i) {
-			t.Fatalf("Order/Pos disagree with Levelize at %d", i)
-		}
-	}
-	// ByPos is the same program renumbered by position, flip-flop readers
-	// complemented.
-	l := p.ByPos
-	for qp, id := range p.Order {
-		if l.Op[qp] != p.Op[id] {
-			t.Errorf("position %d: opcode %d, want %d", qp, l.Op[qp], p.Op[id])
-		}
-		var in, rd []int32
-		for _, x := range p.Fanin(id) {
-			in = append(in, p.Pos[x])
-		}
-		for _, r := range p.Fanout(id) {
-			if p.Op[r] == OpDFF {
-				rd = append(rd, ^p.Pos[r])
-			} else {
-				rd = append(rd, p.Pos[r])
-			}
-		}
-		if got := l.In[l.InOff[qp]:l.InOff[qp+1]]; len(got) != len(in) || len(in) > 0 && !reflect.DeepEqual(got, in) {
-			t.Errorf("position %d: fanin %v, want %v", qp, got, in)
-		}
-		if got := l.Rd[l.RdOff[qp]:l.RdOff[qp+1]]; len(got) != len(rd) || len(rd) > 0 && !reflect.DeepEqual(got, rd) {
-			t.Errorf("position %d: readers %v, want %v", qp, got, rd)
-		}
-	}
-	if p.PIIx[x] != 0 || p.PIIx[y] != 1 || p.PIIx[q] != -1 {
-		t.Errorf("PIIx = %v", p.PIIx)
-	}
+	checkProgram(t, c, p)
 	// o is the output; a and y feed it; q feeds a; n feeds q's D pin.
 	wantDist := map[int]int32{o: 0, a: 1, y: 1, q: 2, x: 2, n: 3, dead: 1 << 29}
 	for id, d := range wantDist {
-		if p.ObsDist[id] != d {
-			t.Errorf("gate %d: ObsDist %d, want %d", id, p.ObsDist[id], d)
+		if got := p.ObsDist[p.Pos[id]]; got != d {
+			t.Errorf("gate %d: ObsDist %d, want %d", id, got, d)
 		}
 	}
 }

@@ -24,8 +24,8 @@ func goodBlock(tr *Trace) *block {
 // outputs returns the primary-output words of row.
 func outputs(tr *Trace, row []uint64) []uint64 {
 	out := make([]uint64, len(tr.p.POs))
-	for k, id := range tr.p.POs {
-		out[k] = row[tr.p.Pos[id]]
+	for k, q := range tr.p.POs {
+		out[k] = row[q]
 	}
 	return out
 }

@@ -21,10 +21,10 @@ import (
 // gates that read a changed net. Only the flip-flop bits that differ carry
 // into the next cycle, and into the next block.
 //
-// The kernel numbers nets by their position in the program's Order and
-// sweeps the program's ByPos layout, so a forward sweep over positions is
-// an evaluation order and the rows, the fanin and reader lists and the
-// scratch arrays are all laid out in the order the sweep touches them.
+// Nets are numbered by program position, so a forward sweep over
+// positions is an evaluation order and the rows, the fanin and reader
+// lists and the scratch arrays are all laid out in the order the sweep
+// touches them.
 
 // traceWords bounds the good rows a simulation holds, in words (8 MiB): a
 // vector sequence longer than fits runs in blocks of as many cycles as
@@ -72,17 +72,15 @@ func newBlock(p *gates.Program, cycles int) *block {
 	return &block{rows: make([]uint64, cycles*stride), stride: stride}
 }
 
-// fill runs the good machine sim over vectors, the cycles from t0 on.
+// fill runs the good machine sim over vectors, the cycles from t0 on,
+// straight into the rows.
 func (b *block) fill(sim *Sim, t0 int, vectors [][]uint64) {
-	order := sim.p.Order
 	b.t0, b.cycles = t0, len(vectors)
 	for t, v := range vectors {
-		sim.Step(v)
 		row := b.row(t)
-		for q, id := range order {
-			row[q] = sim.vals[id]
-		}
-		row[len(order)+1] = ^uint64(0)
+		sim.evalInto(row, v)
+		sim.clock(row)
+		row[b.stride-1] = ^uint64(0)
 	}
 }
 
@@ -125,15 +123,11 @@ func (tr *Trace) Simulate(ctx context.Context, flist []fault.Fault, skip []bool,
 	if mask == 0 {
 		mask = ^uint64(0)
 	}
-	pos := make([]int32, len(p.POs))
-	for k, id := range p.POs {
-		pos[k] = p.Pos[id]
-	}
+	pos := p.POs
 	if obs.POs != nil {
-		all := pos
 		pos = make([]int32, len(obs.POs))
 		for j, k := range obs.POs {
-			pos[j] = all[k]
+			pos[j] = p.POs[k]
 		}
 	}
 	total := len(tr.vectors)
@@ -154,7 +148,7 @@ func (tr *Trace) Simulate(ctx context.Context, flist []fault.Fault, skip []bool,
 			return evals.Load(), err
 		}
 		b.fill(sim, t0, tr.vectors[t0:min(t0+per, total)])
-		evals.Add(int64(len(sim.gates)) * int64(b.cycles))
+		evals.Add(int64(len(p.Op)-p.Comb) * int64(b.cycles))
 		last := t0+per >= total
 		// A session compares the final cycle only.
 		from := 0
@@ -196,14 +190,13 @@ func (tr *Trace) Simulate(ctx context.Context, flist []fault.Fault, skip []bool,
 	}
 }
 
-// faulty is one worker's faulty-machine scratch. Nets are numbered by
-// position, as in the good rows.
+// faulty is one worker's faulty-machine scratch. It keeps the program's
+// slices the hot loop reads in its own fields.
 type faulty struct {
-	l   *gates.Layout
-	pos []int32
-	// in is the layout's fanin array with a pin fault's slot redirected to
-	// a constant net.
-	in []int32
+	p *gates.Program
+	// code reads a pin fault's redirected slot from a constant net.
+	code      gateCode
+	rdOff, rd []int32
 	// cur holds every net of the faulty machine this cycle: the good row,
 	// overwritten where the faulty machine differs. In a quiet cycle, one
 	// with no divergent flip-flop and no active fault site, the faulty
@@ -235,9 +228,10 @@ type ffWord struct {
 func newFaulty(p *gates.Program) *faulty {
 	n := len(p.Op)
 	s := &faulty{
-		l:     &p.ByPos,
-		pos:   p.Pos,
-		in:    append([]int32(nil), p.ByPos.In...),
+		p:     p,
+		code:  gateCode{p.Op, p.InOff, append([]int32(nil), p.In...)},
+		rdOff: p.RdOff,
+		rd:    p.Rd,
 		cur:   make([]uint64, n+2),
 		queue: make([]uint64, (n+63)/64),
 		hi:    -1,
@@ -277,21 +271,21 @@ func (s *faulty) run(f *fault.Fault, b *block, ffs []ffWord, pos []int32, mask u
 // a pin fault on a flip-flop forces its next state; a pin fault on a gate
 // redirects the pin to a constant net and evaluates the gate every cycle.
 func (s *faulty) inject(f *fault.Fault) int32 {
-	l := s.l
+	p := s.p
 	s.force, s.pinFF, s.pinD, s.gate = -1, -1, -1, -1
 	s.stuck = 0
 	if f.Val {
 		s.stuck = ^uint64(0)
 	}
 	s.ffs = s.ffs[:0]
-	switch q := s.pos[f.Gate]; {
+	switch q := p.Pos[f.Gate]; {
 	case f.Pin < 0:
 		s.force = q
-	case l.Op[q] == gates.OpDFF:
-		s.pinFF, s.pinD = q, l.In[l.InOff[q]]
+	case p.Op[q] == gates.OpDFF:
+		s.pinFF, s.pinD = q, p.In[p.InOff[q]]
 	default:
-		slot := l.InOff[q] + int32(f.Pin)
-		s.gate, s.in[slot] = q, int32(len(l.Op))+int32(s.stuck&1)
+		slot := p.InOff[q] + int32(f.Pin)
+		s.gate, s.code.in[slot] = q, int32(len(p.Op))+int32(s.stuck&1)
 		return slot
 	}
 	return -1
@@ -300,7 +294,7 @@ func (s *faulty) inject(f *fault.Fault) int32 {
 // eject restores the fanin slot inject redirected.
 func (s *faulty) eject(slot int32) {
 	if slot >= 0 {
-		s.in[slot] = s.l.In[slot]
+		s.code.in[slot] = s.p.In[slot]
 	}
 }
 
@@ -336,9 +330,8 @@ func (s *faulty) step(row []uint64) {
 // the combinational gates reading it are scheduled, and the flip-flops
 // reading it take w as their next faulty state.
 func (s *faulty) set(q int32, w uint64) {
-	l := s.l
 	s.cur[q] = w
-	for _, r := range l.Rd[l.RdOff[q]:l.RdOff[q+1]] {
+	for _, r := range s.rd[s.rdOff[q]:s.rdOff[q+1]] {
 		if r >= 0 {
 			s.schedule(r)
 		} else if ff := ^r; ff != s.pinFF {
@@ -368,47 +361,14 @@ func (s *faulty) propagate() {
 				continue
 			}
 			s.evals++
-			if v := s.eval(q); v != s.cur[q] {
+			old := s.cur[q]
+			s.code.evalRange(s.cur, int(q), int(q)+1)
+			if v := s.cur[q]; v != old {
 				s.set(q, v)
 			}
 		}
 	}
 	s.lo, s.hi = len(s.queue), -1
-}
-
-// eval computes the combinational gate at position q from the faulty words
-// of its fanin. AND/OR-type gates have at least two inputs.
-func (s *faulty) eval(q int32) uint64 {
-	cur := s.cur
-	ins := s.in[s.l.InOff[q]:s.l.InOff[q+1]]
-	var v uint64
-	switch op := s.l.Op[q]; op {
-	case gates.OpBuf:
-		v = cur[ins[0]]
-	case gates.OpNot:
-		v = ^cur[ins[0]]
-	case gates.OpAnd, gates.OpNand:
-		v = cur[ins[0]]
-		for _, x := range ins[1:] {
-			v &= cur[x]
-		}
-		if op == gates.OpNand {
-			v = ^v
-		}
-	case gates.OpOr, gates.OpNor:
-		v = cur[ins[0]]
-		for _, x := range ins[1:] {
-			v |= cur[x]
-		}
-		if op == gates.OpNor {
-			v = ^v
-		}
-	case gates.OpXor:
-		v = cur[ins[0]] ^ cur[ins[1]]
-	case gates.OpXnor:
-		v = ^(cur[ins[0]] ^ cur[ins[1]])
-	}
-	return v
 }
 
 // FaultSimIncrementalWorkers runs serial-fault, parallel-pattern stuck-at

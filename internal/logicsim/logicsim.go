@@ -15,38 +15,22 @@ import (
 // number of Sims may share one Program. Faulty machines are simulated
 // against a Trace of a Sim's run (faultsim.go).
 type Sim struct {
-	p *gates.Program
-	// gates lists the computed gates (everything but inputs and
-	// flip-flops) in the program's Order.
-	gates []instr
-	vals  []uint64 // per net
+	p     *gates.Program
+	code  gateCode
+	vals  []uint64 // per position
 	state []uint64 // per DFF index
 	po    []uint64 // Eval output buffer, reused across calls
 }
 
-// instr is one computed gate: its opcode, output net and fanin slots
-// in[lo:hi].
-type instr struct {
-	op     gates.Op
-	out    int32
-	lo, hi int32
-}
-
 // New prepares a fault-free simulator for the program.
 func New(p *gates.Program) *Sim {
-	n := len(p.Op)
-	s := &Sim{
+	return &Sim{
 		p:     p,
-		vals:  make([]uint64, n),
+		code:  gateCode{p.Op, p.InOff, p.In},
+		vals:  make([]uint64, len(p.Op)),
 		state: make([]uint64, len(p.DFFs)),
 		po:    make([]uint64, len(p.POs)),
 	}
-	for _, id := range p.Order {
-		if op := p.Op[id]; op != gates.OpInput && op != gates.OpDFF {
-			s.gates = append(s.gates, instr{op, id, p.InOff[id], p.InOff[id+1]})
-		}
-	}
-	return s
 }
 
 // Reset zeroes all flip-flops.
@@ -59,10 +43,6 @@ func (s *Sim) SetState(vals []uint64) {
 	copy(s.state, vals)
 }
 
-// State returns the current DFF contents (by declaration order). The
-// caller must not modify the returned slice.
-func (s *Sim) State() []uint64 { return s.state }
-
 // Eval evaluates the combinational logic for the given primary-input
 // words (one word per PI, in circuit input order) against the current DFF
 // state, and returns the primary-output words. The returned slice is a
@@ -71,68 +51,11 @@ func (s *Sim) State() []uint64 { return s.state }
 // performs no allocations; the fault simulator's good run depends on
 // that.
 func (s *Sim) Eval(pi []uint64) []uint64 {
-	p := s.p
-	if len(pi) != len(p.PIs) {
-		panic(fmt.Sprintf("logicsim: %d input words for %d PIs", len(pi), len(p.PIs)))
-	}
-	for i, id := range p.PIs {
-		s.vals[id] = pi[i]
-	}
-	for i, id := range p.DFFs {
-		s.vals[id] = s.state[i]
-	}
-	s.run(s.gates)
-	for i, id := range p.POs {
-		s.po[i] = s.vals[id]
+	s.evalInto(s.vals, pi)
+	for i, q := range s.p.POs {
+		s.po[i] = s.vals[q]
 	}
 	return s.po
-}
-
-// run evaluates gs in sequence. AND/OR-type gates have at least two
-// inputs.
-func (s *Sim) run(gs []instr) {
-	vals, in := s.vals, s.p.In
-	for _, g := range gs {
-		ins := in[g.lo:g.hi]
-		var v uint64
-		switch g.op {
-		case gates.OpConst0:
-			v = 0
-		case gates.OpConst1:
-			v = ^uint64(0)
-		case gates.OpBuf:
-			v = vals[ins[0]]
-		case gates.OpNot:
-			v = ^vals[ins[0]]
-		case gates.OpAnd:
-			v = vals[ins[0]] & vals[ins[1]]
-			for _, x := range ins[2:] {
-				v &= vals[x]
-			}
-		case gates.OpNand:
-			v = vals[ins[0]] & vals[ins[1]]
-			for _, x := range ins[2:] {
-				v &= vals[x]
-			}
-			v = ^v
-		case gates.OpOr:
-			v = vals[ins[0]] | vals[ins[1]]
-			for _, x := range ins[2:] {
-				v |= vals[x]
-			}
-		case gates.OpNor:
-			v = vals[ins[0]] | vals[ins[1]]
-			for _, x := range ins[2:] {
-				v |= vals[x]
-			}
-			v = ^v
-		case gates.OpXor:
-			v = vals[ins[0]] ^ vals[ins[1]]
-		case gates.OpXnor:
-			v = ^(vals[ins[0]] ^ vals[ins[1]])
-		}
-		vals[g.out] = v
-	}
 }
 
 // Step evaluates the combinational logic and then clocks every DFF,
@@ -140,10 +63,91 @@ func (s *Sim) run(gs []instr) {
 // Eval, the returned slice is the Sim's reused output buffer.
 func (s *Sim) Step(pi []uint64) []uint64 {
 	po := s.Eval(pi)
-	for i, id := range s.p.DFFs {
-		s.state[i] = s.vals[s.p.In[s.p.InOff[id]]]
-	}
+	s.clock(s.vals)
 	return po
+}
+
+// evalInto evaluates every net of the cycle with inputs pi into vals, by
+// position.
+func (s *Sim) evalInto(vals, pi []uint64) {
+	p := s.p
+	if len(pi) != len(p.PIs) {
+		panic(fmt.Sprintf("logicsim: %d input words for %d PIs", len(pi), len(p.PIs)))
+	}
+	for i, q := range p.PIs {
+		vals[q] = pi[i]
+	}
+	for i, q := range p.DFFs {
+		vals[q] = s.state[i]
+	}
+	s.code.evalRange(vals, p.Comb, len(p.Op))
+}
+
+// clock loads every DFF from its D net in vals.
+func (s *Sim) clock(vals []uint64) {
+	for i, q := range s.p.DFFs {
+		s.state[i] = vals[s.p.In[s.p.InOff[q]]]
+	}
+}
+
+// gateCode is what the gate evaluator reads of a program: the opcodes
+// and the fanin lists, by position. The fault simulator's copy redirects
+// a faulted pin. evalRange takes it by pointer so that its operands fit
+// in registers: passed as three slices, they made the fault simulator's
+// per-gate call measurably slower.
+type gateCode struct {
+	op        []gates.Op
+	inOff, in []int32
+}
+
+// evalRange evaluates the combinational gates at positions lo..hi-1 over
+// vals, reading the fanin of position q through in[inOff[q]:inOff[q+1]].
+// It is the one 64-lane gate evaluator: the good machine sweeps a whole
+// cycle with it and the fault simulator one divergent gate at a time.
+// AND/OR-type gates have at least two inputs.
+func (c *gateCode) evalRange(vals []uint64, lo, hi int) {
+	op, inOff, in := c.op, c.inOff, c.in
+	for q := lo; q < hi; q++ {
+		a, b := inOff[q], inOff[q+1]
+		var v uint64
+		switch op[q] {
+		case gates.OpConst0:
+			v = 0
+		case gates.OpConst1:
+			v = ^uint64(0)
+		case gates.OpBuf:
+			v = vals[in[a]]
+		case gates.OpNot:
+			v = ^vals[in[a]]
+		case gates.OpAnd:
+			v = vals[in[a]] & vals[in[a+1]]
+			for k := a + 2; k < b; k++ {
+				v &= vals[in[k]]
+			}
+		case gates.OpNand:
+			v = vals[in[a]] & vals[in[a+1]]
+			for k := a + 2; k < b; k++ {
+				v &= vals[in[k]]
+			}
+			v = ^v
+		case gates.OpOr:
+			v = vals[in[a]] | vals[in[a+1]]
+			for k := a + 2; k < b; k++ {
+				v |= vals[in[k]]
+			}
+		case gates.OpNor:
+			v = vals[in[a]] | vals[in[a+1]]
+			for k := a + 2; k < b; k++ {
+				v |= vals[in[k]]
+			}
+			v = ^v
+		case gates.OpXor:
+			v = vals[in[a]] ^ vals[in[a+1]]
+		case gates.OpXnor:
+			v = ^(vals[in[a]] ^ vals[in[a+1]])
+		}
+		vals[q] = v
+	}
 }
 
 // WordFromValue returns the word carrying bit in all 64 pattern lanes:
