@@ -241,9 +241,7 @@ func DefaultATPGConfig(seed int64) ATPGConfig { return atpg.DefaultConfig(seed) 
 // the campaign returns its best-so-far coverage with
 // Status == StatusPartial, unresolved faults counted as skipped.
 func TestDesignCtx(ctx context.Context, n *Netlist, cfg ATPGConfig) (*ATPGResult, error) {
-	if cfg.MaxFrames < 2*(n.Steps+1) {
-		cfg.MaxFrames = 2 * (n.Steps + 1)
-	}
+	cfg.MaxFrames = n.ATPGFrames(cfg.MaxFrames)
 	return atpg.RunCtx(ctx, n.C, cfg)
 }
 

@@ -313,29 +313,6 @@ func TestMoreRandomBatchesNeverHurtCoverage(t *testing.T) {
 	}
 }
 
-func TestFrameEscalation(t *testing.T) {
-	if got := frameEscalation(8); len(got) != 3 || got[0] != 2 || got[2] != 8 {
-		t.Errorf("frameEscalation(8) = %v", got)
-	}
-	if got := frameEscalation(2); len(got) != 1 || got[0] != 2 {
-		t.Errorf("frameEscalation(2) = %v", got)
-	}
-	if got := frameEscalation(1); len(got) != 1 || got[0] != 1 {
-		t.Errorf("frameEscalation(1) = %v", got)
-	}
-	if got := frameEscalation(4); len(got) != 2 || got[1] != 4 {
-		t.Errorf("frameEscalation(4) = %v", got)
-	}
-	// Below the clamp boundary no frame count may be scheduled at all:
-	// widening past the configured cap is exactly the bug RunCtx's clamp
-	// guards against.
-	for _, mf := range []int{0, -1} {
-		if got := frameEscalation(mf); len(got) != 0 {
-			t.Errorf("frameEscalation(%d) = %v, want empty", mf, got)
-		}
-	}
-}
-
 // TestMaxFramesClampRegression pins the MaxFrames validation: a campaign
 // configured with MaxFrames 0 must behave exactly like MaxFrames 1 (one
 // single-frame PODEM window), not silently run a wider window.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -29,15 +28,16 @@ type Config struct {
 	RandomBatches int
 	// SeqLen is the length (clock cycles) of each random sequence.
 	SeqLen int
-	// MaxFrames bounds the time-frame expansion of the deterministic
-	// phase; it should exceed the design's sequential depth. Values below
-	// 1 are clamped to 1 by RunCtx.
+	// MaxFrames is the time-frame window the deterministic phase searches
+	// on a sequential circuit; it should exceed the design's sequential
+	// depth. Values below 1 are clamped to 1 by RunCtx. A combinational
+	// circuit is always searched in one frame.
 	MaxFrames int
-	// BacktrackLimit bounds PODEM's search per fault, frame count and
-	// restart.
+	// BacktrackLimit bounds each PODEM attempt: the deterministic one and
+	// every restart of a fault.
 	BacktrackLimit int
 	// Restarts is the number of randomized PODEM restarts tried per fault
-	// and frame count after the deterministic attempt.
+	// after the deterministic attempt.
 	Restarts int
 	// Workers bounds the goroutines used by the fault-simulation and
 	// deterministic PODEM phases (0 = one per CPU, 1 = sequential). The
@@ -105,8 +105,8 @@ const (
 	// time-frame window of a sequential circuit. The frame budget ran out;
 	// a longer window might still find a test. Not a proof.
 	OutcomeFrameLimited
-	// OutcomeBacktrackLimited: the backtrack budget ran out at every frame
-	// window and restart. Testability unknown.
+	// OutcomeBacktrackLimited: the backtrack budget ran out in the
+	// deterministic attempt and every restart. Testability unknown.
 	OutcomeBacktrackLimited
 	// OutcomeSkipped: the deadline expired before this fault's search
 	// committed.
@@ -224,8 +224,8 @@ func (r *Result) String() string {
 // a budget, not a failure.
 func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) {
 	if cfg.MaxFrames < 1 {
-		// A frame window below 1 is meaningless; clamping here keeps
-		// frameEscalation from widening the window past the configured cap.
+		// A frame window below 1 is meaningless; a campaign asked for one
+		// searches a single frame.
 		cfg.MaxFrames = 1
 	}
 	flist := fault.Sample(fault.Collapse(c), cfg.SampleFaults)
@@ -280,10 +280,12 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 		cfg.testHookAfterRandom()
 	}
 
-	// Deterministic phase: per fault, escalate the time-frame window; at
-	// each window run one deterministic PODEM attempt followed by
-	// randomized restarts (randomized backtrace choices escape the
-	// unproductive regions a fixed heuristic can wedge into).
+	// Deterministic phase: per fault, one deterministic PODEM attempt
+	// followed by randomized restarts (randomized backtrace choices escape
+	// the unproductive regions a fixed heuristic can wedge into), all in
+	// one time-frame window: cfg.MaxFrames on a sequential circuit, one
+	// frame on a combinational one, where every frame repeats the same
+	// logic.
 	//
 	// The per-fault searches are independent — each restart RNG is seeded
 	// from (Seed, fault index) — so they are speculated on cfg.Workers
@@ -299,11 +301,14 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 	// other fault is still processed.
 	var detImpl, detEvals int64
 	if exhausted == "" {
-		// Searchers are sized for the widest window and reused across
-		// faults; one abandoned by a panic is dropped, never put back.
-		searchers := sync.Pool{New: func() any { return newSearcher(p, cfg.MaxFrames) }}
 		comb := len(c.DFFs) == 0
-		frameSchedule := frameEscalation(cfg.MaxFrames)
+		frames := cfg.MaxFrames
+		if comb {
+			frames = 1
+		}
+		// Searchers are sized for the window and reused across faults; one
+		// abandoned by a panic is dropped, never put back.
+		searchers := sync.Pool{New: func() any { return newSearcher(p, frames) }}
 		var undet []int
 		for i := range flist {
 			if !detected[i] {
@@ -323,7 +328,7 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 				}
 				o, perr := exec.Guard1("atpg.podem", i, func() (detOutcome, error) {
 					s := searchers.Get().(*searcher)
-					o := searchFault(ctx, s, flist[i], i, cfg, frameSchedule, comb)
+					o := searchFault(ctx, s, flist[i], i, cfg, frames, comb)
 					searchers.Put(s)
 					return o, nil
 				})
@@ -368,7 +373,7 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 					detected[i] = true
 					res.DetDetected++
 					res.Outcomes[i] = OutcomeDetectedPodem
-					res.TestCycles += o.frames
+					res.TestCycles += frames
 					// Fault-simulate the generated test against the remaining
 					// faults (test-set reuse / fault dropping).
 					res.TestSet = append(res.TestSet, extractLane(o.vec, 0))
@@ -434,23 +439,23 @@ type detOutcome struct {
 	impl         int64
 	evals        int64
 	success      bool
-	frames       int
 	vec          [][]uint64
 	untestable   bool
 	frameLimited bool
-	aborted      bool
 	cut          bool // deadline expired mid-search
 	panicked     *exec.ExecError
 	err          error
 }
 
-// searchFault runs the complete frame-escalation/restart PODEM search for
-// one fault on the worker's searcher. It depends only on (circuit, f, i,
-// cfg), never on the state of other faults or on what the searcher ran
-// before, so it can run speculatively on any worker. The context is
-// checked at each restart boundary; a mid-search cancellation returns a
-// cut outcome rather than a half-trusted classification.
-func searchFault(ctx context.Context, s *searcher, f fault.Fault, i int, cfg Config, frameSchedule []int, comb bool) detOutcome {
+// searchFault runs the complete PODEM search for one fault in a window
+// of the given number of frames: the deterministic attempt, then up to
+// cfg.Restarts randomized ones, until one generates a test or exhausts
+// the decision tree. It depends only on (circuit, f, i, cfg, frames),
+// never on the state of other faults or on what the searcher ran before,
+// so it can run speculatively on any worker. The context is checked at
+// each restart boundary; a mid-search cancellation returns a cut outcome
+// rather than a half-trusted classification.
+func searchFault(ctx context.Context, s *searcher, f fault.Fault, i int, cfg Config, frames int, comb bool) detOutcome {
 	var out detOutcome
 	if cfg.testHookSearch != nil {
 		cfg.testHookSearch(i)
@@ -462,57 +467,46 @@ func searchFault(ctx context.Context, s *searcher, f fault.Fault, i int, cfg Con
 		out.err = err
 		return out
 	}
-	for _, frames := range frameSchedule {
-		for restart := 0; restart <= cfg.Restarts; restart++ {
-			// The budget chaos site simulates the search budget expiring at a
-			// restart boundary, riding the same cut path as a real deadline.
-			if ctx.Err() != nil || chaos.Step(chaos.SiteATPGBudget) != nil {
-				out.cut = true
+	for restart := 0; restart <= cfg.Restarts; restart++ {
+		// The budget chaos site simulates the search budget expiring at a
+		// restart boundary, riding the same cut path as a real deadline.
+		if ctx.Err() != nil || chaos.Step(chaos.SiteATPGBudget) != nil {
+			out.cut = true
+			return out
+		}
+		var rng2 *rand.Rand
+		if restart > 0 {
+			rng2 = rand.New(rand.NewSource(cfg.Seed + int64(i)*1009 + int64(restart)))
+		}
+		var pr *podemResult
+		if cfg.testHookPodem != nil {
+			var err error
+			if pr, err = cfg.testHookPodem(f, frames, cfg.BacktrackLimit, rng2); err != nil {
+				out.err = err
 				return out
 			}
-			var rng2 *rand.Rand
-			if restart > 0 {
-				rng2 = rand.New(rand.NewSource(cfg.Seed + int64(i)*1009 + int64(restart)))
-			}
-			var pr *podemResult
-			if cfg.testHookPodem != nil {
-				var err error
-				if pr, err = cfg.testHookPodem(f, frames, cfg.BacktrackLimit, rng2); err != nil {
-					out.err = err
-					return out
-				}
-			} else {
-				pr = s.podem(f, frames, cfg.BacktrackLimit, rng2)
-			}
-			out.impl += pr.Implications
-			out.evals += pr.GateEvals
-			if pr.Success {
-				out.success = true
-				out.frames = frames
-				out.vec = vectorsFromAssignment(len(s.p.PIs), pr.Vectors)
-				return out
-			}
-			if !pr.Aborted {
-				// The decision tree was exhausted. On a combinational circuit
-				// that is a complete untestability proof (every frame repeats
-				// the same logic). On a sequential circuit it only proves no
-				// test exists within this window, so once the window cap is
-				// reached the honest verdict is "frame budget exhausted",
-				// never "untestable".
-				if comb {
-					out.untestable = true
-					return out
-				}
-				if frames == frameSchedule[len(frameSchedule)-1] {
-					out.frameLimited = true
-					return out
-				}
-				break // escalate frames
-			}
+		} else {
+			pr = s.podem(f, frames, cfg.BacktrackLimit, rng2)
+		}
+		out.impl += pr.Implications
+		out.evals += pr.GateEvals
+		if pr.Success {
+			out.success = true
+			out.vec = vectorsFromAssignment(len(s.p.PIs), pr.Vectors)
+			return out
+		}
+		if !pr.Aborted {
+			// The decision tree was exhausted. On a combinational circuit
+			// that is a complete untestability proof (every frame repeats
+			// the same logic). On a sequential circuit it only proves no
+			// test exists within this window, so the honest verdict is
+			// "frame budget exhausted", never "untestable".
+			out.untestable = comb
+			out.frameLimited = !comb
+			return out
 		}
 	}
-	out.aborted = true
-	return out
+	return out // every attempt hit the backtrack limit
 }
 
 // simOut is what one faultSim call reports.
@@ -576,22 +570,6 @@ func vectorsFromAssignment(nPI int, assign [][]int8) [][]uint64 {
 		}
 		out[t] = v
 	}
-	return out
-}
-
-// frameEscalation returns the increasing frame counts tried per fault.
-// maxFrames must be at least 1 (RunCtx clamps); for smaller values the
-// schedule is empty rather than silently exceeding the cap.
-func frameEscalation(maxFrames int) []int {
-	set := map[int]bool{}
-	var out []int
-	for _, f := range []int{2, 4, maxFrames} {
-		if f >= 1 && f <= maxFrames && !set[f] {
-			set[f] = true
-			out = append(out, f)
-		}
-	}
-	sort.Ints(out)
 	return out
 }
 

@@ -478,7 +478,7 @@ func paperDesign(t *testing.T, name string, width int) diffDesign {
 			e.err = err
 			return
 		}
-		e.d = diffDesign{key, nl.C, 2 * (nl.Steps + 1)}
+		e.d = diffDesign{key, nl.C, nl.ATPGFrames(0)}
 	})
 	if e.err != nil {
 		t.Fatal(e.err)
@@ -500,9 +500,9 @@ var diffGenSpecs = []dfggen.Spec{
 }
 
 // TestPodemMatchesReference is the differential test of the event-driven
-// searcher: for every fault of the suite, every frame window of the
-// campaign's escalation and every restart, it must return exactly what
-// the full-resimulation reference returns. One searcher serves each
+// searcher: for every fault of the suite, at 2 and 4 frames as well as at
+// the campaign's window, and for every restart, it must return exactly
+// what the full-resimulation reference returns. One searcher serves each
 // design's whole fault list, so state carried from search to search is
 // exercised too. Under -short or the race detector every fault list is
 // sampled down to a few faults.
@@ -521,11 +521,11 @@ func TestPodemMatchesReference(t *testing.T) {
 		sample   int // 0 = every collapsed fault
 		restarts int
 	}
-	// The full fault lists run the deterministic attempt of every frame
-	// window; the sampled ones add a randomized restart. A tighter
-	// backtrack budget than the campaign default keeps the reference's
-	// cost within the tier-1 time: searches still backtrack, abort,
-	// exhaust or succeed.
+	// The full fault lists run the deterministic attempt at every window;
+	// the sampled ones add a randomized restart. A tighter backtrack
+	// budget than the campaign default keeps the reference's cost within
+	// the tier-1 time: searches still backtrack, abort, exhaust or
+	// succeed.
 	jobs := []job{
 		{dfg.BenchEx, 4, 0, 0},
 		{dfg.BenchDct, 4, 0, 0},
@@ -555,7 +555,7 @@ func TestPodemMatchesReference(t *testing.T) {
 			s := newSearcher(p, d.maxFrames)
 			flist := fault.Sample(fault.Collapse(d.c), j.sample)
 			for i, f := range flist {
-				for _, frames := range frameEscalation(d.maxFrames) {
+				for _, frames := range []int{2, 4, d.maxFrames} {
 					for restart := 0; restart <= j.restarts; restart++ {
 						rngFor := func() *rand.Rand {
 							if restart == 0 {

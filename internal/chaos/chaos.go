@@ -22,7 +22,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -196,12 +195,6 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("chaos: injected fault at %s (hit %d)", e.Site, e.Seq)
 }
 
-// IsInjected reports whether err has an injected chaos fault in its chain.
-func IsInjected(err error) bool {
-	var e *Error
-	return errors.As(err, &e)
-}
-
 // Panic is the value carried by injected panics, recognizable to the
 // chaos suite after the guard layer converts it into an *exec.ExecError.
 type Panic struct {
@@ -212,12 +205,6 @@ type Panic struct {
 // String renders the panic value.
 func (p *Panic) String() string {
 	return fmt.Sprintf("chaos: injected panic at %s (hit %d)", p.Site, p.Seq)
-}
-
-// IsPanicValue reports whether a recovered panic value came from chaos.
-func IsPanicValue(v any) bool {
-	_, ok := v.(*Panic)
-	return ok
 }
 
 // Rule configures one site of an injector.

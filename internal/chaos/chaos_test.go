@@ -67,17 +67,15 @@ func TestStepActions(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Site != SiteParallelJob || ce.Seq != 1 {
 		t.Fatalf("ActError: got %v", err)
 	}
-	if !IsInjected(err) {
-		t.Fatalf("IsInjected(%v) = false", err)
-	}
 
 	func() {
 		defer func() {
 			r := recover()
-			if !IsPanicValue(r) {
+			p, ok := r.(*Panic)
+			if !ok {
 				t.Fatalf("ActPanic: recovered %v", r)
 			}
-			if p := r.(*Panic); p.Site != SiteParallelProduce {
+			if p.Site != SiteParallelProduce {
 				t.Fatalf("panic value %v", p)
 			}
 		}()
@@ -111,7 +109,8 @@ func TestFire(t *testing.T) {
 	restore := Install(New(1).On(SiteStoreTorn, Rule{Action: ActTorn}))
 	defer restore()
 	err, fired := Fire(SiteStoreTorn)
-	if !fired || !IsInjected(err) {
+	var ce *Error
+	if !fired || !errors.As(err, &ce) {
 		t.Fatalf("Fire = %v, %v", err, fired)
 	}
 }

@@ -21,6 +21,7 @@ package chaos_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -127,11 +128,12 @@ func assertTyped(t *testing.T, name string, err error) {
 	if err == nil {
 		return
 	}
-	if chaos.IsInjected(err) {
+	var ce *chaos.Error
+	if errors.As(err, &ce) {
 		return
 	}
 	if ee, ok := exec.AsExecError(err); ok {
-		if chaos.IsPanicValue(ee.Value) {
+		if _, ok := ee.Value.(*chaos.Panic); ok {
 			return
 		}
 		t.Fatalf("%s: ExecError wrapping a non-chaos panic: %v", name, ee)

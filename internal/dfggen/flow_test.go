@@ -90,7 +90,7 @@ func TestGeneratedSweepAllFlows(t *testing.T) {
 				// expansion of whatever schedule shape the seed produced.
 				acfg := atpg.Config{
 					Seed: 1, SampleFaults: 24, RandomBatches: 1, SeqLen: 8,
-					MaxFrames: 2 * (nl.Steps + 1), BacktrackLimit: 200, Workers: 1,
+					MaxFrames: nl.ATPGFrames(0), BacktrackLimit: 200, Workers: 1,
 				}
 				if _, err := atpg.RunCtx(context.Background(), nl.C, acfg); err != nil {
 					t.Fatalf("atpg: %v", err)

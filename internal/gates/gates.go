@@ -37,9 +37,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// MaxFanin returns the maximum number of inputs the kind accepts
+// maxFanin returns the maximum number of inputs the kind accepts
 // (0 = none, -1 = unbounded).
-func (k Kind) MaxFanin() int {
+func (k Kind) maxFanin() int {
 	switch k {
 	case KInput, KConst0, KConst1:
 		return 0
@@ -92,7 +92,7 @@ func (c *Circuit) Validate() error {
 		if g.ID != i {
 			return fmt.Errorf("gates: gate %d has inconsistent id %d", i, g.ID)
 		}
-		switch mf := g.Kind.MaxFanin(); {
+		switch mf := g.Kind.maxFanin(); {
 		case mf == 0 && len(g.In) != 0:
 			return fmt.Errorf("gates: %s gate %d must have no inputs", g.Kind, i)
 		case mf == 1 && len(g.In) != 1:

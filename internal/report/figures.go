@@ -311,9 +311,7 @@ func ScanStudy(bench string, width, maxScan int, seed int64, workers int) (strin
 			return "", err
 		}
 		acfg := cfg
-		if acfg.MaxFrames < 2*(nl.Steps+1) {
-			acfg.MaxFrames = 2 * (nl.Steps + 1)
-		}
+		acfg.MaxFrames = nl.ATPGFrames(acfg.MaxFrames)
 		ares, err := atpg.RunCtx(context.TODO(), nl.C, acfg)
 		if err != nil {
 			return "", err

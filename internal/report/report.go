@@ -219,9 +219,7 @@ func RunCellCtx(ctx context.Context, bench, method string, width int, cfg Config
 	}
 	acfg := cfg.ATPGFor(width)
 	acfg.Workers = cfg.Workers
-	if acfg.MaxFrames < 2*(nl.Steps+1) {
-		acfg.MaxFrames = 2 * (nl.Steps + 1)
-	}
+	acfg.MaxFrames = nl.ATPGFrames(acfg.MaxFrames)
 	ares, err := atpg.RunCtx(ctx, nl.C, acfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s/%d: %w", bench, method, width, err)

@@ -71,6 +71,14 @@ type Netlist struct {
 	BISTMisr []int
 }
 
+// ATPGFrames returns the time-frame window an ATPG campaign on n
+// searches, given the configured one: at least two full passes,
+// 2·(Steps+1) cycles, so a fault excited in one pass can still reach an
+// output in the next.
+func (n *Netlist) ATPGFrames(maxFrames int) int {
+	return max(maxFrames, 2*(n.Steps+1))
+}
+
 // Generate builds the gate-level netlist of d at the given bit width.
 func Generate(d *etpn.Design, width int, mode Mode) (*Netlist, error) {
 	return GenerateWithScan(d, width, mode, nil)

@@ -167,7 +167,7 @@ func TestKernelsMatchReference(t *testing.T) {
 				t.Fatalf("%s: ASAP %s", label, d)
 			}
 			for _, lat := range []int{asap.Len - 1, asap.Len, asap.Len + 2} {
-				alap, err := p.ALAP(lat)
+				alap, err := alapSchedule(p, lat)
 				refALAP, refErr := p.refALAP(lat)
 				if d := sameSchedule(nn, alap, err, refALAP, refErr); d != "" {
 					t.Fatalf("%s: ALAP(%d) %s", label, lat, d)

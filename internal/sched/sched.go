@@ -410,20 +410,6 @@ func (p *Problem) ASAP() (Schedule, error) {
 	return Schedule{Step: step, Len: length}, nil
 }
 
-// ALAP returns the as-late-as-possible schedule for the given latency.
-func (p *Problem) ALAP(latency int) (Schedule, error) {
-	c := p.compile()
-	order, _, _, err := c.kahn()
-	if err != nil {
-		return Schedule{}, err
-	}
-	step, err := c.alap(order, latency)
-	if err != nil {
-		return Schedule{}, err
-	}
-	return Schedule{Step: step, Len: latency}, nil
-}
-
 // List performs critical-path list scheduling honouring precedence, the
 // module binding (one operation per module per step), and MaxLen: among
 // ready operations, the one with the earlier ALAP step (at the ASAP

@@ -17,6 +17,21 @@ func mustASAP(t *testing.T, p *Problem) Schedule {
 	return s
 }
 
+// alapSchedule is the as-late-as-possible schedule of p for the given
+// latency: the steps c.alap gives List as its priority.
+func alapSchedule(p *Problem, latency int) (Schedule, error) {
+	c := p.compile()
+	order, _, _, err := c.kahn()
+	if err != nil {
+		return Schedule{}, err
+	}
+	step, err := c.alap(order, latency)
+	if err != nil {
+		return Schedule{}, err
+	}
+	return Schedule{Step: step, Len: latency}, nil
+}
+
 func TestASAPDiffeq(t *testing.T) {
 	g := dfg.Diffeq(8)
 	p := NewProblem(g)
@@ -43,7 +58,7 @@ func TestALAPRespectsLatency(t *testing.T) {
 	p := NewProblem(g)
 	asap := mustASAP(t, p)
 	for lat := asap.Len; lat <= asap.Len+3; lat++ {
-		s, err := p.ALAP(lat)
+		s, err := alapSchedule(p, lat)
 		if err != nil {
 			t.Fatalf("latency %d: %v", lat, err)
 		}
@@ -62,7 +77,7 @@ func TestALAPInfeasible(t *testing.T) {
 	g := dfg.Ex(8)
 	p := NewProblem(g)
 	asap := mustASAP(t, p)
-	if _, err := p.ALAP(asap.Len - 1); err == nil {
+	if _, err := alapSchedule(p, asap.Len-1); err == nil {
 		t.Fatal("expected infeasible-latency error")
 	}
 }
@@ -71,7 +86,7 @@ func TestMobilityNonNegativeAndZeroOnCriticalPath(t *testing.T) {
 	g := dfg.EWF(8)
 	p := NewProblem(g)
 	asap := mustASAP(t, p)
-	alap, err := p.ALAP(asap.Len)
+	alap, err := alapSchedule(p, asap.Len)
 	if err != nil {
 		t.Fatal(err)
 	}

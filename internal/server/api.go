@@ -258,11 +258,19 @@ func (r TestDesignRequest) Normalize() (*NormTestDesign, error) {
 	return n, nil
 }
 
-// Fingerprint extends the synthesis fingerprint with the test-generation
-// knobs.
+// atpgOutputVersion salts the fingerprints of every response carrying
+// ATPG results (/v1/testdesign and /v1/table), so a store or a peer
+// holding bytes from an older engine misses instead of serving them.
+// Bump it whenever ATPG output bytes change for the same request.
+// /v1/synthesize runs no ATPG and stays unsalted.
+const atpgOutputVersion = 1
+
+// Fingerprint extends the synthesis fingerprint with the ATPG output
+// version and the test-generation knobs.
 func (n *NormTestDesign) Fingerprint() core.Fingerprint {
 	h := core.NewHasher()
 	h.Str("v1/testdesign")
+	h.Int(atpgOutputVersion)
 	h.Str(n.Method)
 	h.Graph(n.Graph)
 	h.Params(n.Params)
@@ -393,10 +401,12 @@ func NormalizeTable(bench, widthsCSV, seedStr, faultsStr string) (*NormTable, er
 	return n, nil
 }
 
-// Fingerprint canonically hashes the table request.
+// Fingerprint canonically hashes the table request and the ATPG output
+// version.
 func (n *NormTable) Fingerprint() core.Fingerprint {
 	h := core.NewHasher()
 	h.Str("v1/table")
+	h.Int(atpgOutputVersion)
 	h.Str(n.Bench)
 	h.Int(len(n.Widths))
 	for _, w := range n.Widths {

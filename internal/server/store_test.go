@@ -9,6 +9,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/store"
 )
@@ -133,6 +135,50 @@ func TestRestartServesFromStore(t *testing.T) {
 		}
 		shutdown() // drain before the leak check below
 	}
+	settle(t, base)
+}
+
+// TestStoreMissesOlderATPGOutput: a store written by an engine with an
+// older atpgOutputVersion holds /v1/testdesign bytes under the unsalted
+// fingerprint. The same request after the bump must miss that record and
+// compute a fresh answer, never serve the stale one.
+func TestStoreMissesOlderATPGOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real ATPG campaign; too slow for -short")
+	}
+	base := runtime.NumGoroutine()
+	dir := t.TempDir()
+	// The fingerprint of this request before atpgOutputVersion existed.
+	const body = `{"bench":"ex","width":4,"faults":300,"bist":{"tpg":2,"misr":2}}`
+	var old core.Fingerprint
+	if _, err := hex.Decode(old[:], []byte("024171ae024862e1609204a199b1f377")); err != nil {
+		t.Fatal(err)
+	}
+	stale := []byte(`{"stale":true}`)
+	stor, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stor.Put(old, encodeResult(result{status: http.StatusOK, body: stale})); err != nil {
+		t.Fatal(err)
+	}
+	if err := stor.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := stats.New()
+	_, ts, down := bootServer(t, dir, Config{QueueDepth: 4, Jobs: 1, CacheSize: 4, Stats: st})
+	status, h, got := post(t, ts.Client(), ts.URL+"/v1/testdesign", body)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, got)
+	}
+	if h.Get("X-Hlts-Result") == "cached" || bytes.Equal(got, stale) {
+		t.Errorf("post-bump request served the pre-bump record (header %q): %s", h.Get("X-Hlts-Result"), got)
+	}
+	if runs := st.Value("server.jobs.run"); runs != 1 {
+		t.Errorf("jobs.run = %d, want 1", runs)
+	}
+	down()
 	settle(t, base)
 }
 

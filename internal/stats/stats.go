@@ -161,45 +161,6 @@ func (s *Stats) ObserveSince(name string, start time.Time) {
 	s.Observe(name, time.Since(start).Seconds())
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) of the named histogram by
-// linear interpolation inside the covering bucket; observations beyond the
-// last finite bound report that bound. It returns 0 for an empty or
-// unknown histogram.
-func (s *Stats) Quantile(name string, q float64) float64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := s.hists[name]
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	rank := q * float64(h.count)
-	var cum uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i >= len(histBounds) {
-				return histBounds[len(histBounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = histBounds[i-1]
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + frac*(histBounds[i]-lo)
-		}
-		cum += c
-	}
-	return histBounds[len(histBounds)-1]
-}
-
 // metricName sanitizes a stats name into a Prometheus metric name:
 // every character outside [a-zA-Z0-9_] becomes '_' and the result is
 // prefixed "hlts_".

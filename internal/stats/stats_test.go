@@ -94,31 +94,13 @@ hlts_cache_build_hitrate 0.75
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	s := New()
-	if q := s.Quantile("empty", 0.5); q != 0 {
-		t.Errorf("empty quantile = %g, want 0", q)
-	}
-	for i := 0; i < 100; i++ {
-		s.Observe("lat", 0.003) // all in the (0.0025, 0.005] bucket
-	}
-	p50 := s.Quantile("lat", 0.5)
-	if p50 <= 0.0025 || p50 > 0.005 {
-		t.Errorf("p50 = %g, want inside (0.0025, 0.005]", p50)
-	}
-	s.Observe("lat", 99) // beyond the last bound
-	if q := s.Quantile("lat", 1); q != histBounds[len(histBounds)-1] {
-		t.Errorf("p100 with +Inf observation = %g, want clamp to %g", q, histBounds[len(histBounds)-1])
-	}
-}
-
 // A nil collector must be inert: every method callable, zero values out.
 func TestNilStats(t *testing.T) {
 	var s *Stats
 	s.Add("x", 1)
 	s.Time("y")()
 	s.Observe("h", 1)
-	if s.Value("x") != 0 || s.Duration("y") != 0 || s.HitRate("z") != 0 || s.Quantile("h", 0.5) != 0 {
+	if s.Value("x") != 0 || s.Duration("y") != 0 || s.HitRate("z") != 0 {
 		t.Error("nil Stats not inert")
 	}
 	var b strings.Builder
