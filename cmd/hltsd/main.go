@@ -179,9 +179,7 @@ func main() {
 					u.Store = &cluster.StoreUtil{
 						Records:   snap.StoreRecords,
 						LiveBytes: snap.StoreLiveBytes,
-						Gen:       snap.StoreCursor.Gen,
-						Seg:       snap.StoreCursor.Seg,
-						Off:       snap.StoreCursor.Off,
+						Cursor:    snap.StoreCursor,
 					}
 				}
 				return u

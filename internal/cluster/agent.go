@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -83,16 +84,16 @@ func (a *Agent) Stop() {
 
 func (a *Agent) loop() {
 	defer close(a.done)
-	registered := a.register()
 	t := time.NewTicker(a.cfg.Interval)
 	defer t.Stop()
+	registered := a.register(t)
 	for {
 		select {
 		case <-a.stop:
 			return
 		case <-t.C:
 			if !registered {
-				registered = a.register()
+				registered = a.register(t)
 				continue
 			}
 			registered = a.beat()
@@ -101,8 +102,8 @@ func (a *Agent) loop() {
 }
 
 // register announces the node; a positive heartbeat_ms in the answer
-// adopts the coordinator's beat period.
-func (a *Agent) register() bool {
+// adopts the coordinator's beat period, resetting the beat ticker t.
+func (a *Agent) register(t *time.Ticker) bool {
 	var resp RegisterResponse
 	status, err := a.post("/cluster/v1/register", RegisterRequest{
 		ID: a.cfg.ID, Addr: a.cfg.Advertise, Capacity: a.cfg.Capacity,
@@ -110,6 +111,9 @@ func (a *Agent) register() bool {
 	if err != nil || status != http.StatusOK {
 		a.cfg.Stats.Add("cluster.agent.register.error", 1)
 		return false
+	}
+	if ms := resp.HeartbeatMS; ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
+		t.Reset(time.Duration(ms) * time.Millisecond)
 	}
 	a.cfg.Stats.Add("cluster.agent.registered", 1)
 	return true

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/server"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -402,6 +403,32 @@ func TestAgentLifecycle(t *testing.T) {
 	}
 	a.Stop()
 	a.Stop() // idempotent
+}
+
+// TestAgentAdoptsCoordinatorBeatPeriod: the registration answer's
+// heartbeat_ms overrides the agent's configured period, so an agent
+// configured to beat hourly beats at the coordinator's 10 ms instead of
+// going Suspect between beats.
+func TestAgentAdoptsCoordinatorBeatPeriod(t *testing.T) {
+	cfg := fastConfig()
+	cfg.HeartbeatInterval = 10 * time.Millisecond
+	c := newTestCoordinator(t, cfg)
+	cts := httptest.NewServer(c.Handler())
+	t.Cleanup(cts.Close)
+
+	st := stats.New()
+	a := StartAgent(AgentConfig{
+		Coordinator: cts.URL, ID: "w1", Advertise: "http://127.0.0.1:1",
+		Interval: time.Hour, Stats: st,
+	})
+	defer a.Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for st.Value("cluster.agent.beats") < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d beats in 5s: the agent kept its configured hourly period", st.Value("cluster.agent.beats"))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // TestAgentReRegistersAfter404: a heartbeat answered 404 (the coordinator

@@ -4,8 +4,9 @@
 // between worker stores: every ReplicateInterval the worker discovers
 // Alive peers via the coordinator's /cluster/v1/nodes and pulls each
 // peer's delta stream over GET /store/v1/pull (internal/server/
-// replicate.go) in bounded, CRC-verified batches, resuming from a
-// per-peer cursor. A peer whose indexing epoch changed (it restarted)
+// replicate.go) in bounded batches of the peer store's own record frames,
+// each checked by store.DecodeFrames before it is applied, resuming from
+// a per-peer cursor. A peer whose indexing epoch changed (it restarted)
 // streams from the start again — applies are idempotent, so
 // over-pulling costs bandwidth, never correctness.
 //
@@ -263,15 +264,16 @@ func (r *Replicator) syncPeer(p NodeRef) error {
 		if err != nil || !ok {
 			return err
 		}
-		if err := r.applyBatch(pull.Records); err != nil {
+		n, err := r.applyBatch(pull.Frames)
+		if err != nil {
 			return err
 		}
-		cur = pull.Next.Cursor()
+		cur = pull.Next
 		r.mu.Lock()
 		r.peers[p.ID].cursor = cur
 		r.mu.Unlock()
-		if len(pull.Records) > 0 {
-			r.cfg.Stats.Add("server.replicate.pulled", int64(len(pull.Records)))
+		if n > 0 {
+			r.cfg.Stats.Add("server.replicate.pulled", int64(n))
 		}
 		if !pull.More {
 			return nil
@@ -284,22 +286,22 @@ func (r *Replicator) syncPeer(p NodeRef) error {
 	}
 }
 
-// applyBatch verifies and applies one pulled batch in stream order. The
-// first record that fails its transport CRC is counted and stops the
-// batch: neither it nor any later record is applied, and the cursor does
-// not advance past it.
-func (r *Replicator) applyBatch(recs []server.WireRecord) error {
-	for _, wrec := range recs {
-		fp, val, err := server.DecodeWireRecord(wrec)
-		if err != nil {
-			r.cfg.Stats.Add("server.replicate.crc", 1)
-			return err
-		}
-		if err := r.apply(fp, val); err != nil {
-			return err
+// applyBatch decodes one pulled batch of record frames and applies its
+// records in stream order, returning how many the batch held. The first frame
+// that fails to verify is counted and stops the batch: neither it nor
+// any later record is applied, and the cursor does not advance past it.
+func (r *Replicator) applyBatch(frames []byte) (int, error) {
+	recs, bad := store.DecodeFrames(frames)
+	for _, rec := range recs {
+		if err := r.apply(rec.FP, rec.Val); err != nil {
+			return 0, err
 		}
 	}
-	return nil
+	if bad != nil {
+		r.cfg.Stats.Add("server.replicate.crc", 1)
+		return 0, bad
+	}
+	return len(recs), nil
 }
 
 // apply installs one pulled record under first-writer-wins: identical

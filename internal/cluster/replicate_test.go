@@ -90,12 +90,48 @@ func storeSnapshot(srv *server.Server) func() Utilization {
 		}
 		if snap.HasStore {
 			u.Store = &StoreUtil{
-				Records: snap.StoreRecords, LiveBytes: snap.StoreLiveBytes,
-				Gen: snap.StoreCursor.Gen, Seg: snap.StoreCursor.Seg, Off: snap.StoreCursor.Off,
+				Records: snap.StoreRecords, LiveBytes: snap.StoreLiveBytes, Cursor: snap.StoreCursor,
 			}
 		}
 		return u
 	}
+}
+
+// TestStoreUtilJSON pins the store gauge's shape on /cluster/v1/nodes:
+// the embedded cursor marshals inline, after live_bytes, and decodes back.
+func TestStoreUtilJSON(t *testing.T) {
+	u := StoreUtil{Records: 3, LiveBytes: 120, Cursor: store.Cursor{Gen: 7, Seg: 2, Off: 64}}
+	got, err := json.Marshal(Utilization{Store: &u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"queued":0,"inflight":0,"cache_hit_rate":0,"jobs_run":0,` +
+		`"store":{"records":3,"live_bytes":120,"gen":7,"seg":2,"off":64}}`
+	if string(got) != want {
+		t.Fatalf("Utilization JSON\n got %s\nwant %s", got, want)
+	}
+	var back Utilization
+	if err := json.Unmarshal(got, &back); err != nil || back.Store == nil || *back.Store != u {
+		t.Fatalf("round trip: %+v, %v", back.Store, err)
+	}
+}
+
+// framesOf returns the record frames a peer holding recs ships from the
+// zero cursor, in the order given: what one /store/v1/pull batch carries.
+func framesOf(tb testing.TB, recs ...store.Record) []byte {
+	tb.Helper()
+	stor, err := store.Open(tb.TempDir(), store.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer stor.Close()
+	for _, r := range recs {
+		if err := stor.Put(r.FP, r.Val); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	frames, _, _ := stor.Since(store.Cursor{}, len(recs), 0)
+	return frames
 }
 
 // kill tears the node down abruptly from the cluster's point of view:
@@ -406,8 +442,8 @@ func TestAntiEntropyServesReturningAndJoiningShards(t *testing.T) {
 // TestReplicatorApply pins first-writer-wins on the only path that
 // writes replicated records: an absent record is stored, identical bytes
 // are a no-op, differing bytes keep the local record and count a
-// conflict, and a record failing its transport CRC is counted and never
-// reaches the store — nor does the rest of its batch.
+// conflict, and a frame that fails to verify mid-batch is counted once
+// and never reaches the store — nor does any record after it.
 func TestReplicatorApply(t *testing.T) {
 	stor, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -416,60 +452,71 @@ func TestReplicatorApply(t *testing.T) {
 	defer stor.Close()
 	st := stats.New()
 	r := &Replicator{cfg: ReplicatorConfig{Store: stor, Stats: st}}
-	batch := func(recs ...server.WireRecord) error { return r.applyBatch(recs) }
+	batch := func(frames []byte) error { _, err := r.applyBatch(frames); return err }
+	rec := func(name, val string) store.Record {
+		return store.Record{FP: clusterFP("apply", name), Val: []byte(val)}
+	}
 
-	fp := clusterFP("apply", "first")
 	for i := 0; i < 2; i++ { // the second pass is the identical-bytes no-op
-		if err := batch(server.EncodeWireRecord(fp, []byte("first"))); err != nil {
+		if err := batch(framesOf(t, rec("first", "first"))); err != nil {
 			t.Fatalf("apply pass %d: %v", i, err)
 		}
 	}
 	if got := st.Value("server.replicate.applied"); got != 1 {
 		t.Errorf("replicate.applied = %d, want 1", got)
 	}
-	if err := batch(server.EncodeWireRecord(fp, []byte("second"))); err != nil {
+	if err := batch(framesOf(t, rec("first", "second"))); err != nil {
 		t.Fatalf("conflicting apply: %v", err)
 	}
-	if v, _ := stor.Get(fp); string(v) != "first" {
+	if v, _ := stor.Get(clusterFP("apply", "first")); string(v) != "first" {
 		t.Errorf("conflict overwrote the first write: %q", v)
 	}
 	if got := st.Value("server.replicate.conflict"); got != 1 {
 		t.Errorf("replicate.conflict = %d, want 1", got)
 	}
 
-	bad := server.EncodeWireRecord(clusterFP("apply", "bad"), []byte("bad"))
-	bad.CRC ^= 1
-	if err := batch(bad, server.EncodeWireRecord(clusterFP("apply", "after"), []byte("after"))); err == nil {
-		t.Fatal("a batch with a CRC-failing record applied cleanly")
+	before := framesOf(t, rec("before", "before"))
+	bad := framesOf(t, rec("bad", "bad"))
+	bad[len(bad)-1] ^= 1 // a value byte: the frame checksum fails
+	after := framesOf(t, rec("after", "after"))
+	if err := batch(append(append(before, bad...), after...)); err == nil {
+		t.Fatal("a batch with a corrupt frame applied cleanly")
 	}
 	if got := st.Value("server.replicate.crc"); got != 1 {
 		t.Errorf("replicate.crc = %d, want 1", got)
 	}
-	if stor.Len() != 1 || st.Value("server.replicate.applied") != 1 {
-		t.Errorf("store holds %d records (%d applied) after the bad batch, want 1",
+	if _, ok := stor.Get(clusterFP("apply", "before")); !ok {
+		t.Error("the record before the corrupt frame was not applied")
+	}
+	for _, name := range []string{"bad", "after"} {
+		if _, ok := stor.Get(clusterFP("apply", name)); ok {
+			t.Errorf("record %q at or after the corrupt frame reached the store", name)
+		}
+	}
+	if stor.Len() != 2 || st.Value("server.replicate.applied") != 2 {
+		t.Errorf("store holds %d records (%d applied) after the bad batch, want 2",
 			stor.Len(), st.Value("server.replicate.applied"))
 	}
 }
 
 // FuzzPullResponse feeds arbitrary bytes through the path a /store/v1/pull
 // answer takes in syncPeer: JSON decode, then applyBatch. It must never
-// panic, and every record that reaches the store must carry a valid
-// transport CRC.
+// panic, and every record that reaches the store must come from a frame
+// that verifies, before the batch's first bad frame.
 func FuzzPullResponse(f *testing.F) {
-	good, _ := json.Marshal(server.PullResponse{Records: []server.WireRecord{
-		server.EncodeWireRecord(clusterFP("fuzz", "a"), []byte("alpha")),
-		server.EncodeWireRecord(clusterFP("fuzz", "b"), nil),
-	}, Next: server.WireCursor{Gen: 1, Off: 64}})
-	bad := server.EncodeWireRecord(clusterFP("fuzz", "c"), []byte("gamma"))
-	bad.CRC ^= 1
-	badBody, _ := json.Marshal(server.PullResponse{Records: []server.WireRecord{bad}})
-	for _, s := range [][]byte{good, badBody, []byte(`{}`), []byte(`{"records":null}`),
-		[]byte(`{"records":[{"fp":"zz","val":"","crc":0}]}`), []byte(`[`), nil} {
+	good := framesOf(f, store.Record{FP: clusterFP("fuzz", "a"), Val: []byte("alpha")},
+		store.Record{FP: clusterFP("fuzz", "b")})
+	bad := framesOf(f, store.Record{FP: clusterFP("fuzz", "c"), Val: []byte("gamma")})
+	bad[len(bad)-1] ^= 1
+	goodBody, _ := json.Marshal(server.PullResponse{Frames: good, Next: store.Cursor{Gen: 1, Off: 64}})
+	badBody, _ := json.Marshal(server.PullResponse{Frames: append(append([]byte(nil), good[:len(good)/2]...), bad...)})
+	for _, s := range [][]byte{goodBody, badBody, []byte(`{}`), []byte(`{"frames":null}`),
+		[]byte(`{"frames":"aFNnMQ=="}`), []byte(`[`), nil} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var pr server.PullResponse
-		if json.Unmarshal(body, &pr) != nil || len(pr.Records) == 0 {
+		if json.Unmarshal(body, &pr) != nil || len(pr.Frames) == 0 {
 			return
 		}
 		stor, err := store.Open(t.TempDir(), store.Options{})
@@ -478,16 +525,15 @@ func FuzzPullResponse(f *testing.F) {
 		}
 		defer stor.Close()
 		r := &Replicator{cfg: ReplicatorConfig{Store: stor, Stats: stats.New()}}
-		r.applyBatch(pr.Records)   // an error is a refused batch, not a failure
-		valid := map[string]bool{} // hex fp ‖ value of every CRC-valid record
-		for _, rec := range pr.Records {
-			if fp, val, err := server.DecodeWireRecord(rec); err == nil {
-				valid[fp.String()+string(val)] = true
-			}
+		r.applyBatch(pr.Frames)    // an error is a refused batch, not a failure
+		valid := map[string]bool{} // fp ‖ value of every record before the first bad frame
+		recs, _ := store.DecodeFrames(pr.Frames)
+		for _, rec := range recs {
+			valid[rec.FP.String()+string(rec.Val)] = true
 		}
 		stor.Range(func(fp core.Fingerprint, val []byte) bool {
 			if !valid[fp.String()+string(val)] {
-				t.Fatalf("record %s reached the store without a valid transport CRC", fp)
+				t.Fatalf("record %s reached the store from a frame that does not verify", fp)
 			}
 			return true
 		})

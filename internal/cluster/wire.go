@@ -32,6 +32,8 @@
 // deliberately tiny and versioned under /cluster/v1/.
 package cluster
 
+import "repro/internal/store"
+
 // Capacity is what a worker declares at registration: its static serving
 // limits, mirrored from the hltsd flags.
 type Capacity struct {
@@ -63,13 +65,12 @@ type Utilization struct {
 }
 
 // StoreUtil is the replication-relevant store state a heartbeat carries.
+// The embedded cursor is the store's end of log; its gen/seg/off fields
+// marshal inline, after live_bytes.
 type StoreUtil struct {
 	Records   int   `json:"records"`
 	LiveBytes int64 `json:"live_bytes"`
-	// Gen/Seg/Off are the store's end-of-log cursor (see store.Cursor).
-	Gen uint64 `json:"gen"`
-	Seg uint64 `json:"seg"`
-	Off int64  `json:"off"`
+	store.Cursor
 }
 
 // RegisterRequest is the body of POST /cluster/v1/register.

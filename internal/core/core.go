@@ -881,23 +881,10 @@ func selectMergeOrder(candidates [][]dfg.NodeID, apply func([]dfg.NodeID) (*stat
 	return bestNS, bestE, bestH, nil
 }
 
-// sameOrder reports whether two operation sequences are identical.
-func sameOrder(a, b []dfg.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // duplicateOrder reports whether order already appears among prior.
 func duplicateOrder(prior [][]dfg.NodeID, order []dfg.NodeID) bool {
 	for _, p := range prior {
-		if sameOrder(p, order) {
+		if slices.Equal(p, order) {
 			return true
 		}
 	}

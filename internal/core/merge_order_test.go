@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/dfg"
@@ -21,7 +22,7 @@ func TestSelectMergeOrderSRWinsDespiteCostlierDelta(t *testing.T) {
 	srState, fallbackState := &state{}, &state{}
 	candidates := [][]dfg.NodeID{ord(1, 2), ord(2, 1)}
 	ns, dE, dH, err := selectMergeOrder(candidates, func(order []dfg.NodeID) (*state, int, float64, error) {
-		if sameOrder(order, candidates[0]) {
+		if slices.Equal(order, candidates[0]) {
 			return srState, 3, 7, nil // SR order: feasible but costlier
 		}
 		return fallbackState, 0, 0, nil // strictly smaller ΔE and ΔH
@@ -71,7 +72,7 @@ func TestSelectMergeOrderSkipsDuplicates(t *testing.T) {
 	candidates := [][]dfg.NodeID{ord(1, 2), ord(2, 1), ord(2, 1), ord(3, 1), ord(1, 2)}
 	_, _, _, err := selectMergeOrder(candidates, func(order []dfg.NodeID) (*state, int, float64, error) {
 		applied++
-		if sameOrder(order, candidates[0]) {
+		if slices.Equal(order, candidates[0]) {
 			return nil, 0, 0, errors.New("SR order infeasible")
 		}
 		return &state{}, applied, 0, nil

@@ -1,11 +1,12 @@
 // replicate.go is the worker-side wire surface of peer-to-peer store
 // replication (DESIGN.md §4j): one endpoint, GET /store/v1/pull, that
 // exposes the persistent store's append-order delta stream — everything
-// a peer's anti-entropy loop needs. Every payload is capped and
-// CRC-verified end to end: a record travels with a CRC-32C over
-// (fingerprint‖value) computed by the sender and re-checked by the
-// receiver before the bytes are trusted, on top of the store's own
-// per-record checksum at both ends.
+// a peer's anti-entropy loop needs. A batch carries the store's own
+// record frames, byte for byte as they lie on disk (magic, lengths,
+// CRC-32C over lengths‖key‖value), so a record is checked by the same
+// frame parser when the sender reads it, when the receiver decodes it
+// (store.DecodeFrames) and when the receiver's store replays it. Every
+// batch is capped in records and value bytes.
 //
 // The endpoint answers 404 with a typed body when the daemon runs
 // without a store — replication is an opt-in property of -store mode,
@@ -13,13 +14,10 @@
 package server
 
 import (
-	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -33,63 +31,13 @@ const (
 	pullMaxBytes       = 4 << 20
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// RecordCRC is the transport checksum of one replicated record:
-// CRC-32C over the fingerprint bytes then the value bytes, so a record
-// whose key and value were swapped between peers is rejected, not
-// stored under the wrong name.
-func RecordCRC(fp core.Fingerprint, val []byte) uint32 {
-	c := crc32.Update(0, crcTable, fp[:])
-	return crc32.Update(c, crcTable, val)
-}
-
-// WireCursor is a store.Cursor on the wire.
-type WireCursor struct {
-	Gen uint64 `json:"gen"`
-	Seg uint64 `json:"seg"`
-	Off int64  `json:"off"`
-}
-
-// Cursor converts to the store's type.
-func (c WireCursor) Cursor() store.Cursor { return store.Cursor{Gen: c.Gen, Seg: c.Seg, Off: c.Off} }
-
-func toWireCursor(c store.Cursor) WireCursor { return WireCursor{Gen: c.Gen, Seg: c.Seg, Off: c.Off} }
-
-// WireRecord is one replicated record: hex fingerprint, base64 value
-// (encoding/json's []byte convention) and the transport CRC.
-type WireRecord struct {
-	FP  string `json:"fp"`
-	Val []byte `json:"val"`
-	CRC uint32 `json:"crc"`
-}
-
 // PullResponse is the GET /store/v1/pull body: one bounded batch of the
-// delta stream plus the cursor to resume from.
+// delta stream — record frames back to back, base64 in JSON — plus the
+// cursor to resume from.
 type PullResponse struct {
-	Records []WireRecord `json:"records"`
-	Next    WireCursor   `json:"next"`
-	More    bool         `json:"more"`
-}
-
-// EncodeWireRecord frames a record for transport.
-func EncodeWireRecord(fp core.Fingerprint, val []byte) WireRecord {
-	return WireRecord{FP: fp.String(), Val: val, CRC: RecordCRC(fp, val)}
-}
-
-// DecodeWireRecord validates a received record: fingerprint shape and
-// transport CRC. The returned value aliases the wire buffer.
-func DecodeWireRecord(r WireRecord) (core.Fingerprint, []byte, error) {
-	var fp core.Fingerprint
-	raw, err := hex.DecodeString(r.FP)
-	if err != nil || len(raw) != len(fp) {
-		return fp, nil, fmt.Errorf("replicate: bad fingerprint %q", r.FP)
-	}
-	copy(fp[:], raw)
-	if RecordCRC(fp, r.Val) != r.CRC {
-		return fp, nil, fmt.Errorf("replicate: record %s failed transport CRC", r.FP)
-	}
-	return fp, r.Val, nil
+	Frames []byte       `json:"frames"`
+	Next   store.Cursor `json:"next"`
+	More   bool         `json:"more"`
 }
 
 // writeJSON is the small-response helper of the /store/v1/pull handler.
@@ -112,15 +60,16 @@ func (s *Server) handleStorePull(w http.ResponseWriter, r *http.Request) {
 	qv := r.URL.Query()
 	var c store.Cursor
 	var err error
-	if c.Gen, err = parseUint(qv.Get("gen")); err != nil {
+	if c.Gen, err = parseUint(qv.Get("gen"), 64); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad gen: " + err.Error()})
 		return
 	}
-	if c.Seg, err = parseUint(qv.Get("seg")); err != nil {
+	if c.Seg, err = parseUint(qv.Get("seg"), 64); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad seg: " + err.Error()})
 		return
 	}
-	off, err := parseUint(qv.Get("off"))
+	// Off is an int64: 63 bits keeps 2^63 and above from wrapping negative.
+	off, err := parseUint(qv.Get("off"), 63)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad off: " + err.Error()})
 		return
@@ -137,17 +86,13 @@ func (s *Server) handleStorePull(w http.ResponseWriter, r *http.Request) {
 			max = pullMaxRecords
 		}
 	}
-	recs, next, more := s.cfg.Store.Since(c, max, pullMaxBytes)
-	resp := PullResponse{Records: make([]WireRecord, 0, len(recs)), Next: toWireCursor(next), More: more}
-	for _, rec := range recs {
-		resp.Records = append(resp.Records, EncodeWireRecord(rec.FP, rec.Val))
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	frames, next, more := s.cfg.Store.Since(c, max, pullMaxBytes)
+	s.writeJSON(w, http.StatusOK, PullResponse{Frames: frames, Next: next, More: more})
 }
 
-func parseUint(v string) (uint64, error) {
+func parseUint(v string, bits int) (uint64, error) {
 	if v == "" {
 		return 0, nil
 	}
-	return strconv.ParseUint(v, 10, 64)
+	return strconv.ParseUint(v, 10, bits)
 }

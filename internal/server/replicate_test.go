@@ -1,5 +1,5 @@
 // Tests of the worker-side replication surface: the /store/v1/pull wire
-// endpoint, the transport CRC, and the degradation
+// endpoint, its typed 400s for bad cursors, and the degradation
 // contracts — a daemon without a store answers typed 404s, a disk-full
 // store under a live daemon costs counters and recomputes but never a
 // failed request, and the corruption counters surface in /metrics.
@@ -36,8 +36,8 @@ func getJSON(t *testing.T, client *http.Client, url string, v any) int {
 }
 
 // TestStoreWireEndpoints drives /store/v1/pull end to end over HTTP:
-// from the zero cursor, pull streams every record CRC-intact across
-// batches, in the store's current epoch.
+// from the zero cursor, pull streams every record as a verified frame
+// across batches, in the store's current epoch.
 func TestStoreWireEndpoints(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s, ts, down := bootServer(t, t.TempDir(), Config{QueueDepth: 8, Jobs: 1, CacheSize: 8})
@@ -55,21 +55,21 @@ func TestStoreWireEndpoints(t *testing.T) {
 	}
 
 	// Walk the pull stream in batches of 2 from the zero cursor, decoding
-	// (and thereby CRC-checking) every record.
+	// (and thereby checking) every frame.
 	got := map[core.Fingerprint][]byte{}
-	var cur WireCursor
+	var cur store.Cursor
 	for rounds := 0; ; rounds++ {
 		var pr PullResponse
 		u := fmt.Sprintf("%s/store/v1/pull?gen=%d&seg=%d&off=%d&max=2", ts.URL, cur.Gen, cur.Seg, cur.Off)
 		if status := getJSON(t, ts.Client(), u, &pr); status != http.StatusOK {
 			t.Fatalf("pull: status %d", status)
 		}
-		for _, wr := range pr.Records {
-			fp, val, err := DecodeWireRecord(wr)
-			if err != nil {
-				t.Fatalf("pulled record failed CRC: %v", err)
-			}
-			got[fp] = append([]byte(nil), val...)
+		recs, err := store.DecodeFrames(pr.Frames)
+		if err != nil {
+			t.Fatalf("pulled frame failed to decode: %v", err)
+		}
+		for _, rec := range recs {
+			got[rec.FP] = rec.Val
 		}
 		cur = pr.Next
 		if !pr.More {
@@ -82,7 +82,7 @@ func TestStoreWireEndpoints(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("pulled %d records, want %d", len(got), len(want))
 	}
-	if end := toWireCursor(s.cfg.Store.Stats().Cursor); cur != end || cur.Gen == 0 {
+	if end := s.cfg.Store.Stats().Cursor; cur != end || cur.Gen == 0 {
 		t.Fatalf("drained cursor %+v, want the end of the log %+v in a nonzero epoch", cur, end)
 	}
 	for fp, val := range want {
@@ -115,26 +115,38 @@ func TestStoreEndpointsWithoutStore(t *testing.T) {
 	}
 }
 
-// TestWireRecordCRCCatchesSwap: the transport CRC covers the
-// fingerprint as well as the value, so a record reframed under the
-// wrong key fails decode instead of being stored under the wrong name.
-func TestWireRecordCRCCatchesSwap(t *testing.T) {
-	rec := EncodeWireRecord(fpOf("right"), []byte("payload"))
-	rec.FP = fpOf("wrong").String()
-	if _, _, err := DecodeWireRecord(rec); err == nil {
-		t.Fatal("key-swapped record passed the transport CRC")
+// TestStorePullRejectsWrappingOffset: off is an int64 cursor field, so
+// 2^63 and above answer the typed 400 of any other bad cursor value
+// instead of wrapping negative; the largest int64 is still a valid (if
+// empty) pull.
+func TestStorePullRejectsWrappingOffset(t *testing.T) {
+	s, ts, down := bootServer(t, t.TempDir(), Config{QueueDepth: 1, Jobs: 1, CacheSize: -1})
+	defer down()
+	if err := s.cfg.Store.Put(fpOf("off"), []byte("v")); err != nil {
+		t.Fatal(err)
 	}
-	rec = EncodeWireRecord(fpOf("right"), []byte("payload"))
-	rec.Val = []byte("tampered")
-	if _, _, err := DecodeWireRecord(rec); err == nil {
-		t.Fatal("tampered value passed the transport CRC")
+	gen := s.cfg.Store.Stats().Cursor.Gen
+	for off, want := range map[string]int{
+		"9223372036854775807":  http.StatusOK,
+		"9223372036854775808":  http.StatusBadRequest,
+		"18446744073709551615": http.StatusBadRequest,
+	} {
+		u := fmt.Sprintf("%s/store/v1/pull?gen=%d&seg=1&off=%s", ts.URL, gen, off)
+		status, body := get(t, ts.Client(), u)
+		if status != want {
+			t.Errorf("off=%s: status %d, want %d: %s", off, status, want, body)
+		}
+		var eb errorBody
+		if status == http.StatusBadRequest && (json.Unmarshal(body, &eb) != nil || !strings.HasPrefix(eb.Error, "bad off")) {
+			t.Errorf("off=%s: untyped 400 body %s", off, body)
+		}
 	}
 }
 
 // FuzzStorePull sends arbitrary gen/seg/off/max query values to
 // /store/v1/pull on a store holding a few records. Every answer is a
-// typed 200 whose records all pass their transport CRC, or a typed 400;
-// a 500 would be a panic the handler guard caught.
+// typed 200 whose frames all decode, or a typed 400; a 500 would be a
+// panic the handler guard caught.
 func FuzzStorePull(f *testing.F) {
 	for _, q := range [][4]string{
 		{"", "", "", ""}, {"1", "0", "0", "2"}, {"0", "1", "64", "1024"},
@@ -161,10 +173,8 @@ func FuzzStorePull(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
 				t.Fatalf("200 with an undecodable body %q: %v", rec.Body, err)
 			}
-			for _, wr := range pr.Records {
-				if _, _, err := DecodeWireRecord(wr); err != nil {
-					t.Fatalf("pulled record failed its CRC: %v", err)
-				}
+			if _, err := store.DecodeFrames(pr.Frames); err != nil {
+				t.Fatalf("pulled frame failed to decode: %v", err)
 			}
 		case http.StatusBadRequest:
 			var eb errorBody

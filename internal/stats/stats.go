@@ -122,9 +122,11 @@ func (s *Stats) HitRate(prefix string) float64 {
 }
 
 // histBounds are the upper bucket bounds (seconds) of every latency
-// histogram, Prometheus' default buckets: they span sub-millisecond cache
-// hits to multi-second table reproductions.
-var histBounds = []float64{
+// histogram: Prometheus' default buckets from 1 ms up, below them six
+// sub-millisecond bounds from 10 µs. They span ~20 µs cache hits to
+// multi-second table reproductions.
+var histBounds = [...]float64{
+	0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005,
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
@@ -132,7 +134,7 @@ var histBounds = []float64{
 // of observations ≤ histBounds[i]; observations above the last bound land
 // in the final slot (the +Inf bucket of the exposition).
 type histogram struct {
-	counts [14]uint64 // len(histBounds)+1; last slot is +Inf
+	counts [len(histBounds) + 1]uint64 // last slot is +Inf
 	sum    float64
 	count  uint64
 }
@@ -148,7 +150,7 @@ func (s *Stats) Observe(name string, v float64) {
 		h = &histogram{}
 		s.hists[name] = h
 	}
-	i := sort.SearchFloat64s(histBounds, v)
+	i := sort.SearchFloat64s(histBounds[:], v)
 	h.counts[i]++
 	h.sum += v
 	h.count++

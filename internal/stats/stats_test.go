@@ -70,6 +70,12 @@ hlts_server_jobs_run 7
 # TYPE hlts_time_sched_seconds gauge
 hlts_time_sched_seconds 0.0015
 # TYPE hlts_http_synthesize_latency_seconds histogram
+hlts_http_synthesize_latency_seconds_bucket{le="1e-05"} 0
+hlts_http_synthesize_latency_seconds_bucket{le="2.5e-05"} 0
+hlts_http_synthesize_latency_seconds_bucket{le="5e-05"} 0
+hlts_http_synthesize_latency_seconds_bucket{le="0.0001"} 0
+hlts_http_synthesize_latency_seconds_bucket{le="0.00025"} 0
+hlts_http_synthesize_latency_seconds_bucket{le="0.0005"} 1
 hlts_http_synthesize_latency_seconds_bucket{le="0.001"} 1
 hlts_http_synthesize_latency_seconds_bucket{le="0.0025"} 1
 hlts_http_synthesize_latency_seconds_bucket{le="0.005"} 1
@@ -91,6 +97,26 @@ hlts_cache_build_hitrate 0.75
 `
 	if got := b.String(); got != want {
 		t.Errorf("WriteText output drifted.\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSubMillisecondBuckets: a 20 µs observation, the latency of a
+// serve-hot cache hit, lands in a sub-millisecond bucket of its own
+// instead of the 1 ms bucket every fast request used to share.
+func TestSubMillisecondBuckets(t *testing.T) {
+	s := New()
+	s.Observe("hit", 20e-6)
+	var b strings.Builder
+	if err := s.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`hlts_hit_seconds_bucket{le="1e-05"} 0`,
+		`hlts_hit_seconds_bucket{le="2.5e-05"} 1`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, b.String())
+		}
 	}
 }
 

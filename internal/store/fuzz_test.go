@@ -13,7 +13,8 @@ import (
 // FuzzStoreOpen replays arbitrary bytes as a segment file. Open never
 // panics and never fails on them — only the filesystem can fail it —
 // every record the store then serves is a CRC-valid record of the input,
-// and a second Open of the healed directory serves the same record set.
+// the frames Since streams from the zero cursor decode to that same
+// record set, and a second Open of the healed directory serves it too.
 func FuzzStoreOpen(f *testing.F) {
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	a := encodeRecord(fpOf("a"), []byte("alpha"))
@@ -49,6 +50,16 @@ func FuzzStoreOpen(f *testing.F) {
 				recs[fp] = val
 				return true
 			})
+			frames, _, more := s.Since(Cursor{}, len(data)+1, int64(len(data))+1)
+			pulled, err := DecodeFrames(frames)
+			if err != nil || more || len(pulled) != len(recs) {
+				t.Fatalf("Since streamed %d records (more=%v, %v), Range served %d", len(pulled), more, err, len(recs))
+			}
+			for _, r := range pulled {
+				if !bytes.Equal(recs[r.FP], r.Val) {
+					t.Fatalf("Since streamed record %s with a value Range does not serve", r.FP)
+				}
+			}
 			return recs
 		}
 		first := served()

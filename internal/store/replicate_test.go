@@ -1,10 +1,11 @@
-// Tests of the replication support layer: the append-order cursor and
-// the Since delta stream — the store-side contract anti-entropy is built
-// on (DESIGN.md §4j). The properties that matter: every live record
-// streams exactly once in log order, cursors survive batching, an epoch
-// change (a reopen) restarts the stream instead of serving stale
-// positions, and a corrupt record is dropped by the same per-read
-// checksum Get uses — never streamed to a peer.
+// Tests of the replication support layer: the append-order cursor, the
+// Since delta stream of record frames and DecodeFrames — the store-side
+// contract anti-entropy is built on (DESIGN.md §4j). The properties that
+// matter: every live record streams exactly once in log order, cursors
+// survive batching, an epoch change (a reopen) restarts the stream
+// instead of serving stale positions, a corrupt record is dropped by the
+// same per-read check Get uses — never streamed to a peer — and a
+// received frame whose key, value or length was altered fails to decode.
 package store
 
 import (
@@ -16,13 +17,25 @@ import (
 	"repro/internal/core"
 )
 
+// since calls Since and decodes the frames it returns, failing the test
+// if any frame does not verify.
+func since(t *testing.T, s *Store, c Cursor, maxRecords int, maxBytes int64) ([]Record, Cursor, bool) {
+	t.Helper()
+	frames, next, more := s.Since(c, maxRecords, maxBytes)
+	recs, err := DecodeFrames(frames)
+	if err != nil {
+		t.Fatalf("Since returned a bad frame: %v", err)
+	}
+	return recs, next, more
+}
+
 // drain pulls Since to exhaustion in batches of batchRecs, returning
 // every streamed record and the final cursor.
 func drain(t *testing.T, s *Store, c Cursor, batchRecs int) ([]Record, Cursor) {
 	t.Helper()
 	var all []Record
 	for i := 0; ; i++ {
-		recs, next, more := s.Since(c, batchRecs, 0)
+		recs, next, more := since(t, s, c, batchRecs, 0)
 		all = append(all, recs...)
 		if !more && len(recs) == 0 {
 			return all, next
@@ -79,7 +92,7 @@ func TestSinceStreamsAllRecordsInOrder(t *testing.T) {
 		t.Fatalf("drained cursor %+v != end-of-log %+v", final, end)
 	}
 	// Drained: the next call from the final cursor is an empty no-op.
-	recs, _, more := s.Since(final, 0, 0)
+	recs, _, more := since(t, s, final, 0, 0)
 	if len(recs) != 0 || more {
 		t.Fatalf("drained stream yielded %d records, more=%v", len(recs), more)
 	}
@@ -96,7 +109,7 @@ func TestSinceResumesAcrossAppends(t *testing.T) {
 	if err := s.Put(fpOf("second"), []byte("two")); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, _ := s.Since(cur, 0, 0)
+	recs, _, _ := since(t, s, cur, 0, 0)
 	if len(recs) != 1 || recs[0].FP != fpOf("second") {
 		t.Fatalf("incremental pull got %d records (want exactly the new one)", len(recs))
 	}
@@ -253,7 +266,7 @@ func TestSinceRespectsByteBudget(t *testing.T) {
 	c := Cursor{}
 	total := 0
 	for rounds := 0; ; rounds++ {
-		recs, next, more := s.Since(c, 0, 600)
+		recs, next, more := since(t, s, c, 0, 600)
 		if len(recs) == 0 && !more {
 			break
 		}
@@ -274,5 +287,34 @@ func TestSinceRespectsByteBudget(t *testing.T) {
 	}
 	if total != 6 {
 		t.Fatalf("streamed %d records under the byte budget, want 6", total)
+	}
+}
+
+// TestDecodeFramesRejectsAlteredFrames: the frame checksum covers the
+// key as well as the value, so a frame whose key bytes, value bytes or
+// length were altered in transit fails DecodeFrames — it is never
+// stored, under its own name or another. The frames before it still
+// decode.
+func TestDecodeFramesRejectsAlteredFrames(t *testing.T) {
+	good := encodeRecord(fpOf("good"), []byte("first"))
+	rec := encodeRecord(fpOf("right"), []byte("payload"))
+	keyAt := headerLen
+	valAt := headerLen + keyLen
+	for name, alter := range map[string]func([]byte) []byte{
+		"key":       func(b []byte) []byte { other := fpOf("wrong"); copy(b[keyAt:], other[:]); return b },
+		"value":     func(b []byte) []byte { b[valAt] ^= 0x01; return b },
+		"truncated": func(b []byte) []byte { return b[:len(b)-1] },
+	} {
+		bad := alter(append([]byte(nil), rec...))
+		recs, err := DecodeFrames(append(append([]byte(nil), good...), bad...))
+		if err == nil {
+			t.Errorf("%s: an altered frame decoded", name)
+		}
+		if len(recs) != 1 || recs[0].FP != fpOf("good") || string(recs[0].Val) != "first" {
+			t.Errorf("%s: decoded %d records before the bad frame, want the one good record", name, len(recs))
+		}
+	}
+	if recs, err := DecodeFrames(append(good, rec...)); err != nil || len(recs) != 2 {
+		t.Fatalf("intact frames: %d records, %v", len(recs), err)
 	}
 }

@@ -8,8 +8,9 @@
 // One storage layer backs the daemon's result cache (internal/server
 // warms its LRU from the store at boot and writes every completed result
 // through) and the cluster's anti-entropy replication (peers pull each
-// other's records through Since) — so "cache" and "replicate" share a
-// single fsync/torn-write discipline instead of two ad-hoc formats.
+// other's record frames through Since, exactly as they lie on disk, and
+// check them with DecodeFrames) — so "cache" and "replicate" share one
+// record format, one checksum and one frame parser.
 //
 // On-disk format. A store is a directory of numbered segment files
 // (seg-00000001.log, ...); the highest-numbered segment is the active
@@ -129,7 +130,7 @@ type Cursor struct {
 	Off int64  `json:"off"`
 }
 
-// Record is one (fingerprint, value) pair streamed by Since.
+// Record is one (fingerprint, value) pair decoded from a record frame.
 type Record struct {
 	FP  core.Fingerprint
 	Val []byte
@@ -146,7 +147,6 @@ type entry struct {
 	seg   *segment
 	off   int64 // record start
 	total int64
-	vlen  int
 }
 
 // Store is the content-addressed result store. All methods are safe for
@@ -284,29 +284,18 @@ func (s *Store) scan(data []byte, seg *segment) {
 	i := int64(0)
 	n := int64(len(data))
 	for i+headerLen <= n {
-		if !bytes.Equal(data[i:i+4], magic[:]) {
+		fp, _, total, err := parseFrame(data[i:])
+		if err != nil {
+			// Bad framing or a record extending past EOF (a torn tail)
+			// is skipped; a checksum failure is also counted.
+			if errors.Is(err, errChecksum) {
+				s.drops++
+			}
 			i = resync(data, i+1)
 			continue
 		}
-		kl := int64(binary.LittleEndian.Uint32(data[i+4:]))
-		vl := int64(binary.LittleEndian.Uint32(data[i+8:]))
-		crc := binary.LittleEndian.Uint32(data[i+12:])
-		if kl != int64(keyLen) || vl > maxValueBytes || i+headerLen+kl+vl > n {
-			// Bad framing, or a record extending past EOF (torn tail).
-			i = resync(data, i+1)
-			continue
-		}
-		body := data[i+headerLen : i+headerLen+kl+vl]
-		if recordCRC(data[i+4:i+12], body) != crc {
-			s.drops++
-			i = resync(data, i+1)
-			continue
-		}
-		var fp core.Fingerprint
-		copy(fp[:], body[:kl])
-		total := headerLen + kl + vl
-		s.indexPut(fp, entry{seg: seg, off: i, total: total, vlen: int(vl)})
-		i += total
+		s.indexPut(fp, entry{seg: seg, off: i, total: int64(total)})
+		i += int64(total)
 		seg.size = i
 	}
 }
@@ -368,6 +357,50 @@ func encodeRecord(fp core.Fingerprint, val []byte) []byte {
 func recordCRC(lengths, body []byte) uint32 {
 	crc := crc32.Update(0, castagnoli, lengths)
 	return crc32.Update(crc, castagnoli, body)
+}
+
+var (
+	errFrame    = errors.New("store: bad record frame")
+	errChecksum = errors.New("store: record checksum mismatch")
+)
+
+// parseFrame checks the record frame at the start of b: the magic
+// marker, a key of keyLen bytes, a value within maxValueBytes that b
+// holds in full, and the CRC-32C over lengths‖key‖value. It returns the
+// key, the value (aliasing b) and the frame's length. Segment replay,
+// every read and DecodeFrames all go through it.
+func parseFrame(b []byte) (fp core.Fingerprint, val []byte, n int, err error) {
+	if len(b) < headerLen || !bytes.Equal(b[:4], magic[:]) {
+		return fp, nil, 0, errFrame
+	}
+	kl := int(binary.LittleEndian.Uint32(b[4:]))
+	vl := int(binary.LittleEndian.Uint32(b[8:]))
+	n = headerLen + kl + vl
+	if kl != keyLen || vl > maxValueBytes || n > len(b) {
+		return fp, nil, 0, errFrame
+	}
+	if recordCRC(b[4:12], b[headerLen:n]) != binary.LittleEndian.Uint32(b[12:]) {
+		return fp, nil, 0, errChecksum
+	}
+	copy(fp[:], b[headerLen:])
+	return fp, b[headerLen+kl : n], n, nil
+}
+
+// DecodeFrames splits a run of back-to-back record frames, as Since
+// returns them, into records. Every frame is checked like a segment
+// record; decoding stops at the first bad frame and returns the records
+// before it together with the error. Values alias frames.
+func DecodeFrames(frames []byte) ([]Record, error) {
+	var recs []Record
+	for i := 0; i < len(frames); {
+		fp, val, n, err := parseFrame(frames[i:])
+		if err != nil {
+			return recs, fmt.Errorf("%w at byte %d", err, i)
+		}
+		recs = append(recs, Record{FP: fp, Val: val})
+		i += n
+	}
+	return recs, nil
 }
 
 // Put appends one record and fsyncs it before returning nil. On any
@@ -437,7 +470,7 @@ func (s *Store) Put(fp core.Fingerprint, val []byte) error {
 	}
 	off := a.size
 	a.size += int64(len(rec))
-	s.indexPut(fp, entry{seg: a, off: off, total: int64(len(rec)), vlen: len(val)})
+	s.indexPut(fp, entry{seg: a, off: off, total: int64(len(rec))})
 	if a.size >= s.opts.MaxSegmentBytes {
 		return s.rotateLocked()
 	}
@@ -477,17 +510,21 @@ func (s *Store) getLocked(fp core.Fingerprint) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	rec := make([]byte, e.total)
-	if _, err := e.seg.f.ReadAt(rec, e.off); err != nil {
-		s.dropLocked(fp, e)
-		return nil, false
+	_, val, ok := s.readLocked(fp, e)
+	return val, ok
+}
+
+// readLocked reads fp's record frame at e and checks it; a frame that
+// fails (bit rot, or a read error) is dropped from the index.
+func (s *Store) readLocked(fp core.Fingerprint, e entry) (frame, val []byte, ok bool) {
+	frame = make([]byte, e.total)
+	if _, err := e.seg.f.ReadAt(frame, e.off); err == nil {
+		if got, v, n, err := parseFrame(frame); err == nil && got == fp && int64(n) == e.total {
+			return frame, v, true
+		}
 	}
-	if !bytes.Equal(rec[0:4], magic[:]) ||
-		recordCRC(rec[4:12], rec[headerLen:]) != binary.LittleEndian.Uint32(rec[12:16]) {
-		s.dropLocked(fp, e)
-		return nil, false
-	}
-	return rec[e.total-int64(e.vlen):], true
+	s.dropLocked(fp, e)
+	return nil, nil, false
 }
 
 func (s *Store) dropLocked(fp core.Fingerprint, e entry) {
@@ -533,16 +570,16 @@ func (s *Store) endLocked() Cursor {
 	return Cursor{Gen: s.gen, Seg: a.id, Off: a.size}
 }
 
-// Since streams live records appended at or after cursor c in log order,
-// bounded by maxRecords (<=0 means 256) and maxBytes of values (<=0
-// means 1 MiB; at least one record is always returned if any is
-// pending). It returns the batch, the cursor to resume from, and
+// Since returns the live records appended at or after cursor c, in log
+// order, as their on-disk frames back to back (DecodeFrames splits
+// them). A batch is bounded by maxRecords (<=0 means 256) and maxBytes
+// of values (<=0 means 1 MiB; at least one record is always returned if
+// any is pending). It returns the frames, the cursor to resume from, and
 // whether more records remain. A cursor from a different epoch (an
 // earlier Open — see Cursor) restarts from the beginning. Once drained,
-// the cursor returned is the end of the log. Each record is re-read and
-// checksum-verified like Get; a corrupt record is dropped, never
-// streamed.
-func (s *Store) Since(c Cursor, maxRecords int, maxBytes int64) ([]Record, Cursor, bool) {
+// the cursor returned is the end of the log. Each frame is re-read and
+// checked like Get; a corrupt record is dropped, never returned.
+func (s *Store) Since(c Cursor, maxRecords int, maxBytes int64) ([]byte, Cursor, bool) {
 	if maxRecords <= 0 {
 		maxRecords = 256
 	}
@@ -578,24 +615,24 @@ func (s *Store) Since(c Cursor, maxRecords int, maxBytes int64) ([]Record, Curso
 		}
 		return pend[i].e.off < pend[j].e.off
 	})
-	var recs []Record
+	var frames []byte
+	var recs int
 	var vbytes int64
-	next := c
 	for i, p := range pend {
-		v, ok := s.getLocked(p.fp)
+		frame, v, ok := s.readLocked(p.fp, p.e)
 		if !ok {
 			continue // dropped as corrupt; the positions after it still stream
 		}
-		recs = append(recs, Record{FP: p.fp, Val: v})
-		next = Cursor{Gen: s.gen, Seg: p.e.seg.id, Off: p.e.off + p.e.total}
+		frames = append(frames, frame...)
+		recs++
 		vbytes += int64(len(v))
-		if len(recs) >= maxRecords || vbytes >= maxBytes {
-			return recs, next, i+1 < len(pend)
+		if recs >= maxRecords || vbytes >= maxBytes {
+			return frames, Cursor{Gen: s.gen, Seg: p.e.seg.id, Off: p.e.off + p.e.total}, i+1 < len(pend)
 		}
 	}
 	// Drained: jump the cursor to the end of the log so the caller's next
 	// call is a cheap no-op.
-	return recs, s.endLocked(), false
+	return frames, s.endLocked(), false
 }
 
 // Stats reports the store's physical state.
