@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -31,7 +32,6 @@ func benchATPG(seed int64) atpg.Config {
 	cfg.RandomBatches = 2
 	cfg.SeqLen = 12
 	cfg.Restarts = 1
-	cfg.BacktrackLimit = 20
 	return cfg
 }
 
@@ -483,6 +483,51 @@ func podemCase(tb testing.TB, bench string) (*Netlist, ATPGConfig) {
 	cfg.SampleFaults = 300
 	cfg.Workers = 1
 	return nl, cfg
+}
+
+// TestBacktrackLimitKeepsDetections pins DefaultConfig's BacktrackLimit
+// against the 60 it replaced: on podemCase's designs the cheaper budget
+// detects the same faults with the same compacted test set, spends
+// strictly less effort, and leaves the same number of faults unresolved
+// (only the split between frame- and backtrack-limited may move).
+func TestBacktrackLimitKeepsDetections(t *testing.T) {
+	if raceEnabled {
+		t.Skip("eight full campaigns; too slow under the race detector")
+	}
+	for _, bench := range podemBenches {
+		nl, cfg := podemCase(t, bench)
+		if cfg.BacktrackLimit >= 60 {
+			t.Fatalf("DefaultConfig's BacktrackLimit is %d, not below 60", cfg.BacktrackLimit)
+		}
+		old := cfg
+		old.BacktrackLimit = 60
+		got, err := TestDesignCtx(context.Background(), nl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := TestDesignCtx(context.Background(), nl, old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Detected() != want.Detected() || got.DetDetected != want.DetDetected || got.Coverage != want.Coverage {
+			t.Errorf("%s: detected %d (%d by PODEM), coverage %v at limit %d; want %d (%d), %v at 60",
+				bench, got.Detected(), got.DetDetected, got.Coverage, cfg.BacktrackLimit,
+				want.Detected(), want.DetDetected, want.Coverage)
+		}
+		if got.TestCycles != want.TestCycles || !reflect.DeepEqual(got.TestSet, want.TestSet) {
+			t.Errorf("%s: test set of %d cycles at limit %d differs from the %d cycles at 60",
+				bench, got.TestCycles, cfg.BacktrackLimit, want.TestCycles)
+		}
+		if got.Effort >= want.Effort {
+			t.Errorf("%s: effort %d at limit %d, not below %d at 60", bench, got.Effort, cfg.BacktrackLimit, want.Effort)
+		}
+		if g, w := got.Untestable+got.FrameLimited+got.Aborted, want.Untestable+want.FrameLimited+want.Aborted; g != w {
+			t.Errorf("%s: %d unresolved faults at limit %d, want %d as at 60", bench, g, cfg.BacktrackLimit, w)
+		}
+		t.Logf("%s: effort %d -> %d; untestable/frame-limited/aborted %d/%d/%d -> %d/%d/%d", bench,
+			want.Effort, got.Effort, want.Untestable, want.FrameLimited, want.Aborted,
+			got.Untestable, got.FrameLimited, got.Aborted)
+	}
 }
 
 // BenchmarkPODEM measures the full ATPG campaign — random phase plus

@@ -29,6 +29,8 @@
 // 503, in-flight proxied jobs finish (or are cancelled when
 // -drain-timeout expires), the health tracker stops, and registry
 // watchers close. A second signal forces the drain deadline immediately.
+// -cpuprofile FILE writes a CPU profile of the whole run, boot to drained,
+// for `go tool pprof`; it changes no response byte.
 package main
 
 import (
@@ -45,6 +47,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/cluster"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -60,6 +63,7 @@ func main() {
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight proxied requests")
 		maxBody  = flag.Int64("max-body", 1<<20, "request-body cap in bytes (applies to job and membership POSTs alike)")
 		chaosFl  = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
+		cpuProf  = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file, from boot until the drain after SIGTERM/SIGINT completes (empty = no profile)")
 	)
 	flag.Parse()
 	// Install the handler before anything can answer /livez: a signal that
@@ -69,6 +73,11 @@ func main() {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("hltsc: ")
+
+	stopProfile, err := stats.StartCPUProfile(*cpuProf)
+	if err != nil {
+		log.Fatalf("-cpuprofile: %v", err)
+	}
 
 	if *chaosFl != "" {
 		in, err := chaos.Parse(*chaosFl)
@@ -132,8 +141,10 @@ func main() {
 		} else {
 			log.Printf("drain: %v", err)
 		}
+		stopProfile()
 		fmt.Fprintln(os.Stderr, "hltsc: drained (degraded)")
 		os.Exit(0)
 	}
+	stopProfile()
 	log.Printf("drained cleanly")
 }

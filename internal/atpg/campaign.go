@@ -34,7 +34,11 @@ type Config struct {
 	// circuit is always searched in one frame.
 	MaxFrames int
 	// BacktrackLimit bounds each PODEM attempt: the deterministic one and
-	// every restart of a fault.
+	// every restart of a fault. A search that succeeds almost never
+	// backtracks, so the limit mostly prices the searches that fail: over
+	// the seed-1998 table and supplementary sweeps, 203 of 253
+	// deterministic successes needed no backtrack, 225 at most one, none
+	// more than 20, and restarts rescued 7 of 1,820 aborted attempts.
 	BacktrackLimit int
 	// Restarts is the number of randomized PODEM restarts tried per fault
 	// after the deterministic attempt.
@@ -63,7 +67,10 @@ type Config struct {
 }
 
 // DefaultConfig returns the campaign settings used by the experiment
-// harness.
+// harness. A BacktrackLimit of 20 keeps every coverage and test-cycles
+// cell of the limit-60 campaigns in the seed-1998 tables at about 0.55x
+// their TG effort; 16 loses three coverage cells there, and three
+// restarts instead of four lose one.
 func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:           seed,
@@ -71,7 +78,7 @@ func DefaultConfig(seed int64) Config {
 		RandomBatches:  4,
 		SeqLen:         16,
 		MaxFrames:      8,
-		BacktrackLimit: 60,
+		BacktrackLimit: 20,
 		Restarts:       4,
 	}
 }

@@ -108,11 +108,10 @@ func DefaultConfig(seed int64) Config {
 			c := atpg.DefaultConfig(seed + int64(width))
 			if width >= 16 {
 				// Keep 16-bit campaigns tractable: smaller fault sample and
-				// a tighter deterministic phase (PODEM implications scale
-				// with gate count x frames).
+				// fewer restarts (PODEM implications scale with gate count x
+				// frames).
 				c.SampleFaults = 1000
 				c.Restarts = 1
-				c.BacktrackLimit = 30
 			}
 			return c
 		},

@@ -263,7 +263,7 @@ func (r TestDesignRequest) Normalize() (*NormTestDesign, error) {
 // holding bytes from an older engine misses instead of serving them.
 // Bump it whenever ATPG output bytes change for the same request.
 // /v1/synthesize runs no ATPG and stays unsalted.
-const atpgOutputVersion = 1
+const atpgOutputVersion = 2
 
 // Fingerprint extends the synthesis fingerprint with the ATPG output
 // version and the test-generation knobs.

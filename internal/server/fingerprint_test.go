@@ -49,14 +49,14 @@ func TestRequestFingerprintGoldens(t *testing.T) {
 				return core.Fingerprint{}, err
 			}
 			return n.Fingerprint(), nil
-		}, "3eda419b8abb0ebda4f6dc0b6778e760"},
+		}, "adc0406d14ffedd0bd7f114fcf9b6d75"},
 		{"table/dct", func() (core.Fingerprint, error) {
 			n, err := NormalizeTable("dct", "4,8", "1998", "300")
 			if err != nil {
 				return core.Fingerprint{}, err
 			}
 			return n.Fingerprint(), nil
-		}, "b2d0d25bf3e303e9874d094d8a6625e2"},
+		}, "7f52419533431e6a7f2b19ce0f1209e3"},
 	}
 	for _, c := range cases {
 		fp, err := c.fp()

@@ -139,28 +139,31 @@ func TestRestartServesFromStore(t *testing.T) {
 }
 
 // TestStoreMissesOlderATPGOutput: a store written by an engine with an
-// older atpgOutputVersion holds /v1/testdesign bytes under the unsalted
-// fingerprint. The same request after the bump must miss that record and
-// compute a fresh answer, never serve the stale one.
+// older atpgOutputVersion holds /v1/testdesign bytes under that version's
+// fingerprint. The same request after the bump must miss those records
+// and compute a fresh answer, never serve a stale one.
 func TestStoreMissesOlderATPGOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real ATPG campaign; too slow for -short")
 	}
 	base := runtime.NumGoroutine()
 	dir := t.TempDir()
-	// The fingerprint of this request before atpgOutputVersion existed.
 	const body = `{"bench":"ex","width":4,"faults":300,"bist":{"tpg":2,"misr":2}}`
-	var old core.Fingerprint
-	if _, err := hex.Decode(old[:], []byte("024171ae024862e1609204a199b1f377")); err != nil {
-		t.Fatal(err)
-	}
 	stale := []byte(`{"stale":true}`)
 	stor, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := stor.Put(old, encodeResult(result{status: http.StatusOK, body: stale})); err != nil {
-		t.Fatal(err)
+	// The fingerprints of this request before atpgOutputVersion existed
+	// and at version 1 (BacktrackLimit 60).
+	for _, old := range []string{"024171ae024862e1609204a199b1f377", "3eda419b8abb0ebda4f6dc0b6778e760"} {
+		var fp core.Fingerprint
+		if _, err := hex.Decode(fp[:], []byte(old)); err != nil {
+			t.Fatal(err)
+		}
+		if err := stor.Put(fp, encodeResult(result{status: http.StatusOK, body: stale})); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := stor.Close(); err != nil {
 		t.Fatal(err)
