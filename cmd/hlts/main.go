@@ -45,7 +45,6 @@ func main() {
 		tstab   = flag.Bool("testability", false, "print the per-node testability analysis")
 		stFlg   = flag.Bool("stats", false, "print synthesis cache/stage statistics after the run")
 		timeout = flag.Duration("timeout", 0, "overall budget; when it expires, synthesis and ATPG return their best-so-far results marked partial (0 = no limit)")
-		valFlg  = flag.Bool("validate", false, "run the structural invariant checkers on every intermediate artifact (design, netlist)")
 		chaosFl = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file on exit")
 	)
@@ -91,7 +90,6 @@ func main() {
 	par.Slack = *slack
 	par.LoopSignal = *loopSig
 	par.Workers = *workers
-	par.Validate = *valFlg
 	if *stFlg {
 		par.Stats = stats.New()
 	}
@@ -136,11 +134,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *valFlg {
-			if err := hlts.ValidateNetlist(n); err != nil {
-				fatal(err)
-			}
-		}
 		if err := os.WriteFile(*verilog, []byte(n.Verilog(g.Name)), 0o644); err != nil {
 			fatal(err)
 		}
@@ -157,11 +150,6 @@ func main() {
 		n, err := hlts.GenerateNetlistWithScan(res, *width, false, scanRegs)
 		if err != nil {
 			fatal(err)
-		}
-		if *valFlg {
-			if err := hlts.ValidateNetlist(n); err != nil {
-				fatal(err)
-			}
 		}
 		fmt.Printf("\ngate-level: %s\n", n.C.Stats())
 		cfg := hlts.DefaultATPGConfig(*seed)

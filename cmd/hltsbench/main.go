@@ -50,7 +50,6 @@ func main() {
 		markdown = flag.Bool("markdown", false, "emit tables as markdown")
 		statsFlg = flag.Bool("stats", false, "print synthesis cache/stage statistics after the run")
 		timeout  = flag.Duration("timeout", 0, "overall budget; when it expires, in-flight cells finish with their best-so-far figures, marked *partial in the table (0 = no limit)")
-		valFlg   = flag.Bool("validate", false, "run the structural invariant checkers on every cell's design and netlist")
 		chaosFl  = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file on exit")
 
@@ -98,7 +97,6 @@ func main() {
 	cfg.Parallel = *parallel
 	cfg.Workers = *workers
 	cfg.Stats = st
-	cfg.Validate = *valFlg
 	var ws []int
 	for _, f := range strings.Split(*widths, ",") {
 		w, err := strconv.Atoi(strings.TrimSpace(f))

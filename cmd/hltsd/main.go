@@ -64,7 +64,6 @@ func main() {
 		drainTO = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget; jobs still running when it expires land best-so-far partial results")
 		cacheSz = flag.Int("cache", 128, "result-cache capacity in entries (negative disables)")
 		storeFl = flag.String("store", "", "persistent result-store directory: completed results are written through and reloaded at boot, so a restarted daemon serves repeat traffic from a hot cache (empty = in-memory only)")
-		valFlg  = flag.Bool("validate", false, "run the structural invariant checkers inside every job")
 		chaosFl = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
 		coord   = flag.String("coordinator", "", "coordinator base URL (e.g. http://host:9090): register this worker with an hltsc coordinator and heartbeat utilization (empty = standalone)")
 		adv     = flag.String("advertise", "", "base URL the coordinator should dispatch to (default derived from -addr)")
@@ -136,7 +135,6 @@ func main() {
 		Workers:     *workers,
 		MaxDeadline: *maxDL,
 		CacheSize:   *cacheSz,
-		Validate:    *valFlg,
 		Store:       resStore,
 		Stats:       st,
 	})

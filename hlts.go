@@ -71,10 +71,12 @@ type (
 	Status = exec.Status
 	// ExecError is a worker panic recovered at a library boundary.
 	ExecError = exec.ExecError
-	// ValidationError is a violated structural invariant reported by the
-	// stage-boundary checkers (Params.Validate / ExperimentConfig.Validate):
-	// which stage produced the artifact, which invariant failed, and the
-	// specifics. See internal/validate.
+	// ValidationError is a violated structural invariant: which stage
+	// produced the artifact, which invariant failed, and the specifics.
+	// Every synthesis flow checks its behaviour graph and finished design,
+	// and every netlist generator its netlist, before returning them, so
+	// an error of this type means the library caught its own corruption.
+	// See internal/validate.
 	ValidationError = validate.Error
 )
 
@@ -259,8 +261,3 @@ func DefaultExperimentConfig(seed int64) ExperimentConfig { return report.Defaul
 func ReproduceTableCtx(ctx context.Context, bench string, cfg ExperimentConfig) (*Table, error) {
 	return report.RunTableCtx(ctx, bench, cfg)
 }
-
-// ValidateNetlist runs the structural invariant checkers on a generated
-// netlist: gate-graph sanity, combinational acyclicity, data-bus wiring
-// and — when a scan chain is present — scan-chain completeness and order.
-func ValidateNetlist(n *Netlist) error { return validate.Netlist(n) }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/dfg"
 	"repro/internal/sched"
+	"repro/internal/validate"
 )
 
 // Method names used by the experiment harness, matching the rows of the
@@ -93,7 +94,7 @@ func separateAllocate(g *dfg.Graph, par Params, method string, s sched.Schedule)
 // scheduling [11] without testability consideration, followed by the same
 // allocation as Approach 2 [7].
 func SynthesizeApproach1(g *dfg.Graph, par Params) (*Result, error) {
-	if err := g.Validate(); err != nil {
+	if err := validate.Graph(g); err != nil {
 		return nil, err
 	}
 	prob := sched.NewProblem(g)
@@ -112,7 +113,7 @@ func SynthesizeApproach1(g *dfg.Graph, par Params) (*Result, error) {
 // mobility-path scheduling of Lee et al. [6,7], which accounts for the two
 // testability rules, followed by modified left-edge allocation.
 func SynthesizeApproach2(g *dfg.Graph, par Params) (*Result, error) {
-	if err := g.Validate(); err != nil {
+	if err := validate.Graph(g); err != nil {
 		return nil, err
 	}
 	prob := sched.NewProblem(g)

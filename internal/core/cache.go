@@ -177,8 +177,8 @@ func (h *Hasher) Graph(g *dfg.Graph) {
 
 // Params writes the result-affecting fields of a Params: the algorithm
 // knobs (K, α, β, slack, width, loop parameters, policy selectors) but
-// none of the operational ones (Workers, Stats, NoCache,
-// Validate — all of which are contracted to never change results).
+// none of the operational ones (Workers, Stats, NoCache — all of which
+// are contracted to never change results).
 // Callers supplying a custom Class or Lib are outside this encoding and
 // must not share fingerprints across different ones; the server only
 // ever uses the defaults.

@@ -118,13 +118,6 @@ type Params struct {
 	// for the cache-equivalence tests and benchmarks; results are
 	// identical either way.
 	NoCache bool
-	// Validate runs the structural invariant checkers of internal/validate
-	// at the stage boundaries: on the behaviour graph and initial design
-	// before the merger loop, and on the finished design of every flow. A
-	// violation surfaces as a typed *validate.Error instead of a
-	// downstream panic or a silently wrong figure. Costs one linear pass
-	// per checked artifact.
-	Validate bool
 }
 
 // DefaultParams returns the parameter set (k,α,β) = (3,2,1) the paper uses
@@ -320,13 +313,8 @@ func (st *state) feasible(strict, weak [][2]dfg.NodeID) error {
 // The cache, shared by every tie policy of one SynthesizeCtx call, may be
 // nil to disable memoization.
 func initialState(g *dfg.Graph, par Params, cache *evalCache) (*state, error) {
-	if err := g.Validate(); err != nil {
+	if err := validate.Graph(g); err != nil {
 		return nil, err
-	}
-	if par.Validate {
-		if err := validate.Graph(g); err != nil {
-			return nil, err
-		}
 	}
 	prob := sched.NewProblem(g)
 	s, err := prob.ASAP()
@@ -758,10 +746,8 @@ func (st *state) finish(method string, trace []string) (*Result, error) {
 	// Every synthesis flow — ours and the three baselines — funnels its
 	// final design through here, so this is the single validation boundary
 	// for finished designs.
-	if st.par.Validate {
-		if err := validate.Design(d); err != nil {
-			return nil, err
-		}
+	if err := validate.Design(d); err != nil {
+		return nil, err
 	}
 	an, err := st.analyze()
 	if err != nil {

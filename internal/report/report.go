@@ -23,7 +23,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/rtl"
 	"repro/internal/stats"
-	"repro/internal/validate"
 )
 
 // Cell is one (method, width) measurement of a table.
@@ -83,11 +82,6 @@ type Config struct {
 	// Stats, when non-nil, collects per-stage synthesis counters and
 	// timers across every cell. Purely observational.
 	Stats *stats.Stats
-	// Validate runs the structural invariant checkers on every cell's
-	// intermediate artifacts: the synthesized design (via
-	// core.Params.Validate) and the generated netlist. A violation fails
-	// the cell with a typed *validate.Error.
-	Validate bool
 }
 
 // DefaultConfig returns the configuration reproducing the paper's setup.
@@ -202,7 +196,6 @@ func RunCellCtx(ctx context.Context, bench, method string, width int, cfg Config
 	par.LoopSignal = loopSignalFor(bench)
 	par.Workers = cfg.Workers
 	par.Stats = cfg.Stats
-	par.Validate = cfg.Validate
 	res, err := core.RunCtx(ctx, method, g, par)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s/%d: %w", bench, method, width, err)
@@ -210,11 +203,6 @@ func RunCellCtx(ctx context.Context, bench, method string, width int, cfg Config
 	nl, err := rtl.Generate(res.Design, width, rtl.NormalMode)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s/%d: %w", bench, method, width, err)
-	}
-	if cfg.Validate {
-		if err := validate.Netlist(nl); err != nil {
-			return nil, fmt.Errorf("%s/%s/%d: %w", bench, method, width, err)
-		}
 	}
 	acfg := cfg.ATPGFor(width)
 	acfg.Workers = cfg.Workers

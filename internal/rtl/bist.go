@@ -18,11 +18,12 @@ import (
 //
 // In normal operation (bist_en low) the data path is unchanged; the
 // equivalence tests cover this.
-// GenerateBIST shares the rtl.generate panic boundary with
-// GenerateWithScan: internal builder panics come back as *exec.ExecError.
+// GenerateBIST shares the rtl.generate panic boundary and the netlist
+// check with GenerateWithScan: internal builder panics come back as
+// *exec.ExecError, violated invariants as *validate.Error.
 func GenerateBIST(d *etpn.Design, width int, mode Mode, tpgRegs, misrRegs []int) (*Netlist, error) {
 	return exec.Guard1("rtl.generate", -1, func() (*Netlist, error) {
-		return generateBIST(d, width, mode, tpgRegs, misrRegs)
+		return checked(generateBIST(d, width, mode, tpgRegs, misrRegs))
 	})
 }
 

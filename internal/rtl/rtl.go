@@ -92,10 +92,11 @@ func Generate(d *etpn.Design, width int, mode Mode) (*Netlist, error) {
 // GenerateWithScan is a public library boundary: an internal panic while
 // building the netlist (malformed designs can violate builder invariants)
 // is recovered and returned as an *exec.ExecError rather than unwinding
-// into the caller.
+// into the caller, and the netlist is checked before it is returned (a
+// violated invariant is a typed *validate.Error).
 func GenerateWithScan(d *etpn.Design, width int, mode Mode, scanRegs []int) (*Netlist, error) {
 	return exec.Guard1("rtl.generate", -1, func() (*Netlist, error) {
-		return generateWithScan(d, width, mode, scanRegs)
+		return checked(generateWithScan(d, width, mode, scanRegs))
 	})
 }
 

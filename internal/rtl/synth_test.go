@@ -1,7 +1,4 @@
-// Synthesized-design RTL tests live in an external test package: they
-// drive the full pipeline through internal/core, which (via the
-// stage-boundary validators) depends back on this package.
-package rtl_test
+package rtl
 
 import (
 	"context"
@@ -10,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfg"
-	"repro/internal/rtl"
 )
 
 // Gate-level equivalence must hold for fully synthesized designs too — the
@@ -28,7 +24,7 @@ func TestGateLevelMatchesInterpreterSynthesized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, err := rtl.Generate(r.Design, 8, rtl.NormalMode)
+			n, err := Generate(r.Design, 8, NormalMode)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, method, err)
 			}
@@ -68,7 +64,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 		var want string
 		for i := 0; i < 8; i++ {
-			n, err := rtl.Generate(r.Design, 8, rtl.NormalMode)
+			n, err := Generate(r.Design, 8, NormalMode)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -77,8 +77,6 @@ type Config struct {
 	// MaxBodyBytes caps every request body via http.MaxBytesReader;
 	// over-limit bodies answer 413 (default 1 MiB).
 	MaxBodyBytes int64
-	// Validate runs the structural invariant checkers inside every job.
-	Validate bool
 	// Store, when non-nil, is the persistent content-addressed result
 	// store (see internal/store): the LRU is warmed from it at
 	// construction, every StatusComplete result is written through, and
@@ -365,7 +363,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.Params.Workers = s.inner
-	n.Params.Validate = s.cfg.Validate
 	n.Params.Stats = s.st
 	fp := n.Fingerprint()
 	s.serveJob(w, r, "synthesize", fp, req.DeadlineMS, func(ctx context.Context) (int, []byte, bool) {
@@ -395,7 +392,6 @@ func (s *Server) handleTestDesign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.Params.Workers = s.inner
-	n.Params.Validate = s.cfg.Validate
 	n.Params.Stats = s.st
 	fp := n.Fingerprint()
 	s.serveJob(w, r, "testdesign", fp, req.DeadlineMS, func(ctx context.Context) (int, []byte, bool) {
@@ -423,11 +419,6 @@ func (s *Server) runTestDesign(ctx context.Context, n *NormTestDesign) (int, []b
 	nl, err := hlts.GenerateNetlistWithScan(res, n.Params.Width, n.TestMode, scanRegs)
 	if err != nil {
 		return 0, nil, false, err
-	}
-	if s.cfg.Validate {
-		if err := hlts.ValidateNetlist(nl); err != nil {
-			return 0, nil, false, err
-		}
 	}
 	acfg := hlts.DefaultATPGConfig(n.Seed)
 	acfg.SampleFaults = n.Faults
@@ -484,7 +475,6 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		cfg.Workers = s.inner
 		cfg.Parallel = 1 // the job IS the unit of concurrency; don't nest
 		cfg.Stats = s.st
-		cfg.Validate = s.cfg.Validate
 		baseATPG := cfg.ATPGFor
 		cfg.ATPGFor = func(width int) hlts.ATPGConfig {
 			c := baseATPG(width)

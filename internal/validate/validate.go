@@ -1,17 +1,19 @@
-// Package validate holds the structural invariant checkers run at the
-// stage boundaries of the synthesis pipeline: behaviour graph, ETPN
-// design (schedule + allocation + data path), and gate-level
-// netlist. Each checker walks one artifact and reports the first violated
-// invariant as a typed *Error naming the stage and the invariant, so a
-// corrupted intermediate design is caught where it was produced instead
-// of surfacing as a downstream panic or a silently wrong figure.
+// Package validate holds the structural invariant checkers of the
+// synthesis pipeline's artifacts: the behaviour graph and the ETPN design
+// (schedule + allocation + data path). Each checker walks one artifact
+// and reports the first violated invariant as a typed *Error naming the
+// stage and the invariant, so a corrupted intermediate design is caught
+// where it was produced instead of surfacing as a downstream panic or a
+// silently wrong figure. The gate-level netlist's checker lives with its
+// generator in package rtl and reports the same *Error.
 //
 // The checkers are read-only, deterministic, and deliberately
 // re-derive their facts from first principles (e.g. register-share
 // disjointness is re-proved from the lifetime intervals, not read off the
 // allocator's own bookkeeping) — an invariant checked by the code that
-// maintains it proves nothing. They run behind core.Params.Validate /
-// report.Config.Validate and cost one linear pass per artifact.
+// maintains it proves nothing. Package core runs Graph on every
+// behaviour graph it synthesizes and Design on every design it returns,
+// at one linear pass per artifact.
 package validate
 
 import (
@@ -21,8 +23,6 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/dfg"
 	"repro/internal/etpn"
-	"repro/internal/gates"
-	"repro/internal/rtl"
 )
 
 // Error is a violated structural invariant: which pipeline stage produced
@@ -250,133 +250,6 @@ func containsValue(xs []dfg.ValueID, x dfg.ValueID) bool {
 		if v == x {
 			return true
 		}
-	}
-	return false
-}
-
-// Netlist checks a generated gate-level implementation: gate-graph
-// structural sanity, combinational acyclicity (the netlist must levelize),
-// bus completeness of the data ports, and — when a scan chain was
-// requested — scan-chain completeness: the scan control ports exist, every
-// scanned register bit has its flip-flop, the chain threads them in
-// ScanRegs order, and scan_out observes the tail.
-func Netlist(n *rtl.Netlist) error {
-	if n == nil || n.C == nil {
-		return fail("rtl", "non-nil", "nil netlist")
-	}
-	c := n.C
-	if err := c.Validate(); err != nil {
-		return &Error{Stage: "rtl", Invariant: "circuit-structure", Detail: err.Error()}
-	}
-	if _, err := c.Levelize(); err != nil {
-		return &Error{Stage: "rtl", Invariant: "comb-acyclic", Detail: err.Error()}
-	}
-	for name, w := range n.DataIn {
-		if err := checkBus(c, "input", name, w); err != nil {
-			return err
-		}
-	}
-	for name, w := range n.DataOut {
-		if err := checkBus(c, "output", name, w); err != nil {
-			return err
-		}
-	}
-	if len(n.ScanRegs) > 0 {
-		if err := scanChain(n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func checkBus(c *gates.Circuit, role, name string, w gates.Word) error {
-	for _, id := range w {
-		if id < 0 || id >= len(c.Gates) {
-			return fail("rtl", "bus-wiring", "%s bus %s references unknown gate %d", role, name, id)
-		}
-	}
-	return nil
-}
-
-// scanChain re-proves the serial scan chain complete and correctly
-// ordered by walking the structure: scan_en/scan_in/scan_out exist, every
-// bit of every scanned register has a named flip-flop, each flip-flop's D
-// cone contains the previous chain element (through the scan mux,
-// whatever gate rewriting the optimizer did), and scan_out observes the
-// chain tail.
-func scanChain(n *rtl.Netlist) error {
-	c := n.C
-	inputs := map[string]int{}
-	for _, id := range c.Inputs {
-		inputs[c.Gates[id].Name] = id
-	}
-	dffs := map[string]int{}
-	for _, id := range c.DFFs {
-		dffs[c.Gates[id].Name] = id
-	}
-	scanEn, okEn := inputs["scan_en"]
-	scanIn, okIn := inputs["scan_in"]
-	if !okEn || !okIn {
-		return fail("rtl", "scan-ports", "scan chain requested but scan_en/scan_in inputs missing")
-	}
-	outIdx := -1
-	for i, name := range c.OutputNames {
-		if name == "scan_out" {
-			outIdx = i
-		}
-	}
-	if outIdx < 0 {
-		return fail("rtl", "scan-ports", "scan chain requested but scan_out output missing")
-	}
-	_ = scanEn
-
-	// Walk the chain in declared order, proving each bit reachable from
-	// the previous through its D cone.
-	prev := scanIn
-	for _, rid := range n.ScanRegs {
-		for bit := 0; bit < n.Width; bit++ {
-			name := fmt.Sprintf("r%d[%d]", rid, bit)
-			ff, ok := dffs[name]
-			if !ok {
-				return fail("rtl", "scan-chain-complete", "scanned register bit %s has no flip-flop", name)
-			}
-			g := c.Gates[ff]
-			if len(g.In) == 0 {
-				return fail("rtl", "scan-chain-complete", "scanned flip-flop %s has no D input", name)
-			}
-			if !inCombCone(c, g.In[0], prev) {
-				return fail("rtl", "scan-chain-order", "chain element before %s is not in its D cone", name)
-			}
-			prev = ff
-		}
-	}
-	if !inCombCone(c, c.Outputs[outIdx], prev) {
-		return fail("rtl", "scan-chain-order", "scan_out does not observe the chain tail")
-	}
-	return nil
-}
-
-// inCombCone reports whether target is reachable from root through
-// combinational gates only (flip-flops and inputs are cone leaves, except
-// target itself).
-func inCombCone(c *gates.Circuit, root, target int) bool {
-	seen := map[int]bool{}
-	stack := []int{root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if id == target {
-			return true
-		}
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		g := c.Gates[id]
-		if g.Kind == gates.KDFF || g.Kind == gates.KInput {
-			continue // sequential/primary boundary: stop, target not here
-		}
-		stack = append(stack, g.In...)
 	}
 	return false
 }

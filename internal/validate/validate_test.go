@@ -12,8 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/etpn"
-	"repro/internal/gates"
 	"repro/internal/rtl"
+	"repro/internal/scan"
 	"repro/internal/validate"
 )
 
@@ -52,7 +52,6 @@ func expectViolation(t *testing.T, err error, stage, invariant string) {
 func TestNilArtifacts(t *testing.T) {
 	expectViolation(t, validate.Graph(nil), "dfg", "non-nil")
 	expectViolation(t, validate.Design(nil), "etpn", "non-nil")
-	expectViolation(t, validate.Netlist(nil), "rtl", "non-nil")
 }
 
 // Each corruption is applied to a fresh known-good design and must be
@@ -159,60 +158,33 @@ func TestDesignCorruptionsDetected(t *testing.T) {
 	})
 }
 
-func TestNetlistCorruptionsDetected(t *testing.T) {
-	d := freshDesign(t)
-	scanRegs := []int{0}
-	if len(d.Alloc.Regs) >= 2 {
-		scanRegs = []int{0, 1}
-	}
-	fresh := func(t *testing.T) *rtl.Netlist {
-		t.Helper()
-		n, err := rtl.GenerateWithScan(d, 4, rtl.NormalMode, scanRegs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := validate.Netlist(n); err != nil {
-			t.Fatalf("fresh netlist does not validate: %v", err)
-		}
-		return n
-	}
-	t.Run("bus-wiring", func(t *testing.T) {
-		n := fresh(t)
-		for name := range n.DataIn {
-			n.DataIn[name] = gates.Word{len(n.C.Gates)}
-			break
-		}
-		expectViolation(t, validate.Netlist(n), "rtl", "bus-wiring")
-	})
-	t.Run("scan-chain-complete", func(t *testing.T) {
-		n := fresh(t)
-		n.ScanRegs = append(n.ScanRegs, 99)
-		expectViolation(t, validate.Netlist(n), "rtl", "scan-chain-complete")
-	})
-	t.Run("scan-chain-order", func(t *testing.T) {
-		if len(scanRegs) < 2 {
-			t.Skip("need two scanned registers to misorder the chain")
-		}
-		n := fresh(t)
-		n.ScanRegs[0], n.ScanRegs[1] = n.ScanRegs[1], n.ScanRegs[0]
-		expectViolation(t, validate.Netlist(n), "rtl", "scan-chain-order")
-	})
-	t.Run("scan-ports", func(t *testing.T) {
-		n := fresh(t)
-		for i, name := range n.C.OutputNames {
-			if name == "scan_out" {
-				n.C.OutputNames[i] = "not_scan_out"
-			}
-		}
-		expectViolation(t, validate.Netlist(n), "rtl", "scan-ports")
-	})
-}
-
 // TestFlowsValidateClean is the acceptance run: every synthesis flow on
-// every paper benchmark at width 4, with the checkers armed end to end,
-// reports zero violations — on the design and on the generated netlist.
+// every paper benchmark at width 4 reports zero violations, on the design
+// and on each kind of netlist generated from it. The flows check their
+// designs and the generators their netlists before returning them, so
+// any violation surfaces as an error here.
 func TestFlowsValidateClean(t *testing.T) {
-	for _, bench := range []string{dfg.BenchEx, dfg.BenchDct, dfg.BenchDiffeq} {
+	// scanned is the chain of the scan rows: the first two registers.
+	scanned := func(d *etpn.Design) []int { return []int{0, 1}[:min(2, d.Alloc.NumRegs())] }
+	netlists := []struct {
+		name string
+		gen  func(res *core.Result) (*rtl.Netlist, error)
+	}{
+		{"plain", func(res *core.Result) (*rtl.Netlist, error) {
+			return rtl.Generate(res.Design, 4, rtl.NormalMode)
+		}},
+		{"scan", func(res *core.Result) (*rtl.Netlist, error) {
+			return rtl.GenerateWithScan(res.Design, 4, rtl.NormalMode, scanned(res.Design))
+		}},
+		{"test-mode-scan", func(res *core.Result) (*rtl.Netlist, error) {
+			return rtl.GenerateWithScan(res.Design, 4, rtl.TestMode, scanned(res.Design))
+		}},
+		{"bist", func(res *core.Result) (*rtl.Netlist, error) {
+			tpg, misr := scan.SelectBIST(res.Design, res.Metrics, 1, 1)
+			return rtl.GenerateBIST(res.Design, 4, rtl.NormalMode, tpg, misr)
+		}},
+	}
+	for _, bench := range dfg.BenchmarkNames() {
 		for _, method := range core.Methods() {
 			t.Run(fmt.Sprintf("%s/%s", bench, method), func(t *testing.T) {
 				g, err := dfg.ByName(bench, 4)
@@ -220,23 +192,20 @@ func TestFlowsValidateClean(t *testing.T) {
 					t.Fatal(err)
 				}
 				par := core.DefaultParams(4)
-				par.Validate = true
-				if bench == dfg.BenchDiffeq {
+				if bench == dfg.BenchDiffeq || bench == dfg.BenchPaulin {
 					par.LoopSignal = "exit"
 				}
 				res, err := core.RunCtx(context.Background(), method, g, par)
 				if err != nil {
-					t.Fatalf("%s with validation armed: %v", method, err)
+					t.Fatalf("%s: %v", method, err)
 				}
 				if err := validate.Design(res.Design); err != nil {
 					t.Fatalf("finished design violates an invariant: %v", err)
 				}
-				n, err := rtl.Generate(res.Design, 4, rtl.NormalMode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := validate.Netlist(n); err != nil {
-					t.Fatalf("generated netlist violates an invariant: %v", err)
+				for _, nl := range netlists {
+					if _, err := nl.gen(res); err != nil {
+						t.Fatalf("%s netlist: %v", nl.name, err)
+					}
 				}
 			})
 		}
