@@ -45,8 +45,7 @@ func main() {
 		widths   = flag.String("widths", "4,8,16", "comma-separated bit widths")
 		seed     = flag.Int64("seed", 1998, "experiment seed")
 		faults   = flag.Int("faults", 1500, "fault sample size per campaign")
-		parallel = flag.Int("parallel", 4, "concurrent experiment cells")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines inside each synthesis/campaign (1 = sequential; results are identical at any count)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "total worker-goroutine budget, split between concurrent cells and the goroutines inside each (1 = sequential; results are identical at any count)")
 		markdown = flag.Bool("markdown", false, "emit tables as markdown")
 		statsFlg = flag.Bool("stats", false, "print synthesis cache/stage statistics after the run")
 		timeout  = flag.Duration("timeout", 0, "overall budget; when it expires, in-flight cells finish with their best-so-far figures, marked *partial in the table (0 = no limit)")
@@ -94,7 +93,6 @@ func main() {
 		st = stats.New()
 	}
 	cfg := report.DefaultConfig(*seed)
-	cfg.Parallel = *parallel
 	cfg.Workers = *workers
 	cfg.Stats = st
 	var ws []int

@@ -163,25 +163,9 @@ func main() {
 			Capacity:    cluster.Capacity{Jobs: *jobs, Workers: *workers, QueueDepth: *queue},
 			Interval:    *beat,
 			Stats:       srv.Stats(),
-			Snapshot: func() cluster.Utilization {
-				snap := srv.Snapshot()
-				u := cluster.Utilization{
-					Queued:       snap.Queued,
-					Inflight:     snap.Inflight,
-					CacheHitRate: snap.CacheHitRate,
-					JobsRun:      snap.JobsRun,
-				}
-				if snap.HasStore {
-					// The store gauge in each beat is what lets the
-					// coordinator compute replication lag across shards.
-					u.Store = &cluster.StoreUtil{
-						Records:   snap.StoreRecords,
-						LiveBytes: snap.StoreLiveBytes,
-						Cursor:    snap.StoreCursor,
-					}
-				}
-				return u
-			},
+			// Each beat's store gauge is what lets the coordinator compute
+			// replication lag across shards.
+			Snapshot: srv.Snapshot,
 		})
 		log.Printf("registered with coordinator %s as %s (heartbeat %v)", *coord, advertise, *beat)
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/server"
 	"repro/internal/stats"
 )
 
@@ -32,7 +33,7 @@ type AgentConfig struct {
 	Capacity Capacity
 	// Snapshot produces the utilization carried by each beat (nil = zero
 	// utilization).
-	Snapshot func() Utilization
+	Snapshot func() server.Utilization
 	// Interval is the beat period; a positive HeartbeatMS in the
 	// coordinator's registration answer overrides it (default 2s).
 	Interval time.Duration
@@ -64,7 +65,7 @@ func StartAgent(cfg AgentConfig) *Agent {
 		cfg.ID = cfg.Advertise
 	}
 	if cfg.Snapshot == nil {
-		cfg.Snapshot = func() Utilization { return Utilization{} }
+		cfg.Snapshot = func() server.Utilization { return server.Utilization{} }
 	}
 	if cfg.Client == nil {
 		// Private transport so Stop can release idle-connection goroutines.

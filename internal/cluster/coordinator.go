@@ -7,21 +7,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/server"
 	"repro/internal/stats"
 )
@@ -130,8 +123,7 @@ type Coordinator struct {
 	client *http.Client
 	mux    *http.ServeMux
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	jitter *server.Jitter
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -154,18 +146,18 @@ func New(cfg Config) *Coordinator {
 		reg:        NewRegistry(time.Duration(cfg.SuspectBeats)*cfg.HeartbeatInterval, cfg.DeadAfter, cfg.Now),
 		client:     cfg.Client,
 		mux:        http.NewServeMux(),
-		rng:        rand.New(rand.NewSource(cfg.JitterSeed)),
+		jitter:     server.NewJitter(cfg.JitterSeed),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		stopHealth: make(chan struct{}),
 		healthDone: make(chan struct{}),
 	}
-	c.mux.HandleFunc("POST /cluster/v1/register", c.guarded("register", c.handleRegister))
-	c.mux.HandleFunc("POST /cluster/v1/heartbeat", c.guarded("heartbeat", c.handleHeartbeat))
-	c.mux.HandleFunc("GET /cluster/v1/nodes", c.guarded("nodes", c.handleNodes))
-	c.mux.HandleFunc("POST /v1/synthesize", c.guarded("synthesize", c.handleSynthesize))
-	c.mux.HandleFunc("POST /v1/testdesign", c.guarded("testdesign", c.handleTestDesign))
-	c.mux.HandleFunc("GET /v1/table/{bench}", c.guarded("table", c.handleTable))
+	c.mux.HandleFunc("POST /cluster/v1/register", server.Guard(c.st, "cluster", "register", c.handleRegister))
+	c.mux.HandleFunc("POST /cluster/v1/heartbeat", server.Guard(c.st, "cluster", "heartbeat", c.handleHeartbeat))
+	c.mux.HandleFunc("GET /cluster/v1/nodes", server.Guard(c.st, "cluster", "nodes", c.handleNodes))
+	for _, ep := range server.Endpoints {
+		c.mux.HandleFunc(ep.Pattern, server.Guard(c.st, "cluster", ep.Kind, c.handleJob(ep.Kind)))
+	}
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
 	c.mux.HandleFunc("GET /livez", c.handleLivez)
 	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
@@ -264,178 +256,81 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	return err
 }
 
-// guarded wraps a handler with last-resort panic recovery, mirroring the
-// worker daemon: a panicking handler answers 500, never kills the
-// coordinator.
-func (c *Coordinator) guarded(kind string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				c.st.Add("cluster.panics", 1)
-				err := exec.Recovered("cluster."+kind, -1, rec)
-				writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-			}
-		}()
-		h(w, r)
-	}
-}
-
-// readBody drains a capped request body; over-limit bodies answer 413.
-func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
-		return nil, false
-	}
-	return body, true
-}
-
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req RegisterRequest
-	if err := decodeStrict(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad register body: %v", err)})
+	if _, status, err := server.ReadJSON(w, r, c.cfg.MaxBodyBytes, &req); err != nil {
+		server.WriteError(w, status, err)
 		return
 	}
 	if req.ID == "" || req.Addr == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "register needs id and addr"})
+		server.WriteError(w, http.StatusBadRequest, errors.New("register needs id and addr"))
 		return
 	}
 	if u, err := url.Parse(req.Addr); err != nil || u.Scheme == "" || u.Host == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("register addr %q is not an absolute URL", req.Addr)})
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("register addr %q is not an absolute URL", req.Addr))
 		return
 	}
 	if c.isDraining() {
-		c.setRetryAfter(w)
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: ErrDraining.Error()})
+		c.jitter.SetRetryAfter(w, c.cfg.RetryAfter)
+		server.WriteError(w, http.StatusServiceUnavailable, ErrDraining)
 		return
 	}
 	c.reg.Register(req.ID, req.Addr, req.Capacity)
 	c.st.Add("cluster.registrations", 1)
-	writeJSON(w, http.StatusOK, RegisterResponse{Status: "ok", HeartbeatMS: c.cfg.HeartbeatInterval.Milliseconds()})
+	server.WriteJSON(w, http.StatusOK, RegisterResponse{Status: "ok", HeartbeatMS: c.cfg.HeartbeatInterval.Milliseconds()})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req HeartbeatRequest
-	if err := decodeStrict(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad heartbeat body: %v", err)})
+	if _, status, err := server.ReadJSON(w, r, c.cfg.MaxBodyBytes, &req); err != nil {
+		server.WriteError(w, status, err)
 		return
 	}
 	if err := c.reg.Heartbeat(req.ID, req.Util); err != nil {
 		// 404 tells the agent to re-register — the coordinator may have
 		// restarted and lost its membership table.
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		server.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	c.st.Add("cluster.heartbeats", 1)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleNodes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"nodes": c.reg.Nodes()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"nodes": c.reg.Nodes()})
 }
 
-// The proxied job endpoints: each validates and fingerprints the request
-// exactly as a worker would (client errors are answered at the edge
-// without burning a worker slot), then hands the raw bytes to the
-// dispatch loop.
-
-func (c *Coordinator) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req server.SynthesizeRequest
-	if err := decodeStrict(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	n, err := req.Normalize()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	c.serve(w, r, "synthesize", n.Fingerprint(), req.DeadlineMS, proxyReq{
-		method: "POST", path: "/v1/synthesize", body: body,
-	})
-}
-
-func (c *Coordinator) handleTestDesign(w http.ResponseWriter, r *http.Request) {
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req server.TestDesignRequest
-	if err := decodeStrict(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	n, err := req.Normalize()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	c.serve(w, r, "testdesign", n.Fingerprint(), req.DeadlineMS, proxyReq{
-		method: "POST", path: "/v1/testdesign", body: body,
-	})
-}
-
-func (c *Coordinator) handleTable(w http.ResponseWriter, r *http.Request) {
-	qv := r.URL.Query()
-	n, err := server.NormalizeTable(r.PathValue("bench"), qv.Get("widths"), qv.Get("seed"), qv.Get("faults"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	deadlineMS := 0
-	if d := qv.Get("deadline_ms"); d != "" {
-		deadlineMS, err = strconv.Atoi(d)
-		if err != nil || deadlineMS < 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad deadline_ms %q", d)})
+// handleJob serves one proxied /v1 endpoint. The workers' own edge
+// (server.ReadRequest) reads, checks and fingerprints the request, so a
+// client error is answered here exactly as a worker would answer it,
+// without burning a worker slot. The bytes read then go through the
+// dispatch loop verbatim, and the outcome is relayed with per-endpoint
+// status classes and latency accounted like the worker daemon does.
+func (c *Coordinator) handleJob(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := c.cfg.Now()
+		q, status, err := server.ReadRequest(w, r, kind, c.cfg.MaxBodyBytes)
+		if err != nil {
+			c.writeError(w, kind, start, status, err)
 			return
 		}
+		c.serve(w, r, start, q)
 	}
-	c.serve(w, r, "table", n.Fingerprint(), deadlineMS, proxyReq{
-		method: "GET", path: "/v1/table/" + url.PathEscape(r.PathValue("bench")), query: r.URL.RawQuery,
-	})
 }
 
-// serve runs one proxied request through the dispatch loop and relays the
-// outcome, accounting per-endpoint status classes and latency like the
-// worker daemon does.
-func (c *Coordinator) serve(w http.ResponseWriter, r *http.Request, kind string, fp core.Fingerprint, deadlineMS int, pr proxyReq) {
-	start := c.cfg.Now()
+// serve runs one checked request through the dispatch loop and relays
+// the outcome.
+func (c *Coordinator) serve(w http.ResponseWriter, r *http.Request, start time.Time, q *server.Request) {
+	kind := q.Kind
 	if c.isDraining() {
-		c.setRetryAfter(w)
-		c.writeStatus(w, kind, start, http.StatusServiceUnavailable, errorBody{Error: ErrDraining.Error()})
+		c.jitter.SetRetryAfter(w, c.cfg.RetryAfter)
+		c.writeError(w, kind, start, http.StatusServiceUnavailable, ErrDraining)
 		return
 	}
 	c.inflight.Add(1)
 	defer c.inflight.Done()
 
-	deadline := c.cfg.MaxDeadline
-	if d := time.Duration(deadlineMS) * time.Millisecond; d > 0 && d < deadline {
-		deadline = d
-	}
+	deadline := q.Budget(c.cfg.MaxDeadline)
 	// The forward context dies with the client connection, the drain
 	// deadline, or the request deadline (plus a grace period so a worker
 	// answering a deadline-capped job with a partial payload has time to
@@ -445,7 +340,9 @@ func (c *Coordinator) serve(w http.ResponseWriter, r *http.Request, kind string,
 	stop := context.AfterFunc(c.baseCtx, cancel)
 	defer stop()
 
-	up, err := c.dispatch(ctx, fp, pr)
+	up, err := c.dispatch(ctx, q.FP, proxyReq{
+		method: r.Method, path: r.URL.EscapedPath(), query: r.URL.RawQuery, body: q.Body,
+	})
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The client is gone; there is nobody to write to.
@@ -454,8 +351,8 @@ func (c *Coordinator) serve(w http.ResponseWriter, r *http.Request, kind string,
 		}
 		// Typed degradation: retry budget or deadline exhausted, or no live
 		// workers. Always an answer, never a hung connection.
-		c.setRetryAfter(w)
-		c.writeStatus(w, kind, start, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		c.jitter.SetRetryAfter(w, c.cfg.RetryAfter)
+		c.writeError(w, kind, start, http.StatusServiceUnavailable, err)
 		return
 	}
 	for _, h := range []string{"Content-Type", "X-Hlts-Result", "Retry-After"} {
@@ -476,26 +373,10 @@ func (c *Coordinator) isDraining() bool {
 	return c.draining
 }
 
-// retryAfterSeconds jitters the configured 503 hint into [base, 1.5*base]
-// whole seconds (minimum 1), so synchronized clients desynchronize.
-func (c *Coordinator) retryAfterSeconds() int {
-	base := c.cfg.RetryAfter
-	c.rngMu.Lock()
-	j := time.Duration(c.rng.Int63n(int64(base/2) + 1))
-	c.rngMu.Unlock()
-	secs := int((base + j + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-func (c *Coordinator) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(c.retryAfterSeconds()))
-}
-
-func (c *Coordinator) writeStatus(w http.ResponseWriter, kind string, start time.Time, status int, v any) {
-	writeJSON(w, status, v)
+// writeError answers a proxied request with a typed error, accounted
+// like a relayed answer.
+func (c *Coordinator) writeError(w http.ResponseWriter, kind string, start time.Time, status int, err error) {
+	server.WriteError(w, status, err)
 	c.st.Add(fmt.Sprintf("cluster.http.%s.%dxx", kind, status/100), 1)
 	c.st.ObserveSince("cluster.http."+kind+".latency", start)
 }
@@ -506,13 +387,13 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if c.isDraining() {
 		status, state = http.StatusServiceUnavailable, "draining"
 	}
-	writeJSON(w, status, map[string]any{
+	server.WriteJSON(w, status, map[string]any{
 		"status": state, "alive": alive, "suspect": suspect, "dead": dead,
 	})
 }
 
 func (c *Coordinator) handleLivez(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -522,19 +403,4 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE hltsc_nodes_suspect gauge\nhltsc_nodes_suspect %d\n", suspect)
 	fmt.Fprintf(w, "# TYPE hltsc_nodes_dead gauge\nhltsc_nodes_dead %d\n", dead)
 	c.st.WriteText(w)
-}
-
-// errorBody mirrors the worker daemon's uniform error payload.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		b = []byte(`{"error":"encoding failure"}`)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(b, '\n'))
 }

@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,8 +139,10 @@ func TestCoordinatorProxiesByteIdentical(t *testing.T) {
 
 // TestCoordinatorEdgeValidation: client errors are answered at the edge
 // (bad JSON 400, oversized body 413, bad registration 400, unknown
-// heartbeat 404) and a cluster with no workers degrades to a typed 503
-// with Retry-After — never a hang.
+// heartbeat 404), every /v1 one with the status and bytes a drained hltsd
+// answers it with, and a cluster with no workers degrades to a typed 503
+// with Retry-After — never a hang. Besides its own rows it sends every
+// row of internal/server/testdata/client_errors.tsv.
 func TestCoordinatorEdgeValidation(t *testing.T) {
 	cfg := fastConfig()
 	cfg.MaxBodyBytes = 256
@@ -146,11 +150,36 @@ func TestCoordinatorEdgeValidation(t *testing.T) {
 	cts := httptest.NewServer(c.Handler())
 	t.Cleanup(cts.Close)
 	cl := cts.Client()
+	// The reference worker has the same body cap and is drained, so no
+	// request it accepts runs a job.
+	ref := newWorker(t, server.Config{MaxBodyBytes: cfg.MaxBodyBytes})
+	if err := ref.srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
-	cases := []struct {
+	type row struct {
 		name, method, path, body string
 		want                     int
-	}{
+	}
+	check := func(t *testing.T, tc row) {
+		status, hdr, body := doReq(t, cl, tc.method, cts.URL+tc.path, tc.body)
+		if status != tc.want {
+			t.Fatalf("status %d, want %d (%s)", status, tc.want, body)
+		}
+		var eb server.ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
+			t.Fatalf("error payload not typed: %s", body)
+		}
+		if !strings.HasPrefix(tc.path, "/v1/") {
+			return
+		}
+		refStatus, refHdr, refBody := doReq(t, ref.ts.Client(), tc.method, ref.ts.URL+tc.path, tc.body)
+		if refStatus != status || string(refBody) != string(body) || refHdr.Get("Content-Type") != hdr.Get("Content-Type") {
+			t.Fatalf("hltsc answered %d %q %s, hltsd %d %q %s",
+				status, hdr.Get("Content-Type"), body, refStatus, refHdr.Get("Content-Type"), refBody)
+		}
+	}
+	for _, tc := range []row{
 		{"bad json", "POST", "/v1/synthesize", `{"bench":`, 400},
 		{"unknown field", "POST", "/v1/synthesize", `{"bench":"ex","width":4,"bogus":1}`, 400},
 		{"bad bench", "POST", "/v1/synthesize", `{"bench":"nope","width":4}`, 400},
@@ -159,19 +188,30 @@ func TestCoordinatorEdgeValidation(t *testing.T) {
 		{"register relative addr", "POST", "/cluster/v1/register", `{"id":"a","addr":"nowhere"}`, 400},
 		{"heartbeat unknown", "POST", "/cluster/v1/heartbeat", `{"id":"ghost"}`, 404},
 		{"bad table deadline", "GET", "/v1/table/ex?deadline_ms=-5", "", 400},
+	} {
+		t.Run(tc.name, func(t *testing.T) { check(t, tc) })
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			status, _, body := doReq(t, cl, tc.method, cts.URL+tc.path, tc.body)
-			if status != tc.want {
-				t.Fatalf("status %d, want %d (%s)", status, tc.want, body)
-			}
-			var eb errorBody
-			if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
-				t.Fatalf("error payload not typed: %s", body)
-			}
-		})
+	data, err := os.ReadFile("../server/testdata/client_errors.tsv")
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Run("client errors", func(t *testing.T) {
+		for _, line := range strings.Split(string(data), "\n") {
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			f := strings.Split(line, "\t")
+			if len(f) != 5 {
+				t.Fatalf("client_errors.tsv: %d fields in %q, want 5", len(f), line)
+			}
+			want, err := strconv.Atoi(f[3])
+			if err != nil {
+				t.Fatalf("client_errors.tsv: status %q: %v", f[3], err)
+			}
+			tc := row{name: f[0], method: f[1], path: f[2], want: want, body: f[4]}
+			t.Run(tc.name, func(t *testing.T) { check(t, tc) })
+		}
+	})
 
 	// A valid job with no workers registered: typed 503 + Retry-After.
 	status, hdr, body := doReq(t, cl, "POST", cts.URL+"/v1/synthesize", `{"bench":"ex","width":4}`)
@@ -181,7 +221,7 @@ func TestCoordinatorEdgeValidation(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Error("no-workers 503 missing Retry-After")
 	}
-	var eb errorBody
+	var eb server.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil || !strings.Contains(eb.Error, "no live workers") {
 		t.Errorf("no-workers error not typed: %s", body)
 	}
@@ -386,7 +426,7 @@ func TestAgentLifecycle(t *testing.T) {
 		Advertise:   "http://127.0.0.1:1",
 		Capacity:    Capacity{Jobs: 2, Workers: 4, QueueDepth: 8},
 		Interval:    5 * time.Millisecond,
-		Snapshot:    func() Utilization { return Utilization{Queued: 3, Inflight: 1} },
+		Snapshot:    func() server.Utilization { return server.Utilization{Queued: 3, Inflight: 1} },
 	})
 	deadline := time.Now().Add(5 * time.Second)
 	seen := false
@@ -439,11 +479,11 @@ func TestAgentReRegistersAfter404(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /cluster/v1/register", func(w http.ResponseWriter, r *http.Request) {
 		regs.Add(1)
-		writeJSON(w, http.StatusOK, RegisterResponse{Status: "ok"})
+		server.WriteJSON(w, http.StatusOK, RegisterResponse{Status: "ok"})
 	})
 	mux.HandleFunc("POST /cluster/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		beats.Add(1)
-		writeJSON(w, http.StatusNotFound, errorBody{Error: ErrUnknownNode.Error()})
+		server.WriteJSON(w, http.StatusNotFound, server.ErrorBody{Error: ErrUnknownNode.Error()})
 	})
 	mock := httptest.NewServer(mux)
 	t.Cleanup(mock.Close)

@@ -104,7 +104,7 @@ func (c *Coordinator) dispatch(ctx context.Context, fp core.Fingerprint, pr prox
 		}
 		// Exponential backoff with full jitter, floored by the worker hint,
 		// capped by RetryMax, and always bounded by the request deadline.
-		sleep := backoff + c.jitter(backoff)
+		sleep := backoff + c.jitter.Draw(backoff)
 		if hint > sleep {
 			sleep = hint
 		}
@@ -150,17 +150,6 @@ func (c *Coordinator) forward(ctx context.Context, n NodeRef, pr proxyReq) (*ups
 		return nil, fmt.Errorf("cluster: read answer from %s: %w", n.ID, err)
 	}
 	return &upstream{status: resp.StatusCode, header: resp.Header, body: b, node: n.ID}, nil
-}
-
-// jitter draws a uniform duration in [0, d] from the coordinator's
-// seeded source.
-func (c *Coordinator) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return time.Duration(c.rng.Int63n(int64(d) + 1))
 }
 
 // sleepCtx sleeps d or until ctx is done, whichever comes first.

@@ -9,6 +9,8 @@ import (
 	"net/url"
 	"testing"
 	"time"
+
+	"repro/internal/server"
 )
 
 // serve sends one request to h and returns the recorded answer.
@@ -64,7 +66,7 @@ func FuzzMembership(f *testing.F) {
 				if rec.Code == http.StatusOK {
 					continue
 				}
-				var e errorBody
+				var e server.ErrorBody
 				if rec.Code < 400 || rec.Code >= 500 || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
 					t.Fatalf("POST %s %q answered %d %q, want 200 or a typed 4xx", path, body, rec.Code, rec.Body)
 				}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/server"
 )
 
 // State is a node's liveness according to the health tracker.
@@ -64,7 +65,7 @@ type NodeRef struct {
 type member struct {
 	id, addr string
 	capacity Capacity
-	util     Utilization
+	util     server.Utilization
 	state    State
 	lastBeat time.Time
 }
@@ -131,7 +132,7 @@ func (r *Registry) Register(id, addr string, c Capacity) {
 // and Dead nodes to Alive. An unknown node is ErrUnknownNode — the agent
 // must re-register (the coordinator may have restarted and lost its
 // table).
-func (r *Registry) Heartbeat(id string, u Utilization) error {
+func (r *Registry) Heartbeat(id string, u server.Utilization) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := r.members[id]

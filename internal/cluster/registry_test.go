@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+
+	"repro/internal/server"
 )
 
 // fakeClock is an injectable, manually-advanced clock so the liveness
@@ -55,7 +57,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 
 	// A beat restores it.
-	if err := r.Heartbeat("a", Utilization{Queued: 1}); err != nil {
+	if err := r.Heartbeat("a", server.Utilization{Queued: 1}); err != nil {
 		t.Fatalf("heartbeat: %v", err)
 	}
 	if alive, _, _ := r.Sweep(); alive != 1 {
@@ -76,7 +78,7 @@ func TestRegistryLifecycle(t *testing.T) {
 
 	// A beat resurrects even a Dead node (the worker was partitioned, not
 	// crashed).
-	if err := r.Heartbeat("a", Utilization{}); err != nil {
+	if err := r.Heartbeat("a", server.Utilization{}); err != nil {
 		t.Fatalf("heartbeat after death: %v", err)
 	}
 	if alive, _, _ := r.Sweep(); alive != 1 {
@@ -86,7 +88,7 @@ func TestRegistryLifecycle(t *testing.T) {
 
 func TestRegistryUnknownHeartbeat(t *testing.T) {
 	r := NewRegistry(time.Second, 4*time.Second, newFakeClock().Now)
-	if err := r.Heartbeat("ghost", Utilization{}); err != ErrUnknownNode {
+	if err := r.Heartbeat("ghost", server.Utilization{}); err != ErrUnknownNode {
 		t.Fatalf("heartbeat from unknown node: got %v, want ErrUnknownNode", err)
 	}
 }
@@ -124,7 +126,7 @@ func TestRegistryRankedGroups(t *testing.T) {
 	r.Register("full", "http://full", Capacity{QueueDepth: 8})
 	r.Register("sus", "http://sus", Capacity{QueueDepth: 8})
 
-	if err := r.Heartbeat("full", Utilization{Queued: 8}); err != nil {
+	if err := r.Heartbeat("full", server.Utilization{Queued: 8}); err != nil {
 		t.Fatal(err)
 	}
 	r.MarkSuspect("sus")

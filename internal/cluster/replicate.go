@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -76,8 +75,7 @@ type Replicator struct {
 	cfg    ReplicatorConfig
 	client *http.Client
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	jitter *server.Jitter
 
 	mu    sync.Mutex
 	peers map[string]*peerSync
@@ -111,7 +109,7 @@ func StartReplicator(cfg ReplicatorConfig) *Replicator {
 	r := &Replicator{
 		cfg:    cfg,
 		client: cfg.Client,
-		rng:    rand.New(rand.NewSource(cfg.JitterSeed)),
+		jitter: server.NewJitter(cfg.JitterSeed),
 		peers:  map[string]*peerSync{},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -195,10 +193,7 @@ func (r *Replicator) backoffPeer(id string) {
 	if d > r.cfg.RetryMax || d <= 0 {
 		d = r.cfg.RetryMax
 	}
-	r.rngMu.Lock()
-	j := time.Duration(r.rng.Int63n(int64(d) + 1))
-	r.rngMu.Unlock()
-	ps.notUntil = time.Now().Add(d/2 + j/2)
+	ps.notUntil = time.Now().Add(d/2 + r.jitter.Draw(d)/2)
 }
 
 func (r *Replicator) resetPeer(id string) {

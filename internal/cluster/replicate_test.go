@@ -74,34 +74,16 @@ func newStoreWorker(t *testing.T, coordURL, id string, replInterval time.Duratio
 		Capacity:    Capacity{Jobs: 2, Workers: 4, QueueDepth: 64},
 		Interval:    25 * time.Millisecond,
 		Stats:       w.st,
-		Snapshot:    storeSnapshot(w.srv),
+		Snapshot:    w.srv.Snapshot,
 	})
 	return w
-}
-
-// storeSnapshot builds the heartbeat payload the way cmd/hltsd does,
-// including the store gauge replication lag is computed from.
-func storeSnapshot(srv *server.Server) func() Utilization {
-	return func() Utilization {
-		snap := srv.Snapshot()
-		u := Utilization{
-			Queued: snap.Queued, Inflight: snap.Inflight,
-			CacheHitRate: snap.CacheHitRate, JobsRun: snap.JobsRun,
-		}
-		if snap.HasStore {
-			u.Store = &StoreUtil{
-				Records: snap.StoreRecords, LiveBytes: snap.StoreLiveBytes, Cursor: snap.StoreCursor,
-			}
-		}
-		return u
-	}
 }
 
 // TestStoreUtilJSON pins the store gauge's shape on /cluster/v1/nodes:
 // the embedded cursor marshals inline, after live_bytes, and decodes back.
 func TestStoreUtilJSON(t *testing.T) {
-	u := StoreUtil{Records: 3, LiveBytes: 120, Cursor: store.Cursor{Gen: 7, Seg: 2, Off: 64}}
-	got, err := json.Marshal(Utilization{Store: &u})
+	u := server.StoreUtil{Records: 3, LiveBytes: 120, Cursor: store.Cursor{Gen: 7, Seg: 2, Off: 64}}
+	got, err := json.Marshal(server.Utilization{Store: &u})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +92,7 @@ func TestStoreUtilJSON(t *testing.T) {
 	if string(got) != want {
 		t.Fatalf("Utilization JSON\n got %s\nwant %s", got, want)
 	}
-	var back Utilization
+	var back server.Utilization
 	if err := json.Unmarshal(got, &back); err != nil || back.Store == nil || *back.Store != u {
 		t.Fatalf("round trip: %+v, %v", back.Store, err)
 	}
@@ -309,7 +291,7 @@ func TestReplicatorSkipsStorelessPeer(t *testing.T) {
 	agent := StartAgent(AgentConfig{
 		Coordinator: cts.URL, ID: "bare", Advertise: bts.URL,
 		Capacity: Capacity{Jobs: 1, Workers: 1, QueueDepth: 4},
-		Interval: 25 * time.Millisecond, Snapshot: storeSnapshot(bare),
+		Interval: 25 * time.Millisecond, Snapshot: bare.Snapshot,
 	})
 	w := newStoreWorker(t, cts.URL, "wB", 10*time.Millisecond, 1)
 	waitFor(t, 10*time.Second, "three pulls from the storeless peer", func() bool {

@@ -191,7 +191,7 @@ func runKillSweep(t *testing.T, seed int64, workload []sweepReq) {
 			if v.hdr.Get("Retry-After") == "" {
 				t.Errorf("%s %s: degraded 503 without Retry-After", v.req.method, v.req.path)
 			}
-			var eb errorBody
+			var eb server.ErrorBody
 			if err := json.Unmarshal(v.body, &eb); err != nil || eb.Error == "" {
 				t.Errorf("%s %s: degraded 503 not typed: %s", v.req.method, v.req.path, v.body)
 			}

@@ -32,7 +32,7 @@
 // deliberately tiny and versioned under /cluster/v1/.
 package cluster
 
-import "repro/internal/store"
+import "repro/internal/server"
 
 // Capacity is what a worker declares at registration: its static serving
 // limits, mirrored from the hltsd flags.
@@ -43,34 +43,6 @@ type Capacity struct {
 	Workers int `json:"workers"`
 	// QueueDepth is the node's admission bound (-queue).
 	QueueDepth int `json:"queue_depth"`
-}
-
-// Utilization is the live load snapshot a heartbeat carries, produced by
-// server.(*Server).Snapshot from the node's stats layer.
-type Utilization struct {
-	// Queued and Inflight are the node's current queue depth and distinct
-	// in-flight fingerprints.
-	Queued   int `json:"queued"`
-	Inflight int `json:"inflight"`
-	// CacheHitRate is hits/(hits+misses) of the node's result cache
-	// (LRU + persistent store), in [0,1].
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	// JobsRun counts pipeline executions since the node booted.
-	JobsRun int64 `json:"jobs_run"`
-	// Store summarizes the node's persistent store when it runs with a
-	// private -store: record count, live bytes and the end-of-log cursor.
-	// Peers and operators read it off /cluster/v1/nodes to judge
-	// replication lag; nil when the node has no store.
-	Store *StoreUtil `json:"store,omitempty"`
-}
-
-// StoreUtil is the replication-relevant store state a heartbeat carries.
-// The embedded cursor is the store's end of log; its gen/seg/off fields
-// marshal inline, after live_bytes.
-type StoreUtil struct {
-	Records   int   `json:"records"`
-	LiveBytes int64 `json:"live_bytes"`
-	store.Cursor
 }
 
 // RegisterRequest is the body of POST /cluster/v1/register.
@@ -92,18 +64,18 @@ type RegisterResponse struct {
 
 // HeartbeatRequest is the body of POST /cluster/v1/heartbeat.
 type HeartbeatRequest struct {
-	ID   string      `json:"id"`
-	Util Utilization `json:"util"`
+	ID   string             `json:"id"`
+	Util server.Utilization `json:"util"`
 }
 
 // NodeInfo is one row of GET /cluster/v1/nodes — the registry's view of a
 // member.
 type NodeInfo struct {
-	ID       string      `json:"id"`
-	Addr     string      `json:"addr"`
-	State    string      `json:"state"`
-	Capacity Capacity    `json:"capacity"`
-	Util     Utilization `json:"util"`
+	ID       string             `json:"id"`
+	Addr     string             `json:"addr"`
+	State    string             `json:"state"`
+	Capacity Capacity           `json:"capacity"`
+	Util     server.Utilization `json:"util"`
 	// BeatAgeMS is how long ago the last heartbeat (or registration)
 	// arrived, in milliseconds.
 	BeatAgeMS int64 `json:"beat_age_ms"`

@@ -31,8 +31,8 @@ type GenSuite struct {
 }
 
 // RunGenSuiteCtx measures one synthesis flow over a family of generated
-// specs at one width. Rows run concurrently under cfg.Parallel with the
-// cfg.Workers budget divided among them, exactly like RunTableCtx cells.
+// specs at one width. Rows share the cfg.Workers budget exactly like
+// RunTableCtx cells.
 func RunGenSuiteCtx(ctx context.Context, specs []dfggen.Spec, method string, width int, cfg Config) (*GenSuite, error) {
 	suite := &GenSuite{Method: method, Width: width, Rows: make([]GenSuiteRow, len(specs))}
 	err := fanOut(len(specs), cfg, func(idx int, cellCfg Config) error {

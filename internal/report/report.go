@@ -70,15 +70,12 @@ type Config struct {
 	ParamsFor func(width int) core.Params
 	// ATPGFor returns the campaign configuration per width.
 	ATPGFor func(width int) atpg.Config
-	// Workers is the total goroutine budget of the run: it bounds the
-	// goroutines inside one synthesis or campaign (0 = one per CPU,
-	// 1 = sequential) via core.Params.Workers and atpg.Config.Workers.
-	// Results are identical at every worker count.
+	// Workers is the total goroutine budget of the run (0 = one per CPU,
+	// 1 = sequential), split between the cells run concurrently and the
+	// goroutines inside each cell's synthesis and campaign (via
+	// core.Params.Workers and atpg.Config.Workers). Results are identical
+	// at every worker count.
 	Workers int
-	// Parallel bounds concurrent cells (1 = sequential). When several
-	// cells run concurrently, the Workers budget is divided among them
-	// rather than granted to each in full.
-	Parallel int
 	// Stats, when non-nil, collects per-stage synthesis counters and
 	// timers across every cell. Purely observational.
 	Stats *stats.Stats
@@ -109,7 +106,6 @@ func DefaultConfig(seed int64) Config {
 			}
 			return c
 		},
-		Parallel: 4,
 	}
 }
 
@@ -159,24 +155,16 @@ func RunTableCtx(ctx context.Context, bench string, cfg Config) (*Table, error) 
 	return tbl, nil
 }
 
-// fanOut runs cell(idx, cellCfg) for every idx in [0, n), at most
-// cfg.Parallel at a time, with the cfg.Workers budget divided among the
-// concurrent cells: cellCfg is cfg with Workers set to each cell's share.
-// Granting every cell the full budget would multiply the two knobs into
-// up to Parallel×Workers goroutines. The pool runs without ctx: each cell degrades to Partial on its own, so
-// every job returns and the table always renders.
+// fanOut runs cell(idx, cellCfg) for every idx in [0, n), with the
+// cfg.Workers budget split by parallel.Split between the cells run
+// concurrently and the goroutines inside each: cellCfg is cfg with
+// Workers set to each cell's share. The pool runs without ctx: each cell
+// degrades to Partial on its own, so every job returns and the table
+// always renders.
 func fanOut(n int, cfg Config, cell func(idx int, cellCfg Config) error) error {
-	outer := cfg.Parallel
-	if outer < 1 {
-		outer = 1
-	}
-	if outer > n {
-		outer = n
-	}
+	outer, inner := parallel.Split(cfg.Workers, n)
 	cellCfg := cfg
-	if outer > 1 {
-		cellCfg.Workers = max(parallel.Workers(cfg.Workers)/outer, 1)
-	}
+	cellCfg.Workers = inner
 	return parallel.ForEachCtx(context.Background(), outer, n, func(idx int) error {
 		return cell(idx, cellCfg)
 	})

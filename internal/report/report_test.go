@@ -23,7 +23,6 @@ func fastConfig(seed int64) Config {
 		c.BacktrackLimit = 20
 		return c
 	}
-	cfg.Parallel = 4
 	return cfg
 }
 
@@ -65,19 +64,20 @@ func TestRunTableTseng(t *testing.T) {
 
 // TestTableByteIdenticalAcrossWorkers: the Ex table renders, and marshals
 // to Markdown and JSON, byte-identically whether its cells run one at a
-// time on one worker or eight at a time with the budget split among them.
+// time on one worker or concurrently with a budget of eight split among
+// them.
 func TestTableByteIdenticalAcrossWorkers(t *testing.T) {
-	run := func(workers, par int) *Table {
+	run := func(workers int) *Table {
 		t.Helper()
 		cfg := fastConfig(21)
-		cfg.Workers, cfg.Parallel = workers, par
+		cfg.Workers = workers
 		tbl, err := RunTableCtx(context.Background(), dfg.BenchEx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tbl
 	}
-	ref := run(1, 1)
+	ref := run(1)
 	if ref.partialCount() != 0 {
 		t.Fatalf("uninterrupted run has partial cells:\n%s", ref.Render())
 	}
@@ -85,15 +85,15 @@ func TestTableByteIdenticalAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := run(8, 8)
+	got := run(8)
 	if got.Render() != ref.Render() {
-		t.Errorf("render diverges at (8,8):\n--- got ---\n%s\n--- want ---\n%s", got.Render(), ref.Render())
+		t.Errorf("render diverges at 8 workers:\n--- got ---\n%s\n--- want ---\n%s", got.Render(), ref.Render())
 	}
 	if got.Markdown() != ref.Markdown() {
-		t.Errorf("markdown diverges at (8,8):\n--- got ---\n%s\n--- want ---\n%s", got.Markdown(), ref.Markdown())
+		t.Errorf("markdown diverges at 8 workers:\n--- got ---\n%s\n--- want ---\n%s", got.Markdown(), ref.Markdown())
 	}
 	if gotJSON, err := got.JSON(); err != nil || string(gotJSON) != string(refJSON) {
-		t.Errorf("json diverges at (8,8) (err %v)", err)
+		t.Errorf("json diverges at 8 workers (err %v)", err)
 	}
 }
 

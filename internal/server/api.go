@@ -12,10 +12,15 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	hlts "repro"
 	"repro/internal/atpg"
@@ -436,9 +441,163 @@ func BuildTableResponse(n *NormTable, tbl *hlts.Table) TableResponse {
 	return out
 }
 
-// errorBody is the uniform error payload of every non-2xx response.
-type errorBody struct {
+// Job kinds name the /v1 job endpoints. A kind is also the <kind> of the
+// server.http.<kind>.* and cluster.http.<kind>.* metrics.
+const (
+	KindSynthesize = "synthesize"
+	KindTestDesign = "testdesign"
+	KindTable      = "table"
+)
+
+// Endpoints is the /v1 job surface: the mux pattern of each kind. hltsd
+// serves it and hltsc proxies it, so a client cannot tell them apart.
+var Endpoints = [...]struct{ Pattern, Kind string }{
+	{"POST /v1/synthesize", KindSynthesize},
+	{"POST /v1/testdesign", KindTestDesign},
+	{"GET /v1/table/{bench}", KindTable},
+}
+
+// Request is one /v1 job request as the serving edge read it.
+type Request struct {
+	Kind string
+	// Norm is the normalized request: *NormSynthesize, *NormTestDesign or
+	// *NormTable, by Kind.
+	Norm any
+	// FP is Norm's fingerprint, the key of coalescing, the result cache,
+	// the store and cluster placement.
+	FP core.Fingerprint
+	// DeadlineMS is the request's deadline_ms (0 = none).
+	DeadlineMS int
+	// Body is the POST body as read (nil for a table request): the bytes
+	// a coordinator forwards verbatim.
+	Body []byte
+}
+
+// Budget is the request's computation budget under a server cap: its
+// deadline_ms when set and tighter than max, else max.
+func (q *Request) Budget(max time.Duration) time.Duration {
+	if q.DeadlineMS > 0 && int64(q.DeadlineMS) < max.Milliseconds() {
+		return time.Duration(q.DeadlineMS) * time.Millisecond
+	}
+	return max
+}
+
+// ReadRequest is the serving edge of every /v1 job endpoint, shared by
+// hltsd and hltsc so that both answer and fingerprint a request alike. It
+// reads the body (capped at maxBody and strictly decoded) or the table
+// path and query, normalizes the request and parses its deadline. On
+// failure it returns the status to answer — 413 for a body over the cap,
+// 404 for an unknown table benchmark, 400 otherwise — and the error.
+func ReadRequest(w http.ResponseWriter, r *http.Request, kind string, maxBody int64) (*Request, int, error) {
+	q := &Request{Kind: kind}
+	var status int
+	var err error
+	switch kind {
+	case KindSynthesize:
+		var req SynthesizeRequest
+		if q.Body, status, err = ReadJSON(w, r, maxBody, &req); err != nil {
+			return nil, status, err
+		}
+		q.DeadlineMS, err = req.DeadlineMS, q.set(req.Normalize())
+	case KindTestDesign:
+		var req TestDesignRequest
+		if q.Body, status, err = ReadJSON(w, r, maxBody, &req); err != nil {
+			return nil, status, err
+		}
+		q.DeadlineMS, err = req.DeadlineMS, q.set(req.Normalize())
+	case KindTable:
+		qv := r.URL.Query()
+		err = q.set(NormalizeTable(r.PathValue("bench"), qv.Get("widths"), qv.Get("seed"), qv.Get("faults")))
+		if errors.Is(err, hlts.ErrUnknownBenchmark) {
+			return nil, http.StatusNotFound, err
+		}
+		if d := qv.Get("deadline_ms"); err == nil && d != "" {
+			if ms, perr := strconv.Atoi(d); perr != nil || ms < 0 {
+				err = fmt.Errorf("bad deadline_ms %q", d)
+			} else {
+				q.DeadlineMS = ms
+			}
+		}
+	}
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return q, 0, nil
+}
+
+// set records a normalized request and its fingerprint.
+func (q *Request) set(n interface{ Fingerprint() core.Fingerprint }, err error) error {
+	if err == nil {
+		q.Norm, q.FP = n, n.Fingerprint()
+	}
+	return err
+}
+
+// ReadJSON caps r's body at maxBody bytes, reads it whole and decodes it
+// strictly into v, returning the bytes read. On failure it returns the
+// status to answer (413 over the cap, else 400) and the error.
+func ReadJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) ([]byte, int, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
+		status := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		return nil, status, fmt.Errorf("bad request body: %w", err)
+	}
+	if err := decodeStrict(body, v); err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+	}
+	return body, 0, nil
+}
+
+// decodeStrict parses body as exactly one JSON value. Unknown fields are
+// client errors (they are always typos — every knob has a default), and
+// so is anything but whitespace after the value.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+		return errors.New("data after the JSON value")
+	}
+	return nil
+}
+
+// ErrorBody is the uniform payload of every non-2xx answer of hltsd and
+// hltsc.
+type ErrorBody struct {
 	Error string `json:"error"`
+}
+
+// errorJSON renders err as an ErrorBody payload.
+func errorJSON(err error) []byte {
+	body, _ := marshal(ErrorBody{Error: err.Error()}) // a string field always marshals
+	return body
+}
+
+// WriteJSON answers status with v in the service's JSON framing; a value
+// that fails to marshal answers a typed 500 instead.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := marshal(v)
+	if err != nil {
+		status, body = http.StatusInternalServerError, errorJSON(err)
+	}
+	writeBody(w, status, body)
+}
+
+// WriteError answers status with err as an ErrorBody.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	writeBody(w, status, errorJSON(err))
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // marshal renders a response payload in the service's canonical JSON

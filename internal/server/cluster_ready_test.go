@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -30,15 +31,24 @@ func TestRetryAfterJitterRange(t *testing.T) {
 		drainAndSettle(t, s2, goroutines)
 	}()
 
+	draw := func(s *Server) int {
+		rec := httptest.NewRecorder()
+		s.jitter.SetRetryAfter(rec, s.cfg.RetryAfter)
+		secs, err := strconv.Atoi(rec.Header().Get("Retry-After"))
+		if err != nil {
+			t.Fatalf("Retry-After %q: %v", rec.Header().Get("Retry-After"), err)
+		}
+		return secs
+	}
 	distinct := map[int]bool{}
 	for i := 0; i < 64; i++ {
-		secs := s.retryAfterSeconds()
+		secs := draw(s)
 		if secs < 4 || secs > 6 {
 			t.Fatalf("draw %d: Retry-After %ds outside [4s, 6s]", i, secs)
 		}
 		distinct[secs] = true
 		// Same seed, same draw index: the hint sequence is reproducible.
-		if other := s2.retryAfterSeconds(); other != secs {
+		if other := draw(s2); other != secs {
 			t.Fatalf("draw %d: seeded jitter diverged (%d vs %d)", i, secs, other)
 		}
 	}
@@ -89,18 +99,15 @@ func TestMaxBodyBytes(t *testing.T) {
 	}
 }
 
-// TestSnapshot: the heartbeat utilization view reflects configured
-// capacity and work done.
+// TestSnapshot: the heartbeat utilization view reflects work done, and
+// carries no store gauge without a store.
 func TestSnapshot(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	s := New(Config{QueueDepth: 7, Jobs: 3})
 	defer func() { drainAndSettle(t, s, goroutines) }()
 
 	snap := s.Snapshot()
-	if snap.QueueDepth != 7 || snap.Jobs != 3 {
-		t.Errorf("snapshot capacity = (%d, %d), want (7, 3)", snap.QueueDepth, snap.Jobs)
-	}
-	if snap.Queued != 0 || snap.Inflight != 0 || snap.JobsRun != 0 {
+	if snap.Queued != 0 || snap.Inflight != 0 || snap.JobsRun != 0 || snap.Store != nil {
 		t.Errorf("idle snapshot not zero: %+v", snap)
 	}
 

@@ -16,7 +16,7 @@ import (
 // the strict decode, then Normalize.
 func normalizeBody[R interface{ Normalize() (N, error) }, N interface{ Fingerprint() core.Fingerprint }](body []byte) (core.Fingerprint, error) {
 	var req R
-	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+	if err := decodeStrict(body, &req); err != nil {
 		return core.Fingerprint{}, err
 	}
 	n, err := req.Normalize()
@@ -31,7 +31,9 @@ func normalizeBody[R interface{ Normalize() (N, error) }, N interface{ Fingerpri
 // answer a typed 400 (or 413) JSON error; a body it accepts reaches
 // admission and bounces off the drain with a 503. The verdict must agree
 // with decoding and normalizing the body directly, and every accepted
-// body must normalize twice to the same fingerprint.
+// body must normalize twice to the same fingerprint. The same bytes, as
+// the raw query of GET /v1/table/ex, must answer a typed 400 or 404, or a
+// 503 for a query ReadRequest accepts twice with one fingerprint.
 func FuzzRequestNormalize(f *testing.F) {
 	for _, body := range []string{
 		`{"bench":"ex","width":4}`,
@@ -49,6 +51,9 @@ func FuzzRequestNormalize(f *testing.F) {
 		`{"bench":"ex","width":"4"}`,
 		`{"bench":"ex","width":4} trailing`,
 		`[`, ``, `null`,
+		`widths=4&faults=60`,
+		`widths=4,8&seed=7&faults=0&deadline_ms=5`,
+		`widths=0`, `widths=4,,8`, `seed=x`, `faults=-1`, `deadline_ms=-5`, `deadline_ms=99999999999999999999`, `widths=%zz`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -73,7 +78,7 @@ func FuzzRequestNormalize(f *testing.F) {
 			fp, err := ep.normalize(body)
 			switch rec.Code {
 			case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
-				var eb errorBody
+				var eb ErrorBody
 				if json.Unmarshal(rec.Body.Bytes(), &eb) != nil || eb.Error == "" {
 					t.Fatalf("%s: untyped %d body %q", ep.path, rec.Code, rec.Body)
 				}
@@ -90,6 +95,39 @@ func FuzzRequestNormalize(f *testing.F) {
 			default:
 				t.Fatalf("%s answered %d: %s", ep.path, rec.Code, rec.Body)
 			}
+		}
+
+		tableReq := func() *http.Request {
+			r := httptest.NewRequest(http.MethodGet, "/v1/table/ex", nil)
+			r.URL.RawQuery = string(body)
+			return r
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, tableReq())
+		direct := func() (*Request, int, error) {
+			r := tableReq()
+			r.SetPathValue("bench", "ex")
+			return ReadRequest(httptest.NewRecorder(), r, KindTable, 1<<20)
+		}
+		q, status, err := direct()
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusNotFound:
+			var eb ErrorBody
+			if json.Unmarshal(rec.Body.Bytes(), &eb) != nil || eb.Error == "" {
+				t.Fatalf("table ?%s: untyped %d body %q", body, rec.Code, rec.Body)
+			}
+			if err == nil || status != rec.Code {
+				t.Fatalf("table ?%s: handler answered %d, ReadRequest %d (%v)", body, rec.Code, status, err)
+			}
+		case http.StatusServiceUnavailable:
+			if err != nil {
+				t.Fatalf("table ?%s: handler admitted a query ReadRequest refuses: %v", body, err)
+			}
+			if again, _, err := direct(); err != nil || again.FP != q.FP {
+				t.Fatalf("table ?%s: second read gave %v, %v; first %s", body, again, err, q.FP)
+			}
+		default:
+			t.Fatalf("table ?%s answered %d: %s", body, rec.Code, rec.Body)
 		}
 	})
 }

@@ -309,8 +309,7 @@ func (q *queue) runJob(j *job) (status int, body []byte, cacheable bool) {
 	})
 	if err != nil {
 		q.st.Add("server.jobs.panicked", 1)
-		b, _ := marshal(errorBody{Error: err.Error()})
-		return 500, b, false
+		return 500, errorJSON(err), false
 	}
 	return o.status, o.body, o.cacheable
 }

@@ -14,6 +14,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -40,38 +41,26 @@ type PullResponse struct {
 	More   bool         `json:"more"`
 }
 
-// writeJSON is the small-response helper of the /store/v1/pull handler.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := marshal(v)
-	if err != nil {
-		body, _ = marshal(errorBody{Error: err.Error()})
-		status = http.StatusInternalServerError
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
 func (s *Server) handleStorePull(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store == nil {
-		s.writeJSON(w, http.StatusNotFound, errorBody{Error: "no persistent store attached"})
+		WriteError(w, http.StatusNotFound, errors.New("no persistent store attached"))
 		return
 	}
 	qv := r.URL.Query()
 	var c store.Cursor
 	var err error
 	if c.Gen, err = parseUint(qv.Get("gen"), 64); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad gen: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad gen: %w", err))
 		return
 	}
 	if c.Seg, err = parseUint(qv.Get("seg"), 64); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad seg: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad seg: %w", err))
 		return
 	}
 	// Off is an int64: 63 bits keeps 2^63 and above from wrapping negative.
 	off, err := parseUint(qv.Get("off"), 63)
 	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad off: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad off: %w", err))
 		return
 	}
 	c.Off = int64(off)
@@ -79,7 +68,7 @@ func (s *Server) handleStorePull(w http.ResponseWriter, r *http.Request) {
 	if m := qv.Get("max"); m != "" {
 		mv, err := strconv.Atoi(m)
 		if err != nil || mv < 1 {
-			s.writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad max %q", m)})
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad max %q", m))
 			return
 		}
 		if max = mv; max > pullMaxRecords {
@@ -87,7 +76,7 @@ func (s *Server) handleStorePull(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	frames, next, more := s.cfg.Store.Since(c, max, pullMaxBytes)
-	s.writeJSON(w, http.StatusOK, PullResponse{Frames: frames, Next: next, More: more})
+	WriteJSON(w, http.StatusOK, PullResponse{Frames: frames, Next: next, More: more})
 }
 
 func parseUint(v string, bits int) (uint64, error) {

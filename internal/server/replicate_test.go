@@ -108,7 +108,7 @@ func TestStoreEndpointsWithoutStore(t *testing.T) {
 	})
 	for _, u := range []string{"/store/v1/pull", "/store/v1/pull?gen=1&seg=1&off=64"} {
 		status, body := get(t, ts.Client(), ts.URL+u)
-		var eb errorBody
+		var eb ErrorBody
 		if status != http.StatusNotFound || json.Unmarshal(body, &eb) != nil || eb.Error == "" {
 			t.Errorf("GET %s without store: status %d body %s, want typed 404", u, status, body)
 		}
@@ -136,7 +136,7 @@ func TestStorePullRejectsWrappingOffset(t *testing.T) {
 		if status != want {
 			t.Errorf("off=%s: status %d, want %d: %s", off, status, want, body)
 		}
-		var eb errorBody
+		var eb ErrorBody
 		if status == http.StatusBadRequest && (json.Unmarshal(body, &eb) != nil || !strings.HasPrefix(eb.Error, "bad off")) {
 			t.Errorf("off=%s: untyped 400 body %s", off, body)
 		}
@@ -177,7 +177,7 @@ func FuzzStorePull(f *testing.F) {
 				t.Fatalf("pulled frame failed to decode: %v", err)
 			}
 		case http.StatusBadRequest:
-			var eb errorBody
+			var eb ErrorBody
 			if json.Unmarshal(rec.Body.Bytes(), &eb) != nil || eb.Error == "" {
 				t.Fatalf("untyped 400 body %q", rec.Body)
 			}

@@ -29,10 +29,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -42,7 +40,6 @@ import (
 	hlts "repro"
 	"repro/internal/atpg"
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/parallel"
 	"repro/internal/stats"
@@ -99,8 +96,7 @@ type Server struct {
 	inner int // per-job worker budget
 	mux   *http.ServeMux
 
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
+	jitter *Jitter
 }
 
 // New builds a server and starts its job workers.
@@ -136,12 +132,12 @@ func New(cfg Config) *Server {
 		q:      newQueue(cfg.QueueDepth, outer, cfg.CacheSize, cfg.Stats, cfg.Store),
 		inner:  inner,
 		mux:    http.NewServeMux(),
-		jitter: rand.New(rand.NewSource(cfg.RetryJitterSeed)),
+		jitter: NewJitter(cfg.RetryJitterSeed),
 	}
-	s.mux.HandleFunc("POST /v1/synthesize", s.guarded("synthesize", s.handleSynthesize))
-	s.mux.HandleFunc("POST /v1/testdesign", s.guarded("testdesign", s.handleTestDesign))
-	s.mux.HandleFunc("GET /v1/table/{bench}", s.guarded("table", s.handleTable))
-	s.mux.HandleFunc("GET /store/v1/pull", s.guarded("store.pull", s.handleStorePull))
+	for _, ep := range Endpoints {
+		s.mux.HandleFunc(ep.Pattern, Guard(s.st, "server", ep.Kind, s.handleJob(ep.Kind)))
+	}
+	s.mux.HandleFunc("GET /store/v1/pull", Guard(s.st, "server", "store.pull", s.handleStorePull))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /livez", s.handleLivez)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -154,56 +150,46 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Stats returns the server's collector.
 func (s *Server) Stats() *stats.Stats { return s.st }
 
-// Snapshot is the utilization view a cluster worker carries in its
-// heartbeats (see internal/cluster): the live queue state plus the cache
-// effectiveness and work done since boot, all read from the existing
-// queue gauges and stats counters.
-type Snapshot struct {
+// Utilization is the live load snapshot a cluster worker's heartbeats
+// carry (see internal/cluster), read from the queue gauges and the stats
+// counters.
+type Utilization struct {
 	// Queued and Inflight are the current queue depth and the number of
 	// distinct in-flight fingerprints.
-	Queued   int
-	Inflight int
-	// QueueDepth and Jobs echo the configured capacity.
-	QueueDepth int
-	Jobs       int
-	// CacheHitRate is hits/(hits+misses) over the LRU; 0 when never
-	// consulted.
-	CacheHitRate float64
-	// StoreHitRate is the persistent store's share, when one is attached.
-	StoreHitRate float64
+	Queued   int `json:"queued"`
+	Inflight int `json:"inflight"`
+	// CacheHitRate is hits/(hits+misses) over the LRU, in [0,1]; 0 when
+	// never consulted.
+	CacheHitRate float64 `json:"cache_hit_rate"`
 	// JobsRun counts pipeline executions since boot.
-	JobsRun int64
-	// HasStore reports whether a persistent store is attached; the store
-	// fields below are zero without one.
-	HasStore bool
-	// StoreRecords and StoreLiveBytes summarize the persistent store, and
-	// StoreCursor is its end-of-log position — together the replication
-	// state a peer needs to judge lag.
-	StoreRecords   int
-	StoreLiveBytes int64
-	StoreCursor    store.Cursor
+	JobsRun int64 `json:"jobs_run"`
+	// Store summarizes the persistent store: the replication state a peer
+	// or an operator reads off /cluster/v1/nodes to judge lag. Nil without
+	// a store.
+	Store *StoreUtil `json:"store,omitempty"`
+}
+
+// StoreUtil is the replication-relevant store state a heartbeat carries.
+// The embedded cursor is the store's end of log; its gen/seg/off fields
+// marshal inline, after live_bytes.
+type StoreUtil struct {
+	Records   int   `json:"records"`
+	LiveBytes int64 `json:"live_bytes"`
+	store.Cursor
 }
 
 // Snapshot reads the server's live utilization.
-func (s *Server) Snapshot() Snapshot {
-	queued, inflight := s.q.depth()
-	snap := Snapshot{
-		Queued:       queued,
-		Inflight:     inflight,
-		QueueDepth:   s.cfg.QueueDepth,
-		Jobs:         s.cfg.Jobs,
+func (s *Server) Snapshot() Utilization {
+	u := Utilization{
 		CacheHitRate: s.st.HitRate("server.cache"),
-		StoreHitRate: s.st.HitRate("server.store"),
 		JobsRun:      s.st.Value("server.jobs.run"),
 	}
+	u.Queued, u.Inflight = s.q.depth()
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
-		snap.HasStore = true
-		snap.StoreRecords = st.Records
-		snap.StoreLiveBytes = st.LiveBytes
-		snap.StoreCursor = st.Cursor
+		u.Store = &StoreUtil{Records: st.Records, LiveBytes: st.LiveBytes, Cursor: st.Cursor}
 	}
-	return snap
+	return u
 }
 
 // Drain shuts the server down gracefully: new requests are rejected with
@@ -213,77 +199,85 @@ func (s *Server) Snapshot() Snapshot {
 // non-nil error means the deadline forced the degradation path.
 func (s *Server) Drain(ctx context.Context) error { return s.q.drain(ctx) }
 
-// guarded wraps a handler with the daemon's last-resort panic recovery:
-// a panicking handler answers 500 (best effort) instead of killing the
-// connection with an opaque EOF or, worse, relying on net/http's
-// per-connection recovery semantics.
-func (s *Server) guarded(kind string, h http.HandlerFunc) http.HandlerFunc {
+// Guard wraps a handler with last-resort panic recovery: a panicking
+// handler answers a typed 500 (best effort) and counts in
+// <side>.panics, instead of killing the connection with an opaque EOF
+// or relying on net/http's per-connection recovery.
+func Guard(st *stats.Stats, side, kind string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
-				s.st.Add("server.panics", 1)
-				err := exec.Recovered("server."+kind, -1, rec)
-				body, _ := marshal(errorBody{Error: err.Error()})
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusInternalServerError)
-				w.Write(body)
+				st.Add(side+".panics", 1)
+				WriteError(w, http.StatusInternalServerError, exec.Recovered(side+"."+kind, -1, rec))
 			}
 		}()
 		h(w, r)
 	}
 }
 
-// decode parses a JSON request body with decodeStrict. The body is
-// hard-capped with http.MaxBytesReader first, so a malicious or buggy
-// client cannot stream an unbounded body into the decoder; over-limit
-// bodies answer 413.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, kind string, start time.Time, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := decodeStrict(r.Body, v); err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
+// Jitter is a seeded, goroutine-safe source of backoff jitter.
+type Jitter struct {
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+// NewJitter seeds a jitter source.
+func NewJitter(seed int64) *Jitter { return &Jitter{rng: rand.New(rand.NewSource(seed))} }
+
+// Draw returns a uniform duration in [0, d]; 0 when d <= 0.
+func (j *Jitter) Draw(d time.Duration) time.Duration {
+	if d <= 0 {
+		return 0
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return time.Duration(j.rng.Int63n(int64(d) + 1))
+}
+
+// SetRetryAfter attaches the backoff hint every 429 and 503 carries:
+// base plus a draw in [0, base/2], rounded up to whole seconds (at least
+// 1). A fixed hint would tell every rejected client to come back at the
+// same instant, turning one overload spike into a synchronized retry
+// stampede.
+func (j *Jitter) SetRetryAfter(w http.ResponseWriter, base time.Duration) {
+	secs := int((base + j.Draw(base/2) + time.Second - 1) / time.Second)
+	w.Header().Set("Retry-After", strconv.Itoa(max(secs, 1)))
+}
+
+// handleJob serves one /v1 job endpoint: the shared edge reads, checks
+// and fingerprints the request, and its kind picks the job body.
+func (s *Server) handleJob(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		q, status, err := ReadRequest(w, r, kind, s.cfg.MaxBodyBytes)
+		if err != nil {
+			s.writeError(w, kind, start, status, err)
+			return
 		}
-		s.writeError(w, kind, start, status, fmt.Errorf("bad request body: %w", err))
-		return false
+		s.serveJob(w, r, start, q, s.job(q.Norm))
 	}
-	return true
 }
 
-// decodeStrict parses one JSON value; unknown fields are client errors
-// (they are always typos — every knob has a default).
-func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// serveJob is the shared admission + wait path of the three job
-// endpoints.
-func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, kind string, fp core.Fingerprint, deadlineMS int, run func(ctx context.Context) (int, []byte, bool)) {
-	start := time.Now()
-	if err := chaos.Step(chaos.SiteServerAccept); err != nil {
-		s.setRetryAfter(w)
-		s.writeError(w, kind, start, http.StatusServiceUnavailable, err)
-		return
+// serveJob is the admission + wait path of a job request read at start.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, start time.Time, q *Request, run func(ctx context.Context) (int, []byte, bool)) {
+	kind := q.Kind
+	var j *job
+	var cached *result
+	err := chaos.Step(chaos.SiteServerAccept)
+	if err == nil {
+		j, cached, err = s.q.submit(q.FP, kind, q.Budget(s.cfg.MaxDeadline), run)
 	}
-	deadline := s.cfg.MaxDeadline
-	if d := time.Duration(deadlineMS) * time.Millisecond; d > 0 && d < deadline {
-		deadline = d
-	}
-	j, cached, err := s.q.submit(fp, kind, deadline, run)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		s.setRetryAfter(w)
-		s.writeError(w, kind, start, http.StatusTooManyRequests, err)
-		return
-	case err != nil: // ErrDraining or an injected enqueue fault
-		// 503s carry the same backoff hint as 429s: a draining daemon is
-		// typically restarting, so well-behaved clients should retry after
-		// the hint rather than hammering or giving up.
-		s.setRetryAfter(w)
-		s.writeError(w, kind, start, http.StatusServiceUnavailable, err)
+	if err != nil {
+		// A full queue answers 429; draining, or an injected accept or
+		// enqueue fault, 503. Both carry the backoff hint: a draining
+		// daemon is typically restarting, so well-behaved clients should
+		// retry after the hint rather than hammering or giving up.
+		status := http.StatusServiceUnavailable
+		if errors.Is(err, ErrQueueFull) {
+			status = http.StatusTooManyRequests
+		}
+		s.jitter.SetRetryAfter(w, s.cfg.RetryAfter)
+		s.writeError(w, kind, start, status, err)
 		return
 	}
 	if cached != nil {
@@ -302,47 +296,22 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, kind string, f
 	}
 }
 
-// setRetryAfter attaches the backoff hint, rounded up to whole seconds;
-// every 429 and 503 carries it. The hint is jittered into [RetryAfter,
-// 1.5*RetryAfter]: a fixed constant would tell every rejected client to
-// come back at the same instant, turning one overload spike into a
-// synchronized retry stampede.
-func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-}
-
-func (s *Server) retryAfterSeconds() int {
-	base := s.cfg.RetryAfter
-	s.jitterMu.Lock()
-	j := time.Duration(s.jitter.Int63n(int64(base/2) + 1))
-	s.jitterMu.Unlock()
-	secs := int((base + j + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
 // write sends a response, firing the respond chaos site and recording
 // per-endpoint status-class counters and latency histograms.
 func (s *Server) write(w http.ResponseWriter, kind string, start time.Time, status int, body []byte) {
 	if err := chaos.Step(chaos.SiteServerRespond); err != nil {
-		status = http.StatusInternalServerError
-		body, _ = marshal(errorBody{Error: err.Error()})
+		status, body = http.StatusInternalServerError, errorJSON(err)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
+	writeBody(w, status, body)
 	s.st.Add(fmt.Sprintf("server.http.%s.%dxx", kind, status/100), 1)
 	s.st.ObserveSince("server.http."+kind+".latency", start)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, kind string, start time.Time, status int, err error) {
-	body, _ := marshal(errorBody{Error: err.Error()})
-	s.write(w, kind, start, status, body)
+	s.write(w, kind, start, status, errorJSON(err))
 }
 
-// clientError classifies job-body errors: typed input errors are the
+// errStatus classifies job-body errors: typed input errors are the
 // client's fault, everything else is a 500.
 func errStatus(err error) int {
 	if errors.Is(err, hlts.ErrBadWidth) || errors.Is(err, hlts.ErrUnknownBenchmark) || errors.Is(err, hlts.ErrBadGenSpec) {
@@ -351,66 +320,46 @@ func errStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req SynthesizeRequest
-	if !s.decode(w, r, "synthesize", start, &req) {
-		return
-	}
-	n, err := req.Normalize()
-	if err != nil {
-		s.writeError(w, "synthesize", start, http.StatusBadRequest, err)
-		return
-	}
-	n.Params.Workers = s.inner
-	n.Params.Stats = s.st
-	fp := n.Fingerprint()
-	s.serveJob(w, r, "synthesize", fp, req.DeadlineMS, func(ctx context.Context) (int, []byte, bool) {
-		res, err := hlts.RunMethodCtx(ctx, n.Method, n.Graph, n.Params)
-		if err != nil {
-			body, _ := marshal(errorBody{Error: err.Error()})
-			return errStatus(err), body, false
+// job is the job body of a normalized request, picked by its type.
+func (s *Server) job(norm any) func(ctx context.Context) (int, []byte, bool) {
+	var run func(ctx context.Context) (resp any, complete bool, err error)
+	switch n := norm.(type) {
+	case *NormSynthesize:
+		n.Params.Workers, n.Params.Stats = s.inner, s.st
+		run = func(ctx context.Context) (any, bool, error) {
+			res, err := hlts.RunMethodCtx(ctx, n.Method, n.Graph, n.Params)
+			if err != nil {
+				return nil, false, err
+			}
+			return BuildSynthesizeResponse(n, res), res.Status == hlts.StatusComplete, nil
 		}
-		body, err := marshal(BuildSynthesizeResponse(n, res))
-		if err != nil {
-			body, _ = marshal(errorBody{Error: err.Error()})
-			return http.StatusInternalServerError, body, false
-		}
-		return http.StatusOK, body, res.Status == hlts.StatusComplete
-	})
-}
-
-func (s *Server) handleTestDesign(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req TestDesignRequest
-	if !s.decode(w, r, "testdesign", start, &req) {
-		return
+	case *NormTestDesign:
+		n.Params.Workers, n.Params.Stats = s.inner, s.st
+		run = func(ctx context.Context) (any, bool, error) { return s.runTestDesign(ctx, n) }
+	case *NormTable:
+		run = func(ctx context.Context) (any, bool, error) { return s.runTable(ctx, n) }
 	}
-	n, err := req.Normalize()
-	if err != nil {
-		s.writeError(w, "testdesign", start, http.StatusBadRequest, err)
-		return
-	}
-	n.Params.Workers = s.inner
-	n.Params.Stats = s.st
-	fp := n.Fingerprint()
-	s.serveJob(w, r, "testdesign", fp, req.DeadlineMS, func(ctx context.Context) (int, []byte, bool) {
-		status, body, complete, err := s.runTestDesign(ctx, n)
+	return func(ctx context.Context) (int, []byte, bool) {
+		resp, complete, err := run(ctx)
 		if err != nil {
-			body, _ := marshal(errorBody{Error: err.Error()})
-			return errStatus(err), body, false
+			return errStatus(err), errorJSON(err), false
 		}
-		return status, body, complete
-	})
+		body, err := marshal(resp)
+		if err != nil {
+			return http.StatusInternalServerError, errorJSON(err), false
+		}
+		return http.StatusOK, body, complete
+	}
 }
 
 // runTestDesign is the /v1/testdesign job body: synthesis, optional
 // partial-scan selection, netlist generation, the ATPG campaign, and the
 // optional BIST session — each stage under the shared job context.
-func (s *Server) runTestDesign(ctx context.Context, n *NormTestDesign) (int, []byte, bool, error) {
+func (s *Server) runTestDesign(ctx context.Context, n *NormTestDesign) (TestDesignResponse, bool, error) {
+	var out TestDesignResponse
 	res, err := hlts.RunMethodCtx(ctx, n.Method, n.Graph, n.Params)
 	if err != nil {
-		return 0, nil, false, err
+		return out, false, err
 	}
 	var scanRegs []int
 	if n.Scan > 0 {
@@ -418,14 +367,14 @@ func (s *Server) runTestDesign(ctx context.Context, n *NormTestDesign) (int, []b
 	}
 	nl, err := hlts.GenerateNetlistWithScan(res, n.Params.Width, n.TestMode, scanRegs)
 	if err != nil {
-		return 0, nil, false, err
+		return out, false, err
 	}
 	acfg := hlts.DefaultATPGConfig(n.Seed)
 	acfg.SampleFaults = n.Faults
 	acfg.Workers = n.Params.Workers
 	ares, err := hlts.TestDesignCtx(ctx, nl, acfg)
 	if err != nil {
-		return 0, nil, false, err
+		return out, false, err
 	}
 	s.st.Add("atpg.gate_evals", ares.GateEvals)
 	var tpg, misr []int
@@ -434,77 +383,41 @@ func (s *Server) runTestDesign(ctx context.Context, n *NormTestDesign) (int, []b
 		tpg, misr = hlts.SelectBISTRegisters(res, n.BIST.TPG, n.BIST.MISR)
 		bn, err := hlts.GenerateNetlistWithBIST(res, n.Params.Width, tpg, misr)
 		if err != nil {
-			return 0, nil, false, err
+			return out, false, err
 		}
 		bres, err = hlts.RunBISTCfgCtx(ctx, bn, n.BIST.Faults, n.BIST.Cycles,
 			hlts.BISTConfig{Lanes: n.BIST.Lanes})
 		if err != nil {
-			return 0, nil, false, err
+			return out, false, err
 		}
 		s.st.Add("atpg.bist_gate_evals", bres.GateEvals)
 	}
-	body, err := marshal(BuildTestDesignResponse(n, res, nl, scanRegs, ares, tpg, misr, bres))
-	if err != nil {
-		return 0, nil, false, err
-	}
 	complete := res.Status == hlts.StatusComplete && ares.Status == hlts.StatusComplete &&
 		(bres == nil || bres.Status == hlts.StatusComplete)
-	return http.StatusOK, body, complete, nil
+	return BuildTestDesignResponse(n, res, nl, scanRegs, ares, tpg, misr, bres), complete, nil
 }
 
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	qv := r.URL.Query()
-	n, err := NormalizeTable(r.PathValue("bench"), qv.Get("widths"), qv.Get("seed"), qv.Get("faults"))
+// runTable is the /v1/table job body: the experiment table at the
+// request's widths, seed and fault sample.
+func (s *Server) runTable(ctx context.Context, n *NormTable) (TableResponse, bool, error) {
+	cfg := hlts.DefaultExperimentConfig(n.Seed)
+	cfg.Widths = n.Widths
+	cfg.Workers = s.inner
+	cfg.Stats = s.st
+	baseATPG := cfg.ATPGFor
+	cfg.ATPGFor = func(width int) hlts.ATPGConfig {
+		c := baseATPG(width)
+		if n.Faults > 0 && n.Faults < c.SampleFaults {
+			c.SampleFaults = n.Faults
+		}
+		return c
+	}
+	tbl, err := hlts.ReproduceTableCtx(ctx, n.Bench, cfg)
 	if err != nil {
-		s.writeError(w, "table", start, errStatusTable(err), err)
-		return
+		return TableResponse{}, false, err
 	}
-	deadlineMS := 0
-	if d := qv.Get("deadline_ms"); d != "" {
-		deadlineMS, err = strconv.Atoi(d)
-		if err != nil || deadlineMS < 0 {
-			s.writeError(w, "table", start, http.StatusBadRequest, fmt.Errorf("bad deadline_ms %q", d))
-			return
-		}
-	}
-	fp := n.Fingerprint()
-	s.serveJob(w, r, "table", fp, deadlineMS, func(ctx context.Context) (int, []byte, bool) {
-		cfg := hlts.DefaultExperimentConfig(n.Seed)
-		cfg.Widths = n.Widths
-		cfg.Workers = s.inner
-		cfg.Parallel = 1 // the job IS the unit of concurrency; don't nest
-		cfg.Stats = s.st
-		baseATPG := cfg.ATPGFor
-		cfg.ATPGFor = func(width int) hlts.ATPGConfig {
-			c := baseATPG(width)
-			if n.Faults > 0 && n.Faults < c.SampleFaults {
-				c.SampleFaults = n.Faults
-			}
-			return c
-		}
-		tbl, err := hlts.ReproduceTableCtx(ctx, n.Bench, cfg)
-		if err != nil {
-			body, _ := marshal(errorBody{Error: err.Error()})
-			return errStatus(err), body, false
-		}
-		resp := BuildTableResponse(n, tbl)
-		body, err := marshal(resp)
-		if err != nil {
-			body, _ = marshal(errorBody{Error: err.Error()})
-			return http.StatusInternalServerError, body, false
-		}
-		return http.StatusOK, body, !resp.Partial
-	})
-}
-
-// errStatusTable maps table-normalization failures: unknown benchmarks
-// and bad widths are 404/400 respectively; everything else is 400.
-func errStatusTable(err error) int {
-	if errors.Is(err, hlts.ErrUnknownBenchmark) {
-		return http.StatusNotFound
-	}
-	return http.StatusBadRequest
+	resp := BuildTableResponse(n, tbl)
+	return resp, !resp.Partial, nil
 }
 
 // handleHealthz is readiness: 200 with queue gauges while accepting,
@@ -514,26 +427,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.q.mu.Lock()
 	draining := s.q.draining
 	s.q.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	status := http.StatusOK
-	state := "ok"
+	status, state := http.StatusOK, "ok"
 	if draining {
-		status = http.StatusServiceUnavailable
-		state = "draining"
+		status, state = http.StatusServiceUnavailable, "draining"
 	}
-	w.WriteHeader(status)
-	body, _ := marshal(map[string]any{
+	WriteJSON(w, status, map[string]any{
 		"status": state, "queued": queued, "inflight": inflight,
 		"queue_depth": s.cfg.QueueDepth,
 	})
-	w.Write(body)
 }
 
 // handleLivez is liveness: 200 while the process serves at all.
 func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	body, _ := marshal(map[string]string{"status": "ok"})
-	w.Write(body)
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleMetrics exposes queue gauges plus every stats counter, timer and

@@ -20,7 +20,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -92,7 +94,6 @@ func directTable(t testing.TB, bench, widths, seed, faults string) []byte {
 	}
 	cfg := hlts.DefaultExperimentConfig(n.Seed)
 	cfg.Widths = n.Widths
-	cfg.Parallel = 1
 	baseATPG := cfg.ATPGFor
 	cfg.ATPGFor = func(width int) hlts.ATPGConfig {
 		c := baseATPG(width)
@@ -313,7 +314,7 @@ func TestAdmissionControl(t *testing.T) {
 	doneA := make(chan struct{})
 	go func() {
 		defer close(doneA)
-		s.serveJob(recA, reqA, "synthesize", fpOf("A"), 0, blockingJob(started, release))
+		s.serveJob(recA, reqA, time.Now(), &Request{Kind: KindSynthesize, FP: fpOf("A")}, blockingJob(started, release))
 	}()
 	<-started
 	// Fill the single queue slot directly (submit returns once enqueued).
@@ -323,7 +324,7 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	// A distinct third request must bounce with 429 + Retry-After.
 	recC := httptest.NewRecorder()
-	s.serveJob(recC, httptest.NewRequest("POST", "/v1/synthesize", nil), "synthesize", fpOf("C"), 0, blockingJob(nil, nil))
+	s.serveJob(recC, httptest.NewRequest("POST", "/v1/synthesize", nil), time.Now(), &Request{Kind: KindSynthesize, FP: fpOf("C")}, blockingJob(nil, nil))
 	if recC.Code != http.StatusTooManyRequests {
 		t.Fatalf("overflow request: status %d, want 429", recC.Code)
 	}
@@ -531,6 +532,37 @@ func TestJobDeadlineProducesPartialPayload(t *testing.T) {
 	drainAndSettle(t, s, base)
 }
 
+// clientError is one row of testdata/client_errors.tsv.
+type clientError struct {
+	name, method, path, body string
+	want                     int
+}
+
+// loadClientErrors reads the /v1 client-error rows.
+func loadClientErrors(t *testing.T) []clientError {
+	t.Helper()
+	data, err := os.ReadFile("testdata/client_errors.tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []clientError
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Split(line, "\t")
+		if len(f) != 5 {
+			t.Fatalf("client_errors.tsv: %d fields in %q, want 5", len(f), line)
+		}
+		want, err := strconv.Atoi(f[3])
+		if err != nil {
+			t.Fatalf("client_errors.tsv: status %q: %v", f[3], err)
+		}
+		rows = append(rows, clientError{name: f[0], method: f[1], path: f[2], want: want, body: f[4]})
+	}
+	return rows
+}
+
 // TestClientErrors: malformed and invalid requests are typed 4xx client
 // errors with JSON bodies, and never reach the queue.
 func TestClientErrors(t *testing.T) {
@@ -538,30 +570,7 @@ func TestClientErrors(t *testing.T) {
 	st := stats.New()
 	s := New(Config{QueueDepth: 8, Jobs: 1, Stats: st})
 	ts := httptest.NewServer(s.Handler())
-	cases := []struct {
-		name, method, path, body string
-		want                     int
-	}{
-		{"unknown field", "POST", "/v1/synthesize", `{"bench":"ex","width":4,"bogus":1}`, 400},
-		{"bad width", "POST", "/v1/synthesize", `{"bench":"ex","width":0}`, 400},
-		{"width too wide", "POST", "/v1/synthesize", `{"bench":"ex","width":65}`, 400},
-		{"unknown bench", "POST", "/v1/synthesize", `{"bench":"nope","width":4}`, 400},
-		{"unknown method", "POST", "/v1/synthesize", `{"bench":"ex","width":4,"method":"magic"}`, 400},
-		{"both sources", "POST", "/v1/synthesize", `{"bench":"ex","vhdl":"x","width":4}`, 400},
-		{"no source", "POST", "/v1/synthesize", `{"width":4}`, 400},
-		{"bad vhdl", "POST", "/v1/synthesize", `{"vhdl":"entity garbage","width":4}`, 400},
-		{"bad scan", "POST", "/v1/testdesign", `{"bench":"ex","width":4,"scan":-1}`, 400},
-		{"empty bist", "POST", "/v1/testdesign", `{"bench":"ex","width":4,"bist":{"tpg":0,"misr":0}}`, 400},
-		{"bad bist lanes", "POST", "/v1/testdesign", `{"bench":"ex","width":4,"bist":{"tpg":1,"misr":1,"lanes":65}}`, 400},
-		{"negative bist lanes", "POST", "/v1/testdesign", `{"bench":"ex","width":4,"bist":{"tpg":1,"misr":1,"lanes":-1}}`, 400},
-		{"negative faults", "POST", "/v1/testdesign", `{"bench":"ex","width":4,"faults":-1}`, 400},
-		{"negative bist faults", "POST", "/v1/testdesign", `{"bench":"ex","width":4,"bist":{"tpg":1,"misr":1,"faults":-1}}`, 400},
-		{"negative deadline", "POST", "/v1/synthesize", `{"bench":"ex","width":4,"deadline_ms":-5}`, 400},
-		{"table unknown bench", "GET", "/v1/table/nope", "", 404},
-		{"table bad width", "GET", "/v1/table/ex?widths=0", "", 400},
-		{"table bad seed", "GET", "/v1/table/ex?seed=x", "", 400},
-		{"table bad deadline", "GET", "/v1/table/ex?deadline_ms=-5", "", 400},
-	}
+	cases := loadClientErrors(t)
 	for _, tc := range cases {
 		var status int
 		var body []byte
@@ -634,7 +643,7 @@ func TestPanickingJobAnswers500(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := New(Config{QueueDepth: 4, Jobs: 1, CacheSize: -1})
 	rec := httptest.NewRecorder()
-	s.serveJob(rec, httptest.NewRequest("POST", "/v1/synthesize", nil), "synthesize", fpOf("boom"), 0,
+	s.serveJob(rec, httptest.NewRequest("POST", "/v1/synthesize", nil), time.Now(), &Request{Kind: KindSynthesize, FP: fpOf("boom")},
 		func(ctx context.Context) (int, []byte, bool) { panic("job exploded") })
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking job: status %d", rec.Code)
@@ -647,7 +656,7 @@ func TestPanickingJobAnswers500(t *testing.T) {
 	}
 	// The worker survived: the next job still runs.
 	rec2 := httptest.NewRecorder()
-	s.serveJob(rec2, httptest.NewRequest("POST", "/v1/synthesize", nil), "synthesize", fpOf("after"), 0, blockingJob(nil, nil))
+	s.serveJob(rec2, httptest.NewRequest("POST", "/v1/synthesize", nil), time.Now(), &Request{Kind: KindSynthesize, FP: fpOf("after")}, blockingJob(nil, nil))
 	if rec2.Code != http.StatusOK {
 		t.Errorf("job after panic: status %d", rec2.Code)
 	}
