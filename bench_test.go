@@ -43,9 +43,7 @@ func tableCell(b *testing.B, bench, method string) {
 		b.Fatal(err)
 	}
 	par := core.DefaultParams(4)
-	if bench == dfg.BenchDiffeq || bench == dfg.BenchPaulin {
-		par.LoopSignal = "exit"
-	}
+	par.LoopSignal = g.Loop
 	res, err := core.RunCtx(context.Background(), method, g, par)
 	if err != nil {
 		b.Fatal(err)
@@ -200,9 +198,7 @@ func BenchmarkSynthesize(b *testing.B) {
 						b.Fatal(err)
 					}
 					par := core.DefaultParams(width)
-					if bench == dfg.BenchDiffeq {
-						par.LoopSignal = "exit"
-					}
+					par.LoopSignal = g.Loop
 					par.NoCache = !cached
 					st := stats.New()
 					par.Stats = st
@@ -232,9 +228,7 @@ func BenchmarkSynthesisAllBenchmarks(b *testing.B) {
 				b.Fatal(err)
 			}
 			par := core.DefaultParams(8)
-			if name == dfg.BenchDiffeq || name == dfg.BenchPaulin {
-				par.LoopSignal = "exit"
-			}
+			par.LoopSignal = g.Loop
 			par.Stats = stats.New()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -261,9 +255,9 @@ type genMixJob struct {
 func genMixJobs(tb testing.TB) []genMixJob {
 	tb.Helper()
 	var jobs []genMixJob
-	add := func(g *dfg.Graph, loop string) {
+	add := func(g *dfg.Graph) {
 		par := core.DefaultParams(g.Width)
-		par.LoopSignal = loop
+		par.LoopSignal = g.Loop
 		par.Workers = 1
 		jobs = append(jobs, genMixJob{g, par})
 	}
@@ -278,11 +272,11 @@ func genMixJobs(tb testing.TB) []genMixJob {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		add(g, dfggen.LoopSignal(spec.Name()))
+		add(g)
 	}
 	for _, f := range []string{"diffeq.vhd", "fir4.vhd"} {
 		for _, w := range []int{4, 8} {
-			add(loadVHDL(tb, f, w), "")
+			add(loadVHDL(tb, f, w))
 		}
 	}
 	return jobs
@@ -324,7 +318,7 @@ func BenchmarkSynthesizeGenMix(b *testing.B) {
 func BenchmarkGateLevelFaultSim(b *testing.B) {
 	g := dfg.Diffeq(8)
 	par := core.DefaultParams(8)
-	par.LoopSignal = "exit"
+	par.LoopSignal = g.Loop
 	res, err := core.SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		b.Fatal(err)
@@ -407,7 +401,7 @@ func bistNetlist(tb testing.TB) *Netlist {
 		tb.Fatal(err)
 	}
 	par := DefaultParams(4)
-	par.LoopSignal = "exit"
+	par.LoopSignal = g.Loop
 	res, err := SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		tb.Fatal(err)
@@ -468,9 +462,7 @@ func podemCase(tb testing.TB, bench string) (*Netlist, ATPGConfig) {
 		tb.Fatal(err)
 	}
 	par := DefaultParams(4)
-	if bench == BenchDiffeq {
-		par.LoopSignal = "exit"
-	}
+	par.LoopSignal = g.Loop
 	res, err := RunMethodCtx(context.Background(), MethodOurs, g, par)
 	if err != nil {
 		tb.Fatal(err)

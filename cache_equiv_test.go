@@ -46,30 +46,20 @@ func loadVHDL(tb testing.TB, file string, width int) *dfg.Graph {
 	return g
 }
 
-// equivCase is one behaviour the cache equivalence suite synthesizes.
-type equivCase struct {
-	g    *dfg.Graph
-	loop string
-}
-
 // cacheEquivCases lists the behaviours of TestCacheEquivalence: Ex, Dct
 // and Diffeq at 4, 8 and 16 bits, EWF, Paulin and Tseng at 4, the first 16
 // specs of the generator sweep the kernel differential tests use (a third
 // of them looped), and both shipped VHDL sources. -short keeps the paper's
 // three at 4 bits, four generated specs and one VHDL source.
-func cacheEquivCases(t *testing.T) []equivCase {
+func cacheEquivCases(t *testing.T) []*dfg.Graph {
 	short := testing.Short()
-	var cases []equivCase
+	var cases []*dfg.Graph
 	named := func(name string, width int) {
 		g, err := dfg.ByName(name, width)
 		if err != nil {
 			t.Fatal(err)
 		}
-		loop := ""
-		if name == dfg.BenchDiffeq || name == dfg.BenchPaulin {
-			loop = "exit"
-		}
-		cases = append(cases, equivCase{g, loop})
+		cases = append(cases, g)
 	}
 	widths := []int{4, 8, 16}
 	if short {
@@ -100,26 +90,25 @@ func cacheEquivCases(t *testing.T) []equivCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, equivCase{g, dfggen.LoopSignal(spec.Name())})
+		cases = append(cases, g)
 	}
 	files := []string{"diffeq.vhd", "fir4.vhd"}
 	if short {
 		files = files[:1]
 	}
 	for _, f := range files {
-		cases = append(cases, equivCase{loadVHDL(t, f, 4), ""})
+		cases = append(cases, loadVHDL(t, f, 4))
 	}
 	return cases
 }
 
 func TestCacheEquivalence(t *testing.T) {
-	for _, c := range cacheEquivCases(t) {
-		g := c.g
+	for _, g := range cacheEquivCases(t) {
 		for _, method := range core.Methods() {
 			t.Run(fmt.Sprintf("%s/w%d/%s", g.Name, g.Width, method), func(t *testing.T) {
 				par := core.DefaultParams(g.Width)
 				par.Workers = 4
-				par.LoopSignal = c.loop
+				par.LoopSignal = g.Loop
 				run := func(noCache bool) (string, *stats.Stats) {
 					p := par
 					p.NoCache = noCache

@@ -19,6 +19,7 @@ import (
 
 	hlts "repro"
 	"repro/internal/chaos"
+	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/testability"
 )
@@ -33,7 +34,7 @@ func main() {
 		alpha   = flag.Float64("alpha", 2, "weight of ΔE in ΔC")
 		beta    = flag.Float64("beta", 1, "weight of ΔH in ΔC")
 		slack   = flag.Int("slack", 0, "latency slack in control steps over the ASAP length")
-		loopSig = flag.String("loop", "", "condition output closing a behavioural loop (diffeq/paulin: exit)")
+		loopSig = flag.String("loop", "", "condition output closing a behavioural loop (default: the behaviour's own loop)")
 		runATPG = flag.Bool("atpg", false, "run the gate-level ATPG campaign")
 		scanN   = flag.Int("scan", 0, "select up to N partial-scan registers before ATPG")
 		seed    = flag.Int64("seed", 1, "ATPG seed")
@@ -74,36 +75,41 @@ func main() {
 		defer cancel()
 	}
 
-	g, err := loadGraph(*bench, *vhdl, *width)
+	// The synthesis flags are a /v1/synthesize request, read by the
+	// daemon's own Normalize: the CLI and hltsd load the behaviour, apply
+	// the defaults and pick the loop the same way.
+	req := server.SynthesizeRequest{
+		Bench: *bench, Width: *width, Method: *method,
+		K: *k, Alpha: alpha, Beta: beta, Slack: *slack, Loop: *loopSig,
+	}
+	if *vhdl != "" {
+		src, err := os.ReadFile(*vhdl)
+		if err != nil {
+			fatal(err)
+		}
+		req.VHDL = string(src)
+	}
+	n, err := req.Normalize()
 	if err != nil {
 		fatal(err)
 	}
+	g, par := n.Graph, n.Params
 	if *dot {
 		fmt.Print(g.Dot())
 		return
 	}
-
-	par := hlts.DefaultParams(*width)
-	par.K = *k
-	par.Alpha = *alpha
-	par.Beta = *beta
-	par.Slack = *slack
-	par.LoopSignal = *loopSig
 	par.Workers = *workers
 	if *stFlg {
 		par.Stats = stats.New()
 	}
-	if par.LoopSignal == "" && (*bench == hlts.BenchDiffeq || *bench == hlts.BenchPaulin) {
-		par.LoopSignal = "exit"
-	}
 
-	res, err := hlts.RunMethodCtx(ctx, *method, g, par)
+	res, err := hlts.RunMethodCtx(ctx, n.Method, g, par)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("behaviour %s: %d operations, %d values\n", g.Name, g.NumNodes(), g.NumValues())
 	fmt.Printf("method %s, width %d, (k,alpha,beta) = (%d,%g,%g), slack %d\n",
-		res.Method, *width, *k, *alpha, *beta, *slack)
+		res.Method, par.Width, par.K, par.Alpha, par.Beta, par.Slack)
 	if res.Status == hlts.StatusPartial {
 		fmt.Printf("NOTE: partial result — %s budget exhausted; figures below are best-so-far\n", res.Exhausted)
 	}
@@ -164,23 +170,6 @@ func main() {
 	if par.Stats != nil {
 		fmt.Println("\nsynthesis statistics:")
 		par.Stats.WriteText(os.Stdout)
-	}
-}
-
-func loadGraph(bench, vhdl string, width int) (*hlts.Graph, error) {
-	switch {
-	case bench != "" && vhdl != "":
-		return nil, fmt.Errorf("choose one of -bench and -vhdl")
-	case bench != "":
-		return hlts.LoadBenchmark(bench, width)
-	case vhdl != "":
-		src, err := os.ReadFile(vhdl)
-		if err != nil {
-			return nil, err
-		}
-		return hlts.CompileVHDL(string(src), width)
-	default:
-		return nil, fmt.Errorf("one of -bench or -vhdl is required")
 	}
 }
 

@@ -19,7 +19,8 @@
 // store and reloaded at boot, so a restarted daemon serves a repeat
 // workload from a hot cache without recomputing. SIGINT/SIGTERM
 // starts a graceful drain — queued jobs finish (or land best-so-far
-// partial results when -drain-timeout expires) before the process exits.
+// partial results when -drain-timeout expires) before the process exits;
+// a second signal forces the drain deadline immediately.
 // -cpuprofile FILE writes a CPU profile of the whole run, boot to drained,
 // for `go tool pprof`; it changes no response byte.
 package main
@@ -188,6 +189,13 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	defer cancel()
+	// A second signal forces the deadline, as on hltsc: in-flight jobs are
+	// cancelled and degrade to partial results immediately.
+	go func() {
+		sig := <-sigCh
+		log.Printf("%v again: forcing drain", sig)
+		cancel()
+	}()
 	// Stop accepting connections first, then drain the job queue: queued
 	// jobs finish, and when the deadline passes the remaining ones are
 	// cancelled so they land partial results instead of being lost.
@@ -195,8 +203,8 @@ func main() {
 		log.Printf("http shutdown: %v", err)
 	}
 	if err := srv.Drain(ctx); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			log.Printf("drain deadline expired; in-flight jobs degraded to partial results")
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			log.Printf("drain cut short; in-flight jobs degraded to partial results")
 		} else {
 			log.Printf("drain: %v", err)
 		}

@@ -20,7 +20,7 @@ func main() {
 		log.Fatal(err)
 	}
 	par := hlts.DefaultParams(width)
-	par.LoopSignal = "exit"
+	par.LoopSignal = g.Loop
 	res, err := hlts.SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		log.Fatal(err)

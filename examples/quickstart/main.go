@@ -14,7 +14,7 @@ import (
 
 func main() {
 	// 1. Load a behaviour. Diffeq is the HAL differential-equation
-	//    benchmark; its loop closes on the "exit" condition output.
+	//    benchmark; g.Loop names the value that closes its loop.
 	const width = 8
 	g, err := hlts.LoadBenchmark(hlts.BenchDiffeq, width)
 	if err != nil {
@@ -24,7 +24,7 @@ func main() {
 
 	// 2. Run Algorithm 1: (k, alpha, beta) = (3, 2, 1).
 	par := hlts.DefaultParams(width)
-	par.LoopSignal = "exit"
+	par.LoopSignal = g.Loop
 	res, err := hlts.SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		log.Fatal(err)

@@ -24,16 +24,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	loop := ""
-	if *bench == hlts.BenchDiffeq || *bench == hlts.BenchPaulin {
-		loop = "exit"
-	}
-
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "method\tmodules\tregs\tmux\tself-loops\tarea\tgates\tcoverage\teffort(kEval)\ttest cycles\n")
 	for _, method := range hlts.Methods() {
 		par := hlts.DefaultParams(*width)
-		par.LoopSignal = loop
+		par.LoopSignal = g.Loop
 		res, err := hlts.RunMethodCtx(context.Background(), method, g, par)
 		if err != nil {
 			log.Fatal(err)

@@ -134,11 +134,6 @@ type GenSpec = dfggen.Spec
 // ErrBadGenSpec tags malformed generator specs and "gen:" names.
 var ErrBadGenSpec = dfggen.ErrBadSpec
 
-// GenLoopSignal returns the loop-exit value name for a looping
-// generated benchmark name ("" otherwise); callers use it to default
-// Params.LoopSignal the same way diffeq is special-cased.
-func GenLoopSignal(name string) string { return dfggen.LoopSignal(name) }
-
 // CompileVHDL compiles a behavioural VHDL-subset description into a
 // data-flow graph.
 func CompileVHDL(src string, width int) (*Graph, error) { return hdl.Compile(src, width) }

@@ -462,12 +462,7 @@ func paperDesign(t *testing.T, name string, width int) diffDesign {
 		}
 		par := core.DefaultParams(width)
 		par.Workers = 1
-		switch {
-		case name == dfg.BenchDiffeq:
-			par.LoopSignal = "exit"
-		case dfggen.IsGenName(name):
-			par.LoopSignal = dfggen.LoopSignal(name)
-		}
+		par.LoopSignal = g.Loop
 		res, err := core.RunCtx(context.Background(), core.MethodOurs, g, par)
 		if err != nil {
 			e.err = err

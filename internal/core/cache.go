@@ -193,11 +193,7 @@ func (h *Hasher) Params(p Params) {
 	h.Str(p.LoopSignal)
 	h.Int(int(p.Selection))
 	h.Int(int(p.Reschedule))
-	if p.NoExplore {
-		h.Int(1)
-	} else {
-		h.Int(0)
-	}
+	h.Int(0) // a retired policy switch, still hashed so stored fingerprints keep their bytes
 	if p.ModulesOnly {
 		h.Int(1)
 	} else {

@@ -87,19 +87,10 @@ type Params struct {
 	Class sched.ClassFunc
 	// Lib is the module library for ΔH (cost.DefaultLibrary when nil).
 	Lib *cost.Library
-	// TCfg configures testability analysis.
-	TCfg testability.Config
 	// Selection and Reschedule select the algorithm variant; the zero
 	// values are the paper's algorithm.
 	Selection  SelectionPolicy
 	Reschedule ReschedulePolicy
-	// NoExplore disables the tie-break exploration: by default SynthesizeCtx
-	// runs the greedy merger under the four deterministic tie-break
-	// policies (tieHighScore, tieLowScore, tieStrict, tieNoDepBonus; see
-	// tiePolicies) and keeps the design with the lowest final α·E + β·H
-	// (the authors applied Algorithm 1 manually and resolved near-ties by
-	// judgement; the exploration recovers that judgement mechanically).
-	NoExplore bool
 	// Workers bounds the goroutines used for the tie-policy exploration
 	// (0 = one per CPU, 1 = sequential). The winning design is selected by
 	// a fixed-order reduction over the policy results, so the outcome is
@@ -121,12 +112,11 @@ type Params struct {
 }
 
 // DefaultParams returns the parameter set (k,α,β) = (3,2,1) the paper uses
-// for 4-bit runs, with testability defaults.
+// for 4-bit runs.
 func DefaultParams(width int) Params {
 	return Params{
 		K: 3, Alpha: 2, Beta: 1,
 		Slack: 0, Width: width, LoopBound: 4,
-		TCfg: testability.DefaultConfig(),
 	}
 }
 
@@ -258,7 +248,7 @@ func (st *state) analyze() (analysis, error) {
 		return analysis{}, err
 	}
 	stop := st.par.Stats.Time("time.testability")
-	m := testability.Analyze(d, st.par.TCfg)
+	m := testability.Analyze(d, testability.DefaultConfig())
 	stop()
 	e := analysis{m: m, regDepth: meanRegSeqDepth(d, m)}
 	st.cache.storeMetrics(st.fp, e)
@@ -520,14 +510,15 @@ const (
 var tiePolicies = []tiePolicy{tieHighScore, tieLowScore, tieStrict, tieNoDepBonus}
 
 // SynthesizeCtx runs Algorithm 1 on g and returns the synthesized design.
-// Unless par.NoExplore is set, the greedy merger is run under the four
-// deterministic tie-break policies of tiePolicies — tieHighScore,
-// tieLowScore, tieStrict and tieNoDepBonus — and the design with the
-// smallest final α·E + β·H wins (ties on that, in turn, go to the
-// fewer-self-loops design). The policies are independent, so they run
-// concurrently on up to par.Workers goroutines; the winner is chosen by a
-// sequential reduction in tiePolicies order, making the result identical
-// at every worker count.
+// The greedy merger is run under the four deterministic tie-break
+// policies of tiePolicies — tieHighScore, tieLowScore, tieStrict and
+// tieNoDepBonus — and the design with the smallest final α·E + β·H wins
+// (ties on that, in turn, go to the fewer-self-loops design; the authors
+// applied Algorithm 1 manually and resolved near-ties by judgement, and
+// the exploration recovers that judgement mechanically). The policies
+// are independent, so they run concurrently on up to par.Workers
+// goroutines; the winner is chosen by a sequential reduction in
+// tiePolicies order, making the result identical at every worker count.
 //
 // Cancellation degrades gracefully: each tie policy's merger loop checks
 // the context at every iteration boundary, stops merging when it dies, and
@@ -548,9 +539,6 @@ func SynthesizeCtx(ctx context.Context, g *dfg.Graph, par Params) (*Result, erro
 	// memoization pays most. Cached values are pure functions of their
 	// keys, keeping the result independent of sharing and worker count.
 	cache := newEvalCache(par)
-	if par.NoExplore {
-		return synthesizeOnce(ctx, g, par, tieHighScore, cache)
-	}
 	// The pool deliberately runs without the context: each policy handles
 	// cancellation itself by degrading to a partial design, so all four
 	// jobs return results (never ctx.Err()) and the winner reduction still

@@ -13,18 +13,11 @@ import (
 
 func params() Params { return DefaultParams(8) }
 
-func loopSignalFor(name string) string {
-	if name == dfg.BenchDiffeq || name == dfg.BenchPaulin {
-		return "exit"
-	}
-	return ""
-}
-
 func TestSynthesizeAllBenchmarks(t *testing.T) {
 	for _, name := range dfg.BenchmarkNames() {
 		g, _ := dfg.ByName(name, 8)
 		par := params()
-		par.LoopSignal = loopSignalFor(name)
+		par.LoopSignal = g.Loop
 		r, err := SynthesizeCtx(context.Background(), g, par)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -48,7 +41,7 @@ func TestAllMethodsAllBenchmarks(t *testing.T) {
 		}
 		g, _ := dfg.ByName(name, 8)
 		par := params()
-		par.LoopSignal = loopSignalFor(name)
+		par.LoopSignal = g.Loop
 		for _, method := range Methods() {
 			r, err := RunCtx(context.Background(), method, g, par)
 			if err != nil {
@@ -107,7 +100,7 @@ func TestExMatchesPaperModuleShape(t *testing.T) {
 func TestDiffeqMatchesPaperModuleShape(t *testing.T) {
 	g := dfg.Diffeq(8)
 	par := params()
-	par.LoopSignal = "exit"
+	par.LoopSignal = g.Loop
 	r, err := SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +131,7 @@ func TestSemanticsPreservedAllMethods(t *testing.T) {
 	for _, name := range dfg.BenchmarkNames() {
 		g, _ := dfg.ByName(name, 16)
 		par := DefaultParams(16)
-		par.LoopSignal = loopSignalFor(name)
+		par.LoopSignal = g.Loop
 		for _, method := range Methods() {
 			if testing.Short() && (name == dfg.BenchEWF && method == MethodOurs) {
 				continue
@@ -198,7 +191,7 @@ func TestBalanceAvoidsSelfLoops(t *testing.T) {
 	for _, name := range []string{dfg.BenchEx, dfg.BenchDct, dfg.BenchDiffeq, dfg.BenchPaulin, dfg.BenchTseng} {
 		g, _ := dfg.ByName(name, 8)
 		par := params()
-		par.LoopSignal = loopSignalFor(name)
+		par.LoopSignal = g.Loop
 		ours, err := SynthesizeCtx(context.Background(), g, par)
 		if err != nil {
 			t.Fatal(err)
@@ -313,7 +306,7 @@ func TestFinalDesignsFullyTestable(t *testing.T) {
 	for _, name := range []string{dfg.BenchEx, dfg.BenchDiffeq} {
 		g, _ := dfg.ByName(name, 8)
 		par := params()
-		par.LoopSignal = loopSignalFor(name)
+		par.LoopSignal = g.Loop
 		for _, method := range Methods() {
 			r, err := RunCtx(context.Background(), method, g, par)
 			if err != nil {
@@ -369,7 +362,7 @@ func TestApproachesDifferOnEWF(t *testing.T) {
 func TestExecutionTimeLinearInLoopBound(t *testing.T) {
 	g := dfg.Diffeq(8)
 	par := params()
-	par.LoopSignal = "exit"
+	par.LoopSignal = g.Loop
 	var prev int
 	for lb := 1; lb <= 4; lb++ {
 		par.LoopBound = lb

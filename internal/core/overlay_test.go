@@ -28,7 +28,6 @@ func TestMergeOrderCheckByteIdentical(t *testing.T) {
 	type behaviour struct {
 		g     *dfg.Graph
 		width int
-		loop  string
 	}
 	widths, specs := []int{4, 8, 16}, 64
 	if testing.Short() {
@@ -41,7 +40,7 @@ func TestMergeOrderCheckByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs = append(bs, behaviour{g, w, loopSignalFor(name)})
+			bs = append(bs, behaviour{g, w})
 		}
 	}
 	mixes, shapes := dfggen.Mixes(), dfggen.Shapes()
@@ -55,14 +54,14 @@ func TestMergeOrderCheckByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs = append(bs, behaviour{g, 4, dfggen.LoopSignal(spec.Name())})
+		bs = append(bs, behaviour{g, 4})
 	}
 	run := func(b behaviour, method string, recompile bool) (string, *stats.Stats) {
 		t.Helper()
 		recompileOrders = recompile
 		defer func() { recompileOrders = false }()
 		par := DefaultParams(b.width)
-		par.LoopSignal = b.loop
+		par.LoopSignal = b.g.Loop
 		par.Stats = stats.New()
 		r, err := RunCtx(context.Background(), method, b.g, par)
 		if err != nil {

@@ -30,6 +30,13 @@ func randGraph(rng *rand.Rand, nOps int) *dfg.Graph {
 	return g
 }
 
+// synthesizeGreedy runs the greedy merger once, under the first tie-break
+// policy only: the properties below hold for every single run, so they
+// need not pay for the four-policy exploration.
+func synthesizeGreedy(g *dfg.Graph, par Params) (*Result, error) {
+	return synthesizeOnce(context.Background(), g, par, tieHighScore, newEvalCache(par))
+}
+
 // Property: the full synthesis pipeline preserves semantics on random
 // behaviours — the central invariant of the paper's transformation
 // framework ("semantics-preserving transformations", §1).
@@ -38,9 +45,15 @@ func TestSynthesizeRandomGraphsPreservesSemantics(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randGraph(rng, 4+rng.Intn(12))
 		par := DefaultParams(8)
-		par.NoExplore = rng.Intn(2) == 0
+		explore := rng.Intn(2) == 1
 		par.Slack = rng.Intn(3)
-		r, err := SynthesizeCtx(context.Background(), g, par)
+		synthesize := synthesizeGreedy
+		if explore {
+			synthesize = func(g *dfg.Graph, par Params) (*Result, error) {
+				return SynthesizeCtx(context.Background(), g, par)
+			}
+		}
+		r, err := synthesize(g, par)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -79,8 +92,7 @@ func TestMergerMonotonicity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randGraph(rng, 4+rng.Intn(10))
 		par := DefaultParams(8)
-		par.NoExplore = true
-		r, err := SynthesizeCtx(context.Background(), g, par)
+		r, err := synthesizeGreedy(g, par)
 		if err != nil {
 			return false
 		}
@@ -126,8 +138,7 @@ func TestRandomGraphsGateLevelEquivalence(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := randGraph(rng, 4+rng.Intn(8))
 		par := DefaultParams(8)
-		par.NoExplore = true
-		r, err := SynthesizeCtx(context.Background(), g, par)
+		r, err := synthesizeGreedy(g, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,8 +175,7 @@ func TestLatencyBoundHolds(t *testing.T) {
 		}
 		par := DefaultParams(8)
 		par.Slack = slack
-		par.NoExplore = true
-		r, err := SynthesizeCtx(context.Background(), g, par)
+		r, err := synthesizeGreedy(g, par)
 		if err != nil {
 			return false
 		}

@@ -25,20 +25,15 @@ func sweepDesigns(t *testing.T) map[string]*etpn.Design {
 	type behaviour struct {
 		g     *dfg.Graph
 		width int
-		loop  string
 	}
 	var bs []behaviour
 	for _, name := range dfg.BenchmarkNames() {
-		loop := ""
-		if name == dfg.BenchDiffeq || name == dfg.BenchPaulin {
-			loop = "exit"
-		}
 		for _, w := range []int{4, 8, 16} {
 			g, err := dfg.ByName(name, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs = append(bs, behaviour{g, w, loop})
+			bs = append(bs, behaviour{g, w})
 		}
 	}
 	mixes, shapes := dfggen.Mixes(), dfggen.Shapes()
@@ -52,7 +47,7 @@ func sweepDesigns(t *testing.T) map[string]*etpn.Design {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs = append(bs, behaviour{g, 4, dfggen.LoopSignal(spec.Name())})
+		bs = append(bs, behaviour{g, 4})
 	}
 	out := map[string]*etpn.Design{}
 	for _, b := range bs {
@@ -69,7 +64,7 @@ func sweepDesigns(t *testing.T) map[string]*etpn.Design {
 		out[label+"/default"] = d
 		for _, method := range core.Methods() {
 			par := core.DefaultParams(b.width)
-			par.LoopSignal = b.loop
+			par.LoopSignal = b.g.Loop
 			par.Workers = 1
 			res, err := core.RunCtx(context.Background(), method, b.g, par)
 			if err != nil {

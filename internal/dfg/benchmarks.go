@@ -185,6 +185,7 @@ func Diffeq(width int) *Graph {
 
 	x1 := g.OpNamed("N25", OpAdd, "x1", x, dx)
 	exit := g.OpNamed("N24", OpLt, "exit", x1, a)
+	g.Loop = "exit"
 	a1 := g.OpNamed("N26", OpMul, "a1", three, x)
 	b := g.OpNamed("N27", OpMul, "b", u, dx)
 	d := g.OpNamed("N29", OpMul, "d", three, y)
@@ -226,6 +227,7 @@ func Paulin(width int) *Graph {
 	y1 := g.OpNamed("N9", OpAdd, "y1", y, t7)
 	x1 := g.OpNamed("N10", OpAdd, "x1", x, dx)
 	exit := g.OpNamed("N11", OpLt, "exit", x1, a)
+	g.Loop = "exit"
 	g.MarkOutput(x1)
 	g.MarkOutput(y1)
 	g.MarkOutput(u1)

@@ -118,8 +118,11 @@ type Value struct {
 
 // Graph is a complete data-flow graph.
 type Graph struct {
-	Name   string
-	Width  int // default bit width of every value; overridable at synthesis
+	Name  string
+	Width int // default bit width of every value; overridable at synthesis
+	// Loop names the value that closes the behaviour's loop, or "" for
+	// straight-line code.
+	Loop   string
 	nodes  []*Node
 	values []*Value
 	byName map[string]ValueID

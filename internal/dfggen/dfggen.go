@@ -286,22 +286,6 @@ func Parse(name string) (Spec, error) {
 	return s, nil
 }
 
-// LoopSignal returns the loop-exit value name for a generated
-// benchmark name ("exit" when the spec carries the loop idiom), or ""
-// when the name is not a looping generated benchmark. The daemon and
-// the report tables use it to default Params.LoopSignal the same way
-// they special-case diffeq.
-func LoopSignal(name string) string {
-	if !IsGenName(name) {
-		return ""
-	}
-	spec, err := Parse(name)
-	if err != nil || !spec.Loop {
-		return ""
-	}
-	return "exit"
-}
-
 // rng is splitmix64 (Steele et al.), chosen over math/rand for a
 // fixed, documented algorithm: the generated byte stream is pinned by
 // golden tests and must never drift across Go releases or platforms.
@@ -585,13 +569,13 @@ func Generate(spec Spec, width int) (*dfg.Graph, error) {
 
 	if s.Loop {
 		// Diffeq's loop idiom: advance the induction variable and
-		// compare against the bound. The exit value is named "exit" so
-		// Params.LoopSignal (see LoopSignal above) can bind to it.
+		// compare against the bound; the exit value closes the loop.
 		x := g.Input("lx")
 		dx := g.Input("ldx")
 		xmax := g.Input("lxmax")
 		x1 := g.Op(dfg.OpAdd, "x1", x, dx)
 		exit := g.Op(dfg.OpLt, "exit", x1, xmax)
+		g.Loop = "exit"
 		g.MarkOutput(x1)
 		g.MarkOutput(exit)
 	}

@@ -218,17 +218,43 @@ func TestByNameResolvesGenNamespace(t *testing.T) {
 	}
 }
 
-func TestLoopSignal(t *testing.T) {
-	loop := Spec{Seed: 1, Loop: true}.Name()
-	if got := LoopSignal(loop); got != "exit" {
-		t.Errorf("LoopSignal(%q) = %q, want exit", loop, got)
+// TestGraphLoop: the graph names its own loop — "exit" for Diffeq,
+// Paulin and every looped spec, "" for the straight-line built-ins and
+// every spec without the loop idiom — and the name is a value of the
+// graph.
+func TestGraphLoop(t *testing.T) {
+	want := map[string]string{}
+	for _, name := range dfg.BenchmarkNames() {
+		want[name] = ""
 	}
-	plain := Spec{Seed: 1}.Name()
-	if got := LoopSignal(plain); got != "" {
-		t.Errorf("LoopSignal(%q) = %q, want empty", plain, got)
+	want[dfg.BenchDiffeq], want[dfg.BenchPaulin] = "exit", "exit"
+	if len(want) != 6 {
+		t.Fatalf("%d built-ins, want 6", len(want))
 	}
-	if got := LoopSignal("diffeq"); got != "" {
-		t.Errorf("LoopSignal(diffeq) = %q, want empty (not a gen name)", got)
+	mixes, shapes := Mixes(), Shapes()
+	for i := 0; i < 24; i++ {
+		spec := Spec{
+			Seed: uint64(i + 1), Ops: 8 + i%9,
+			Mix: mixes[i%len(mixes)], Shape: shapes[i%len(shapes)],
+			Loop: i%2 == 0, Cond: i%3 == 0,
+		}
+		if spec.Loop {
+			want[spec.Name()] = "exit"
+		} else {
+			want[spec.Name()] = ""
+		}
+	}
+	for name, loop := range want {
+		g, err := dfg.ByName(name, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Loop != loop {
+			t.Errorf("%s: Loop = %q, want %q", name, g.Loop, loop)
+		}
+		if _, ok := g.ValueByName(g.Loop); loop != "" && !ok {
+			t.Errorf("%s: Loop %q is not a value of the graph", name, g.Loop)
+		}
 	}
 }
 

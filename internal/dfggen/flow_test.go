@@ -63,11 +63,10 @@ func TestGeneratedSweepAllFlows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Generate: %v", err)
 			}
-			loopSig := dfggen.LoopSignal(spec.Name())
 			for _, method := range core.Methods() {
 				par := core.DefaultParams(width)
 				par.Workers = 1
-				par.LoopSignal = loopSig
+				par.LoopSignal = g.Loop
 				res, err := core.RunCtx(context.Background(), method, g, par)
 				if err != nil {
 					t.Fatalf("%s: %v", method, err)
@@ -122,7 +121,7 @@ func TestGeneratedWorkerAndCacheEquivalence(t *testing.T) {
 				t.Fatalf("Generate: %v", err)
 			}
 			base := core.DefaultParams(width)
-			base.LoopSignal = dfggen.LoopSignal(spec.Name())
+			base.LoopSignal = g.Loop
 			variants := []struct {
 				label   string
 				mutate  func(*core.Params)

@@ -43,18 +43,13 @@ func sweepDesigns(t *testing.T) []sweepDesign {
 
 func buildSweep() ([]sweepDesign, error) {
 	var graphs []*dfg.Graph
-	var loops []string
 	for _, name := range dfg.BenchmarkNames() {
-		loop := ""
-		if name == dfg.BenchDiffeq || name == dfg.BenchPaulin {
-			loop = "exit"
-		}
 		for _, w := range []int{4, 8, 16} {
 			g, err := dfg.ByName(name, w)
 			if err != nil {
 				return nil, err
 			}
-			graphs, loops = append(graphs, g), append(loops, loop)
+			graphs = append(graphs, g)
 		}
 	}
 	mixes, shapes := dfggen.Mixes(), dfggen.Shapes()
@@ -68,10 +63,10 @@ func buildSweep() ([]sweepDesign, error) {
 		if err != nil {
 			return nil, err
 		}
-		graphs, loops = append(graphs, g), append(loops, dfggen.LoopSignal(spec.Name()))
+		graphs = append(graphs, g)
 	}
 	var designs []sweepDesign
-	for i, g := range graphs {
+	for _, g := range graphs {
 		prefix := fmt.Sprintf("%s-%d", g.Name, g.Width)
 		s, err := sched.NewProblem(g).ASAP()
 		if err != nil {
@@ -85,7 +80,7 @@ func buildSweep() ([]sweepDesign, error) {
 		designs = append(designs, sweepDesign{prefix + "/default", d, -1})
 		for _, method := range core.Methods() {
 			par := core.DefaultParams(g.Width)
-			par.LoopSignal = loops[i]
+			par.LoopSignal = g.Loop
 			par.Workers = 1
 			res, err := core.RunCtx(context.Background(), method, g, par)
 			if err != nil {

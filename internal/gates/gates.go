@@ -249,40 +249,3 @@ func (b *Builder) Xnor(x, y int) int { return b.add(KXnor, "", x, y) }
 func (b *Builder) Mux2(sel, a, bb int) int {
 	return b.Or(b.And(sel, a), b.And(b.Not(sel), bb))
 }
-
-// Depth returns the maximum combinational depth of the circuit in gates:
-// the longest register-to-register (or port-to-port) path, a proxy for the
-// minimum clock period of the synthesized data path.
-func (c *Circuit) Depth() (int, error) {
-	order, err := c.Levelize()
-	if err != nil {
-		return 0, err
-	}
-	depth := make([]int, len(c.Gates))
-	max := 0
-	for _, id := range order {
-		g := c.Gates[id]
-		switch g.Kind {
-		case KInput, KConst0, KConst1, KDFF:
-			depth[id] = 0
-		default:
-			d := 0
-			for _, in := range g.In {
-				if depth[in] > d {
-					d = depth[in]
-				}
-			}
-			depth[id] = d + 1
-			if depth[id] > max {
-				max = depth[id]
-			}
-		}
-	}
-	// Paths ending at DFF D inputs count too.
-	for _, id := range c.DFFs {
-		if in := c.Gates[id].In; len(in) == 1 && depth[in[0]] > max {
-			max = depth[in[0]]
-		}
-	}
-	return max, nil
-}

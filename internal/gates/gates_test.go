@@ -281,50 +281,6 @@ func TestZeroExtend(t *testing.T) {
 	}
 }
 
-func TestDepth(t *testing.T) {
-	b := NewBuilder()
-	x := b.Input("x")
-	y := b.Input("y")
-	n1 := b.And(x, y)   // depth 1
-	n2 := b.Or(n1, x)   // depth 2
-	n3 := b.Xor(n2, n1) // depth 3
-	q := b.DFF("q")
-	b.SetD(q, n3)
-	b.Output("o", b.Not(q)) // depth 1 from the DFF
-	c, err := b.Done()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.Depth()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 3 {
-		t.Errorf("depth = %d, want 3", d)
-	}
-}
-
-func TestDepthMultiplierGrowsWithWidth(t *testing.T) {
-	depth := func(w int) int {
-		b := NewBuilder()
-		x := b.InputWord("x", w)
-		y := b.InputWord("y", w)
-		b.OutputWord("p", b.Multiplier(x, y))
-		c, err := b.Done()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := c.Depth()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	if !(depth(8) > depth(4)) {
-		t.Error("multiplier depth must grow with width")
-	}
-}
-
 // LFSRSeedWords packs per-lane seeds transposed: bit l of word i must be
 // bit i of lane l's SplitMix64-derived seed, lane 0 must stay at the
 // hardware reset state, and seeds must respect the register width.

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfg"
-	"repro/internal/dfggen"
 	"repro/internal/fault"
 	"repro/internal/gates"
 	"repro/internal/logicsim"
@@ -192,12 +191,7 @@ func paperNetlists(t *testing.T, name string, width int) []*gates.Circuit {
 		}
 		par := core.DefaultParams(width)
 		par.Workers = 1
-		switch {
-		case name == dfg.BenchDiffeq:
-			par.LoopSignal = "exit"
-		case dfggen.IsGenName(name):
-			par.LoopSignal = dfggen.LoopSignal(name)
-		}
+		par.LoopSignal = g.Loop
 		res, err := core.RunCtx(context.Background(), core.MethodOurs, g, par)
 		if err != nil {
 			e.err = err

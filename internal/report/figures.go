@@ -116,7 +116,7 @@ func Schedule(bench string, width int, cfg Config) (string, error) {
 	}
 	par := cfg.ParamsFor(width)
 	par.Width = width
-	par.LoopSignal = loopSignalFor(bench)
+	par.LoopSignal = g.Loop
 	res, err := core.SynthesizeCtx(context.TODO(), g, par)
 	if err != nil {
 		return "", err
@@ -170,7 +170,7 @@ func ParameterSweep(bench string, width, workers int, st *stats.Stats) ([]SweepR
 		par := core.DefaultParams(width)
 		par.K = pt.k
 		par.Alpha, par.Beta = pt.a, pt.b
-		par.LoopSignal = loopSignalFor(bench)
+		par.LoopSignal = g.Loop
 		par.Workers = inner
 		par.Stats = st
 		res, err := core.SynthesizeCtx(context.TODO(), g, par)
@@ -243,7 +243,7 @@ func Ablations(bench string, width, workers int, st *stats.Stats) ([]AblationRow
 	err = parallel.ForEachCtx(context.TODO(), outer, len(variants), func(i int) error {
 		v := variants[i]
 		par := core.DefaultParams(width)
-		par.LoopSignal = loopSignalFor(bench)
+		par.LoopSignal = g.Loop
 		par.Workers = inner
 		par.Stats = st
 		v.mod(&par)
@@ -291,7 +291,7 @@ func ScanStudy(bench string, width, maxScan int, seed int64, workers int) (strin
 		return "", err
 	}
 	par := core.DefaultParams(width)
-	par.LoopSignal = loopSignalFor(bench)
+	par.LoopSignal = g.Loop
 	par.Workers = workers
 	res, err := core.SynthesizeCtx(context.TODO(), g, par)
 	if err != nil {
@@ -336,7 +336,7 @@ func BISTStudy(bench string, width, nTpg, nMisr int, cyclesList []int, faults in
 		return "", err
 	}
 	par := core.DefaultParams(width)
-	par.LoopSignal = loopSignalFor(bench)
+	par.LoopSignal = g.Loop
 	par.Workers = workers
 	res, err := core.SynthesizeCtx(context.TODO(), g, par)
 	if err != nil {

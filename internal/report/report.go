@@ -18,7 +18,6 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/core"
 	"repro/internal/dfg"
-	"repro/internal/dfggen"
 	"repro/internal/exec"
 	"repro/internal/parallel"
 	"repro/internal/rtl"
@@ -109,15 +108,6 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
-// loopSignalFor names the loop condition of iterative benchmarks,
-// built-in or generated.
-func loopSignalFor(bench string) string {
-	if bench == dfg.BenchDiffeq || bench == dfg.BenchPaulin {
-		return "exit"
-	}
-	return dfggen.LoopSignal(bench)
-}
-
 // RunTableCtx executes the full table for one benchmark: every method at
 // every width. Cancellation degrades gracefully: the synthesis and
 // campaign inside each cell stop at their next budget boundary and the
@@ -181,7 +171,7 @@ func RunCellCtx(ctx context.Context, bench, method string, width int, cfg Config
 	}
 	par := cfg.ParamsFor(width)
 	par.Width = width
-	par.LoopSignal = loopSignalFor(bench)
+	par.LoopSignal = g.Loop
 	par.Workers = cfg.Workers
 	par.Stats = cfg.Stats
 	res, err := core.RunCtx(ctx, method, g, par)

@@ -16,9 +16,7 @@ func TestGateLevelMatchesInterpreterSynthesized(t *testing.T) {
 	for _, name := range []string{dfg.BenchEx, dfg.BenchDct, dfg.BenchDiffeq, dfg.BenchTseng} {
 		g, _ := dfg.ByName(name, 8)
 		par := core.DefaultParams(8)
-		if name == dfg.BenchDiffeq {
-			par.LoopSignal = "exit"
-		}
+		par.LoopSignal = g.Loop
 		for _, method := range core.Methods() {
 			r, err := core.RunCtx(context.Background(), method, g, par)
 			if err != nil {

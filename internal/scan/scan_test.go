@@ -19,9 +19,7 @@ func synth(t *testing.T, bench string, width int) *etpn.Design {
 		t.Fatal(err)
 	}
 	par := core.DefaultParams(width)
-	if bench == dfg.BenchDiffeq || bench == dfg.BenchPaulin {
-		par.LoopSignal = "exit"
-	}
+	par.LoopSignal = g.Loop
 	r, err := core.SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ type SynthesizeRequest struct {
 	Alpha  *float64 `json:"alpha,omitempty"`  // default 2
 	Beta   *float64 `json:"beta,omitempty"`   // default 1
 	Slack  int      `json:"slack,omitempty"`
-	Loop   string   `json:"loop,omitempty"` // default "exit" for diffeq/paulin
+	Loop   string   `json:"loop,omitempty"` // default: the behaviour's own loop
 	// DeadlineMS caps this request's computation; it is bounded above by
 	// the server's MaxDeadline and deliberately excluded from the request
 	// fingerprint (a deadline changes when an answer arrives, not which
@@ -59,7 +59,8 @@ type NormSynthesize struct {
 
 // Normalize validates the request and loads the behaviour graph. Every
 // error it returns is a client error (HTTP 400): bad width, unknown
-// benchmark or method, malformed VHDL, negative deadline.
+// benchmark or method, malformed VHDL, a loop that names no value of the
+// behaviour, negative deadline.
 func (r SynthesizeRequest) Normalize() (*NormSynthesize, error) {
 	if r.DeadlineMS < 0 {
 		return nil, fmt.Errorf("deadline_ms must be >= 0 (got %d)", r.DeadlineMS)
@@ -101,12 +102,10 @@ func (r SynthesizeRequest) Normalize() (*NormSynthesize, error) {
 	}
 	p.Slack = r.Slack
 	p.LoopSignal = r.Loop
-	if p.LoopSignal == "" && (r.Bench == hlts.BenchDiffeq || r.Bench == hlts.BenchPaulin) {
-		p.LoopSignal = "exit"
-	}
 	if p.LoopSignal == "" {
-		// Generated benchmarks carry their loop structure in the name.
-		p.LoopSignal = hlts.GenLoopSignal(r.Bench)
+		p.LoopSignal = n.Graph.Loop
+	} else if _, ok := n.Graph.ValueByName(p.LoopSignal); !ok {
+		return nil, fmt.Errorf("loop %q is not a value of the behaviour", p.LoopSignal)
 	}
 	n.Params = p
 	return n, nil

@@ -49,7 +49,7 @@ func TestGeneratedBenchRequests(t *testing.T) {
 		t.Errorf("repeat gen request not served from cache (X-Hlts-Result=%q)", hdr.Get("X-Hlts-Result"))
 	}
 
-	// A looping spec picks up LoopSignal from its name: the response
+	// A looping spec's graph names its loop: the response
 	// must be complete, and distinct from a spec without the idiom.
 	status, _, loopGot := post(t, client, ts.URL+"/v1/synthesize", `{"bench":"`+loopName+`","width":4}`)
 	if status != http.StatusOK {

@@ -192,9 +192,7 @@ func TestFlowsValidateClean(t *testing.T) {
 					t.Fatal(err)
 				}
 				par := core.DefaultParams(4)
-				if bench == dfg.BenchDiffeq || bench == dfg.BenchPaulin {
-					par.LoopSignal = "exit"
-				}
+				par.LoopSignal = g.Loop
 				res, err := core.RunCtx(context.Background(), method, g, par)
 				if err != nil {
 					t.Fatalf("%s: %v", method, err)
@@ -283,9 +281,7 @@ func TestAllocationMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				par := core.DefaultParams(4)
-				if bench == dfg.BenchDiffeq {
-					par.LoopSignal = "exit"
-				}
+				par.LoopSignal = g.Loop
 				res, err := core.RunCtx(context.Background(), method, g, par)
 				if err != nil {
 					t.Fatal(err)

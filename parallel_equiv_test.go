@@ -35,9 +35,7 @@ func equivNetlist(t *testing.T, bench string) *gates.Circuit {
 		t.Fatal(err)
 	}
 	par := core.DefaultParams(4)
-	if bench == dfg.BenchDiffeq {
-		par.LoopSignal = "exit"
-	}
+	par.LoopSignal = g.Loop
 	res, err := core.SynthesizeCtx(context.Background(), g, par)
 	if err != nil {
 		t.Fatal(err)
@@ -132,9 +130,7 @@ func TestSynthesizeWorkersEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			par := core.DefaultParams(4)
-			if bench == dfg.BenchDiffeq {
-				par.LoopSignal = "exit"
-			}
+			par.LoopSignal = g.Loop
 			run := func(workers int) string {
 				p := par
 				p.Workers = workers
