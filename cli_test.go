@@ -13,17 +13,24 @@ import (
 	"repro/internal/server"
 )
 
+// buildHlts builds ./cmd/hlts into a temporary directory.
+func buildHlts(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "hlts")
+	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if out, err := exec.Command(goBin, "build", "-o", bin, "./cmd/hlts").CombinedOutput(); err != nil {
+		t.Fatalf("build hlts: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestCLIMatchesDaemon: cmd/hlts reads its synthesis flags as the
 // /v1/synthesize request hltsd reads, so both report the same design.
 // The looped generated spec is the case where they once differed (the
 // CLI missed the loop its name carries and printed 3 control steps for
 // the daemon's 15); Diffeq and a plain spec ride along.
 func TestCLIMatchesDaemon(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "hlts")
-	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
-	if out, err := exec.Command(goBin, "build", "-o", bin, "./cmd/hlts").CombinedOutput(); err != nil {
-		t.Fatalf("build hlts: %v\n%s", err, out)
-	}
+	bin := buildHlts(t)
 	const looped = "gen:s3-o12-mmixed-hmesh-f2-i3-c1-loop"
 	for _, bench := range []string{looped, "gen:s3-o12-mmixed-hmesh-f2-i3-c1", hlts.BenchDiffeq} {
 		t.Run(bench, func(t *testing.T) {
@@ -51,6 +58,37 @@ func TestCLIMatchesDaemon(t *testing.T) {
 				if !strings.Contains(string(out), want) {
 					t.Errorf("hlts output lacks the daemon's\n%s\n--- hlts printed:\n%s", want, out)
 				}
+			}
+		})
+	}
+}
+
+// TestCLIRejectsNegativeCounts: a negative -faults or -scan is the error
+// hltsd answers 400 for, in hltsd's words. The fault sampler reads any
+// count <= 0 as "every fault", so an unchecked -faults -1 would silently
+// run the whole list.
+func TestCLIRejectsNegativeCounts(t *testing.T) {
+	bin := buildHlts(t)
+	synth := server.SynthesizeRequest{Bench: hlts.BenchEx, Width: 4}
+	for _, c := range []struct {
+		flags []string
+		req   server.TestDesignRequest
+	}{
+		{[]string{"-atpg", "-faults", "-1"}, server.TestDesignRequest{SynthesizeRequest: synth, Faults: -1}},
+		{[]string{"-atpg", "-scan", "-1"}, server.TestDesignRequest{SynthesizeRequest: synth, Scan: -1}},
+	} {
+		t.Run(strings.Join(c.flags, " "), func(t *testing.T) {
+			_, err := c.req.Normalize()
+			if err == nil {
+				t.Fatal("hltsd accepts the request")
+			}
+			args := append([]string{"-bench", hlts.BenchEx, "-width", "4"}, c.flags...)
+			out, cerr := exec.Command(bin, args...).CombinedOutput()
+			if cerr == nil {
+				t.Errorf("hlts exited 0\n%s", out)
+			}
+			if !strings.Contains(string(out), err.Error()) {
+				t.Errorf("hlts output lacks hltsd's %q:\n%s", err, out)
 			}
 		})
 	}

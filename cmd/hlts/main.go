@@ -18,7 +18,6 @@ import (
 	"runtime"
 
 	hlts "repro"
-	"repro/internal/chaos"
 	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/testability"
@@ -46,10 +45,17 @@ func main() {
 		tstab   = flag.Bool("testability", false, "print the per-node testability analysis")
 		stFlg   = flag.Bool("stats", false, "print synthesis cache/stage statistics after the run")
 		timeout = flag.Duration("timeout", 0, "overall budget; when it expires, synthesis and ATPG return their best-so-far results marked partial (0 = no limit)")
-		chaosFl = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file on exit")
 	)
 	flag.Parse()
+	// Counts are read as hltsd reads them, except that -faults 0 keeps
+	// meaning every fault.
+	if *faults < 0 {
+		fatal(fmt.Errorf("faults must be >= 0 (got %d)", *faults))
+	}
+	if *scanN < 0 {
+		fatal(fmt.Errorf("scan must be >= 0 (got %d)", *scanN))
+	}
 
 	stop, err := stats.StartCPUProfile(*cpuProf)
 	if err != nil {
@@ -57,16 +63,6 @@ func main() {
 	}
 	stopProfile = stop
 	defer stopProfile()
-
-	if *chaosFl != "" {
-		in, err := chaos.Parse(*chaosFl)
-		if err != nil {
-			fatal(err)
-		}
-		restore := chaos.Install(in)
-		defer restore()
-		defer func() { fmt.Fprintf(os.Stderr, "hlts: chaos fired %d injected faults\n", in.FiredTotal()) }()
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {

@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/atpg"
-	"repro/internal/chaos"
 	"repro/internal/dfg"
 	"repro/internal/dfggen"
 	"repro/internal/report"
@@ -49,7 +48,6 @@ func main() {
 		markdown = flag.Bool("markdown", false, "emit tables as markdown")
 		statsFlg = flag.Bool("stats", false, "print synthesis cache/stage statistics after the run")
 		timeout  = flag.Duration("timeout", 0, "overall budget; when it expires, in-flight cells finish with their best-so-far figures, marked *partial in the table (0 = no limit)")
-		chaosFl  = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file on exit")
 
 		gen       = flag.Int("gen", 0, "run the generated-suite table over N seeded synthetic behaviours (see internal/dfggen)")
@@ -63,6 +61,9 @@ func main() {
 		genMethod = flag.String("gen-method", "ours", "synthesis flow for the generated suite (camad, approach1, approach2, ours)")
 	)
 	flag.Parse()
+	if *faults < 0 {
+		fatal(fmt.Errorf("faults must be >= 0 (got %d)", *faults))
+	}
 
 	stop, err := stats.StartCPUProfile(*cpuProf)
 	if err != nil {
@@ -70,16 +71,6 @@ func main() {
 	}
 	stopProfile = stop
 	defer stopProfile()
-
-	if *chaosFl != "" {
-		in, err := chaos.Parse(*chaosFl)
-		if err != nil {
-			fatal(err)
-		}
-		restore := chaos.Install(in)
-		defer restore()
-		defer func() { fmt.Fprintf(os.Stderr, "hltsbench: chaos fired %d injected faults\n", in.FiredTotal()) }()
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {

@@ -45,7 +45,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/stats"
 )
@@ -62,7 +61,6 @@ func main() {
 		maxDL    = flag.Duration("max-deadline", 2*time.Minute, "per-request cap, dispatch retries included; deadline_ms may tighten it")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight proxied requests")
 		maxBody  = flag.Int64("max-body", 1<<20, "request-body cap in bytes (applies to job and membership POSTs alike)")
-		chaosFl  = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
 		cpuProf  = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file, from boot until the drain after SIGTERM/SIGINT completes (empty = no profile)")
 	)
 	flag.Parse()
@@ -77,16 +75,6 @@ func main() {
 	stopProfile, err := stats.StartCPUProfile(*cpuProf)
 	if err != nil {
 		log.Fatalf("-cpuprofile: %v", err)
-	}
-
-	if *chaosFl != "" {
-		in, err := chaos.Parse(*chaosFl)
-		if err != nil {
-			log.Fatalf("bad -chaos spec: %v", err)
-		}
-		restore := chaos.Install(in)
-		defer restore()
-		defer func() { log.Printf("chaos fired %d injected faults", in.FiredTotal()) }()
 	}
 
 	c := cluster.New(cluster.Config{

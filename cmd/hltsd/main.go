@@ -39,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/stats"
@@ -65,7 +64,6 @@ func main() {
 		drainTO = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget; jobs still running when it expires land best-so-far partial results")
 		cacheSz = flag.Int("cache", 128, "result-cache capacity in entries (negative disables)")
 		storeFl = flag.String("store", "", "persistent result-store directory: completed results are written through and reloaded at boot, so a restarted daemon serves repeat traffic from a hot cache (empty = in-memory only)")
-		chaosFl = flag.String("chaos", "", "fault-injection spec, a recovery-path test hook: seed=N;site=action[:prob];... (see internal/chaos)")
 		coord   = flag.String("coordinator", "", "coordinator base URL (e.g. http://host:9090): register this worker with an hltsc coordinator and heartbeat utilization (empty = standalone)")
 		adv     = flag.String("advertise", "", "base URL the coordinator should dispatch to (default derived from -addr)")
 		beat    = flag.Duration("heartbeat", 2*time.Second, "heartbeat period when registered with a coordinator (the coordinator's registration answer may override it)")
@@ -84,16 +82,6 @@ func main() {
 	stopProfile, err := stats.StartCPUProfile(*cpuProf)
 	if err != nil {
 		log.Fatalf("-cpuprofile: %v", err)
-	}
-
-	if *chaosFl != "" {
-		in, err := chaos.Parse(*chaosFl)
-		if err != nil {
-			log.Fatalf("bad -chaos spec: %v", err)
-		}
-		restore := chaos.Install(in)
-		defer restore()
-		defer func() { log.Printf("chaos fired %d injected faults", in.FiredTotal()) }()
 	}
 
 	var resStore *store.Store
@@ -139,15 +127,7 @@ func main() {
 		Store:       resStore,
 		Stats:       st,
 	})
-	// The cluster.worker.kill chaos site wraps the whole handler: when a
-	// -chaos spec arms it, the daemon dies abruptly mid-request — the
-	// node-crash scenario the coordinator's failover path must absorb.
-	// Dormant it costs one atomic load per request.
-	handler := cluster.Killable(srv.Handler(), func() {
-		log.Printf("chaos: cluster.worker.kill fired; dying abruptly")
-		os.Exit(137)
-	})
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	errCh := make(chan error, 1)
 	go func() {

@@ -178,7 +178,7 @@ func GenerateNetlist(r *Result, width int, testMode bool) (*Netlist, error) {
 // selection order and the mean-testability trajectory (index 0 = no
 // scan).
 func SelectScanRegisters(r *Result, max int) ([]int, []float64) {
-	sel := scan.Select(r.Design, r.Metrics.Config(), max, 1e-9)
+	sel := scan.Select(r.Design, max, 1e-9)
 	return sel.Regs, sel.MeanTestability
 }
 

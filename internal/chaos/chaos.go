@@ -8,9 +8,9 @@
 //
 // The framework is dependency-free and dormant by default: every hook
 // compiles down to one atomic load of a nil pointer when no injector is
-// installed, so production paths pay nothing. Tests (and the hidden -chaos
-// CLI hook) build an Injector, give each site a Rule, and Install it for
-// the duration of a run.
+// installed, so production paths pay nothing. Only tests arm it: a test
+// builds an Injector, gives each site a Rule, and Installs it for the
+// duration of a run.
 //
 // Determinism: the decision for the n-th hit of a site is a pure function
 // of (seed, site, n). A single-worker run therefore replays an identical
@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -68,20 +66,6 @@ func (a Action) String() string {
 		return "torn"
 	}
 	return fmt.Sprintf("Action(%d)", int(a))
-}
-
-func parseAction(s string) (Action, error) {
-	switch s {
-	case "error":
-		return ActError, nil
-	case "panic":
-		return ActPanic, nil
-	case "stall":
-		return ActStall, nil
-	case "torn":
-		return ActTorn, nil
-	}
-	return ActNone, fmt.Errorf("chaos: unknown action %q (want error, panic, stall or torn)", s)
 }
 
 // The named injection sites threaded through the pipeline. Each names the
@@ -138,9 +122,9 @@ const (
 	// Heartbeat fires on the worker agent before each beat is sent — a
 	// fired rule drops the beat, driving the registry's Alive -> Suspect ->
 	// Dead transitions. WorkerKill fires on the worker before serving each
-	// proxied request — a fired rule kills the worker abruptly mid-job (in
-	// tests the listener is torn down; in hltsd the process exits), the
-	// signature of a node crash with work in flight.
+	// proxied request — a fired rule kills the worker abruptly mid-job (the
+	// cluster tests tear its listener down), the signature of a node crash
+	// with work in flight.
 	SiteClusterDispatch   = "cluster.dispatch"
 	SiteClusterHeartbeat  = "cluster.heartbeat"
 	SiteClusterWorkerKill = "cluster.worker.kill"
@@ -155,8 +139,8 @@ const (
 	SiteReplicateApply = "cluster.replicate.apply"
 )
 
-// Sites lists every named injection site, sorted; the chaos sweep and the
-// -chaos CLI hook validate against it.
+// Sites lists every named injection site, sorted; the chaos sweeps iterate
+// it and On validates against it.
 func Sites() []string {
 	s := []string{
 		SiteParallelClaim, SiteParallelStall, SiteParallelJob,
@@ -374,59 +358,4 @@ func Fire(site string) (error, bool) {
 		return nil, false
 	}
 	return &Error{Site: site, Seq: n}, true
-}
-
-// Parse builds an injector from a CLI spec — the hidden -chaos test hook:
-//
-//	seed=7;parallel.produce=panic:0.3;store.sync=error
-//
-// Entries are ';'-separated. "seed=N" sets the seed (default 1); every
-// other entry is site=action[:prob], with prob in (0,1] defaulting to 1.
-func Parse(spec string) (*Injector, error) {
-	seed := int64(1)
-	type entry struct {
-		site string
-		rule Rule
-	}
-	var entries []entry
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("chaos: bad spec entry %q (want site=action[:prob])", part)
-		}
-		if k == "seed" {
-			s, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("chaos: bad seed %q", v)
-			}
-			seed = s
-			continue
-		}
-		if !knownSite(k) {
-			return nil, fmt.Errorf("chaos: unknown site %q (known: %s)", k, strings.Join(Sites(), ", "))
-		}
-		actStr, probStr, hasProb := strings.Cut(v, ":")
-		act, err := parseAction(actStr)
-		if err != nil {
-			return nil, err
-		}
-		r := Rule{Action: act}
-		if hasProb {
-			p, err := strconv.ParseFloat(probStr, 64)
-			if err != nil || p <= 0 || p > 1 {
-				return nil, fmt.Errorf("chaos: bad probability %q (want (0,1])", probStr)
-			}
-			r.Prob = p
-		}
-		entries = append(entries, entry{k, r})
-	}
-	in := New(seed)
-	for _, e := range entries {
-		in.On(e.site, e.rule)
-	}
-	return in, nil
 }

@@ -167,39 +167,3 @@ func TestSitesSortedAndComplete(t *testing.T) {
 		seen[site] = true
 	}
 }
-
-func TestParse(t *testing.T) {
-	in, err := Parse("seed=42; parallel.produce=panic:0.25 ;store.sync=error;atpg.budget=stall")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.seed != 42 {
-		t.Fatalf("seed = %d", in.seed)
-	}
-	if r := in.sites[SiteParallelProduce].rule; r.Action != ActPanic || r.Prob != 0.25 {
-		t.Fatalf("produce rule = %+v", r)
-	}
-	if r := in.sites[SiteStoreSync].rule; r.Action != ActError || r.Prob != 0 {
-		t.Fatalf("sync rule = %+v", r)
-	}
-	if r := in.sites[SiteATPGBudget].rule; r.Action != ActStall {
-		t.Fatalf("budget rule = %+v", r)
-	}
-	// The example in Parse's doc comment must parse.
-	if _, err := Parse("seed=7;parallel.produce=panic:0.3;store.sync=error"); err != nil {
-		t.Errorf("doc example rejected: %v", err)
-	}
-	for _, bad := range []string{
-		"nonsense",
-		"bogus.site=error",
-		"report.journal.sync=error", // a deleted site
-		"parallel.job=explode",
-		"parallel.job=error:1.5",
-		"parallel.job=error:0",
-		"seed=abc",
-	} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%q) accepted", bad)
-		}
-	}
-}

@@ -169,20 +169,3 @@ func (a *Agent) post(path string, v, out any) (int, error) {
 	}
 	return resp.StatusCode, nil
 }
-
-// Killable wraps a worker's handler with the cluster.worker.kill chaos
-// site: when the site fires, kill is invoked and the in-flight exchange
-// is aborted without a response (http.ErrAbortHandler severs the
-// connection) — the observable signature of a node crashing mid-job. In
-// hltsd kill exits the process; the cluster sweep's kill tears down the
-// test worker's listener. kill may be invoked from concurrent requests
-// and must be idempotent.
-func Killable(h http.Handler, kill func()) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, fired := chaos.Fire(chaos.SiteClusterWorkerKill); fired {
-			kill()
-			panic(http.ErrAbortHandler)
-		}
-		h.ServeHTTP(w, r)
-	})
-}

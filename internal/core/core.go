@@ -248,7 +248,7 @@ func (st *state) analyze() (analysis, error) {
 		return analysis{}, err
 	}
 	stop := st.par.Stats.Time("time.testability")
-	m := testability.Analyze(d, testability.DefaultConfig())
+	m := testability.Analyze(d, nil)
 	stop()
 	e := analysis{m: m, regDepth: meanRegSeqDepth(d, m)}
 	st.cache.storeMetrics(st.fp, e)

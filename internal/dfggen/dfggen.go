@@ -221,10 +221,6 @@ func (s Spec) Name() string {
 	return b.String()
 }
 
-// IsGenName reports whether a benchmark name addresses the generator
-// namespace.
-func IsGenName(name string) bool { return strings.HasPrefix(name, Prefix+":") }
-
 // Parse decodes a canonical spec name (with or without the "gen:"
 // prefix) back into a Spec. All errors wrap ErrBadSpec.
 func Parse(name string) (Spec, error) {

@@ -156,7 +156,7 @@ func TestNameParseRoundTrip(t *testing.T) {
 			t.Fatalf("Normalize(%+v): %v", spec, err)
 		}
 		name := spec.Name()
-		if !IsGenName(name) {
+		if !strings.HasPrefix(name, Prefix+":") {
 			t.Fatalf("Name %q lacks the gen: prefix", name)
 		}
 		back, err := Parse(name)

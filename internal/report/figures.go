@@ -76,7 +76,7 @@ func Figure1() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		m := testability.Analyze(d, testability.DefaultConfig())
+		m := testability.Analyze(d, nil)
 		sum, cnt := 0.0, 0
 		for _, nd := range d.Nodes {
 			if nd.Kind == etpn.KindRegister {
@@ -297,7 +297,7 @@ func ScanStudy(bench string, width, maxScan int, seed int64, workers int) (strin
 	if err != nil {
 		return "", err
 	}
-	sel := scan.Select(res.Design, res.Metrics.Config(), maxScan, 1e-9)
+	sel := scan.Select(res.Design, maxScan, 1e-9)
 	var b strings.Builder
 	fmt.Fprintf(&b, "scan selection on %s (%d-bit): registers %v\n", bench, width, sel.Regs)
 	fmt.Fprintf(&b, "%-10s %10s %12s %12s %12s\n", "scan regs", "mean-test", "coverage", "effort", "cycles")

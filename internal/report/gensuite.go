@@ -2,7 +2,6 @@ package report
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -144,13 +143,4 @@ func (s *GenSuite) Markdown() string {
 			r.Cell.ExecTime, r.Cell.Coverage*100, r.Cell.TGEffort, r.Cell.TestCycles, r.Cell.Area)
 	}
 	return b.String()
-}
-
-// JSON renders the suite as indented JSON.
-func (s *GenSuite) JSON() (string, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }

@@ -10,7 +10,6 @@ package report
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -331,9 +330,4 @@ func (t *Table) Markdown() string {
 		fmt.Fprintf(&b, "\n\\* %d partial cell(s): budget exhausted before completion; figures are best-so-far.\n", n)
 	}
 	return b.String()
-}
-
-// JSON serializes the table for downstream tooling.
-func (t *Table) JSON() ([]byte, error) {
-	return json.MarshalIndent(t, "", "  ")
 }

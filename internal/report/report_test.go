@@ -2,6 +2,7 @@ package report
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestTableByteIdenticalAcrossWorkers(t *testing.T) {
 	if ref.partialCount() != 0 {
 		t.Fatalf("uninterrupted run has partial cells:\n%s", ref.Render())
 	}
-	refJSON, err := ref.JSON()
+	refJSON, err := json.MarshalIndent(ref, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestTableByteIdenticalAcrossWorkers(t *testing.T) {
 	if got.Markdown() != ref.Markdown() {
 		t.Errorf("markdown diverges at 8 workers:\n--- got ---\n%s\n--- want ---\n%s", got.Markdown(), ref.Markdown())
 	}
-	if gotJSON, err := got.JSON(); err != nil || string(gotJSON) != string(refJSON) {
+	if gotJSON, err := json.MarshalIndent(got, "", "  "); err != nil || string(gotJSON) != string(refJSON) {
 		t.Errorf("json diverges at 8 workers (err %v)", err)
 	}
 }
@@ -229,7 +230,7 @@ func TestBISTStudy(t *testing.T) {
 
 func TestTableJSON(t *testing.T) {
 	tbl := &Table{Title: "t", Benchmark: "tseng", Cells: []Cell{{Method: "ours", Width: 4, Coverage: 0.9}}}
-	data, err := tbl.JSON()
+	data, err := json.MarshalIndent(tbl, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,19 +25,18 @@ type Selection struct {
 
 // Select greedily chooses up to max scan registers. Selection stops early
 // when no candidate improves mean testability by at least minGain.
-func Select(d *etpn.Design, cfg testability.Config, max int, minGain float64) *Selection {
+func Select(d *etpn.Design, max int, minGain float64) *Selection {
 	sel := &Selection{}
 	scanned := map[int]bool{} // node ids
 	evalWith := func(extra int) float64 {
-		c := cfg
-		c.ScanNodes = map[int]bool{}
+		nodes := map[int]bool{}
 		for n := range scanned {
-			c.ScanNodes[n] = true
+			nodes[n] = true
 		}
 		if extra >= 0 {
-			c.ScanNodes[extra] = true
+			nodes[extra] = true
 		}
-		m := testability.Analyze(d, c)
+		m := testability.Analyze(d, nodes)
 		return testability.MeanTestability(d, m)
 	}
 	base := evalWith(-1)

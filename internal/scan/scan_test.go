@@ -29,8 +29,7 @@ func synth(t *testing.T, bench string, width int) *etpn.Design {
 
 func TestSelectImprovesMeanTestability(t *testing.T) {
 	d := synth(t, dfg.BenchDiffeq, 8)
-	cfg := testability.DefaultConfig()
-	sel := Select(d, cfg, 3, 1e-6)
+	sel := Select(d, 3, 1e-6)
 	if len(sel.Regs) == 0 {
 		t.Fatal("no scan registers selected")
 	}
@@ -54,9 +53,8 @@ func TestSelectImprovesMeanTestability(t *testing.T) {
 
 func TestSelectStopsWhenNoGain(t *testing.T) {
 	d := synth(t, dfg.BenchTseng, 4)
-	cfg := testability.DefaultConfig()
 	// An absurd minimum gain stops selection immediately.
-	sel := Select(d, cfg, 5, 10.0)
+	sel := Select(d, 5, 10.0)
 	if len(sel.Regs) != 0 {
 		t.Errorf("selected %v despite impossible gain threshold", sel.Regs)
 	}
@@ -64,7 +62,7 @@ func TestSelectStopsWhenNoGain(t *testing.T) {
 
 func TestScanChainNetlist(t *testing.T) {
 	d := synth(t, dfg.BenchTseng, 4)
-	sel := Select(d, testability.DefaultConfig(), 2, 1e-9)
+	sel := Select(d, 2, 1e-9)
 	if len(sel.Regs) == 0 {
 		t.Skip("no beneficial scan registers on this design")
 	}
@@ -129,7 +127,7 @@ func TestScanImprovesCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sel := Select(d, testability.DefaultConfig(), 3, 1e-9)
+	sel := Select(d, 3, 1e-9)
 	if len(sel.Regs) == 0 {
 		t.Skip("nothing to scan")
 	}
@@ -162,7 +160,7 @@ func TestGenerateWithScanRejectsBadRegs(t *testing.T) {
 
 func TestSelectBIST(t *testing.T) {
 	d := synth(t, dfg.BenchDiffeq, 4)
-	m := testability.Analyze(d, testability.DefaultConfig())
+	m := testability.Analyze(d, nil)
 	tpg, misr := SelectBIST(d, m, 2, 2)
 	if len(tpg) == 0 || len(misr) == 0 {
 		t.Fatalf("BIST selection empty: tpg=%v misr=%v", tpg, misr)
@@ -181,7 +179,7 @@ func TestSelectBIST(t *testing.T) {
 
 func TestBISTSessionDetectsFaults(t *testing.T) {
 	d := synth(t, dfg.BenchDiffeq, 4)
-	m := testability.Analyze(d, testability.DefaultConfig())
+	m := testability.Analyze(d, nil)
 	tpg, misr := SelectBIST(d, m, 2, 2)
 	nl, err := rtl.GenerateBIST(d, 4, rtl.NormalMode, tpg, misr)
 	if err != nil {

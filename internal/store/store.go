@@ -649,9 +649,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close syncs the active segment and closes every file handle. The store
 // rejects further operations.
 func (s *Store) Close() error {

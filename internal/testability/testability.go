@@ -23,18 +23,17 @@ import (
 	"repro/internal/etpn"
 )
 
-// Factors are the per-module-class transfer factors: CTF scales
-// controllability through the module, OTF scales observability.
-type Factors struct {
-	CTF float64
-	OTF float64
+// factors are a module class's transfer factors: ctf scales
+// controllability through the module, otf scales observability.
+type factors struct {
+	ctf, otf float64
 }
 
-// DefaultFactors maps module classes (sched.ExactClass / sched.ALUClass
+// classFactors maps module classes (sched.ExactClass / sched.ALUClass
 // names) to transfer factors. Multipliers are markedly harder to observe
 // through than to control through; comparators compress a word to one bit
 // and are nearly opaque for observability.
-var DefaultFactors = map[string]Factors{
+var classFactors = map[string]factors{
 	"+":     {0.90, 0.90},
 	"-":     {0.90, 0.90},
 	"±":     {0.90, 0.90},
@@ -50,59 +49,47 @@ var DefaultFactors = map[string]Factors{
 	"logic": {0.95, 0.80},
 }
 
-// Config tunes the analysis.
-type Config struct {
-	// RegFactor degrades combinational measures per register crossing.
-	RegFactor float64
-	// ConstCC is the controllability of a wired constant: its value is
-	// known but cannot be chosen, restricting fault sensitization.
-	ConstCC float64
-	// Lambda weights sequential depth when collapsing (CC,SC) into a single
-	// controllability score (see Ctrl/Obs).
-	Lambda float64
-	// Factors overrides DefaultFactors per class when non-nil.
-	Factors map[string]Factors
-	// MaxIter bounds the fixpoint iteration.
-	MaxIter int
-	// Eps is the convergence threshold.
-	Eps float64
-	// ScanNodes marks data-path register nodes implemented as scan
-	// registers: they are directly controllable and observable through the
-	// scan chain, so the analysis anchors them like primary ports. Keys
-	// are data-path node ids.
-	ScanNodes map[int]bool
+// factorsOf returns the transfer factors of a module class; a class with
+// no entry gets moderate defaults.
+func factorsOf(class string) factors {
+	if f, ok := classFactors[class]; ok {
+		return f
+	}
+	return factors{0.85, 0.75}
 }
 
-// DefaultConfig returns the configuration used throughout the paper
-// reproduction.
-func DefaultConfig() Config {
-	return Config{RegFactor: 0.98, ConstCC: 0.60, Lambda: 0.5, MaxIter: 200, Eps: 1e-9}
-}
+// The constants of the analysis, used throughout the paper reproduction.
+const (
+	// regFactor degrades combinational measures per register crossing.
+	regFactor = 0.98
+	// constCC is the controllability of a wired constant: its value is
+	// known but cannot be chosen, restricting fault sensitization.
+	constCC = 0.60
+	// lambda weights sequential depth when collapsing (CC,SC) into a
+	// single controllability score (see Ctrl/Obs).
+	lambda = 0.5
+	// maxIter bounds the fixpoint iteration.
+	maxIter = 200
+	// eps is the convergence threshold.
+	eps = 1e-9
+)
 
 // Metrics holds the four testability measures per data-path node id.
 type Metrics struct {
 	CC, SC, CO, SO []float64
-	cfg            Config
-}
-
-func (c Config) factors(class string) Factors {
-	tbl := c.Factors
-	if tbl == nil {
-		tbl = DefaultFactors
-	}
-	if f, ok := tbl[class]; ok {
-		return f
-	}
-	return Factors{0.85, 0.75}
+	scan           map[int]bool
 }
 
 // Analyze computes the testability metrics of every node of d's data path.
-func Analyze(d *etpn.Design, cfg Config) *Metrics {
+// scan marks data-path register nodes implemented as scan registers (nil
+// for none): they are directly controllable and observable through the
+// scan chain, so the analysis anchors them like primary ports.
+func Analyze(d *etpn.Design, scan map[int]bool) *Metrics {
 	n := len(d.Nodes)
 	m := &Metrics{
 		CC: make([]float64, n), SC: make([]float64, n),
 		CO: make([]float64, n), SO: make([]float64, n),
-		cfg: cfg,
+		scan: scan,
 	}
 	for i := range m.SC {
 		m.SC[i] = math.Inf(1)
@@ -114,11 +101,11 @@ func Analyze(d *etpn.Design, cfg Config) *Metrics {
 		case etpn.KindInPort:
 			m.CC[nd.ID], m.SC[nd.ID] = 1, 0
 		case etpn.KindConst:
-			m.CC[nd.ID], m.SC[nd.ID] = cfg.ConstCC, 0
+			m.CC[nd.ID], m.SC[nd.ID] = constCC, 0
 		case etpn.KindOutPort:
 			m.CO[nd.ID], m.SO[nd.ID] = 1, 0
 		case etpn.KindRegister:
-			if cfg.ScanNodes[nd.ID] {
+			if scan[nd.ID] {
 				// Scan registers load through the chain (one scan cycle)
 				// and are observed through it directly.
 				m.CC[nd.ID], m.SC[nd.ID] = 1, 1
@@ -128,14 +115,14 @@ func Analyze(d *etpn.Design, cfg Config) *Metrics {
 	}
 
 	// Forward controllability fixpoint.
-	for iter := 0; iter < cfg.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		changed := false
 		for _, nd := range d.Nodes {
 			cc, sc, ok := m.nodeCtrlIn(d, nd)
 			if !ok {
 				continue
 			}
-			if better(cc, sc, m.CC[nd.ID], m.SC[nd.ID], cfg.Lambda, cfg.Eps) {
+			if better(cc, sc, m.CC[nd.ID], m.SC[nd.ID], eps) {
 				m.CC[nd.ID], m.SC[nd.ID] = cc, sc
 				changed = true
 			}
@@ -145,14 +132,14 @@ func Analyze(d *etpn.Design, cfg Config) *Metrics {
 		}
 	}
 	// Backward observability fixpoint.
-	for iter := 0; iter < cfg.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		changed := false
 		for _, nd := range d.Nodes {
 			co, so, ok := m.nodeObsOut(d, nd)
 			if !ok {
 				continue
 			}
-			if better(co, so, m.CO[nd.ID], m.SO[nd.ID], cfg.Lambda, cfg.Eps) {
+			if better(co, so, m.CO[nd.ID], m.SO[nd.ID], eps) {
 				m.CO[nd.ID], m.SO[nd.ID] = co, so
 				changed = true
 			}
@@ -175,12 +162,13 @@ func Analyze(d *etpn.Design, cfg Config) *Metrics {
 }
 
 // better reports whether the candidate (combinational, sequential) pair
-// scores higher than the incumbent under the lambda-collapsed metric.
-func better(c, s, oc, os, lambda, eps float64) bool {
-	return score(c, s, lambda) > score(oc, os, lambda)+eps
+// scores higher than the incumbent, by more than margin, under the
+// lambda-collapsed metric.
+func better(c, s, oc, os, margin float64) bool {
+	return score(c, s) > score(oc, os)+margin
 }
 
-func score(c, s, lambda float64) float64 {
+func score(c, s float64) float64 {
 	if math.IsInf(s, 1) {
 		return 0
 	}
@@ -192,7 +180,7 @@ func score(c, s, lambda float64) float64 {
 // controllability of any input line, paper §3), and the transfer through
 // the module for module nodes (all operand ports must be controlled).
 func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node) (float64, float64, bool) {
-	if nd.Kind == etpn.KindRegister && m.cfg.ScanNodes[nd.ID] {
+	if nd.Kind == etpn.KindRegister && m.scan[nd.ID] {
 		return 0, 0, false // anchored by the scan chain
 	}
 	switch nd.Kind {
@@ -208,10 +196,10 @@ func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node) (float64, float64, b
 			}
 			// Loading a register crosses one clock boundary.
 			if nd.Kind == etpn.KindRegister {
-				cc *= m.cfg.RegFactor
+				cc *= regFactor
 				sc++
 			}
-			if !found || better(cc, sc, bestC, bestS, m.cfg.Lambda, 0) {
+			if !found || better(cc, sc, bestC, bestS, 0) {
 				bestC, bestS, found = cc, sc, true
 			}
 		}
@@ -230,15 +218,15 @@ func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node) (float64, float64, b
 				continue
 			}
 			cur, ok := ports[a.ToPort]
-			if !ok || better(cc, sc, cur[0], cur[1], m.cfg.Lambda, 0) {
+			if !ok || better(cc, sc, cur[0], cur[1], 0) {
 				ports[a.ToPort] = [2]float64{cc, sc}
 			}
 		}
 		if len(ports) == 0 || len(ports) != len(allPorts) {
 			return 0, 0, false
 		}
-		f := m.cfg.factors(nd.Class)
-		cc := f.CTF
+		f := factorsOf(nd.Class)
+		cc := f.ctf
 		sc := 0.0
 		// Multiply ports in sorted order: float multiplication is not
 		// associative under rounding, so ranging over the map directly
@@ -270,7 +258,7 @@ func (m *Metrics) nodeObsOut(d *etpn.Design, nd *etpn.Node) (float64, float64, b
 	if nd.Kind == etpn.KindOutPort {
 		return 0, 0, false // fixed sink
 	}
-	if nd.Kind == etpn.KindRegister && m.cfg.ScanNodes[nd.ID] {
+	if nd.Kind == etpn.KindRegister && m.scan[nd.ID] {
 		return 0, 0, false // anchored by the scan chain
 	}
 	bestC, bestS := 0.0, math.Inf(1)
@@ -282,11 +270,11 @@ func (m *Metrics) nodeObsOut(d *etpn.Design, nd *etpn.Node) (float64, float64, b
 		case etpn.KindOutPort:
 			co, so = 1, 0
 		case etpn.KindRegister:
-			co, so = m.CO[a.To]*m.cfg.RegFactor, m.SO[a.To]+1
+			co, so = m.CO[a.To]*regFactor, m.SO[a.To]+1
 		case etpn.KindModule:
 			co, so = m.CO[a.To], m.SO[a.To]
-			f := m.cfg.factors(to.Class)
-			co *= f.OTF
+			f := factorsOf(to.Class)
+			co *= f.otf
 			// Control of the sibling operand ports gates propagation.
 			for _, sib := range d.ArcsInto(a.To) {
 				if sib.ToPort == a.ToPort {
@@ -308,22 +296,19 @@ func (m *Metrics) nodeObsOut(d *etpn.Design, nd *etpn.Node) (float64, float64, b
 		if co == 0 || math.IsInf(so, 1) {
 			continue
 		}
-		if !found || better(co, so, bestC, bestS, m.cfg.Lambda, 0) {
+		if !found || better(co, so, bestC, bestS, 0) {
 			bestC, bestS, found = co, so, true
 		}
 	}
 	return bestC, bestS, found
 }
 
-// Config returns the configuration the metrics were computed with.
-func (m *Metrics) Config() Config { return m.cfg }
-
 // Ctrl collapses (CC, SC) into a single controllability score in [0,1]:
 // higher is easier to control.
-func (m *Metrics) Ctrl(node int) float64 { return score(m.CC[node], m.SC[node], m.cfg.Lambda) }
+func (m *Metrics) Ctrl(node int) float64 { return score(m.CC[node], m.SC[node]) }
 
 // Obs collapses (CO, SO) into a single observability score in [0,1].
-func (m *Metrics) Obs(node int) float64 { return score(m.CO[node], m.SO[node], m.cfg.Lambda) }
+func (m *Metrics) Obs(node int) float64 { return score(m.CO[node], m.SO[node]) }
 
 // Testability is the product of Ctrl and Obs: the overall ease of testing
 // faults at the node.

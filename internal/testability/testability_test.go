@@ -29,7 +29,7 @@ func build(t *testing.T, g *dfg.Graph) *etpn.Design {
 func analyze(t *testing.T, g *dfg.Graph) (*etpn.Design, *Metrics) {
 	t.Helper()
 	d := build(t, g)
-	return d, Analyze(d, DefaultConfig())
+	return d, Analyze(d, nil)
 }
 
 // build1to1 builds a design with the default one-node-per-op/value
@@ -47,7 +47,7 @@ func build1to1(t *testing.T, g *dfg.Graph) (*etpn.Design, *Metrics) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, Analyze(d, DefaultConfig())
+	return d, Analyze(d, nil)
 }
 
 func TestRangesAllBenchmarks(t *testing.T) {
@@ -155,6 +155,10 @@ func TestMultiplierHarderThanAdder(t *testing.T) {
 	if !(m.CC[mulMod] < m.CC[addMod]) {
 		t.Errorf("mul CC %f should be below add CC %f", m.CC[mulMod], m.CC[addMod])
 	}
+	// A class with no table entry falls back to the default factors.
+	if f := factorsOf("weird"); f != (factors{0.85, 0.75}) {
+		t.Errorf("fallback factors = %+v, want {0.85 0.75}", f)
+	}
 }
 
 func TestBalanceScore(t *testing.T) {
@@ -211,7 +215,7 @@ func TestCyclicDataPathConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Analyze(d, DefaultConfig())
+	m := Analyze(d, nil)
 	for _, nd := range d.Nodes {
 		if m.CC[nd.ID] < 0 || m.CC[nd.ID] > 1 || m.CO[nd.ID] < 0 || m.CO[nd.ID] > 1 {
 			t.Errorf("node %s out of range after cyclic analysis", nd.Name)
@@ -266,33 +270,5 @@ func TestRegisterCrossingAddsDepth(t *testing.T) {
 	rt := d.RegNode(d.Alloc.RegOf[t1])
 	if m.SC[rt] != 2 {
 		t.Errorf("result register SC = %f, want 2 (input reg + result reg)", m.SC[rt])
-	}
-}
-
-func TestConfigOverrides(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Factors = map[string]Factors{"+": {0.5, 0.5}}
-	g := dfg.New("o", 8)
-	a := g.Input("a")
-	b := g.Input("b")
-	t1 := g.Op(dfg.OpAdd, "t1", a, b)
-	g.MarkOutput(t1)
-	s, _ := sched.NewProblem(g).ASAP()
-	life := alloc.Lifetimes(g, s)
-	regOf, n := alloc.RegisterLeftEdge(g, life)
-	al := alloc.BindModules(g, s, sched.ExactClass, regOf, n)
-	d, err := etpn.Build(g, s, al, life, etpn.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1 := Analyze(d, DefaultConfig())
-	m2 := Analyze(d, cfg)
-	mod := d.ModNode(al.ModuleOf[0])
-	if !(m2.CC[mod] < m1.CC[mod]) {
-		t.Errorf("lower CTF must lower module CC: %f vs %f", m2.CC[mod], m1.CC[mod])
-	}
-	// Unknown classes fall back to defaults without panicking.
-	if f := cfg.factors("weird"); f.CTF <= 0 {
-		t.Error("fallback factors missing")
 	}
 }
