@@ -95,9 +95,8 @@ func BenchmarkFigure1SRDemo(b *testing.B) {
 // BenchmarkFigure2ExSchedule regenerates Figure 2: the Ex schedule under
 // the integrated synthesis algorithm.
 func BenchmarkFigure2ExSchedule(b *testing.B) {
-	cfg := report.DefaultConfig(1)
 	for i := 0; i < b.N; i++ {
-		if _, err := report.Schedule(dfg.BenchEx, 4, cfg); err != nil {
+		if _, err := report.Schedule(dfg.BenchEx, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,10 +105,9 @@ func BenchmarkFigure2ExSchedule(b *testing.B) {
 // BenchmarkFigure3Schedules regenerates Figure 3: the Dct and Diffeq
 // schedules under the integrated synthesis algorithm.
 func BenchmarkFigure3Schedules(b *testing.B) {
-	cfg := report.DefaultConfig(1)
 	for i := 0; i < b.N; i++ {
 		for _, bench := range []string{dfg.BenchDct, dfg.BenchDiffeq} {
-			if _, err := report.Schedule(bench, 4, cfg); err != nil {
+			if _, err := report.Schedule(bench, 4); err != nil {
 				b.Fatal(err)
 			}
 		}

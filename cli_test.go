@@ -2,7 +2,10 @@ package hlts_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os/exec"
 	"path/filepath"
 	"runtime"
@@ -24,8 +27,9 @@ func buildHlts(t *testing.T) string {
 	return bin
 }
 
-// TestCLIMatchesDaemon: cmd/hlts reads its synthesis flags as the
-// /v1/synthesize request hltsd reads, so both report the same design.
+// TestCLIMatchesDaemon: cmd/hlts reads its flags as the /v1/testdesign
+// request hltsd reads, so both report the same design and, with -atpg,
+// run the same pipeline to the same figures.
 // The looped generated spec is the case where they once differed (the
 // CLI missed the loop its name carries and printed 3 control steps for
 // the daemon's 15); Diffeq and a plain spec ride along.
@@ -57,6 +61,58 @@ func TestCLIMatchesDaemon(t *testing.T) {
 			} {
 				if !strings.Contains(string(out), want) {
 					t.Errorf("hlts output lacks the daemon's\n%s\n--- hlts printed:\n%s", want, out)
+				}
+			}
+		})
+	}
+
+	// hlts -atpg against hltsd's /v1/testdesign answer to the same
+	// request: scan registers, coverage, TG effort and test cycles. On
+	// Tseng-8 (1,577 collapsed faults) -faults 0 once ran every fault
+	// while the daemon's faults: 0 runs the default 1,500.
+	s := server.New(server.Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		if err := s.Drain(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
+	for _, c := range []struct {
+		flags []string
+		body  string
+	}{
+		{[]string{"-atpg", "-bench", "ex", "-width", "4", "-faults", "120"}, `{"bench":"ex","width":4,"faults":120}`},
+		{[]string{"-atpg", "-bench", "ex", "-width", "4", "-scan", "2"}, `{"bench":"ex","width":4,"scan":2}`},
+		{[]string{"-atpg", "-bench", "tseng", "-width", "8", "-faults", "0"}, `{"bench":"tseng","width":8,"faults":0}`},
+	} {
+		t.Run(strings.Join(c.flags, " "), func(t *testing.T) {
+			out, err := exec.Command(bin, c.flags...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("hlts: %v\n%s", err, out)
+			}
+			hr, err := http.Post(ts.URL+"/v1/testdesign", "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hr.Body.Close()
+			var resp server.TestDesignResponse
+			if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil || hr.StatusCode != http.StatusOK {
+				t.Fatalf("hltsd: status %d, %v", hr.StatusCode, err)
+			}
+			wants := []string{
+				fmt.Sprintf("ATPG: coverage %.2f%% (", 100*resp.Coverage),
+				fmt.Sprintf(" effort %d kEval, %d test cycles\n", resp.TGEffort, resp.TestCycles),
+			}
+			if strings.Contains(c.body, "scan") {
+				if len(resp.ScanRegs) == 0 {
+					t.Fatal("hltsd selected no scan registers")
+				}
+				wants = append(wants, fmt.Sprintf("partial scan: registers %v,", resp.ScanRegs))
+			}
+			for _, want := range wants {
+				if !strings.Contains(string(out), want) {
+					t.Errorf("hlts output lacks the daemon's %q\n--- hlts printed:\n%s", want, out)
 				}
 			}
 		})

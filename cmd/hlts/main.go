@@ -18,6 +18,7 @@ import (
 	"runtime"
 
 	hlts "repro"
+	"repro/internal/flow"
 	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/testability"
@@ -37,7 +38,7 @@ func main() {
 		runATPG = flag.Bool("atpg", false, "run the gate-level ATPG campaign")
 		scanN   = flag.Int("scan", 0, "select up to N partial-scan registers before ATPG")
 		seed    = flag.Int64("seed", 1, "ATPG seed")
-		faults  = flag.Int("faults", 1500, "fault sample size (0 = all)")
+		faults  = flag.Int("faults", 1500, "fault sample size (0 = the default 1500; a size at or above the collapsed fault count runs every fault)")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for synthesis and ATPG (1 = sequential; results are identical at any count)")
 		dot     = flag.Bool("dot", false, "print the behaviour as Graphviz dot and exit")
 		verilog = flag.String("verilog", "", "write the generated netlist as structural Verilog to this file")
@@ -48,14 +49,6 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file on exit")
 	)
 	flag.Parse()
-	// Counts are read as hltsd reads them, except that -faults 0 keeps
-	// meaning every fault.
-	if *faults < 0 {
-		fatal(fmt.Errorf("faults must be >= 0 (got %d)", *faults))
-	}
-	if *scanN < 0 {
-		fatal(fmt.Errorf("scan must be >= 0 (got %d)", *scanN))
-	}
 
 	stop, err := stats.StartCPUProfile(*cpuProf)
 	if err != nil {
@@ -71,12 +64,15 @@ func main() {
 		defer cancel()
 	}
 
-	// The synthesis flags are a /v1/synthesize request, read by the
-	// daemon's own Normalize: the CLI and hltsd load the behaviour, apply
-	// the defaults and pick the loop the same way.
-	req := server.SynthesizeRequest{
-		Bench: *bench, Width: *width, Method: *method,
-		K: *k, Alpha: alpha, Beta: beta, Slack: *slack, Loop: *loopSig,
+	// The flags are a /v1/testdesign request, read by hltsd's Normalize
+	// (so -faults 0 is the default sample) and, with -atpg, run as the
+	// daemon's own pipeline spec.
+	req := server.TestDesignRequest{
+		SynthesizeRequest: server.SynthesizeRequest{
+			Bench: *bench, Width: *width, Method: *method,
+			K: *k, Alpha: alpha, Beta: beta, Slack: *slack, Loop: *loopSig,
+		},
+		Seed: *seed, Faults: *faults, Scan: *scanN,
 	}
 	if *vhdl != "" {
 		src, err := os.ReadFile(*vhdl)
@@ -89,20 +85,27 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	g, par := n.Graph, n.Params
+	g := n.Graph
 	if *dot {
 		fmt.Print(g.Dot())
 		return
 	}
-	par.Workers = *workers
+	n.Params.Workers = *workers
 	if *stFlg {
-		par.Stats = stats.New()
+		n.Params.Stats = stats.New()
 	}
+	par := n.Params
 
-	res, err := hlts.RunMethodCtx(ctx, n.Method, g, par)
+	out := &flow.Outcome{}
+	if *runATPG {
+		out, err = flow.Run(ctx, n.Spec())
+	} else {
+		out.Synth, err = hlts.RunMethodCtx(ctx, n.Method, g, par)
+	}
 	if err != nil {
 		fatal(err)
 	}
+	res := out.Synth
 	fmt.Printf("behaviour %s: %d operations, %d values\n", g.Name, g.NumNodes(), g.NumValues())
 	fmt.Printf("method %s, width %d, (k,alpha,beta) = (%d,%g,%g), slack %d\n",
 		res.Method, par.Width, par.K, par.Alpha, par.Beta, par.Slack)
@@ -142,26 +145,12 @@ func main() {
 		fmt.Printf("\nwrote %s (%s)\n", *verilog, n.C.Stats())
 	}
 	if *runATPG {
-		var scanRegs []int
-		if *scanN > 0 {
-			var traj []float64
-			scanRegs, traj = hlts.SelectScanRegisters(res, *scanN)
+		if traj := out.ScanTrajectory; traj != nil {
 			fmt.Printf("\npartial scan: registers %v, mean testability %.4f -> %.4f\n",
-				scanRegs, traj[0], traj[len(traj)-1])
+				out.ScanRegs, traj[0], traj[len(traj)-1])
 		}
-		n, err := hlts.GenerateNetlistWithScan(res, *width, false, scanRegs)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\ngate-level: %s\n", n.C.Stats())
-		cfg := hlts.DefaultATPGConfig(*seed)
-		cfg.SampleFaults = *faults
-		cfg.Workers = *workers
-		ares, err := hlts.TestDesignCtx(ctx, n, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("ATPG: %s\n", ares)
+		fmt.Printf("\ngate-level: %s\n", out.Netlist.C.Stats())
+		fmt.Printf("ATPG: %s\n", out.ATPG)
 	}
 	if par.Stats != nil {
 		fmt.Println("\nsynthesis statistics:")

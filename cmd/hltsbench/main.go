@@ -22,7 +22,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/atpg"
 	"repro/internal/dfg"
 	"repro/internal/dfggen"
 	"repro/internal/report"
@@ -95,20 +94,13 @@ func main() {
 		ws = append(ws, w)
 	}
 	cfg.Widths = ws
-	baseATPG := cfg.ATPGFor
-	cfg.ATPGFor = func(width int) atpg.Config {
-		c := baseATPG(width)
-		if *faults > 0 && *faults < c.SampleFaults {
-			c.SampleFaults = *faults
-		}
-		return c
-	}
+	cfg.CapFaults(*faults)
 
 	ran := false
-	if *benchFlg != "" {
+	runTable := func(title, bench string) {
 		ran = true
-		fmt.Printf("--- Supplementary table (%s) ---\n", *benchFlg)
-		tbl, err := report.RunTableCtx(ctx, *benchFlg, cfg)
+		fmt.Printf("--- %s (%s) ---\n", title, bench)
+		tbl, err := report.RunTableCtx(ctx, bench, cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -117,6 +109,9 @@ func main() {
 		} else {
 			fmt.Println(tbl.Render())
 		}
+	}
+	if *benchFlg != "" {
+		runTable("Supplementary table", *benchFlg)
 	}
 	if *all || *table > 0 {
 		for n := 1; n <= len(tableBench); n++ {
@@ -128,18 +123,7 @@ func main() {
 				// supplement (34 ops, heavy at 16 bits) stays opt-in.
 				continue
 			}
-			ran = true
-			bench := tableBench[n]
-			fmt.Printf("--- Table %d (%s) ---\n", n, bench)
-			tbl, err := report.RunTableCtx(ctx, bench, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			if *markdown {
-				fmt.Println(tbl.Markdown())
-			} else {
-				fmt.Println(tbl.Render())
-			}
+			runTable(fmt.Sprintf("Table %d", n), tableBench[n])
 		}
 	}
 	if *all || *figure == 1 {
@@ -154,7 +138,7 @@ func main() {
 	if *all || *figure == 2 {
 		ran = true
 		fmt.Println("--- Figure 2 (Ex schedule) ---")
-		text, err := report.Schedule(dfg.BenchEx, ws[0], cfg)
+		text, err := report.Schedule(dfg.BenchEx, ws[0])
 		if err != nil {
 			fatal(err)
 		}
@@ -164,7 +148,7 @@ func main() {
 		ran = true
 		fmt.Println("--- Figure 3 (Dct and Diffeq schedules) ---")
 		for _, bench := range []string{dfg.BenchDct, dfg.BenchDiffeq} {
-			text, err := report.Schedule(bench, ws[0], cfg)
+			text, err := report.Schedule(bench, ws[0])
 			if err != nil {
 				fatal(err)
 			}

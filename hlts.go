@@ -8,8 +8,13 @@
 //	   └── dfg.Graph                      CompileVHDL / LoadBenchmark
 //	        └── synthesis                 SynthesizeCtx / RunMethodCtx
 //	             └── ETPN design          (schedule + allocation + data path)
-//	                  └── gate netlist    Netlist
-//	                       └── ATPG       TestDesignCtx
+//	                  ├── gate netlist    SelectScanRegisters / GenerateNetlistWithScan
+//	                  │    └── ATPG       TestDesignCtx
+//	                  └── BIST netlist    SelectBISTRegisters / GenerateNetlistWithBIST
+//	                       └── session    RunBISTCfgCtx
+//
+// hltsd, `hlts -atpg` and the table cells run this sequence as one
+// pipeline, internal/flow.Run, whose campaign step TestDesignCtx wraps.
 //
 // SynthesizeCtx runs the paper's Algorithm 1: integrated scheduling and
 // allocation driven by controllability/observability balance, with
@@ -40,6 +45,7 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/dfggen"
 	"repro/internal/exec"
+	"repro/internal/flow"
 	"repro/internal/hdl"
 	"repro/internal/report"
 	"repro/internal/rtl"
@@ -165,11 +171,7 @@ func Methods() []string { return core.Methods() }
 // primary inputs (the paper's modifiable-controller assumption); otherwise
 // a one-hot FSM controller is generated with one state per control step.
 func GenerateNetlist(r *Result, width int, testMode bool) (*Netlist, error) {
-	mode := rtl.NormalMode
-	if testMode {
-		mode = rtl.TestMode
-	}
-	return rtl.Generate(r.Design, width, mode)
+	return flow.Netlist(r, width, testMode, nil)
 }
 
 // SelectScanRegisters greedily chooses up to max partial-scan registers
@@ -178,18 +180,13 @@ func GenerateNetlist(r *Result, width int, testMode bool) (*Netlist, error) {
 // selection order and the mean-testability trajectory (index 0 = no
 // scan).
 func SelectScanRegisters(r *Result, max int) ([]int, []float64) {
-	sel := scan.Select(r.Design, max, 1e-9)
-	return sel.Regs, sel.MeanTestability
+	return flow.ScanRegisters(r, max)
 }
 
 // GenerateNetlistWithScan is GenerateNetlist plus a serial scan chain
 // through the given allocation registers.
 func GenerateNetlistWithScan(r *Result, width int, testMode bool, scanRegs []int) (*Netlist, error) {
-	mode := rtl.NormalMode
-	if testMode {
-		mode = rtl.TestMode
-	}
-	return rtl.GenerateWithScan(r.Design, width, mode, scanRegs)
+	return flow.Netlist(r, width, testMode, scanRegs)
 }
 
 // SelectBISTRegisters chooses registers to reconfigure for built-in
@@ -236,10 +233,11 @@ func DefaultATPGConfig(seed int64) ATPGConfig { return atpg.DefaultConfig(seed) 
 // test-generation effort and test-application cycles — the three
 // testability columns of the paper's tables. On cancellation or deadline
 // the campaign returns its best-so-far coverage with
-// Status == StatusPartial, unresolved faults counted as skipped.
+// Status == StatusPartial, unresolved faults counted as skipped. The
+// time-frame window widens to at least two passes of the schedule
+// (flow.Campaign).
 func TestDesignCtx(ctx context.Context, n *Netlist, cfg ATPGConfig) (*ATPGResult, error) {
-	cfg.MaxFrames = n.ATPGFrames(cfg.MaxFrames)
-	return atpg.RunCtx(ctx, n.C, cfg)
+	return flow.Campaign(ctx, n, cfg)
 }
 
 // DefaultExperimentConfig returns the experiment configuration

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/etpn"
+	"repro/internal/flow"
 	"repro/internal/parallel"
 	"repro/internal/rtl"
 	"repro/internal/scan"
@@ -48,9 +49,6 @@ func Figure1() (string, error) {
 	fmt.Fprintf(&b2, "N1 and N2 share one module and must be serialized.\n\n")
 	n1, _ := g.NodeByName("N1")
 	n2, _ := g.NodeByName("N2")
-	n3, _ := g.NodeByName("N3")
-	n4, _ := g.NodeByName("N4")
-	n5, _ := g.NodeByName("N5")
 	for _, order := range []struct {
 		name string
 		arc  [2]dfg.NodeID
@@ -61,9 +59,6 @@ func Figure1() (string, error) {
 		prob := sched.NewProblem(g)
 		prob.ModuleOf[n1] = 0
 		prob.ModuleOf[n2] = 0
-		_ = n3
-		_ = n4
-		_ = n5
 		prob.Extra = append(prob.Extra, order.arc)
 		s, err := prob.List()
 		if err != nil {
@@ -89,15 +84,6 @@ func Figure1() (string, error) {
 		b2.WriteString(s.String(g))
 		b2.WriteString("\n")
 	}
-	_ = p
-	_ = q
-	_ = o1
-	_ = o2
-	_ = t
-	_ = a
-	_ = e
-	_ = f
-	_ = b
 	b2.WriteString("Executing the long-chain operation first (the SR2-supported order)\n")
 	b2.WriteString("keeps the schedule at its minimum length: the serialization imposed\n")
 	b2.WriteString("by the module merger is absorbed into existing slack instead of\n")
@@ -109,13 +95,12 @@ func Figure1() (string, error) {
 
 // Schedule returns the schedule listing produced by Our synthesis for a
 // benchmark — Figures 2 (Ex) and 3 (Dct, Diffeq) of the paper.
-func Schedule(bench string, width int, cfg Config) (string, error) {
+func Schedule(bench string, width int) (string, error) {
 	g, err := dfg.ByName(bench, width)
 	if err != nil {
 		return "", err
 	}
-	par := cfg.ParamsFor(width)
-	par.Width = width
+	par := paramsFor(width)
 	par.LoopSignal = g.Loop
 	res, err := core.SynthesizeCtx(context.TODO(), g, par)
 	if err != nil {
@@ -297,27 +282,25 @@ func ScanStudy(bench string, width, maxScan int, seed int64, workers int) (strin
 	if err != nil {
 		return "", err
 	}
-	sel := scan.Select(res.Design, maxScan, 1e-9)
+	regs, traj := flow.ScanRegisters(res, maxScan)
 	var b strings.Builder
-	fmt.Fprintf(&b, "scan selection on %s (%d-bit): registers %v\n", bench, width, sel.Regs)
+	fmt.Fprintf(&b, "scan selection on %s (%d-bit): registers %v\n", bench, width, regs)
 	fmt.Fprintf(&b, "%-10s %10s %12s %12s %12s\n", "scan regs", "mean-test", "coverage", "effort", "cycles")
 	cfg := atpg.DefaultConfig(seed)
 	cfg.SampleFaults = 0
 	cfg.RandomBatches = 2
 	cfg.Workers = workers
-	for n := 0; n <= len(sel.Regs); n++ {
-		nl, err := rtl.GenerateWithScan(res.Design, width, rtl.NormalMode, sel.Regs[:n])
+	for n := 0; n <= len(regs); n++ {
+		nl, err := flow.Netlist(res, width, false, regs[:n])
 		if err != nil {
 			return "", err
 		}
-		acfg := cfg
-		acfg.MaxFrames = nl.ATPGFrames(acfg.MaxFrames)
-		ares, err := atpg.RunCtx(context.TODO(), nl.C, acfg)
+		ares, err := flow.Campaign(context.TODO(), nl, cfg)
 		if err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&b, "%-10d %10.4f %11.2f%% %12d %12d\n",
-			n, sel.MeanTestability[n], 100*ares.Coverage, ares.Effort, ares.TestCycles)
+			n, traj[n], 100*ares.Coverage, ares.Effort, ares.TestCycles)
 	}
 	return b.String(), nil
 }

@@ -18,8 +18,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/exec"
+	"repro/internal/flow"
 	"repro/internal/parallel"
-	"repro/internal/rtl"
 	"repro/internal/stats"
 )
 
@@ -63,9 +63,6 @@ type Table struct {
 type Config struct {
 	// Widths lists the data-path bit widths (the paper uses 4, 8, 16).
 	Widths []int
-	// ParamsFor returns the synthesis parameters per width; the paper uses
-	// (k,α,β) = (3,2,1), (3,10,1), (3,1,10) for 4, 8 and 16 bits.
-	ParamsFor func(width int) core.Params
 	// ATPGFor returns the campaign configuration per width.
 	ATPGFor func(width int) atpg.Config
 	// Workers is the total goroutine budget of the run (0 = one per CPU,
@@ -83,16 +80,6 @@ type Config struct {
 func DefaultConfig(seed int64) Config {
 	return Config{
 		Widths: []int{4, 8, 16},
-		ParamsFor: func(width int) core.Params {
-			p := core.DefaultParams(width)
-			switch width {
-			case 8:
-				p.Alpha, p.Beta = 10, 1
-			case 16:
-				p.Alpha, p.Beta = 1, 10
-			}
-			return p
-		},
 		ATPGFor: func(width int) atpg.Config {
 			c := atpg.DefaultConfig(seed + int64(width))
 			if width >= 16 {
@@ -105,6 +92,32 @@ func DefaultConfig(seed int64) Config {
 			return c
 		},
 	}
+}
+
+// CapFaults caps every width's fault sample at n; n <= 0 keeps the
+// per-width samples.
+func (c *Config) CapFaults(n int) {
+	base := c.ATPGFor
+	c.ATPGFor = func(width int) atpg.Config {
+		a := base(width)
+		if n > 0 && n < a.SampleFaults {
+			a.SampleFaults = n
+		}
+		return a
+	}
+}
+
+// paramsFor returns the synthesis parameters per width; the paper uses
+// (k,α,β) = (3,2,1), (3,10,1), (3,1,10) for 4, 8 and 16 bits.
+func paramsFor(width int) core.Params {
+	p := core.DefaultParams(width)
+	switch width {
+	case 8:
+		p.Alpha, p.Beta = 10, 1
+	case 16:
+		p.Alpha, p.Beta = 1, 10
+	}
+	return p
 }
 
 // RunTableCtx executes the full table for one benchmark: every method at
@@ -168,26 +181,15 @@ func RunCellCtx(ctx context.Context, bench, method string, width int, cfg Config
 	if err != nil {
 		return nil, err
 	}
-	par := cfg.ParamsFor(width)
-	par.Width = width
-	par.LoopSignal = g.Loop
-	par.Workers = cfg.Workers
-	par.Stats = cfg.Stats
-	res, err := core.RunCtx(ctx, method, g, par)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s/%d: %w", bench, method, width, err)
-	}
-	nl, err := rtl.Generate(res.Design, width, rtl.NormalMode)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s/%d: %w", bench, method, width, err)
-	}
+	par := paramsFor(width)
+	par.LoopSignal, par.Workers, par.Stats = g.Loop, cfg.Workers, cfg.Stats
 	acfg := cfg.ATPGFor(width)
 	acfg.Workers = cfg.Workers
-	acfg.MaxFrames = nl.ATPGFrames(acfg.MaxFrames)
-	ares, err := atpg.RunCtx(ctx, nl.C, acfg)
+	o, err := flow.Run(ctx, flow.Spec{Method: method, Graph: g, Params: par, ATPG: acfg})
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s/%d: %w", bench, method, width, err)
 	}
+	res, nl, ares := o.Synth, o.Netlist, o.ATPG
 	modStr, regStr := allocStrings(res)
 	cell := &Cell{
 		Method: method, Width: width,
@@ -248,17 +250,8 @@ func (t *Table) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", t.Title)
 	fmt.Fprintf(&b, "%s\n", strings.Repeat("=", len(t.Title)))
-	byMethod := map[string][]Cell{}
-	for _, c := range t.Cells {
-		byMethod[c.Method] = append(byMethod[c.Method], c)
-	}
-	for _, method := range core.Methods() {
-		cells := byMethod[method]
-		if len(cells) == 0 {
-			continue
-		}
-		sort.Slice(cells, func(i, j int) bool { return cells[i].Width < cells[j].Width })
-		fmt.Fprintf(&b, "\n%s\n", methodLabel(method))
+	for _, cells := range t.rows() {
+		fmt.Fprintf(&b, "\n%s\n", methodLabel(cells[0].Method))
 		fmt.Fprintf(&b, "  Module allocation:   %s\n", cells[0].ModuleAlloc)
 		fmt.Fprintf(&b, "  Register allocation: %s\n", cells[0].RegisterAlloc)
 		fmt.Fprintf(&b, "  #Mux: %d   #Modules: %d   #Registers: %d   Self-loops: %d   Exec steps: %d\n",
@@ -270,10 +263,27 @@ func (t *Table) Render() string {
 				c.Width, 100*c.Coverage, c.TGEffort, c.TestCycles, c.Area, c.Gates, partialMark(c))
 		}
 	}
-	if n := t.partialCount(); n > 0 {
+	if n := t.Partials(); n > 0 {
 		fmt.Fprintf(&b, "\n* %d partial cell(s): a budget ran out before the cell completed; figures are best-so-far.\n", n)
 	}
 	return b.String()
+}
+
+// rows groups the cells by method in the paper's row order, each
+// method's cells by ascending width.
+func (t *Table) rows() [][]Cell {
+	byMethod := map[string][]Cell{}
+	for _, c := range t.Cells {
+		byMethod[c.Method] = append(byMethod[c.Method], c)
+	}
+	var rows [][]Cell
+	for _, method := range core.Methods() {
+		if cells := byMethod[method]; len(cells) > 0 {
+			sort.Slice(cells, func(i, j int) bool { return cells[i].Width < cells[j].Width })
+			rows = append(rows, cells)
+		}
+	}
+	return rows
 }
 
 // partialMark renders the partial-cell marker appended to a table row.
@@ -284,8 +294,8 @@ func partialMark(c Cell) string {
 	return ""
 }
 
-// partialCount counts the table's partial cells.
-func (t *Table) partialCount() int {
+// Partials counts the table's partial cells.
+func (t *Table) Partials() int {
 	n := 0
 	for _, c := range t.Cells {
 		if c.Partial {
@@ -302,18 +312,12 @@ func (t *Table) Markdown() string {
 	fmt.Fprintf(&b, "### %s\n\n", t.Title)
 	fmt.Fprintf(&b, "| Synthesis | #Mux | Mods | Regs | #Bit | Fault coverage | TG effort | Test cycles | Area |\n")
 	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|---|\n")
-	byMethod := map[string][]Cell{}
-	for _, c := range t.Cells {
-		byMethod[c.Method] = append(byMethod[c.Method], c)
-	}
-	for _, method := range core.Methods() {
-		cells := byMethod[method]
-		sort.Slice(cells, func(i, j int) bool { return cells[i].Width < cells[j].Width })
+	for _, cells := range t.rows() {
 		for i, c := range cells {
 			label := ""
 			mux, mods, regs := "", "", ""
 			if i == 0 {
-				label = methodLabel(method)
+				label = methodLabel(c.Method)
 				mux = fmt.Sprint(c.Mux)
 				mods = fmt.Sprint(c.Modules)
 				regs = fmt.Sprint(c.Registers)
@@ -326,7 +330,7 @@ func (t *Table) Markdown() string {
 				label, mux, mods, regs, c.Width, 100*c.Coverage, mark, c.TGEffort, c.TestCycles, c.Area)
 		}
 	}
-	if n := t.partialCount(); n > 0 {
+	if n := t.Partials(); n > 0 {
 		fmt.Fprintf(&b, "\n\\* %d partial cell(s): budget exhausted before completion; figures are best-so-far.\n", n)
 	}
 	return b.String()

@@ -79,7 +79,7 @@ func TestTableByteIdenticalAcrossWorkers(t *testing.T) {
 		return tbl
 	}
 	ref := run(1)
-	if ref.partialCount() != 0 {
+	if ref.Partials() != 0 {
 		t.Fatalf("uninterrupted run has partial cells:\n%s", ref.Render())
 	}
 	refJSON, err := json.MarshalIndent(ref, "", "  ")
@@ -108,8 +108,8 @@ func TestCancelledTableIsPartial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cancelled table errored instead of degrading: %v", err)
 	}
-	if len(tbl.Cells) != len(core.Methods()) || tbl.partialCount() != len(tbl.Cells) {
-		t.Errorf("cancelled table: %d of %d cells partial", tbl.partialCount(), len(tbl.Cells))
+	if len(tbl.Cells) != len(core.Methods()) || tbl.Partials() != len(tbl.Cells) {
+		t.Errorf("cancelled table: %d of %d cells partial", tbl.Partials(), len(tbl.Cells))
 	}
 	if !strings.Contains(tbl.Render(), "*partial:") {
 		t.Errorf("partial table renders without marker:\n%s", tbl.Render())
@@ -137,9 +137,8 @@ func TestFigure1(t *testing.T) {
 }
 
 func TestScheduleFigures(t *testing.T) {
-	cfg := fastConfig(1)
 	for _, bench := range []string{dfg.BenchEx, dfg.BenchDct, dfg.BenchDiffeq} {
-		text, err := Schedule(bench, 4, cfg)
+		text, err := Schedule(bench, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)
 		}

@@ -25,6 +25,7 @@ import (
 	hlts "repro"
 	"repro/internal/atpg"
 	"repro/internal/core"
+	"repro/internal/flow"
 	"repro/internal/testability"
 )
 
@@ -210,7 +211,7 @@ type NormTestDesign struct {
 	Faults   int
 	Scan     int
 	TestMode bool
-	BIST     *BISTRequest
+	BIST     *flow.BIST
 }
 
 // Normalize validates the request and applies defaults.
@@ -235,7 +236,7 @@ func (r TestDesignRequest) Normalize() (*NormTestDesign, error) {
 		return nil, fmt.Errorf("scan must be >= 0 (got %d)", n.Scan)
 	}
 	if r.BIST != nil {
-		b := *r.BIST
+		b := flow.BIST(*r.BIST)
 		if b.TPG < 0 || b.MISR < 0 || b.TPG+b.MISR == 0 {
 			return nil, fmt.Errorf("bist needs tpg+misr >= 1 registers")
 		}
@@ -260,6 +261,14 @@ func (r TestDesignRequest) Normalize() (*NormTestDesign, error) {
 		n.BIST = &b
 	}
 	return n, nil
+}
+
+// Spec is the pipeline run the request asks for. hltsd's job and
+// `hlts -atpg` both run it, so both compute the same figures.
+func (n *NormTestDesign) Spec() flow.Spec {
+	acfg := atpg.DefaultConfig(n.Seed)
+	acfg.SampleFaults, acfg.Workers = n.Faults, n.Params.Workers
+	return flow.Spec{Method: n.Method, Graph: n.Graph, Params: n.Params, Scan: n.Scan, TestMode: n.TestMode, ATPG: acfg, BIST: n.BIST}
 }
 
 // atpgOutputVersion salts the fingerprints of every response carrying
@@ -431,13 +440,7 @@ type TableResponse struct {
 
 // BuildTableResponse derives the response payload.
 func BuildTableResponse(n *NormTable, tbl *hlts.Table) TableResponse {
-	out := TableResponse{Table: tbl, Rendered: tbl.Render(), Fingerprint: n.Fingerprint().String()}
-	for _, c := range tbl.Cells {
-		if c.Partial {
-			out.Partial = true
-		}
-	}
-	return out
+	return TableResponse{Table: tbl, Rendered: tbl.Render(), Partial: tbl.Partials() > 0, Fingerprint: n.Fingerprint().String()}
 }
 
 // Job kinds name the /v1 job endpoints. A kind is also the <kind> of the

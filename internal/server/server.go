@@ -38,9 +38,9 @@ import (
 	"time"
 
 	hlts "repro"
-	"repro/internal/atpg"
 	"repro/internal/chaos"
 	"repro/internal/exec"
+	"repro/internal/flow"
 	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -320,7 +320,8 @@ func errStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// job is the job body of a normalized request, picked by its type.
+// job is the job body of a normalized request, picked by its type:
+// synthesis, the test-design pipeline (internal/flow) or a table.
 func (s *Server) job(norm any) func(ctx context.Context) (int, []byte, bool) {
 	var run func(ctx context.Context) (resp any, complete bool, err error)
 	switch n := norm.(type) {
@@ -335,9 +336,31 @@ func (s *Server) job(norm any) func(ctx context.Context) (int, []byte, bool) {
 		}
 	case *NormTestDesign:
 		n.Params.Workers, n.Params.Stats = s.inner, s.st
-		run = func(ctx context.Context) (any, bool, error) { return s.runTestDesign(ctx, n) }
+		run = func(ctx context.Context) (any, bool, error) {
+			o, err := flow.Run(ctx, n.Spec())
+			if err != nil {
+				return nil, false, err
+			}
+			s.st.Add("atpg.gate_evals", o.ATPG.GateEvals)
+			if o.BIST != nil {
+				s.st.Add("atpg.bist_gate_evals", o.BIST.GateEvals)
+			}
+			complete := o.Synth.Status == hlts.StatusComplete && o.ATPG.Status == hlts.StatusComplete &&
+				(o.BIST == nil || o.BIST.Status == hlts.StatusComplete)
+			return BuildTestDesignResponse(n, o.Synth, o.Netlist, o.ScanRegs, o.ATPG, o.TPG, o.MISR, o.BIST), complete, nil
+		}
 	case *NormTable:
-		run = func(ctx context.Context) (any, bool, error) { return s.runTable(ctx, n) }
+		run = func(ctx context.Context) (any, bool, error) {
+			cfg := hlts.DefaultExperimentConfig(n.Seed)
+			cfg.Widths, cfg.Workers, cfg.Stats = n.Widths, s.inner, s.st
+			cfg.CapFaults(n.Faults)
+			tbl, err := hlts.ReproduceTableCtx(ctx, n.Bench, cfg)
+			if err != nil {
+				return nil, false, err
+			}
+			resp := BuildTableResponse(n, tbl)
+			return resp, !resp.Partial, nil
+		}
 	}
 	return func(ctx context.Context) (int, []byte, bool) {
 		resp, complete, err := run(ctx)
@@ -350,74 +373,6 @@ func (s *Server) job(norm any) func(ctx context.Context) (int, []byte, bool) {
 		}
 		return http.StatusOK, body, complete
 	}
-}
-
-// runTestDesign is the /v1/testdesign job body: synthesis, optional
-// partial-scan selection, netlist generation, the ATPG campaign, and the
-// optional BIST session — each stage under the shared job context.
-func (s *Server) runTestDesign(ctx context.Context, n *NormTestDesign) (TestDesignResponse, bool, error) {
-	var out TestDesignResponse
-	res, err := hlts.RunMethodCtx(ctx, n.Method, n.Graph, n.Params)
-	if err != nil {
-		return out, false, err
-	}
-	var scanRegs []int
-	if n.Scan > 0 {
-		scanRegs, _ = hlts.SelectScanRegisters(res, n.Scan)
-	}
-	nl, err := hlts.GenerateNetlistWithScan(res, n.Params.Width, n.TestMode, scanRegs)
-	if err != nil {
-		return out, false, err
-	}
-	acfg := hlts.DefaultATPGConfig(n.Seed)
-	acfg.SampleFaults = n.Faults
-	acfg.Workers = n.Params.Workers
-	ares, err := hlts.TestDesignCtx(ctx, nl, acfg)
-	if err != nil {
-		return out, false, err
-	}
-	s.st.Add("atpg.gate_evals", ares.GateEvals)
-	var tpg, misr []int
-	var bres *atpg.BISTOutcome
-	if n.BIST != nil {
-		tpg, misr = hlts.SelectBISTRegisters(res, n.BIST.TPG, n.BIST.MISR)
-		bn, err := hlts.GenerateNetlistWithBIST(res, n.Params.Width, tpg, misr)
-		if err != nil {
-			return out, false, err
-		}
-		bres, err = hlts.RunBISTCfgCtx(ctx, bn, n.BIST.Faults, n.BIST.Cycles,
-			hlts.BISTConfig{Lanes: n.BIST.Lanes})
-		if err != nil {
-			return out, false, err
-		}
-		s.st.Add("atpg.bist_gate_evals", bres.GateEvals)
-	}
-	complete := res.Status == hlts.StatusComplete && ares.Status == hlts.StatusComplete &&
-		(bres == nil || bres.Status == hlts.StatusComplete)
-	return BuildTestDesignResponse(n, res, nl, scanRegs, ares, tpg, misr, bres), complete, nil
-}
-
-// runTable is the /v1/table job body: the experiment table at the
-// request's widths, seed and fault sample.
-func (s *Server) runTable(ctx context.Context, n *NormTable) (TableResponse, bool, error) {
-	cfg := hlts.DefaultExperimentConfig(n.Seed)
-	cfg.Widths = n.Widths
-	cfg.Workers = s.inner
-	cfg.Stats = s.st
-	baseATPG := cfg.ATPGFor
-	cfg.ATPGFor = func(width int) hlts.ATPGConfig {
-		c := baseATPG(width)
-		if n.Faults > 0 && n.Faults < c.SampleFaults {
-			c.SampleFaults = n.Faults
-		}
-		return c
-	}
-	tbl, err := hlts.ReproduceTableCtx(ctx, n.Bench, cfg)
-	if err != nil {
-		return TableResponse{}, false, err
-	}
-	resp := BuildTableResponse(n, tbl)
-	return resp, !resp.Partial, nil
 }
 
 // handleHealthz is readiness: 200 with queue gauges while accepting,

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	hlts "repro"
+	"repro/internal/atpg"
 	"repro/internal/core"
 	"repro/internal/stats"
 )
@@ -78,7 +79,20 @@ func directTestDesign(t testing.TB, req TestDesignRequest) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := marshal(BuildTestDesignResponse(n, res, nl, scanRegs, ares, nil, nil, nil))
+	var tpg, misr []int
+	var bres *atpg.BISTOutcome
+	if b := n.BIST; b != nil {
+		tpg, misr = hlts.SelectBISTRegisters(res, b.TPG, b.MISR)
+		bn, err := hlts.GenerateNetlistWithBIST(res, n.Params.Width, tpg, misr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bres, err = hlts.RunBISTCfgCtx(context.Background(), bn, b.Faults, b.Cycles, hlts.BISTConfig{Lanes: b.Lanes})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := marshal(BuildTestDesignResponse(n, res, nl, scanRegs, ares, tpg, misr, bres))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +182,8 @@ func drainAndSettle(t *testing.T, s *Server, base int) {
 }
 
 // TestLoadMixedByteIdentical is the acceptance load test: 200 concurrent
-// requests spread over six unique fingerprints across all three job
-// endpoints. Every response must be byte-identical to the corresponding
+// requests spread over nine unique fingerprints across all three job
+// endpoints (test designs plain, with scan, in test mode and with BIST). Every response must be byte-identical to the corresponding
 // direct library computation, the core pipeline must have run exactly
 // once per unique fingerprint (the coalescing + cache proof), and the
 // drain afterwards must leak nothing.
@@ -181,6 +195,7 @@ func TestLoadMixedByteIdentical(t *testing.T) {
 		method, path, body string
 		want               []byte
 	}
+	ex4 := SynthesizeRequest{Bench: "ex", Width: 4}
 	specs := []reqSpec{
 		{"POST", "/v1/synthesize", `{"bench":"ex","width":4}`,
 			directSynthesize(t, SynthesizeRequest{Bench: "ex", Width: 4})},
@@ -191,7 +206,13 @@ func TestLoadMixedByteIdentical(t *testing.T) {
 		{"POST", "/v1/synthesize", `{"bench":"diffeq","width":4}`,
 			directSynthesize(t, SynthesizeRequest{Bench: "diffeq", Width: 4})},
 		{"POST", "/v1/testdesign", `{"bench":"ex","width":4,"faults":120}`,
-			directTestDesign(t, TestDesignRequest{SynthesizeRequest: SynthesizeRequest{Bench: "ex", Width: 4}, Faults: 120})},
+			directTestDesign(t, TestDesignRequest{SynthesizeRequest: ex4, Faults: 120})},
+		{"POST", "/v1/testdesign", `{"bench":"ex","width":4,"faults":120,"scan":2}`,
+			directTestDesign(t, TestDesignRequest{SynthesizeRequest: ex4, Faults: 120, Scan: 2})},
+		{"POST", "/v1/testdesign", `{"bench":"ex","width":4,"faults":120,"test_mode":true}`,
+			directTestDesign(t, TestDesignRequest{SynthesizeRequest: ex4, Faults: 120, TestMode: true})},
+		{"POST", "/v1/testdesign", `{"bench":"ex","width":4,"faults":120,"bist":{"tpg":2,"misr":2}}`,
+			directTestDesign(t, TestDesignRequest{SynthesizeRequest: ex4, Faults: 120, BIST: &BISTRequest{TPG: 2, MISR: 2}})},
 		{"GET", "/v1/table/ex?widths=4&faults=60", "",
 			directTable(t, "ex", "4", "", "60")},
 	}
