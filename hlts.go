@@ -57,7 +57,10 @@ import (
 type (
 	// Graph is the behavioural data-flow graph IR.
 	Graph = dfg.Graph
-	// Params configures a synthesis run (k, α, β, latency slack, width...).
+	// Params configures a synthesis run: k, α, β, latency slack, width,
+	// loop signal, library, the two ablation selectors, and operational
+	// knobs that never change a result. The loop bound (4) and CAMAD's
+	// rules are fixed, not parameters.
 	Params = core.Params
 	// Result is a synthesized design with its metrics.
 	Result = core.Result

@@ -213,7 +213,7 @@ func benchCircuit(t *testing.T, name string, width int) *gates.Circuit {
 	life := alloc.Lifetimes(g, s)
 	regOf, n := alloc.RegisterLeftEdge(g, life)
 	a := alloc.BindModules(g, s, sched.ExactClass, regOf, n)
-	d, err := etpn.Build(g, s, a, life, etpn.Options{})
+	d, err := etpn.Build(g, s, a, life, "")
 	if err != nil {
 		t.Fatal(err)
 	}

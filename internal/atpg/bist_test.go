@@ -29,7 +29,7 @@ func buildBISTNetlist(t *testing.T) *rtl.Netlist {
 	life := alloc.Lifetimes(g, s)
 	regOf, n := alloc.RegisterLeftEdge(g, life)
 	a := alloc.BindModules(g, s, sched.ExactClass, regOf, n)
-	d, err := etpn.Build(g, s, a, life, etpn.Options{})
+	d, err := etpn.Build(g, s, a, life, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,7 @@ func (c *Coordinator) Registry() *Registry { return c.reg }
 func (c *Coordinator) Stats() *stats.Stats { return c.st }
 
 // healthLoop drives the registry's liveness sweep and publishes the
-// per-state node counts as gauges.
+// replication lag gauge; /metrics writes the per-state node counts.
 func (c *Coordinator) healthLoop() {
 	defer close(c.healthDone)
 	t := time.NewTicker(c.cfg.SweepInterval)
@@ -185,10 +185,7 @@ func (c *Coordinator) healthLoop() {
 		case <-c.stopHealth:
 			return
 		case <-t.C:
-			alive, suspect, dead := c.reg.Sweep()
-			c.st.Set("cluster.nodes.alive", float64(alive))
-			c.st.Set("cluster.nodes.suspect", float64(suspect))
-			c.st.Set("cluster.nodes.dead", float64(dead))
+			c.reg.Sweep()
 			c.st.Set("cluster.replicate.lag", float64(c.replicateLag()))
 		}
 	}

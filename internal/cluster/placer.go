@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/gates"
 )
 
 // score is the rendezvous weight of (fingerprint, node): an FNV-64a hash
@@ -24,12 +25,7 @@ func score(fp core.Fingerprint, id string) uint64 {
 	h := fnv.New64a()
 	h.Write(fp[:])
 	h.Write([]byte(id))
-	x := h.Sum64()
-	// splitmix64 finalizer (Steele et al.), same mix the chaos layer uses.
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return gates.SplitMix64(h.Sum64())
 }
 
 // Rank orders node IDs for a fingerprint, best first. Ties (possible only

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gates"
 )
 
 // testFingerprints derives n deterministic fingerprints from a seed via
@@ -14,11 +15,9 @@ func testFingerprints(seed uint64, n int) []core.Fingerprint {
 	out := make([]core.Fingerprint, n)
 	x := seed
 	next := func() uint64 {
+		z := gates.SplitMix64(x)
 		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
+		return z
 	}
 	for i := range out {
 		for w := 0; w < 2; w++ {
@@ -37,6 +36,34 @@ func nodeIDs(n int) []string {
 		ids[i] = fmt.Sprintf("node-%02d", i)
 	}
 	return ids
+}
+
+// TestScoreGolden pins the rendezvous weight itself: every coordinator,
+// old or new, must rank a fingerprint's nodes identically, so the FNV-64a
+// hash and its splitmix64 finalizer may never drift.
+func TestScoreGolden(t *testing.T) {
+	var seq core.Fingerprint
+	for i := range seq {
+		seq[i] = byte(i)
+	}
+	pool := testFingerprints(7, 3)
+	for _, c := range []struct {
+		fp   core.Fingerprint
+		id   string
+		want uint64
+	}{
+		{core.Fingerprint{}, "", 0x4193fd1b681dcd25},
+		{core.Fingerprint{}, "node-00", 0xcf39a7eacbe54993},
+		{seq, "", 0xa053264b206939e1},
+		{seq, "node-00", 0x3ade33778009da6c},
+		{pool[0], "127.0.0.1:8301", 0x96f30b252aeebbbf},
+		{pool[1], "node-00", 0xb57fdff580ec27fd},
+		{pool[2], "", 0xec6e0714b5c5739a},
+	} {
+		if got := score(c.fp, c.id); got != c.want {
+			t.Errorf("score(%s, %q) = %#x, want %#x", c.fp, c.id, got, c.want)
+		}
+	}
 }
 
 // TestRendezvousDeterministicAndTotal: Rank is a pure function of

@@ -240,8 +240,10 @@ func TestAntiEntropyConverges(t *testing.T) {
 		Interval: 10 * time.Millisecond, RetryMax: 200 * time.Millisecond,
 		Stats: b.st, JitterSeed: 1,
 	})
+	// The replicator counts a record as applied just after its Put, so
+	// wait for the fifth count too, not only for the stores to match.
 	waitFor(t, 10*time.Second, "stores to converge", func() bool {
-		return sameRecords(a.stor, b.stor)
+		return sameRecords(a.stor, b.stor) && b.st.Value("server.replicate.applied") >= 5
 	})
 	for fp, val := range want {
 		if got, ok := b.stor.Get(fp); !ok || string(got) != string(val) {

@@ -50,17 +50,15 @@ func RunCtx(ctx context.Context, method string, g *dfg.Graph, par Params) (*Resu
 // without testability consideration: the same iterative merger engine, but
 // candidate pairs are selected by connectivity/closeness (minimizing
 // interconnect and multiplexers), rescheduling appends execution orders
-// without the SR rules, and additions, subtractions and comparisons pool
-// into combined ALUs (the "±" modules of the tables).
+// without the SR rules, additions, subtractions and comparisons pool
+// into combined ALUs (the "±" modules of the tables), and only modules
+// merge: the paper's CAMAD rows keep one variable per register (R: a,
+// R: b, ...). The last two rules are CAMAD's own, set here and nowhere
+// else.
 func synthesizeCAMADCtx(ctx context.Context, g *dfg.Graph, par Params) (*Result, error) {
 	par.Selection = SelectConnectivity
 	par.Reschedule = RescheduleAppend
-	// The paper's CAMAD rows keep one variable per register (R: a, R: b,
-	// ...): only functional units are shared.
-	par.ModulesOnly = true
-	if par.Class == nil {
-		par.Class = sched.ALUClass
-	}
+	par.camad = true
 	r, err := SynthesizeCtx(ctx, g, par)
 	if err != nil {
 		return nil, err

@@ -13,20 +13,30 @@ import (
 	"repro/internal/testability"
 )
 
-// fp is a 128-bit canonical fingerprint. 128 bits keep the collision
-// probability negligible over the thousands of states a synthesis run
-// evaluates (a 64-bit key would already need ~2^32 entries for a
-// likely collision, but the cache trades a few bytes for not having to
-// reason about it at all).
-type fp [16]byte
+// Fingerprint is a 128-bit canonical FNV-128a fingerprint, stable across
+// processes and runs. The evaluation cache keys a state's (schedule,
+// allocation) pair on it, and the serving layer (internal/server) keys
+// request coalescing and its result cache on it, so a request fingerprint
+// inherits the cache's collision and determinism arguments. 128 bits keep
+// the collision probability negligible over the thousands of states a
+// synthesis run evaluates (a 64-bit key would already need ~2^32 entries
+// for a likely collision, but the cache trades a few bytes for not having
+// to reason about it at all).
+type Fingerprint [16]byte
 
-// hasher accumulates a canonical byte encoding into FNV-128a. FNV is
-// deterministic across processes (unlike maphash), so fingerprints are
-// stable run to run. The 128-bit state is kept inline as (hi, lo) and
-// multiplied by the FNV-128 prime, 2^88 + 0x13b, with one bits.Mul64 per
-// byte: no hash.Hash interface call and no staging buffer per int. The
-// bytes it produces are exactly those of hash/fnv.New128a.
-type hasher struct{ hi, lo uint64 }
+// String renders the fingerprint as lowercase hex.
+func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
+
+// Hasher is the one canonical encoder behind every fingerprint: a
+// byte-order-pinned FNV-128a accumulator with length-prefixed strings.
+// Callers write every result-affecting field in a fixed order and take
+// Sum; equal sums then imply bit-identical computations. FNV is
+// deterministic across processes (unlike maphash). The 128-bit state is
+// kept inline as (hi, lo) and multiplied by the FNV-128 prime, 2^88 +
+// 0x13b, with one bits.Mul64 per byte: no hash.Hash interface call and no
+// staging buffer per int. The bytes it produces are exactly those of
+// hash/fnv.New128a.
+type Hasher struct{ hi, lo uint64 }
 
 const (
 	fnv128OffsetHi = 0x6c62272e07bb0142
@@ -35,33 +45,40 @@ const (
 	fnv128Shift    = 24 // 2^88 = 2^64 · 2^24
 )
 
-func newHasher() hasher { return hasher{hi: fnv128OffsetHi, lo: fnv128OffsetLo} }
+// NewHasher returns an empty canonical encoder.
+func NewHasher() *Hasher { return &Hasher{hi: fnv128OffsetHi, lo: fnv128OffsetLo} }
 
-func (h *hasher) byte(b byte) {
+func (h *Hasher) byte(b byte) {
 	h.lo ^= uint64(b)
 	hi, lo := bits.Mul64(h.lo, fnv128PrimeLo)
 	h.hi = hi + h.lo<<fnv128Shift + h.hi*fnv128PrimeLo
 	h.lo = lo
 }
 
-// u64 writes v in little-endian order.
-func (h *hasher) u64(v uint64) {
+// U64 writes a uint64 in little-endian order.
+func (h *Hasher) U64(v uint64) {
 	for i := 0; i < 8; i++ {
 		h.byte(byte(v >> (8 * i)))
 	}
 }
 
-func (h *hasher) int(v int) { h.u64(uint64(int64(v))) }
+// Int writes an int (sign-extended through int64).
+func (h *Hasher) Int(v int) { h.U64(uint64(int64(v))) }
 
-func (h *hasher) str(s string) {
-	h.int(len(s))
+// Str writes a length-prefixed string.
+func (h *Hasher) Str(s string) {
+	h.Int(len(s))
 	for i := 0; i < len(s); i++ {
 		h.byte(s[i])
 	}
 }
 
-func (h *hasher) sum() fp {
-	var out fp
+// F64 writes a float64 by its IEEE 754 bit pattern.
+func (h *Hasher) F64(v float64) { h.U64(math.Float64bits(v)) }
+
+// Sum finalizes the encoding.
+func (h *Hasher) Sum() Fingerprint {
+	var out Fingerprint
 	binary.BigEndian.PutUint64(out[:8], h.hi)
 	binary.BigEndian.PutUint64(out[8:], h.lo)
 	return out
@@ -71,75 +88,40 @@ func (h *hasher) sum() fp {
 // of a state. Everything the derived artifacts depend on — the ETPN
 // design, its execution time, floorplan area and testability metrics —
 // is a pure function of this pair (plus the per-run constants held by
-// the cache: the behaviour graph, bit width, library, loop signal and
-// bound, testability config), so two states with equal fingerprints
-// have bit-identical evaluations. Precedence arcs are deliberately
-// excluded: they constrain future rescheduling but leave the current
-// design untouched, so states reached through different arc histories
-// still share cache entries.
-func stateFingerprint(st *state) fp {
-	h := newHasher()
-	h.str("sched")
-	h.int(st.s.Len)
+// the cache: the behaviour graph, bit width, library, loop signal,
+// testability config), so two states with equal fingerprints have
+// bit-identical evaluations. Precedence arcs are deliberately excluded:
+// they constrain future rescheduling but leave the current design
+// untouched, so states reached through different arc histories still
+// share cache entries. It allocates nothing: the Hasher stays on the
+// stack.
+func stateFingerprint(st *state) Fingerprint {
+	h := NewHasher()
+	h.Str("sched")
+	h.Int(st.s.Len)
 	nn := st.g.NumNodes()
 	for i := 0; i < nn; i++ {
-		h.int(st.s.Step[dfg.NodeID(i)])
+		h.Int(st.s.Step[dfg.NodeID(i)])
 	}
-	h.str("mods")
-	h.int(len(st.a.Modules))
+	h.Str("mods")
+	h.Int(len(st.a.Modules))
 	for _, m := range st.a.Modules {
-		h.str(m.Class)
-		h.int(len(m.Ops))
+		h.Str(m.Class)
+		h.Int(len(m.Ops))
 		for _, op := range m.Ops {
-			h.int(int(op))
+			h.Int(int(op))
 		}
 	}
-	h.str("regs")
-	h.int(len(st.a.Regs))
+	h.Str("regs")
+	h.Int(len(st.a.Regs))
 	for _, r := range st.a.Regs {
-		h.int(len(r.Vals))
+		h.Int(len(r.Vals))
 		for _, v := range r.Vals {
-			h.int(int(v))
+			h.Int(int(v))
 		}
 	}
-	return h.sum()
+	return h.Sum()
 }
-
-// Fingerprint is the exported face of fp: the canonical 128-bit FNV-128a
-// fingerprint the evaluation cache keys on, stable across processes and
-// runs. The serving layer (internal/server) uses the same encoding to
-// coalesce identical in-flight requests and key its result cache, so a
-// request fingerprint inherits the cache's collision and determinism
-// arguments.
-type Fingerprint [16]byte
-
-// String renders the fingerprint as lowercase hex.
-func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
-
-// Hasher is the exported canonical encoder behind the cache fingerprints:
-// a byte-order-pinned FNV-128a accumulator with length-prefixed strings.
-// Callers write every result-affecting field of a request in a fixed
-// order and take Sum; equal sums then imply bit-identical computations
-// (the same purity argument the eval cache relies on).
-type Hasher struct{ h hasher }
-
-// NewHasher returns an empty canonical encoder.
-func NewHasher() *Hasher { return &Hasher{h: newHasher()} }
-
-// U64 writes a uint64 in little-endian order.
-func (h *Hasher) U64(v uint64) { h.h.u64(v) }
-
-// Int writes an int (sign-extended through int64).
-func (h *Hasher) Int(v int) { h.h.int(v) }
-
-// Str writes a length-prefixed string.
-func (h *Hasher) Str(s string) { h.h.str(s) }
-
-// F64 writes a float64 by its IEEE 754 bit pattern.
-func (h *Hasher) F64(v float64) { h.h.u64(math.Float64bits(v)) }
-
-// Sum finalizes the encoding.
-func (h *Hasher) Sum() Fingerprint { return Fingerprint(h.h.sum()) }
 
 // Graph writes a canonical encoding of a behaviour graph: name, width,
 // then every node (label, kind, operands, result) and every value (name,
@@ -176,12 +158,15 @@ func (h *Hasher) Graph(g *dfg.Graph) {
 }
 
 // Params writes the result-affecting fields of a Params: the algorithm
-// knobs (K, α, β, slack, width, loop parameters, policy selectors) but
-// none of the operational ones (Workers, Stats, NoCache — all of which
-// are contracted to never change results).
-// Callers supplying a custom Class or Lib are outside this encoding and
-// must not share fingerprints across different ones; the server only
-// ever uses the defaults.
+// knobs (K, α, β, slack, width, loop signal, policy selectors) but none
+// of the operational ones (Workers, Stats, NoCache — all of which are
+// contracted to never change results). Three slots hold constants so
+// that stored fingerprints keep their bytes: the loop bound (always
+// LoopBound), a retired policy switch, and the modules-only switch
+// (always 0: it is CAMAD's own rule, implied by the method every request
+// fingerprint hashes). A caller supplying a custom Lib is outside this
+// encoding and must not share fingerprints across different ones; the
+// server only ever uses the default.
 func (h *Hasher) Params(p Params) {
 	h.Str("params")
 	h.Int(p.K)
@@ -189,16 +174,12 @@ func (h *Hasher) Params(p Params) {
 	h.F64(p.Beta)
 	h.Int(p.Slack)
 	h.Int(p.Width)
-	h.Int(p.LoopBound)
+	h.Int(LoopBound)
 	h.Str(p.LoopSignal)
 	h.Int(int(p.Selection))
 	h.Int(int(p.Reschedule))
-	h.Int(0) // a retired policy switch, still hashed so stored fingerprints keep their bytes
-	if p.ModulesOnly {
-		h.Int(1)
-	} else {
-		h.Int(0)
-	}
+	h.Int(0) // a retired policy switch
+	h.Int(0) // modules-only: CAMAD's own rule, never a request field
 }
 
 // buildEntry is a memoized state evaluation: the two cost figures of the
@@ -229,8 +210,8 @@ type evalCache struct {
 	stats *stats.Stats
 
 	mu      sync.Mutex
-	builds  map[fp]buildEntry
-	metrics map[fp]analysis
+	builds  map[Fingerprint]buildEntry
+	metrics map[Fingerprint]analysis
 }
 
 // newEvalCache returns the cache for one SynthesizeCtx call, or nil when
@@ -241,14 +222,14 @@ func newEvalCache(par Params) *evalCache {
 	}
 	return &evalCache{
 		stats:   par.Stats,
-		builds:  map[fp]buildEntry{},
-		metrics: map[fp]analysis{},
+		builds:  map[Fingerprint]buildEntry{},
+		metrics: map[Fingerprint]analysis{},
 	}
 }
 
 func (c *evalCache) enabled() bool { return c != nil }
 
-func (c *evalCache) lookupBuild(key fp) (buildEntry, bool) {
+func (c *evalCache) lookupBuild(key Fingerprint) (buildEntry, bool) {
 	if c == nil {
 		return buildEntry{}, false
 	}
@@ -259,7 +240,7 @@ func (c *evalCache) lookupBuild(key fp) (buildEntry, bool) {
 	return e, ok
 }
 
-func (c *evalCache) storeBuild(key fp, e buildEntry) {
+func (c *evalCache) storeBuild(key Fingerprint, e buildEntry) {
 	if c == nil {
 		return
 	}
@@ -268,7 +249,7 @@ func (c *evalCache) storeBuild(key fp, e buildEntry) {
 	c.mu.Unlock()
 }
 
-func (c *evalCache) lookupMetrics(key fp) (analysis, bool) {
+func (c *evalCache) lookupMetrics(key Fingerprint) (analysis, bool) {
 	if c == nil {
 		return analysis{}, false
 	}
@@ -279,7 +260,7 @@ func (c *evalCache) lookupMetrics(key fp) (analysis, bool) {
 	return e, ok
 }
 
-func (c *evalCache) storeMetrics(key fp, e analysis) {
+func (c *evalCache) storeMetrics(key Fingerprint, e analysis) {
 	if c == nil {
 		return
 	}

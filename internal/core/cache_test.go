@@ -6,10 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/dfg"
 )
 
 // TestHasherMatchesFNV128a feeds seeded random sequences of U64, Int, Str
-// and F64 writes to the inline hasher and, byte for byte, to
+// and F64 writes to the Hasher and, byte for byte, to
 // hash/fnv.New128a: every fingerprint a store holds depends on the two
 // agreeing.
 func TestHasherMatchesFNV128a(t *testing.T) {
@@ -49,5 +51,17 @@ func TestHasherMatchesFNV128a(t *testing.T) {
 		if got := h.Sum(); got != want {
 			t.Fatalf("seed %d: inline hasher %s, hash/fnv %s", seed, got, want)
 		}
+	}
+}
+
+// TestStateFingerprintAllocatesNothing: the merger loop fingerprints every
+// candidate state, so the Hasher must stay on the stack.
+func TestStateFingerprintAllocatesNothing(t *testing.T) {
+	st, err := initialState(dfg.Diffeq(8), params(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { stateFingerprint(st) }); n != 0 {
+		t.Errorf("stateFingerprint allocates %.0f times per call", n)
 	}
 }

@@ -63,7 +63,16 @@ const (
 	RescheduleFrozen
 )
 
-// Params configures a synthesis run.
+// LoopBound is the loop iteration count the critical-path estimate
+// assumes for looping behaviours: the control part's execution time E
+// counts LoopBound back-edge firings plus the final pass that exits.
+const LoopBound = 4
+
+// Params configures a synthesis run: the paper's (k, α, β), the latency
+// slack and the bit width, the behaviour's loop signal, the library, the
+// two algorithm-variant selectors of the ablations, and operational knobs
+// that never change a result. The rules that make CAMAD differ from
+// Algorithm 1 belong to that method and are set only by it.
 type Params struct {
 	// K is the number of candidate pairs examined per iteration (paper's
 	// k): small k puts more weight on the testability ranking.
@@ -76,15 +85,9 @@ type Params struct {
 	Slack int
 	// Width is the data-path bit width (4, 8 or 16 in the paper).
 	Width int
-	// LoopBound is the loop iteration count assumed by the critical-path
-	// estimate for looping behaviours; a negative bound counts as 0.
-	LoopBound int
 	// LoopSignal names the condition output closing the behavioural loop;
 	// empty for straight-line behaviours.
 	LoopSignal string
-	// Class maps operation kinds to module classes (sched.ExactClass when
-	// nil).
-	Class sched.ClassFunc
 	// Lib is the module library for ΔH (cost.DefaultLibrary when nil).
 	Lib *cost.Library
 	// Selection and Reschedule select the algorithm variant; the zero
@@ -96,10 +99,6 @@ type Params struct {
 	// a fixed-order reduction over the policy results, so the outcome is
 	// identical at every worker count.
 	Workers int
-	// ModulesOnly restricts merging to functional modules, leaving every
-	// value in its own register — the allocation visible in the paper's
-	// CAMAD table rows (R: a, R: b, ...).
-	ModulesOnly bool
 	// Stats, when non-nil, collects per-stage counters and timers
 	// (candidate evaluations, cache hits/misses, time spent in
 	// scheduling/floorplanning/testability). Purely
@@ -109,6 +108,12 @@ type Params struct {
 	// for the cache-equivalence tests and benchmarks; results are
 	// identical either way.
 	NoCache bool
+	// camad applies CAMAD's own rules (synthesizeCAMADCtx sets it):
+	// additions, subtractions and comparisons pool into combined ALUs
+	// (sched.ALUClass instead of sched.ExactClass), and merging is
+	// restricted to functional modules, leaving every value in its own
+	// register — the allocation of the paper's CAMAD rows (R: a, R: b, ...).
+	camad bool
 }
 
 // DefaultParams returns the parameter set (k,α,β) = (3,2,1) the paper uses
@@ -116,15 +121,15 @@ type Params struct {
 func DefaultParams(width int) Params {
 	return Params{
 		K: 3, Alpha: 2, Beta: 1,
-		Slack: 0, Width: width, LoopBound: 4,
+		Slack: 0, Width: width,
 	}
 }
 
 func (p Params) class() sched.ClassFunc {
-	if p.Class == nil {
-		return sched.ExactClass
+	if p.camad {
+		return sched.ALUClass
 	}
-	return p.Class
+	return sched.ExactClass
 }
 
 func (p Params) lib() *cost.Library {
@@ -175,7 +180,7 @@ type state struct {
 	// call (nil disables it); fp is the canonical fingerprint of the
 	// current (schedule, allocation) pair, valid after build.
 	cache *evalCache
-	fp    fp
+	fp    Fingerprint
 	// base is prob frozen for the overlay solves of the candidate merge
 	// orders, compiled on first use by frozen(); nil in a clone.
 	base *sched.Base
@@ -208,7 +213,7 @@ func (st *state) build() error {
 	if err != nil {
 		return err
 	}
-	st.execT = d.ExecutionTime(st.par.LoopBound)
+	st.execT = d.ExecutionTime(LoopBound)
 	stop := st.par.Stats.Time("time.floorplan")
 	st.area = cost.EstimateDesign(d, st.par.lib(), st.par.Width)
 	stop()
@@ -225,7 +230,7 @@ func (st *state) design() (*etpn.Design, error) {
 	if st.d != nil {
 		return st.d, nil
 	}
-	d, err := etpn.Build(st.g, st.s, st.a, st.life, etpn.Options{LoopSignal: st.par.LoopSignal})
+	d, err := etpn.Build(st.g, st.s, st.a, st.life, st.par.LoopSignal)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +291,7 @@ var recompileOrders = false
 // arcs may still be list-schedulable on top of st's problem, rejecting the
 // orders whose arcs close a cycle or stretch the ASAP length past MaxLen
 // before anything is cloned (core.rejected counts them). The frozen
-// ablation never lists, so it rejects nothing here.
+// ablation never lists, so it rejects nothing here: reschedule checks it.
 func (st *state) feasible(strict, weak [][2]dfg.NodeID) error {
 	if recompileOrders || st.par.Reschedule == RescheduleFrozen {
 		return nil
@@ -356,9 +361,11 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 				// module between them imposes no new scheduling constraint
 				// (and the paper's own module allocations pair
 				// producer-consumer chains: N26/N31, N29/N33 in Table 3).
+				// Here and below, float64(x*y) rounds the product: no
+				// fused multiply-add (DESIGN.md §3a).
 				sc = m.BalanceScore(u, v)
 				if tp != tieNoDepBonus {
-					sc += 0.3 * float64(st.modDependencePairs(i, j))
+					sc += float64(0.3 * float64(st.modDependencePairs(i, j)))
 				}
 			}
 			mods = append(mods, candidate{isModule: true, i: i, j: j, score: sc})
@@ -366,10 +373,10 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 	}
 	regs = make([]candidate, 0, nr*(nr-1)/2)
 	var readers, writers [][]int
-	if !st.par.ModulesOnly && st.par.Selection != SelectConnectivity {
+	if !st.par.camad && st.par.Selection != SelectConnectivity {
 		readers, writers = st.regModules()
 	}
-	for i := 0; i < len(st.a.Regs) && !st.par.ModulesOnly; i++ {
+	for i := 0; i < len(st.a.Regs) && !st.par.camad; i++ {
 		for j := i + 1; j < len(st.a.Regs); j++ {
 			var sc float64
 			if st.par.Selection == SelectConnectivity {
@@ -386,7 +393,7 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 				// merges a left-edge packing would make), and the balance
 				// score chooses among them.
 				loops := common(readers[i], writers[j]) + common(readers[j], writers[i])
-				sc = m.BalanceScore(u, v) - 0.5*float64(loops)
+				sc = m.BalanceScore(u, v) - float64(0.5*float64(loops))
 				if st.regsDisjointNow(i, j) {
 					sc += 2
 				}
@@ -557,7 +564,8 @@ func SynthesizeCtx(ctx context.Context, g *dfg.Graph, par Params) (*Result, erro
 	var best *Result
 	var bestCost float64
 	for _, r := range results {
-		c := par.Alpha*float64(r.ExecTime) + par.Beta*r.Area.Total
+		// Rounded products: no fused multiply-add (DESIGN.md §3a).
+		c := float64(par.Alpha*float64(r.ExecTime)) + float64(par.Beta*r.Area.Total)
 		var better bool
 		switch {
 		case best == nil:
@@ -566,7 +574,7 @@ func SynthesizeCtx(ctx context.Context, g *dfg.Graph, par Params) (*Result, erro
 			// Within a 3% cost band the design with fewer self-loops wins
 			// (the paper weighs loop avoidance alongside area, §3); outside
 			// it, cost decides.
-			tol := 0.03 * absf(bestCost)
+			tol := float64(0.03 * absf(bestCost))
 			switch {
 			case c < bestCost-tol:
 				better = true
@@ -645,7 +653,8 @@ func synthesizeOnce(ctx context.Context, g *dfg.Graph, par Params, tp tiePolicy,
 					if err != nil {
 						continue
 					}
-					dC := par.Alpha*float64(dE) + par.Beta*dH
+					// Rounded products: no fused multiply-add (DESIGN.md §3a).
+					dC := float64(par.Alpha*float64(dE)) + float64(par.Beta*dH)
 					take := best == nil
 					if !take {
 						tol := tolFor(tp, bestDC)
@@ -715,12 +724,13 @@ func absf(x float64) float64 {
 
 // tolFor is the near-tie tolerance band of the candidate selection: within
 // it the tie policy's score comparison decides instead of ΔC. tieStrict
-// admits no band.
+// admits no band. The band is rounded, so no architecture may fuse it
+// into the caller's subtraction.
 func tolFor(tp tiePolicy, bestDC float64) float64 {
 	if tp == tieStrict {
 		return 0
 	}
-	return 0.02 * (absf(bestDC) + 1)
+	return float64(0.02 * (absf(bestDC) + 1))
 }
 
 func (st *state) finish(method string, trace []string) (*Result, error) {
@@ -789,15 +799,8 @@ func (st *state) applyModuleMerge(i, j int, m *testability.Metrics) (*state, int
 	case RescheduleAppend:
 		return apply(append(append([]dfg.NodeID{}, seqI...), seqJ...))
 	case RescheduleFrozen:
-		// Feasible only if all operations already occupy distinct steps.
-		steps := map[int]bool{}
-		for _, op := range both {
-			stp := st.s.Step[op]
-			if steps[stp] {
-				return nil, 0, 0, fmt.Errorf("core: frozen schedule conflicts at step %d", stp)
-			}
-			steps[stp] = true
-		}
+		// The current step order; reschedule rejects it unless every
+		// operation already occupies a distinct step.
 		return apply(sched.OrderByStep(both, st.s))
 	}
 	// Merge-sort with SR1/SR2 first; when its order is infeasible, fall
@@ -915,19 +918,6 @@ func (st *state) applyRegMerge(i, j int, m *testability.Metrics) (*state, int, f
 		strict, weak, err := st.serializeRegs(first, second)
 		if err != nil {
 			return nil, 0, 0, err
-		}
-		if st.par.Reschedule == RescheduleFrozen {
-			// Arcs must already hold in the current schedule.
-			for _, a := range strict {
-				if st.s.Step[a[0]] >= st.s.Step[a[1]] {
-					return nil, 0, 0, fmt.Errorf("core: frozen schedule violates lifetime arc")
-				}
-			}
-			for _, a := range weak {
-				if st.s.Step[a[0]] > st.s.Step[a[1]] {
-					return nil, 0, 0, fmt.Errorf("core: frozen schedule violates lifetime arc")
-				}
-			}
 		}
 		if err := st.feasible(strict, weak); err != nil {
 			return nil, 0, 0, err
@@ -1087,6 +1077,9 @@ func serializePair(g *dfg.Graph, va, vb dfg.ValueID, strict, weak [][2]dfg.NodeI
 // compiled; its schedule is byte-identical to listing ns's own problem
 // (sched.Base.List). Orders that feasible rejects never get here.
 // Memoizing List by problem cost as much as it saved (DESIGN.md §4c).
+// The frozen ablation lists nothing: its one feasibility check is
+// verifying the unchanged schedule against ns's problem — every strict
+// and weak arc, and the module binding.
 func (st *state) reschedule(ns *state, strict, weak [][2]dfg.NodeID) (*state, int, float64, error) {
 	if st.par.Reschedule == RescheduleFrozen {
 		if err := ns.prob.Verify(ns.s); err != nil {

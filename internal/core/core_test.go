@@ -357,27 +357,25 @@ func TestApproachesDifferOnEWF(t *testing.T) {
 	}
 }
 
-// The loop-bound parameter scales Diffeq's execution-time estimate
-// linearly: each extra iteration adds one body length.
+// Diffeq's execution-time estimate counts LoopBound back-edge firings
+// plus the exiting pass, each one body length; the bound scales it
+// linearly.
 func TestExecutionTimeLinearInLoopBound(t *testing.T) {
 	g := dfg.Diffeq(8)
 	par := params()
 	par.LoopSignal = g.Loop
-	var prev int
+	r, err := SynthesizeCtx(context.Background(), g, par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodyLen := r.Design.Sched.Len
+	// The paper's bound of 4: four back-edge firings and the exit pass.
+	if want := 5 * bodyLen; r.ExecTime != want {
+		t.Errorf("exec %d, want 5 × body length %d", r.ExecTime, bodyLen)
+	}
 	for lb := 1; lb <= 4; lb++ {
-		par.LoopBound = lb
-		r, err := SynthesizeCtx(context.Background(), g, par)
-		if err != nil {
-			t.Fatal(err)
+		if got, want := r.Design.ExecutionTime(lb), (lb+1)*bodyLen; got != want {
+			t.Errorf("loop bound %d: exec %d, want %d", lb, got, want)
 		}
-		bodyLen := r.Design.Sched.Len
-		want := (lb + 1) * bodyLen
-		if r.ExecTime != want {
-			t.Errorf("loopBound %d: exec %d, want %d", lb, r.ExecTime, want)
-		}
-		if r.ExecTime <= prev {
-			t.Errorf("execution time not increasing: %d after %d", r.ExecTime, prev)
-		}
-		prev = r.ExecTime
 	}
 }

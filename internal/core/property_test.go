@@ -110,7 +110,7 @@ func TestMergerMonotonicity(t *testing.T) {
 	}
 }
 
-// CAMAD's paper rows keep singleton registers: the ModulesOnly knob must
+// CAMAD's paper rows keep singleton registers: its modules-only rule must
 // hold for the whole benchmark suite.
 func TestCAMADSingletonRegisters(t *testing.T) {
 	for _, name := range []string{dfg.BenchEx, dfg.BenchDct, dfg.BenchTseng} {

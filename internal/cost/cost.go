@@ -69,8 +69,9 @@ func (l *Library) ModuleArea(class string, width int) float64 {
 	}
 }
 
-// RegisterArea returns the area of a width-bit register.
-func (l *Library) RegisterArea(width int) float64 { return l.RegPerBit * float64(width) }
+// RegisterArea returns the area of a width-bit register, rounded so that
+// no architecture may fuse it into the caller's sum (DESIGN.md §3a).
+func (l *Library) RegisterArea(width int) float64 { return float64(l.RegPerBit * float64(width)) }
 
 // MuxArea returns the area of an inputs-to-1 multiplexer at the given
 // width; 0 or 1 inputs need no hardware.
@@ -170,7 +171,9 @@ func Floorplan(d *etpn.Design) [][2]int {
 					dist += q.w * (abs(x-q.x) + abs(y-q.y))
 				}
 				// Deterministic tie-break: prefer slots near the origin.
-				c := float64(dist) + 1e-6*float64(x+y*side)
+				// The rounded product forbids a fused multiply-add
+				// (DESIGN.md §3a).
+				c := float64(dist) + float64(1e-6*float64(x+y*side))
 				if c < bestCost {
 					bestCost = c
 					best = [2]int{x, y}
@@ -254,7 +257,8 @@ func EstimateDesign(d *etpn.Design, lib *Library, width int) Estimate {
 	for _, a := range d.Arcs {
 		p, q := pos[a.From], pos[a.To]
 		dist := float64(abs(p[0]-q[0]) + abs(p[1]-q[1]))
-		e.WireArea += dist * pitch * float64(width) * lib.WireWeight
+		// Rounded product: no fused multiply-add (DESIGN.md §3a).
+		e.WireArea += float64(dist * pitch * float64(width) * lib.WireWeight)
 	}
 	e.Total = e.ModuleArea + e.RegArea + e.MuxArea + e.WireArea
 	return e

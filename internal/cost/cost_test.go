@@ -23,7 +23,7 @@ func build(t *testing.T, g *dfg.Graph, oneToOne bool) *etpn.Design {
 		regOf, n := alloc.RegisterLeftEdge(g, life)
 		a = alloc.BindModules(g, s, sched.ExactClass, regOf, n)
 	}
-	d, err := etpn.Build(g, s, a, life, etpn.Options{})
+	d, err := etpn.Build(g, s, a, life, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func sweepDesigns(t *testing.T) map[string]*etpn.Design {
 			t.Fatal(err)
 		}
 		life := alloc.Lifetimes(b.g, s)
-		d, err := etpn.Build(b.g, s, alloc.Default(b.g, sched.ExactClass, life), life, etpn.Options{})
+		d, err := etpn.Build(b.g, s, alloc.Default(b.g, sched.ExactClass, life), life, "")
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -39,6 +39,7 @@ import (
 	"strings"
 
 	"repro/internal/dfg"
+	"repro/internal/gates"
 )
 
 // ErrBadSpec tags every spec validation and parse error so callers
@@ -282,19 +283,19 @@ func Parse(name string) (Spec, error) {
 	return s, nil
 }
 
-// rng is splitmix64 (Steele et al.), chosen over math/rand for a
-// fixed, documented algorithm: the generated byte stream is pinned by
-// golden tests and must never drift across Go releases or platforms.
+// rng is the splitmix64 stream (Steele et al.), chosen over math/rand
+// for a fixed, documented algorithm: the generated byte stream is pinned
+// by golden tests and must never drift across Go releases or platforms.
 type rng struct{ state uint64 }
 
 func newRNG(seed uint64) *rng { return &rng{state: seed} }
 
+// next returns the finalizer of the current state, then steps the state by
+// the golden-ratio increment gates.SplitMix64 adds.
 func (r *rng) next() uint64 {
+	z := gates.SplitMix64(r.state)
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 // intn returns a uniform-ish draw in [0,n). Modulo bias is irrelevant

@@ -73,7 +73,7 @@ func buildSweep() ([]sweepDesign, error) {
 			return nil, err
 		}
 		life := alloc.Lifetimes(g, s)
-		d, err := etpn.Build(g, s, alloc.Default(g, sched.ExactClass, life), life, etpn.Options{})
+		d, err := etpn.Build(g, s, alloc.Default(g, sched.ExactClass, life), life, "")
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", prefix, err)
 		}
@@ -139,7 +139,7 @@ func TestExecutionTimeMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	lb := core.DefaultParams(4).LoopBound
+	lb := core.LoopBound
 	for _, sd := range sweepDesigns(t) {
 		want, err := etpn.RefExecutionTime(sd.d, lb)
 		if err != nil {

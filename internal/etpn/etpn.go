@@ -99,19 +99,13 @@ type Design struct {
 	inNode, outNode, constNode []int
 }
 
-// Options controls Build.
-type Options struct {
-	// LoopSignal names a primary-output condition value; if non-empty the
-	// control part loops back to the first control step while the signal is
-	// true (the Diffeq behaviour). Empty builds a straight-line control
-	// chain.
-	LoopSignal string
-}
-
 // Build derives the ETPN data path from a behaviour, a schedule, and an
 // allocation. The lifetimes must correspond to the schedule
-// (alloc.Lifetimes).
-func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life alloc.Life, opt Options) (*Design, error) {
+// (alloc.Lifetimes). A non-empty loop names a primary-output condition
+// value: the control part loops back to the first control step while it
+// is true (the Diffeq behaviour). Empty builds a straight-line control
+// chain.
+func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life alloc.Life, loop string) (*Design, error) {
 	nv, nr, nm := g.NumValues(), len(a.Regs), len(a.Modules)
 	ids := make([]int, 3*nv+nr+nm)
 	for i := range ids[:3*nv] {
@@ -119,7 +113,7 @@ func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life alloc.Life,
 	}
 	d := &Design{
 		G: g, Sched: s, Alloc: a, Life: life,
-		LoopSignal: opt.LoopSignal,
+		LoopSignal: loop,
 		inNode:     ids[:nv:nv], outNode: ids[nv : 2*nv : 2*nv], constNode: ids[2*nv : 3*nv : 3*nv],
 		regNode: ids[3*nv : 3*nv+nr : 3*nv+nr], modNode: ids[3*nv+nr:],
 	}
@@ -252,9 +246,9 @@ func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life alloc.Life,
 	d.into = arcLists(len(d.Nodes), d.Arcs, func(a *Arc) int { return a.To })
 	d.from = arcLists(len(d.Nodes), d.Arcs, func(a *Arc) int { return a.From })
 
-	if opt.LoopSignal != "" {
-		if _, ok := g.ValueByName(opt.LoopSignal); !ok {
-			return nil, fmt.Errorf("etpn: loop signal %q is not a value of the behaviour", opt.LoopSignal)
+	if loop != "" {
+		if _, ok := g.ValueByName(loop); !ok {
+			return nil, fmt.Errorf("etpn: loop signal %q is not a value of the behaviour", loop)
 		}
 	}
 	if err := d.Validate(); err != nil {

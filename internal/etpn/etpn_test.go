@@ -12,7 +12,7 @@ import (
 )
 
 // buildDefault builds a design with ASAP schedule and left-edge binding.
-func buildDefault(t *testing.T, g *dfg.Graph, opt Options) *Design {
+func buildDefault(t *testing.T, g *dfg.Graph, loop string) *Design {
 	t.Helper()
 	s, err := sched.NewProblem(g).ASAP()
 	if err != nil {
@@ -21,7 +21,7 @@ func buildDefault(t *testing.T, g *dfg.Graph, opt Options) *Design {
 	life := alloc.Lifetimes(g, s)
 	regOf, n := alloc.RegisterLeftEdge(g, life)
 	a := alloc.BindModules(g, s, sched.ExactClass, regOf, n)
-	d, err := Build(g, s, a, life, opt)
+	d, err := Build(g, s, a, life, loop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func buildOneToOne(t *testing.T, g *dfg.Graph) *Design {
 	}
 	life := alloc.Lifetimes(g, s)
 	a := alloc.Default(g, sched.ExactClass, life)
-	d, err := Build(g, s, a, life, Options{})
+	d, err := Build(g, s, a, life, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func buildOneToOne(t *testing.T, g *dfg.Graph) *Design {
 func TestBuildAllBenchmarks(t *testing.T) {
 	for _, name := range dfg.BenchmarkNames() {
 		g, _ := dfg.ByName(name, 8)
-		d := buildDefault(t, g, Options{})
+		d := buildDefault(t, g, "")
 		if err := d.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -59,7 +59,7 @@ func TestBuildAllBenchmarks(t *testing.T) {
 
 func TestExecutionTimeStraightLine(t *testing.T) {
 	g := dfg.Ex(8)
-	d := buildDefault(t, g, Options{})
+	d := buildDefault(t, g, "")
 	if et := d.ExecutionTime(1); et != d.Sched.Len {
 		t.Errorf("execution time %d, want schedule length %d", et, d.Sched.Len)
 	}
@@ -67,7 +67,7 @@ func TestExecutionTimeStraightLine(t *testing.T) {
 
 func TestExecutionTimeLoop(t *testing.T) {
 	g := dfg.Diffeq(8)
-	d := buildDefault(t, g, Options{LoopSignal: "exit"})
+	d := buildDefault(t, g, "exit")
 	// Two back-edge firings: three body passes.
 	if et := d.ExecutionTime(2); et != 3*d.Sched.Len {
 		t.Errorf("loop execution time %d, want %d", et, 3*d.Sched.Len)
@@ -79,7 +79,7 @@ func TestLoopSignalMustExist(t *testing.T) {
 	s, _ := sched.NewProblem(g).ASAP()
 	life := alloc.Lifetimes(g, s)
 	a := alloc.Default(g, sched.ExactClass, life)
-	if _, err := Build(g, s, a, life, Options{LoopSignal: "nosuch"}); err == nil {
+	if _, err := Build(g, s, a, life, "nosuch"); err == nil {
 		t.Fatal("expected unknown-signal error")
 	}
 }
@@ -134,7 +134,7 @@ func TestMuxStatsCAMADStyleEx(t *testing.T) {
 			a.Regs = append(a.Regs, &alloc.RegGroup{ID: len(a.Regs), Vals: []dfg.ValueID{dfg.ValueID(v)}})
 		}
 	}
-	d, err := Build(g, s, a, life, Options{})
+	d, err := Build(g, s, a, life, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSelfLoops(t *testing.T) {
 	if err := al.MergeRegs(r1, r2); err != nil {
 		t.Fatal(err)
 	}
-	d, err := Build(g, s, al, life, Options{})
+	d, err := Build(g, s, al, life, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSelfLoops(t *testing.T) {
 func TestSimulateMatchesInterpreter(t *testing.T) {
 	for _, name := range dfg.BenchmarkNames() {
 		g, _ := dfg.ByName(name, 16)
-		d := buildDefault(t, g, Options{})
+		d := buildDefault(t, g, "")
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 25; trial++ {
 			in := map[string]uint64{}
@@ -230,7 +230,7 @@ func TestSimulateOneToOneMatchesInterpreter(t *testing.T) {
 
 func TestSimulateMissingInput(t *testing.T) {
 	g := dfg.Ex(8)
-	d := buildDefault(t, g, Options{})
+	d := buildDefault(t, g, "")
 	if _, err := d.Simulate(8, map[string]uint64{"a": 1}); err == nil {
 		t.Fatal("expected missing-input error")
 	}
@@ -248,7 +248,7 @@ func TestSimulateDetectsClobbering(t *testing.T) {
 	if err := al.MergeRegs(al.RegOf[vf], al.RegOf[vv]); err != nil {
 		t.Fatal(err)
 	}
-	d, err := Build(g, s, al, life, Options{})
+	d, err := Build(g, s, al, life, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,14 +270,14 @@ func TestValidateRejectsDoubleWrite(t *testing.T) {
 	if err := al.MergeRegs(al.RegOf[ve], al.RegOf[vf]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(g, s, al, life, Options{}); err == nil {
+	if _, err := Build(g, s, al, life, ""); err == nil {
 		t.Fatal("expected double-write rejection")
 	}
 }
 
 func TestArcsIntoFrom(t *testing.T) {
 	g := dfg.Tseng(8)
-	d := buildDefault(t, g, Options{})
+	d := buildDefault(t, g, "")
 	for _, n := range d.Nodes {
 		for _, a := range d.ArcsInto(n.ID) {
 			if a.To != n.ID {
@@ -294,7 +294,7 @@ func TestArcsIntoFrom(t *testing.T) {
 
 func TestStringRendering(t *testing.T) {
 	g := dfg.Diffeq(8)
-	d := buildDefault(t, g, Options{LoopSignal: "exit"})
+	d := buildDefault(t, g, "exit")
 	s := d.String()
 	for _, want := range []string{"ETPN diffeq", "reg", "mod", "->"} {
 		if !strings.Contains(s, want) {

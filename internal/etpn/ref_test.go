@@ -97,7 +97,7 @@ func TestValidateMatchesReference(t *testing.T) {
 	for _, name := range dfg.BenchmarkNames() {
 		for trial := 0; trial < 30; trial++ {
 			g, _ := dfg.ByName(name, 8)
-			d := buildDefault(t, g, Options{})
+			d := buildDefault(t, g, "")
 			switch trial % 3 {
 			case 1, 2:
 				// Collapse every write into trial%3 registers onto one step.

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/dfggen"
+	"repro/internal/gates"
 	"repro/internal/server"
 )
 
@@ -53,16 +54,13 @@ type Schedule struct {
 // errBadOptions wraps every ScheduleOptions rejection.
 var errBadOptions = errors.New("loadgen: bad schedule options")
 
-// rng is the same splitmix64 stream the benchmark generator uses; a
-// private copy keeps the package self-contained.
+// rng is the splitmix64 stream the behaviour generator (dfggen) uses.
 type rng struct{ state uint64 }
 
 func (r *rng) next() uint64 {
+	z := gates.SplitMix64(r.state)
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 func (r *rng) intn(n int) int {
@@ -75,8 +73,7 @@ func (r *rng) intn(n int) int {
 // mix folds a label into a seed so the spec pool is decorrelated from the
 // arrival stream.
 func mix(seed uint64, label uint64) uint64 {
-	r := rng{state: seed ^ (label * 0x9e3779b97f4a7c15)}
-	return r.next()
+	return gates.SplitMix64(seed ^ (label * 0x9e3779b97f4a7c15))
 }
 
 // BuildSchedule materializes the request stream for the options. The

@@ -67,7 +67,7 @@ func Figure1() (string, error) {
 		life := alloc.Lifetimes(g, s)
 		regOf, nRegs := alloc.RegisterLeftEdge(g, life)
 		al := alloc.BindModules(g, s, sched.ExactClass, regOf, nRegs)
-		d, err := etpn.Build(g, s, al, life, etpn.Options{})
+		d, err := etpn.Build(g, s, al, life, "")
 		if err != nil {
 			return "", err
 		}

@@ -20,7 +20,7 @@ func buildLeftEdge(t *testing.T, g *dfg.Graph) *etpn.Design {
 	life := alloc.Lifetimes(g, s)
 	regOf, n := alloc.RegisterLeftEdge(g, life)
 	a := alloc.BindModules(g, s, sched.ExactClass, regOf, n)
-	d, err := etpn.Build(g, s, a, life, etpn.Options{})
+	d, err := etpn.Build(g, s, a, life, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func (p *Problem) distributionCost(latency int, class ClassFunc, asap, alap []in
 	cost := 0.0
 	for _, c := range classes {
 		for _, v := range dg[c] {
-			cost += v * v
+			cost += float64(v * v) // rounded: no fused multiply-add (DESIGN.md §3a)
 		}
 	}
 	return cost

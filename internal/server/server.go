@@ -311,15 +311,6 @@ func (s *Server) writeError(w http.ResponseWriter, kind string, start time.Time,
 	s.write(w, kind, start, status, errorJSON(err))
 }
 
-// errStatus classifies job-body errors: typed input errors are the
-// client's fault, everything else is a 500.
-func errStatus(err error) int {
-	if errors.Is(err, hlts.ErrBadWidth) || errors.Is(err, hlts.ErrUnknownBenchmark) || errors.Is(err, hlts.ErrBadGenSpec) {
-		return http.StatusBadRequest
-	}
-	return http.StatusInternalServerError
-}
-
 // job is the job body of a normalized request, picked by its type:
 // synthesis, the test-design pipeline (internal/flow) or a table.
 func (s *Server) job(norm any) func(ctx context.Context) (int, []byte, bool) {
@@ -365,7 +356,8 @@ func (s *Server) job(norm any) func(ctx context.Context) (int, []byte, bool) {
 	return func(ctx context.Context) (int, []byte, bool) {
 		resp, complete, err := run(ctx)
 		if err != nil {
-			return errStatus(err), errorJSON(err), false
+			// ReadRequest answered every input error before the job existed.
+			return http.StatusInternalServerError, errorJSON(err), false
 		}
 		body, err := marshal(resp)
 		if err != nil {

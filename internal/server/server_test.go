@@ -15,6 +15,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -30,6 +31,7 @@ import (
 
 	hlts "repro"
 	"repro/internal/atpg"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/stats"
 )
@@ -656,6 +658,32 @@ func TestHealthAndMetrics(t *testing.T) {
 	if h.Get("Retry-After") == "" {
 		t.Error("draining 503 without Retry-After")
 	}
+}
+
+// TestJobErrorAnswers500: an error returned from inside a job body is
+// the daemon's, not the client's — ReadRequest answers every input error
+// with a 400 or 404 before a job exists — so it is a 500 with an
+// ErrorBody. The error here is the ATPG fault site failing mid-campaign.
+func TestJobErrorAnswers500(t *testing.T) {
+	base := runtime.NumGoroutine()
+	in := chaos.New(1).On(chaos.SiteATPGFault, chaos.Rule{Action: chaos.ActError, Prob: 1})
+	restore := chaos.Install(in)
+	defer restore()
+	s := New(Config{QueueDepth: 4, Jobs: 1, CacheSize: -1})
+	ts := httptest.NewServer(s.Handler())
+	status, _, body := post(t, ts.Client(), ts.URL+"/v1/testdesign", `{"bench":"ex","width":4,"faults":20}`)
+	ts.Close()
+	if in.Fired(chaos.SiteATPGFault) == 0 {
+		t.Fatal("atpg.fault site never fired")
+	}
+	if status != http.StatusInternalServerError {
+		t.Fatalf("job error: status %d, want 500: %s", status, body)
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
+		t.Errorf("500 body %q is not an ErrorBody (%v)", body, err)
+	}
+	drainAndSettle(t, s, base)
 }
 
 // TestPanickingJobAnswers500: a panic inside a job body is isolated by

@@ -172,7 +172,7 @@ func score(c, s float64) float64 {
 	if math.IsInf(s, 1) {
 		return 0
 	}
-	return c / (1 + lambda*s)
+	return c / (1 + float64(lambda*s)) // rounded: no fused multiply-add (DESIGN.md §3a)
 }
 
 // nodeCtrlIn computes the controllability a node derives from its input
@@ -326,9 +326,11 @@ func (m *Metrics) SeqDepth(node int) float64 { return m.SC[node] + m.SO[node] }
 // merged node inherits — the best controllability of any input line and
 // the best observability of any output line of the pair.
 func (m *Metrics) BalanceScore(u, v int) float64 {
-	balance := (m.Ctrl(u) - m.Ctrl(v)) * (m.Obs(v) - m.Obs(u))
+	// float64(x*y) rounds each product that feeds the sum: no fused
+	// multiply-add (DESIGN.md §3a).
+	balance := float64((m.Ctrl(u) - m.Ctrl(v)) * (m.Obs(v) - m.Obs(u)))
 	inherited := math.Max(m.Ctrl(u), m.Ctrl(v)) * math.Max(m.Obs(u), m.Obs(v))
-	return balance + 0.01*inherited
+	return balance + float64(0.01*inherited)
 }
 
 // Summary renders the metrics of every node for diagnostics.

@@ -19,7 +19,7 @@ func build(t *testing.T, g *dfg.Graph) *etpn.Design {
 	life := alloc.Lifetimes(g, s)
 	regOf, n := alloc.RegisterLeftEdge(g, life)
 	a := alloc.BindModules(g, s, sched.ExactClass, regOf, n)
-	d, err := etpn.Build(g, s, a, life, etpn.Options{})
+	d, err := etpn.Build(g, s, a, life, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func build1to1(t *testing.T, g *dfg.Graph) (*etpn.Design, *Metrics) {
 	}
 	life := alloc.Lifetimes(g, s)
 	a := alloc.Default(g, sched.ExactClass, life)
-	d, err := etpn.Build(g, s, a, life, etpn.Options{})
+	d, err := etpn.Build(g, s, a, life, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestCyclicDataPathConverges(t *testing.T) {
 	if err := al.MergeModules(al.ModuleOf[0], al.ModuleOf[2]); err != nil {
 		t.Fatal(err)
 	}
-	d, err := etpn.Build(g, s, al, life, etpn.Options{})
+	d, err := etpn.Build(g, s, al, life, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/report"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the goldens of the tests that run ("+tablesGolden+", "+supplementaryGolden+", "+countersGolden+") from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite the goldens of the tests that run ("+tablesGolden+", "+supplementaryGolden+", "+countersGolden+", "+ablationsGolden+") from the current code")
 
 // tablesGolden holds, byte for byte, the output of
 //
@@ -168,4 +168,42 @@ func TestSupplementaryGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareGolden(t, supplementaryGolden, got.String(), string(raw))
+}
+
+// ablationsGolden holds, byte for byte, the output of
+//
+//	hltsbench -ablation -bench B -widths W   (B = ex, dct, diffeq; W = 4, 8)
+//
+// run in that order. It is the only pin on the frozen-schedule variant,
+// whose candidates are checked by nothing but the scheduling problem's
+// own verification.
+const ablationsGolden = "testdata/ablations.golden"
+
+// TestAblationsGolden renders the design-choice ablations in-process and
+// compares them byte for byte with the golden. After an intended change to
+// the results, rewrite the file with
+//
+//	go test -run '^TestAblationsGolden$' -update .
+func TestAblationsGolden(t *testing.T) {
+	var got strings.Builder
+	for _, bench := range []string{BenchEx, BenchDct, BenchDiffeq} {
+		for _, width := range []int{4, 8} {
+			rows, err := report.Ablations(bench, width, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "--- %d-bit ---\n%s\n", width, report.RenderAblations(bench, rows))
+		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(ablationsGolden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(ablationsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, ablationsGolden, got.String(), string(raw))
 }
