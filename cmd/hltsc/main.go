@@ -54,7 +54,7 @@ func main() {
 		addr     = flag.String("addr", ":9090", "listen address")
 		beat     = flag.Duration("heartbeat", 2*time.Second, "heartbeat period expected of workers (advertised in registration answers)")
 		suspectK = flag.Int("suspect-beats", 3, "missed beats before a node is marked suspect")
-		deadTO   = flag.Duration("dead-after", 0, "silence before a node is declared dead (default 10 heartbeats)")
+		deadTO   = flag.Duration("dead-after", 0, "silence before a node is declared dead; must exceed -suspect-beats x -heartbeat (0 = 10 heartbeats, or 4 x -suspect-beats heartbeats when that is 10 or more)")
 		rounds   = flag.Int("rounds", 4, "full passes over the live ranking before a request degrades to 503")
 		rBase    = flag.Duration("retry-base", 100*time.Millisecond, "initial backoff between dispatch passes")
 		rMax     = flag.Duration("retry-max", 2*time.Second, "backoff cap; worker Retry-After hints are honored up to it")
@@ -77,7 +77,7 @@ func main() {
 		log.Fatalf("-cpuprofile: %v", err)
 	}
 
-	c := cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.Config{
 		HeartbeatInterval: *beat,
 		SuspectBeats:      *suspectK,
 		DeadAfter:         *deadTO,
@@ -87,6 +87,10 @@ func main() {
 		MaxDeadline:       *maxDL,
 		MaxBodyBytes:      *maxBody,
 	})
+	if err != nil {
+		stopProfile()
+		log.Fatal(err)
+	}
 
 	// Log liveness transitions: the watcher channel is lossy by design, so
 	// this observes without ever wedging the registry.

@@ -86,6 +86,37 @@ func bootThenTerm(t *testing.T, bin string, boot int) {
 	}
 }
 
+// TestHltscRejectsDeadAfterInsideSuspectWindow: an explicit -dead-after
+// at or below -suspect-beats x -heartbeat would skip the Suspect state.
+// hltsc must refuse it at boot, exiting non-zero and naming both values,
+// instead of silently serving with some other timeout.
+func TestHltscRejectsDeadAfterInsideSuspectWindow(t *testing.T) {
+	bin := buildCmd(t, "hltsc")
+	cmd := exec.Command(bin, "-addr", freeAddr(t), "-heartbeat", "2s", "-suspect-beats", "3", "-dead-after", "5s")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	select {
+	case err := <-exited:
+		if err == nil {
+			t.Fatalf("hltsc exited 0 on -dead-after 5s under a 6s suspect window\n%s", stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		cmd.Process.Kill()
+		<-exited
+		t.Fatalf("hltsc accepted -dead-after 5s under a 6s suspect window and kept serving\n%s", stderr.String())
+	}
+	for _, v := range []string{"5s", "6s"} {
+		if !strings.Contains(stderr.String(), v) {
+			t.Errorf("error does not name %s:\n%s", v, stderr.String())
+		}
+	}
+}
+
 // TestHltsdSecondSignalForcesDrain: a second SIGTERM cuts hltsd's drain
 // short, as it does hltsc's. With a long drain timeout and a testdesign
 // job in flight that runs for many seconds, the daemon must exit 0 with

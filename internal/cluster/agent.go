@@ -39,9 +39,6 @@ type AgentConfig struct {
 	Interval time.Duration
 	// Stats receives the agent's beat/registration counters (nil ok).
 	Stats *stats.Stats
-	// Client performs the HTTP calls (nil = a client with a per-call
-	// timeout of Interval).
-	Client *http.Client
 }
 
 // Agent is a running registration + heartbeat loop. Construct with
@@ -67,11 +64,10 @@ func StartAgent(cfg AgentConfig) *Agent {
 	if cfg.Snapshot == nil {
 		cfg.Snapshot = func() server.Utilization { return server.Utilization{} }
 	}
-	if cfg.Client == nil {
-		// Private transport so Stop can release idle-connection goroutines.
-		cfg.Client = &http.Client{Timeout: cfg.Interval, Transport: &http.Transport{}}
-	}
-	a := &Agent{cfg: cfg, client: cfg.Client, stop: make(chan struct{}), done: make(chan struct{})}
+	// Each call is bounded by one beat period; a private transport so Stop
+	// can release idle-connection goroutines.
+	client := &http.Client{Timeout: cfg.Interval, Transport: &http.Transport{}}
+	a := &Agent{cfg: cfg, client: client, stop: make(chan struct{}), done: make(chan struct{})}
 	go a.loop()
 	return a
 }

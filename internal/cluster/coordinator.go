@@ -25,17 +25,16 @@ var ErrDraining = errors.New("cluster: coordinator draining")
 // Config tunes the coordinator.
 type Config struct {
 	// HeartbeatInterval is the beat period the coordinator expects of its
-	// workers and advertises in registration responses (default 2s).
+	// workers and advertises in registration answers (default 2s). The
+	// health tracker sweeps every half period.
 	HeartbeatInterval time.Duration
 	// SuspectBeats is K: a node is Suspect after K consecutive missed
 	// beats, i.e. K*HeartbeatInterval without one (default 3).
 	SuspectBeats int
-	// DeadAfter declares a node Dead after this long without a beat
-	// (default 10*HeartbeatInterval).
+	// DeadAfter declares a node Dead after this long without a beat. It
+	// must exceed the suspect window K*HeartbeatInterval (New refuses it
+	// otherwise); the default is 10 beats, or 4K beats when K >= 10.
 	DeadAfter time.Duration
-	// SweepInterval is the health-tracker tick (default
-	// HeartbeatInterval/2).
-	SweepInterval time.Duration
 	// Rounds is how many full passes over the live ranking a dispatch
 	// makes before degrading to 503 (default 4).
 	Rounds int
@@ -47,35 +46,33 @@ type Config struct {
 	// MaxDeadline caps every proxied request end to end, dispatch retries
 	// included; request deadline_ms may tighten it (default 2m).
 	MaxDeadline time.Duration
-	// RetryAfter is the base backoff hint on coordinator 503s, jittered
-	// like the worker's (default 1s).
-	RetryAfter time.Duration
 	// MaxBodyBytes caps every POST body, job and membership traffic alike
 	// (default 1 MiB).
 	MaxBodyBytes int64
-	// Stats receives the coordinator's counters, gauges and latency
-	// histograms; a fresh collector is created when nil.
-	Stats *stats.Stats
-	// Now is the clock (nil = time.Now), injectable for tests.
-	Now func() time.Time
-	// JitterSeed seeds backoff jitter; 0 derives one from the clock.
+	// JitterSeed seeds backoff and Retry-After jitter; 0 derives one from
+	// the clock.
 	JitterSeed int64
-	// Client performs the forwards (nil = a client with sane timeouts).
-	Client *http.Client
 }
 
-func (c *Config) fill() {
+// fill applies the defaults and rejects a DeadAfter at or below the
+// suspect window, which would skip the Suspect state.
+func (c *Config) fill() error {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 2 * time.Second
 	}
 	if c.SuspectBeats < 1 {
 		c.SuspectBeats = 3
 	}
+	suspect := c.suspectAfter()
 	if c.DeadAfter <= 0 {
-		c.DeadAfter = 10 * c.HeartbeatInterval
-	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = c.HeartbeatInterval / 2
+		beats := 10
+		if c.SuspectBeats >= 10 {
+			beats = 4 * c.SuspectBeats
+		}
+		c.DeadAfter = time.Duration(beats) * c.HeartbeatInterval
+	} else if c.DeadAfter <= suspect {
+		return fmt.Errorf("cluster: dead-after %v must exceed the suspect window %v (%d beats of %v)",
+			c.DeadAfter, suspect, c.SuspectBeats, c.HeartbeatInterval)
 	}
 	if c.Rounds < 1 {
 		c.Rounds = 4
@@ -92,26 +89,18 @@ func (c *Config) fill() {
 	if c.MaxDeadline <= 0 {
 		c.MaxDeadline = 2 * time.Minute
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.Stats == nil {
-		c.Stats = stats.New()
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 	if c.JitterSeed == 0 {
-		c.JitterSeed = c.Now().UnixNano()
+		c.JitterSeed = time.Now().UnixNano()
 	}
-	if c.Client == nil {
-		// A private transport, not http.DefaultTransport: Drain closes its
-		// idle connections without touching the rest of the process.
-		c.Client = &http.Client{Transport: &http.Transport{}}
-	}
+	return nil
+}
+
+// suspectAfter is the silence after which a node is Suspect.
+func (c *Config) suspectAfter() time.Duration {
+	return time.Duration(c.SuspectBeats) * c.HeartbeatInterval
 }
 
 // Coordinator fronts a fleet of hltsd workers. Construct with New, serve
@@ -136,15 +125,20 @@ type Coordinator struct {
 	healthDone chan struct{}
 }
 
-// New builds a coordinator and starts its health-tracking loop.
-func New(cfg Config) *Coordinator {
-	cfg.fill()
+// New builds a coordinator and starts its health-tracking loop. It fails
+// only when cfg.DeadAfter is at or below the suspect window.
+func New(cfg Config) (*Coordinator, error) {
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		cfg:        cfg,
-		st:         cfg.Stats,
-		reg:        NewRegistry(time.Duration(cfg.SuspectBeats)*cfg.HeartbeatInterval, cfg.DeadAfter, cfg.Now),
-		client:     cfg.Client,
+		cfg: cfg,
+		st:  stats.New(),
+		reg: NewRegistry(cfg.suspectAfter(), cfg.DeadAfter, time.Now),
+		// A private transport, not http.DefaultTransport: Drain closes its
+		// idle connections without touching the rest of the process.
+		client:     &http.Client{Transport: &http.Transport{}},
 		mux:        http.NewServeMux(),
 		jitter:     server.NewJitter(cfg.JitterSeed),
 		baseCtx:    ctx,
@@ -162,7 +156,7 @@ func New(cfg Config) *Coordinator {
 	c.mux.HandleFunc("GET /livez", c.handleLivez)
 	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
 	go c.healthLoop()
-	return c
+	return c, nil
 }
 
 // Handler returns the HTTP handler serving every endpoint.
@@ -178,7 +172,7 @@ func (c *Coordinator) Stats() *stats.Stats { return c.st }
 // replication lag gauge; /metrics writes the per-state node counts.
 func (c *Coordinator) healthLoop() {
 	defer close(c.healthDone)
-	t := time.NewTicker(c.cfg.SweepInterval)
+	t := time.NewTicker(c.cfg.HeartbeatInterval / 2)
 	defer t.Stop()
 	for {
 		select {
@@ -268,7 +262,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if c.isDraining() {
-		c.jitter.SetRetryAfter(w, c.cfg.RetryAfter)
+		c.jitter.SetRetryAfter(w)
 		server.WriteError(w, http.StatusServiceUnavailable, ErrDraining)
 		return
 	}
@@ -305,7 +299,7 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, r *http.Request) {
 // status classes and latency accounted like the worker daemon does.
 func (c *Coordinator) handleJob(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := c.cfg.Now()
+		start := time.Now()
 		q, status, err := server.ReadRequest(w, r, kind, c.cfg.MaxBodyBytes)
 		if err != nil {
 			c.writeError(w, kind, start, status, err)
@@ -320,7 +314,7 @@ func (c *Coordinator) handleJob(kind string) http.HandlerFunc {
 func (c *Coordinator) serve(w http.ResponseWriter, r *http.Request, start time.Time, q *server.Request) {
 	kind := q.Kind
 	if c.isDraining() {
-		c.jitter.SetRetryAfter(w, c.cfg.RetryAfter)
+		c.jitter.SetRetryAfter(w)
 		c.writeError(w, kind, start, http.StatusServiceUnavailable, ErrDraining)
 		return
 	}
@@ -348,7 +342,7 @@ func (c *Coordinator) serve(w http.ResponseWriter, r *http.Request, start time.T
 		}
 		// Typed degradation: retry budget or deadline exhausted, or no live
 		// workers. Always an answer, never a hung connection.
-		c.jitter.SetRetryAfter(w, c.cfg.RetryAfter)
+		c.jitter.SetRetryAfter(w)
 		c.writeError(w, kind, start, http.StatusServiceUnavailable, err)
 		return
 	}

@@ -235,7 +235,7 @@ func TestCoordinatorEdgeValidation(t *testing.T) {
 func TestCoordinatorDrain(t *testing.T) {
 	base := runtime.NumGoroutine()
 
-	c := New(fastConfig())
+	c := mustNew(t, fastConfig())
 	events := c.Registry().Watch()
 
 	release := make(chan struct{})

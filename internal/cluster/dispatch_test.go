@@ -19,7 +19,6 @@ func fastConfig() Config {
 		HeartbeatInterval: 25 * time.Millisecond,
 		SuspectBeats:      2,
 		DeadAfter:         250 * time.Millisecond,
-		SweepInterval:     10 * time.Millisecond,
 		Rounds:            3,
 		RetryBase:         time.Millisecond,
 		RetryMax:          10 * time.Millisecond,
@@ -28,9 +27,19 @@ func fastConfig() Config {
 	}
 }
 
+// mustNew builds a coordinator from a config New accepts.
+func mustNew(t testing.TB, cfg Config) *Coordinator {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func newTestCoordinator(t *testing.T, cfg Config) *Coordinator {
 	t.Helper()
-	c := New(cfg)
+	c := mustNew(t, cfg)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

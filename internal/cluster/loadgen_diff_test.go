@@ -104,7 +104,7 @@ func TestLoadInteractiveClusterDifferential(t *testing.T) {
 	cfg.MaxDeadline = 60 * time.Second
 	cfg.SuspectBeats = 40
 	cfg.DeadAfter = 10 * time.Second
-	c := New(cfg)
+	c := mustNew(t, cfg)
 	cts := httptest.NewServer(c.Handler())
 	defer cts.Close()
 

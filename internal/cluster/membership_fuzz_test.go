@@ -50,7 +50,7 @@ func FuzzMembership(f *testing.F) {
 		f.Add([]byte(seed[0]), []byte(seed[1]))
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		c := New(Config{JitterSeed: 1})
+		c := mustNew(t, Config{JitterSeed: 1})
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()

@@ -85,18 +85,10 @@ type Registry struct {
 }
 
 // NewRegistry builds a registry. A node is Suspect after suspectAfter
-// without a beat and Dead after deadAfter; now is the clock (nil =
-// time.Now), injectable for deterministic tests.
+// without a beat and Dead after deadAfter; now is the clock, injectable
+// for deterministic tests. The registry applies no defaults: Config.fill
+// owns them.
 func NewRegistry(suspectAfter, deadAfter time.Duration, now func() time.Time) *Registry {
-	if now == nil {
-		now = time.Now
-	}
-	if suspectAfter <= 0 {
-		suspectAfter = 5 * time.Second
-	}
-	if deadAfter <= suspectAfter {
-		deadAfter = 4 * suspectAfter
-	}
 	return &Registry{
 		suspectAfter: suspectAfter,
 		deadAfter:    deadAfter,

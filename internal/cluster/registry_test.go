@@ -193,3 +193,35 @@ func TestRegistryWatch(t *testing.T) {
 		t.Fatal("Register accepted after Close")
 	}
 }
+
+// TestDeadAfterRule: Config.fill owns the dead-node timeout. Left unset it
+// is 10 beats, or 4K beats once the suspect window K reaches 10; an
+// explicit value is kept only above the suspect window, never replaced.
+func TestDeadAfterRule(t *testing.T) {
+	const beat = 2 * time.Second
+	for _, tc := range []struct {
+		k         int
+		deadAfter time.Duration
+		want      time.Duration // 0: fill must refuse the config
+	}{
+		{3, 0, 10 * beat},
+		{9, 0, 10 * beat},
+		{10, 0, 40 * beat},
+		{12, 0, 48 * beat},
+		{3, 5 * time.Second, 0},
+		{3, 3 * beat, 0},
+		{3, 3*beat + 1, 3*beat + 1},
+		{12, 10 * time.Minute, 10 * time.Minute},
+	} {
+		cfg := Config{HeartbeatInterval: beat, SuspectBeats: tc.k, DeadAfter: tc.deadAfter}
+		err := cfg.fill()
+		switch {
+		case tc.want == 0 && err == nil:
+			t.Errorf("K=%d dead-after %v: accepted as %v, want an error", tc.k, tc.deadAfter, cfg.DeadAfter)
+		case tc.want != 0 && err != nil:
+			t.Errorf("K=%d dead-after %v: %v", tc.k, tc.deadAfter, err)
+		case tc.want != 0 && cfg.DeadAfter != tc.want:
+			t.Errorf("K=%d dead-after %v: filled to %v, want %v", tc.k, tc.deadAfter, cfg.DeadAfter, tc.want)
+		}
+	}
+}

@@ -34,6 +34,13 @@ import (
 	"repro/internal/store"
 )
 
+// Every pull exchange carries at most pullBatch records, and every
+// remote call of the replicator is bounded by fetchTimeout.
+const (
+	pullBatch    = 256
+	fetchTimeout = 5 * time.Second
+)
+
 // ReplicatorConfig wires a worker's anti-entropy loop.
 type ReplicatorConfig struct {
 	// Coordinator is the coordinator's base URL, used only for peer
@@ -49,14 +56,8 @@ type ReplicatorConfig struct {
 	// RetryMax caps the per-peer backoff after consecutive failures
 	// (default 30s).
 	RetryMax time.Duration
-	// MaxBatch bounds records per pull exchange (default 256).
-	MaxBatch int
-	// FetchTimeout bounds every remote call (default 5s).
-	FetchTimeout time.Duration
 	// Stats receives the replicate counters (nil ok).
 	Stats *stats.Stats
-	// Client performs the HTTP calls (nil = a client with FetchTimeout).
-	Client *http.Client
 	// JitterSeed seeds the backoff jitter; 0 derives one from the clock.
 	JitterSeed int64
 }
@@ -93,22 +94,13 @@ func StartReplicator(cfg ReplicatorConfig) *Replicator {
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = 30 * time.Second
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
-	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 5 * time.Second
-	}
 	if cfg.JitterSeed == 0 {
 		cfg.JitterSeed = time.Now().UnixNano()
 	}
-	if cfg.Client == nil {
-		// Private transport so Stop can release idle-connection goroutines.
-		cfg.Client = &http.Client{Timeout: cfg.FetchTimeout, Transport: &http.Transport{}}
-	}
 	r := &Replicator{
-		cfg:    cfg,
-		client: cfg.Client,
+		cfg: cfg,
+		// Private transport so Stop can release idle-connection goroutines.
+		client: &http.Client{Timeout: fetchTimeout, Transport: &http.Transport{}},
 		jitter: server.NewJitter(cfg.JitterSeed),
 		peers:  map[string]*peerSync{},
 		stop:   make(chan struct{}),
@@ -326,7 +318,7 @@ func (r *Replicator) apply(fp core.Fingerprint, val []byte) error {
 func (r *Replicator) getPull(p NodeRef, c store.Cursor) (server.PullResponse, bool, error) {
 	var pr server.PullResponse
 	u := fmt.Sprintf("%s/store/v1/pull?gen=%d&seg=%d&off=%d&max=%d",
-		p.Addr, c.Gen, c.Seg, c.Off, r.cfg.MaxBatch)
+		p.Addr, c.Gen, c.Seg, c.Off, pullBatch)
 	resp, err := r.client.Get(u)
 	if err != nil {
 		return pr, false, err

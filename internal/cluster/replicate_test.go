@@ -52,14 +52,13 @@ func newStoreWorker(t *testing.T, coordURL, id string, replInterval time.Duratio
 	w := &storeWorker{id: id, st: stats.New(), stor: stor}
 	if replInterval > 0 {
 		w.repl = StartReplicator(ReplicatorConfig{
-			Coordinator:  coordURL,
-			SelfID:       id,
-			Store:        stor,
-			Interval:     replInterval,
-			RetryMax:     20 * replInterval,
-			FetchTimeout: 2 * time.Second,
-			Stats:        w.st,
-			JitterSeed:   seed,
+			Coordinator: coordURL,
+			SelfID:      id,
+			Store:       stor,
+			Interval:    replInterval,
+			RetryMax:    20 * replInterval,
+			Stats:       w.st,
+			JitterSeed:  seed,
 		})
 	}
 	w.srv = server.New(server.Config{
@@ -187,7 +186,7 @@ func TestAntiEntropyConverges(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 	cfg := fastConfig()
-	c := New(cfg)
+	c := mustNew(t, cfg)
 	cts := httptest.NewServer(c.Handler())
 
 	a := newStoreWorker(t, cts.URL, "wA", 0, 1) // A: source only, no replicator
@@ -279,7 +278,7 @@ func TestAntiEntropyConverges(t *testing.T) {
 // server.replicate.error is counted, however often it asks.
 func TestReplicatorSkipsStorelessPeer(t *testing.T) {
 	base := runtime.NumGoroutine()
-	c := New(fastConfig())
+	c := mustNew(t, fastConfig())
 	cts := httptest.NewServer(c.Handler())
 
 	var pulls atomic.Int64
@@ -345,7 +344,7 @@ func TestAntiEntropyServesReturningAndJoiningShards(t *testing.T) {
 		t.Skip("replication integration test is too slow for -short")
 	}
 	base := runtime.NumGoroutine()
-	c := New(fastConfig())
+	c := mustNew(t, fastConfig())
 	cts := httptest.NewServer(c.Handler())
 
 	// The fingerprint the coordinator will compute for this body, derived
@@ -643,7 +642,7 @@ func runReplicationSweep(t *testing.T, seed int64) {
 	cfg.RetryMax = 20 * time.Millisecond
 	cfg.MaxDeadline = 60 * time.Second
 	cfg.JitterSeed = seed
-	c := New(cfg)
+	c := mustNew(t, cfg)
 	cts := httptest.NewServer(c.Handler())
 
 	a := newStoreWorker(t, cts.URL, "wA", 10*time.Millisecond, seed)

@@ -109,7 +109,7 @@ func runKillSweep(t *testing.T, seed int64, workload []sweepReq) {
 	cfg.RetryMax = 20 * time.Millisecond
 	cfg.MaxDeadline = 60 * time.Second
 	cfg.JitterSeed = seed
-	c := New(cfg)
+	c := mustNew(t, cfg)
 	cts := httptest.NewServer(c.Handler())
 
 	// Two real workers, each killable: the FIRST fire of the kill site

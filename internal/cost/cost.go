@@ -215,32 +215,7 @@ func EstimateDesign(d *etpn.Design, lib *Library, width int) Estimate {
 	}
 	// Multiplexers: one per destination (node, port) with multiple sources,
 	// summed by node id, then port.
-	var srcs [][2]int // (port, source) of the arcs into one node
-	for _, nd := range d.Nodes {
-		if nd.Kind != etpn.KindModule && nd.Kind != etpn.KindRegister {
-			continue
-		}
-		srcs = srcs[:0]
-		for _, a := range d.ArcsInto(nd.ID) {
-			srcs = append(srcs, [2]int{a.ToPort, a.From})
-		}
-		slices.SortFunc(srcs, func(a, b [2]int) int {
-			if a[0] != b[0] {
-				return a[0] - b[0]
-			}
-			return a[1] - b[1]
-		})
-		for i := 0; i < len(srcs); {
-			j, distinct := i+1, 1
-			for ; j < len(srcs) && srcs[j][0] == srcs[i][0]; j++ {
-				if srcs[j][1] != srcs[j-1][1] {
-					distinct++
-				}
-			}
-			e.MuxArea += lib.MuxArea(width, distinct)
-			i = j
-		}
-	}
+	d.MuxInputs(func(sources int) { e.MuxArea += lib.MuxArea(width, sources) })
 	// Wires.
 	nComp := 0
 	compArea := e.ModuleArea + e.RegArea + e.MuxArea

@@ -119,6 +119,22 @@ func TestArcIndexMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMuxStatsMatchesReference compares the sorted per-node mux count
+// with the map-based one on every sweep design.
+func TestMuxStatsMatchesReference(t *testing.T) {
+	muxes := 0
+	for _, sd := range sweepDesigns(t) {
+		got, want := sd.d.MuxStats(), etpn.RefMuxStats(sd.d)
+		if got != want {
+			t.Fatalf("%s: MuxStats %+v, reference %+v", sd.label, got, want)
+		}
+		muxes += got.Muxes
+	}
+	if muxes == 0 {
+		t.Fatal("no sweep design needs a multiplexer; the comparison is vacuous")
+	}
+}
+
 // TestExecutionTimeMatchesReference compares the closed-form execution
 // time with the critical path of the timed Petri net it replaced: over
 // schedule lengths 1..64, chain and loop, and loop bounds -1..8; and for

@@ -392,31 +392,49 @@ type MuxStats struct {
 	Inputs int // total multiplexer inputs
 }
 
-// MuxStats counts, for every module operand port and register input, the
-// distinct data sources; each destination fed by more than one source
-// needs a multiplexer with that many inputs.
+// MuxStats counts the multiplexers MuxInputs implies and their inputs.
 func (d *Design) MuxStats() MuxStats {
-	type dest struct{ node, port int }
-	srcs := map[dest]map[int]bool{}
-	for _, a := range d.Arcs {
-		to := d.Nodes[a.To]
-		if to.Kind != KindModule && to.Kind != KindRegister {
+	var ms MuxStats
+	d.MuxInputs(func(sources int) {
+		if sources > 1 {
+			ms.Muxes++
+			ms.Inputs += sources
+		}
+	})
+	return ms
+}
+
+// MuxInputs calls visit with the number of distinct data sources of every
+// module operand port and register input, in node then port order. A
+// destination fed by more than one source needs a multiplexer with that
+// many inputs.
+func (d *Design) MuxInputs(visit func(sources int)) {
+	var srcs [][2]int // (port, source) of the arcs into one node
+	for _, nd := range d.Nodes {
+		if nd.Kind != KindModule && nd.Kind != KindRegister {
 			continue
 		}
-		k := dest{a.To, a.ToPort}
-		if srcs[k] == nil {
-			srcs[k] = map[int]bool{}
+		srcs = srcs[:0]
+		for _, a := range d.ArcsInto(nd.ID) {
+			srcs = append(srcs, [2]int{a.ToPort, a.From})
 		}
-		srcs[k][a.From] = true
-	}
-	var ms MuxStats
-	for _, set := range srcs {
-		if len(set) > 1 {
-			ms.Muxes++
-			ms.Inputs += len(set)
+		slices.SortFunc(srcs, func(a, b [2]int) int {
+			if a[0] != b[0] {
+				return a[0] - b[0]
+			}
+			return a[1] - b[1]
+		})
+		for i := 0; i < len(srcs); {
+			j, distinct := i+1, 1
+			for ; j < len(srcs) && srcs[j][0] == srcs[i][0]; j++ {
+				if srcs[j][1] != srcs[j-1][1] {
+					distinct++
+				}
+			}
+			visit(distinct)
+			i = j
 		}
 	}
-	return ms
 }
 
 // ExecutionTime returns the critical-path length of the control part in

@@ -2,7 +2,8 @@ package etpn
 
 // This file keeps the arc scans that the per-node arc index replaced,
 // verbatim apart from names, as the reference arcs_diff_test.go compares
-// against, and the map-based Validate with its differential test.
+// against, the map-based Validate with its differential test, and the
+// map-based mux count that MuxInputs replaced.
 
 import (
 	"fmt"
@@ -17,7 +18,35 @@ import (
 var (
 	RefArcsInto = (*Design).refArcsInto
 	RefArcsFrom = (*Design).refArcsFrom
+	RefMuxStats = (*Design).refMuxStats
 )
+
+// refMuxStats counts, for every module operand port and register input,
+// the distinct data sources; each destination fed by more than one source
+// needs a multiplexer with that many inputs.
+func (d *Design) refMuxStats() MuxStats {
+	type dest struct{ node, port int }
+	srcs := map[dest]map[int]bool{}
+	for _, a := range d.Arcs {
+		to := d.Nodes[a.To]
+		if to.Kind != KindModule && to.Kind != KindRegister {
+			continue
+		}
+		k := dest{a.To, a.ToPort}
+		if srcs[k] == nil {
+			srcs[k] = map[int]bool{}
+		}
+		srcs[k][a.From] = true
+	}
+	var ms MuxStats
+	for _, set := range srcs {
+		if len(set) > 1 {
+			ms.Muxes++
+			ms.Inputs += len(set)
+		}
+	}
+	return ms
+}
 
 // refArcsInto returns the arcs terminating at node id, ascending by arc id.
 func (d *Design) refArcsInto(id int) []*Arc {

@@ -239,3 +239,29 @@ func TestTableJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestCapFaults: a cap below a width's fault sample lowers it to the cap;
+// 0 or a cap at or above the sample keeps the paper's 1500 faults at 4
+// and 8 bits and 1000 at 16 bits. The seed and restarts do not move.
+func TestCapFaults(t *testing.T) {
+	sample := map[int]int{4: 1500, 8: 1500, 16: 1000}
+	for _, c := range []int{0, -1, 300, 1000, 1200, 1500, 5000} {
+		base := DefaultConfig(1998)
+		cfg := DefaultConfig(1998)
+		cfg.CapFaults(c)
+		for w, s := range sample {
+			want := base.ATPGFor(w)
+			if want.SampleFaults != s {
+				t.Fatalf("width %d: default sample %d, want %d", w, want.SampleFaults, s)
+			}
+			if c > 0 && c < s {
+				want.SampleFaults = c
+			}
+			got := cfg.ATPGFor(w)
+			if got.SampleFaults != want.SampleFaults || got.Seed != want.Seed || got.Restarts != want.Restarts {
+				t.Errorf("cap %d, width %d: sample %d seed %d restarts %d, want %d %d %d", c, w,
+					got.SampleFaults, got.Seed, got.Restarts, want.SampleFaults, want.Seed, want.Restarts)
+			}
+		}
+	}
+}

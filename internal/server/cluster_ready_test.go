@@ -4,56 +4,43 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestRetryAfterJitterRange: the emitted hint is seeded-deterministic,
-// always within [RetryAfter, 1.5*RetryAfter] whole seconds, and actually
-// spreads — a burst of rejected clients must not come back in lockstep.
+// always a whole number of seconds in [ceil(RetryAfter),
+// ceil(1.5*RetryAfter)] = [1, 2], and actually spreads over both values —
+// a burst of rejected clients must not come back in lockstep.
 func TestRetryAfterJitterRange(t *testing.T) {
-	goroutines := runtime.NumGoroutine()
-	hint := 4 * time.Second
-	s := New(Config{RetryAfter: hint, RetryJitterSeed: 7})
-	s2 := New(Config{RetryAfter: hint, RetryJitterSeed: 7})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := s.Drain(ctx); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-		drainAndSettle(t, s2, goroutines)
-	}()
-
-	draw := func(s *Server) int {
+	a, b := NewJitter(7), NewJitter(7)
+	draw := func(j *Jitter) int {
 		rec := httptest.NewRecorder()
-		s.jitter.SetRetryAfter(rec, s.cfg.RetryAfter)
+		j.SetRetryAfter(rec)
 		secs, err := strconv.Atoi(rec.Header().Get("Retry-After"))
 		if err != nil {
 			t.Fatalf("Retry-After %q: %v", rec.Header().Get("Retry-After"), err)
 		}
 		return secs
 	}
-	distinct := map[int]bool{}
+	seen := map[int]int{}
 	for i := 0; i < 64; i++ {
-		secs := draw(s)
-		if secs < 4 || secs > 6 {
-			t.Fatalf("draw %d: Retry-After %ds outside [4s, 6s]", i, secs)
+		secs := draw(a)
+		if secs < 1 || secs > 2 {
+			t.Fatalf("draw %d: Retry-After %ds outside [1s, 2s]", i, secs)
 		}
-		distinct[secs] = true
+		seen[secs]++
 		// Same seed, same draw index: the hint sequence is reproducible.
-		if other := draw(s2); other != secs {
+		if other := draw(b); other != secs {
 			t.Fatalf("draw %d: seeded jitter diverged (%d vs %d)", i, secs, other)
 		}
 	}
-	if len(distinct) < 2 {
-		t.Errorf("64 draws produced %d distinct hints; jitter is not spreading", len(distinct))
+	if seen[1] == 0 || seen[2] == 0 {
+		t.Errorf("64 draws gave %v; the hint must take both 1 and 2", seen)
 	}
 }
 
@@ -61,7 +48,7 @@ func TestRetryAfterJitterRange(t *testing.T) {
 // client actually receives while the server drains.
 func TestRetryAfterJitterOnWire(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
-	s := New(Config{RetryAfter: 4 * time.Second, RetryJitterSeed: 3})
+	s := New(Config{RetryJitterSeed: 3})
 	drainAndSettle(t, s, goroutines) // draining: every request now bounces 503
 
 	rec := httptest.NewRecorder()
@@ -69,9 +56,8 @@ func TestRetryAfterJitterOnWire(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining status %d, want 503", rec.Code)
 	}
-	ra := rec.Header().Get("Retry-After")
-	if ra != "4" && ra != "5" && ra != "6" {
-		t.Errorf("Retry-After %q outside the jitter window [4, 6]", ra)
+	if ra := rec.Header().Get("Retry-After"); ra != "1" && ra != "2" {
+		t.Errorf("Retry-After %q outside the jitter window [1, 2]", ra)
 	}
 }
 

@@ -63,11 +63,6 @@ type Config struct {
 	// CacheSize is the LRU result-cache capacity in entries (default 128;
 	// negative disables caching).
 	CacheSize int
-	// RetryAfter is the base backoff hint returned with 429/503 responses
-	// (default 1s). The emitted value is jittered into [RetryAfter,
-	// 1.5*RetryAfter] so a burst of rejected clients does not come back as
-	// a synchronized stampede.
-	RetryAfter time.Duration
 	// RetryJitterSeed seeds the Retry-After jitter; 0 derives one from the
 	// clock (tests pin it for determinism).
 	RetryJitterSeed int64
@@ -112,9 +107,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 128
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.RetryJitterSeed == 0 {
 		cfg.RetryJitterSeed = time.Now().UnixNano()
@@ -234,14 +226,21 @@ func (j *Jitter) Draw(d time.Duration) time.Duration {
 	return time.Duration(j.rng.Int63n(int64(d) + 1))
 }
 
-// SetRetryAfter attaches the backoff hint every 429 and 503 carries:
-// base plus a draw in [0, base/2], rounded up to whole seconds (at least
-// 1). A fixed hint would tell every rejected client to come back at the
-// same instant, turning one overload spike into a synchronized retry
-// stampede.
-func (j *Jitter) SetRetryAfter(w http.ResponseWriter, base time.Duration) {
-	secs := int((base + j.Draw(base/2) + time.Second - 1) / time.Second)
-	w.Header().Set("Retry-After", strconv.Itoa(max(secs, 1)))
+// RetryAfter is the base backoff hint every 429 and 503 of hltsd and
+// hltsc carries.
+const RetryAfter = time.Second
+
+// SetRetryAfter attaches the backoff hint every 429 and 503 carries: a
+// whole number of seconds drawn uniformly from [ceil(RetryAfter),
+// ceil(1.5*RetryAfter)], i.e. 1 or 2. A fixed hint would tell every
+// rejected client to come back at the same instant, turning one overload
+// spike into a synchronized retry stampede.
+func (j *Jitter) SetRetryAfter(w http.ResponseWriter) {
+	lo := (RetryAfter + time.Second - 1) / time.Second
+	hi := (RetryAfter*3/2 + time.Second - 1) / time.Second
+	// A draw over hi-lo nanoseconds is a uniform whole number in [0, hi-lo].
+	secs := lo + j.Draw(hi-lo)
+	w.Header().Set("Retry-After", strconv.Itoa(int(secs)))
 }
 
 // handleJob serves one /v1 job endpoint: the shared edge reads, checks
@@ -276,7 +275,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, start time.Tim
 		if errors.Is(err, ErrQueueFull) {
 			status = http.StatusTooManyRequests
 		}
-		s.jitter.SetRetryAfter(w, s.cfg.RetryAfter)
+		s.jitter.SetRetryAfter(w)
 		s.writeError(w, kind, start, status, err)
 		return
 	}

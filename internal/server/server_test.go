@@ -110,14 +110,7 @@ func directTable(t testing.TB, bench, widths, seed, faults string) []byte {
 	}
 	cfg := hlts.DefaultExperimentConfig(n.Seed)
 	cfg.Widths = n.Widths
-	baseATPG := cfg.ATPGFor
-	cfg.ATPGFor = func(width int) hlts.ATPGConfig {
-		c := baseATPG(width)
-		if n.Faults > 0 && n.Faults < c.SampleFaults {
-			c.SampleFaults = n.Faults
-		}
-		return c
-	}
+	cfg.CapFaults(n.Faults)
 	tbl, err := hlts.ReproduceTableCtx(context.Background(), n.Bench, cfg)
 	if err != nil {
 		t.Fatal(err)

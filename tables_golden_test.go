@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/atpg"
 	"repro/internal/dfggen"
 	"repro/internal/report"
 )
@@ -42,12 +41,7 @@ func TestTablesGolden(t *testing.T) {
 	if testing.Short() {
 		cfg.Widths = []int{4}
 	}
-	baseATPG := cfg.ATPGFor
-	cfg.ATPGFor = func(width int) atpg.Config {
-		c := baseATPG(width)
-		c.SampleFaults = min(c.SampleFaults, 300)
-		return c
-	}
+	cfg.CapFaults(300)
 	ctx := context.Background()
 
 	var got strings.Builder
@@ -143,12 +137,7 @@ func TestSupplementaryGolden(t *testing.T) {
 	}
 	cfg := report.DefaultConfig(1998)
 	cfg.Widths = []int{4, 8}
-	baseATPG := cfg.ATPGFor
-	cfg.ATPGFor = func(width int) atpg.Config {
-		c := baseATPG(width)
-		c.SampleFaults = min(c.SampleFaults, 1200)
-		return c
-	}
+	cfg.CapFaults(1200)
 	var got strings.Builder
 	for _, bench := range []string{BenchTseng, BenchPaulin, BenchEWF} {
 		tbl, err := report.RunTableCtx(context.Background(), bench, cfg)
