@@ -77,7 +77,7 @@ func separateAllocate(g *dfg.Graph, par Params, method string, s sched.Schedule)
 	prob := sched.NewProblem(g)
 	prob.MaxLen = s.Len
 	copy(prob.ModuleOf, a.ModuleOf)
-	st := &state{g: g, prob: prob, s: s, a: a, par: par}
+	st := &state{g: g, prob: prob, s: s, a: a, par: par, sc: newScratch(par)}
 	if err := st.build(); err != nil {
 		return nil, err
 	}

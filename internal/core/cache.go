@@ -183,10 +183,11 @@ func (h *Hasher) Params(p Params) {
 }
 
 // buildEntry is a memoized state evaluation: the two cost figures of the
-// state's design.
+// state's data path and the multiplexing it requires.
 type buildEntry struct {
 	exec int
 	area cost.Estimate
+	mux  cost.MuxStats
 }
 
 // analysis is a memoized testability evaluation of a state's design: the

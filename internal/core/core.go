@@ -151,7 +151,7 @@ type Result struct {
 	// Area is the floorplan-based hardware cost estimate.
 	Area cost.Estimate
 	// Mux summarizes required multiplexing.
-	Mux etpn.MuxStats
+	Mux cost.MuxStats
 	// Metrics is the final testability analysis.
 	Metrics *testability.Metrics
 	// Trace logs one line per committed merger.
@@ -176,6 +176,7 @@ type state struct {
 	par   Params
 	execT int
 	area  cost.Estimate
+	mux   cost.MuxStats
 	// cache memoizes expensive evaluations across the whole SynthesizeCtx
 	// call (nil disables it); fp is the canonical fingerprint of the
 	// current (schedule, allocation) pair, valid after build.
@@ -184,48 +185,68 @@ type state struct {
 	// base is prob frozen for the overlay solves of the candidate merge
 	// orders, compiled on first use by frozen(); nil in a clone.
 	base *sched.Base
+	// sc is the working memory of the run that owns the state, shared
+	// with every state cloned from it.
+	sc *scratch
 }
 
-// build refreshes lifetimes, execution time and area from the current
-// schedule and allocation, and drops any design derived before. With
-// caching enabled, a state whose (schedule, allocation) fingerprint was
-// evaluated before — by any tie policy — reuses the memoized costs; only
-// successful builds are cached, so a hit soundly skips allocation
-// verification too. A miss verifies the allocation and derives the ETPN
-// design to cost it. A hit derives nothing: design() builds the design
-// only if something reads it, and most hits are candidates that are
-// costed and thrown away. The cache keeps no design either: designs would
-// hold most of a long run's memory.
+// scratch is the reusable working memory of one synthesizeOnce call (or
+// one baseline run): the cost estimator, a node numbering, the two
+// candidate rankings, and the per-register module lists of the register
+// ranking. It belongs to one goroutine and lives no longer than the call.
+type scratch struct {
+	est              *cost.Estimator
+	nodes            etpn.Numbering
+	mods, regs       ranking
+	readers, writers [][]int
+}
+
+func newScratch(par Params) *scratch {
+	return &scratch{est: cost.NewEstimator(par.lib(), par.Width)}
+}
+
+// build refreshes lifetimes, execution time, area and multiplexing from
+// the current schedule and allocation, and drops any design derived
+// before. With caching enabled, a state whose (schedule, allocation)
+// fingerprint was evaluated before — by any tie policy — reuses the
+// memoized costs; only successful builds are cached, so a hit soundly
+// skips allocation verification too. A miss verifies the allocation and
+// costs it from the bindings (cost.Estimator), running etpn.Build's checks
+// but deriving no design. Neither path derives one: design() builds the
+// design only if something reads it, and most states are candidates that
+// are costed and thrown away. The cache keeps no design either: designs
+// would hold most of a long run's memory.
 func (st *state) build() error {
 	st.life = alloc.Lifetimes(st.g, st.s)
 	st.d = nil
 	if st.cache.enabled() {
 		st.fp = stateFingerprint(st)
 		if e, hit := st.cache.lookupBuild(st.fp); hit {
-			st.execT, st.area = e.exec, e.area
+			st.execT, st.area, st.mux = e.exec, e.area, e.mux
 			return nil
 		}
 	}
 	if err := st.a.Verify(st.g, st.s, st.par.class(), st.life); err != nil {
 		return err
 	}
-	d, err := st.design()
+	stop := st.par.Stats.Time("time.floorplan")
+	area, mux, err := st.sc.est.Estimate(st.g, st.s, st.a, st.life, st.par.LoopSignal)
+	stop()
 	if err != nil {
 		return err
 	}
-	st.execT = d.ExecutionTime(LoopBound)
-	stop := st.par.Stats.Time("time.floorplan")
-	st.area = cost.EstimateDesign(d, st.par.lib(), st.par.Width)
-	stop()
-	st.cache.storeBuild(st.fp, buildEntry{exec: st.execT, area: st.area})
+	st.execT = etpn.ExecutionTime(st.s, st.par.LoopSignal, LoopBound)
+	st.area, st.mux = area, mux
+	st.cache.storeBuild(st.fp, buildEntry{exec: st.execT, area: st.area, mux: st.mux})
 	return nil
 }
 
 // design returns the ETPN design of the current schedule and allocation,
 // deriving it on first read; core.designs counts the derivations. It
-// cannot fail after a build hit — a state with the same fingerprint was
-// built successfully before, and etpn.Build is a pure function of what
-// the fingerprint encodes — but an error is returned, never assumed away.
+// cannot fail after a successful build — build ran the checks etpn.Build
+// runs, on this state or on one with the same fingerprint, and Build is a
+// pure function of what the fingerprint encodes — but an error is
+// returned, never assumed away.
 func (st *state) design() (*etpn.Design, error) {
 	if st.d != nil {
 		return st.d, nil
@@ -321,7 +342,7 @@ func initialState(g *dfg.Graph, par Params, cache *evalCache) (*state, error) {
 	a := alloc.Default(g, par.class(), life)
 	// Bind the problem's module constraints to the allocation.
 	copy(prob.ModuleOf, a.ModuleOf)
-	st := &state{g: g, prob: prob, s: s, a: a, par: par, cache: cache}
+	st := &state{g: g, prob: prob, s: s, a: a, par: par, cache: cache, sc: newScratch(par)}
 	if err := st.build(); err != nil {
 		return nil, err
 	}
@@ -335,17 +356,101 @@ type candidate struct {
 	score    float64
 }
 
-// rankCandidates lists mergeable module pairs and register pairs, each
-// ranked by the configured selection policy, best first.
-func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, regs []candidate, err error) {
-	var d *etpn.Design
-	if st.par.Selection != SelectConnectivity {
-		if d, err = st.design(); err != nil {
-			return nil, nil, err
-		}
+// before is the ranking order: best score first, then pair (i, j)
+// ascending, the order candidates are generated in.
+func before(x, y candidate) bool {
+	switch {
+	case x.score > y.score:
+		return true
+	case y.score > x.score:
+		return false
+	case x.i != y.i:
+		return x.i < y.i
 	}
-	nm, nr := len(st.a.Modules), len(st.a.Regs)
-	mods = make([]candidate, 0, nm*(nm-1)/2)
+	return x.j < y.j
+}
+
+// ranking draws candidates of one kind best first, in the order before
+// defines, from a binary heap. The merger loop reads them in blocks of k
+// from the top and usually commits within the first block, so ordering
+// the whole list would be wasted. The buffers are reused across
+// iterations.
+type ranking struct {
+	heap, block []candidate
+}
+
+// rankHook is a test hook: when set, rankCandidates passes it every list
+// it ranks, in generation order, before ordering it.
+var rankHook func([]candidate)
+
+// order arranges the candidates in r.heap as a heap.
+func (r *ranking) order() {
+	for i := len(r.heap)/2 - 1; i >= 0; i-- {
+		r.down(i)
+	}
+}
+
+// next removes the best k candidates left and returns them best first;
+// the block is valid until the next call.
+func (r *ranking) next(k int) []candidate {
+	r.block = r.block[:0]
+	for len(r.block) < k && len(r.heap) > 0 {
+		h := r.heap
+		r.block = append(r.block, h[0])
+		last := len(h) - 1
+		h[0] = h[last]
+		r.heap = h[:last]
+		r.down(0)
+	}
+	return r.block
+}
+
+// down restores the heap below index i.
+func (r *ranking) down(i int) {
+	h := r.heap
+	for {
+		top := 2*i + 1
+		if top >= len(h) {
+			return
+		}
+		if right := top + 1; right < len(h) && before(h[right], h[top]) {
+			top = right
+		}
+		if !before(h[top], h[i]) {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
+}
+
+// rankCandidates lists the mergeable module pairs (modules) or register
+// pairs (!modules), scored by the configured selection policy, as a
+// ranking to draw from best first. The merger loop ranks the register
+// pairs only once every module pair has failed. The balance scores read
+// m by node id, which st's numbering gives without a design.
+func (st *state) rankCandidates(modules bool, m *testability.Metrics, tp tiePolicy) *ranking {
+	r := &st.sc.regs
+	if modules {
+		r = &st.sc.mods
+	}
+	r.heap = r.heap[:0]
+	switch {
+	case modules:
+		st.scoreModules(r, m, tp)
+	case !st.par.camad:
+		st.scoreRegs(r, m)
+	}
+	if rankHook != nil {
+		rankHook(r.heap)
+	}
+	r.order()
+	return r
+}
+
+// scoreModules adds every pair of same-class modules to r.
+func (st *state) scoreModules(r *ranking, m *testability.Metrics, tp tiePolicy) {
+	nodes := st.numbering()
 	for i := 0; i < len(st.a.Modules); i++ {
 		for j := i + 1; j < len(st.a.Modules); j++ {
 			if st.a.Modules[i].Class != st.a.Modules[j].Class {
@@ -355,7 +460,7 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 			if st.par.Selection == SelectConnectivity {
 				sc = float64(alloc.Connectivity(st.g, st.a, i, j))
 			} else {
-				u, v := d.ModNode(i), d.ModNode(j)
+				u, v := nodes.ModNode(i), nodes.ModNode(j)
 				// Module merging favours data-dependent operation groups:
 				// dependent operations are already serialized, so sharing a
 				// module between them imposes no new scheduling constraint
@@ -368,21 +473,25 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 					sc += float64(0.3 * float64(st.modDependencePairs(i, j)))
 				}
 			}
-			mods = append(mods, candidate{isModule: true, i: i, j: j, score: sc})
+			r.heap = append(r.heap, candidate{isModule: true, i: i, j: j, score: sc})
 		}
 	}
-	regs = make([]candidate, 0, nr*(nr-1)/2)
+}
+
+// scoreRegs adds every pair of registers to r.
+func (st *state) scoreRegs(r *ranking, m *testability.Metrics) {
+	nodes := st.numbering()
 	var readers, writers [][]int
-	if !st.par.camad && st.par.Selection != SelectConnectivity {
+	if st.par.Selection != SelectConnectivity {
 		readers, writers = st.regModules()
 	}
-	for i := 0; i < len(st.a.Regs) && !st.par.camad; i++ {
+	for i := 0; i < len(st.a.Regs); i++ {
 		for j := i + 1; j < len(st.a.Regs); j++ {
 			var sc float64
 			if st.par.Selection == SelectConnectivity {
 				sc = float64(alloc.RegConnectivity(st.g, st.a, i, j))
 			} else {
-				u, v := d.RegNode(i), d.RegNode(j)
+				u, v := nodes.RegNode(i), nodes.RegNode(j)
 				// Balance principle tempered by the loop-avoidance goal of
 				// §3: merging a register pair connected through one module
 				// creates a self-loop, the structure testable allocation
@@ -398,25 +507,16 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 					sc += 2
 				}
 			}
-			regs = append(regs, candidate{isModule: false, i: i, j: j, score: sc})
+			r.heap = append(r.heap, candidate{isModule: false, i: i, j: j, score: sc})
 		}
 	}
-	// Best score first; equal scores keep the order generated above, pair
-	// (i, j) ascending, as a stable sort would.
-	byScore := func(x, y candidate) int {
-		switch {
-		case x.score > y.score:
-			return -1
-		case y.score > x.score:
-			return +1
-		case x.i != y.i:
-			return x.i - y.i
-		}
-		return x.j - y.j
-	}
-	slices.SortFunc(mods, byScore)
-	slices.SortFunc(regs, byScore)
-	return mods, regs, nil
+}
+
+// numbering returns the node numbering of st's data path, refilled in the
+// scratch; it is valid until the next call on any state of the run.
+func (st *state) numbering() *etpn.Numbering {
+	st.sc.nodes.Number(st.g, st.a)
+	return &st.sc.nodes
 }
 
 // regsDisjointNow reports whether every cross pair of values of registers
@@ -438,11 +538,17 @@ func (st *state) regsDisjointNow(i, j int) bool {
 // and the modules producing one, each ascending without repeats. Merging
 // registers i and j creates one self-loop per module in readers[i] ∩
 // writers[j] and per module in readers[j] ∩ writers[i]: that module would
-// then read and write the same register.
+// then read and write the same register. The lists live in st's scratch
+// and are valid until the next call.
 func (st *state) regModules() (readers, writers [][]int) {
-	readers = make([][]int, len(st.a.Regs))
-	writers = make([][]int, len(st.a.Regs))
+	nr := len(st.a.Regs)
+	for len(st.sc.readers) < nr {
+		st.sc.readers = append(st.sc.readers, nil)
+		st.sc.writers = append(st.sc.writers, nil)
+	}
+	readers, writers = st.sc.readers[:nr], st.sc.writers[:nr]
 	for r, reg := range st.a.Regs {
+		readers[r], writers[r] = readers[r][:0], writers[r][:0]
 		for _, v := range reg.Vals {
 			val := st.g.Value(v)
 			for _, u := range val.Uses {
@@ -480,16 +586,20 @@ func common(a, b []int) int {
 // modDependencePairs counts the direct data dependences between the
 // operations of modules i and j: each such pair is already serialized by
 // the data flow, so merging costs nothing in scheduling freedom.
+// Each successor and predecessor counts once however many operands link
+// the pair, as in dfg.Graph's Succs and Preds.
 func (st *state) modDependencePairs(i, j int) int {
 	pairs := 0
 	for _, op := range st.a.Modules[i].Ops {
-		for _, s := range st.g.Succs(op) {
-			if st.a.ModuleOf[s] == j {
+		n := st.g.Node(op)
+		uses := st.g.Value(n.Out).Uses
+		for x, s := range uses {
+			if st.a.ModuleOf[s] == j && !slices.Contains(uses[:x], s) {
 				pairs++
 			}
 		}
-		for _, p := range st.g.Preds(op) {
-			if st.a.ModuleOf[p] == j {
+		for x, v := range n.In {
+			if p := st.g.Value(v).Def; p != dfg.NoNode && st.a.ModuleOf[p] == j && !slices.Contains(n.In[:x], v) {
 				pairs++
 			}
 		}
@@ -625,13 +735,6 @@ func synthesizeOnce(ctx context.Context, g *dfg.Graph, par Params, tp tiePolicy,
 			return nil, err
 		}
 		m := an.m
-		modCands, regCands, err := st.rankCandidates(m, tp)
-		if err != nil {
-			return nil, err
-		}
-		if len(modCands)+len(regCands) == 0 {
-			break
-		}
 		// Examine candidates in blocks of k down the testability ranking
 		// (paper line 6: "select k pairs of mergable nodes"); within the
 		// first block containing a feasible merger, commit the
@@ -641,12 +744,16 @@ func synthesizeOnce(ctx context.Context, g *dfg.Graph, par Params, tp tiePolicy,
 		// lets early register serialization arcs lock out the large module
 		// savings the tables report.
 		var best *state
-		var bestLine string
-		committed := false
-		for _, list := range [][]candidate{modCands, regCands} {
-			for lo := 0; lo < len(list) && !committed; lo += k {
-				block := slice(list, lo, k)
-				bestDC, bestScore := 0.0, 0.0
+		var bestC candidate
+		var bestE int
+		var bestH, bestDC float64
+		for _, modules := range [...]bool{true, false} {
+			list := st.rankCandidates(modules, m, tp)
+			for best == nil {
+				block := list.next(k)
+				if len(block) == 0 {
+					break
+				}
 				for _, c := range block {
 					par.Stats.Add("core.evaluations", 1)
 					ns, dE, dH, err := st.applyCandidate(c, m)
@@ -661,36 +768,31 @@ func synthesizeOnce(ctx context.Context, g *dfg.Graph, par Params, tp tiePolicy,
 						switch {
 						case dC < bestDC-tol:
 							take = true
-						case dC <= bestDC+tol && (tp == tieHighScore || tp == tieNoDepBonus) && c.score > bestScore:
+						case dC <= bestDC+tol && (tp == tieHighScore || tp == tieNoDepBonus) && c.score > bestC.score:
 							take = true
-						case dC <= bestDC+tol && tp == tieLowScore && c.score < bestScore:
+						case dC <= bestDC+tol && tp == tieLowScore && c.score < bestC.score:
 							take = true
 						}
 					}
 					if take {
-						best = ns
-						bestDC, bestScore = dC, c.score
-						kind := "reg"
-						if c.isModule {
-							kind = "mod"
-						}
-						bestLine = fmt.Sprintf("iter %d: merge %s %d+%d score %.4f dE %d dH %.1f dC %.1f",
-							iter, kind, c.i, c.j, c.score, dE, dH, dC)
+						best, bestC, bestE, bestH, bestDC = ns, c, dE, dH, dC
 					}
 				}
-				if best != nil {
-					committed = true
-				}
 			}
-			if committed {
+			if best != nil {
 				break
 			}
 		}
-		if !committed {
+		if best == nil {
 			break // no merger exists (paper's termination condition)
 		}
+		kind := "reg"
+		if bestC.isModule {
+			kind = "mod"
+		}
 		st = best
-		trace = append(trace, bestLine)
+		trace = append(trace, fmt.Sprintf("iter %d: merge %s %d+%d score %.4f dE %d dH %.1f dC %.1f",
+			iter, kind, bestC.i, bestC.j, bestC.score, bestE, bestH, bestDC))
 	}
 	res, err := st.finish("ours", trace)
 	if err != nil {
@@ -701,18 +803,6 @@ func synthesizeOnce(ctx context.Context, g *dfg.Graph, par Params, tp tiePolicy,
 		res.Exhausted = exhausted
 	}
 	return res, nil
-}
-
-// slice returns list[lo:lo+n] clamped to the list bounds.
-func slice(list []candidate, lo, n int) []candidate {
-	if lo >= len(list) {
-		return nil
-	}
-	hi := lo + n
-	if hi > len(list) {
-		hi = len(list)
-	}
-	return list[lo:hi]
 }
 
 func absf(x float64) float64 {
@@ -756,7 +846,7 @@ func (st *state) finish(method string, trace []string) (*Result, error) {
 		Design:   d,
 		ExecTime: st.execT,
 		Area:     st.area,
-		Mux:      d.MuxStats(),
+		Mux:      st.mux,
 		Metrics:  an.m,
 		Trace:    trace,
 	}, nil
@@ -808,12 +898,8 @@ func (st *state) applyModuleMerge(i, j int, m *testability.Metrics) (*state, int
 	// §4.3.1: "if these two rules can not be applied, we will select the
 	// pair which results in the smallest increase in the length of the
 	// critical path") by trying the step-order and both append orders.
-	prefer, err := st.preferSR(m)
-	if err != nil {
-		return nil, 0, 0, err
-	}
 	candidates := [][]dfg.NodeID{
-		sched.MergeOrders(seqI, seqJ, prefer),
+		sched.MergeOrders(seqI, seqJ, st.preferSR(m)),
 		sched.OrderByStep(both, st.s),
 		append(append([]dfg.NodeID{}, seqI...), seqJ...),
 		append(append([]dfg.NodeID{}, seqJ...), seqI...),
@@ -874,15 +960,14 @@ func duplicateOrder(prior [][]dfg.NodeID, order []dfg.NodeID) bool {
 // result register is more observable, thereby shortening the sequential
 // depth from a controllable register to an observable register. Ties fall
 // back to the current control step (smallest critical-path increase).
-func (st *state) preferSR(m *testability.Metrics) (sched.Prefer, error) {
-	d, err := st.design()
-	if err != nil {
-		return nil, err
-	}
+// The comparator reads st's node numbering in the scratch, so it is valid
+// until the numbering is refilled.
+func (st *state) preferSR(m *testability.Metrics) sched.Prefer {
+	nodes := st.numbering()
 	ctrlIn := func(op dfg.NodeID) float64 {
 		best := 0.0
 		for _, v := range st.g.Node(op).In {
-			if c := testability.ValueCtrl(d, m, v); c > best {
+			if c := testability.ValueCtrl(m, nodes, st.a.RegOf, v); c > best {
 				best = c
 			}
 		}
@@ -890,7 +975,7 @@ func (st *state) preferSR(m *testability.Metrics) (sched.Prefer, error) {
 	}
 	obsOut := func(op dfg.NodeID) float64 {
 		if r := st.a.RegOf[st.g.Node(op).Out]; r >= 0 {
-			return m.Obs(d.RegNode(r))
+			return m.Obs(nodes.RegNode(r))
 		}
 		return 1 // result goes straight to a port
 	}
@@ -905,7 +990,7 @@ func (st *state) preferSR(m *testability.Metrics) (sched.Prefer, error) {
 		}
 		// SR ties: keep the operation currently scheduled earlier first.
 		return st.s.Step[a] - st.s.Step[b]
-	}, nil
+	}
 }
 
 // applyRegMerge implements the register merger of §4.3.2: the lifetimes of

@@ -374,7 +374,7 @@ func TestExecutionTimeLinearInLoopBound(t *testing.T) {
 		t.Errorf("exec %d, want 5 × body length %d", r.ExecTime, bodyLen)
 	}
 	for lb := 1; lb <= 4; lb++ {
-		if got, want := r.Design.ExecutionTime(lb), (lb+1)*bodyLen; got != want {
+		if got, want := etpn.ExecutionTime(r.Design.Sched, r.Design.LoopSignal, lb), (lb+1)*bodyLen; got != want {
 			t.Errorf("loop bound %d: exec %d, want %d", lb, got, want)
 		}
 	}

@@ -18,17 +18,17 @@ func resultBytes(g *dfg.Graph, r *Result) string {
 		r.Metrics.CC, r.Metrics.SC, r.Metrics.CO, r.Metrics.SO)
 }
 
-// TestMergeOrderCheckByteIdentical runs every synthesis flow with the
-// merge-order check and the compiled base on, and again with
-// recompileOrders set (no order rejected before cloning, each listed on
-// its clone's own compiled problem), on every named benchmark at 4, 8 and
-// 16 bits and the 64 generator specs of the kernel sweeps, and requires
-// byte-identical results. -short keeps width 4 and the first 16 specs.
-func TestMergeOrderCheckByteIdentical(t *testing.T) {
-	type behaviour struct {
-		g     *dfg.Graph
-		width int
-	}
+// behaviour is one graph of the kernel sweeps at its width.
+type behaviour struct {
+	g     *dfg.Graph
+	width int
+}
+
+// sweepBehaviours returns the behaviours of the kernel sweeps: every
+// named benchmark at 4, 8 and 16 bits and the 64 generator specs at 4.
+// -short keeps width 4 and the first 16 specs.
+func sweepBehaviours(t *testing.T) []behaviour {
+	t.Helper()
 	widths, specs := []int{4, 8, 16}, 64
 	if testing.Short() {
 		widths, specs = []int{4}, 16
@@ -56,6 +56,17 @@ func TestMergeOrderCheckByteIdentical(t *testing.T) {
 		}
 		bs = append(bs, behaviour{g, 4})
 	}
+	return bs
+}
+
+// TestMergeOrderCheckByteIdentical runs every synthesis flow with the
+// merge-order check and the compiled base on, and again with
+// recompileOrders set (no order rejected before cloning, each listed on
+// its clone's own compiled problem), on every named benchmark at 4, 8 and
+// 16 bits and the 64 generator specs of the kernel sweeps, and requires
+// byte-identical results. -short keeps width 4 and the first 16 specs.
+func TestMergeOrderCheckByteIdentical(t *testing.T) {
+	bs := sweepBehaviours(t)
 	run := func(b behaviour, method string, recompile bool) (string, *stats.Stats) {
 		t.Helper()
 		recompileOrders = recompile

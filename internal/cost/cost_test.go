@@ -30,6 +30,26 @@ func build(t *testing.T, g *dfg.Graph, oneToOne bool) *etpn.Design {
 	return d
 }
 
+// estimate costs d's graph and allocation with an Estimator at width.
+func estimate(t *testing.T, d *etpn.Design, width int) Estimate {
+	t.Helper()
+	e, _, err := NewEstimator(nil, width).Estimate(d.G, d.Sched, d.Alloc, d.Life, d.LoopSignal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// floorplan returns the Estimator's placement of d's nodes.
+func floorplan(t *testing.T, d *etpn.Design) [][2]int {
+	t.Helper()
+	pos, err := KernelFloorplan(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pos
+}
+
 func TestLibraryRelativeStructure(t *testing.T) {
 	l := DefaultLibrary()
 	for _, w := range []int{4, 8, 16} {
@@ -70,8 +90,8 @@ func TestUnknownClassFallsBack(t *testing.T) {
 func TestFloorplanDeterministicAndInjective(t *testing.T) {
 	g := dfg.Dct(8)
 	d := build(t, g, false)
-	p1 := Floorplan(d)
-	p2 := Floorplan(d)
+	p1 := floorplan(t, d)
+	p2 := floorplan(t, d)
 	if len(p1) != len(d.Nodes) {
 		t.Fatalf("floorplan placed %d of %d nodes", len(p1), len(d.Nodes))
 	}
@@ -91,7 +111,7 @@ func TestEstimateBreakdownConsistent(t *testing.T) {
 	for _, name := range dfg.BenchmarkNames() {
 		g, _ := dfg.ByName(name, 8)
 		d := build(t, g, false)
-		e := EstimateDesign(d, nil, 8)
+		e := estimate(t, d, 8)
 		sum := e.ModuleArea + e.RegArea + e.MuxArea + e.WireArea
 		if e.Total != sum {
 			t.Errorf("%s: total %f != sum %f", name, e.Total, sum)
@@ -105,9 +125,9 @@ func TestEstimateBreakdownConsistent(t *testing.T) {
 func TestAreaGrowsWithWidth(t *testing.T) {
 	g := dfg.Diffeq(8)
 	d := build(t, g, false)
-	e4 := EstimateDesign(d, nil, 4)
-	e8 := EstimateDesign(d, nil, 8)
-	e16 := EstimateDesign(d, nil, 16)
+	e4 := estimate(t, d, 4)
+	e8 := estimate(t, d, 8)
+	e16 := estimate(t, d, 16)
 	if !(e4.Total < e8.Total && e8.Total < e16.Total) {
 		t.Errorf("area not monotone in width: %f %f %f", e4.Total, e8.Total, e16.Total)
 	}
@@ -121,8 +141,8 @@ func TestSharingReducesModuleAreaAddsMux(t *testing.T) {
 	g := dfg.Ex(8)
 	one := build(t, g, true)     // 8 modules, 12 registers, no muxes
 	shared := build(t, g, false) // left-edge: fewer modules/regs, muxes appear
-	eOne := EstimateDesign(one, nil, 8)
-	eShared := EstimateDesign(shared, nil, 8)
+	eOne := estimate(t, one, 8)
+	eShared := estimate(t, shared, 8)
 	if !(eShared.ModuleArea < eOne.ModuleArea) {
 		t.Errorf("sharing should cut module area: %f vs %f", eShared.ModuleArea, eOne.ModuleArea)
 	}
@@ -143,7 +163,7 @@ func TestSharingReducesModuleAreaAddsMux(t *testing.T) {
 func TestEstimateString(t *testing.T) {
 	g := dfg.Tseng(8)
 	d := build(t, g, false)
-	s := EstimateDesign(d, nil, 8).String()
+	s := estimate(t, d, 8).String()
 	if len(s) == 0 {
 		t.Error("empty estimate rendering")
 	}
@@ -155,7 +175,7 @@ func TestEstimateString(t *testing.T) {
 func TestFloorplanBeatsNaivePlacement(t *testing.T) {
 	g := dfg.EWF(8)
 	d := build(t, g, false)
-	pos := Floorplan(d)
+	pos := floorplan(t, d)
 	dist := func(p [][2]int) int {
 		total := 0
 		for _, a := range d.Arcs {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/dfg"
 	"repro/internal/dfggen"
 	"repro/internal/etpn"
@@ -119,19 +120,96 @@ func TestArcIndexMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMuxStatsMatchesReference compares the sorted per-node mux count
+// muxStats counts d's multiplexers with cost.Estimator, from d's graph and
+// allocation.
+func muxStats(t *testing.T, d *etpn.Design) cost.MuxStats {
+	t.Helper()
+	_, ms, err := cost.NewEstimator(nil, d.G.Width).Estimate(d.G, d.Sched, d.Alloc, d.Life, d.LoopSignal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
+// TestMuxStatsMatchesReference compares cost.Estimator's multiplexer count
 // with the map-based one on every sweep design.
 func TestMuxStatsMatchesReference(t *testing.T) {
 	muxes := 0
 	for _, sd := range sweepDesigns(t) {
-		got, want := sd.d.MuxStats(), etpn.RefMuxStats(sd.d)
-		if got != want {
-			t.Fatalf("%s: MuxStats %+v, reference %+v", sd.label, got, want)
+		got := muxStats(t, sd.d)
+		if m, in := etpn.RefMuxStats(sd.d); got != (cost.MuxStats{Muxes: m, Inputs: in}) {
+			t.Fatalf("%s: mux %+v, reference %d muxes with %d inputs", sd.label, got, m, in)
 		}
 		muxes += got.Muxes
 	}
 	if muxes == 0 {
 		t.Fatal("no sweep design needs a multiplexer; the comparison is vacuous")
+	}
+}
+
+func TestMuxStatsOneToOneIsZero(t *testing.T) {
+	// With one module per op and one register per value, every destination
+	// has a single source: no multiplexers.
+	g := dfg.Ex(8)
+	s, err := sched.NewProblem(g).ASAP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	life := alloc.Lifetimes(g, s)
+	d, err := etpn.Build(g, s, alloc.Default(g, sched.ExactClass, life), life, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms := muxStats(t, d); ms.Muxes != 0 || ms.Inputs != 0 {
+		t.Errorf("1:1 allocation needs no muxes, got %+v", ms)
+	}
+}
+
+func TestMuxStatsCAMADStyleEx(t *testing.T) {
+	// Reproduce the paper's Table 1 CAMAD row structure: all four mults in
+	// one module, all four +/- ops in another, one register per value.
+	// The paper reports #Mux = 4 (both operand ports of both modules).
+	g := dfg.Ex(8)
+	p := sched.NewProblem(g)
+	// Serialize ops per class so the binding is legal.
+	var muls, alus []dfg.NodeID
+	for _, n := range g.Nodes() {
+		if n.Kind == dfg.OpMul {
+			muls = append(muls, n.ID)
+		} else {
+			alus = append(alus, n.ID)
+		}
+		p.ModuleOf[n.ID] = map[bool]int{true: 0, false: 1}[n.Kind == dfg.OpMul]
+	}
+	s, err := p.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	life := alloc.Lifetimes(g, s)
+	a := &alloc.Allocation{ModuleOf: make([]int, g.NumNodes()), RegOf: make([]int, g.NumValues())}
+	a.Modules = []*alloc.ModuleGroup{
+		{ID: 0, Class: "*", Ops: muls},
+		{ID: 1, Class: "±", Ops: alus},
+	}
+	for _, op := range muls {
+		a.ModuleOf[op] = 0
+	}
+	for _, op := range alus {
+		a.ModuleOf[op] = 1
+	}
+	for v, l := range life {
+		a.RegOf[v] = -1
+		if l.Stored {
+			a.RegOf[v] = len(a.Regs)
+			a.Regs = append(a.Regs, &alloc.RegGroup{ID: len(a.Regs), Vals: []dfg.ValueID{dfg.ValueID(v)}})
+		}
+	}
+	d, err := etpn.Build(g, s, a, life, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms := muxStats(t, d); ms.Muxes != 4 {
+		t.Errorf("CAMAD-style Ex has %d muxes, paper reports 4", ms.Muxes)
 	}
 }
 
@@ -149,7 +227,7 @@ func TestExecutionTimeMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("len %d loop %q bound %d: reference: %v", n, loop, lb, err)
 				}
-				if got := d.ExecutionTime(lb); got != want {
+				if got := etpn.ExecutionTime(d.Sched, d.LoopSignal, lb); got != want {
 					t.Fatalf("len %d loop %q bound %d: ExecutionTime %d, reference %d", n, loop, lb, got, want)
 				}
 			}
@@ -161,7 +239,7 @@ func TestExecutionTimeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", sd.label, err)
 		}
-		if got := sd.d.ExecutionTime(lb); got != want {
+		if got := etpn.ExecutionTime(sd.d.Sched, sd.d.LoopSignal, lb); got != want {
 			t.Fatalf("%s: ExecutionTime %d, reference %d", sd.label, got, want)
 		}
 		if sd.exec >= 0 && sd.exec != want {

@@ -60,7 +60,7 @@ func TestBuildAllBenchmarks(t *testing.T) {
 func TestExecutionTimeStraightLine(t *testing.T) {
 	g := dfg.Ex(8)
 	d := buildDefault(t, g, "")
-	if et := d.ExecutionTime(1); et != d.Sched.Len {
+	if et := ExecutionTime(d.Sched, d.LoopSignal, 1); et != d.Sched.Len {
 		t.Errorf("execution time %d, want schedule length %d", et, d.Sched.Len)
 	}
 }
@@ -69,7 +69,7 @@ func TestExecutionTimeLoop(t *testing.T) {
 	g := dfg.Diffeq(8)
 	d := buildDefault(t, g, "exit")
 	// Two back-edge firings: three body passes.
-	if et := d.ExecutionTime(2); et != 3*d.Sched.Len {
+	if et := ExecutionTime(d.Sched, d.LoopSignal, 2); et != 3*d.Sched.Len {
 		t.Errorf("loop execution time %d, want %d", et, 3*d.Sched.Len)
 	}
 }
@@ -81,66 +81,6 @@ func TestLoopSignalMustExist(t *testing.T) {
 	a := alloc.Default(g, sched.ExactClass, life)
 	if _, err := Build(g, s, a, life, "nosuch"); err == nil {
 		t.Fatal("expected unknown-signal error")
-	}
-}
-
-func TestMuxStatsOneToOneIsZero(t *testing.T) {
-	// With one module per op and one register per value, every destination
-	// has a single source: no multiplexers.
-	g := dfg.Ex(8)
-	d := buildOneToOne(t, g)
-	ms := d.MuxStats()
-	if ms.Muxes != 0 || ms.Inputs != 0 {
-		t.Errorf("1:1 allocation needs no muxes, got %+v", ms)
-	}
-}
-
-func TestMuxStatsCAMADStyleEx(t *testing.T) {
-	// Reproduce the paper's Table 1 CAMAD row structure: all four mults in
-	// one module, all four +/- ops in another, one register per value.
-	// The paper reports #Mux = 4 (both operand ports of both modules).
-	g := dfg.Ex(8)
-	p := sched.NewProblem(g)
-	// Serialize ops per class so the binding is legal.
-	var muls, alus []dfg.NodeID
-	for _, n := range g.Nodes() {
-		if n.Kind == dfg.OpMul {
-			muls = append(muls, n.ID)
-		} else {
-			alus = append(alus, n.ID)
-		}
-		p.ModuleOf[n.ID] = map[bool]int{true: 0, false: 1}[n.Kind == dfg.OpMul]
-	}
-	s, err := p.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	life := alloc.Lifetimes(g, s)
-	a := &alloc.Allocation{ModuleOf: make([]int, g.NumNodes()), RegOf: make([]int, g.NumValues())}
-	a.Modules = []*alloc.ModuleGroup{
-		{ID: 0, Class: "*", Ops: muls},
-		{ID: 1, Class: "±", Ops: alus},
-	}
-	for _, op := range muls {
-		a.ModuleOf[op] = 0
-	}
-	for _, op := range alus {
-		a.ModuleOf[op] = 1
-	}
-	for v, l := range life {
-		a.RegOf[v] = -1
-		if l.Stored {
-			a.RegOf[v] = len(a.Regs)
-			a.Regs = append(a.Regs, &alloc.RegGroup{ID: len(a.Regs), Vals: []dfg.ValueID{dfg.ValueID(v)}})
-		}
-	}
-	d, err := Build(g, s, a, life, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := d.MuxStats()
-	if ms.Muxes != 4 {
-		t.Errorf("CAMAD-style Ex has %d muxes, paper reports 4", ms.Muxes)
 	}
 }
 

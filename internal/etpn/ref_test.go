@@ -3,7 +3,7 @@ package etpn
 // This file keeps the arc scans that the per-node arc index replaced,
 // verbatim apart from names, as the reference arcs_diff_test.go compares
 // against, the map-based Validate with its differential test, and the
-// map-based mux count that MuxInputs replaced.
+// map-based mux count, which cost.Estimator's count is compared with.
 
 import (
 	"fmt"
@@ -23,8 +23,9 @@ var (
 
 // refMuxStats counts, for every module operand port and register input,
 // the distinct data sources; each destination fed by more than one source
-// needs a multiplexer with that many inputs.
-func (d *Design) refMuxStats() MuxStats {
+// needs a multiplexer with that many inputs. It returns the number of
+// multiplexers and their total inputs.
+func (d *Design) refMuxStats() (muxes, inputs int) {
 	type dest struct{ node, port int }
 	srcs := map[dest]map[int]bool{}
 	for _, a := range d.Arcs {
@@ -38,14 +39,13 @@ func (d *Design) refMuxStats() MuxStats {
 		}
 		srcs[k][a.From] = true
 	}
-	var ms MuxStats
 	for _, set := range srcs {
 		if len(set) > 1 {
-			ms.Muxes++
-			ms.Inputs += len(set)
+			muxes++
+			inputs += len(set)
 		}
 	}
-	return ms
+	return muxes, inputs
 }
 
 // refArcsInto returns the arcs terminating at node id, ascending by arc id.

@@ -16,7 +16,6 @@ package testability
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/dfg"
@@ -114,11 +113,12 @@ func Analyze(d *etpn.Design, scan map[int]bool) *Metrics {
 		}
 	}
 
-	// Forward controllability fixpoint.
+	// Forward controllability fixpoint; ports is nodeCtrlIn's scratch.
+	var ports []portBest
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
 		for _, nd := range d.Nodes {
-			cc, sc, ok := m.nodeCtrlIn(d, nd)
+			cc, sc, ok := m.nodeCtrlIn(d, nd, &ports)
 			if !ok {
 				continue
 			}
@@ -175,11 +175,20 @@ func score(c, s float64) float64 {
 	return c / (1 + float64(lambda*s)) // rounded: no fused multiply-add (DESIGN.md §3a)
 }
 
+// portBest is the best controllable source of one module operand port
+// found so far: fed is set once any arc feeds the port, ok once a
+// controllable one does.
+type portBest struct {
+	cc, sc  float64
+	fed, ok bool
+}
+
 // nodeCtrlIn computes the controllability a node derives from its input
 // lines: the best input line for registers (the node inherits the best
 // controllability of any input line, paper §3), and the transfer through
 // the module for module nodes (all operand ports must be controlled).
-func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node) (float64, float64, bool) {
+// ports is scratch indexed by operand port, grown as needed.
+func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node, ports *[]portBest) (float64, float64, bool) {
 	if nd.Kind == etpn.KindRegister && m.scan[nd.ID] {
 		return 0, 0, false // anchored by the scan chain
 	}
@@ -209,41 +218,48 @@ func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node) (float64, float64, b
 		// sources uses its best source. If any port has no controllable
 		// source yet, the module is not yet controllable (computing a
 		// partial product would break the monotonicity of the fixpoint).
-		ports := map[int][2]float64{}
-		allPorts := map[int]bool{}
-		for _, a := range d.ArcsInto(nd.ID) {
-			allPorts[a.ToPort] = true
+		arcs := d.ArcsInto(nd.ID)
+		n := 0
+		for _, a := range arcs {
+			n = max(n, a.ToPort+1)
+		}
+		if cap(*ports) < n {
+			*ports = make([]portBest, n)
+		}
+		ps := (*ports)[:n]
+		clear(ps)
+		for _, a := range arcs {
+			p := &ps[a.ToPort]
+			p.fed = true
 			cc, sc := m.CC[a.From], m.SC[a.From]
 			if cc == 0 {
 				continue
 			}
-			cur, ok := ports[a.ToPort]
-			if !ok || better(cc, sc, cur[0], cur[1], 0) {
-				ports[a.ToPort] = [2]float64{cc, sc}
+			if !p.ok || better(cc, sc, p.cc, p.sc, 0) {
+				p.cc, p.sc, p.ok = cc, sc, true
 			}
-		}
-		if len(ports) == 0 || len(ports) != len(allPorts) {
-			return 0, 0, false
 		}
 		f := factorsOf(nd.Class)
-		cc := f.ctf
-		sc := 0.0
-		// Multiply ports in sorted order: float multiplication is not
-		// associative under rounding, so ranging over the map directly
-		// would let Go's randomized map order perturb cc in its last ulp
-		// and make the fixpoint (and everything ranked by it) vary from
-		// run to run.
-		ids := make([]int, 0, len(ports))
-		for id := range ports {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			p := ports[id]
-			cc *= p[0]
-			if p[1] > sc {
-				sc = p[1]
+		cc, sc, fed := f.ctf, 0.0, false
+		// Multiply the ports in ascending order: float multiplication is
+		// not associative under rounding, so another order could perturb
+		// cc in its last ulp and move the fixpoint (and everything ranked
+		// by it).
+		for _, p := range ps {
+			if !p.fed {
+				continue
 			}
+			if !p.ok {
+				return 0, 0, false
+			}
+			fed = true
+			cc *= p.cc
+			if p.sc > sc {
+				sc = p.sc
+			}
+		}
+		if !fed {
+			return 0, 0, false
 		}
 		return cc, sc, true
 	}
@@ -360,13 +376,15 @@ func MeanTestability(d *etpn.Design, m *Metrics) float64 {
 	return sum / float64(cnt)
 }
 
-// ValueCtrl returns the controllability score of the register holding v,
-// or of its port/constant if not stored.
-func ValueCtrl(d *etpn.Design, m *Metrics, v dfg.ValueID) float64 {
-	if r := d.Alloc.RegOf[v]; r >= 0 {
-		return m.Ctrl(d.RegNode(r))
+// ValueCtrl returns the controllability score of the register holding v
+// (regOf is the allocation's RegOf), or of its input port if v is not
+// stored, and 0 for a constant. nodes numbers the data path m analyzes;
+// it needs no design (etpn.Numbering).
+func ValueCtrl(m *Metrics, nodes *etpn.Numbering, regOf []int, v dfg.ValueID) float64 {
+	if r := regOf[v]; r >= 0 {
+		return m.Ctrl(nodes.RegNode(r))
 	}
-	if n, ok := d.InNode(v); ok {
+	if n, ok := nodes.InNode(v); ok {
 		return m.Ctrl(n)
 	}
 	return 0

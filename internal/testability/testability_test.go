@@ -241,7 +241,7 @@ func TestValueCtrl(t *testing.T) {
 	g := dfg.Ex(8)
 	d, m := analyze(t, g)
 	va, _ := g.ValueByName("a")
-	if ValueCtrl(d, m, va) <= 0 {
+	if ValueCtrl(m, &d.Numbering, d.Alloc.RegOf, va) <= 0 {
 		t.Error("input variable must have positive controllability")
 	}
 }
