@@ -36,9 +36,9 @@ func RunCtx(ctx context.Context, method string, g *dfg.Graph, par Params) (*Resu
 	case MethodCAMAD:
 		return synthesizeCAMADCtx(ctx, g, par)
 	case MethodApproach1:
-		return SynthesizeApproach1(g, par)
+		return synthesizeSeparate(g, par, MethodApproach1, (*sched.Problem).FDS)
 	case MethodApproach2:
-		return SynthesizeApproach2(g, par)
+		return synthesizeSeparate(g, par, MethodApproach2, (*sched.Problem).MobilityPath)
 	case MethodOurs:
 		return SynthesizeCtx(ctx, g, par)
 	default:
@@ -67,61 +67,31 @@ func synthesizeCAMADCtx(ctx context.Context, g *dfg.Graph, par Params) (*Result,
 	return r, nil
 }
 
-// separateAllocate builds the phase-separated flows of Lee et al.: given a
-// finished schedule, registers are allocated with the testability-modified
-// left-edge algorithm and modules are bound per class by left-edge packing.
-func separateAllocate(g *dfg.Graph, par Params, method string, s sched.Schedule) (*Result, error) {
+// synthesizeSeparate runs a phase-separated baseline: schedule at the
+// ASAP length plus the slack with the given scheduler, then allocate.
+// Approach 1 schedules force-directed [11] without testability
+// consideration; Approach 2 schedules along mobility paths as Lee et al.
+// [6,7] do, which accounts for the two testability rules. Both then
+// allocate as Lee et al. [7] do: registers by the testability-modified
+// left-edge algorithm, modules per class by left-edge packing.
+func synthesizeSeparate(g *dfg.Graph, par Params, method string, schedule func(*sched.Problem, int, sched.ClassFunc) (sched.Schedule, error)) (*Result, error) {
+	if err := validate.Graph(g); err != nil {
+		return nil, err
+	}
+	prob := sched.NewProblem(g)
+	asap, err := prob.ASAP()
+	if err != nil {
+		return nil, err
+	}
+	s, err := schedule(prob, asap.Len+par.Slack, par.class())
+	if err != nil {
+		return nil, err
+	}
 	life := alloc.Lifetimes(g, s)
 	regOf, n := alloc.RegisterLeftEdgeTestable(g, life)
 	a := alloc.BindModules(g, s, par.class(), regOf, n)
-	prob := sched.NewProblem(g)
 	prob.MaxLen = s.Len
 	copy(prob.ModuleOf, a.ModuleOf)
 	st := &state{g: g, prob: prob, s: s, a: a, par: par, sc: newScratch(par)}
-	if err := st.build(); err != nil {
-		return nil, err
-	}
-	res, err := st.finish(method, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SynthesizeApproach1 is the paper's Approach 1 baseline: force-directed
-// scheduling [11] without testability consideration, followed by the same
-// allocation as Approach 2 [7].
-func SynthesizeApproach1(g *dfg.Graph, par Params) (*Result, error) {
-	if err := validate.Graph(g); err != nil {
-		return nil, err
-	}
-	prob := sched.NewProblem(g)
-	asap, err := prob.ASAP()
-	if err != nil {
-		return nil, err
-	}
-	s, err := prob.FDS(asap.Len+par.Slack, par.class())
-	if err != nil {
-		return nil, err
-	}
-	return separateAllocate(g, par, MethodApproach1, s)
-}
-
-// SynthesizeApproach2 is the paper's Approach 2 baseline: the
-// mobility-path scheduling of Lee et al. [6,7], which accounts for the two
-// testability rules, followed by modified left-edge allocation.
-func SynthesizeApproach2(g *dfg.Graph, par Params) (*Result, error) {
-	if err := validate.Graph(g); err != nil {
-		return nil, err
-	}
-	prob := sched.NewProblem(g)
-	asap, err := prob.ASAP()
-	if err != nil {
-		return nil, err
-	}
-	s, err := prob.MobilityPath(asap.Len+par.Slack, par.class())
-	if err != nil {
-		return nil, err
-	}
-	return separateAllocate(g, par, MethodApproach2, s)
+	return st.finish(method, nil)
 }

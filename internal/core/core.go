@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/cost"
@@ -165,14 +166,11 @@ type Result struct {
 
 // state carries the evolving design through the synthesis loop.
 type state struct {
-	g    *dfg.Graph
-	prob *sched.Problem
-	s    sched.Schedule
-	a    *alloc.Allocation
-	life alloc.Life
-	// d is the ETPN design of (s, a), derived on first read by design():
-	// nil until then, and again after build or clone.
-	d     *etpn.Design
+	g     *dfg.Graph
+	prob  *sched.Problem
+	s     sched.Schedule
+	a     *alloc.Allocation
+	life  alloc.Life
 	par   Params
 	execT int
 	area  cost.Estimate
@@ -192,13 +190,16 @@ type state struct {
 
 // scratch is the reusable working memory of one synthesizeOnce call (or
 // one baseline run): the cost estimator, a node numbering, the two
-// candidate rankings, and the per-register module lists of the register
-// ranking. It belongs to one goroutine and lives no longer than the call.
+// candidate rankings, the per-register module lists of the register
+// ranking, and the merged module binding a module merger's orders are
+// list-scheduled under. It belongs to one goroutine and lives no longer
+// than the call.
 type scratch struct {
 	est              *cost.Estimator
 	nodes            etpn.Numbering
 	mods, regs       ranking
 	readers, writers [][]int
+	bind             []int
 }
 
 func newScratch(par Params) *scratch {
@@ -206,19 +207,18 @@ func newScratch(par Params) *scratch {
 }
 
 // build refreshes lifetimes, execution time, area and multiplexing from
-// the current schedule and allocation, and drops any design derived
-// before. With caching enabled, a state whose (schedule, allocation)
-// fingerprint was evaluated before — by any tie policy — reuses the
-// memoized costs; only successful builds are cached, so a hit soundly
-// skips allocation verification too. A miss verifies the allocation and
-// costs it from the bindings (cost.Estimator), running etpn.Build's checks
-// but deriving no design. Neither path derives one: design() builds the
-// design only if something reads it, and most states are candidates that
-// are costed and thrown away. The cache keeps no design either: designs
-// would hold most of a long run's memory.
+// the current schedule and allocation. With caching enabled, a state
+// whose (schedule, allocation) fingerprint was evaluated before — by any
+// tie policy — reuses the memoized costs; only successful builds are
+// cached, so a hit soundly skips allocation verification too. A miss
+// verifies the allocation and costs it from the bindings (cost.Estimator),
+// running etpn.Build's checks but deriving no design. Neither path
+// derives one: design() builds the design only if something reads it,
+// and most states are candidates that are costed and thrown away. The
+// cache keeps no design either: designs would hold most of a long run's
+// memory.
 func (st *state) build() error {
 	st.life = alloc.Lifetimes(st.g, st.s)
-	st.d = nil
 	if st.cache.enabled() {
 		st.fp = stateFingerprint(st)
 		if e, hit := st.cache.lookupBuild(st.fp); hit {
@@ -229,9 +229,9 @@ func (st *state) build() error {
 	if err := st.a.Verify(st.g, st.s, st.par.class(), st.life); err != nil {
 		return err
 	}
-	stop := st.par.Stats.Time("time.floorplan")
+	start := time.Now()
 	area, mux, err := st.sc.est.Estimate(st.g, st.s, st.a, st.life, st.par.LoopSignal)
-	stop()
+	st.par.Stats.Since("time.floorplan", start)
 	if err != nil {
 		return err
 	}
@@ -241,61 +241,57 @@ func (st *state) build() error {
 	return nil
 }
 
-// design returns the ETPN design of the current schedule and allocation,
-// deriving it on first read; core.designs counts the derivations. It
-// cannot fail after a successful build — build ran the checks etpn.Build
-// runs, on this state or on one with the same fingerprint, and Build is a
-// pure function of what the fingerprint encodes — but an error is
-// returned, never assumed away.
+// design builds the ETPN design of the current schedule and allocation;
+// core.designs counts the builds. It cannot fail after a successful build
+// — build ran the checks etpn.Build runs, on this state or on one with
+// the same fingerprint, and Build is a pure function of what the
+// fingerprint encodes — but an error is returned, never assumed away.
 func (st *state) design() (*etpn.Design, error) {
-	if st.d != nil {
-		return st.d, nil
-	}
 	d, err := etpn.Build(st.g, st.s, st.a, st.life, st.par.LoopSignal)
 	if err != nil {
 		return nil, err
 	}
 	st.par.Stats.Add("core.designs", 1)
-	st.d = d
 	return d, nil
 }
 
-// analyze returns the testability analysis of the current design, memoized
-// by the state fingerprint: both register-merge orders of applyRegMerge
-// frequently produce identical designs, and the committed winner of one
-// iteration is re-analyzed at the top of the next — each repeat is a hit,
-// and needs no design.
-func (st *state) analyze() (analysis, error) {
+// analyze returns the testability analysis of the current design d,
+// memoized by the state fingerprint: both register-merge orders of
+// applyRegMerge frequently produce identical designs, and the committed
+// winner of one iteration is re-analyzed at the top of the next — each
+// repeat is a hit, and needs no design. Only a miss reads d, and builds
+// it when d is nil; finish hands in the design it has built anyway.
+func (st *state) analyze(d *etpn.Design) (analysis, error) {
 	if e, ok := st.cache.lookupMetrics(st.fp); ok {
 		return e, nil
 	}
-	d, err := st.design()
-	if err != nil {
-		return analysis{}, err
+	if d == nil {
+		var err error
+		if d, err = st.design(); err != nil {
+			return analysis{}, err
+		}
 	}
-	stop := st.par.Stats.Time("time.testability")
+	start := time.Now()
 	m := testability.Analyze(d, nil)
-	stop()
+	st.par.Stats.Since("time.testability", start)
 	e := analysis{m: m, regDepth: meanRegSeqDepth(d, m)}
 	st.cache.storeMetrics(st.fp, e)
 	return e, nil
 }
 
 // clone copies the schedule, allocation and problem for a tentative
-// merger; the clone derives its own design once rebuilt.
+// merger.
 func (st *state) clone() *state {
 	c := *st
 	c.prob = st.prob.Clone()
 	c.s = st.s.Clone()
 	c.a = st.a.Clone()
-	c.d = nil
 	c.base = nil
 	return &c
 }
 
 // frozen returns st's problem compiled once as the base that every
-// candidate merge order of an iteration is checked and list-scheduled
-// against.
+// candidate merge order of an iteration is list-scheduled against.
 func (st *state) frozen() *sched.Base {
 	if st.base == nil {
 		st.base = st.prob.Freeze()
@@ -307,22 +303,6 @@ func (st *state) frozen() *sched.Base {
 // before cloning, and each is list-scheduled on its clone's own freshly
 // compiled problem, as before the compiled base existed.
 var recompileOrders = false
-
-// feasible reports whether the merge order realized by the strict and weak
-// arcs may still be list-schedulable on top of st's problem, rejecting the
-// orders whose arcs close a cycle or stretch the ASAP length past MaxLen
-// before anything is cloned (core.rejected counts them). The frozen
-// ablation never lists, so it rejects nothing here: reschedule checks it.
-func (st *state) feasible(strict, weak [][2]dfg.NodeID) error {
-	if recompileOrders || st.par.Reschedule == RescheduleFrozen {
-		return nil
-	}
-	if err := st.frozen().Check(strict, weak); err != nil {
-		st.par.Stats.Add("core.rejected", 1)
-		return err
-	}
-	return nil
-}
 
 // initialState performs step 1 of Algorithm 1: a simple default
 // scheduling (ASAP) and allocation (one node per operation and value).
@@ -730,7 +710,7 @@ func synthesizeOnce(ctx context.Context, g *dfg.Graph, par Params, tp tiePolicy,
 		if iter > g.NumNodes()+g.NumValues()+8 {
 			return nil, fmt.Errorf("core: merger loop failed to terminate")
 		}
-		an, err := st.analyze()
+		an, err := st.analyze(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -837,7 +817,7 @@ func (st *state) finish(method string, trace []string) (*Result, error) {
 	if err := validate.Design(d); err != nil {
 		return nil, err
 	}
-	an, err := st.analyze()
+	an, err := st.analyze(d)
 	if err != nil {
 		return nil, err
 	}
@@ -857,54 +837,52 @@ func (st *state) finish(method string, trace []string) (*Result, error) {
 // state with the incremental costs ΔE and ΔH.
 func (st *state) applyCandidate(c candidate, m *testability.Metrics) (*state, int, float64, error) {
 	if c.isModule {
-		return st.applyModuleMerge(c.i, c.j, m)
+		return st.applyModuleMerge(c, m)
 	}
-	return st.applyRegMerge(c.i, c.j, m)
+	return st.applyRegMerge(c, m)
 }
 
 // applyModuleMerge implements the module merger of §4.3.1: the two
 // modules' operation sequences are merged by merge sort under SR1/SR2 into
 // one total order, realized as precedence arcs, and the design is
-// rescheduled.
-func (st *state) applyModuleMerge(i, j int, m *testability.Metrics) (*state, int, float64, error) {
-	seqI := sched.OrderByStep(st.a.Modules[i].Ops, st.s)
-	seqJ := sched.OrderByStep(st.a.Modules[j].Ops, st.s)
+// rescheduled. Every order is list-scheduled under st's binding with
+// module j's operations moved to module i: the partition MergeModules
+// leaves, which is all List reads of a binding.
+func (st *state) applyModuleMerge(c candidate, m *testability.Metrics) (*state, int, float64, error) {
+	seqI := sched.OrderByStep(st.a.Modules[c.i].Ops, st.s)
+	seqJ := sched.OrderByStep(st.a.Modules[c.j].Ops, st.s)
 	both := append(append([]dfg.NodeID{}, seqI...), seqJ...)
-
-	apply := func(order []dfg.NodeID) (*state, int, float64, error) {
-		arcs := sched.ChainArcs(order)
-		if err := st.feasible(arcs, nil); err != nil {
-			return nil, 0, 0, err
-		}
-		ns := st.clone()
-		if err := ns.a.MergeModules(i, j); err != nil {
-			return nil, 0, 0, err
-		}
-		ns.prob.Extra = append(ns.prob.Extra, arcs...)
-		copy(ns.prob.ModuleOf, ns.a.ModuleOf)
-		return st.reschedule(ns, arcs, nil)
+	bind := append(st.sc.bind[:0], st.a.ModuleOf...)
+	for _, op := range st.a.Modules[c.j].Ops {
+		bind[op] = c.i
 	}
+	st.sc.bind = bind
 
+	var orders [][]dfg.NodeID
 	switch st.par.Reschedule {
 	case RescheduleAppend:
-		return apply(append(append([]dfg.NodeID{}, seqI...), seqJ...))
+		orders = [][]dfg.NodeID{both}
 	case RescheduleFrozen:
-		// The current step order; reschedule rejects it unless every
+		// The current step order; realize rejects it unless every
 		// operation already occupies a distinct step.
-		return apply(sched.OrderByStep(both, st.s))
+		orders = [][]dfg.NodeID{sched.OrderByStep(both, st.s)}
+	default:
+		// Merge-sort with SR1/SR2 first; when its order is infeasible,
+		// fall back to the order with the smallest critical-path increase
+		// (paper §4.3.1: "if these two rules can not be applied, we will
+		// select the pair which results in the smallest increase in the
+		// length of the critical path") by trying the step-order and both
+		// append orders.
+		orders = [][]dfg.NodeID{
+			sched.MergeOrders(seqI, seqJ, st.preferSR(m)),
+			sched.OrderByStep(both, st.s),
+			both,
+			append(append([]dfg.NodeID{}, seqJ...), seqI...),
+		}
 	}
-	// Merge-sort with SR1/SR2 first; when its order is infeasible, fall
-	// back to the order with the smallest critical-path increase (paper
-	// §4.3.1: "if these two rules can not be applied, we will select the
-	// pair which results in the smallest increase in the length of the
-	// critical path") by trying the step-order and both append orders.
-	candidates := [][]dfg.NodeID{
-		sched.MergeOrders(seqI, seqJ, st.preferSR(m)),
-		sched.OrderByStep(both, st.s),
-		append(append([]dfg.NodeID{}, seqI...), seqJ...),
-		append(append([]dfg.NodeID{}, seqJ...), seqI...),
-	}
-	return selectMergeOrder(candidates, apply)
+	return selectMergeOrder(orders, func(order []dfg.NodeID) (*state, int, float64, error) {
+		return st.realize(c, sched.ChainArcs(order), nil, bind)
+	})
 }
 
 // selectMergeOrder realizes the order preference of §4.3.1 over the
@@ -997,58 +975,51 @@ func (st *state) preferSR(m *testability.Metrics) sched.Prefer {
 // the two registers' values must become disjoint. Both serialization
 // orders are evaluated; the one yielding the shorter mean sequential depth
 // from controllable to observable registers is kept (SR1), with ΔE as the
-// tie-breaker.
-func (st *state) applyRegMerge(i, j int, m *testability.Metrics) (*state, int, float64, error) {
-	tryOrder := func(first, second int) (*state, int, float64, error) {
-		strict, weak, err := st.serializeRegs(first, second)
-		if err != nil {
-			return nil, 0, 0, err
+// tie-breaker. A register merger leaves the module binding as it is.
+func (st *state) applyRegMerge(c candidate, m *testability.Metrics) (*state, int, float64, error) {
+	var ns [2]*state
+	var dE [2]int
+	var dH [2]float64
+	var errs [2]error
+	for k, first := range [2]int{c.i, c.j} {
+		strict, weak, err := st.serializeRegs(first, c.i+c.j-first)
+		if err == nil {
+			ns[k], dE[k], dH[k], err = st.realize(c, strict, weak, st.a.ModuleOf)
 		}
-		if err := st.feasible(strict, weak); err != nil {
-			return nil, 0, 0, err
-		}
-		ns := st.clone()
-		ns.prob.Extra = append(ns.prob.Extra, strict...)
-		ns.prob.ExtraWeak = append(ns.prob.ExtraWeak, weak...)
-		if err := ns.a.MergeRegs(first, second); err != nil {
-			return nil, 0, 0, err
-		}
-		return st.reschedule(ns, strict, weak)
+		errs[k] = err
 	}
-	s1, e1, h1, err1 := tryOrder(i, j)
-	s2, e2, h2, err2 := tryOrder(j, i)
 	switch {
-	case err1 != nil && err2 != nil:
-		return nil, 0, 0, err1
-	case err1 != nil:
-		return s2, e2, h2, nil
-	case err2 != nil:
-		return s1, e1, h1, nil
+	case errs[0] != nil && errs[1] != nil:
+		return nil, 0, 0, errs[0]
+	case errs[0] != nil:
+		return ns[1], dE[1], dH[1], nil
+	case errs[1] != nil:
+		return ns[0], dE[0], dH[0], nil
 	}
 	if st.par.Reschedule == RescheduleMergeSort {
 		// SR1: prefer the order with the shorter mean sequential depth. The
 		// two orders frequently converge to the same (schedule, allocation)
 		// pair, in which case the second analysis is a cache hit.
-		a1, err := s1.analyze()
+		a1, err := ns[0].analyze(nil)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		a2, err := s2.analyze()
+		a2, err := ns[1].analyze(nil)
 		if err != nil {
 			return nil, 0, 0, err
 		}
 		d1, d2 := a1.regDepth, a2.regDepth
 		if d2 < d1 {
-			return s2, e2, h2, nil
+			return ns[1], dE[1], dH[1], nil
 		}
 		if d1 < d2 {
-			return s1, e1, h1, nil
+			return ns[0], dE[0], dH[0], nil
 		}
 	}
-	if e2 < e1 || (e2 == e1 && h2 < h1) {
-		return s2, e2, h2, nil
+	if dE[1] < dE[0] || (dE[1] == dE[0] && dH[1] < dH[0]) {
+		return ns[1], dE[1], dH[1], nil
 	}
-	return s1, e1, h1, nil
+	return ns[0], dE[0], dH[0], nil
 }
 
 // meanRegSeqDepth averages the sequential depth of d's registers.
@@ -1155,35 +1126,51 @@ func serializePair(g *dfg.Graph, va, vb dfg.ValueID, strict, weak [][2]dfg.NodeI
 	return strict, weak, nil
 }
 
-// reschedule re-solves the scheduling problem of ns — st's problem plus
-// the merge order's strict and weak arcs, under ns's module binding — and
-// rebuilds the design, returning ΔE and ΔH relative to st. List runs on
-// st's compiled base plus the order's arcs, with no clone of the problem
-// compiled; its schedule is byte-identical to listing ns's own problem
-// (sched.Base.List). Orders that feasible rejects never get here.
-// Memoizing List by problem cost as much as it saved (DESIGN.md §4c).
-// The frozen ablation lists nothing: its one feasibility check is
-// verifying the unchanged schedule against ns's problem — every strict
-// and weak arc, and the module binding.
-func (st *state) reschedule(ns *state, strict, weak [][2]dfg.NodeID) (*state, int, float64, error) {
-	if st.par.Reschedule == RescheduleFrozen {
-		if err := ns.prob.Verify(ns.s); err != nil {
-			return nil, 0, 0, err
-		}
-	} else {
-		stop := ns.par.Stats.Time("time.sched")
-		var s2 sched.Schedule
+// realize applies candidate c's merger under the merge order the strict
+// and weak arcs realize, returning the merged state with ΔE and ΔH
+// relative to st. The order is list-scheduled first, on st's frozen base
+// under bind, the merged module binding, so an order List rejects
+// (core.rejected counts them) clones nothing; the schedule is
+// byte-identical to listing the merged state's own problem
+// (sched.Base.List). Memoizing List by problem cost as much as it saved
+// (DESIGN.md §4c). The frozen ablation lists nothing: its one feasibility
+// check is verifying the unchanged schedule against the merged problem —
+// every strict and weak arc, and the module binding.
+func (st *state) realize(c candidate, strict, weak [][2]dfg.NodeID, bind []int) (*state, int, float64, error) {
+	var s sched.Schedule
+	if st.par.Reschedule != RescheduleFrozen && !recompileOrders {
+		start := time.Now()
 		var err error
-		if recompileOrders {
-			s2, err = ns.prob.List()
-		} else {
-			s2, err = st.frozen().List(strict, weak, ns.prob.ModuleOf)
-		}
-		stop()
+		s, err = st.frozen().List(strict, weak, bind)
+		st.par.Stats.Since("time.sched", start)
 		if err != nil {
+			st.par.Stats.Add("core.rejected", 1)
 			return nil, 0, 0, err
 		}
-		ns.s = s2
+	}
+	ns := st.clone()
+	var err error
+	if c.isModule {
+		err = ns.a.MergeModules(c.i, c.j)
+		copy(ns.prob.ModuleOf, ns.a.ModuleOf)
+	} else {
+		err = ns.a.MergeRegs(c.i, c.j)
+	}
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	ns.prob.Extra = append(ns.prob.Extra, strict...)
+	ns.prob.ExtraWeak = append(ns.prob.ExtraWeak, weak...)
+	switch {
+	case st.par.Reschedule == RescheduleFrozen:
+		err = ns.prob.Verify(ns.s)
+	case recompileOrders:
+		ns.s, err = ns.prob.List()
+	default:
+		ns.s = s
+	}
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	if err := ns.build(); err != nil {
 		return nil, 0, 0, err

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/etpn"
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/testability"
 )
 
@@ -338,11 +339,11 @@ func TestDefaultParams(t *testing.T) {
 func TestApproachesDifferOnEWF(t *testing.T) {
 	g := dfg.EWF(8)
 	par := params()
-	r1, err := SynthesizeApproach1(g, par)
+	r1, err := RunCtx(context.Background(), MethodApproach1, g, par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := SynthesizeApproach2(g, par)
+	r2, err := RunCtx(context.Background(), MethodApproach2, g, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +355,29 @@ func TestApproachesDifferOnEWF(t *testing.T) {
 	}
 	if same {
 		t.Error("FDS and mobility-path schedules identical on EWF despite slack")
+	}
+}
+
+// TestFinishedRunDerivesOneDesign pins how many designs a run builds:
+// one per metrics-cache miss of the merger loop, and one per finished run,
+// whose analysis reads the design finish builds and validates. The
+// phase-separated baselines run without the cache and finish once, so
+// they build exactly one; CAMAD finishes once per tie policy.
+func TestFinishedRunDerivesOneDesign(t *testing.T) {
+	for _, c := range []struct {
+		method string
+		runs   int64
+	}{{MethodApproach1, 1}, {MethodApproach2, 1}, {MethodCAMAD, int64(len(tiePolicies))}} {
+		par := DefaultParams(4)
+		par.Workers = 1
+		par.Stats = stats.New()
+		if _, err := RunCtx(context.Background(), c.method, dfg.Ex(4), par); err != nil {
+			t.Fatal(err)
+		}
+		misses := par.Stats.Value("cache.metrics.miss")
+		if got, want := par.Stats.Value("core.designs"), misses+c.runs; got != want {
+			t.Errorf("%s: core.designs = %d, want %d (%d analysis misses, %d finished runs)", c.method, got, want, misses, c.runs)
+		}
 	}
 }
 

@@ -109,23 +109,16 @@ func candidateModules(p *Problem, rng *rand.Rand) []int {
 	return mod
 }
 
-// overlayOutcome is what one candidate's solves on a Base returned.
-type overlayOutcome struct {
-	check error
-	s     Schedule
-	err   error
-}
-
 // TestOverlayMatchesClone solves seeded candidate overlays against one
 // frozen Base per problem and compares them with the candidate's clone:
 // the problem with the arcs appended and the module binding replaced.
-// Check must return exactly List's error when the clone is cyclic or its
-// ASAP length (by the map-based reference) exceeds MaxLen, and nil
-// otherwise, so every rejection is a List failure of the clone. Base.List
-// must equal List on the clone and the reference list scheduler, in
-// schedule and error string. A second pass replays every candidate in
-// reverse order on the same Base: scratch left over from another solve
-// must not change an outcome.
+// Base.List must equal List on the clone and the reference list
+// scheduler, in schedule and error string. When the clone is cyclic or
+// its ASAP length (by the map-based reference) exceeds MaxLen, List must
+// reject with exactly that verdict before it reads the module binding: it
+// is handed none. A second pass replays every candidate in reverse order
+// on the same Base: scratch left over from another solve must not change
+// an outcome.
 func TestOverlayMatchesClone(t *testing.T) {
 	sets, cands := 16, 12
 	if testing.Short() {
@@ -151,7 +144,8 @@ func TestOverlayMatchesClone(t *testing.T) {
 			type cand struct {
 				strict, weak [][2]dfg.NodeID
 				mod          []int
-				want         overlayOutcome
+				s            Schedule
+				err          error
 			}
 			var cs []cand
 			for i := 0; i < cands; i++ {
@@ -176,36 +170,36 @@ func TestOverlayMatchesClone(t *testing.T) {
 					t.Fatalf("%s: clone List %s", label, d)
 				}
 
-				check := b.Check(strict, weak)
-				if !sameErr(check, spec) {
-					t.Fatalf("%s: Check = %v, want %v", label, check, spec)
-				}
-				if check != nil && !sameErr(check, wantErr) {
-					t.Fatalf("%s: Check rejected with %v, but the clone's List returns %v", label, check, wantErr)
-				}
 				s, err := b.List(strict, weak, mod)
 				if d := sameSchedule(nn, s, err, refS, refErr); d != "" {
 					t.Fatalf("%s: Base.List %s", label, d)
 				}
+				if spec != nil {
+					if !sameErr(err, spec) {
+						t.Fatalf("%s: List = %v, want the reference verdict %v", label, err, spec)
+					}
+					if _, err := b.List(strict, weak, nil); !sameErr(err, spec) {
+						t.Fatalf("%s: List without a binding = %v, want %v", label, err, spec)
+					}
+				}
 				switch {
-				case check == errCycle:
+				case sameErr(spec, errCycle):
 					counts["rejected: cycle"]++
-				case check != nil:
+				case spec != nil:
 					counts["rejected: latency"]++
 				case err != nil:
 					counts["passed, List failed"]++
 				default:
 					counts["passed, List solved"]++
 				}
-				cs = append(cs, cand{strict, weak, mod, overlayOutcome{check, s, err}})
+				cs = append(cs, cand{strict, weak, mod, s, err})
 			}
 			for i := len(cs) - 1; i >= 0; i-- {
 				c := cs[i]
 				s, err := b.List(c.strict, c.weak, c.mod)
-				check := b.Check(c.strict, c.weak)
-				if !sameErr(check, c.want.check) || !sameErr(err, c.want.err) || !slices.Equal(s.Step, c.want.s.Step) || s.Len != c.want.s.Len {
-					t.Fatalf("%s set %d candidate %d: replay gave Check %v, List %v %v; first pass Check %v, List %v %v",
-						name, k, i, check, s, err, c.want.check, c.want.s, c.want.err)
+				if !sameErr(err, c.err) || !slices.Equal(s.Step, c.s.Step) || s.Len != c.s.Len {
+					t.Fatalf("%s set %d candidate %d: replay gave List %v %v; first pass %v %v",
+						name, k, i, s, err, c.s, c.err)
 				}
 			}
 		}
@@ -219,9 +213,9 @@ func TestOverlayMatchesClone(t *testing.T) {
 }
 
 // TestOverlaySolvesReuseScratch pins the Base's scratch reuse: once its
-// buffers have grown, a check allocates nothing, whether it passes, finds
-// a cycle or finds a latency overrun, and a successful List allocates
-// only the schedule it returns.
+// buffers have grown, a List that finds a cycle or a latency overrun
+// allocates nothing, and a successful List allocates only the schedule it
+// returns.
 func TestOverlaySolvesReuseScratch(t *testing.T) {
 	g := dfg.EWF(4)
 	p := NewProblem(g)
@@ -245,17 +239,15 @@ func TestOverlaySolvesReuseScratch(t *testing.T) {
 		{"overrun", ChainArcs(order), latencyError(p.MaxLen)},
 	}
 	for _, c := range cases {
-		if err := b.Check(c.strict, nil); !sameErr(err, c.want) {
-			t.Fatalf("%s: Check = %v, want %v", c.name, err, c.want)
+		if _, err := b.List(c.strict, nil, p.ModuleOf); !sameErr(err, c.want) {
+			t.Fatalf("%s: List = %v, want %v", c.name, err, c.want)
 		}
-		if n := testing.AllocsPerRun(20, func() { b.Check(c.strict, nil) }); n != 0 {
-			t.Errorf("%s: Check allocates %.1f times per call", c.name, n)
+		want := 0.0
+		if c.want == nil {
+			want = 1 // the schedule
 		}
-	}
-	if _, err := b.List(nil, nil, p.ModuleOf); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(20, func() { b.List(nil, nil, p.ModuleOf) }); n != 1 {
-		t.Errorf("a successful List allocates %.1f times per call, want 1 (the schedule)", n)
+		if n := testing.AllocsPerRun(20, func() { b.List(c.strict, nil, p.ModuleOf) }); n != want {
+			t.Errorf("%s: List allocates %.1f times per call, want %.0f", c.name, n, want)
+		}
 	}
 }

@@ -91,9 +91,9 @@ func (p *Problem) Clone() *Problem {
 // 0 is the transpose of pred and wpred, and layer 1 holds the arcs one
 // overlay solve adds on top of them (sched.Base), in arc order with
 // repeats kept; it is empty otherwise. deg is every node's strict plus
-// weak indegree over both layers. mod holds a dense module index per
-// node, -1 when unbound. The kernels below return slices of w, valid
-// until the next kernel call on c.
+// weak indegree over both layers. mod holds list's dense module index per
+// node, -1 when unbound; no other kernel reads the binding. The kernels
+// below return slices of w, valid until the next kernel call on c.
 type compiled struct {
 	nn          int
 	pred, wpred adj
@@ -148,7 +148,6 @@ func (p *Problem) compile() *compiled {
 	for n := range c.deg {
 		c.deg[n] = c.pred.off[n+1] - c.pred.off[n] + c.wpred.off[n+1] - c.wpred.off[n]
 	}
-	c.mod, c.w.ids, c.nmod = denseModules(p.ModuleOf, nn, nil, nil)
 	return c
 }
 
@@ -416,15 +415,24 @@ func (p *Problem) ASAP() (Schedule, error) {
 // length) goes first, ties by node id. It returns an error if MaxLen is
 // exceeded or the arcs are cyclic.
 func (p *Problem) List() (Schedule, error) {
-	return p.compile().list(p.MaxLen)
+	return p.compile().list(p.ModuleOf, p.MaxLen)
 }
 
-// list is List over c under the latency bound maxLen (0 for none).
-func (c *compiled) list(maxLen int) (Schedule, error) {
+// list is List over c under the module binding moduleOf and the latency
+// bound maxLen (0 for none). It rejects a cycle, or an ASAP length over
+// maxLen, right after kahn and before it reads the binding: List places
+// every operation no earlier than its ASAP step, so such a problem could
+// only fail later with the same error. A rejection allocates nothing once
+// c's scratch has grown.
+func (c *compiled) list(moduleOf []int, maxLen int) (Schedule, error) {
 	order, _, length, err := c.kahn()
 	if err != nil {
 		return Schedule{}, err
 	}
+	if maxLen > 0 && length > maxLen {
+		return Schedule{}, latencyError(maxLen)
+	}
+	c.mod, c.w.ids, c.nmod = denseModules(moduleOf, c.nn, c.mod, c.w.ids)
 	prio, err := c.alap(order, length)
 	if err != nil {
 		return Schedule{}, err
@@ -512,12 +520,12 @@ func (c *compiled) list(maxLen int) (Schedule, error) {
 }
 
 // Base is a problem compiled once and frozen as the shared base of many
-// overlay solves. Each solve adds a few strict and weak arcs — and, in
-// List, its own module binding — without copying or recompiling the
-// problem: the merger loop freezes the committed design's problem once per
-// iteration and decides every candidate merge order against it. A Base
-// reuses its scratch across solves, so one goroutine at a time may use it,
-// and the frozen Problem's arcs must not change while it does.
+// overlay solves. Each solve adds a few strict and weak arcs and its own
+// module binding without copying or recompiling the problem: the merger
+// loop freezes the committed design's problem once per iteration and
+// decides every candidate merge order against it. A Base reuses its
+// scratch across solves, so one goroutine at a time may use it, and the
+// frozen Problem's arcs must not change while it does.
 type Base struct {
 	maxLen int
 	deg    []int32   // the frozen problem's indegree
@@ -534,30 +542,15 @@ func (p *Problem) Freeze() *Base {
 	return b
 }
 
-// Check returns the error List would return for the base plus the strict
-// and weak arcs when that error is already decided before list
-// scheduling, and nil otherwise: it runs only List's first pass, kahn. A
-// rejection is sound: a cycle fails List's topological sort, and List
-// places every operation no earlier than its ASAP step, so an ASAP length
-// above MaxLen fails List's latency bound. A nil result proves nothing:
-// module clashes can still push List past MaxLen.
-func (b *Base) Check(strict, weak [][2]dfg.NodeID) error {
-	_, _, length, err := b.overlay(strict, weak).kahn()
-	if err == nil && b.maxLen > 0 && length > b.maxLen {
-		err = latencyError(b.maxLen)
-	}
-	return err
-}
-
 // List list-schedules the base plus the strict and weak arcs under the
 // module binding moduleOf (indexed by dfg.NodeID, -1 unbound). The result
 // is the one Problem.List returns on a clone of the frozen problem with
 // the arcs appended to Extra and ExtraWeak and ModuleOf replaced by
-// moduleOf, error string included.
+// moduleOf, error string included. An order that closes a cycle or
+// stretches the ASAP length past MaxLen is rejected after the first pass
+// alone, without allocating.
 func (b *Base) List(strict, weak [][2]dfg.NodeID, moduleOf []int) (Schedule, error) {
-	c := b.overlay(strict, weak)
-	c.mod, c.w.ids, c.nmod = denseModules(moduleOf, c.nn, c.mod, c.w.ids)
-	return c.list(b.maxLen)
+	return b.overlay(strict, weak).list(moduleOf, b.maxLen)
 }
 
 // overlay sets the view's layer 1 to strict and weak and counts them into

@@ -26,6 +26,7 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/core"
 	"repro/internal/flow"
+	"repro/internal/sched"
 	"repro/internal/testability"
 )
 
@@ -61,7 +62,11 @@ type NormSynthesize struct {
 // Normalize validates the request and loads the behaviour graph. Every
 // error it returns is a client error (HTTP 400): bad width, unknown
 // benchmark or method, malformed VHDL, a loop that names no value of the
-// behaviour, negative deadline.
+// behaviour, negative deadline, a negative slack, or a slack that takes
+// the latency (ASAP length plus slack) past the operation count. A fully
+// serial schedule fits in that many steps, so a larger slack only lets
+// the baselines' schedulers spread the same operations over idle steps,
+// and they take no context a deadline could stop.
 func (r SynthesizeRequest) Normalize() (*NormSynthesize, error) {
 	if r.DeadlineMS < 0 {
 		return nil, fmt.Errorf("deadline_ms must be >= 0 (got %d)", r.DeadlineMS)
@@ -100,6 +105,18 @@ func (r SynthesizeRequest) Normalize() (*NormSynthesize, error) {
 	}
 	if r.Beta != nil {
 		p.Beta = *r.Beta
+	}
+	if r.Slack < 0 {
+		return nil, fmt.Errorf("slack must be >= 0 (got %d)", r.Slack)
+	}
+	if r.Slack > 0 {
+		asap, err := sched.NewProblem(n.Graph).ASAP()
+		if err != nil {
+			return nil, err
+		}
+		if most := n.Graph.NumNodes() - asap.Len; r.Slack > most {
+			return nil, fmt.Errorf("slack must be in [0, %d]: ASAP length %d plus %d is the operation count, where a fully serial schedule fits (got %d)", most, asap.Len, most, r.Slack)
+		}
 	}
 	p.Slack = r.Slack
 	p.LoopSignal = r.Loop

@@ -48,6 +48,9 @@ func FuzzRequestNormalize(f *testing.F) {
 		`{"bench":"gen:s1-o99999","width":4}`,
 		`{"bench":"ex","width":4,"typo":1}`,
 		`{"bench":"ex","width":4,"faults":-1}`,
+		`{"bench":"ex","width":4,"method":"approach1","slack":-1}`,
+		`{"bench":"ex","width":4,"slack":1000}`,
+		`{"bench":"diffeq","width":4,"method":"approach2","slack":7}`,
 		`{"bench":"ex","width":"4"}`,
 		`{"bench":"ex","width":4} trailing`,
 		`[`, ``, `null`,

@@ -33,6 +33,7 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -607,6 +608,34 @@ func TestClientErrors(t *testing.T) {
 	}
 	ts.Close()
 	drainAndSettle(t, s, base)
+}
+
+// TestNormalizeSlackBounds: a slack is accepted from 0 up to the one
+// that makes the latency the operation count, where a fully serial
+// schedule fits, and refused outside that range, for every method and
+// both endpoints.
+func TestNormalizeSlackBounds(t *testing.T) {
+	for _, bench := range []string{"ex", "ewf"} {
+		g, err := hlts.LoadBenchmark(bench, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asap, err := sched.NewProblem(g).ASAP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		most := g.NumNodes() - asap.Len
+		for _, method := range hlts.Methods() {
+			for slack, ok := range map[int]bool{-1: false, 0: true, most: true, most + 1: false} {
+				r := SynthesizeRequest{Bench: bench, Width: 4, Method: method, Slack: slack}
+				_, err := r.Normalize()
+				_, tdErr := TestDesignRequest{SynthesizeRequest: r}.Normalize()
+				if (err == nil) != ok || (tdErr == nil) != ok {
+					t.Errorf("%s %s slack %d (at most %d): Normalize = %v, testdesign %v; want accepted %v", bench, method, slack, most, err, tdErr, ok)
+				}
+			}
+		}
+	}
 }
 
 // TestHealthAndMetrics: the observability endpoints report queue state

@@ -51,21 +51,19 @@ func (s *Stats) Add(name string, delta int64) {
 	s.mu.Unlock()
 }
 
-// Time starts a timer and returns the function that stops it, adding
-// the elapsed wall-clock time to the named timer:
+// Since adds the wall-clock time elapsed since start to the named timer:
 //
-//	defer s.Time("time.floorplan")()
-func (s *Stats) Time(name string) func() {
+//	start := time.Now()
+//	...
+//	s.Since("time.floorplan", start)
+func (s *Stats) Since(name string, start time.Time) {
 	if s == nil {
-		return func() {}
+		return
 	}
-	start := time.Now()
-	return func() {
-		d := time.Since(start)
-		s.mu.Lock()
-		s.timers[name] += d
-		s.mu.Unlock()
-	}
+	d := time.Since(start)
+	s.mu.Lock()
+	s.timers[name] += d
+	s.mu.Unlock()
 }
 
 // Set records the current value of a gauge — a level that can move both

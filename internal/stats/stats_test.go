@@ -24,9 +24,9 @@ func TestCountersAndTimers(t *testing.T) {
 	if r := s.HitRate("never.consulted"); r != 0 {
 		t.Errorf("unconsulted hit rate = %f, want 0", r)
 	}
-	stop := s.Time("time.x")
+	start := time.Now()
 	time.Sleep(time.Millisecond)
-	stop()
+	s.Since("time.x", start)
 	if s.Duration("time.x") <= 0 {
 		t.Error("timer recorded nothing")
 	}
@@ -124,7 +124,7 @@ func TestSubMillisecondBuckets(t *testing.T) {
 func TestNilStats(t *testing.T) {
 	var s *Stats
 	s.Add("x", 1)
-	s.Time("y")()
+	s.Since("y", time.Now())
 	s.Observe("h", 1)
 	if s.Value("x") != 0 || s.Duration("y") != 0 || s.HitRate("z") != 0 {
 		t.Error("nil Stats not inert")
@@ -146,7 +146,7 @@ func TestConcurrentAdd(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				s.Add("n", 1)
-				s.Time("t")()
+				s.Since("t", time.Now())
 			}
 		}()
 	}
