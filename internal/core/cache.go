@@ -190,9 +190,9 @@ type buildEntry struct {
 	mux  cost.MuxStats
 }
 
-// analysis is a memoized testability evaluation of a state's design: the
-// metrics, and the mean register sequential depth applyRegMerge compares,
-// so that a hit needs no design at all.
+// analysis is a memoized testability evaluation of a state's data path:
+// the metrics, and the mean register sequential depth applyRegMerge
+// compares.
 type analysis struct {
 	m        *testability.Metrics
 	regDepth float64

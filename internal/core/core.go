@@ -189,17 +189,23 @@ type state struct {
 }
 
 // scratch is the reusable working memory of one synthesizeOnce call (or
-// one baseline run): the cost estimator, a node numbering, the two
-// candidate rankings, the per-register module lists of the register
-// ranking, and the merged module binding a module merger's orders are
-// list-scheduled under. It belongs to one goroutine and lives no longer
-// than the call.
+// one baseline run): the cost estimator, a node numbering, the wiring a
+// testability analysis reads, the two candidate rankings, the
+// per-register module lists of the register ranking, the merged module
+// binding a module merger's orders are list-scheduled under, the merge
+// orders, and the merge-order arcs with the register values they are
+// built from. It belongs to one goroutine and lives no longer than the
+// call.
 type scratch struct {
 	est              *cost.Estimator
 	nodes            etpn.Numbering
+	wiring           etpn.Wiring
 	mods, regs       ranking
 	readers, writers [][]int
 	bind             []int
+	order            []dfg.NodeID
+	strict, weak     [][2]dfg.NodeID
+	vals             []dfg.ValueID
 }
 
 func newScratch(par Params) *scratch {
@@ -213,10 +219,9 @@ func newScratch(par Params) *scratch {
 // cached, so a hit soundly skips allocation verification too. A miss
 // verifies the allocation and costs it from the bindings (cost.Estimator),
 // running etpn.Build's checks but deriving no design. Neither path
-// derives one: design() builds the design only if something reads it,
-// and most states are candidates that are costed and thrown away. The
-// cache keeps no design either: designs would hold most of a long run's
-// memory.
+// derives one: only finish builds a design, and most states are
+// candidates that are costed and thrown away. The cache keeps no design
+// either: designs would hold most of a long run's memory.
 func (st *state) build() error {
 	st.life = alloc.Lifetimes(st.g, st.s)
 	if st.cache.enabled() {
@@ -241,11 +246,12 @@ func (st *state) build() error {
 	return nil
 }
 
-// design builds the ETPN design of the current schedule and allocation;
-// core.designs counts the builds. It cannot fail after a successful build
-// — build ran the checks etpn.Build runs, on this state or on one with
-// the same fingerprint, and Build is a pure function of what the
-// fingerprint encodes — but an error is returned, never assumed away.
+// design builds the ETPN design of the current schedule and allocation
+// for finish; core.designs counts the builds. It cannot fail after a
+// successful build — build ran the checks etpn.Build runs, on this state
+// or on one with the same fingerprint, and Build is a pure function of
+// what the fingerprint encodes — but an error is returned, never assumed
+// away.
 func (st *state) design() (*etpn.Design, error) {
 	d, err := etpn.Build(st.g, st.s, st.a, st.life, st.par.LoopSignal)
 	if err != nil {
@@ -255,29 +261,36 @@ func (st *state) design() (*etpn.Design, error) {
 	return d, nil
 }
 
-// analyze returns the testability analysis of the current design d,
-// memoized by the state fingerprint: both register-merge orders of
-// applyRegMerge frequently produce identical designs, and the committed
-// winner of one iteration is re-analyzed at the top of the next — each
-// repeat is a hit, and needs no design. Only a miss reads d, and builds
-// it when d is nil; finish hands in the design it has built anyway.
-func (st *state) analyze(d *etpn.Design) (analysis, error) {
+// analyze returns the testability analysis of the current schedule and
+// allocation, memoized by the state fingerprint: both register-merge
+// orders of applyRegMerge frequently produce identical data paths, and
+// the committed winner of one iteration is re-analyzed at the top of the
+// next — each repeat is a hit. A miss derives the state's wiring into the
+// scratch, running etpn.Build's checks, and analyses it without a design;
+// time.testability times the analysis alone.
+func (st *state) analyze() (analysis, error) {
 	if e, ok := st.cache.lookupMetrics(st.fp); ok {
 		return e, nil
 	}
-	if d == nil {
-		var err error
-		if d, err = st.design(); err != nil {
-			return analysis{}, err
-		}
+	w := &st.sc.wiring
+	if err := w.Derive(st.g, st.s, st.a, st.life, st.par.LoopSignal); err != nil {
+		return analysis{}, err
 	}
+	w.Index()
 	start := time.Now()
-	m := testability.Analyze(d, nil)
+	m := testability.AnalyzeWiring(w, nil)
 	st.par.Stats.Since("time.testability", start)
-	e := analysis{m: m, regDepth: meanRegSeqDepth(d, m)}
+	e := analysis{m: m, regDepth: meanRegSeqDepth(&w.Numbering, st.a, m)}
+	if analyzed != nil {
+		analyzed(st, e)
+	}
 	st.cache.storeMetrics(st.fp, e)
 	return e, nil
 }
+
+// analyzed is a test hook: when set, every analysis a miss computes is
+// passed to it with the state analysed.
+var analyzed func(st *state, e analysis)
 
 // clone copies the schedule, allocation and problem for a tentative
 // merger.
@@ -710,7 +723,7 @@ func synthesizeOnce(ctx context.Context, g *dfg.Graph, par Params, tp tiePolicy,
 		if iter > g.NumNodes()+g.NumValues()+8 {
 			return nil, fmt.Errorf("core: merger loop failed to terminate")
 		}
-		an, err := st.analyze(nil)
+		an, err := st.analyze()
 		if err != nil {
 			return nil, err
 		}
@@ -817,7 +830,7 @@ func (st *state) finish(method string, trace []string) (*Result, error) {
 	if err := validate.Design(d); err != nil {
 		return nil, err
 	}
-	an, err := st.analyze(d)
+	an, err := st.analyze()
 	if err != nil {
 		return nil, err
 	}
@@ -848,10 +861,17 @@ func (st *state) applyCandidate(c candidate, m *testability.Metrics) (*state, in
 // rescheduled. Every order is list-scheduled under st's binding with
 // module j's operations moved to module i: the partition MergeModules
 // leaves, which is all List reads of a binding.
+//
+// The orders are capacity-capped subslices of one scratch buffer, valid
+// until the next module merger: nothing keeps an order beyond realize,
+// which builds its arcs into the scratch and copies them into the merged
+// problem.
 func (st *state) applyModuleMerge(c candidate, m *testability.Metrics) (*state, int, float64, error) {
-	seqI := sched.OrderByStep(st.a.Modules[c.i].Ops, st.s)
-	seqJ := sched.OrderByStep(st.a.Modules[c.j].Ops, st.s)
-	both := append(append([]dfg.NodeID{}, seqI...), seqJ...)
+	buf := sched.OrderByStep(st.sc.order[:0], st.a.Modules[c.i].Ops, st.s)
+	ni := len(buf)
+	buf = sched.OrderByStep(buf, st.a.Modules[c.j].Ops, st.s)
+	n := len(buf)
+	seqI, seqJ, both := buf[:ni:ni], buf[ni:n:n], buf[:n:n]
 	bind := append(st.sc.bind[:0], st.a.ModuleOf...)
 	for _, op := range st.a.Modules[c.j].Ops {
 		bind[op] = c.i
@@ -865,7 +885,8 @@ func (st *state) applyModuleMerge(c candidate, m *testability.Metrics) (*state, 
 	case RescheduleFrozen:
 		// The current step order; realize rejects it unless every
 		// operation already occupies a distinct step.
-		orders = [][]dfg.NodeID{sched.OrderByStep(both, st.s)}
+		buf = sched.OrderByStep(buf, both, st.s)
+		orders = [][]dfg.NodeID{buf[n:]}
 	default:
 		// Merge-sort with SR1/SR2 first; when its order is infeasible,
 		// fall back to the order with the smallest critical-path increase
@@ -873,15 +894,16 @@ func (st *state) applyModuleMerge(c candidate, m *testability.Metrics) (*state, 
 		// select the pair which results in the smallest increase in the
 		// length of the critical path") by trying the step-order and both
 		// append orders.
-		orders = [][]dfg.NodeID{
-			sched.MergeOrders(seqI, seqJ, st.preferSR(m)),
-			sched.OrderByStep(both, st.s),
-			both,
-			append(append([]dfg.NodeID{}, seqJ...), seqI...),
-		}
+		nodes := st.numbering()
+		buf = sched.MergeOrders(buf, seqI, seqJ, func(a, b dfg.NodeID) int { return st.preferSR(m, nodes, a, b) })
+		buf = sched.OrderByStep(buf, both, st.s)
+		buf = append(append(buf, seqJ...), seqI...)
+		orders = [][]dfg.NodeID{buf[n : 2*n : 2*n], buf[2*n : 3*n : 3*n], both, buf[3*n:]}
 	}
+	st.sc.order = buf
 	return selectMergeOrder(orders, func(order []dfg.NodeID) (*state, int, float64, error) {
-		return st.realize(c, sched.ChainArcs(order), nil, bind)
+		st.sc.strict = sched.ChainArcs(st.sc.strict[:0], order)
+		return st.realize(c, st.sc.strict, nil, bind)
 	})
 }
 
@@ -933,42 +955,42 @@ func duplicateOrder(prior [][]dfg.NodeID, order []dfg.NodeID) bool {
 }
 
 // preferSR is the controllability/observability enhancement strategy (SR1
-// + SR2) as a merge-sort comparator: execute first the operation whose
-// operand registers are more controllable, and last the operation whose
-// result register is more observable, thereby shortening the sequential
-// depth from a controllable register to an observable register. Ties fall
-// back to the current control step (smallest critical-path increase).
-// The comparator reads st's node numbering in the scratch, so it is valid
-// until the numbering is refilled.
-func (st *state) preferSR(m *testability.Metrics) sched.Prefer {
-	nodes := st.numbering()
-	ctrlIn := func(op dfg.NodeID) float64 {
-		best := 0.0
-		for _, v := range st.g.Node(op).In {
-			if c := testability.ValueCtrl(m, nodes, st.a.RegOf, v); c > best {
-				best = c
-			}
-		}
-		return best
+// + SR2) as a merge-sort comparator (sched.Prefer): execute first the
+// operation whose operand registers are more controllable, and last the
+// operation whose result register is more observable, thereby shortening
+// the sequential depth from a controllable register to an observable
+// register. Ties fall back to the current control step (smallest
+// critical-path increase). nodes is st's node numbering.
+func (st *state) preferSR(m *testability.Metrics, nodes *etpn.Numbering, a, b dfg.NodeID) int {
+	sa := st.ctrlIn(m, nodes, a) + st.obsOut(m, nodes, b)
+	sb := st.ctrlIn(m, nodes, b) + st.obsOut(m, nodes, a)
+	switch {
+	case sa > sb:
+		return -1
+	case sb > sa:
+		return +1
 	}
-	obsOut := func(op dfg.NodeID) float64 {
-		if r := st.a.RegOf[st.g.Node(op).Out]; r >= 0 {
-			return m.Obs(nodes.RegNode(r))
+	// SR ties: keep the operation currently scheduled earlier first.
+	return st.s.Step[a] - st.s.Step[b]
+}
+
+// ctrlIn is the best controllability among op's operands.
+func (st *state) ctrlIn(m *testability.Metrics, nodes *etpn.Numbering, op dfg.NodeID) float64 {
+	best := 0.0
+	for _, v := range st.g.Node(op).In {
+		if c := testability.ValueCtrl(m, nodes, st.a.RegOf, v); c > best {
+			best = c
 		}
-		return 1 // result goes straight to a port
 	}
-	return func(a, b dfg.NodeID) int {
-		sa := ctrlIn(a) + obsOut(b)
-		sb := ctrlIn(b) + obsOut(a)
-		switch {
-		case sa > sb:
-			return -1
-		case sb > sa:
-			return +1
-		}
-		// SR ties: keep the operation currently scheduled earlier first.
-		return st.s.Step[a] - st.s.Step[b]
+	return best
+}
+
+// obsOut is the observability of op's result register.
+func (st *state) obsOut(m *testability.Metrics, nodes *etpn.Numbering, op dfg.NodeID) float64 {
+	if r := st.a.RegOf[st.g.Node(op).Out]; r >= 0 {
+		return m.Obs(nodes.RegNode(r))
 	}
+	return 1 // result goes straight to a port
 }
 
 // applyRegMerge implements the register merger of §4.3.2: the lifetimes of
@@ -1000,11 +1022,11 @@ func (st *state) applyRegMerge(c candidate, m *testability.Metrics) (*state, int
 		// SR1: prefer the order with the shorter mean sequential depth. The
 		// two orders frequently converge to the same (schedule, allocation)
 		// pair, in which case the second analysis is a cache hit.
-		a1, err := ns[0].analyze(nil)
+		a1, err := ns[0].analyze()
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		a2, err := ns[1].analyze(nil)
+		a2, err := ns[1].analyze()
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -1022,19 +1044,17 @@ func (st *state) applyRegMerge(c candidate, m *testability.Metrics) (*state, int
 	return ns[0], dE[0], dH[0], nil
 }
 
-// meanRegSeqDepth averages the sequential depth of d's registers.
-func meanRegSeqDepth(d *etpn.Design, m *testability.Metrics) float64 {
-	sum, n := 0.0, 0
-	for _, nd := range d.Nodes {
-		if nd.Kind == etpn.KindRegister {
-			sum += m.SeqDepth(nd.ID)
-			n++
-		}
-	}
-	if n == 0 {
+// meanRegSeqDepth averages the sequential depth of a's registers. nodes
+// numbers the registers in a.Regs order, so the sum runs in node order.
+func meanRegSeqDepth(nodes *etpn.Numbering, a *alloc.Allocation, m *testability.Metrics) float64 {
+	if len(a.Regs) == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	sum := 0.0
+	for _, r := range a.Regs {
+		sum += m.SeqDepth(nodes.RegNode(r.ID))
+	}
+	return sum / float64(len(a.Regs))
 }
 
 // serializeRegs returns precedence arcs forcing every value of register
@@ -1043,11 +1063,13 @@ func meanRegSeqDepth(d *etpn.Design, m *testability.Metrics) float64 {
 // §4.3.2 handled like the module merge sort). When the current lifetimes
 // of a pair are already disjoint, no arc is added for it. It reads only
 // the graph, the registers and the lifetimes, so it runs on the committed
-// state before any clone.
+// state before any clone. The arcs live in st's scratch until the next
+// call: realize copies them into the merged problem.
 func (st *state) serializeRegs(first, second int) (strict, weak [][2]dfg.NodeID, err error) {
 	g := st.g
-	valsA := append([]dfg.ValueID(nil), st.a.Regs[first].Vals...)
-	valsB := append([]dfg.ValueID(nil), st.a.Regs[second].Vals...)
+	ra, rb := st.a.Regs[first].Vals, st.a.Regs[second].Vals
+	st.sc.vals = append(append(st.sc.vals[:0], ra...), rb...)
+	valsA, valsB := st.sc.vals[:len(ra)], st.sc.vals[len(ra):]
 	byBirth := func(vs []dfg.ValueID) {
 		slices.SortFunc(vs, func(x, y dfg.ValueID) int { return st.life[x].Birth - st.life[y].Birth })
 	}
@@ -1059,6 +1081,8 @@ func (st *state) serializeRegs(first, second int) (strict, weak [][2]dfg.NodeID,
 	// already disjoint keep their current order; contentious pairs
 	// (overlapping or tied) take the caller's direction, so both global
 	// orders are explored by applyRegMerge.
+	strict, weak = st.sc.strict[:0], st.sc.weak[:0]
+pairs:
 	for _, vb := range valsB {
 		for _, va := range valsA {
 			x, y := va, vb
@@ -1067,9 +1091,13 @@ func (st *state) serializeRegs(first, second int) (strict, weak [][2]dfg.NodeID,
 				x, y = vb, va // b already expires before a is created
 			}
 			if strict, weak, err = serializePair(g, x, y, strict, weak); err != nil {
-				return nil, nil, err
+				break pairs
 			}
 		}
+	}
+	st.sc.strict, st.sc.weak = strict, weak
+	if err != nil {
+		return nil, nil, err
 	}
 	return strict, weak, nil
 }
@@ -1080,12 +1108,13 @@ func (st *state) serializeRegs(first, second int) (strict, weak [][2]dfg.NodeID,
 // the step), so reader-to-producer arcs are weak; producer-to-producer
 // arcs are strict (two values cannot be written in the same step). An
 // operation reading both values makes the lifetimes inseparable (paper
-// §4.3.2, case 2).
+// §4.3.2, case 2). On an error it returns strict and weak as they stand,
+// so the caller keeps their arrays.
 func serializePair(g *dfg.Graph, va, vb dfg.ValueID, strict, weak [][2]dfg.NodeID) ([][2]dfg.NodeID, [][2]dfg.NodeID, error) {
 	a, b := g.Value(va), g.Value(vb)
 	for _, u := range a.Uses {
 		if slices.Contains(b.Uses, u) {
-			return nil, nil, fmt.Errorf("core: operation %s uses both %s and %s", g.Node(u).Name, a.Name, b.Name)
+			return strict, weak, fmt.Errorf("core: operation %s uses both %s and %s", g.Node(u).Name, a.Name, b.Name)
 		}
 	}
 	if b.Def != dfg.NoNode {
@@ -1100,7 +1129,7 @@ func serializePair(g *dfg.Graph, va, vb dfg.ValueID, strict, weak [][2]dfg.NodeI
 		}
 		if a.Def != dfg.NoNode {
 			if a.Def == b.Def {
-				return nil, nil, fmt.Errorf("core: %s and %s share a producer", a.Name, b.Name)
+				return strict, weak, fmt.Errorf("core: %s and %s share a producer", a.Name, b.Name)
 			}
 			strict = append(strict, [2]dfg.NodeID{a.Def, b.Def})
 		}
@@ -1110,7 +1139,7 @@ func serializePair(g *dfg.Graph, va, vb dfg.ValueID, strict, weak [][2]dfg.NodeI
 	// reader (and the producer) of va must strictly precede every reader
 	// of vb.
 	if len(b.Uses) == 0 {
-		return nil, nil, fmt.Errorf("core: cannot serialize %s before unused input %s", a.Name, b.Name)
+		return strict, weak, fmt.Errorf("core: cannot serialize %s before unused input %s", a.Name, b.Name)
 	}
 	for _, y := range b.Uses {
 		for _, x := range a.Uses {
@@ -1118,7 +1147,7 @@ func serializePair(g *dfg.Graph, va, vb dfg.ValueID, strict, weak [][2]dfg.NodeI
 		}
 		if a.Def != dfg.NoNode {
 			if a.Def == y {
-				return nil, nil, fmt.Errorf("core: producer of %s reads %s", a.Name, b.Name)
+				return strict, weak, fmt.Errorf("core: producer of %s reads %s", a.Name, b.Name)
 			}
 			strict = append(strict, [2]dfg.NodeID{a.Def, y})
 		}

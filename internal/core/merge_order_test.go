@@ -111,11 +111,11 @@ func TestAnalyzeMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := st.analyze(nil)
+	a1, err := st.analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := st.analyze(nil)
+	a2, err := st.analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +149,12 @@ func TestMeanRegSeqDepthSharedAcrossIdenticalOrders(t *testing.T) {
 	if err := s2.build(); err != nil {
 		t.Fatal(err)
 	}
-	a1, err := s1.analyze(nil)
+	a1, err := s1.analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits, designs := sc.Value("cache.metrics.hit"), sc.Value("core.designs")
-	a2, err := s2.analyze(nil)
+	a2, err := s2.analyze()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package etpn_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -93,8 +94,9 @@ func buildSweep() ([]sweepDesign, error) {
 	return designs, nil
 }
 
-// TestArcIndexMatchesReference compares ArcsInto and ArcsFrom with the
-// reference arc scans for every node of every sweep design.
+// TestArcIndexMatchesReference compares ArcsInto and ArcsFrom, and the
+// design's wiring view (Into, From, Kind and Class), with the reference
+// arc scans and the nodes for every node of every sweep design.
 func TestArcIndexMatchesReference(t *testing.T) {
 	same := func(a, b []*etpn.Arc) bool {
 		if len(a) != len(b) {
@@ -107,14 +109,31 @@ func TestArcIndexMatchesReference(t *testing.T) {
 		}
 		return true
 	}
+	links := func(arcs []*etpn.Arc) []etpn.Link {
+		ls := []etpn.Link{}
+		for _, a := range arcs {
+			ls = append(ls, etpn.Link{From: a.From, To: a.To, Port: a.ToPort})
+		}
+		return ls
+	}
 	for _, sd := range sweepDesigns(t) {
-		d := sd.d
+		d, w := sd.d, sd.d.Wiring()
+		if w.Nodes() != len(d.Nodes) {
+			t.Fatalf("%s: wiring has %d nodes, design %d", sd.label, w.Nodes(), len(d.Nodes))
+		}
 		for _, n := range d.Nodes {
 			if !same(d.ArcsInto(n.ID), etpn.RefArcsInto(d, n.ID)) {
 				t.Fatalf("%s: ArcsInto(%d) %v, reference %v", sd.label, n.ID, d.ArcsInto(n.ID), etpn.RefArcsInto(d, n.ID))
 			}
 			if !same(d.ArcsFrom(n.ID), etpn.RefArcsFrom(d, n.ID)) {
 				t.Fatalf("%s: ArcsFrom(%d) %v, reference %v", sd.label, n.ID, d.ArcsFrom(n.ID), etpn.RefArcsFrom(d, n.ID))
+			}
+			in, out := links(etpn.RefArcsInto(d, n.ID)), links(etpn.RefArcsFrom(d, n.ID))
+			if !slices.Equal(w.Into(n.ID), in) || !slices.Equal(w.From(n.ID), out) {
+				t.Fatalf("%s: node %s links in %v and out %v, reference %v and %v", sd.label, n.Name, w.Into(n.ID), w.From(n.ID), in, out)
+			}
+			if w.Kind(n.ID) != n.Kind || w.Class(n.ID) != n.Class {
+				t.Fatalf("%s: node %s is %s %q in the wiring, %s %q in the design", sd.label, n.Name, w.Kind(n.ID), w.Class(n.ID), n.Kind, n.Class)
 			}
 		}
 	}

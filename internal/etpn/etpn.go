@@ -95,6 +95,8 @@ type Design struct {
 	// Numbering maps allocation registers and modules, and the input
 	// ports, output ports and constants of values, to node ids.
 	Numbering
+	// wiring is the indexed wiring Build laid the design out from.
+	wiring *Wiring
 }
 
 // Build derives the ETPN data path from a behaviour, a schedule, and an
@@ -109,10 +111,12 @@ func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life alloc.Life,
 	if err := w.Derive(g, s, a, life, loop); err != nil {
 		return nil, err
 	}
+	w.Index()
 	d := &Design{
 		G: g, Sched: s, Alloc: a, Life: life,
 		LoopSignal: loop,
 		Numbering:  w.Numbering,
+		wiring:     w,
 	}
 	nodes := make([]Node, 0, w.nodes)
 	d.Nodes = make([]*Node, 0, w.nodes)
@@ -141,8 +145,15 @@ func Build(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life alloc.Life,
 	d.Arcs = layoutArcs(w.links, w.xfers)
 	d.into = arcLists(len(d.Nodes), d.Arcs, func(a *Arc) int { return a.To })
 	d.from = arcLists(len(d.Nodes), d.Arcs, func(a *Arc) int { return a.From })
+	// The design keeps the links and their view; Derive's scratch goes.
+	w.next, w.head, w.xfers, w.writes = nil, nil, nil, nil
 	return d, nil
 }
+
+// Wiring returns the indexed wiring d was laid out from: its links and
+// node-indexed view are d's arcs, node kinds and module classes. Callers
+// must not modify or re-derive it.
+func (d *Design) Wiring() *Wiring { return d.wiring }
 
 // layoutArcs builds the arcs in link order, filling every arc's Steps and
 // Values with its transfers in discovery order, as capacity-capped

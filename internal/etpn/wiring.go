@@ -19,6 +19,10 @@ type Numbering struct {
 	ids                        []int
 	inNode, outNode, constNode []int
 	regNode, modNode           []int
+	// portKind is the kind of every port and constant node in node order;
+	// modules are the numbered allocation's modules, which Class reads.
+	portKind []NodeKind
+	modules  []*alloc.ModuleGroup
 	// ports counts the port and constant nodes, which come first; nodes
 	// counts all of them.
 	ports, nodes int
@@ -35,18 +39,22 @@ func (nb *Numbering) Number(g *dfg.Graph, a *alloc.Allocation) {
 	ids := nb.ids
 	nb.inNode, nb.outNode, nb.constNode = ids[:nv:nv], ids[nv:2*nv:2*nv], ids[2*nv:3*nv:3*nv]
 	nb.regNode, nb.modNode = ids[3*nv:3*nv+nr:3*nv+nr], ids[3*nv+nr:]
+	nb.portKind = nb.portKind[:0]
 	id := 0
 	for _, v := range g.Values() {
 		switch v.Kind {
 		case dfg.ValInput:
 			nb.inNode[v.ID] = id
+			nb.portKind = append(nb.portKind, KindInPort)
 			id++
 		case dfg.ValConst:
 			nb.constNode[v.ID] = id
+			nb.portKind = append(nb.portKind, KindConst)
 			id++
 		}
 		if v.IsOutput {
 			nb.outNode[v.ID] = id
+			nb.portKind = append(nb.portKind, KindOutPort)
 			id++
 		}
 	}
@@ -59,7 +67,29 @@ func (nb *Numbering) Number(g *dfg.Graph, a *alloc.Allocation) {
 		nb.modNode[m.ID] = id
 		id++
 	}
+	nb.modules = a.Modules
 	nb.nodes = id
+}
+
+// Kind returns the kind of node id.
+func (nb *Numbering) Kind(id int) NodeKind {
+	switch {
+	case id < nb.ports:
+		return nb.portKind[id]
+	case id < nb.nodes-len(nb.modules):
+		return KindRegister
+	}
+	return KindModule
+}
+
+// Class returns the class of module node id, and "" for any other node.
+// It reads the numbered allocation's modules, which must not have changed
+// since Number.
+func (nb *Numbering) Class(id int) string {
+	if m := id - (nb.nodes - len(nb.modules)); m >= 0 {
+		return nb.modules[m].Class
+	}
+	return ""
 }
 
 // RegNode returns the data-path node id of an allocation register id.
@@ -78,6 +108,11 @@ func (nb *Numbering) InNode(v dfg.ValueID) (int, bool) { n := nb.inNode[v]; retu
 // data paths without allocating once its arrays have grown; Build derives
 // into a fresh one and lays the design out from it.
 //
+// Index adds a node-indexed view: every node's links in and out, in link
+// order, which is the order of Design.ArcsInto and ArcsFrom. With the
+// node kinds and module classes of the numbering, it is all a node-level
+// analysis such as testability reads, so one needs no design.
+//
 // The links depend only on the graph, ModuleOf, RegOf and whether an input
 // value has uses. The schedule and lifetimes only stamp the transfers with
 // control steps, which the structural checks read.
@@ -91,6 +126,11 @@ type Wiring struct {
 	xfers      []xfer
 	// writes is the register check's scratch: (node, step) per write.
 	writes [][2]int
+	// The view Index fills: node id's links in are in[inOff[id]:
+	// inOff[id+1]], its links out out[outOff[id]:outOff[id+1]]. Derive
+	// empties the offsets, so reading a stale view panics.
+	inOff, outOff []int
+	in, out       []Link
 }
 
 // Link is an arc of a Wiring: the nodes it joins and the operand port at
@@ -117,6 +157,7 @@ func (w *Wiring) Links() []Link { return w.links }
 // its messages: Build fails exactly where Derive does.
 func (w *Wiring) Derive(g *dfg.Graph, s sched.Schedule, a *alloc.Allocation, life alloc.Life, loop string) error {
 	w.Number(g, a)
+	w.inOff, w.outOff = w.inOff[:0], w.outOff[:0]
 	// Capacity: an input value is loaded and may feed an output port; an
 	// operation reads its operands, writes its result and may feed one.
 	bound := 2 * g.NumValues()
@@ -234,6 +275,49 @@ func (w *Wiring) check(s sched.Schedule, a *alloc.Allocation) error {
 		}
 	}
 	return nil
+}
+
+// Index fills the node-indexed view of the links Derive found.
+func (w *Wiring) Index() {
+	w.inOff, w.in = group(w.inOff, w.in, w.nodes, w.links, true)
+	w.outOff, w.out = group(w.outOff, w.out, w.nodes, w.links, false)
+}
+
+// Into returns the links into node id in link order. Callers must not
+// modify the returned slice.
+func (w *Wiring) Into(id int) []Link { return w.in[w.inOff[id]:w.inOff[id+1]] }
+
+// From returns the links out of node id in link order. Callers must not
+// modify the returned slice.
+func (w *Wiring) From(id int) []Link { return w.out[w.outOff[id]:w.outOff[id+1]] }
+
+// group groups links by destination (byTo) or by source into off and
+// list, reusing their arrays, keeping link order within each node.
+func group(off []int, list []Link, nodes int, links []Link, byTo bool) ([]int, []Link) {
+	end := func(l Link) int {
+		if byTo {
+			return l.To
+		}
+		return l.From
+	}
+	off = reuse(off, nodes+1)[:nodes+1]
+	clear(off)
+	for _, l := range links {
+		off[end(l)+1]++
+	}
+	for n := range nodes {
+		off[n+1] += off[n]
+	}
+	// Fill with off[n] as node n's cursor, which leaves it at the start
+	// of node n+1's list, then shift the offsets back.
+	list = reuse(list, len(links))[:len(links)]
+	for _, l := range links {
+		list[off[end(l)]] = l
+		off[end(l)]++
+	}
+	copy(off[1:], off[:nodes])
+	off[0] = 0
+	return off, list
 }
 
 // reuse returns s emptied, with room for n elements.

@@ -27,7 +27,7 @@ func BenchmarkList(b *testing.B) {
 		for _, op := range m.Ops {
 			p.ModuleOf[op] = m.ID
 		}
-		p.Extra = append(p.Extra, sched.ChainArcs(sched.OrderByStep(m.Ops, d.Sched))...)
+		p.Extra = append(p.Extra, sched.ChainArcs(nil, sched.OrderByStep(nil, m.Ops, d.Sched))...)
 	}
 	for _, r := range d.Alloc.Regs {
 		vals := slices.Clone(r.Vals)

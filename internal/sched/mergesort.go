@@ -14,30 +14,31 @@ import (
 // to node id.
 type Prefer func(a, b dfg.NodeID) int
 
-// OrderByStep returns ops sorted by their control step in s (ties by id):
-// the sequential execution order the operations already have on their
-// shared module.
-func OrderByStep(ops []dfg.NodeID, s Schedule) []dfg.NodeID {
-	out := append([]dfg.NodeID(nil), ops...)
-	slices.SortFunc(out, func(a, b dfg.NodeID) int {
+// OrderByStep appends to dst ops sorted by their control step in s (ties
+// by id): the sequential execution order the operations already have on
+// their shared module.
+func OrderByStep(dst, ops []dfg.NodeID, s Schedule) []dfg.NodeID {
+	n := len(dst)
+	dst = append(dst, ops...)
+	slices.SortFunc(dst[n:], func(a, b dfg.NodeID) int {
 		if sa, sb := s.Step[a], s.Step[b]; sa != sb {
 			return sa - sb
 		}
 		return int(a - b)
 	})
-	return out
+	return dst
 }
 
-// MergeOrders merges the sequential execution orders of two modules being
-// merged into a single total order, in the manner of a merge sort (paper
-// §4.3.1): at each point the two sequence heads are compared with prefer
-// and the preferred head is emitted. The relative order within each input
-// sequence is preserved, because those operations already share a module.
-func MergeOrders(seqA, seqB []dfg.NodeID, prefer Prefer) []dfg.NodeID {
+// MergeOrders appends to out the merge of the sequential execution orders
+// of two modules being merged into a single total order, in the manner of
+// a merge sort (paper §4.3.1): at each point the two sequence heads are
+// compared with prefer and the preferred head is emitted. The relative
+// order within each input sequence is preserved, because those operations
+// already share a module.
+func MergeOrders(out, seqA, seqB []dfg.NodeID, prefer Prefer) []dfg.NodeID {
 	if prefer == nil {
 		prefer = func(a, b dfg.NodeID) int { return int(a - b) }
 	}
-	out := make([]dfg.NodeID, 0, len(seqA)+len(seqB))
 	i, j := 0, 0
 	for i < len(seqA) && j < len(seqB) {
 		c := prefer(seqA[i], seqB[j])
@@ -57,12 +58,11 @@ func MergeOrders(seqA, seqB []dfg.NodeID, prefer Prefer) []dfg.NodeID {
 	return out
 }
 
-// ChainArcs converts a total execution order into the precedence arcs that
-// realize it: one arc between each consecutive pair. Appending these to
-// Problem.Extra forces the list scheduler to place the merged operations in
-// distinct, ordered control steps.
-func ChainArcs(order []dfg.NodeID) [][2]dfg.NodeID {
-	var arcs [][2]dfg.NodeID
+// ChainArcs appends to arcs the precedence arcs that realize a total
+// execution order: one arc between each consecutive pair. Appending these
+// to Problem.Extra forces the list scheduler to place the merged
+// operations in distinct, ordered control steps.
+func ChainArcs(arcs [][2]dfg.NodeID, order []dfg.NodeID) [][2]dfg.NodeID {
 	for i := 0; i+1 < len(order); i++ {
 		arcs = append(arcs, [2]dfg.NodeID{order[i], order[i+1]})
 	}

@@ -34,7 +34,7 @@ func candidateArcs(p *Problem, order []dfg.NodeID, rng *rand.Rand, kind int) (st
 		for i, n := range perm {
 			nodes[i] = dfg.NodeID(n)
 		}
-		strict = ChainArcs(nodes)
+		strict = ChainArcs(nil, nodes)
 	case overlayPairs:
 		for i := 1 + rng.Intn(5); i > 0; i-- {
 			a, b := node(), node()
@@ -83,7 +83,7 @@ func candidateArcs(p *Problem, order []dfg.NodeID, rng *rand.Rand, kind int) (st
 		for i, n := range picked {
 			nodes[i] = dfg.NodeID(n)
 		}
-		strict = ChainArcs(nodes)
+		strict = ChainArcs(nil, nodes)
 	}
 	return strict, weak
 }
@@ -236,7 +236,7 @@ func TestOverlaySolvesReuseScratch(t *testing.T) {
 	}{
 		{"pass", nil, nil},
 		{"cycle", [][2]dfg.NodeID{{order[3], order[3]}}, errCycle},
-		{"overrun", ChainArcs(order), latencyError(p.MaxLen)},
+		{"overrun", ChainArcs(nil, order), latencyError(p.MaxLen)},
 	}
 	for _, c := range cases {
 		if _, err := b.List(c.strict, nil, p.ModuleOf); !sameErr(err, c.want) {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -271,12 +272,15 @@ func TestALUClassPoolsAddSub(t *testing.T) {
 func TestMergeOrdersInterleavesStably(t *testing.T) {
 	a := []dfg.NodeID{1, 3, 5}
 	b := []dfg.NodeID{2, 4}
-	got := MergeOrders(a, b, nil)
+	got := MergeOrders(nil, a, b, nil)
 	want := []dfg.NodeID{1, 2, 3, 4, 5}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("MergeOrders = %v, want %v", got, want)
 		}
+	}
+	if got := MergeOrders([]dfg.NodeID{9}, a, b, nil); !slices.Equal(got, append([]dfg.NodeID{9}, want...)) {
+		t.Fatalf("MergeOrders appended %v", got)
 	}
 }
 
@@ -284,7 +288,7 @@ func TestMergeOrdersPrefer(t *testing.T) {
 	a := []dfg.NodeID{10, 11}
 	b := []dfg.NodeID{20, 21}
 	// Always prefer sequence B's head.
-	got := MergeOrders(a, b, func(x, y dfg.NodeID) int { return +1 })
+	got := MergeOrders(nil, a, b, func(x, y dfg.NodeID) int { return +1 })
 	want := []dfg.NodeID{20, 21, 10, 11}
 	for i := range want {
 		if got[i] != want[i] {
@@ -304,7 +308,7 @@ func TestMergeOrdersPreservesRelativeOrder(t *testing.T) {
 			b = append(b, dfg.NodeID(i*2+1))
 		}
 		prefer := func(x, y dfg.NodeID) int { return rng.Intn(3) - 1 }
-		out := MergeOrders(a, b, prefer)
+		out := MergeOrders(nil, a, b, prefer)
 		if len(out) != len(a)+len(b) {
 			return false
 		}
@@ -330,12 +334,15 @@ func TestMergeOrdersPreservesRelativeOrder(t *testing.T) {
 }
 
 func TestChainArcs(t *testing.T) {
-	arcs := ChainArcs([]dfg.NodeID{4, 2, 7})
+	arcs := ChainArcs(nil, []dfg.NodeID{4, 2, 7})
 	if len(arcs) != 2 || arcs[0] != [2]dfg.NodeID{4, 2} || arcs[1] != [2]dfg.NodeID{2, 7} {
 		t.Fatalf("ChainArcs = %v", arcs)
 	}
-	if ChainArcs(nil) != nil {
-		t.Fatal("ChainArcs(nil) should be nil")
+	if ChainArcs(nil, nil) != nil {
+		t.Fatal("ChainArcs(nil, nil) should be nil")
+	}
+	if arcs = ChainArcs(arcs[:1], []dfg.NodeID{1, 3}); len(arcs) != 2 || arcs[0] != [2]dfg.NodeID{4, 2} || arcs[1] != [2]dfg.NodeID{1, 3} {
+		t.Fatalf("ChainArcs appended %v", arcs)
 	}
 }
 
@@ -349,12 +356,15 @@ func TestOrderByStep(t *testing.T) {
 			muls = append(muls, n.ID)
 		}
 	}
-	ord := OrderByStep(muls, s)
+	ord := OrderByStep(nil, muls, s)
 	for i := 0; i+1 < len(ord); i++ {
 		si, sj := s.Step[ord[i]], s.Step[ord[i+1]]
 		if si > sj {
 			t.Fatalf("OrderByStep not sorted: %v", ord)
 		}
+	}
+	if got := OrderByStep([]dfg.NodeID{99}, muls, s); !slices.Equal(got, append([]dfg.NodeID{99}, ord...)) {
+		t.Fatalf("OrderByStep appended %v, want 99 then %v", got, ord)
 	}
 }
 

@@ -28,31 +28,25 @@ type factors struct {
 	ctf, otf float64
 }
 
-// classFactors maps module classes (sched.ExactClass / sched.ALUClass
-// names) to transfer factors. Multipliers are markedly harder to observe
-// through than to control through; comparators compress a word to one bit
-// and are nearly opaque for observability.
-var classFactors = map[string]factors{
-	"+":     {0.90, 0.90},
-	"-":     {0.90, 0.90},
-	"±":     {0.90, 0.90},
-	"*":     {0.70, 0.50},
-	"<":     {0.50, 0.30},
-	">":     {0.50, 0.30},
-	"==":    {0.50, 0.30},
-	"&":     {0.95, 0.80},
-	"|":     {0.95, 0.80},
-	"^":     {0.95, 0.95},
-	"~":     {1.00, 1.00},
-	"mov":   {1.00, 1.00},
-	"logic": {0.95, 0.80},
-}
-
-// factorsOf returns the transfer factors of a module class; a class with
-// no entry gets moderate defaults.
+// factorsOf returns the transfer factors of a module class
+// (sched.ExactClass / sched.ALUClass names); a class with no entry gets
+// moderate defaults. Multipliers are markedly harder to observe through
+// than to control through; comparators compress a word to one bit and are
+// nearly opaque for observability.
 func factorsOf(class string) factors {
-	if f, ok := classFactors[class]; ok {
-		return f
+	switch class {
+	case "+", "-", "±":
+		return factors{0.90, 0.90}
+	case "*":
+		return factors{0.70, 0.50}
+	case "<", ">", "==":
+		return factors{0.50, 0.30}
+	case "&", "|", "logic":
+		return factors{0.95, 0.80}
+	case "^":
+		return factors{0.95, 0.95}
+	case "~", "mov":
+		return factors{1.00, 1.00}
 	}
 	return factors{0.85, 0.75}
 }
@@ -76,39 +70,48 @@ const (
 // Metrics holds the four testability measures per data-path node id.
 type Metrics struct {
 	CC, SC, CO, SO []float64
-	scan           map[int]bool
 }
 
 // Analyze computes the testability metrics of every node of d's data path.
 // scan marks data-path register nodes implemented as scan registers (nil
 // for none): they are directly controllable and observable through the
-// scan chain, so the analysis anchors them like primary ports.
+// scan chain, so the analysis anchors them like primary ports. It analyses
+// the wiring Build laid d out from (AnalyzeWiring), so it derives nothing.
 func Analyze(d *etpn.Design, scan map[int]bool) *Metrics {
-	n := len(d.Nodes)
+	return AnalyzeWiring(d.Wiring(), scan)
+}
+
+// AnalyzeWiring computes the testability metrics of every node of the
+// data path w describes, with scan as in Analyze. w must be derived and
+// indexed (etpn.Wiring.Index). Every float operation runs in the order of
+// the design-based analysis it replaced: nodes by id, links in link order
+// (the order of Design.ArcsInto and ArcsFrom), operand ports ascending.
+func AnalyzeWiring(w *etpn.Wiring, scan map[int]bool) *Metrics {
+	n := w.Nodes()
+	vals := make([]float64, 4*n)
 	m := &Metrics{
-		CC: make([]float64, n), SC: make([]float64, n),
-		CO: make([]float64, n), SO: make([]float64, n),
-		scan: scan,
+		CC: vals[:n:n], SC: vals[n : 2*n : 2*n],
+		CO: vals[2*n : 3*n : 3*n], SO: vals[3*n:],
 	}
 	for i := range m.SC {
 		m.SC[i] = math.Inf(1)
 		m.SO[i] = math.Inf(1)
 	}
 	// Sources.
-	for _, nd := range d.Nodes {
-		switch nd.Kind {
+	for id := range n {
+		switch w.Kind(id) {
 		case etpn.KindInPort:
-			m.CC[nd.ID], m.SC[nd.ID] = 1, 0
+			m.CC[id], m.SC[id] = 1, 0
 		case etpn.KindConst:
-			m.CC[nd.ID], m.SC[nd.ID] = constCC, 0
+			m.CC[id], m.SC[id] = constCC, 0
 		case etpn.KindOutPort:
-			m.CO[nd.ID], m.SO[nd.ID] = 1, 0
+			m.CO[id], m.SO[id] = 1, 0
 		case etpn.KindRegister:
-			if scan[nd.ID] {
+			if scan[id] {
 				// Scan registers load through the chain (one scan cycle)
 				// and are observed through it directly.
-				m.CC[nd.ID], m.SC[nd.ID] = 1, 1
-				m.CO[nd.ID], m.SO[nd.ID] = 1, 0
+				m.CC[id], m.SC[id] = 1, 1
+				m.CO[id], m.SO[id] = 1, 0
 			}
 		}
 	}
@@ -117,13 +120,13 @@ func Analyze(d *etpn.Design, scan map[int]bool) *Metrics {
 	var ports []portBest
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
-		for _, nd := range d.Nodes {
-			cc, sc, ok := m.nodeCtrlIn(d, nd, &ports)
+		for id := range n {
+			cc, sc, ok := m.nodeCtrlIn(w, scan, id, &ports)
 			if !ok {
 				continue
 			}
-			if better(cc, sc, m.CC[nd.ID], m.SC[nd.ID], eps) {
-				m.CC[nd.ID], m.SC[nd.ID] = cc, sc
+			if better(cc, sc, m.CC[id], m.SC[id], eps) {
+				m.CC[id], m.SC[id] = cc, sc
 				changed = true
 			}
 		}
@@ -134,13 +137,13 @@ func Analyze(d *etpn.Design, scan map[int]bool) *Metrics {
 	// Backward observability fixpoint.
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
-		for _, nd := range d.Nodes {
-			co, so, ok := m.nodeObsOut(d, nd)
+		for id := range n {
+			co, so, ok := m.nodeObsOut(w, scan, id)
 			if !ok {
 				continue
 			}
-			if better(co, so, m.CO[nd.ID], m.SO[nd.ID], eps) {
-				m.CO[nd.ID], m.SO[nd.ID] = co, so
+			if better(co, so, m.CO[id], m.SO[id], eps) {
+				m.CO[id], m.SO[id] = co, so
 				changed = true
 			}
 		}
@@ -183,28 +186,29 @@ type portBest struct {
 	fed, ok bool
 }
 
-// nodeCtrlIn computes the controllability a node derives from its input
+// nodeCtrlIn computes the controllability node id derives from its input
 // lines: the best input line for registers (the node inherits the best
 // controllability of any input line, paper §3), and the transfer through
 // the module for module nodes (all operand ports must be controlled).
 // ports is scratch indexed by operand port, grown as needed.
-func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node, ports *[]portBest) (float64, float64, bool) {
-	if nd.Kind == etpn.KindRegister && m.scan[nd.ID] {
+func (m *Metrics) nodeCtrlIn(w *etpn.Wiring, scan map[int]bool, id int, ports *[]portBest) (float64, float64, bool) {
+	kind := w.Kind(id)
+	if kind == etpn.KindRegister && scan[id] {
 		return 0, 0, false // anchored by the scan chain
 	}
-	switch nd.Kind {
+	switch kind {
 	case etpn.KindInPort, etpn.KindConst:
 		return 0, 0, false // fixed sources
 	case etpn.KindRegister, etpn.KindOutPort:
 		bestC, bestS := 0.0, math.Inf(1)
 		found := false
-		for _, a := range d.ArcsInto(nd.ID) {
-			cc, sc := m.CC[a.From], m.SC[a.From]
+		for _, l := range w.Into(id) {
+			cc, sc := m.CC[l.From], m.SC[l.From]
 			if cc == 0 {
 				continue
 			}
 			// Loading a register crosses one clock boundary.
-			if nd.Kind == etpn.KindRegister {
+			if kind == etpn.KindRegister {
 				cc *= regFactor
 				sc++
 			}
@@ -218,20 +222,20 @@ func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node, ports *[]portBest) (
 		// sources uses its best source. If any port has no controllable
 		// source yet, the module is not yet controllable (computing a
 		// partial product would break the monotonicity of the fixpoint).
-		arcs := d.ArcsInto(nd.ID)
+		links := w.Into(id)
 		n := 0
-		for _, a := range arcs {
-			n = max(n, a.ToPort+1)
+		for _, l := range links {
+			n = max(n, l.Port+1)
 		}
 		if cap(*ports) < n {
 			*ports = make([]portBest, n)
 		}
 		ps := (*ports)[:n]
 		clear(ps)
-		for _, a := range arcs {
-			p := &ps[a.ToPort]
+		for _, l := range links {
+			p := &ps[l.Port]
 			p.fed = true
-			cc, sc := m.CC[a.From], m.SC[a.From]
+			cc, sc := m.CC[l.From], m.SC[l.From]
 			if cc == 0 {
 				continue
 			}
@@ -239,8 +243,7 @@ func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node, ports *[]portBest) (
 				p.cc, p.sc, p.ok = cc, sc, true
 			}
 		}
-		f := factorsOf(nd.Class)
-		cc, sc, fed := f.ctf, 0.0, false
+		cc, sc, fed := factorsOf(w.Class(id)).ctf, 0.0, false
 		// Multiply the ports in ascending order: float multiplication is
 		// not associative under rounding, so another order could perturb
 		// cc in its last ulp and move the fixpoint (and everything ranked
@@ -266,40 +269,40 @@ func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node, ports *[]portBest) (
 	return 0, 0, false
 }
 
-// nodeObsOut computes the observability a node derives from its output
+// nodeObsOut computes the observability node id derives from its output
 // lines: the best output line (paper §3). Observing a value through a
 // module requires controlling the module's other operand ports, which
 // scales the line observability by their controllability.
-func (m *Metrics) nodeObsOut(d *etpn.Design, nd *etpn.Node) (float64, float64, bool) {
-	if nd.Kind == etpn.KindOutPort {
+func (m *Metrics) nodeObsOut(w *etpn.Wiring, scan map[int]bool, id int) (float64, float64, bool) {
+	kind := w.Kind(id)
+	if kind == etpn.KindOutPort {
 		return 0, 0, false // fixed sink
 	}
-	if nd.Kind == etpn.KindRegister && m.scan[nd.ID] {
+	if kind == etpn.KindRegister && scan[id] {
 		return 0, 0, false // anchored by the scan chain
 	}
 	bestC, bestS := 0.0, math.Inf(1)
 	found := false
-	for _, a := range d.ArcsFrom(nd.ID) {
-		to := d.Nodes[a.To]
+	for _, l := range w.From(id) {
 		var co, so float64
-		switch to.Kind {
+		switch w.Kind(l.To) {
 		case etpn.KindOutPort:
 			co, so = 1, 0
 		case etpn.KindRegister:
-			co, so = m.CO[a.To]*regFactor, m.SO[a.To]+1
+			co, so = m.CO[l.To]*regFactor, m.SO[l.To]+1
 		case etpn.KindModule:
-			co, so = m.CO[a.To], m.SO[a.To]
-			f := factorsOf(to.Class)
-			co *= f.otf
+			co, so = m.CO[l.To], m.SO[l.To]
+			co *= factorsOf(w.Class(l.To)).otf
 			// Control of the sibling operand ports gates propagation.
-			for _, sib := range d.ArcsInto(a.To) {
-				if sib.ToPort == a.ToPort {
+			sibs := w.Into(l.To)
+			for _, sib := range sibs {
+				if sib.Port == l.Port {
 					continue
 				}
 				// Best source controllability on the sibling port.
 				best := 0.0
-				for _, s2 := range d.ArcsInto(a.To) {
-					if s2.ToPort == sib.ToPort && m.CC[s2.From] > best {
+				for _, s2 := range sibs {
+					if s2.Port == sib.Port && m.CC[s2.From] > best {
 						best = m.CC[s2.From]
 					}
 				}
